@@ -18,6 +18,7 @@ use dense::scalar::Scalar;
 use dense::MatPtr;
 use gpu_sim::{BlockCost, BlockCtx, CostMeter, DeviceSpec, Exec, Gpu, Kernel, LaunchConfig};
 use parking_lot::Mutex;
+use rayon::prelude::*;
 
 /// Cost of one `health_check` block: a single coalesced read pass over a
 /// `rows x cols` slab (no flops — comparisons are not counted as useful
@@ -135,44 +136,67 @@ pub fn check_matrix_finite<T: Scalar>(
     }
 }
 
+/// Passes over fewer elements than this stay on the calling thread: below
+/// it a pool region costs more than the scan or sum it would split.
+const PAR_MIN_ELEMS: usize = 1 << 15;
+
+/// `f(j)` for each column `j` in `cols`, in order. Each column of `rows`
+/// elements is one pool item, so the pool splits the pass into column
+/// ranges; small passes (and passes inside a region) run inline.
+fn map_cols<R: Send>(
+    cols: std::ops::Range<usize>,
+    rows: usize,
+    f: impl Fn(usize) -> R + Sync,
+) -> Vec<R> {
+    if cols.len() * rows < PAR_MIN_ELEMS {
+        cols.map(f).collect()
+    } else {
+        cols.into_par_iter().map(f).collect()
+    }
+}
+
 /// Host-side finiteness scan (no simulator, no charge) for the CPU drivers.
-/// Returns the first non-finite entry in column-major order.
-#[allow(clippy::eq_op)] // the `x - x` probe is +0.0 iff `x` is finite, NaN otherwise
+/// Returns the first non-finite entry in column-major order — exactly the
+/// entry the element-by-element scan finds: columns are scanned in
+/// parallel ranges and the first offending column in order wins.
 pub fn first_nonfinite<T: Scalar>(a: &Matrix<T>) -> Option<(usize, usize)> {
+    map_cols(0..a.cols(), a.rows(), |j| {
+        first_nonfinite_in(a.col(j)).map(|i| (i, j))
+    })
+    .into_iter()
+    .flatten()
+    .next()
+}
+
+/// Index of the first non-finite entry of `col`.
+#[allow(clippy::eq_op)] // the `x - x` probe is +0.0 iff `x` is finite, NaN otherwise
+fn first_nonfinite_in<T: Scalar>(col: &[T]) -> Option<usize> {
     // Scan in blocks with a branchless lane accumulation of `x - x`
     // (exactly `+0.0` for finite `x`, NaN otherwise) so the common
     // all-finite path vectorizes; only a block that trips the check is
-    // re-scanned scalar to locate the first offender, so the returned
-    // index is identical to the naive element-by-element scan.
-    const LANES: usize = 8;
+    // re-scanned scalar to locate the first offender.
     const BLOCK: usize = 64;
-    for j in 0..a.cols() {
-        let col = a.col(j);
-        let mut base = 0;
-        let mut blocks = col.chunks_exact(BLOCK);
-        for b in &mut blocks {
-            let mut acc = [T::ZERO; LANES];
-            for c in b.chunks_exact(LANES) {
-                for l in 0..LANES {
-                    acc[l] += c[l] - c[l];
-                }
-            }
-            if acc.iter().any(|&x| x != T::ZERO) {
-                for (i, v) in b.iter().enumerate() {
-                    if !v.is_finite() {
-                        return Some((base + i, j));
-                    }
-                }
-            }
-            base += BLOCK;
-        }
-        for (i, v) in blocks.remainder().iter().enumerate() {
-            if !v.is_finite() {
-                return Some((base + i, j));
+    let mut base = 0;
+    let mut blocks = col.chunks_exact(BLOCK);
+    for b in &mut blocks {
+        let mut acc = [T::ZERO; LANES];
+        for c in b.chunks_exact(LANES) {
+            for l in 0..LANES {
+                acc[l] += c[l] - c[l];
             }
         }
+        if acc.iter().any(|&x| x != T::ZERO) {
+            if let Some(i) = b.iter().position(|v| !v.is_finite()) {
+                return Some(base + i);
+            }
+        }
+        base += BLOCK;
     }
-    None
+    blocks
+        .remainder()
+        .iter()
+        .position(|v| !v.is_finite())
+        .map(|i| base + i)
 }
 
 // ---------------------------------------------------------------------------
@@ -198,10 +222,12 @@ pub fn first_nonfinite<T: Scalar>(a: &Matrix<T>) -> Option<(usize, usize)> {
 //   (`1^T Q_p^T C = (Q_p 1)^T C`). The comparison tolerance scales with
 //   `sum_i |u_i C[i,j]|`, the condition of the predicted sum.
 //
-// All accumulations are f64 regardless of `T`. Tolerances are
-// `64 * rows * eps(T)` relative — loose enough for the sequential-sum
-// rounding of `rows`-long reductions, tight enough that the injected
-// `x -> 2x + 1` corruption exceeds them by orders of magnitude. For `f32`
+// All accumulations are f64 regardless of `T`, split over `LANES`
+// independent chains that are combined in a fixed order, so a sum does not
+// wait on one serial add chain and its value does not depend on which
+// thread computed it. Tolerances are `64 * rows * eps(T)` relative — loose
+// enough for the rounding of `rows`-long reductions, tight enough that the
+// injected `x -> 2x + 1` corruption exceeds them by orders of magnitude. For `f32`
 // at very large `rows` the relative tolerance approaches O(1) and the
 // factor check goes soft; the chaos soak therefore runs in `f64`.
 
@@ -212,6 +238,59 @@ pub fn checksum_tol<T: Scalar>(rows: usize) -> f64 {
     64.0 * rows as f64 * T::epsilon().to_f64()
 }
 
+/// Independent accumulator chains of the vectorized scans and sums.
+const LANES: usize = 8;
+
+/// `sum_i term(x_i)` over `xs` in f64, accumulated in `LANES` independent
+/// chains (element `i` feeds chain `i % LANES`) combined in lane order.
+#[inline]
+fn lane_sum<T: Scalar>(xs: &[T], term: impl Fn(f64) -> f64) -> f64 {
+    let mut acc = [0.0f64; LANES];
+    let mut chunks = xs.chunks_exact(LANES);
+    for c in &mut chunks {
+        for l in 0..LANES {
+            acc[l] += term(c[l].to_f64());
+        }
+    }
+    for (a, &v) in acc.iter_mut().zip(chunks.remainder()) {
+        *a += term(v.to_f64());
+    }
+    acc.iter().sum()
+}
+
+/// `(sum_i u_i c_i, sum_i |u_i c_i|)` in f64 with the chain split of
+/// [`lane_sum`].
+#[inline]
+fn lane_dot_abs<T: Scalar>(u: &[T], c: &[T]) -> (f64, f64) {
+    let n = u.len().min(c.len());
+    let (u, c) = (&u[..n], &c[..n]);
+    let mut pred = [0.0f64; LANES];
+    let mut scale = [0.0f64; LANES];
+    let mut uc = u.chunks_exact(LANES);
+    let mut cc = c.chunks_exact(LANES);
+    for (ub, cb) in (&mut uc).zip(&mut cc) {
+        for l in 0..LANES {
+            let term = ub[l].to_f64() * cb[l].to_f64();
+            pred[l] += term;
+            scale[l] += term.abs();
+        }
+    }
+    for (l, (ui, ci)) in uc.remainder().iter().zip(cc.remainder()).enumerate() {
+        let term = ui.to_f64() * ci.to_f64();
+        pred[l] += term;
+        scale[l] += term.abs();
+    }
+    (pred.iter().sum(), scale.iter().sum())
+}
+
+/// The global column indices of `col_blocks`, in order.
+fn block_cols(col_blocks: &[(usize, usize)]) -> Vec<usize> {
+    col_blocks
+        .iter()
+        .flat_map(|&(c0, wc)| c0..c0 + wc)
+        .collect()
+}
+
 /// Per-column `sum_i a[i, j]^2` over rows `row0..` of panel columns
 /// `col0..col0+width` (f64 accumulation) — the pre-factor checksum.
 pub fn panel_col_sumsq<T: Scalar>(
@@ -220,17 +299,9 @@ pub fn panel_col_sumsq<T: Scalar>(
     col0: usize,
     width: usize,
 ) -> Vec<f64> {
-    (0..width)
-        .map(|j| {
-            a.col(col0 + j)[row0..]
-                .iter()
-                .map(|&v| {
-                    let x = v.to_f64();
-                    x * x
-                })
-                .sum()
-        })
-        .collect()
+    map_cols(col0..col0 + width, a.rows() - row0, |j| {
+        lane_sum(&a.col(j)[row0..], |x| x * x)
+    })
 }
 
 /// Per-column norm of the surviving `R` triangle: `sum_{i<=j} R[i,j]^2`
@@ -305,13 +376,7 @@ pub fn q_ones_probe<T: Scalar>(
 /// relative tolerance. Failure means the packed `V`/`T`/`tau` factors the
 /// applies consume are corrupted, reported against the panel's first column.
 pub fn verify_probe<T: Scalar>(u: &[T], panel: usize, col0: usize) -> Result<(), CaqrError> {
-    let sumsq: f64 = u
-        .iter()
-        .map(|&v| {
-            let x = v.to_f64();
-            x * x
-        })
-        .sum();
+    let sumsq = lane_sum(u, |x| x * x);
     let m = u.len() as f64;
     if !sumsq.is_finite() || (sumsq - m).abs() > checksum_tol::<T>(u.len()) * m {
         return Err(CaqrError::ChecksumMismatch {
@@ -332,33 +397,15 @@ pub fn predicted_col_sums<T: Scalar>(
     c: &Matrix<T>,
     col_blocks: &[(usize, usize)],
 ) -> Vec<(f64, f64)> {
-    let mut out = Vec::new();
-    for &(c0, wc) in col_blocks {
-        for j in c0..c0 + wc {
-            let col = c.col(j);
-            let mut pred = 0.0f64;
-            let mut scale = 0.0f64;
-            for (ui, cij) in u.iter().zip(col) {
-                let term = ui.to_f64() * cij.to_f64();
-                pred += term;
-                scale += term.abs();
-            }
-            out.push((pred, scale));
-        }
-    }
-    out
+    let cols = block_cols(col_blocks);
+    map_cols(0..cols.len(), c.rows(), |k| lane_dot_abs(u, c.col(cols[k])))
 }
 
 /// Per-column sums of the columns in `col_blocks` (f64 accumulation) — the
 /// post-update observation the predictions are checked against.
 pub fn actual_col_sums<T: Scalar>(c: &Matrix<T>, col_blocks: &[(usize, usize)]) -> Vec<f64> {
-    let mut out = Vec::new();
-    for &(c0, wc) in col_blocks {
-        for j in c0..c0 + wc {
-            out.push(c.col(j).iter().map(|&v| v.to_f64()).sum());
-        }
-    }
-    out
+    let cols = block_cols(col_blocks);
+    map_cols(0..cols.len(), c.rows(), |k| lane_sum(c.col(cols[k]), |x| x))
 }
 
 /// Check the apply-stage checksums: each observed column sum must match its
@@ -460,6 +507,40 @@ mod tests {
         assert_eq!(first_nonfinite(&a), Some((90, 2)));
     }
 
+    /// The element-by-element column-major scan `first_nonfinite` must
+    /// reproduce.
+    fn naive_first_nonfinite(a: &Matrix<f64>) -> Option<(usize, usize)> {
+        (0..a.cols())
+            .flat_map(|j| (0..a.rows()).map(move |i| (i, j)))
+            .find(|&(i, j)| !a[(i, j)].is_finite())
+    }
+
+    #[test]
+    fn parallel_host_scan_reports_the_serial_first_offender() {
+        // Large enough to split over the pool; several offenders in several
+        // columns and rows, planted one at a time from the back so the
+        // expected answer moves across column ranges and block boundaries.
+        let (m, n) = (1031usize, 70usize);
+        let mut a = dense::generate::uniform::<f64>(m, n, 9);
+        assert_eq!(first_nonfinite(&a), None);
+        let plants = [
+            (1030, 69, f64::NAN),
+            (5, 64, f64::INFINITY),
+            (700, 41, f64::NEG_INFINITY),
+            (64, 41, f64::NAN),
+            (1023, 33, f64::INFINITY),
+            (0, 33, f64::NAN),
+            (999, 2, f64::NAN),
+            (63, 2, f64::INFINITY),
+        ];
+        for (i, j, v) in plants {
+            a[(i, j)] = v;
+            let want = naive_first_nonfinite(&a);
+            assert_eq!(first_nonfinite(&a), want, "after planting ({i}, {j})");
+            assert_eq!(want, Some((i, j)));
+        }
+    }
+
     #[test]
     fn host_scan_matches_kernel_scan_on_clean_input() {
         let a = dense::generate::uniform::<f32>(64, 4, 3);
@@ -492,6 +573,75 @@ mod tests {
         )
         .unwrap();
         (g, a, pre, pf)
+    }
+
+    #[test]
+    fn lane_split_sums_match_sequential_sums_and_still_catch_corruption() {
+        // Row counts around and between multiples of the lane count, and
+        // past the size where the passes fork over the pool.
+        for rows in [1usize, 5, 7, 8, 9, 13, 63, 1001, 4099] {
+            let cols = 24;
+            let a = dense::generate::uniform::<f64>(rows, cols, rows as u64);
+            let u: Vec<f64> = (0..rows).map(|i| 1.0 + (i % 5) as f64 / 7.0).collect();
+            let blocks = [(0usize, 8usize), (8, 16)];
+            let tol = checksum_tol::<f64>(rows);
+            let close = |got: f64, want: f64, scale: f64| {
+                (got - want).abs() <= tol * scale.max(f64::MIN_POSITIVE)
+            };
+
+            let sumsq = panel_col_sumsq(&a, 0, 0, cols);
+            let pred = predicted_col_sums(&u, &a, &blocks);
+            let actual = actual_col_sums(&a, &blocks);
+            for j in 0..cols {
+                let col = a.col(j);
+                let want_sq: f64 = col.iter().map(|x| x * x).sum();
+                assert!(
+                    close(sumsq[j], want_sq, want_sq),
+                    "sumsq rows {rows} col {j}"
+                );
+                let want_pred: f64 = u.iter().zip(col).map(|(ui, c)| ui * c).sum();
+                let want_scale: f64 = u.iter().zip(col).map(|(ui, c)| (ui * c).abs()).sum();
+                assert!(
+                    close(pred[j].0, want_pred, want_scale),
+                    "pred rows {rows} col {j}"
+                );
+                assert!(
+                    close(pred[j].1, want_scale, want_scale),
+                    "scale rows {rows} col {j}"
+                );
+                let want_sum: f64 = col.iter().sum();
+                let abs: f64 = col.iter().map(|x| x.abs()).sum();
+                assert!(close(actual[j], want_sum, abs), "sum rows {rows} col {j}");
+            }
+            // Unchanged data passes its own apply check; the injected
+            // `x -> 2x + 1` corruption of one element is caught at its column.
+            let ones = vec![1.0f64; rows];
+            let pred = predicted_col_sums(&ones, &a, &blocks);
+            verify_apply_checksums::<f64>(&pred, &actual, &blocks, rows, 0).unwrap();
+            let mut bad = a.clone();
+            let (i, j) = (rows / 2, 13);
+            bad[(i, j)] = bad[(i, j)] * 2.0 + 1.0;
+            let e = verify_apply_checksums::<f64>(
+                &pred,
+                &actual_col_sums(&bad, &blocks),
+                &blocks,
+                rows,
+                0,
+            )
+            .unwrap_err();
+            assert_eq!(
+                e,
+                CaqrError::ChecksumMismatch {
+                    stage: "apply",
+                    panel: 0,
+                    col: j
+                },
+                "rows {rows}"
+            );
+            let post = panel_col_sumsq(&bad, 0, 0, cols);
+            let e = verify_factor_checksums::<f64>(&sumsq, &post, rows, 0, 0).unwrap_err();
+            assert!(matches!(e, CaqrError::ChecksumMismatch { col, .. } if col == j));
+        }
     }
 
     #[test]

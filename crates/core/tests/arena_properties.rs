@@ -162,7 +162,8 @@ fn caqr_cpu_bits(a: &Matrix<f64>, opts: caqr::CpuCaqrOptions) -> Vec<f64> {
 }
 
 /// Steady state really is allocation-free: after a warm-up run, repeating
-/// the same factor shape produces pool hits only.
+/// the same factor shape produces pool hits only. Counted on this thread
+/// (`thread_stats`), so concurrently running tests cannot move the delta.
 #[test]
 fn steady_state_factor_serves_from_pool() {
     let rows = 192;
@@ -170,11 +171,12 @@ fn steady_state_factor_serves_from_pool() {
     let tile = Tile { start: 0, rows };
     let mut a = dense::generate::uniform::<f64>(rows, width, 7);
     blockops::factor_tile(MatPtr::new(&mut a), tile, 0, width); // warm
-    arena::reset_stats::<f64>();
+    let before = arena::thread_stats::<f64>();
     for _ in 0..8 {
         blockops::factor_tile(MatPtr::new(&mut a), tile, 0, width);
     }
-    let stats = arena::stats::<f64>();
-    assert!(stats.hits > 0, "no pooled requests recorded: {stats:?}");
-    assert_eq!(stats.misses, 0, "steady state allocated: {stats:?}");
+    let after = arena::thread_stats::<f64>();
+    let (hits, misses) = (after.hits - before.hits, after.misses - before.misses);
+    assert!(hits > 0, "no pooled requests recorded: {after:?}");
+    assert_eq!(misses, 0, "steady state allocated: {after:?}");
 }

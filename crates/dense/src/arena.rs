@@ -14,24 +14,29 @@
 //!   uninitialised memory — fresh buffers are zero-filled once at birth).
 //!   Callers must fully overwrite the slice before reading it, or use
 //!   [`take_zeroed`]. [`poison_pools`] exists so tests can prove a kernel
-//!   never reads stale contents.
+//!   never reads stale contents; it reaches every thread's cache, the
+//!   persistent rayon workers' included (each cache catches up with the
+//!   latest poison on its owner's next take).
 //! - Size classes are powers of two between 2^5 and 2^22 *elements*;
 //!   requests above the largest class fall back to a one-off allocation
 //!   (counted as a miss).
 //! - Thread safety: each thread keeps a small local cache (no locking on
-//!   the fast path); overflow and thread death flush buffers to a global
-//!   mutex-guarded pool, so short-lived rayon workers donate their buffers
-//!   back for the next parallel region to reuse.
+//!   the fast path); overflow and thread exit flush buffers to a global
+//!   mutex-guarded pool. The rayon pool's workers are persistent, so each
+//!   keeps its warm cache from one parallel region to the next; buffers
+//!   move between threads only through cache overflow and the global pool.
 //! - [`stats`] exposes process-wide hit/miss counters per element type;
 //!   a steady-state miss delta of zero is how the benches verify the
-//!   "no per-launch allocation" claim.
+//!   "no per-launch allocation" claim. [`thread_stats`] counts the calling
+//!   thread's requests only, so a test can assert exact deltas while other
+//!   threads use the arena.
 
 use std::alloc::Layout;
 use std::cell::RefCell;
 use std::ops::{Deref, DerefMut};
 use std::ptr::NonNull;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// Byte alignment of every arena buffer: one cache line, and wide enough
 /// for aligned AVX-512 loads on packed micro-panels. `Vec<T>` only
@@ -160,6 +165,12 @@ pub struct Pool<T> {
     shelves: [Mutex<Vec<RawBuf<T>>>; NUM_CLASSES],
     hits: AtomicU64,
     misses: AtomicU64,
+    /// Generation of the latest [`poison_pools`] call (0: never poisoned).
+    /// Published with `Release` after `poison` holds the new value, read
+    /// with `Acquire` by caches checking whether they are behind.
+    poison_gen: AtomicU64,
+    /// The latest poison generation and value.
+    poison: Mutex<(u64, Option<T>)>,
 }
 
 impl<T> Pool<T> {
@@ -169,13 +180,15 @@ impl<T> Pool<T> {
             shelves: [const { Mutex::new(Vec::new()) }; NUM_CLASSES],
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
+            poison_gen: AtomicU64::new(0),
+            poison: Mutex::new((0, None)),
         }
     }
 
-    fn lock_shelf(&self, class: usize) -> std::sync::MutexGuard<'_, Vec<RawBuf<T>>> {
+    fn lock_shelf(&self, class: usize) -> MutexGuard<'_, Vec<RawBuf<T>>> {
         self.shelves[class]
             .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner())
+            .unwrap_or_else(PoisonError::into_inner)
     }
 
     fn get_global(&self, class: usize) -> Option<RawBuf<T>> {
@@ -201,6 +214,10 @@ impl<T> Default for Pool<T> {
 /// donates every cached buffer back to the global [`Pool`].
 pub struct LocalCache<T: PoolScalar> {
     shelves: [Vec<RawBuf<T>>; NUM_CLASSES],
+    /// This thread's requests (see [`thread_stats`]).
+    stats: ArenaStats,
+    /// The poison generation the cached buffers already hold.
+    poison_seen: u64,
 }
 
 impl<T: PoolScalar> LocalCache<T> {
@@ -208,7 +225,25 @@ impl<T: PoolScalar> LocalCache<T> {
     pub const fn new() -> Self {
         Self {
             shelves: [const { Vec::new() }; NUM_CLASSES],
+            stats: ArenaStats { hits: 0, misses: 0 },
+            poison_seen: 0,
         }
+    }
+
+    /// Apply the latest [`poison_pools`] value to every cached buffer if
+    /// this cache has not seen it yet: one atomic load when up to date.
+    fn catch_up(&mut self) {
+        let pool = T::pool();
+        if pool.poison_gen.load(Ordering::Acquire) == self.poison_seen {
+            return;
+        }
+        let (generation, value) = *pool.poison.lock().unwrap_or_else(PoisonError::into_inner);
+        if let Some(value) = value {
+            for buf in self.shelves.iter_mut().flatten() {
+                buf.as_mut_slice().fill(value);
+            }
+        }
+        self.poison_seen = generation;
     }
 }
 
@@ -220,6 +255,7 @@ impl<T: PoolScalar> Default for LocalCache<T> {
 
 impl<T: PoolScalar> Drop for LocalCache<T> {
     fn drop(&mut self) {
+        self.catch_up();
         for (class, shelf) in self.shelves.iter_mut().enumerate() {
             for buf in shelf.drain(..) {
                 T::pool().put_global(class, buf);
@@ -330,21 +366,25 @@ pub fn take_dirty<T: PoolScalar>(len: usize) -> ArenaBuf<T> {
     let pool = T::pool();
     let Some(class) = class_of(len) else {
         // Above the largest class: one-off allocation, counted as a miss.
-        pool.misses.fetch_add(1, Ordering::Relaxed);
+        count::<T>(false);
         return ArenaBuf {
             buf: RawBuf::alloc(len, T::POOL_ZERO),
             len,
             class: None,
         };
     };
-    let cached = T::with_cache(|c| c.shelves[class].pop()).flatten();
+    let cached = T::with_cache(|c| {
+        c.catch_up();
+        c.shelves[class].pop()
+    })
+    .flatten();
     let buf = match cached.or_else(|| pool.get_global(class)) {
         Some(buf) => {
-            pool.hits.fetch_add(1, Ordering::Relaxed);
+            count::<T>(true);
             buf
         }
         None => {
-            pool.misses.fetch_add(1, Ordering::Relaxed);
+            count::<T>(false);
             RawBuf::alloc(class_elems(class), T::POOL_ZERO)
         }
     };
@@ -354,6 +394,21 @@ pub fn take_dirty<T: PoolScalar>(len: usize) -> ArenaBuf<T> {
         len,
         class: Some(class),
     }
+}
+
+/// Count one request as a hit or a miss, process-wide and for this thread.
+fn count<T: PoolScalar>(hit: bool) {
+    let pool = T::pool();
+    let global = if hit { &pool.hits } else { &pool.misses };
+    global.fetch_add(1, Ordering::Relaxed);
+    T::with_cache(|c| {
+        let local = if hit {
+            &mut c.stats.hits
+        } else {
+            &mut c.stats.misses
+        };
+        *local += 1;
+    });
 }
 
 /// Borrow a scratch buffer of `len` elements, zero-filled.
@@ -384,7 +439,15 @@ pub fn stats<T: PoolScalar>() -> ArenaStats {
     }
 }
 
-/// Reset the hit/miss counters for element type `T` to zero.
+/// Snapshot the hit/miss counters of the calling thread's requests for
+/// element type `T`. Unlike [`stats`], other threads cannot move them, so
+/// exact deltas around single-threaded work are reliable under parallel
+/// tests.
+pub fn thread_stats<T: PoolScalar>() -> ArenaStats {
+    T::with_cache(|c| c.stats).unwrap_or_default()
+}
+
+/// Reset the process-wide hit/miss counters for element type `T` to zero.
 pub fn reset_stats<T: PoolScalar>() {
     let pool = T::pool();
     pool.hits.store(0, Ordering::Relaxed);
@@ -413,33 +476,31 @@ pub fn prewarm<T: PoolScalar>(len: usize, count: usize) -> usize {
     room
 }
 
-/// Overwrite every pooled buffer (global pool and this thread's cache) with
-/// `value`. Test hook: poison with NaN or a sentinel, re-run a kernel, and
-/// any read of stale scratch becomes visible in the output.
+/// Overwrite every pooled buffer with `value`: the global pool and this
+/// thread's cache now, every other thread's cache on that thread's next
+/// take. Test hook: poison with NaN or a sentinel, re-run a kernel, and
+/// any read of stale scratch becomes visible in the output. Buffers held
+/// (taken and not yet dropped) while this runs keep their contents.
 pub fn poison_pools<T: PoolScalar>(value: T) {
     let pool = T::pool();
+    {
+        let mut poison = pool.poison.lock().unwrap_or_else(PoisonError::into_inner);
+        *poison = (poison.0 + 1, Some(value));
+        pool.poison_gen.store(poison.0, Ordering::Release);
+    }
     for class in 0..NUM_CLASSES {
         for buf in pool.lock_shelf(class).iter_mut() {
-            for x in buf.as_mut_slice() {
-                *x = value;
-            }
+            buf.as_mut_slice().fill(value);
         }
     }
-    T::with_cache(|c| {
-        for shelf in c.shelves.iter_mut() {
-            for buf in shelf.iter_mut() {
-                for x in buf.as_mut_slice() {
-                    *x = value;
-                }
-            }
-        }
-    });
+    T::with_cache(LocalCache::catch_up);
 }
 
 /// Donate every buffer in this thread's local cache back to the global
 /// pool (used by tests; worker threads do this automatically on exit).
 pub fn flush_thread_cache<T: PoolScalar>() {
     let drained = T::with_cache(|c| {
+        c.catch_up();
         let mut out = Vec::new();
         for (class, shelf) in c.shelves.iter_mut().enumerate() {
             for buf in shelf.drain(..) {
@@ -472,23 +533,38 @@ mod tests {
         }
     }
 
+    /// `after - before`, counter by counter.
+    fn delta(before: ArenaStats, after: ArenaStats) -> ArenaStats {
+        ArenaStats {
+            hits: after.hits - before.hits,
+            misses: after.misses - before.misses,
+        }
+    }
+
+    // Tests assert exact deltas of this thread's counters (`thread_stats`):
+    // the process-wide ones also move with every sibling test and every
+    // rayon worker using the arena concurrently.
+
     #[test]
     fn buffers_are_reused_and_counted() {
         flush_thread_cache::<f64>();
-        reset_stats::<f64>();
-        let before = stats::<f64>();
-        assert_eq!(before, ArenaStats::default());
+        let s0 = thread_stats::<f64>();
         {
             let mut a = take_dirty::<f64>(100);
             a[0] = 7.0;
             assert_eq!(a.len(), 100);
         }
+        // With an empty local cache the first request is served by the
+        // global pool or allocates: exactly one counted request either way.
+        let s1 = thread_stats::<f64>();
+        assert_eq!(s1.hits + s1.misses, s0.hits + s0.misses + 1);
         // The buffer went to the thread cache; the next same-class request
         // must be a hit.
         let b = take_dirty::<f64>(100);
-        let s = stats::<f64>();
-        assert_eq!(s.hits, 1);
-        assert!(s.misses >= 1);
+        assert_eq!(
+            delta(s1, thread_stats::<f64>()),
+            ArenaStats { hits: 1, misses: 0 }
+        );
         drop(b);
     }
 
@@ -516,8 +592,14 @@ mod tests {
         let e = take_dirty::<f32>(0);
         assert!(e.is_empty());
         let big_len = (1usize << 22) + 1;
+        let s0 = thread_stats::<f32>();
         let big = take_dirty::<f32>(big_len);
         assert_eq!(big.len(), big_len);
+        // An oversize request is a one-off allocation: one counted miss.
+        assert_eq!(
+            delta(s0, thread_stats::<f32>()),
+            ArenaStats { hits: 0, misses: 1 }
+        );
     }
 
     #[test]
@@ -551,7 +633,7 @@ mod tests {
         let len = 150_000usize;
         let class = class_of(len).expect("len fits a pooled class");
         f32::pool().lock_shelf(class).clear();
-        let s0 = stats::<f32>();
+        let s0 = thread_stats::<f32>();
         assert_eq!(prewarm::<f32>(len, 3), 3);
         // A second prewarm tops the shelf up to the retention cap, no more.
         assert_eq!(prewarm::<f32>(len, usize::MAX), global_cap(class) - 3);
@@ -561,10 +643,13 @@ mod tests {
         assert_eq!(prewarm::<f32>((1 << 22) + 1, 8), 0);
         // Prewarming never touched the hit/miss counters, and the warmed
         // shelf serves the next cold request as a hit.
-        let s1 = stats::<f32>();
+        let s1 = thread_stats::<f32>();
         assert_eq!(s0, s1);
         drop(take_dirty::<f32>(len));
-        assert!(stats::<f32>().hits > s1.hits);
+        assert_eq!(
+            delta(s1, thread_stats::<f32>()),
+            ArenaStats { hits: 1, misses: 0 }
+        );
         // Release the cap-full shelf so the test process does not sit on it.
         f32::pool().lock_shelf(class).clear();
     }
@@ -575,9 +660,63 @@ mod tests {
         // global pool serves the next request (still a hit).
         drop(take_dirty::<f32>(1000));
         flush_thread_cache::<f32>();
-        reset_stats::<f32>();
+        let s0 = thread_stats::<f32>();
         let b = take_dirty::<f32>(1000);
-        assert_eq!(stats::<f32>().hits, 1);
+        assert_eq!(
+            delta(s0, thread_stats::<f32>()),
+            ArenaStats { hits: 1, misses: 0 }
+        );
         drop(b);
+    }
+
+    #[test]
+    fn poison_reaches_the_caches_of_every_pool_thread() {
+        use rayon::prelude::*;
+        use std::collections::HashSet;
+        use std::sync::atomic::AtomicUsize;
+        use std::time::{Duration, Instant};
+
+        // A size class (4 Mi f32) no other test in this crate touches, so a
+        // cached buffer is still in its thread's cache one region later.
+        const LEN: usize = 3 << 20;
+        let width = rayon::current_num_threads();
+        // One region of `width` items that wait for each other: every pool
+        // thread runs exactly one item. Each item takes a dirty buffer,
+        // hands it to `visit` and returns (thread, was the take a hit).
+        let region = |visit: &(dyn Fn(&mut [f32]) + Sync)| -> Vec<(std::thread::ThreadId, bool)> {
+            let arrived = AtomicUsize::new(0);
+            (0..width)
+                .into_par_iter()
+                .map(|_| {
+                    arrived.fetch_add(1, Ordering::SeqCst);
+                    let deadline = Instant::now() + Duration::from_secs(30);
+                    while arrived.load(Ordering::SeqCst) < width {
+                        assert!(Instant::now() < deadline, "a pool thread never joined");
+                        std::thread::yield_now();
+                    }
+                    let s0 = thread_stats::<f32>();
+                    let mut buf = take_dirty::<f32>(LEN);
+                    let hit = thread_stats::<f32>().hits == s0.hits + 1;
+                    visit(&mut buf);
+                    (std::thread::current().id(), hit)
+                })
+                .collect()
+        };
+        // Warm: every pool thread caches one buffer full of a sentinel.
+        let warm = region(&|buf| buf.fill(1.0));
+        poison_pools::<f32>(f32::NAN);
+        // Every buffer taken in the next region comes from its thread's warm
+        // cache and must hold the poison, not the sentinel.
+        let checked = region(&|buf| assert!(buf.iter().all(|x| x.is_nan()), "stale buffer"));
+        let threads: HashSet<_> = checked.iter().map(|&(t, _)| t).collect();
+        assert_eq!(threads.len(), width, "every pool thread took part");
+        assert_eq!(
+            threads,
+            warm.iter().map(|&(t, _)| t).collect::<HashSet<_>>()
+        );
+        assert!(
+            checked.iter().all(|&(_, hit)| hit),
+            "every take was served warm"
+        );
     }
 }
