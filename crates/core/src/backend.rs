@@ -31,11 +31,13 @@ use crate::error::{checked_elems, CaqrError};
 use crate::health;
 use crate::kernels::PretransposeKernel;
 use crate::microkernels::ReductionStrategy;
+use crate::multicore::{apply_panels, factor_panels, q_ones_probe_host};
 use crate::tsqr::{apply_panel_ptr_on, col_blocks, factor_panel_with_tree_on, PanelFactor};
 use dense::matrix::Matrix;
 use dense::scalar::Scalar;
 use dense::MatPtr;
 use gpu_sim::{EventId, Exec, Gpu, StreamId};
+use rayon::prelude::*;
 
 /// How the generic driver schedules the panel loop.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -102,6 +104,12 @@ pub struct DriveOutcome<T: Scalar> {
 /// failover maps) use interior mutability, which keeps the driver free of
 /// borrow gymnastics while the host control flow stays single-threaded.
 ///
+/// The `*_group` methods serve [`Mode::Sync`], which runs a group of
+/// same-shape matrices in lockstep (a standalone run is a group of one).
+/// Their provided bodies loop over the members with the per-matrix
+/// methods; a backend that can pack many members into one launch (the
+/// host [`CpuBackend`]) overrides them.
+///
 /// [`record`]: CaqrBackend::record
 /// [`wait`]: CaqrBackend::wait
 pub trait CaqrBackend<T: Scalar> {
@@ -147,6 +155,52 @@ pub trait CaqrBackend<T: Scalar> {
         transpose: bool,
     ) -> Result<(), CaqrError>;
 
+    /// Group health scan: [`CaqrBackend::check_finite`] over every member
+    /// of a same-shape group, one verdict per member.
+    fn check_finite_group(
+        &self,
+        mats: &[Matrix<T>],
+        bs: BlockSize,
+        context: &'static str,
+    ) -> Vec<Result<usize, CaqrError>> {
+        mats.iter()
+            .map(|a| self.check_finite(a, bs, context))
+            .collect()
+    }
+
+    /// Group factor: [`CaqrBackend::factor_panel`] on slot 0 for each live
+    /// member `mats[j]`, `j` in `live` (rising), one result per live member
+    /// in `live` order. A failed member fails alone.
+    fn factor_panel_group(
+        &self,
+        mats: &mut [Matrix<T>],
+        live: &[usize],
+        row0: usize,
+        col0: usize,
+        width: usize,
+        cfg: &DriveConfig,
+    ) -> Vec<Result<PanelFactor<T>, CaqrError>> {
+        live.iter()
+            .map(|&j| self.factor_panel(0, &mut mats[j], row0, col0, width, cfg))
+            .collect()
+    }
+
+    /// Group apply: [`CaqrBackend::apply_panel`] on slot 0 of each member's
+    /// own panel factor to the column blocks `cols` of `mats[j]`, one result
+    /// per `(j, factor)` pair of `work` (`j` rising). A failed member fails
+    /// alone.
+    fn apply_panel_group(
+        &self,
+        mats: &mut [Matrix<T>],
+        work: &[(usize, &PanelFactor<T>)],
+        cols: &[(usize, usize)],
+        transpose: bool,
+    ) -> Vec<Result<(), CaqrError>> {
+        work.iter()
+            .map(|&(j, pf)| self.apply_panel(0, MatPtr::new(&mut mats[j]), pf, cols, transpose))
+            .collect()
+    }
+
     /// Record an ordering token after the work queued so far on `slot`.
     fn record(&self, slot: usize) -> Self::Token;
 
@@ -160,7 +214,7 @@ pub trait CaqrBackend<T: Scalar> {
     /// compact-WY factors. Overridable so the host backend can use its
     /// one-column fast path.
     fn q_ones_probe(&self, m: usize, pf: &PanelFactor<T>) -> Vec<T> {
-        health::q_ones_probe(m, pf.width, &pf.tiles, &pf.wy0, &pf.levels)
+        health::q_ones_probe(m, pf)
     }
 
     /// Charge one ABFT checksum pass over `elems` elements (a streamed read
@@ -242,11 +296,9 @@ impl DagGeometry {
     }
 
     /// The panel steps of the schedule over the leading `min(m, n)`
-    /// columns — the one grid every executor walks. [`Mode::Sync`] and
-    /// [`Mode::Dag`] iterate it here; the batched `factor_many` fusion of
-    /// [`crate::service`] walks the *same* steps in lockstep across many
-    /// same-shape jobs, which is why a fused run factors panel-for-panel
-    /// exactly what the synchronous loop would.
+    /// columns — the one grid every executor walks. A fused `factor_many`
+    /// group of [`crate::service`] is a [`Mode::Sync`] run over many
+    /// members, so it walks these steps by construction.
     pub(crate) fn panel_steps(m: usize, n: usize, w: usize) -> Vec<PanelStep> {
         DagGeometry::new(m, n, w, 1).steps
     }
@@ -284,7 +336,8 @@ impl DagGeometry {
 /// every entry point routes through.
 ///
 /// [`Mode::Sync`] reproduces the Figure-4 host loop (and, with
-/// `cfg.verify_checksums`, the detection-only ABFT flow of the host path);
+/// `cfg.verify_checksums`, the detection-only ABFT flow of the host path)
+/// as a group of one, through the same loop that runs fused groups;
 /// [`Mode::Dag`] reproduces the stream-scheduled task DAG with optional
 /// lookahead. Numerics are bit-identical across modes and backends: every
 /// backend runs the same `blockops` arithmetic eagerly in host order (a
@@ -293,153 +346,275 @@ impl DagGeometry {
 /// processed independently of how columns are grouped into launches.
 pub fn drive<T: Scalar, B: CaqrBackend<T>>(
     backend: &B,
-    mut a: Matrix<T>,
+    a: Matrix<T>,
     cfg: &DriveConfig,
     mode: Mode,
 ) -> Result<DriveOutcome<T>, CaqrError> {
+    match mode {
+        Mode::Sync => one(drive_group(backend, vec![a], cfg).members),
+        Mode::Dag { lookahead } => drive_dag(backend, a, cfg, lookahead),
+    }
+}
+
+/// Reject an empty or overflowing shape and an invalid block size.
+fn validate(cfg: &DriveConfig, m: usize, n: usize) -> Result<(), CaqrError> {
     cfg.bs.validate().map_err(CaqrError::BadShape)?;
-    let (m, n) = a.shape();
     if m == 0 || n == 0 {
         return Err(CaqrError::BadShape(format!("empty matrix {m}x{n}")));
     }
     // Overflow guard: every later size/byte product is bounded by the
     // element count, so reject adversarial shapes once, up front.
     checked_elems(m, n, "matrix element count")?;
+    Ok(())
+}
+
+/// What [`drive_group`] produced: one outcome per member, in input order,
+/// and the launches the group issued (each counted once, however many
+/// members it served).
+pub(crate) struct GroupOutcome<T: Scalar> {
+    pub(crate) members: Vec<Result<DriveOutcome<T>, CaqrError>>,
+    pub(crate) launches: usize,
+}
+
+/// The [`Mode::Sync`] loop over a group of same-shape matrices walked in
+/// lockstep: per panel, one group factor, then one group apply of the
+/// whole trailing matrix. With `cfg.verify_checksums` every live member
+/// gets the ABFT flow of [`crate::health`]: pre-factor column sums and the
+/// factor-norm check, the `Q·1` probe (reused as the apply predictor), and
+/// the apply-sum check. A member whose backend call or check fails is
+/// carved out with that typed error and the others continue; their
+/// arithmetic is untouched, because every member's tasks touch only its
+/// own matrix.
+pub(crate) fn drive_group<T: Scalar, B: CaqrBackend<T>>(
+    backend: &B,
+    mut mats: Vec<Matrix<T>>,
+    cfg: &DriveConfig,
+) -> GroupOutcome<T> {
+    let g = mats.len();
+    let (m, n) = mats.first().map_or((0, 0), Matrix::shape);
+    debug_assert!(mats.iter().all(|a| a.shape() == (m, n)));
+    if let Err(e) = validate(cfg, m, n) {
+        return GroupOutcome {
+            members: (0..g).map(|_| Err(e.clone())).collect(),
+            launches: 0,
+        };
+    }
     let w = cfg.bs.w;
-    let k = m.min(n);
+    let mut dead: Vec<Option<CaqrError>> = vec![None; g];
     let mut launches = 0usize;
 
     // Numerical health check: reject NaN/inf input with a typed error
     // before any arithmetic.
     if cfg.check_finite {
-        launches += backend.check_finite(&a, cfg.bs, cfg.health_context)?;
+        let scans = backend.check_finite_group(&mats, cfg.bs, cfg.health_context);
+        for (d, scan) in dead.iter_mut().zip(scans) {
+            match scan {
+                // Every member's scan issues the same launches.
+                Ok(l) => launches = l,
+                Err(e) => *d = Some(e),
+            }
+        }
     }
-    // Strategy 4's out-of-place preprocessing.
-    if cfg.strategy.needs_pretranspose() {
-        launches += backend.pretranspose(m, n, cfg.bs)?;
+    // Strategy 4's out-of-place preprocessing, once for the group.
+    if cfg.strategy.needs_pretranspose() && dead.iter().any(Option::is_none) {
+        match backend.pretranspose(m, n, cfg.bs) {
+            Ok(l) => launches += l,
+            Err(e) => dead
+                .iter_mut()
+                .filter(|d| d.is_none())
+                .for_each(|d| *d = Some(e.clone())),
+        }
     }
 
-    let mut panels: Vec<PanelFactor<T>> = Vec::with_capacity(k.div_ceil(w));
-    match mode {
-        Mode::Sync => {
-            for step in DagGeometry::panel_steps(m, n, w) {
-                let (pidx, c, width) = (step.p, step.c, step.width);
-                let pre = cfg
-                    .verify_checksums
-                    .then(|| health::panel_col_sumsq(&a, c, c, width));
-                // Grid redraw: panel p starts at row == its first column.
-                let pf = backend.factor_panel(0, &mut a, c, c, width, cfg)?;
-                launches += 1 + pf.levels.len();
+    let mut panels: Vec<Vec<PanelFactor<T>>> = (0..g)
+        .map(|_| Vec::with_capacity(m.min(n).div_ceil(w)))
+        .collect();
+    for step in DagGeometry::panel_steps(m, n, w) {
+        let (p, c, width) = (step.p, step.c, step.width);
+        let trailing = c + width < n;
+        let live: Vec<usize> = (0..g).filter(|&j| dead[j].is_none()).collect();
+        if live.is_empty() {
+            break;
+        }
+        let pre: Vec<Option<Vec<f64>>> = live
+            .iter()
+            .map(|&j| {
+                cfg.verify_checksums
+                    .then(|| health::panel_col_sumsq(&mats[j], c, c, width))
+            })
+            .collect();
+        // Grid redraw: panel p starts at row == its first column.
+        let factored = backend.factor_panel_group(&mut mats, &live, c, c, width, cfg);
+        let mut chain = 0;
+        // Per surviving member: its factor and, when verifying a panel
+        // with trailing columns, its `Q·1` probe.
+        let mut done = Vec::with_capacity(live.len());
+        for ((j, pre), r) in live.iter().copied().zip(pre).zip(factored) {
+            let checked = r.and_then(|pf| {
+                chain = 1 + pf.levels.len();
                 if let Some(pre) = &pre {
                     backend.note_checksum_checks(width as u64);
                     backend.charge_verify((m - c) * width);
-                    health::factor_norm_check::<T>(&a, pre, m, pidx, c, width)?;
+                    health::factor_norm_check::<T>(&mats[j], pre, m, p, c, width)?;
                 }
                 // The probe doubles as the apply-stage predictor, so it is
                 // computed once and only for panels that have trailing
                 // columns to predict; a final panel's R stays covered by
                 // the norm checksum above.
-                let u =
-                    (cfg.verify_checksums && c + width < n).then(|| backend.q_ones_probe(m, &pf));
+                let u = (cfg.verify_checksums && trailing).then(|| backend.q_ones_probe(m, &pf));
                 if let Some(u) = &u {
                     backend.note_checksum_checks(1);
-                    health::verify_probe(u, pidx, c)?;
+                    health::verify_probe(u, p, c)?;
                 }
-                if c + width < n {
-                    let cols = col_blocks(c + width, n, w);
-                    let pred = u.as_ref().map(|u| health::predicted_col_sums(u, &a, &cols));
-                    backend.apply_panel(0, MatPtr::new(&mut a), &pf, &cols, true)?;
-                    launches += 1 + pf.levels.len();
-                    if let Some(pred) = pred {
+                Ok((pf, u))
+            });
+            match checked {
+                Ok((pf, u)) => done.push((j, pf, u)),
+                Err(e) => dead[j] = Some(e),
+            }
+        }
+        launches += chain;
+
+        if trailing && !done.is_empty() {
+            let cols = col_blocks(c + width, n, w);
+            let preds: Vec<Option<Vec<(f64, f64)>>> = done
+                .iter()
+                .map(|(j, _, u)| {
+                    u.as_ref()
+                        .map(|u| health::predicted_col_sums(u, &mats[*j], &cols))
+                })
+                .collect();
+            let work: Vec<(usize, &PanelFactor<T>)> =
+                done.iter().map(|(j, pf, _)| (*j, pf)).collect();
+            let applied = backend.apply_panel_group(&mut mats, &work, &cols, true);
+            launches += chain;
+            for ((&(j, _), r), pred) in work.iter().zip(applied).zip(preds) {
+                let checked = r.and_then(|()| match pred {
+                    Some(pred) => {
                         backend.note_checksum_checks(pred.len() as u64);
                         backend.charge_verify(m * pred.len());
-                        health::apply_sum_check::<T>(&a, &pred, &cols, m, pidx)?;
+                        health::apply_sum_check::<T>(&mats[j], &pred, &cols, m, p)
                     }
+                    None => Ok(()),
+                });
+                if let Err(e) = checked {
+                    dead[j] = Some(e);
                 }
-                panels.push(pf);
             }
         }
-        Mode::Dag { lookahead } => {
-            let geo = DagGeometry::new(m, n, w, backend.slots());
-            let npanels = geo.steps.len();
-            // Barrier mode: apply-completion tokens the next factor waits on.
-            let mut pending: Vec<B::Token> = Vec::new();
-            // Lookahead mode: the next panel's factor, done ahead of schedule.
-            let mut next: Option<(PanelFactor<T>, B::Token)> = None;
-
-            for p in 0..npanels {
-                let step = &geo.steps[p];
-                let (pf, f_tok) = match next.take() {
-                    Some(x) => x,
-                    None => {
-                        let h = geo.home(p);
-                        for tok in pending.drain(..) {
-                            backend.wait(h, tok);
-                        }
-                        let pf =
-                            backend.factor_panel(h, &mut a, step.c, step.c, step.width, cfg)?;
-                        launches += 1 + pf.levels.len();
-                        let tok = backend.record(h);
-                        (pf, tok)
-                    }
-                };
-                let chain = 1 + pf.levels.len();
-
-                if lookahead && p + 1 < npanels {
-                    // Lookahead: update only the next panel's column block,
-                    // factor it immediately, then fan the bulk update out.
-                    let h_next = geo.home(p + 1);
-                    if h_next != geo.home(p) {
-                        backend.wait(h_next, f_tok);
-                    }
-                    backend.apply_panel(
-                        h_next,
-                        MatPtr::new(&mut a),
-                        &pf,
-                        &[geo.block(p + 1)],
-                        true,
-                    )?;
-                    launches += chain;
-
-                    let (nc, nw) = {
-                        let nstep = &geo.steps[p + 1];
-                        (nstep.c, nstep.width)
-                    };
-                    let pf2 = backend.factor_panel(h_next, &mut a, nc, nc, nw, cfg)?;
-                    launches += 1 + pf2.levels.len();
-                    let tok2 = backend.record(h_next);
-                    next = Some((pf2, tok2));
-
-                    for (t, cols) in geo.groups(step, p + 2).into_iter().enumerate() {
-                        if cols.is_empty() {
-                            continue;
-                        }
-                        if t != geo.home(p) {
-                            backend.wait(t, f_tok);
-                        }
-                        backend.apply_panel(t, MatPtr::new(&mut a), &pf, &cols, true)?;
-                        launches += chain;
-                    }
-                } else {
-                    // Barrier mode (and the last panel of either mode): fan
-                    // the whole trailing update out, one apply chain per slot.
-                    for (t, cols) in geo.groups(step, p + 1).into_iter().enumerate() {
-                        if cols.is_empty() {
-                            continue;
-                        }
-                        if t != geo.home(p) {
-                            backend.wait(t, f_tok);
-                        }
-                        backend.apply_panel(t, MatPtr::new(&mut a), &pf, &cols, true)?;
-                        launches += chain;
-                        if !lookahead && p + 1 < npanels {
-                            pending.push(backend.record(t));
-                        }
-                    }
-                }
-                panels.push(pf);
+        for (j, pf, _) in done {
+            if dead[j].is_none() {
+                panels[j].push(pf);
             }
         }
+    }
+
+    let members = mats
+        .into_iter()
+        .zip(panels)
+        .zip(dead)
+        .map(|((a, panels), d)| match d {
+            None => Ok(DriveOutcome {
+                a,
+                panels,
+                launches,
+            }),
+            Some(e) => Err(e),
+        })
+        .collect();
+    GroupOutcome { members, launches }
+}
+
+/// The [`Mode::Dag`] schedule of [`drive`] for one matrix.
+fn drive_dag<T: Scalar, B: CaqrBackend<T>>(
+    backend: &B,
+    mut a: Matrix<T>,
+    cfg: &DriveConfig,
+    lookahead: bool,
+) -> Result<DriveOutcome<T>, CaqrError> {
+    let (m, n) = a.shape();
+    validate(cfg, m, n)?;
+    let w = cfg.bs.w;
+    let mut launches = 0usize;
+    if cfg.check_finite {
+        launches += backend.check_finite(&a, cfg.bs, cfg.health_context)?;
+    }
+    if cfg.strategy.needs_pretranspose() {
+        launches += backend.pretranspose(m, n, cfg.bs)?;
+    }
+
+    let geo = DagGeometry::new(m, n, w, backend.slots());
+    let npanels = geo.steps.len();
+    let mut panels: Vec<PanelFactor<T>> = Vec::with_capacity(npanels);
+    // Barrier mode: apply-completion tokens the next factor waits on.
+    let mut pending: Vec<B::Token> = Vec::new();
+    // Lookahead mode: the next panel's factor, done ahead of schedule.
+    let mut next: Option<(PanelFactor<T>, B::Token)> = None;
+
+    for p in 0..npanels {
+        let step = &geo.steps[p];
+        let (pf, f_tok) = match next.take() {
+            Some(x) => x,
+            None => {
+                let h = geo.home(p);
+                for tok in pending.drain(..) {
+                    backend.wait(h, tok);
+                }
+                let pf = backend.factor_panel(h, &mut a, step.c, step.c, step.width, cfg)?;
+                launches += 1 + pf.levels.len();
+                let tok = backend.record(h);
+                (pf, tok)
+            }
+        };
+        let chain = 1 + pf.levels.len();
+
+        if lookahead && p + 1 < npanels {
+            // Lookahead: update only the next panel's column block,
+            // factor it immediately, then fan the bulk update out.
+            let h_next = geo.home(p + 1);
+            if h_next != geo.home(p) {
+                backend.wait(h_next, f_tok);
+            }
+            backend.apply_panel(h_next, MatPtr::new(&mut a), &pf, &[geo.block(p + 1)], true)?;
+            launches += chain;
+
+            let (nc, nw) = {
+                let nstep = &geo.steps[p + 1];
+                (nstep.c, nstep.width)
+            };
+            let pf2 = backend.factor_panel(h_next, &mut a, nc, nc, nw, cfg)?;
+            launches += 1 + pf2.levels.len();
+            let tok2 = backend.record(h_next);
+            next = Some((pf2, tok2));
+
+            for (t, cols) in geo.groups(step, p + 2).into_iter().enumerate() {
+                if cols.is_empty() {
+                    continue;
+                }
+                if t != geo.home(p) {
+                    backend.wait(t, f_tok);
+                }
+                backend.apply_panel(t, MatPtr::new(&mut a), &pf, &cols, true)?;
+                launches += chain;
+            }
+        } else {
+            // Barrier mode (and the last panel of either mode): fan
+            // the whole trailing update out, one apply chain per slot.
+            for (t, cols) in geo.groups(step, p + 1).into_iter().enumerate() {
+                if cols.is_empty() {
+                    continue;
+                }
+                if t != geo.home(p) {
+                    backend.wait(t, f_tok);
+                }
+                backend.apply_panel(t, MatPtr::new(&mut a), &pf, &cols, true)?;
+                launches += chain;
+                if !lookahead && p + 1 < npanels {
+                    pending.push(backend.record(t));
+                }
+            }
+        }
+        panels.push(pf);
     }
 
     Ok(DriveOutcome {
@@ -488,15 +663,7 @@ impl<T: Scalar> CaqrBackend<T> for CpuBackend {
         width: usize,
         cfg: &DriveConfig,
     ) -> Result<PanelFactor<T>, CaqrError> {
-        Ok(crate::multicore::factor_panel_host(
-            a,
-            row0,
-            col0,
-            width,
-            cfg.bs,
-            cfg.tree,
-            cfg.strategy,
-        ))
+        one(factor_panels(&[MatPtr::new(a)], row0, col0, width, cfg))
     }
 
     fn apply_panel(
@@ -507,10 +674,55 @@ impl<T: Scalar> CaqrBackend<T> for CpuBackend {
         cols: &[(usize, usize)],
         transpose: bool,
     ) -> Result<(), CaqrError> {
-        crate::multicore::apply_panel_parts(
-            c, &pf.tiles, &pf.wy0, &pf.levels, pf.width, cols, transpose,
+        one(apply_panels(&[(c, pf)], cols, transpose))
+    }
+
+    fn check_finite_group(
+        &self,
+        mats: &[Matrix<T>],
+        bs: BlockSize,
+        context: &'static str,
+    ) -> Vec<Result<usize, CaqrError>> {
+        // One region over the members. A one-item region runs inline on
+        // the caller without marking it as inside a region, so a lone
+        // member's scan still forks over its columns.
+        mats.par_iter()
+            .map(|a| self.check_finite(a, bs, context))
+            .collect()
+    }
+
+    fn factor_panel_group(
+        &self,
+        mats: &mut [Matrix<T>],
+        live: &[usize],
+        row0: usize,
+        col0: usize,
+        width: usize,
+        cfg: &DriveConfig,
+    ) -> Vec<Result<PanelFactor<T>, CaqrError>> {
+        // Lifetime-erased handles, one per distinct member: every packed
+        // task touches only its own member's disjoint tile (see `MatPtr`).
+        assert!(live.windows(2).all(|p| p[0] < p[1]), "members must rise");
+        let ptrs: Vec<MatPtr<T>> = live.iter().map(|&j| MatPtr::new(&mut mats[j])).collect();
+        factor_panels(&ptrs, row0, col0, width, cfg)
+    }
+
+    fn apply_panel_group(
+        &self,
+        mats: &mut [Matrix<T>],
+        work: &[(usize, &PanelFactor<T>)],
+        cols: &[(usize, usize)],
+        transpose: bool,
+    ) -> Vec<Result<(), CaqrError>> {
+        assert!(
+            work.windows(2).all(|p| p[0].0 < p[1].0),
+            "members must rise"
         );
-        Ok(())
+        let work: Vec<(MatPtr<T>, &PanelFactor<T>)> = work
+            .iter()
+            .map(|&(j, pf)| (MatPtr::new(&mut mats[j]), pf))
+            .collect();
+        apply_panels(&work, cols, transpose)
     }
 
     fn record(&self, _slot: usize) -> Self::Token {}
@@ -522,8 +734,15 @@ impl<T: Scalar> CaqrBackend<T> for CpuBackend {
     }
 
     fn q_ones_probe(&self, m: usize, pf: &PanelFactor<T>) -> Vec<T> {
-        crate::multicore::q_ones_probe_parts(m, &pf.tiles, &pf.wy0, &pf.levels, pf.width)
+        q_ones_probe_host(m, pf)
     }
+}
+
+/// The lone result of a one-member packed launch.
+fn one<R>(mut results: Vec<R>) -> R {
+    results
+        .pop()
+        .expect("a one-member launch returns one result")
 }
 
 /// The single-device simulator backend, covering three executor shapes

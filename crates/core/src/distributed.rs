@@ -43,7 +43,7 @@ use crate::error::{checked_bytes, checked_elems, CaqrError};
 use crate::health;
 use crate::kernels::{FactorKernel, FactorTreeKernel};
 use crate::microkernels::ReductionStrategy;
-use crate::multicore::{CpuCaqr, CpuCaqrOptions, CpuPanel};
+use crate::multicore::{CpuCaqr, CpuCaqrOptions};
 use crate::recovery::RecoveryReport;
 use crate::tsqr::PanelFactor;
 use crate::tsqr::{TreeNode, WyTile};
@@ -642,13 +642,12 @@ pub fn distributed_tsqr<T: Scalar>(
     // One full-width panel, so `drive` issues exactly one factor_panel call
     // (the whole phase schedule) and no trailing updates; the launch count
     // the report carries comes from the backend's own per-phase ledger.
-    let mut out = drive(&backend, a, &cfg, Mode::Sync)?;
+    let out = drive(&backend, a, &cfg, Mode::Sync)?;
     let (report, owner, alive) = backend.finish();
-    let panel = CpuPanel::from(out.panels.pop().expect("one full-width panel factored"));
     Ok(DistTsqr {
         factored: CpuCaqr {
             a: out.a,
-            panels: vec![panel],
+            panels: out.panels,
             opts: CpuCaqrOptions {
                 tile_rows: opts.tile_rows,
                 panel_width: n,

@@ -231,7 +231,7 @@ fn first_nonfinite_in<T: Scalar>(col: &[T]) -> Option<usize> {
 // at very large `rows` the relative tolerance approaches O(1) and the
 // factor check goes soft; the chaos soak therefore runs in `f64`.
 
-use crate::tsqr::{TreeNode, WyTile};
+use crate::tsqr::PanelFactor;
 
 /// Relative checksum tolerance for reductions over `rows` elements of `T`.
 pub fn checksum_tol<T: Scalar>(rows: usize) -> f64 {
@@ -346,27 +346,17 @@ pub fn verify_factor_checksums<T: Scalar>(
 /// `u = Q_p . 1`: apply the panel's packed factors (`Q`, not `Q^T`) to an
 /// all-ones `m`-vector. Rows above the panel stay exactly `1` (the implicit
 /// identity), so `||u||^2 == m` when the packed factors are intact.
-///
-/// Takes the panel's components rather than a [`crate::tsqr::PanelFactor`]
-/// so the host-multicore path (whose `CpuPanel` mirrors the layout) can
-/// share it.
-pub fn q_ones_probe<T: Scalar>(
-    m: usize,
-    width: usize,
-    tiles: &[Tile],
-    wy0: &[WyTile<T>],
-    levels: &[Vec<TreeNode<T>>],
-) -> Vec<T> {
+pub fn q_ones_probe<T: Scalar>(m: usize, pf: &PanelFactor<T>) -> Vec<T> {
     let mut ones = Matrix::from_fn(m, 1, |_, _| T::ONE);
     let p = MatPtr::new(&mut ones);
     // Q = (level-0 applies) . (tree applies bottom-up)^T reversed: the same
-    // transpose=false order as `apply_panel_ptr_on` / `apply_panel_cpu`.
-    for nodes in levels.iter().rev() {
+    // transpose=false order as `apply_panel_ptr_on` / `apply_panels`.
+    for nodes in pf.levels.iter().rev() {
         for node in nodes {
-            crate::blockops::apply_tree_node(p, node, width, 0, 1, false);
+            crate::blockops::apply_tree_node(p, node, pf.width, 0, 1, false);
         }
     }
-    for (tile, wy) in tiles.iter().zip(wy0) {
+    for (tile, wy) in pf.tiles.iter().zip(&pf.wy0) {
         crate::blockops::apply_tile_wy(wy, p, *tile, 0, 1, false);
     }
     ones.col(0).to_vec()
@@ -668,11 +658,11 @@ mod tests {
     #[test]
     fn ones_probe_is_unit_norm_per_row_and_catches_a_corrupted_t_factor() {
         let (_g, a, _pre, mut pf) = factored_panel(160, 16, 8);
-        let u = q_ones_probe(a.rows(), pf.width, &pf.tiles, &pf.wy0, &pf.levels);
+        let u = q_ones_probe(a.rows(), &pf);
         verify_probe(&u, 0, 0).unwrap();
 
         pf.wy0[1].t[(0, 3)] += 0.5;
-        let u = q_ones_probe(a.rows(), pf.width, &pf.tiles, &pf.wy0, &pf.levels);
+        let u = q_ones_probe(a.rows(), &pf);
         let e = verify_probe(&u, 0, 0).unwrap_err();
         assert!(matches!(
             e,
@@ -686,7 +676,7 @@ mod tests {
     #[test]
     fn apply_checksums_predict_trailing_sums_and_catch_a_bumped_element() {
         let (g, mut a, _pre, pf) = factored_panel(160, 24, 8);
-        let u = q_ones_probe(a.rows(), pf.width, &pf.tiles, &pf.wy0, &pf.levels);
+        let u = q_ones_probe(a.rows(), &pf);
         let cols = col_blocks(8, 24, 8);
         let pred = predicted_col_sums(&u, &a, &cols);
         let ptr = MatPtr::new(&mut a);

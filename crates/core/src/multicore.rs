@@ -16,7 +16,7 @@
 //! [`crate::blockops`], so every correctness guarantee carries over.
 
 use crate::backend::{drive, CpuBackend, DriveConfig, Mode};
-use crate::block::{plan_tree, tile_panel, BlockSize, Tile, TreeShape};
+use crate::block::{plan_tree, tile_panel, BlockSize, TreeShape};
 use crate::blockops;
 use crate::error::CaqrError;
 use crate::microkernels::ReductionStrategy;
@@ -27,6 +27,7 @@ use dense::matrix::{MatMut, Matrix};
 use dense::scalar::Scalar;
 use dense::MatPtr;
 use rayon::prelude::*;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// Options for the host execution.
 #[derive(Clone, Copy, Debug)]
@@ -97,10 +98,25 @@ impl CpuCaqrOptions {
         }
     }
 
-    fn block_size(&self) -> BlockSize {
+    pub(crate) fn block_size(&self) -> BlockSize {
         BlockSize {
             h: self.tile_rows,
             w: self.panel_width,
+        }
+    }
+
+    /// The [`DriveConfig`] of a `caqr_cpu` run with these options.
+    pub(crate) fn drive_config(&self) -> DriveConfig {
+        DriveConfig {
+            bs: self.block_size(),
+            // Cosmetic on the host: the CPU backend's pre-transpose is a
+            // no-op (the packed per-tile V copy happens at factor time),
+            // and strategy only annotates the stored PanelFactors.
+            strategy: ReductionStrategy::RegisterSerialTransposed,
+            tree: self.tree,
+            check_finite: true,
+            verify_checksums: self.verify_checksums,
+            health_context: "caqr_cpu input",
         }
     }
 }
@@ -112,81 +128,119 @@ pub struct CpuCaqr<T: Scalar> {
     /// The factored matrix.
     pub a: Matrix<T>,
     /// Per-panel factors.
-    pub panels: Vec<CpuPanel<T>>,
+    pub panels: Vec<PanelFactor<T>>,
     /// Options used.
     pub opts: CpuCaqrOptions,
 }
 
-/// One factored panel of the host path.
-pub struct CpuPanel<T: Scalar> {
-    /// Panel's first column (and first row, by the grid redraw).
-    pub col0: usize,
-    /// Panel width.
-    pub width: usize,
-    /// Level-0 tiles.
-    pub tiles: Vec<Tile>,
-    /// Level-0 compact-WY factors (packed `V` + triangular `T` per tile).
-    pub wy0: Vec<WyTile<T>>,
-    /// Tree levels.
-    pub levels: Vec<Vec<TreeNode<T>>>,
+/// Run one packed task, catching a panic so it fails only its own member.
+fn isolated<R>(task: impl FnOnce() -> R) -> Option<R> {
+    catch_unwind(AssertUnwindSafe(task)).ok()
 }
 
-/// Factor one panel with rayon over the level-0 tiles and the groups of
-/// each tree level. This is [`CpuBackend`]'s factor launch: the returned
-/// [`PanelFactor`] carries the same `{tiles, wy0, levels}` payload as the
-/// simulator path, so the generic driver and the conformance suite treat
-/// both uniformly.
-pub(crate) fn factor_panel_host<T: Scalar>(
-    a: &mut Matrix<T>,
+/// The error a member whose packed task panicked is carved out with.
+fn panicked(stage: &str, col0: usize) -> CaqrError {
+    CaqrError::Panicked {
+        context: format!("{stage} task of the panel at column {col0}"),
+    }
+}
+
+/// Factor the same panel of every matrix in `mats` (all of one shape) —
+/// [`CpuBackend`]'s factor launch, for a standalone run (one member) and a
+/// fused group alike. Level 0 is one parallel region over the
+/// (member × tile) grid; each tree level is one region over the
+/// (member × tree-group) grid, with a barrier between levels exactly where
+/// each member's own schedule has one. Every task touches only its own
+/// member's disjoint tile and runs under `catch_unwind`: a panic fails only
+/// its member (with [`CaqrError::Panicked`]), which then drops out of the
+/// later levels.
+pub(crate) fn factor_panels<T: Scalar>(
+    mats: &[MatPtr<T>],
     row0: usize,
     col0: usize,
     width: usize,
-    bs: BlockSize,
-    tree: TreeShape,
-    strategy: ReductionStrategy,
-) -> PanelFactor<T> {
-    let tiles = tile_panel(row0, a.rows() - row0, bs.h, bs.w);
-    let ptr = MatPtr::new(a);
-    // Level 0: all tiles in parallel (disjoint row ranges).
-    let wy0: Vec<WyTile<T>> = tiles
+    cfg: &DriveConfig,
+) -> Vec<Result<PanelFactor<T>, CaqrError>> {
+    let g = mats.len();
+    let Some(first) = mats.first() else {
+        return Vec::new();
+    };
+    let tiles = tile_panel(row0, first.rows() - row0, cfg.bs.h, cfg.bs.w);
+    let nt = tiles.len();
+    let work: Vec<(usize, usize)> = (0..g)
+        .flat_map(|j| (0..nt).map(move |ti| (j, ti)))
+        .collect();
+    let wy_flat: Vec<Option<WyTile<T>>> = work
         .par_iter()
-        .map(|&tile| blockops::factor_tile(ptr, tile, col0, width))
+        .map(|&(j, ti)| isolated(|| blockops::factor_tile(mats[j], tiles[ti], col0, width)))
         .collect();
-    // Tree levels: groups within a level in parallel.
-    let starts: Vec<usize> = tiles.iter().map(|t| t.start).collect();
-    let plan = plan_tree(&starts, tree.arity(bs));
-    let levels: Vec<Vec<TreeNode<T>>> = plan
-        .levels
-        .iter()
-        .map(|groups| {
-            groups
-                .par_iter()
-                .map(|g| blockops::factor_tree_group(ptr, &g.members, col0, width))
-                .collect()
-        })
+    let mut parts: Vec<_> = split(wy_flat, nt)
+        .map(|wy0| wy0.map(|w| (w, Vec::new())))
         .collect();
-    PanelFactor {
-        row0,
-        col0,
-        width,
-        tiles,
-        wy0,
-        levels,
-        bs,
-        strategy,
-    }
-}
 
-impl<T: Scalar> From<PanelFactor<T>> for CpuPanel<T> {
-    fn from(pf: PanelFactor<T>) -> CpuPanel<T> {
-        CpuPanel {
-            col0: pf.col0,
-            width: pf.width,
-            tiles: pf.tiles,
-            wy0: pf.wy0,
-            levels: pf.levels,
+    let starts: Vec<usize> = tiles.iter().map(|t| t.start).collect();
+    let plan = plan_tree(&starts, cfg.tree.arity(cfg.bs));
+    for level in &plan.levels {
+        let ng = level.len();
+        let ok: Vec<usize> = (0..g).filter(|&j| parts[j].is_some()).collect();
+        let work: Vec<(usize, usize)> = ok
+            .iter()
+            .flat_map(|&j| (0..ng).map(move |gi| (j, gi)))
+            .collect();
+        let nodes_flat: Vec<Option<TreeNode<T>>> = work
+            .par_iter()
+            .map(|&(j, gi)| {
+                isolated(|| blockops::factor_tree_group(mats[j], &level[gi].members, col0, width))
+            })
+            .collect();
+        for (j, nodes) in ok.into_iter().zip(split(nodes_flat, ng)) {
+            match (nodes, &mut parts[j]) {
+                (Some(nodes), Some((_, levels))) => levels.push(nodes),
+                _ => parts[j] = None,
+            }
         }
     }
+
+    let mut tiles = Some(tiles);
+    parts
+        .into_iter()
+        .enumerate()
+        .map(|(j, p)| {
+            let (wy0, levels) = p.ok_or_else(|| panicked("factor", col0))?;
+            // The last member takes the tile list itself, so a one-member
+            // launch allocates no copy (see `split`).
+            let tiles = if j + 1 == g {
+                tiles.take()
+            } else {
+                tiles.clone()
+            };
+            Ok(PanelFactor {
+                row0,
+                col0,
+                width,
+                tiles: tiles.expect("the tile list outlives every member but the last"),
+                wy0,
+                levels,
+                bs: cfg.bs,
+                strategy: cfg.strategy,
+            })
+        })
+        .collect()
+}
+
+/// Cut a packed result list back into per-member runs of `k` items: `None`
+/// for a member any of whose tasks panicked. The first member keeps the
+/// packed list's buffer, so a one-member launch allocates nothing here:
+/// extra allocations among the factors changed how the allocator returned
+/// their memory and slowed tall standalone runs by ~5%.
+fn split<R>(mut flat: Vec<Option<R>>, k: usize) -> impl Iterator<Item = Option<Vec<R>>> {
+    let mut runs = Vec::new();
+    while flat.len() > k {
+        let tail = flat.split_off(flat.len() - k);
+        runs.push(tail.into_iter().collect());
+    }
+    runs.push(flat.into_iter().collect());
+    runs.into_iter().rev()
 }
 
 /// Apply one tile's compact-WY factor (`Q`, not `Q^T`) to a single column
@@ -233,19 +287,13 @@ fn wy_apply_one_col<T: Scalar>(wy: &WyTile<T>, c: &mut [T]) {
 /// specialised for the host checksum path: the level-0 applies use
 /// [`wy_apply_one_col`] so the probe costs a sliver of the factorization
 /// it verifies instead of paying the one-column `larfb` GEMM overhead.
-pub(crate) fn q_ones_probe_parts<T: Scalar>(
-    m: usize,
-    tiles: &[Tile],
-    wy0: &[WyTile<T>],
-    levels: &[Vec<TreeNode<T>>],
-    width: usize,
-) -> Vec<T> {
+pub(crate) fn q_ones_probe_host<T: Scalar>(m: usize, pf: &PanelFactor<T>) -> Vec<T> {
     let mut ones = Matrix::from_fn(m, 1, |_, _| T::ONE);
     {
         let p = MatPtr::new(&mut ones);
-        for nodes in levels.iter().rev() {
+        for nodes in pf.levels.iter().rev() {
             for node in nodes {
-                blockops::apply_tree_node(p, node, width, 0, 1, false);
+                blockops::apply_tree_node(p, node, pf.width, 0, 1, false);
             }
         }
     }
@@ -253,7 +301,7 @@ pub(crate) fn q_ones_probe_parts<T: Scalar>(
     // cache-resident V block, and the whole probe measures about 2% of a
     // verified `caqr_cpu` run, so there is little for a pool region to win.
     let col = ones.col_mut(0);
-    for (&tile, wy) in tiles.iter().zip(wy0) {
+    for (&tile, wy) in pf.tiles.iter().zip(&pf.wy0) {
         let seg = &mut col[tile.start..tile.start + tile.rows];
         if wy.healthy {
             wy_apply_one_col(wy, seg);
@@ -272,68 +320,94 @@ pub(crate) fn q_ones_probe_parts<T: Scalar>(
     ones.col(0).to_vec()
 }
 
-/// Apply a panel's compact-WY factors to the column blocks `cols` with
-/// rayon over the (tile x column-block) grid — [`CpuBackend`]'s apply
-/// launch, shared with the [`CpuCaqr`] method surface below.
-pub(crate) fn apply_panel_parts<T: Scalar>(
-    c: MatPtr<T>,
-    tiles: &[Tile],
-    wy0: &[WyTile<T>],
-    levels: &[Vec<TreeNode<T>>],
-    width: usize,
+/// Apply each member's panel factor to the column blocks `cols` of its own
+/// matrix — [`CpuBackend`]'s apply launch (one member for a standalone run
+/// or [`CpuCaqr::apply`], many for a fused group). The horizontal step is
+/// one parallel region over the (member × tile × column-block) grid and
+/// each tree level one region over the (member × tree-group ×
+/// column-block) grid, in `Q^T` order when `transpose` and reversed
+/// otherwise. Tasks are isolated as in [`factor_panels`]: a panicking task
+/// fails only its member, which skips the remaining regions.
+pub(crate) fn apply_panels<T: Scalar>(
+    work: &[(MatPtr<T>, &PanelFactor<T>)],
     cols: &[(usize, usize)],
     transpose: bool,
-) {
-    if cols.is_empty() {
-        return;
-    }
-    let horizontal = || {
-        // (tile x column-block) grid in parallel.
-        let work: Vec<(usize, usize)> = (0..tiles.len())
-            .flat_map(|ti| (0..cols.len()).map(move |cb| (ti, cb)))
-            .collect();
-        work.par_iter().for_each(|&(ti, cb)| {
-            let (c0, wc) = cols[cb];
-            blockops::apply_tile_wy(&wy0[ti], c, tiles[ti], c0, wc, transpose);
-        });
+) -> Vec<Result<(), CaqrError>> {
+    let mut ok = vec![true; work.len()];
+    let horizontal = |ok: &mut [bool]| {
+        apply_region(
+            work,
+            cols,
+            ok,
+            |pf| pf.tiles.len(),
+            |c, pf, ti, (c0, wc)| {
+                blockops::apply_tile_wy(&pf.wy0[ti], c, pf.tiles[ti], c0, wc, transpose)
+            },
+        )
     };
-    let tree_level = |nodes: &[TreeNode<T>]| {
-        let work: Vec<(usize, usize)> = (0..nodes.len())
-            .flat_map(|g| (0..cols.len()).map(move |cb| (g, cb)))
-            .collect();
-        work.par_iter().for_each(|&(g, cb)| {
-            let (c0, wc) = cols[cb];
-            blockops::apply_tree_node(c, &nodes[g], width, c0, wc, transpose);
-        });
+    let tree_level = |ok: &mut [bool], li: usize| {
+        let groups = |pf: &PanelFactor<T>| pf.levels.get(li).map_or(0, Vec::len);
+        apply_region(work, cols, ok, groups, |c, pf, g, (c0, wc)| {
+            blockops::apply_tree_node(c, &pf.levels[li][g], pf.width, c0, wc, transpose)
+        })
     };
-    if transpose {
-        horizontal();
-        for nodes in levels {
-            tree_level(nodes);
+    let nlevels = work
+        .iter()
+        .map(|(_, pf)| pf.levels.len())
+        .max()
+        .unwrap_or(0);
+    if !cols.is_empty() {
+        if transpose {
+            horizontal(&mut ok);
+            for li in 0..nlevels {
+                tree_level(&mut ok, li);
+            }
+        } else {
+            for li in (0..nlevels).rev() {
+                tree_level(&mut ok, li);
+            }
+            horizontal(&mut ok);
         }
-    } else {
-        for nodes in levels.iter().rev() {
-            tree_level(nodes);
-        }
-        horizontal();
     }
+    ok.into_iter()
+        .zip(work)
+        .map(|(fine, (_, pf))| {
+            if fine {
+                Ok(())
+            } else {
+                Err(panicked("apply", pf.col0))
+            }
+        })
+        .collect()
 }
 
-fn apply_panel_cpu<T: Scalar>(
-    c: MatPtr<T>,
-    panel: &CpuPanel<T>,
+/// One packed region of [`apply_panels`] over the (member × item ×
+/// column-block) grid of the members still `ok`, where `items` counts a
+/// member's tiles or tree-level groups. A member any of whose tasks
+/// panicked is marked failed.
+fn apply_region<T: Scalar>(
+    work: &[(MatPtr<T>, &PanelFactor<T>)],
     cols: &[(usize, usize)],
-    transpose: bool,
+    ok: &mut [bool],
+    items: impl Fn(&PanelFactor<T>) -> usize,
+    task: impl Fn(MatPtr<T>, &PanelFactor<T>, usize, (usize, usize)) + Sync,
 ) {
-    apply_panel_parts(
-        c,
-        &panel.tiles,
-        &panel.wy0,
-        &panel.levels,
-        panel.width,
-        cols,
-        transpose,
-    );
+    let tasks: Vec<(usize, usize, usize)> = (0..work.len())
+        .filter(|&j| ok[j])
+        .flat_map(|j| {
+            (0..items(work[j].1)).flat_map(move |i| (0..cols.len()).map(move |cb| (j, i, cb)))
+        })
+        .collect();
+    let done: Vec<(usize, bool)> = tasks
+        .par_iter()
+        .map(|&(j, i, cb)| {
+            let (c, pf) = work[j];
+            (j, isolated(|| task(c, pf, i, cols[cb])).is_some())
+        })
+        .collect();
+    for (j, fine) in done {
+        ok[j] &= fine;
+    }
 }
 
 /// Factor `a` with host-multicore CAQR — a thin shim over the generic
@@ -343,21 +417,10 @@ pub fn caqr_cpu<T: Scalar>(a: Matrix<T>, opts: CpuCaqrOptions) -> Result<CpuCaqr
     if m == 0 || n == 0 {
         return Err(CaqrError::BadShape(format!("empty matrix {m}x{n}")));
     }
-    let cfg = DriveConfig {
-        bs: opts.block_size(),
-        // Cosmetic on the host: the CPU backend's pre-transpose is a no-op
-        // (the packed per-tile V copy happens at factor time), and strategy
-        // only annotates the stored PanelFactors.
-        strategy: ReductionStrategy::RegisterSerialTransposed,
-        tree: opts.tree,
-        check_finite: true,
-        verify_checksums: opts.verify_checksums,
-        health_context: "caqr_cpu input",
-    };
-    let out = drive(&CpuBackend, a, &cfg, Mode::Sync)?;
+    let out = drive(&CpuBackend, a, &opts.drive_config(), Mode::Sync)?;
     Ok(CpuCaqr {
         a: out.a,
-        panels: out.panels.into_iter().map(CpuPanel::from).collect(),
+        panels: out.panels,
         opts,
     })
 }
@@ -379,16 +442,12 @@ impl<T: Scalar> CpuCaqr<T> {
         }
         let cols = col_blocks(0, c.cols(), self.opts.panel_width);
         let cp = MatPtr::new(c);
+        let apply = |p: &PanelFactor<T>| apply_panels(&[(cp, p)], &cols, transpose).remove(0);
         if transpose {
-            for p in &self.panels {
-                apply_panel_cpu(cp, p, &cols, true);
-            }
+            self.panels.iter().try_for_each(apply)
         } else {
-            for p in self.panels.iter().rev() {
-                apply_panel_cpu(cp, p, &cols, false);
-            }
+            self.panels.iter().rev().try_for_each(apply)
         }
-        Ok(())
     }
 
     /// Explicit `m x k` orthogonal factor.
@@ -531,7 +590,7 @@ mod tests {
         let mut f = caqr_cpu(a, opts).unwrap();
         let p = &mut f.panels[0];
         p.levels[0][0].tmat[(0, 1)] += 0.25;
-        let u = crate::health::q_ones_probe(600, p.width, &p.tiles, &p.wy0, &p.levels);
+        let u = crate::health::q_ones_probe(600, p);
         match crate::health::verify_probe(&u, 0, 0) {
             Err(CaqrError::ChecksumMismatch { stage, .. }) => assert_eq!(stage, "factor"),
             other => panic!("corruption not detected: {other:?}"),

@@ -23,12 +23,12 @@
 //! tests in `tests/stream_scheduling.rs` assert this across shapes.
 //!
 //! This module packs one factorization's tasks across streams; the
-//! [`crate::service`] batcher is the same idea one level up — it packs the
-//! lockstep panel steps of *many independent* factorizations into shared
-//! parallel regions, walking the identical
-//! [`DagGeometry`](crate::backend::DagGeometry) panel grid, with the same
-//! bit-identity argument (tasks of different jobs touch disjoint matrices,
-//! so fusing their launches cannot reorder any job's own arithmetic).
+//! [`crate::service`] batcher is the same idea one level up — it runs *many
+//! independent* factorizations as one synchronous group of the generic
+//! driver, packing their lockstep panel steps into shared parallel
+//! regions, with the same bit-identity argument (tasks of different jobs
+//! touch disjoint matrices, so fusing their launches cannot reorder any
+//! job's own arithmetic).
 
 use crate::backend::{drive, DagGeometry, DriveConfig, Mode, SimBackend};
 use crate::caqr::{Caqr, CaqrOptions, LaunchPlan};

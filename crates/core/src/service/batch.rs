@@ -1,33 +1,28 @@
 //! The shape-fused batch engine: [`factor_many`] (the plain fast path)
-//! and [`factor_many_resilient`] (the ABFT-verified, fault-isolating
-//! path). Both group same-shape jobs into lockstep fused launches; the
-//! resilient path additionally verifies every member's panel against the
-//! [`crate::health`] checksums, wraps every packed task in
-//! `catch_unwind`, and **carves** a faulted member out of the batch with a
-//! typed [`CaqrError`] while its riders complete bit-identically.
+//! and [`factor_many_resilient`] (ABFT verification and fault isolation),
+//! one body for both. Same-shape jobs form a group that runs as one
+//! [`Mode::Sync`](crate::backend::Mode::Sync) run of the generic driver
+//! over all its members ([`drive_group`]) on [`CpuBackend`], whose group
+//! methods pack every member's tasks into one parallel region per
+//! schedule step. A member whose task panics, whose checksum fails or
+//! whose planned fault fires is **carved** out of the group with a typed
+//! [`CaqrError`] while its riders complete bit-identically.
 
-use super::resilience::PlannedFault;
-use crate::backend::DagGeometry;
-use crate::block::{plan_tree, tile_panel, BlockSize};
-use crate::blockops;
+use super::resilience::{Faulty, PlannedFault};
+use crate::backend::{drive_group, CpuBackend, DriveConfig};
 use crate::error::{checked_elems, CaqrError};
-use crate::health;
-use crate::multicore::{caqr_cpu, q_ones_probe_parts, CpuCaqr, CpuCaqrOptions, CpuPanel};
+use crate::multicore::{caqr_cpu, CpuCaqr, CpuCaqrOptions};
 use crate::recovery::RecoveryPolicy;
-use crate::tsqr::{col_blocks, TreeNode, WyTile};
 use dense::matrix::Matrix;
 use dense::scalar::Scalar;
-use dense::MatPtr;
-use gpu_sim::FaultKind;
-use rayon::prelude::*;
 use std::collections::BTreeMap;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// The fusion key: jobs agreeing on all of this factor under one packed
 /// launch sequence. Tree shapes are keyed by their *effective arity* — a
 /// `DeviceArity` tree and an explicit `Arity(h/w)` tree plan identically.
-/// Checksummed jobs never fuse (their verification passes interleave the
-/// panel loop) and fall back to per-job [`caqr_cpu`] runs.
+/// Checksummed jobs still run solo through [`caqr_cpu`]: the group loop
+/// can verify every member (it does for [`factor_many_resilient`]'s
+/// `verify`), but letting them fuse is a separate change.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub(crate) struct FuseKey {
     m: usize,
@@ -43,10 +38,7 @@ pub(crate) struct FuseKey {
 /// typed error a standalone run would produce.
 pub(crate) fn fuse_key<T: Scalar>(a: &Matrix<T>, opts: &CpuCaqrOptions) -> Option<FuseKey> {
     let (m, n) = a.shape();
-    let bs = BlockSize {
-        h: opts.tile_rows,
-        w: opts.panel_width,
-    };
+    let bs = opts.block_size();
     if opts.verify_checksums
         || m == 0
         || n == 0
@@ -76,8 +68,8 @@ pub struct BatchStats {
     /// Fused groups executed.
     pub fused_groups: usize,
     /// Parallel regions actually issued by the fused groups — the number a
-    /// one-at-a-time schedule would multiply by the group size. Verified
-    /// groups also count their checksum regions here.
+    /// one-at-a-time schedule would multiply by the group size: the packed
+    /// health scan plus every packed factor and apply launch.
     pub fused_launches: usize,
     /// Sum over jobs of the launch count the synchronous driver would
     /// report for that job alone ([`crate::DriveOutcome::launches`]).
@@ -108,11 +100,11 @@ pub fn logical_launches<T: Scalar>(f: &CpuCaqr<T>) -> usize {
 /// **bit-identical** to `caqr_cpu(a, opts)` on the same input.
 ///
 /// Jobs are grouped by [shape class](FuseKey); each group of two or more
-/// walks the synchronous panel schedule in lockstep, with the per-tile
-/// factor tasks, per-group tree reductions, and per-(tile × column-block)
-/// trailing updates of *all* jobs packed into one parallel region per
-/// schedule step (a flat work list with per-job offsets). Odd shapes,
-/// checksummed jobs, and singleton classes fall back to per-job
+/// runs the synchronous driver loop over all its members, with the
+/// per-tile factor tasks, per-group tree reductions, and per-(tile ×
+/// column-block) trailing updates of *all* jobs packed into one parallel
+/// region per schedule step (a flat work list with per-job offsets). Odd
+/// shapes, checksummed jobs, and singleton classes fall back to per-job
 /// [`caqr_cpu`] runs. Fusion preserves bit-identity because every packed
 /// task reads and writes only its own job's matrix and the schedule per
 /// job is unchanged — see the conformance proptest in
@@ -123,51 +115,12 @@ pub fn factor_many<T: Scalar>(
     factor_many_with_stats(jobs).0
 }
 
-/// [`factor_many`] plus the fusion accounting the service ledger records.
+/// [`factor_many`] plus the fusion accounting the service ledger records:
+/// [`factor_many_resilient`] with no faults and no verification.
 pub fn factor_many_with_stats<T: Scalar>(
     jobs: Vec<(Matrix<T>, CpuCaqrOptions)>,
 ) -> (Vec<Result<CpuCaqr<T>, CaqrError>>, BatchStats) {
-    let njobs = jobs.len();
-    let mut stats = BatchStats::default();
-    let mut mats: Vec<Option<Matrix<T>>> = Vec::with_capacity(njobs);
-    let mut optsv: Vec<CpuCaqrOptions> = Vec::with_capacity(njobs);
-    let mut out: Vec<Option<Result<CpuCaqr<T>, CaqrError>>> = Vec::with_capacity(njobs);
-    let mut groups: BTreeMap<FuseKey, Vec<usize>> = BTreeMap::new();
-    let mut solo: Vec<usize> = Vec::new();
-    for (idx, (a, opts)) in jobs.into_iter().enumerate() {
-        match fuse_key(&a, &opts) {
-            Some(key) => groups.entry(key).or_default().push(idx),
-            None => solo.push(idx),
-        }
-        mats.push(Some(a));
-        optsv.push(opts);
-        out.push(None);
-    }
-
-    for (key, idxs) in groups {
-        if idxs.len() < 2 {
-            solo.extend(idxs);
-            continue;
-        }
-        run_fused_group(&key, &idxs, &mut mats, &optsv, &mut out, &mut stats);
-    }
-    for idx in solo {
-        let a = mats[idx]
-            .take()
-            .expect("solo job matrix consumed exactly once");
-        let res = caqr_cpu(a, optsv[idx]);
-        if let Ok(f) = &res {
-            stats.logical_launches += logical_launches(f);
-        }
-        stats.solo_jobs += 1;
-        out[idx] = Some(res);
-    }
-
-    let results = out
-        .into_iter()
-        .map(|r| r.expect("every job produced a result"))
-        .collect();
-    (results, stats)
+    factor_many_resilient(jobs, &[], false, &RecoveryPolicy::default())
 }
 
 /// [`factor_many`] with fault isolation: the resilient batch engine behind
@@ -191,7 +144,7 @@ pub fn factor_many_with_stats<T: Scalar>(
 /// * a **solo job** with a planned fault runs the §10 ladder directly via
 ///   [`super::run_solo_resilient`], which recovers transient injections
 ///   internally — its output is bit-identical to a fault-free run;
-/// * everything else behaves exactly like [`factor_many_with_stats`].
+/// * with no faults and `verify == false` this is [`factor_many_with_stats`].
 pub fn factor_many_resilient<T: Scalar>(
     jobs: Vec<(Matrix<T>, CpuCaqrOptions)>,
     faults: &[Option<PlannedFault>],
@@ -199,43 +152,30 @@ pub fn factor_many_resilient<T: Scalar>(
     policy: &RecoveryPolicy,
 ) -> (Vec<Result<CpuCaqr<T>, CaqrError>>, BatchStats) {
     let fault_at = |idx: usize| faults.get(idx).copied().flatten();
-    let njobs = jobs.len();
     let mut stats = BatchStats::default();
-    let mut mats: Vec<Option<Matrix<T>>> = Vec::with_capacity(njobs);
-    let mut optsv: Vec<CpuCaqrOptions> = Vec::with_capacity(njobs);
-    let mut out: Vec<Option<Result<CpuCaqr<T>, CaqrError>>> = Vec::with_capacity(njobs);
-    let mut groups: BTreeMap<FuseKey, Vec<usize>> = BTreeMap::new();
-    let mut solo: Vec<usize> = Vec::new();
+    let mut out: Vec<Option<Result<CpuCaqr<T>, CaqrError>>> = jobs.iter().map(|_| None).collect();
+    let mut groups: BTreeMap<FuseKey, Vec<Job<T>>> = BTreeMap::new();
+    let mut solo: Vec<Job<T>> = Vec::new();
     for (idx, (a, opts)) in jobs.into_iter().enumerate() {
         match fuse_key(&a, &opts) {
-            Some(key) => groups.entry(key).or_default().push(idx),
-            None => solo.push(idx),
+            Some(key) => groups.entry(key).or_default().push((idx, a, opts)),
+            None => solo.push((idx, a, opts)),
         }
-        mats.push(Some(a));
-        optsv.push(opts);
-        out.push(None);
     }
 
-    for (key, idxs) in groups {
-        if idxs.len() < 2 {
-            solo.extend(idxs);
+    for (key, members) in groups {
+        if members.len() < 2 {
+            solo.extend(members);
             continue;
         }
-        if verify || idxs.iter().any(|&i| fault_at(i).is_some()) {
-            run_fused_group_verified(&key, &idxs, faults, &mut mats, &optsv, &mut out, &mut stats);
-        } else {
-            run_fused_group(&key, &idxs, &mut mats, &optsv, &mut out, &mut stats);
-        }
+        run_group(&key, members, &fault_at, verify, &mut out, &mut stats);
     }
-    for idx in solo {
-        let a = mats[idx]
-            .take()
-            .expect("solo job matrix consumed exactly once");
+    for (idx, a, opts) in solo {
         let fault = fault_at(idx);
         let res = if fault.is_some() || verify {
-            super::run_solo_resilient(a, optsv[idx], fault, policy).map(|(f, _)| f)
+            super::run_solo_resilient(a, opts, fault, policy).map(|(f, _)| f)
         } else {
-            caqr_cpu(a, optsv[idx])
+            caqr_cpu(a, opts)
         };
         if let Ok(f) = &res {
             stats.logical_launches += logical_launches(f);
@@ -251,720 +191,68 @@ pub fn factor_many_resilient<T: Scalar>(
     (results, stats)
 }
 
-/// Run one fused shape class: the synchronous panel schedule, executed in
-/// lockstep across all member jobs with one packed work list per launch.
-fn run_fused_group<T: Scalar>(
+/// One job of a batch: its input index, matrix and options.
+type Job<T> = (usize, Matrix<T>, CpuCaqrOptions);
+
+/// Run one fused shape class through the group driver, on a
+/// [`Faulty`] host backend when any member carries a planned fault.
+fn run_group<T: Scalar>(
     key: &FuseKey,
-    idxs: &[usize],
-    mats: &mut [Option<Matrix<T>>],
-    optsv: &[CpuCaqrOptions],
+    members: Vec<Job<T>>,
+    fault_at: &dyn Fn(usize) -> Option<PlannedFault>,
+    verify: bool,
     out: &mut [Option<Result<CpuCaqr<T>, CaqrError>>],
     stats: &mut BatchStats,
 ) {
-    let (m, n) = (key.m, key.n);
-    let bs = BlockSize { h: key.h, w: key.w };
-
-    // Fused health scan: one parallel region over the group, one verdict
-    // per job. A NaN fails only its own job (same typed error, same first
-    // offending coordinate, as a standalone run), and the group shrinks.
-    let scans: Vec<Option<(usize, usize)>> = {
-        let views: Vec<&Matrix<T>> = idxs
-            .iter()
-            .map(|&i| {
-                mats[i]
-                    .as_ref()
-                    .expect("grouped job matrix present until consumed")
-            })
-            .collect();
-        views
-            .par_iter()
-            .map(|a| health::first_nonfinite(a))
-            .collect()
+    let (jobs, mats): (Vec<(usize, CpuCaqrOptions)>, Vec<Matrix<T>>) =
+        members.into_iter().map(|(i, a, o)| ((i, o), a)).unzip();
+    let faults: Vec<Option<PlannedFault>> = jobs.iter().map(|&(i, _)| fault_at(i)).collect();
+    let clean = faults.iter().all(Option::is_none);
+    // A group carrying a fault always verifies, so an SDC is caught.
+    let cfg = DriveConfig {
+        verify_checksums: verify || !clean,
+        ..jobs[0].1.drive_config()
     };
-    stats.fused_launches += 1;
-    let mut members: Vec<usize> = Vec::with_capacity(idxs.len());
-    for (&idx, scan) in idxs.iter().zip(&scans) {
-        match scan {
-            Some((row, col)) => {
-                out[idx] = Some(Err(CaqrError::NonFinite {
-                    context: "caqr_cpu input",
-                    row: *row,
-                    col: *col,
-                }));
-                mats[idx] = None;
-                stats.solo_jobs += 1;
-            }
-            None => members.push(idx),
+    let group = if clean {
+        drive_group(&CpuBackend, mats, &cfg)
+    } else {
+        let backend = Faulty::new(CpuBackend, &faults, key.m, key.n, key.w);
+        drive_group(&backend, mats, &cfg)
+    };
+    // The packed health scan is one region; the host backend reports it
+    // as zero launches.
+    stats.fused_launches += 1 + group.launches;
+    let mut fused = 0;
+    for ((idx, opts), res) in jobs.into_iter().zip(group.members) {
+        // A member failing the input scan never entered the fused loop.
+        if matches!(res, Err(CaqrError::NonFinite { .. })) {
+            stats.solo_jobs += 1;
+        } else {
+            fused += 1;
         }
-    }
-    if members.is_empty() {
-        return;
-    }
-
-    let g = members.len();
-    let mut owned: Vec<Matrix<T>> = members
-        .iter()
-        .map(|&i| mats[i].take().expect("fused job matrix consumed once"))
-        .collect();
-    // Lifetime-erased per-job matrix handles, shared by every packed task.
-    // Safety contract (as in `factor_panel_host` / `apply_panel_parts`):
-    // each task touches only its own job's disjoint tile / column block,
-    // and `owned` is not accessed through any other path until the fused
-    // loop finishes.
-    let ptrs: Vec<MatPtr<T>> = owned.iter_mut().map(MatPtr::new).collect();
-
-    let mut pan: Vec<Vec<CpuPanel<T>>> = (0..g).map(|_| Vec::new()).collect();
-    let mut logical = 0usize;
-    for step in DagGeometry::panel_steps(m, n, bs.w) {
-        // Level 0, fused: the (job × tile) grid in one parallel region.
-        // Job j's tasks occupy the packed range [j * nt, (j + 1) * nt).
-        let tiles = tile_panel(step.c, m - step.c, bs.h, bs.w);
-        let nt = tiles.len();
-        let work: Vec<(usize, usize)> = (0..g)
-            .flat_map(|j| (0..nt).map(move |ti| (j, ti)))
-            .collect();
-        let wy_flat: Vec<WyTile<T>> = work
-            .par_iter()
-            .map(|&(j, ti)| blockops::factor_tile(ptrs[j], tiles[ti], step.c, step.width))
-            .collect();
-        stats.fused_launches += 1;
-        let mut wy_it = wy_flat.into_iter();
-        let wy0s: Vec<Vec<WyTile<T>>> = (0..g).map(|_| wy_it.by_ref().take(nt).collect()).collect();
-
-        // Tree levels, fused: the (job × group) grid per level, with a
-        // barrier between levels exactly where the per-job schedule has one.
-        let starts: Vec<usize> = tiles.iter().map(|t| t.start).collect();
-        let plan = plan_tree(&starts, key.arity);
-        let mut lvls: Vec<Vec<Vec<TreeNode<T>>>> = (0..g).map(|_| Vec::new()).collect();
-        for level in &plan.levels {
-            let ng = level.len();
-            let work: Vec<(usize, usize)> = (0..g)
-                .flat_map(|j| (0..ng).map(move |gi| (j, gi)))
-                .collect();
-            let nodes_flat: Vec<TreeNode<T>> = work
-                .par_iter()
-                .map(|&(j, gi)| {
-                    blockops::factor_tree_group(ptrs[j], &level[gi].members, step.c, step.width)
-                })
-                .collect();
-            stats.fused_launches += 1;
-            let mut it = nodes_flat.into_iter();
-            for lv in lvls.iter_mut() {
-                lv.push(it.by_ref().take(ng).collect());
-            }
+        if let Ok(o) = &res {
+            stats.logical_launches += o.launches;
         }
-        logical += 1 + plan.levels.len();
-        let lvl_sizes: Vec<usize> = plan.levels.iter().map(|l| l.len()).collect();
-
-        // Trailing update, fused: horizontal (job × tile × column-block),
-        // then each tree level — the same order `apply_panel_parts` uses.
-        if step.c + step.width < n {
-            let cols = col_blocks(step.c + step.width, n, bs.w);
-            let ncb = cols.len();
-            let work: Vec<(usize, usize, usize)> = (0..g)
-                .flat_map(|j| (0..nt).flat_map(move |ti| (0..ncb).map(move |cb| (j, ti, cb))))
-                .collect();
-            work.par_iter().for_each(|&(j, ti, cb)| {
-                let (c0, wc) = cols[cb];
-                blockops::apply_tile_wy(&wy0s[j][ti], ptrs[j], tiles[ti], c0, wc, true);
-            });
-            stats.fused_launches += 1;
-            for (li, ng) in lvl_sizes.iter().copied().enumerate() {
-                let work: Vec<(usize, usize, usize)> = (0..g)
-                    .flat_map(|j| (0..ng).flat_map(move |gi| (0..ncb).map(move |cb| (j, gi, cb))))
-                    .collect();
-                work.par_iter().for_each(|&(j, gi, cb)| {
-                    let (c0, wc) = cols[cb];
-                    blockops::apply_tree_node(ptrs[j], &lvls[j][li][gi], step.width, c0, wc, true);
-                });
-                stats.fused_launches += 1;
-            }
-            logical += 1 + plan.levels.len();
-        }
-
-        for ((p, wy0), lv) in pan.iter_mut().zip(wy0s).zip(lvls) {
-            p.push(CpuPanel {
-                col0: step.c,
-                width: step.width,
-                tiles: tiles.clone(),
-                wy0,
-                levels: lv,
-            });
-        }
-    }
-
-    for ((idx, a), panels) in members.iter().copied().zip(owned).zip(pan) {
-        out[idx] = Some(Ok(CpuCaqr {
-            a,
-            panels,
-            opts: optsv[idx],
+        out[idx] = Some(res.map(|o| CpuCaqr {
+            a: o.a,
+            panels: o.panels,
+            opts,
         }));
     }
-    stats.fused_jobs += g;
-    stats.fused_groups += 1;
-    stats.logical_launches += g * logical;
-}
-
-/// Does member `j`'s schedule call for a host panic in (`step`, `stage`)?
-fn panics_here(
-    sched: &[Option<(usize, u8, PlannedFault)>],
-    j: usize,
-    step: usize,
-    stage: u8,
-) -> bool {
-    matches!(sched[j], Some((s, st, f)) if s == step && st == stage && f.kind == FaultKind::HostPanic)
-}
-
-/// Mark member `j` dead with a typed error; its riders keep running.
-fn carve<T: Scalar>(
-    out: &mut [Option<Result<CpuCaqr<T>, CaqrError>>],
-    alive: &mut [bool],
-    members: &[usize],
-    j: usize,
-    e: CaqrError,
-) {
-    alive[j] = false;
-    out[members[j]] = Some(Err(e));
-}
-
-/// The verified fused runner: [`run_fused_group`]'s schedule with the
-/// [`crate::health`] checksums interleaved per panel, per-task
-/// `catch_unwind` isolation, and the planned faults of the group's members
-/// injected at their scheduled (panel, stage). A member that faults is
-/// carved out; every surviving member's output is bit-identical to its
-/// standalone run because verification only *reads* and every packed task
-/// touches only its own job's matrix.
-///
-/// Fault steering: a member's [`PlannedFault`] fires at panel
-/// `(payload >> 16) % npanels`, against the apply stage when
-/// `payload & 1 == 1` and the panel has trailing columns, else against the
-/// factor stage. An SDC perturbs a checksummed location (`x → 2x + 1` on
-/// the `R` diagonal for factor, on a trailing column for apply), so ABFT
-/// detection — not luck — catches it.
-/// One member's verification verdict: its index in the fused group, and
-/// either the `Q·1` probe vector (trailing panels reuse it as the apply
-/// predictor; `None` for the last panel) or the failed check's error.
-type ProbeVerdict<T> = (usize, Result<Option<Vec<T>>, CaqrError>);
-
-#[allow(clippy::too_many_arguments)]
-fn run_fused_group_verified<T: Scalar>(
-    key: &FuseKey,
-    idxs: &[usize],
-    faults: &[Option<PlannedFault>],
-    mats: &mut [Option<Matrix<T>>],
-    optsv: &[CpuCaqrOptions],
-    out: &mut [Option<Result<CpuCaqr<T>, CaqrError>>],
-    stats: &mut BatchStats,
-) {
-    let (m, n) = (key.m, key.n);
-    let bs = BlockSize { h: key.h, w: key.w };
-
-    // Fused health scan, as in the plain runner.
-    let scans: Vec<Option<(usize, usize)>> = {
-        let views: Vec<&Matrix<T>> = idxs
-            .iter()
-            .map(|&i| {
-                mats[i]
-                    .as_ref()
-                    .expect("grouped job matrix present until consumed")
-            })
-            .collect();
-        views
-            .par_iter()
-            .map(|a| health::first_nonfinite(a))
-            .collect()
-    };
-    stats.fused_launches += 1;
-    let mut members: Vec<usize> = Vec::with_capacity(idxs.len());
-    for (&idx, scan) in idxs.iter().zip(&scans) {
-        match scan {
-            Some((row, col)) => {
-                out[idx] = Some(Err(CaqrError::NonFinite {
-                    context: "caqr_cpu input",
-                    row: *row,
-                    col: *col,
-                }));
-                mats[idx] = None;
-                stats.solo_jobs += 1;
-            }
-            None => members.push(idx),
-        }
+    if fused > 0 {
+        stats.fused_jobs += fused;
+        stats.fused_groups += 1;
     }
-    if members.is_empty() {
-        return;
-    }
-
-    let g = members.len();
-    let mut owned: Vec<Matrix<T>> = members
-        .iter()
-        .map(|&i| mats[i].take().expect("fused job matrix consumed once"))
-        .collect();
-    let mut alive: Vec<bool> = vec![true; g];
-    let mut pan: Vec<Vec<CpuPanel<T>>> = (0..g).map(|_| Vec::new()).collect();
-
-    let steps = DagGeometry::panel_steps(m, n, bs.w);
-    let nsteps = steps.len() as u64;
-    // Per-member fault schedule: (panel, stage, fault). Stage 1 (apply) is
-    // demoted to 0 (factor) when the chosen panel has no trailing columns.
-    let sched: Vec<Option<(usize, u8, PlannedFault)>> = members
-        .iter()
-        .map(|&idx| {
-            faults.get(idx).copied().flatten().map(|f| {
-                let s = ((f.payload >> 16) % nsteps) as usize;
-                let trailing = steps[s].c + steps[s].width < n;
-                let stage = if trailing { (f.payload & 1) as u8 } else { 0 };
-                (s, stage, f)
-            })
-        })
-        .collect();
-
-    let mut logical = 0usize;
-    for step in &steps {
-        let si = step.p;
-        let tiles = tile_panel(step.c, m - step.c, bs.h, bs.w);
-        let nt = tiles.len();
-        let trailing = step.c + step.width < n;
-
-        // Admission faults against the factor stage fail the member before
-        // any of its tasks are packed, mirroring `gpu_sim::Device::admit`.
-        for j in 0..g {
-            if !alive[j] {
-                continue;
-            }
-            if let Some((s, 0, f)) = sched[j] {
-                if s == si {
-                    match f.kind {
-                        FaultKind::LaunchFail => carve(
-                            out,
-                            &mut alive,
-                            &members,
-                            j,
-                            CaqrError::Fault {
-                                kernel: "fused_factor",
-                                launch_index: f.ordinal,
-                                attempts: 1,
-                            },
-                        ),
-                        FaultKind::Hang => carve(
-                            out,
-                            &mut alive,
-                            &members,
-                            j,
-                            CaqrError::Timeout {
-                                kernel: "fused_factor",
-                                launch_index: f.ordinal,
-                                deadline_us: 1_000,
-                            },
-                        ),
-                        FaultKind::DeviceLoss => carve(
-                            out,
-                            &mut alive,
-                            &members,
-                            j,
-                            CaqrError::DeviceLost {
-                                kernel: "fused_factor",
-                                launch_index: f.ordinal,
-                            },
-                        ),
-                        FaultKind::Sdc | FaultKind::HostPanic => {}
-                    }
-                }
-            }
-        }
-        let live: Vec<usize> = (0..g).filter(|&j| alive[j]).collect();
-        if live.is_empty() {
-            break;
-        }
-
-        // Pre-factor checksums (read-only, one fused region).
-        let mut pre: Vec<Option<Vec<f64>>> = vec![None; g];
-        let sums: Vec<(usize, Vec<f64>)> = live
-            .par_iter()
-            .map(|&j| {
-                (
-                    j,
-                    health::panel_col_sumsq(&owned[j], step.c, step.c, step.width),
-                )
-            })
-            .collect();
-        stats.fused_launches += 1;
-        for (j, s) in sums {
-            pre[j] = Some(s);
-        }
-
-        // Level 0, fused, each task isolated by catch_unwind so one
-        // member's panic cannot poison its riders' region.
-        let mut wy0s: Vec<Vec<WyTile<T>>> = (0..g).map(|_| Vec::new()).collect();
-        {
-            let ptrs: Vec<MatPtr<T>> = owned.iter_mut().map(MatPtr::new).collect();
-            let work: Vec<(usize, usize)> = live
-                .iter()
-                .flat_map(|&j| (0..nt).map(move |ti| (j, ti)))
-                .collect();
-            let wy_flat: Vec<Result<WyTile<T>, ()>> = work
-                .par_iter()
-                .map(|&(j, ti)| {
-                    catch_unwind(AssertUnwindSafe(|| {
-                        if ti == 0 && panics_here(&sched, j, si, 0) {
-                            panic!("injected host panic: fused factor task");
-                        }
-                        blockops::factor_tile(ptrs[j], tiles[ti], step.c, step.width)
-                    }))
-                    .map_err(|_| ())
-                })
-                .collect();
-            stats.fused_launches += 1;
-            let mut it = wy_flat.into_iter();
-            for &j in &live {
-                let mine: Vec<Result<WyTile<T>, ()>> = it.by_ref().take(nt).collect();
-                if mine.iter().any(|r| r.is_err()) {
-                    carve(
-                        out,
-                        &mut alive,
-                        &members,
-                        j,
-                        CaqrError::Panicked {
-                            context: format!("fused factor task of panel {si}"),
-                        },
-                    );
-                } else {
-                    wy0s[j] = mine
-                        .into_iter()
-                        .map(|r| r.expect("absence of Err checked above"))
-                        .collect();
-                }
-            }
-        }
-
-        // Tree levels, fused, with the same per-task isolation.
-        let starts: Vec<usize> = tiles.iter().map(|t| t.start).collect();
-        let plan = plan_tree(&starts, key.arity);
-        let lvl_sizes: Vec<usize> = plan.levels.iter().map(|l| l.len()).collect();
-        let mut lvls: Vec<Vec<Vec<TreeNode<T>>>> = (0..g).map(|_| Vec::new()).collect();
-        for level in &plan.levels {
-            let ng = level.len();
-            let live_now: Vec<usize> = (0..g).filter(|&j| alive[j]).collect();
-            if live_now.is_empty() {
-                break;
-            }
-            let ptrs: Vec<MatPtr<T>> = owned.iter_mut().map(MatPtr::new).collect();
-            let work: Vec<(usize, usize)> = live_now
-                .iter()
-                .flat_map(|&j| (0..ng).map(move |gi| (j, gi)))
-                .collect();
-            let nodes_flat: Vec<Result<TreeNode<T>, ()>> = work
-                .par_iter()
-                .map(|&(j, gi)| {
-                    catch_unwind(AssertUnwindSafe(|| {
-                        blockops::factor_tree_group(ptrs[j], &level[gi].members, step.c, step.width)
-                    }))
-                    .map_err(|_| ())
-                })
-                .collect();
-            stats.fused_launches += 1;
-            let mut it = nodes_flat.into_iter();
-            for &j in &live_now {
-                let mine: Vec<Result<TreeNode<T>, ()>> = it.by_ref().take(ng).collect();
-                if mine.iter().any(|r| r.is_err()) {
-                    carve(
-                        out,
-                        &mut alive,
-                        &members,
-                        j,
-                        CaqrError::Panicked {
-                            context: format!("fused factor-tree task of panel {si}"),
-                        },
-                    );
-                } else {
-                    lvls[j].push(
-                        mine.into_iter()
-                            .map(|r| r.expect("absence of Err checked above"))
-                            .collect(),
-                    );
-                }
-            }
-        }
-        logical += 1 + plan.levels.len();
-
-        // Injected factor-stage SDC: perturb the member's R diagonal after
-        // the factor chain, inside the column-norm checksum's coverage.
-        for j in 0..g {
-            if !alive[j] {
-                continue;
-            }
-            if let Some((s, 0, f)) = sched[j] {
-                if s == si && f.kind == FaultKind::Sdc {
-                    let r = (f.payload % step.width as u64) as usize;
-                    let x = owned[j][(step.c + r, step.c + r)];
-                    owned[j][(step.c + r, step.c + r)] = x + x + T::ONE;
-                }
-            }
-        }
-
-        // Factor verification: column-norm invariant, plus the Q·1 probe
-        // (which doubles as the apply predictor) for trailing panels.
-        let mut us: Vec<Option<Vec<T>>> = vec![None; g];
-        {
-            let live_now: Vec<usize> = (0..g).filter(|&j| alive[j]).collect();
-            let verdicts: Vec<ProbeVerdict<T>> = live_now
-                .par_iter()
-                .map(|&j| {
-                    let v = (|| {
-                        let p = pre[j].as_ref().expect("pre sums computed for live member");
-                        health::factor_norm_check::<T>(&owned[j], p, m, si, step.c, step.width)?;
-                        if trailing {
-                            let u = q_ones_probe_parts(m, &tiles, &wy0s[j], &lvls[j], step.width);
-                            health::verify_probe(&u, si, step.c)?;
-                            Ok(Some(u))
-                        } else {
-                            Ok(None)
-                        }
-                    })();
-                    (j, v)
-                })
-                .collect();
-            stats.fused_launches += 1;
-            for (j, v) in verdicts {
-                match v {
-                    Ok(u) => us[j] = u,
-                    Err(e) => carve(out, &mut alive, &members, j, e),
-                }
-            }
-        }
-
-        // Trailing update, fused and verified.
-        if trailing {
-            let cols = col_blocks(step.c + step.width, n, bs.w);
-            let ncb = cols.len();
-
-            // Admission faults against the apply stage.
-            for j in 0..g {
-                if !alive[j] {
-                    continue;
-                }
-                if let Some((s, 1, f)) = sched[j] {
-                    if s == si {
-                        match f.kind {
-                            FaultKind::LaunchFail => carve(
-                                out,
-                                &mut alive,
-                                &members,
-                                j,
-                                CaqrError::Fault {
-                                    kernel: "fused_apply",
-                                    launch_index: f.ordinal,
-                                    attempts: 1,
-                                },
-                            ),
-                            FaultKind::Hang => carve(
-                                out,
-                                &mut alive,
-                                &members,
-                                j,
-                                CaqrError::Timeout {
-                                    kernel: "fused_apply",
-                                    launch_index: f.ordinal,
-                                    deadline_us: 1_000,
-                                },
-                            ),
-                            FaultKind::DeviceLoss => carve(
-                                out,
-                                &mut alive,
-                                &members,
-                                j,
-                                CaqrError::DeviceLost {
-                                    kernel: "fused_apply",
-                                    launch_index: f.ordinal,
-                                },
-                            ),
-                            FaultKind::Sdc | FaultKind::HostPanic => {}
-                        }
-                    }
-                }
-            }
-
-            // Predicted post-update column sums from pre-update data.
-            let mut preds: Vec<Option<Vec<(f64, f64)>>> = vec![None; g];
-            let live_now: Vec<usize> = (0..g).filter(|&j| alive[j]).collect();
-            if !live_now.is_empty() {
-                let ps: Vec<(usize, Vec<(f64, f64)>)> = live_now
-                    .par_iter()
-                    .map(|&j| {
-                        let u = us[j].as_ref().expect("probe computed for trailing panel");
-                        (j, health::predicted_col_sums(u, &owned[j], &cols))
-                    })
-                    .collect();
-                stats.fused_launches += 1;
-                for (j, p) in ps {
-                    preds[j] = Some(p);
-                }
-
-                // Horizontal applies, isolated per task.
-                {
-                    let ptrs: Vec<MatPtr<T>> = owned.iter_mut().map(MatPtr::new).collect();
-                    let work: Vec<(usize, usize, usize)> = live_now
-                        .iter()
-                        .flat_map(|&j| {
-                            (0..nt).flat_map(move |ti| (0..ncb).map(move |cb| (j, ti, cb)))
-                        })
-                        .collect();
-                    let results: Vec<Result<(), ()>> = work
-                        .par_iter()
-                        .map(|&(j, ti, cb)| {
-                            catch_unwind(AssertUnwindSafe(|| {
-                                if ti == 0 && cb == 0 && panics_here(&sched, j, si, 1) {
-                                    panic!("injected host panic: fused apply task");
-                                }
-                                let (c0, wc) = cols[cb];
-                                blockops::apply_tile_wy(
-                                    &wy0s[j][ti],
-                                    ptrs[j],
-                                    tiles[ti],
-                                    c0,
-                                    wc,
-                                    true,
-                                );
-                            }))
-                            .map_err(|_| ())
-                        })
-                        .collect();
-                    stats.fused_launches += 1;
-                    let mut it = results.into_iter();
-                    for &j in &live_now {
-                        let bad = it.by_ref().take(nt * ncb).any(|r| r.is_err());
-                        if bad {
-                            carve(
-                                out,
-                                &mut alive,
-                                &members,
-                                j,
-                                CaqrError::Panicked {
-                                    context: format!("fused apply task of panel {si}"),
-                                },
-                            );
-                        }
-                    }
-                }
-
-                // Tree-level applies.
-                for (li, ng) in lvl_sizes.iter().copied().enumerate() {
-                    let live2: Vec<usize> = (0..g).filter(|&j| alive[j]).collect();
-                    if live2.is_empty() {
-                        break;
-                    }
-                    let ptrs: Vec<MatPtr<T>> = owned.iter_mut().map(MatPtr::new).collect();
-                    let work: Vec<(usize, usize, usize)> = live2
-                        .iter()
-                        .flat_map(|&j| {
-                            (0..ng).flat_map(move |gi| (0..ncb).map(move |cb| (j, gi, cb)))
-                        })
-                        .collect();
-                    let results: Vec<Result<(), ()>> = work
-                        .par_iter()
-                        .map(|&(j, gi, cb)| {
-                            catch_unwind(AssertUnwindSafe(|| {
-                                let (c0, wc) = cols[cb];
-                                blockops::apply_tree_node(
-                                    ptrs[j],
-                                    &lvls[j][li][gi],
-                                    step.width,
-                                    c0,
-                                    wc,
-                                    true,
-                                );
-                            }))
-                            .map_err(|_| ())
-                        })
-                        .collect();
-                    stats.fused_launches += 1;
-                    let mut it = results.into_iter();
-                    for &j in &live2 {
-                        let bad = it.by_ref().take(ng * ncb).any(|r| r.is_err());
-                        if bad {
-                            carve(
-                                out,
-                                &mut alive,
-                                &members,
-                                j,
-                                CaqrError::Panicked {
-                                    context: format!("fused apply-tree task of panel {si}"),
-                                },
-                            );
-                        }
-                    }
-                }
-
-                // Injected apply-stage SDC: perturb a trailing column cell
-                // the predicted-sum checksum covers.
-                for j in 0..g {
-                    if !alive[j] {
-                        continue;
-                    }
-                    if let Some((s, 1, f)) = sched[j] {
-                        if s == si && f.kind == FaultKind::Sdc {
-                            let row = tiles[0].start;
-                            let col = cols[0].0;
-                            let x = owned[j][(row, col)];
-                            owned[j][(row, col)] = x + x + T::ONE;
-                        }
-                    }
-                }
-
-                // Apply verification.
-                let live3: Vec<usize> = (0..g).filter(|&j| alive[j]).collect();
-                let verdicts: Vec<(usize, Result<(), CaqrError>)> = live3
-                    .par_iter()
-                    .map(|&j| {
-                        let p = preds[j]
-                            .as_ref()
-                            .expect("predictions computed for live member");
-                        (j, health::apply_sum_check::<T>(&owned[j], p, &cols, m, si))
-                    })
-                    .collect();
-                stats.fused_launches += 1;
-                for (j, v) in verdicts {
-                    if let Err(e) = v {
-                        carve(out, &mut alive, &members, j, e);
-                    }
-                }
-            }
-            logical += 1 + plan.levels.len();
-        }
-
-        for j in 0..g {
-            if !alive[j] {
-                continue;
-            }
-            pan[j].push(CpuPanel {
-                col0: step.c,
-                width: step.width,
-                tiles: tiles.clone(),
-                wy0: std::mem::take(&mut wy0s[j]),
-                levels: std::mem::take(&mut lvls[j]),
-            });
-        }
-    }
-
-    let survivors = alive.iter().filter(|&&x| x).count();
-    for ((j, a), panels) in owned.into_iter().enumerate().zip(pan) {
-        if !alive[j] {
-            continue;
-        }
-        out[members[j]] = Some(Ok(CpuCaqr {
-            a,
-            panels,
-            opts: optsv[members[j]],
-        }));
-    }
-    stats.fused_jobs += g;
-    stats.fused_groups += 1;
-    stats.logical_launches += survivors * logical;
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::backend::CaqrBackend;
     use crate::block::TreeShape;
+    use crate::tsqr::{col_blocks, PanelFactor};
+    use dense::MatPtr;
+    use gpu_sim::FaultKind;
 
     fn opts(h: usize, w: usize) -> CpuCaqrOptions {
         CpuCaqrOptions {
@@ -1074,7 +362,6 @@ mod tests {
 
     #[test]
     fn every_fault_kind_carves_only_its_member_and_riders_stay_bitwise() {
-        use gpu_sim::FaultKind;
         let mk = |s: u64| dense::generate::uniform::<f64>(220, 16, 70 + s);
         let kinds = [
             (FaultKind::LaunchFail, 0u64),
@@ -1133,5 +420,86 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn a_panicking_packed_task_carves_only_its_member() {
+        // Member 1's factor loses its level-0 tail, so its horizontal apply
+        // tasks index past the end and unwind inside the packed region,
+        // before they write anything.
+        let src: Vec<Matrix<f64>> = (0..3)
+            .map(|s| dense::generate::uniform(200, 24, 50 + s))
+            .collect();
+        let cfg = opts(48, 8).drive_config();
+        let mut mats = src.clone();
+        let mut pfs: Vec<PanelFactor<f64>> = CpuBackend
+            .factor_panel_group(&mut mats, &[0, 1, 2], 0, 0, 8, &cfg)
+            .into_iter()
+            .map(|r| r.expect("clean factor"))
+            .collect();
+        pfs[1].wy0.truncate(1);
+        let cols = col_blocks(8, 24, 8);
+        let work: Vec<(usize, &PanelFactor<f64>)> = pfs.iter().enumerate().collect();
+        let applied = CpuBackend.apply_panel_group(&mut mats, &work, &cols, true);
+        assert!(
+            matches!(applied[1], Err(CaqrError::Panicked { .. })),
+            "{:?}",
+            applied[1]
+        );
+        for j in [0, 2] {
+            assert!(applied[j].is_ok(), "rider {j}: {:?}", applied[j]);
+            let mut want = src[j].clone();
+            let pf = CpuBackend
+                .factor_panel(0, &mut want, 0, 0, 8, &cfg)
+                .expect("clean factor");
+            CpuBackend
+                .apply_panel(0, MatPtr::new(&mut want), &pf, &cols, true)
+                .expect("clean apply");
+            assert_eq!(mats[j], want, "rider {j} diverged");
+        }
+    }
+
+    // The two `tiny_fused_group` tests are small enough for Miri, which
+    // checks the cross-member `MatPtr` sharing of the packed regions.
+
+    #[test]
+    fn tiny_fused_group_plain_run() {
+        let jobs: Vec<(Matrix<f64>, CpuCaqrOptions)> = (0..2)
+            .map(|s| (dense::generate::uniform(24, 8, 300 + s), opts(8, 4)))
+            .collect();
+        let (results, stats) =
+            factor_many_with_stats(jobs.iter().map(|(a, o)| (a.clone(), *o)).collect());
+        assert_eq!(stats.fused_groups, 1);
+        for ((a, o), got) in jobs.into_iter().zip(results) {
+            assert_eq!(got.unwrap().a, caqr_cpu(a, o).unwrap().a);
+        }
+    }
+
+    #[test]
+    fn tiny_fused_group_with_a_carved_member() {
+        let jobs: Vec<(Matrix<f64>, CpuCaqrOptions)> = (0..2)
+            .map(|s| (dense::generate::uniform(24, 8, 310 + s), opts(8, 4)))
+            .collect();
+        // An SDC on member 0's first trailing update, caught by its
+        // apply checksum.
+        let faults = [Some(PlannedFault {
+            kind: FaultKind::Sdc,
+            ordinal: 0,
+            payload: 1,
+        })];
+        let (results, stats) = factor_many_resilient(
+            jobs.iter().map(|(a, o)| (a.clone(), *o)).collect(),
+            &faults,
+            false,
+            &RecoveryPolicy::default(),
+        );
+        assert_eq!(stats.fused_groups, 1);
+        assert!(matches!(
+            results[0],
+            Err(CaqrError::ChecksumMismatch { .. })
+        ));
+        let (a, o) = &jobs[1];
+        let want = caqr_cpu(a.clone(), *o).unwrap();
+        assert_eq!(results[1].as_ref().unwrap().a, want.a);
     }
 }

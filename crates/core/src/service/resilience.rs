@@ -7,8 +7,7 @@
 use crate::backend::{CaqrBackend, CpuBackend, DagGeometry, DriveConfig};
 use crate::block::BlockSize;
 use crate::error::CaqrError;
-use crate::microkernels::ReductionStrategy;
-use crate::multicore::{CpuCaqr, CpuCaqrOptions, CpuPanel};
+use crate::multicore::{CpuCaqr, CpuCaqrOptions};
 use crate::recovery::{drive_resilient, is_transient, RecoveryPolicy, RecoveryReport};
 use crate::tsqr::PanelFactor;
 use dense::matrix::Matrix;
@@ -189,7 +188,7 @@ pub enum TenantQuota {
 /// verification overhead and no retries.
 #[derive(Clone, Debug, Default)]
 pub struct ResilienceConfig {
-    /// Run every fused batch through the ABFT-verified engine even without
+    /// Verify every fused batch with the ABFT checksums even without
     /// planned faults (detection always on, ~the checksum overhead of §9).
     pub verify_batches: bool,
     /// Inject a seeded fault campaign (tests, chaos soak).
@@ -222,45 +221,174 @@ pub fn service_retryable(e: &CaqrError) -> bool {
         )
 }
 
-/// A [`CpuBackend`] that injects one planned fault at a chosen task
-/// ordinal, then behaves honestly forever after — the host-path analogue
-/// of `gpu_sim::Device::admit` drawing from its [`FaultPlan`]. Single
-/// fire: the §10 ladder's replay of the faulted task (or of the whole run)
-/// sees clean execution, so recovery converges and stays bit-identical.
-struct InjectingCpuBackend {
-    inner: CpuBackend,
-    fault: Cell<Option<PlannedFault>>,
-    fire_at: u64,
-    calls: Cell<u64>,
+/// The one host-side fault injector: a decorator over any backend that
+/// fires each group member's [`PlannedFault`] once, then runs honestly —
+/// the host analogue of `gpu_sim::Device::admit` drawing from its
+/// [`FaultPlan`].
+///
+/// One steering rule: a member's fault fires at task ordinal
+/// `payload % tasks`, counting that member's tasks in the fault-free
+/// [`Mode::Sync`](crate::backend::Mode::Sync) schedule — one factor per
+/// panel, plus one apply when the panel has trailing columns. Admission
+/// faults fail the task with a typed error before it runs, a host panic
+/// unwinds out of it, and an SDC lets it run and then corrupts a value
+/// inside checksum coverage. The per-matrix methods (the §10 ladder of
+/// [`run_solo_resilient`]) are member 0: the panic unwinds to the ladder's
+/// boundary and a replay sees clean execution. The group methods (a fused
+/// run) catch an injected panic at its member, so every fault carves only
+/// its victim.
+pub(crate) struct Faulty<B> {
+    inner: B,
+    /// Per member: the armed fault and the task ordinal it fires at.
+    armed: Vec<Cell<Option<(u64, PlannedFault)>>>,
+    /// Per member: tasks issued so far.
+    issued: Vec<Cell<u64>>,
 }
 
-impl InjectingCpuBackend {
-    fn new(fault: Option<PlannedFault>, fire_at: u64) -> InjectingCpuBackend {
-        InjectingCpuBackend {
-            inner: CpuBackend,
-            fault: Cell::new(fault),
-            fire_at,
-            calls: Cell::new(0),
+impl<B> Faulty<B> {
+    /// Arm `faults[j]` against member `j` of an `m x n` group with panel
+    /// width `w`.
+    pub(crate) fn new(
+        inner: B,
+        faults: &[Option<PlannedFault>],
+        m: usize,
+        n: usize,
+        w: usize,
+    ) -> Faulty<B> {
+        let tasks: u64 = DagGeometry::panel_steps(m, n, w)
+            .iter()
+            .map(|s| if s.c + s.width < n { 2 } else { 1 })
+            .sum();
+        Faulty {
+            inner,
+            armed: faults
+                .iter()
+                .map(|f| Cell::new(f.map(|f| (f.payload % tasks.max(1), f))))
+                .collect(),
+            issued: vec![Cell::new(0); faults.len()],
         }
     }
 
-    /// Take the armed fault iff this call is the firing ordinal.
-    fn draw(&self) -> Option<PlannedFault> {
-        let ord = self.calls.get();
-        self.calls.set(ord + 1);
-        if ord == self.fire_at {
-            self.fault.take()
-        } else {
-            None
-        }
+    /// Count one task of member `j`: its armed fault iff this task is the
+    /// firing ordinal.
+    fn draw(&self, j: usize) -> Option<PlannedFault> {
+        let ord = self.issued[j].get();
+        self.issued[j].set(ord + 1);
+        let (at, f) = self.armed[j].get()?;
+        (at == ord).then(|| {
+            self.armed[j].set(None);
+            f
+        })
+    }
+
+    /// One group launch under the steering rule: count a task for every
+    /// member of `work`, fire its fault, run the members that may still run
+    /// in one `launch` of the inner backend, then corrupt the output of any
+    /// member whose fault is an SDC. One result per member of `work`.
+    fn group_launch<T: Scalar, W: Copy, R>(
+        &self,
+        mats: &mut [Matrix<T>],
+        work: &[W],
+        member: impl Fn(W) -> usize,
+        kernel: &'static str,
+        launch: impl FnOnce(&mut [Matrix<T>], &[W]) -> Vec<Result<R, CaqrError>>,
+        sdc: impl Fn(MatPtr<T>, W, PlannedFault),
+    ) -> Vec<Result<R, CaqrError>> {
+        let fired: Vec<(Option<PlannedFault>, Result<(), CaqrError>)> = work
+            .iter()
+            .map(|&w| {
+                let fault = self.draw(member(w));
+                (fault, fire_member(fault, kernel))
+            })
+            .collect();
+        // Members whose fault stops the task leave the packed launch.
+        let run: Vec<W> = work
+            .iter()
+            .zip(&fired)
+            .filter(|(_, (_, r))| r.is_ok())
+            .map(|(&w, _)| w)
+            .collect();
+        let mut results = launch(mats, &run).into_iter();
+        work.iter()
+            .zip(fired)
+            .map(|(&w, (fault, fired))| {
+                fired?;
+                let r = results.next().expect("one result per member run")?;
+                if let Some(f) = fault.filter(is_sdc) {
+                    sdc(MatPtr::new(&mut mats[member(w)]), w, f);
+                }
+                Ok(r)
+            })
+            .collect()
     }
 }
 
-impl<T: Scalar> CaqrBackend<T> for InjectingCpuBackend {
-    type Token = ();
+/// Fire `fault` against a `kernel` task: a typed error for an admission
+/// fault, an unwind for a host panic, nothing for an SDC (which corrupts
+/// the task's output instead) or no fault.
+fn fire(fault: Option<PlannedFault>, kernel: &'static str) -> Result<(), CaqrError> {
+    let Some(f) = fault else {
+        return Ok(());
+    };
+    let launch_index = f.ordinal;
+    match f.kind {
+        FaultKind::LaunchFail => Err(CaqrError::Fault {
+            kernel,
+            launch_index,
+            attempts: 1,
+        }),
+        FaultKind::Hang => Err(CaqrError::Timeout {
+            kernel,
+            launch_index,
+            deadline_us: 1_000,
+        }),
+        FaultKind::DeviceLoss => Err(CaqrError::DeviceLost {
+            kernel,
+            launch_index,
+        }),
+        FaultKind::HostPanic => panic!("injected host panic: {kernel} task"),
+        FaultKind::Sdc => Ok(()),
+    }
+}
+
+/// [`fire`] for one member of a group: an injected panic is caught here
+/// and fails only that member.
+fn fire_member(fault: Option<PlannedFault>, kernel: &'static str) -> Result<(), CaqrError> {
+    catch_unwind(|| fire(fault, kernel)).unwrap_or_else(|_| {
+        Err(CaqrError::Panicked {
+            context: format!("injected host panic: {kernel} task"),
+        })
+    })
+}
+
+/// The SDC corruption `x -> 2x + 1` of one entry, after its task ran.
+fn corrupt<T: Scalar>(c: MatPtr<T>, row: usize, col: usize) {
+    // SAFETY: called between launches, when no task holds the matrix.
+    unsafe { c.set(row, col, c.get(row, col) + c.get(row, col) + T::ONE) }
+}
+
+/// A factor-stage SDC hits the panel's `R` diagonal, inside the
+/// column-norm checksum's coverage.
+fn corrupt_factor<T: Scalar>(c: MatPtr<T>, f: PlannedFault, col0: usize, width: usize) {
+    let r = (f.payload % width as u64) as usize;
+    corrupt(c, col0 + r, col0 + r);
+}
+
+/// An apply-stage SDC hits the first trailing column, inside the predicted
+/// column-sum checksum's coverage.
+fn corrupt_apply<T: Scalar>(c: MatPtr<T>, pf: &PanelFactor<T>, cols: &[(usize, usize)]) {
+    corrupt(c, pf.tiles[0].start, cols[0].0);
+}
+
+fn is_sdc(f: &PlannedFault) -> bool {
+    f.kind == FaultKind::Sdc
+}
+
+impl<T: Scalar, B: CaqrBackend<T>> CaqrBackend<T> for Faulty<B> {
+    type Token = B::Token;
 
     fn slots(&self) -> usize {
-        CaqrBackend::<T>::slots(&self.inner)
+        self.inner.slots()
     }
 
     fn check_finite(
@@ -273,7 +401,7 @@ impl<T: Scalar> CaqrBackend<T> for InjectingCpuBackend {
     }
 
     fn pretranspose(&self, m: usize, n: usize, bs: BlockSize) -> Result<usize, CaqrError> {
-        CaqrBackend::<T>::pretranspose(&self.inner, m, n, bs)
+        self.inner.pretranspose(m, n, bs)
     }
 
     fn factor_panel(
@@ -285,38 +413,13 @@ impl<T: Scalar> CaqrBackend<T> for InjectingCpuBackend {
         width: usize,
         cfg: &DriveConfig,
     ) -> Result<PanelFactor<T>, CaqrError> {
-        match self.draw() {
-            Some(f) => match f.kind {
-                FaultKind::LaunchFail => Err(CaqrError::Fault {
-                    kernel: "factor",
-                    launch_index: f.ordinal,
-                    attempts: 1,
-                }),
-                FaultKind::Hang => Err(CaqrError::Timeout {
-                    kernel: "factor",
-                    launch_index: f.ordinal,
-                    deadline_us: 1_000,
-                }),
-                FaultKind::DeviceLoss => Err(CaqrError::DeviceLost {
-                    kernel: "factor",
-                    launch_index: f.ordinal,
-                }),
-                FaultKind::HostPanic => {
-                    panic!("injected host panic: solo factor task")
-                }
-                FaultKind::Sdc => {
-                    // Factor honestly, then flip an R-diagonal element —
-                    // inside the column-norm checksum's coverage, so the
-                    // ladder detects and replays from the panel snapshot.
-                    let pf = self.inner.factor_panel(slot, a, row0, col0, width, cfg)?;
-                    let r = (f.payload % width as u64) as usize;
-                    let x = a[(col0 + r, col0 + r)];
-                    a[(col0 + r, col0 + r)] = x + x + T::ONE;
-                    Ok(pf)
-                }
-            },
-            None => self.inner.factor_panel(slot, a, row0, col0, width, cfg),
+        let fault = self.draw(0);
+        fire(fault, "factor")?;
+        let pf = self.inner.factor_panel(slot, a, row0, col0, width, cfg)?;
+        if let Some(f) = fault.filter(is_sdc) {
+            corrupt_factor(MatPtr::new(a), f, col0, width);
         }
+        Ok(pf)
     }
 
     fn apply_panel(
@@ -327,62 +430,109 @@ impl<T: Scalar> CaqrBackend<T> for InjectingCpuBackend {
         cols: &[(usize, usize)],
         transpose: bool,
     ) -> Result<(), CaqrError> {
-        match self.draw() {
-            Some(f) => match f.kind {
-                FaultKind::LaunchFail => Err(CaqrError::Fault {
-                    kernel: "apply",
-                    launch_index: f.ordinal,
-                    attempts: 1,
-                }),
-                FaultKind::Hang => Err(CaqrError::Timeout {
-                    kernel: "apply",
-                    launch_index: f.ordinal,
-                    deadline_us: 1_000,
-                }),
-                FaultKind::DeviceLoss => Err(CaqrError::DeviceLost {
-                    kernel: "apply",
-                    launch_index: f.ordinal,
-                }),
-                FaultKind::HostPanic => {
-                    panic!("injected host panic: solo apply task")
-                }
-                FaultKind::Sdc => {
-                    // Apply honestly, then flip a trailing-column element —
-                    // covered by the predicted column-sum checksum.
-                    self.inner.apply_panel(slot, c, pf, cols, transpose)?;
-                    unsafe {
-                        let (row, col) = (pf.tiles[0].start, cols[0].0);
-                        let x = c.get(row, col);
-                        c.set(row, col, x + x + T::ONE);
-                    }
-                    Ok(())
-                }
-            },
-            None => self.inner.apply_panel(slot, c, pf, cols, transpose),
+        let fault = self.draw(0);
+        fire(fault, "apply")?;
+        self.inner.apply_panel(slot, c, pf, cols, transpose)?;
+        if fault.filter(is_sdc).is_some() {
+            corrupt_apply(c, pf, cols);
         }
+        Ok(())
+    }
+
+    fn check_finite_group(
+        &self,
+        mats: &[Matrix<T>],
+        bs: BlockSize,
+        context: &'static str,
+    ) -> Vec<Result<usize, CaqrError>> {
+        self.inner.check_finite_group(mats, bs, context)
+    }
+
+    fn factor_panel_group(
+        &self,
+        mats: &mut [Matrix<T>],
+        live: &[usize],
+        row0: usize,
+        col0: usize,
+        width: usize,
+        cfg: &DriveConfig,
+    ) -> Vec<Result<PanelFactor<T>, CaqrError>> {
+        self.group_launch(
+            mats,
+            live,
+            |j| j,
+            "factor",
+            |mats, run| {
+                self.inner
+                    .factor_panel_group(mats, run, row0, col0, width, cfg)
+            },
+            |c, _, f| corrupt_factor(c, f, col0, width),
+        )
+    }
+
+    fn apply_panel_group(
+        &self,
+        mats: &mut [Matrix<T>],
+        work: &[(usize, &PanelFactor<T>)],
+        cols: &[(usize, usize)],
+        transpose: bool,
+    ) -> Vec<Result<(), CaqrError>> {
+        self.group_launch(
+            mats,
+            work,
+            |(j, _)| j,
+            "apply",
+            |mats, run| self.inner.apply_panel_group(mats, run, cols, transpose),
+            |c, (_, pf), _| corrupt_apply(c, pf, cols),
+        )
     }
 
     fn record(&self, slot: usize) -> Self::Token {
-        CaqrBackend::<T>::record(&self.inner, slot)
+        self.inner.record(slot)
     }
 
     fn wait(&self, slot: usize, token: Self::Token) {
-        CaqrBackend::<T>::wait(&self.inner, slot, token)
+        self.inner.wait(slot, token)
     }
 
     fn sync(&self) -> Result<(), CaqrError> {
-        CaqrBackend::<T>::sync(&self.inner)
+        self.inner.sync()
     }
 
     fn q_ones_probe(&self, m: usize, pf: &PanelFactor<T>) -> Vec<T> {
         self.inner.q_ones_probe(m, pf)
     }
+
+    fn charge_verify(&self, elems: usize) {
+        self.inner.charge_verify(elems)
+    }
+
+    fn charge_snapshot(&self, elems: usize) {
+        self.inner.charge_snapshot(elems)
+    }
+
+    fn note_checksum_checks(&self, n: u64) {
+        self.inner.note_checksum_checks(n)
+    }
+
+    fn note_task_replay(&self) {
+        self.inner.note_task_replay()
+    }
+
+    fn note_panel_replay(&self) {
+        self.inner.note_panel_replay()
+    }
+
+    fn note_run_retry(&self) {
+        self.inner.note_run_retry()
+    }
 }
 
 /// Factor one job on the host through the §10 escalation ladder
 /// ([`drive_resilient`] over a [`CpuBackend`]), optionally with one
-/// injected [`PlannedFault`]. This is the service's solo fallback for a
-/// batch member carved out of a fused group, and its chaos-mode solo path.
+/// injected [`PlannedFault`] fired by [`Faulty`]. This is the service's
+/// solo fallback for a batch member carved out of a fused group, and its
+/// chaos-mode solo path.
 ///
 /// Transient injections (launch fault, hang, SDC) are recovered *inside*
 /// this call by snapshot/replay, so the returned factorization is
@@ -399,35 +549,19 @@ pub fn run_solo_resilient<T: Scalar>(
     if m == 0 || n == 0 {
         return Err(CaqrError::BadShape(format!("empty matrix {m}x{n}")));
     }
-    let bs = BlockSize {
-        h: opts.tile_rows,
-        w: opts.panel_width,
-    };
-    bs.validate().map_err(CaqrError::BadShape)?;
     let cfg = DriveConfig {
-        bs,
-        strategy: ReductionStrategy::RegisterSerialTransposed,
-        tree: opts.tree,
-        check_finite: true,
         verify_checksums: false,
-        health_context: "caqr_cpu input",
+        ..opts.drive_config()
     };
-    // Steer the fault to a uniformly chosen task of the fault-free
-    // schedule: per panel one factor_panel call, plus one apply_panel call
-    // when the panel has trailing columns.
-    let total: u64 = DagGeometry::panel_steps(m, n, bs.w)
-        .iter()
-        .map(|s| if s.c + s.width < n { 2 } else { 1 })
-        .sum();
-    let fire_at = fault.map_or(u64::MAX, |f| f.payload % total.max(1));
-    let backend = InjectingCpuBackend::new(fault, fire_at);
+    cfg.bs.validate().map_err(CaqrError::BadShape)?;
+    let backend = Faulty::new(CpuBackend, &[fault], m, n, cfg.bs.w);
     match catch_unwind(AssertUnwindSafe(|| {
         drive_resilient(&backend, a, &cfg, policy)
     })) {
         Ok(Ok((out, report))) => Ok((
             CpuCaqr {
                 a: out.a,
-                panels: out.panels.into_iter().map(CpuPanel::from).collect(),
+                panels: out.panels,
                 opts,
             },
             report,
@@ -477,6 +611,71 @@ mod tests {
                 report.task_replays + report.panel_replays + report.run_retries > 0,
                 "{kind:?}/{payload} recovery must have replayed something"
             );
+        }
+    }
+
+    #[test]
+    fn one_steering_rule_for_solo_and_fused_runs() {
+        // 120x24 in panels of 8: three panels, the first two with trailing
+        // columns, so the fault-free task order is F A F A F.
+        let o = CpuCaqrOptions {
+            tile_rows: 24,
+            panel_width: 8,
+            ..opts()
+        };
+        let stages = ["factor", "apply", "factor", "apply", "factor"];
+        let mk = |s: u64| dense::generate::uniform::<f64>(120, 24, 600 + s);
+        let want: Vec<Matrix<f64>> = (0..3).map(|s| caqr_cpu(mk(s), o).unwrap().a).collect();
+        for (payload, stage) in stages.iter().enumerate() {
+            let payload = payload as u64;
+            for kind in [FaultKind::LaunchFail, FaultKind::Hang, FaultKind::Sdc] {
+                let fault = PlannedFault {
+                    kind,
+                    ordinal: 3,
+                    payload,
+                };
+                let (got, _) =
+                    run_solo_resilient(mk(1), o, Some(fault), &RecoveryPolicy::default())
+                        .unwrap_or_else(|e| panic!("{kind:?}@{payload} must recover: {e}"));
+                assert_eq!(got.a, want[1], "{kind:?}@{payload} diverged after recovery");
+            }
+            for kind in [
+                FaultKind::LaunchFail,
+                FaultKind::Hang,
+                FaultKind::DeviceLoss,
+                FaultKind::Sdc,
+                FaultKind::HostPanic,
+            ] {
+                let faults = [
+                    None,
+                    Some(PlannedFault {
+                        kind,
+                        ordinal: 3,
+                        payload,
+                    }),
+                ];
+                let (results, _) = super::super::factor_many_resilient(
+                    (0..3).map(|s| (mk(s), o)).collect(),
+                    &faults,
+                    false,
+                    &RecoveryPolicy::default(),
+                );
+                for (j, r) in results.iter().enumerate() {
+                    match (j, r) {
+                        (1, Err(CaqrError::Fault { kernel, .. })) => assert_eq!(kernel, stage),
+                        (1, Err(CaqrError::ChecksumMismatch { stage: s, .. })) => {
+                            assert_eq!(s, stage)
+                        }
+                        (1, Err(_)) => {}
+                        (1, Ok(_)) => panic!("{kind:?}@{payload} must carve its victim"),
+                        (_, r) => assert_eq!(
+                            r.as_ref().unwrap().a,
+                            want[j],
+                            "rider {j} diverged under {kind:?}@{payload}"
+                        ),
+                    }
+                }
+            }
         }
     }
 

@@ -341,6 +341,7 @@ pub(crate) trait Vf<T>: Copy {
     /// Fused `self * b + acc`, per lane.
     unsafe fn mul_add(self, b: Self, acc: Self) -> Self;
     /// Fused `acc - self * b` (fnmadd), per lane.
+    #[cfg(target_arch = "aarch64")]
     unsafe fn neg_mul_add(self, b: Self, acc: Self) -> Self;
     /// Lane-wise `self + b`.
     unsafe fn add(self, b: Self) -> Self;
@@ -375,10 +376,6 @@ mod x86 {
             Self(_mm256_fmadd_pd(self.0, b.0, acc.0))
         }
         #[inline(always)]
-        unsafe fn neg_mul_add(self, b: Self, acc: Self) -> Self {
-            Self(_mm256_fnmadd_pd(self.0, b.0, acc.0))
-        }
-        #[inline(always)]
         unsafe fn add(self, b: Self) -> Self {
             Self(_mm256_add_pd(self.0, b.0))
         }
@@ -411,10 +408,6 @@ mod x86 {
         #[inline(always)]
         unsafe fn mul_add(self, b: Self, acc: Self) -> Self {
             Self(_mm256_fmadd_ps(self.0, b.0, acc.0))
-        }
-        #[inline(always)]
-        unsafe fn neg_mul_add(self, b: Self, acc: Self) -> Self {
-            Self(_mm256_fnmadd_ps(self.0, b.0, acc.0))
         }
         #[inline(always)]
         unsafe fn add(self, b: Self) -> Self {
@@ -452,10 +445,6 @@ mod x86 {
             Self(_mm512_fmadd_pd(self.0, b.0, acc.0))
         }
         #[inline(always)]
-        unsafe fn neg_mul_add(self, b: Self, acc: Self) -> Self {
-            Self(_mm512_fnmadd_pd(self.0, b.0, acc.0))
-        }
-        #[inline(always)]
         unsafe fn add(self, b: Self) -> Self {
             Self(_mm512_add_pd(self.0, b.0))
         }
@@ -484,10 +473,6 @@ mod x86 {
         #[inline(always)]
         unsafe fn mul_add(self, b: Self, acc: Self) -> Self {
             Self(_mm512_fmadd_ps(self.0, b.0, acc.0))
-        }
-        #[inline(always)]
-        unsafe fn neg_mul_add(self, b: Self, acc: Self) -> Self {
-            Self(_mm512_fnmadd_ps(self.0, b.0, acc.0))
         }
         #[inline(always)]
         unsafe fn add(self, b: Self) -> Self {
@@ -732,14 +717,17 @@ unsafe fn gemm_ukr_v<T: Scalar, V: Vf<T>, const RV: usize, const NR: usize>(
     }
 }
 
-/// Vectorized factor-sweep dot pass. Register-resident accumulators when
-/// the width is a small multiple of a vector ([`dot_rows_rv`]), otherwise
-/// memory-resident lanes chunked wide/narrow/scalar ([`dot_rows_any_v`]).
-/// Per-lane chains match the scalar oracle exactly (fused, same row
-/// order), so the result is bit-identical on every backend.
+/// Vectorized factor-sweep dot pass, dispatched by the NEON tier (the x86
+/// tiers take the auto-vectorized scalar sweep, see `x86_factor_auto`).
+/// Register-resident accumulators when the width is a small multiple of a
+/// vector ([`dot_rows_rv`]), otherwise memory-resident lanes chunked
+/// wide/narrow/scalar ([`dot_rows_any_v`]). Per-lane chains match the
+/// scalar oracle exactly (fused, same row order), so the result is
+/// bit-identical to it.
 ///
 /// # Safety
 /// Scalar `dot_rows` contract + the ISA backing `VW`/`VN` enabled.
+#[cfg(target_arch = "aarch64")]
 #[inline(always)]
 unsafe fn dot_rows_v<T: Scalar, VW: Vf<T>, VN: Vf<T>>(
     at: &mut [T],
@@ -775,6 +763,7 @@ unsafe fn dot_rows_v<T: Scalar, VW: Vf<T>, VN: Vf<T>>(
 ///
 /// # Safety
 /// Scalar `dot_rows` contract + the ISA backing `V` enabled.
+#[cfg(target_arch = "aarch64")]
 #[inline(always)]
 unsafe fn dot_rows_rv<T: Scalar, V: Vf<T>, const RV: usize>(
     at: &mut [T],
@@ -835,6 +824,7 @@ unsafe fn dot_rows_rv<T: Scalar, V: Vf<T>, const RV: usize>(
 ///
 /// # Safety
 /// Scalar `dot_rows` contract + the ISA backing `VW`/`VN` enabled.
+#[cfg(target_arch = "aarch64")]
 #[inline(always)]
 unsafe fn dot_rows_any_v<T: Scalar, VW: Vf<T>, VN: Vf<T>>(
     at: &mut [T],
@@ -885,6 +875,7 @@ unsafe fn dot_rows_any_v<T: Scalar, VW: Vf<T>, VN: Vf<T>>(
 ///
 /// # Safety
 /// Scalar `rank1_rows` contract + the ISA backing `VW`/`VN` enabled.
+#[cfg(target_arch = "aarch64")]
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
 unsafe fn rank1_rows_v<T: Scalar, VW: Vf<T>, VN: Vf<T>>(
@@ -1059,7 +1050,7 @@ unsafe fn rank1_rows_x86_fma<T: Scalar>(
 ///
 /// Measured on an avx512 Xeon, LLVM's auto-vectorization of the
 /// width-specialized scalar sweep under 256-bit codegen beats both the
-/// handwritten vector kernels above (factor_tile 4096x16 f32: auto-avx2
+/// handwritten x86 vector kernels (factor_tile 4096x16 f32: auto-avx2
 /// ~2.0-2.2 vs handwritten avx2 2.06 / avx512 1.86 GFLOP/s) and 512-bit
 /// auto codegen (~1.8) — the sweep is bandwidth-bound, the compiler's
 /// unroll-and-jam over the fixed widths wins, and with width-16 panels
@@ -1110,10 +1101,10 @@ x86_factor_auto!(dot_rows_x86_avx2, rank1_rows_x86_avx2, "avx2", "fma");
 
 /// Generates one backend's concrete kernel set: `#[target_feature]`
 /// wrappers around the generic bodies, monomorphized for one scalar type
-/// and vector pair (wide for the main loops, narrow for remainders).
+/// and vector width.
 #[cfg(target_arch = "x86_64")]
 macro_rules! x86_kernels {
-    ($m:ident, $t:ty, $vw:ty, $vn:ty, $rv:literal, $nr:literal, $($feat:literal),+) => {
+    ($m:ident, $t:ty, $vw:ty, $rv:literal, $nr:literal, $($feat:literal),+) => {
         mod $m {
             use super::*;
 
@@ -1132,41 +1123,6 @@ macro_rules! x86_kernels {
                 gemm_ukr_v::<$t, $vw, $rv, $nr>(kb, ap, bp, alpha, c, ldc, h, w)
             }
 
-            // Not dispatched: the auto-vectorized scalar sweep measured
-            // faster on this tier (see `x86_factor_auto`). Kept compiled and
-            // bit-verified (`handwritten_x86_factor_kernels_bit_match_oracle`)
-            // as the explicit-vector alternative for hosts where the
-            // compiler's unroll-and-jam loses.
-            #[allow(dead_code)]
-            #[target_feature($(enable = $feat),+)]
-            pub(crate) unsafe fn dot(
-                at: &mut [$t],
-                width: usize,
-                rows: usize,
-                tri_block: usize,
-                j: usize,
-                col: &[$t],
-                wacc: &mut [$t],
-            ) {
-                dot_rows_v::<$t, $vw, $vn>(at, width, rows, tri_block, j, col, wacc)
-            }
-
-            #[allow(dead_code)]
-            #[target_feature($(enable = $feat),+)]
-            #[allow(clippy::too_many_arguments)]
-            pub(crate) unsafe fn rank1(
-                at: &mut [$t],
-                width: usize,
-                rows: usize,
-                tri_block: usize,
-                j: usize,
-                col: &[$t],
-                next: &mut [$t],
-                tw: &[$t],
-            ) {
-                rank1_rows_v::<$t, $vw, $vn>(at, width, rows, tri_block, j, col, next, tw)
-            }
-
             #[target_feature($(enable = $feat),+)]
             pub(crate) unsafe fn sdot(x: &[$t], y: &[$t]) -> $t {
                 small_dot_v::<$t, $vw>(x, y)
@@ -1181,33 +1137,13 @@ macro_rules! x86_kernels {
 }
 
 #[cfg(target_arch = "x86_64")]
-x86_kernels!(avx2_f32, f32, x86::F32x8, x86::F32x8, 2, 6, "avx2", "fma");
+x86_kernels!(avx2_f32, f32, x86::F32x8, 2, 6, "avx2", "fma");
 #[cfg(target_arch = "x86_64")]
-x86_kernels!(avx2_f64, f64, x86::F64x4, x86::F64x4, 2, 6, "avx2", "fma");
+x86_kernels!(avx2_f64, f64, x86::F64x4, 2, 6, "avx2", "fma");
 #[cfg(target_arch = "x86_64")]
-x86_kernels!(
-    avx512_f32,
-    f32,
-    x86::F32x16,
-    x86::F32x8,
-    2,
-    8,
-    "avx512f",
-    "avx2",
-    "fma"
-);
+x86_kernels!(avx512_f32, f32, x86::F32x16, 2, 8, "avx512f", "avx2", "fma");
 #[cfg(target_arch = "x86_64")]
-x86_kernels!(
-    avx512_f64,
-    f64,
-    x86::F64x8,
-    x86::F64x4,
-    2,
-    8,
-    "avx512f",
-    "avx2",
-    "fma"
-);
+x86_kernels!(avx512_f64, f64, x86::F64x8, 2, 8, "avx512f", "avx2", "fma");
 
 /// NEON kernels need no detection or `target_feature` (baseline on
 /// aarch64), so plain unsafe fns suffice.
@@ -1323,11 +1259,10 @@ macro_rules! impl_simd_scalar {
                         dot_rows: dot_rows_x86_fma::<$t>,
                         rank1_rows: rank1_rows_x86_fma::<$t>,
                     },
-                    // Avx2/Avx512 intentionally take the auto-vectorized
-                    // scalar sweep compiled with their codegen features —
-                    // measured faster than the handwritten vector kernels
-                    // (see `x86_factor_auto`); the handwritten `$avx2::dot`
-                    // etc. remain exercised by the conformance tests.
+                    // Avx2/Avx512 take the auto-vectorized scalar sweep
+                    // compiled with their codegen features, which measured
+                    // faster than explicit-vector kernels (see
+                    // `x86_factor_auto`).
                     #[cfg(target_arch = "x86_64")]
                     Backend::Avx2 => FactorKernels {
                         dot_rows: dot_rows_x86_avx2::<$t>,
@@ -1564,32 +1499,6 @@ mod tests {
             assert_factor_pair_bit_matches(
                 <f64 as SimdScalar>::factor_kernels(backend),
                 backend.name(),
-            );
-        }
-    }
-
-    /// The handwritten explicit-vector factor kernels are not dispatched (the
-    /// auto-vectorized sweep measured faster; see `x86_factor_auto`) but must
-    /// stay bit-exact so they remain a drop-in alternative.
-    #[cfg(target_arch = "x86_64")]
-    #[test]
-    fn handwritten_x86_factor_kernels_bit_match_oracle() {
-        if Backend::Avx2.is_available() {
-            assert_factor_pair_bit_matches(
-                FactorKernels {
-                    dot_rows: avx2_f64::dot,
-                    rank1_rows: avx2_f64::rank1,
-                },
-                "avx2-handwritten",
-            );
-        }
-        if Backend::Avx512.is_available() {
-            assert_factor_pair_bit_matches(
-                FactorKernels {
-                    dot_rows: avx512_f64::dot,
-                    rank1_rows: avx512_f64::rank1,
-                },
-                "avx512-handwritten",
             );
         }
     }

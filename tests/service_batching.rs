@@ -9,18 +9,24 @@
 //! global row).
 
 use caqr::multicore::{caqr_cpu, CpuCaqrOptions};
-use caqr::{factor_many, JobSpec, Priority, Service, ServiceConfig, TreeShape};
+use caqr::{
+    factor_many_resilient, factor_many_with_stats, JobSpec, Priority, RecoveryPolicy, Service,
+    ServiceConfig, TreeShape,
+};
 use dense::matrix::Matrix;
 use proptest::prelude::*;
 
 /// Shape palette the random bags draw from: two entries share `(n, h, w)`
 /// but not `m` (never fused together), one is single-panel, one is
-/// multi-panel with trailing updates — repeats of any entry fuse.
-const PALETTE: [(usize, usize, usize, usize); 4] = [
-    (120, 8, 24, 8),
-    (100, 8, 24, 8),
-    (96, 16, 32, 16),
-    (64, 24, 32, 8),
+/// multi-panel with trailing updates, one is wide (`m < n`) and one uses a
+/// binomial tree — repeats of any entry fuse.
+const PALETTE: [(usize, usize, usize, usize, TreeShape); 6] = [
+    (120, 8, 24, 8, TreeShape::DeviceArity),
+    (100, 8, 24, 8, TreeShape::DeviceArity),
+    (96, 16, 32, 16, TreeShape::DeviceArity),
+    (64, 24, 32, 8, TreeShape::DeviceArity),
+    (40, 64, 16, 8, TreeShape::DeviceArity),
+    (150, 16, 24, 8, TreeShape::Binomial),
 ];
 
 fn opts(h: usize, w: usize) -> CpuCaqrOptions {
@@ -58,16 +64,52 @@ proptest! {
             .iter()
             .enumerate()
             .map(|(j, &k)| {
-                let (m, n, h, w) = PALETTE[k];
-                (dense::generate::uniform::<f64>(m, n, seed * 97 + j as u64), opts(h, w))
+                let (m, n, h, w, tree) = PALETTE[k];
+                let a = dense::generate::uniform::<f64>(m, n, seed * 97 + j as u64);
+                (a, CpuCaqrOptions { tree, ..opts(h, w) })
             })
             .collect();
-        let batched = factor_many(jobs.clone());
-        for ((a, o), b) in jobs.into_iter().zip(batched) {
-            let solo = caqr_cpu(a, o).expect("sequential run factors");
-            let b = b.expect("batched run factors");
-            prop_assert_eq!(bits(&b), bits(&solo));
+        let solo: Vec<caqr::CpuCaqr<f64>> = jobs
+            .iter()
+            .map(|(a, o)| caqr_cpu(a.clone(), *o).expect("sequential run factors"))
+            .collect();
+        let (batched, stats) = factor_many_with_stats(jobs.clone());
+        let (verified, _) = factor_many_resilient(
+            jobs,
+            &[],
+            true,
+            &RecoveryPolicy::default(),
+        );
+        for ((want, b), v) in solo.iter().zip(batched).zip(verified) {
+            prop_assert_eq!(bits(&b.expect("batched run factors")), bits(want));
+            prop_assert_eq!(bits(&v.expect("verified run factors")), bits(want));
         }
+
+        // Closed-form launch counts: per panel one level-0 launch plus one
+        // per tree level, twice when the panel has trailing columns. Every
+        // job logs its own chains; each fused class issues one packed scan
+        // plus one region per chain of a single member's schedule.
+        let logical: Vec<usize> = solo
+            .iter()
+            .map(|f| {
+                f.panels
+                    .iter()
+                    .map(|p| {
+                        let trailing = p.col0 + p.width < f.a.cols();
+                        (1 + p.levels.len()) * if trailing { 2 } else { 1 }
+                    })
+                    .sum()
+            })
+            .collect();
+        let mut fused_launches = 0;
+        for k in 0..PALETTE.len() {
+            let members: Vec<usize> = (0..bag.len()).filter(|&j| bag[j] == k).collect();
+            if members.len() >= 2 {
+                fused_launches += 1 + logical[members[0]];
+            }
+        }
+        prop_assert_eq!(stats.logical_launches, logical.iter().sum::<usize>());
+        prop_assert_eq!(stats.fused_launches, fused_launches);
     }
 }
 
@@ -95,7 +137,7 @@ proptest! {
             .iter()
             .enumerate()
             .map(|(j, &(k, t, p))| {
-                let (m, n, h, w) = PALETTE[k];
+                let (m, n, h, w, _) = PALETTE[k];
                 let a = dense::generate::uniform::<f64>(m, n, seed * 131 + j as u64);
                 svc.submit(JobSpec::new(a, opts(h, w)).tenant(tenants[t]).priority(classes[p]))
                     .expect("admission while running")
@@ -119,7 +161,7 @@ proptest! {
 
         for (j, (&(k, t, _), o)) in bag.iter().zip(&outcomes).enumerate() {
             prop_assert_eq!(&o.tenant, tenants[t]);
-            let (m, n, h, w) = PALETTE[k];
+            let (m, n, h, w, _) = PALETTE[k];
             let a = dense::generate::uniform::<f64>(m, n, seed * 131 + j as u64);
             let solo = caqr_cpu(a, opts(h, w)).expect("standalone run factors");
             match &o.result {
