@@ -3,7 +3,7 @@
 //! and these benches measure that execution (host wall-clock, not the
 //! modelled GPU time — the modelled numbers come from the harness binaries).
 
-use caqr::{BlockSize, CaqrOptions, ReductionStrategy};
+use caqr::{BlockSize, CaqrOptions, ReductionStrategy, SimBackend};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use gpu_sim::{DeviceSpec, Gpu};
 use std::hint::black_box;
@@ -64,10 +64,11 @@ fn bench_apply_qt(c: &mut Criterion) {
     )
     .unwrap();
     let c0 = dense::generate::uniform::<f32>(m, 16, 4);
+    let sim = SimBackend::sync(&gpu);
     group.bench_function("tsqr_qt_16k_x_16", |b| {
         b.iter(|| {
             let mut cm = c0.clone();
-            f.apply_qt(&gpu, &mut cm).unwrap();
+            f.apply_on(&sim, &mut cm, true).unwrap();
             black_box(cm)
         });
     });

@@ -30,7 +30,7 @@ struct Entry {
     net_bytes: u64,
 }
 
-fn run(p: usize, m: usize, n: usize, tile: usize) -> (Entry, caqr::DistTsqr<f32>) {
+fn run(p: usize, m: usize, n: usize, tile: usize) -> (Entry, caqr::Factorization<f32>) {
     let cluster = Cluster::new(
         p,
         DeviceSpec::c2050(),
@@ -44,7 +44,7 @@ fn run(p: usize, m: usize, n: usize, tile: usize) -> (Entry, caqr::DistTsqr<f32>
         strategy: ReductionStrategy::RegisterSerialTransposed,
         verify_checksums: false,
     };
-    let f = distributed_tsqr(&cluster, a, opts).expect("distributed TSQR");
+    let (f, _) = distributed_tsqr(&cluster, a, opts).expect("distributed TSQR");
     let totals = cluster.net_totals();
     let compute: Vec<f64> = (0..p).map(|d| cluster.compute_seconds(d)).collect();
     let e = Entry {

@@ -33,6 +33,7 @@ use crate::kernels::PretransposeKernel;
 use crate::microkernels::ReductionStrategy;
 use crate::multicore::{apply_panels, factor_panels, q_ones_probe_host};
 use crate::tsqr::{apply_panel_ptr_on, col_blocks, factor_panel_with_tree_on, PanelFactor};
+use dense::blas2::trsv_upper;
 use dense::matrix::Matrix;
 use dense::scalar::Scalar;
 use dense::MatPtr;
@@ -77,18 +78,125 @@ pub struct DriveConfig {
     pub health_context: &'static str,
 }
 
-/// What [`drive`] produced: the factored matrix, the per-panel TSQR factors
-/// in factorization order, and the exact number of kernel launches the
-/// schedule issued (0-cost backends count logical chains the same way).
-pub struct DriveOutcome<T: Scalar> {
+/// A completed CAQR factorization — what every executor returns: the
+/// implicit `Q` as the factored matrix plus its per-panel TSQR factors,
+/// and the exact number of kernel launches the schedule issued (0-cost
+/// backends count logical chains the same way).
+///
+/// Its `Q` operations are written once against [`CaqrBackend::apply_panel`]
+/// (the `*_on` methods); the host shorthands run them on [`CpuBackend`],
+/// and a simulator caller passes [`SimBackend::sync`].
+pub struct Factorization<T: Scalar> {
     /// The factored matrix: `R` in the upper triangle, Householder tails
     /// below it.
     pub a: Matrix<T>,
-    /// Per-panel factors.
+    /// Per-panel TSQR factors, in factorization order.
     pub panels: Vec<PanelFactor<T>>,
     /// Kernel launches issued (factor chains, apply chains, health check,
-    /// pre-transpose), counted as the schedule enqueued them.
+    /// pre-transpose), counted as the schedule enqueued them. A fused
+    /// `factor_many` member carries its group's shared count.
     pub launches: usize,
+}
+
+impl<T: Scalar> Factorization<T> {
+    /// The `min(m,n) x n` upper-triangular factor.
+    pub fn r(&self) -> Matrix<T> {
+        self.a.upper_triangular()
+    }
+
+    /// Apply `Q^T` (`transpose`, panels in factorization order) or `Q`
+    /// (panels reversed) to `c` in place on `backend`; `c` must have the
+    /// factored matrix's row count.
+    pub fn apply_on<B: CaqrBackend<T>>(
+        &self,
+        backend: &B,
+        c: &mut Matrix<T>,
+        transpose: bool,
+    ) -> Result<(), CaqrError> {
+        if c.rows() != self.a.rows() {
+            return Err(CaqrError::BadShape(format!(
+                "apply target has {} rows; factorization has {}",
+                c.rows(),
+                self.a.rows()
+            )));
+        }
+        // Every panel shares the block width of the run that produced it.
+        let w = self.panels.first().map_or(1, |pf| pf.bs.w);
+        let cols = col_blocks(0, c.cols(), w);
+        let cp = MatPtr::new(c);
+        let apply = |pf: &PanelFactor<T>| backend.apply_panel(0, cp, pf, &cols, transpose);
+        if transpose {
+            self.panels.iter().try_for_each(apply)
+        } else {
+            self.panels.iter().rev().try_for_each(apply)
+        }
+    }
+
+    /// Form the explicit `m x k` orthogonal factor on `backend` (the
+    /// `SORGQR` analogue).
+    pub fn generate_q_on<B: CaqrBackend<T>>(
+        &self,
+        backend: &B,
+        k: usize,
+    ) -> Result<Matrix<T>, CaqrError> {
+        let m = self.a.rows();
+        if k > m {
+            return Err(CaqrError::BadShape(format!(
+                "cannot form {k} Q columns from an {m}-row factorization"
+            )));
+        }
+        let mut q = Matrix::<T>::eye(m, k);
+        self.apply_on(backend, &mut q, false)?;
+        Ok(q)
+    }
+
+    /// Solve `min ||A X - B||` on `backend` for every column of `b`: one
+    /// `Q^T` sweep over all columns, then a triangular solve per column.
+    /// Returns the `n x nrhs` solution.
+    pub fn least_squares_on<B: CaqrBackend<T>>(
+        &self,
+        backend: &B,
+        b: &Matrix<T>,
+    ) -> Result<Matrix<T>, CaqrError> {
+        let (m, n) = self.a.shape();
+        if m < n {
+            return Err(CaqrError::BadShape(format!(
+                "least squares needs a tall matrix (got {m}x{n})"
+            )));
+        }
+        if b.rows() != m {
+            return Err(CaqrError::BadShape(format!(
+                "right-hand side has {} rows; expected {m}",
+                b.rows()
+            )));
+        }
+        let mut c = b.clone();
+        self.apply_on(backend, &mut c, true)?;
+        let mut x = Matrix::<T>::zeros(n, b.cols());
+        for j in 0..b.cols() {
+            let col = x.col_mut(j);
+            col.copy_from_slice(&c.col(j)[..n]);
+            trsv_upper(self.a.view(0, 0, n, n), col);
+        }
+        Ok(x)
+    }
+
+    /// [`Self::apply_on`] on the host ([`CpuBackend`]).
+    pub fn apply(&self, c: &mut Matrix<T>, transpose: bool) -> Result<(), CaqrError> {
+        self.apply_on(&CpuBackend, c, transpose)
+    }
+
+    /// [`Self::generate_q_on`] on the host ([`CpuBackend`]).
+    pub fn generate_q(&self, k: usize) -> Result<Matrix<T>, CaqrError> {
+        self.generate_q_on(&CpuBackend, k)
+    }
+
+    /// The single-right-hand-side [`Self::least_squares_on`] on the host
+    /// ([`CpuBackend`]).
+    pub fn least_squares(&self, b: &[T]) -> Result<Vec<T>, CaqrError> {
+        let b = Matrix::from_col_major(b.len(), 1, b.to_vec());
+        Ok(self.least_squares_on(&CpuBackend, &b)?.col(0).to_vec())
+    }
 }
 
 /// An execution substrate for the CAQR algorithm.
@@ -349,7 +457,7 @@ pub fn drive<T: Scalar, B: CaqrBackend<T>>(
     a: Matrix<T>,
     cfg: &DriveConfig,
     mode: Mode,
-) -> Result<DriveOutcome<T>, CaqrError> {
+) -> Result<Factorization<T>, CaqrError> {
     match mode {
         Mode::Sync => one(drive_group(backend, vec![a], cfg).members),
         Mode::Dag { lookahead } => drive_dag(backend, a, cfg, lookahead),
@@ -372,7 +480,7 @@ fn validate(cfg: &DriveConfig, m: usize, n: usize) -> Result<(), CaqrError> {
 /// and the launches the group issued (each counted once, however many
 /// members it served).
 pub(crate) struct GroupOutcome<T: Scalar> {
-    pub(crate) members: Vec<Result<DriveOutcome<T>, CaqrError>>,
+    pub(crate) members: Vec<Result<Factorization<T>, CaqrError>>,
     pub(crate) launches: usize,
 }
 
@@ -514,7 +622,7 @@ pub(crate) fn drive_group<T: Scalar, B: CaqrBackend<T>>(
         .zip(panels)
         .zip(dead)
         .map(|((a, panels), d)| match d {
-            None => Ok(DriveOutcome {
+            None => Ok(Factorization {
                 a,
                 panels,
                 launches,
@@ -531,7 +639,7 @@ fn drive_dag<T: Scalar, B: CaqrBackend<T>>(
     mut a: Matrix<T>,
     cfg: &DriveConfig,
     lookahead: bool,
-) -> Result<DriveOutcome<T>, CaqrError> {
+) -> Result<Factorization<T>, CaqrError> {
     let (m, n) = a.shape();
     validate(cfg, m, n)?;
     let w = cfg.bs.w;
@@ -617,7 +725,7 @@ fn drive_dag<T: Scalar, B: CaqrBackend<T>>(
         panels.push(pf);
     }
 
-    Ok(DriveOutcome {
+    Ok(Factorization {
         a,
         panels,
         launches,

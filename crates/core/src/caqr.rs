@@ -15,16 +15,13 @@
 //! After each panel the grid is redrawn `w` rows lower ("the trailing matrix
 //! becomes both shorter and narrower after each step").
 
-use crate::backend::{drive, DriveConfig, Mode, SimBackend};
+use crate::backend::{drive, DriveConfig, Factorization, Mode, SimBackend};
 use crate::block::{BlockSize, TreeShape};
 use crate::error::CaqrError;
 use crate::kernels::THREADS;
 use crate::microkernels::ReductionStrategy;
-use crate::tsqr::{apply_panel_ptr, col_blocks, PanelFactor};
-use dense::blas2::trsv_upper;
 use dense::matrix::Matrix;
 use dense::scalar::Scalar;
-use dense::MatPtr;
 use gpu_sim::Gpu;
 
 /// Options for a CAQR factorization.
@@ -39,8 +36,8 @@ pub struct CaqrOptions {
     /// Scan the input for NaN/inf with a charged `health_check` launch
     /// before factoring (on by default — "garbage in" becomes a typed
     /// [`CaqrError::NonFinite`] instead of silent NaN propagation). The
-    /// launch is counted by [`Caqr::launches`] and charged identically by
-    /// [`crate::model::model_caqr_seconds`].
+    /// launch is counted in [`Factorization::launches`] and charged
+    /// identically by [`crate::model::model_caqr_seconds`].
     pub check_finite: bool,
 }
 
@@ -57,32 +54,18 @@ impl Default for CaqrOptions {
     }
 }
 
-/// How a [`Caqr`] was launched — the synchronous Figure-4 loop, or the
-/// stream-scheduled task DAG of [`crate::schedule::caqr_dag`]. The two issue
-/// different launch counts for the same shape (the DAG splits trailing
-/// updates into per-stream apply chains), so launch accounting needs to know.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum LaunchPlan {
-    /// One factor chain + one whole-trailing apply chain per panel.
-    Sync,
-    /// DAG-scheduled; the scheduler counted its launches as it enqueued them.
-    Dag {
-        /// Exact number of kernel launches the scheduler issued.
-        launches: usize,
-    },
-}
-
-/// A completed CAQR factorization.
-pub struct Caqr<T: Scalar> {
-    /// The factored matrix: `R` in the upper triangle, per-panel Householder
-    /// tails below it.
-    pub a: Matrix<T>,
-    /// Per-panel TSQR factors, in factorization order.
-    pub panels: Vec<PanelFactor<T>>,
-    /// Options used.
-    pub opts: CaqrOptions,
-    /// How the factorization's kernels were issued (for launch accounting).
-    pub launch_plan: LaunchPlan,
+impl CaqrOptions {
+    /// The [`DriveConfig`] of a simulator run with these options.
+    pub(crate) fn drive_config(&self) -> DriveConfig {
+        DriveConfig {
+            bs: self.bs,
+            strategy: self.strategy,
+            tree: self.tree,
+            check_finite: self.check_finite,
+            verify_checksums: false,
+            health_context: "caqr input",
+        }
+    }
 }
 
 /// Factor `a` with CAQR on the simulated GPU. Supports any shape (wide
@@ -91,143 +74,12 @@ pub struct Caqr<T: Scalar> {
 /// A thin shim over the generic [`crate::backend::drive`] loop on a
 /// synchronous [`SimBackend`] (DESIGN.md §13) — the Figure-4 pseudocode
 /// lives there now, shared with every other executor.
-pub fn caqr<T: Scalar>(gpu: &Gpu, a: Matrix<T>, opts: CaqrOptions) -> Result<Caqr<T>, CaqrError> {
-    let cfg = DriveConfig {
-        bs: opts.bs,
-        strategy: opts.strategy,
-        tree: opts.tree,
-        check_finite: opts.check_finite,
-        verify_checksums: false,
-        health_context: "caqr input",
-    };
-    let out = drive(&SimBackend::sync(gpu), a, &cfg, Mode::Sync)?;
-    Ok(Caqr {
-        a: out.a,
-        panels: out.panels,
-        opts,
-        launch_plan: LaunchPlan::Sync,
-    })
-}
-
-impl<T: Scalar> Caqr<T> {
-    /// The `min(m,n) x n` upper-triangular factor.
-    pub fn r(&self) -> Matrix<T> {
-        self.a.upper_triangular()
-    }
-
-    /// Apply `Q^T` to `c` (full row count) in place — panels in
-    /// factorization order.
-    pub fn apply_qt(&self, gpu: &Gpu, c: &mut Matrix<T>) -> Result<(), CaqrError> {
-        self.check_apply_rows(c.rows())?;
-        let cols = col_blocks(0, c.cols(), self.opts.bs.w);
-        let cp = MatPtr::new(c);
-        for pf in &self.panels {
-            apply_panel_ptr(gpu, cp, pf, &cols, true)?;
-        }
-        Ok(())
-    }
-
-    fn check_apply_rows(&self, rows: usize) -> Result<(), CaqrError> {
-        if rows != self.a.rows() {
-            return Err(CaqrError::BadShape(format!(
-                "apply target has {rows} rows; factorization has {}",
-                self.a.rows()
-            )));
-        }
-        Ok(())
-    }
-
-    /// Apply `Q` to `c` in place — panels in reverse order.
-    pub fn apply_q(&self, gpu: &Gpu, c: &mut Matrix<T>) -> Result<(), CaqrError> {
-        self.check_apply_rows(c.rows())?;
-        let cols = col_blocks(0, c.cols(), self.opts.bs.w);
-        let cp = MatPtr::new(c);
-        for pf in self.panels.iter().rev() {
-            apply_panel_ptr(gpu, cp, pf, &cols, false)?;
-        }
-        Ok(())
-    }
-
-    /// Form the explicit `m x k` orthogonal factor (`SORGQR` analogue).
-    pub fn generate_q(&self, gpu: &Gpu, k: usize) -> Result<Matrix<T>, CaqrError> {
-        let m = self.a.rows();
-        if k > m {
-            return Err(CaqrError::BadShape(format!(
-                "cannot form {k} Q columns from an {m}-row factorization"
-            )));
-        }
-        let mut q = Matrix::<T>::eye(m, k);
-        self.apply_q(gpu, &mut q)?;
-        Ok(q)
-    }
-
-    /// Solve the least-squares problem `min ||A x - b||` from this
-    /// factorization: `x = R^-1 (Q^T b)[0..n]`.
-    pub fn least_squares(&self, gpu: &Gpu, b: &[T]) -> Result<Vec<T>, CaqrError> {
-        let (m, n) = self.a.shape();
-        self.check_least_squares(m, n, b.len())?;
-        let mut c = Matrix::from_fn(m, 1, |i, _| b[i]);
-        self.apply_qt(gpu, &mut c)?;
-        let mut x: Vec<T> = (0..n).map(|i| c[(i, 0)]).collect();
-        trsv_upper(self.a.view(0, 0, n, n), &mut x);
-        Ok(x)
-    }
-
-    /// Solve `min ||A X - B||` column-wise for multiple right-hand sides:
-    /// one `Q^T` sweep over all columns of `B` (the apply kernels process
-    /// every column block in a single grid), then a triangular solve per
-    /// column. Returns the `n x nrhs` solution matrix.
-    pub fn least_squares_multi(&self, gpu: &Gpu, b: &Matrix<T>) -> Result<Matrix<T>, CaqrError> {
-        let (m, n) = self.a.shape();
-        self.check_least_squares(m, n, b.rows())?;
-        let mut c = b.clone();
-        self.apply_qt(gpu, &mut c)?;
-        let nrhs = b.cols();
-        let mut x = Matrix::<T>::zeros(n, nrhs);
-        for j in 0..nrhs {
-            let mut col: Vec<T> = (0..n).map(|i| c[(i, j)]).collect();
-            trsv_upper(self.a.view(0, 0, n, n), &mut col);
-            x.col_mut(j).copy_from_slice(&col);
-        }
-        Ok(x)
-    }
-
-    fn check_least_squares(&self, m: usize, n: usize, got_rows: usize) -> Result<(), CaqrError> {
-        if m < n {
-            return Err(CaqrError::BadShape(format!(
-                "least squares needs a tall matrix (got {m}x{n})"
-            )));
-        }
-        if got_rows != m {
-            return Err(CaqrError::BadShape(format!(
-                "right-hand side has {got_rows} rows; expected {m}"
-            )));
-        }
-        Ok(())
-    }
-
-    /// Total kernel launches this factorization issued — exposed for the
-    /// communication/launch accounting tests. For the synchronous plan the
-    /// count is reconstructed from the panel structure; the DAG scheduler
-    /// records its exact count while enqueueing.
-    pub fn launches(&self) -> usize {
-        match self.launch_plan {
-            LaunchPlan::Dag { launches } => launches,
-            LaunchPlan::Sync => {
-                let mut n = 0;
-                for pf in &self.panels {
-                    n += 1 + pf.levels.len(); // factor + factor_tree per level
-                    n += if pf.col0 + pf.width < self.a.cols() {
-                        1 + pf.levels.len() // apply_qt_h + apply_qt_tree per level
-                    } else {
-                        0
-                    };
-                }
-                n + usize::from(self.opts.strategy.needs_pretranspose())
-                    + usize::from(self.opts.check_finite)
-            }
-        }
-    }
+pub fn caqr<T: Scalar>(
+    gpu: &Gpu,
+    a: Matrix<T>,
+    opts: CaqrOptions,
+) -> Result<Factorization<T>, CaqrError> {
+    drive(&SimBackend::sync(gpu), a, &opts.drive_config(), Mode::Sync)
 }
 
 /// Convenience: factor and return `(Q, R)` explicitly (test/demo helper;
@@ -239,7 +91,7 @@ pub fn caqr_qr<T: Scalar>(
 ) -> Result<(Matrix<T>, Matrix<T>), CaqrError> {
     let k = a.rows().min(a.cols());
     let f = caqr(gpu, a, opts)?;
-    let q = f.generate_q(gpu, k)?;
+    let q = f.generate_q_on(&SimBackend::sync(gpu), k)?;
     Ok((q, f.r()))
 }
 
@@ -347,8 +199,9 @@ mod tests {
         }
         let g = gpu();
         let f = caqr(&g, a, opts_small()).unwrap();
-        let x = f.least_squares(&g, &b).unwrap();
-        for (got, want) in x.iter().zip(&x_true) {
+        let b = Matrix::from_col_major(m, 1, b);
+        let x = f.least_squares_on(&SimBackend::sync(&g), &b).unwrap();
+        for (got, want) in x.col(0).iter().zip(&x_true) {
             assert!((got - want).abs() < 1e-9, "{got} vs {want}");
         }
     }
@@ -361,11 +214,13 @@ mod tests {
         let b = generate::uniform::<f64>(m, 3, 56);
         let g = gpu();
         let f = caqr(&g, a, opts_small()).unwrap();
-        let x = f.least_squares_multi(&g, &b).unwrap();
+        let sim = SimBackend::sync(&g);
+        let x = f.least_squares_on(&sim, &b).unwrap();
         for j in 0..3 {
-            let xj = f.least_squares(&g, b.col(j)).unwrap();
+            let bj = Matrix::from_col_major(m, 1, b.col(j).to_vec());
+            let xj = f.least_squares_on(&sim, &bj).unwrap();
             for i in 0..n {
-                assert!((x[(i, j)] - xj[i]).abs() < 1e-12);
+                assert!((x[(i, j)] - xj[(i, 0)]).abs() < 1e-12);
             }
         }
     }
@@ -377,8 +232,8 @@ mod tests {
         let f = caqr(&g, a, opts_small()).unwrap();
         let c0 = generate::uniform::<f64>(150, 5, 30);
         let mut c = c0.clone();
-        f.apply_qt(&g, &mut c).unwrap();
-        f.apply_q(&g, &mut c).unwrap();
+        f.apply_on(&SimBackend::sync(&g), &mut c, true).unwrap();
+        f.apply_on(&SimBackend::sync(&g), &mut c, false).unwrap();
         for i in 0..150 {
             for j in 0..5 {
                 assert!((c[(i, j)] - c0[(i, j)]).abs() < 1e-12);
@@ -391,7 +246,7 @@ mod tests {
         let g = gpu();
         let a = generate::uniform::<f64>(256, 24, 31);
         let f = caqr(&g, a, opts_small()).unwrap();
-        assert_eq!(f.launches() as u64, g.ledger().calls);
+        assert_eq!(f.launches as u64, g.ledger().calls);
     }
 
     #[test]

@@ -37,13 +37,12 @@
 //! [`caqr_cpu`]: crate::multicore::caqr_cpu
 //! [`blockops::factor_tree_group`]: crate::blockops::factor_tree_group
 
-use crate::backend::{drive, CaqrBackend, DriveConfig, Mode};
+use crate::backend::{drive, CaqrBackend, DriveConfig, Factorization, Mode};
 use crate::block::{plan_tree, tile_panel, BlockSize, Tile, TreeGroup, TreePlan, TreeShape};
 use crate::error::{checked_bytes, checked_elems, CaqrError};
 use crate::health;
 use crate::kernels::{FactorKernel, FactorTreeKernel};
 use crate::microkernels::ReductionStrategy;
-use crate::multicore::{CpuCaqr, CpuCaqrOptions};
 use crate::recovery::RecoveryReport;
 use crate::tsqr::PanelFactor;
 use crate::tsqr::{TreeNode, WyTile};
@@ -83,42 +82,20 @@ impl Default for DistOptions {
     }
 }
 
-/// A completed distributed TSQR factorization.
-///
-/// The numerical payload is a [`CpuCaqr`] (same representation as the
-/// single-device host path, so `r()` / `generate_q()` / `apply()` are
-/// shared and trivially comparable); alongside it the driver reports what
-/// the cluster did: the final tile → device ownership map (differs from
-/// the initial contiguous split only after failovers) and the recovery
-/// counters.
-pub struct DistTsqr<T: Scalar> {
-    /// The factorization, bit-identical to [`crate::multicore::caqr_cpu`]
-    /// on the same input and block geometry.
-    pub factored: CpuCaqr<T>,
+/// What the cluster did during a [`distributed_tsqr`] run, reported beside
+/// its [`Factorization`]: the recovery counters, the final tile → device
+/// ownership map (differs from the initial contiguous split only after
+/// failovers) and device liveness.
+pub struct DistReport {
     /// Launch / replay / failover counters.
-    pub report: RecoveryReport,
+    pub recovery: RecoveryReport,
     /// Final owner device of each level-0 tile.
     pub owner: Vec<usize>,
     /// Which devices were still alive at completion.
     pub alive: Vec<bool>,
 }
 
-impl<T: Scalar> DistTsqr<T> {
-    /// The `n x n` upper-triangular factor.
-    pub fn r(&self) -> Matrix<T> {
-        self.factored.r()
-    }
-
-    /// First `k` columns of the orthogonal factor `Q`.
-    pub fn generate_q(&self, k: usize) -> Result<Matrix<T>, CaqrError> {
-        self.factored.generate_q(k)
-    }
-
-    /// Apply `Q` (or `Q^T`) to `c` in place.
-    pub fn apply(&self, c: &mut Matrix<T>, transpose: bool) -> Result<(), CaqrError> {
-        self.factored.apply(c, transpose)
-    }
-
+impl DistReport {
     /// Devices lost during the run.
     pub fn devices_lost(&self) -> usize {
         self.alive.iter().filter(|&&a| !a).count()
@@ -473,12 +450,14 @@ impl<'c, T: Scalar> ClusterBackend<'c, T> {
         })
     }
 
-    /// Tear down into what [`DistTsqr`] reports alongside the factors: the
-    /// recovery counters, the final tile → device ownership map, and the
-    /// device liveness vector.
-    fn finish(self) -> (RecoveryReport, Vec<usize>, Vec<bool>) {
+    /// Tear down into the [`DistReport`] of the run.
+    fn finish(self) -> DistReport {
         let drv = self.state.into_inner();
-        (drv.report, drv.owner, drv.alive)
+        DistReport {
+            recovery: drv.report,
+            owner: drv.owner,
+            alive: drv.alive,
+        }
     }
 }
 
@@ -600,7 +579,8 @@ impl<'c, T: Scalar> CaqrBackend<T> for ClusterBackend<'c, T> {
 
 /// Factor a tall-skinny `m x n` matrix across the devices of `cluster`,
 /// returning a factorization bit-identical to
-/// [`caqr_cpu`](crate::multicore::caqr_cpu) with the same tile geometry.
+/// [`caqr_cpu`](crate::multicore::caqr_cpu) with the same tile geometry,
+/// and the [`DistReport`] of what the cluster did.
 ///
 /// Rows are split contiguously: tile `t` of `ntiles` starts on device
 /// `t * P / ntiles`. Each phase (level-0 factor, then each tree level)
@@ -618,7 +598,7 @@ pub fn distributed_tsqr<T: Scalar>(
     cluster: &Cluster,
     a: Matrix<T>,
     opts: DistOptions,
-) -> Result<DistTsqr<T>, CaqrError> {
+) -> Result<(Factorization<T>, DistReport), CaqrError> {
     let (m, n) = (a.rows(), a.cols());
     if m == 0 || n == 0 || m < n {
         return Err(CaqrError::BadShape(format!(
@@ -642,23 +622,8 @@ pub fn distributed_tsqr<T: Scalar>(
     // One full-width panel, so `drive` issues exactly one factor_panel call
     // (the whole phase schedule) and no trailing updates; the launch count
     // the report carries comes from the backend's own per-phase ledger.
-    let out = drive(&backend, a, &cfg, Mode::Sync)?;
-    let (report, owner, alive) = backend.finish();
-    Ok(DistTsqr {
-        factored: CpuCaqr {
-            a: out.a,
-            panels: out.panels,
-            opts: CpuCaqrOptions {
-                tile_rows: opts.tile_rows,
-                panel_width: n,
-                tree: opts.tree,
-                verify_checksums: false,
-            },
-        },
-        report,
-        owner,
-        alive,
-    })
+    let f = drive(&backend, a, &cfg, Mode::Sync)?;
+    Ok((f, backend.finish()))
 }
 
 #[cfg(test)]
@@ -709,27 +674,27 @@ mod tests {
     fn contiguous_partition_covers_all_devices() {
         let c = cluster(3);
         let a = dense::generate::uniform::<f32>(128 * 7, 16, 5);
-        let f = distributed_tsqr(&c, a, DistOptions::default()).unwrap();
-        assert_eq!(f.owner.len(), 7);
+        let (_, rep) = distributed_tsqr(&c, a, DistOptions::default()).unwrap();
+        assert_eq!(rep.owner.len(), 7);
         for d in 0..3 {
             assert!(
-                f.owner.contains(&d),
+                rep.owner.contains(&d),
                 "device {d} owns no tile: {:?}",
-                f.owner
+                rep.owner
             );
         }
-        let mut sorted = f.owner.clone();
+        let mut sorted = rep.owner.clone();
         sorted.sort_unstable();
-        assert_eq!(sorted, f.owner, "contiguous split is monotone");
-        assert_eq!(f.devices_lost(), 0);
-        assert_eq!(f.report.device_failovers, 0);
+        assert_eq!(sorted, rep.owner, "contiguous split is monotone");
+        assert_eq!(rep.devices_lost(), 0);
+        assert_eq!(rep.recovery.device_failovers, 0);
     }
 
     #[test]
     fn cross_device_reductions_move_triangles() {
         let c = cluster(4);
         let a = dense::generate::uniform::<f32>(128 * 8, 16, 9);
-        let f = distributed_tsqr(&c, a, DistOptions::default()).unwrap();
+        let (f, _) = distributed_tsqr(&c, a, DistOptions::default()).unwrap();
         let totals = c.net_totals();
         assert!(totals.messages > 0, "P=4 must reduce across devices");
         let tri = (16 * 17 / 2 * std::mem::size_of::<f32>()) as u64;
@@ -741,7 +706,7 @@ mod tests {
     fn single_device_cluster_needs_no_network() {
         let c = cluster(1);
         let a = dense::generate::uniform::<f64>(1024, 8, 11);
-        let f = distributed_tsqr(&c, a, DistOptions::default()).unwrap();
+        let (f, _) = distributed_tsqr(&c, a, DistOptions::default()).unwrap();
         assert_eq!(c.net_totals().messages, 0);
         assert_eq!(f.r().cols(), 8);
     }

@@ -72,10 +72,10 @@ pub mod service;
 pub mod tsqr;
 pub mod tuning;
 
-pub use backend::{drive, CaqrBackend, CpuBackend, DriveConfig, DriveOutcome, Mode, SimBackend};
+pub use backend::{drive, CaqrBackend, CpuBackend, DriveConfig, Factorization, Mode, SimBackend};
 pub use block::{BlockSize, TreeShape};
-pub use caqr::{caqr_qr, Caqr, CaqrOptions, LaunchPlan};
-pub use distributed::{distributed_tsqr, ClusterBackend, DistOptions, DistTsqr};
+pub use caqr::{caqr_qr, CaqrOptions};
+pub use distributed::{distributed_tsqr, ClusterBackend, DistOptions, DistReport};
 pub use error::{checked_bytes, checked_elems, CaqrError};
 pub use health::{check_matrix_finite, first_nonfinite};
 pub use microkernels::ReductionStrategy;
@@ -90,5 +90,5 @@ pub use service::{
     RetryBudget, Service, ServiceConfig, ServiceError, ServiceFaultPlan, ServiceLedger, ShedPolicy,
     SubmitError, TenantCounters, TenantQuota, Ticket,
 };
-pub use tsqr::{tsqr, PanelFactor, TreeNode, Tsqr};
+pub use tsqr::{tsqr, PanelFactor, TreeNode};
 pub use tuning::{autotune_measured, MeasuredPoint, MeasuredProfile};

@@ -15,14 +15,13 @@
 //! The numerics are shared with the GPU kernels through
 //! [`crate::blockops`], so every correctness guarantee carries over.
 
-use crate::backend::{drive, CpuBackend, DriveConfig, Mode};
+use crate::backend::{drive, CpuBackend, DriveConfig, Factorization, Mode};
 use crate::block::{plan_tree, tile_panel, BlockSize, TreeShape};
 use crate::blockops;
 use crate::error::CaqrError;
 use crate::microkernels::ReductionStrategy;
-use crate::tsqr::{col_blocks, PanelFactor, TreeNode, WyTile};
+use crate::tsqr::{PanelFactor, TreeNode, WyTile};
 use dense::arena;
-use dense::blas2::trsv_upper;
 use dense::matrix::{MatMut, Matrix};
 use dense::scalar::Scalar;
 use dense::MatPtr;
@@ -121,17 +120,9 @@ impl CpuCaqrOptions {
     }
 }
 
-/// A completed host-multicore CAQR factorization (same representation as
-/// the GPU path: R in the upper triangle, level-0 tails in the tiles,
-/// tree factors on the side).
-pub struct CpuCaqr<T: Scalar> {
-    /// The factored matrix.
-    pub a: Matrix<T>,
-    /// Per-panel factors.
-    pub panels: Vec<PanelFactor<T>>,
-    /// Options used.
-    pub opts: CpuCaqrOptions,
-}
+/// The host-multicore factorization: the one [`Factorization`] type. The
+/// alias stays because the standalone benchmark package names it.
+pub type CpuCaqr<T> = Factorization<T>;
 
 /// Run one packed task, catching a panic so it fails only its own member.
 fn isolated<R>(task: impl FnOnce() -> R) -> Option<R> {
@@ -322,9 +313,9 @@ pub(crate) fn q_ones_probe_host<T: Scalar>(m: usize, pf: &PanelFactor<T>) -> Vec
 
 /// Apply each member's panel factor to the column blocks `cols` of its own
 /// matrix — [`CpuBackend`]'s apply launch (one member for a standalone run
-/// or [`CpuCaqr::apply`], many for a fused group). The horizontal step is
-/// one parallel region over the (member × tile × column-block) grid and
-/// each tree level one region over the (member × tree-group ×
+/// or [`Factorization::apply`], many for a fused group). The horizontal
+/// step is one parallel region over the (member × tile × column-block)
+/// grid and each tree level one region over the (member × tree-group ×
 /// column-block) grid, in `Q^T` order when `transpose` and reversed
 /// otherwise. Tasks are isolated as in [`factor_panels`]: a panicking task
 /// fails only its member, which skips the remaining regions.
@@ -412,77 +403,11 @@ fn apply_region<T: Scalar>(
 
 /// Factor `a` with host-multicore CAQR — a thin shim over the generic
 /// [`crate::backend::drive`] loop on [`CpuBackend`] (see DESIGN.md §13).
-pub fn caqr_cpu<T: Scalar>(a: Matrix<T>, opts: CpuCaqrOptions) -> Result<CpuCaqr<T>, CaqrError> {
-    let (m, n) = a.shape();
-    if m == 0 || n == 0 {
-        return Err(CaqrError::BadShape(format!("empty matrix {m}x{n}")));
-    }
-    let out = drive(&CpuBackend, a, &opts.drive_config(), Mode::Sync)?;
-    Ok(CpuCaqr {
-        a: out.a,
-        panels: out.panels,
-        opts,
-    })
-}
-
-impl<T: Scalar> CpuCaqr<T> {
-    /// The upper-triangular factor.
-    pub fn r(&self) -> Matrix<T> {
-        self.a.upper_triangular()
-    }
-
-    /// Apply `Q^T` (or `Q` with `transpose == false`) to `c` in place.
-    pub fn apply(&self, c: &mut Matrix<T>, transpose: bool) -> Result<(), CaqrError> {
-        if c.rows() != self.a.rows() {
-            return Err(CaqrError::BadShape(format!(
-                "apply target has {} rows; factorization has {}",
-                c.rows(),
-                self.a.rows()
-            )));
-        }
-        let cols = col_blocks(0, c.cols(), self.opts.panel_width);
-        let cp = MatPtr::new(c);
-        let apply = |p: &PanelFactor<T>| apply_panels(&[(cp, p)], &cols, transpose).remove(0);
-        if transpose {
-            self.panels.iter().try_for_each(apply)
-        } else {
-            self.panels.iter().rev().try_for_each(apply)
-        }
-    }
-
-    /// Explicit `m x k` orthogonal factor.
-    pub fn generate_q(&self, k: usize) -> Result<Matrix<T>, CaqrError> {
-        if k > self.a.rows() {
-            return Err(CaqrError::BadShape(format!(
-                "cannot form {k} Q columns from an {}-row factorization",
-                self.a.rows()
-            )));
-        }
-        let mut q = Matrix::<T>::eye(self.a.rows(), k);
-        self.apply(&mut q, false)?;
-        Ok(q)
-    }
-
-    /// Least-squares solve from the implicit factorization.
-    pub fn least_squares(&self, b: &[T]) -> Result<Vec<T>, CaqrError> {
-        let (m, n) = self.a.shape();
-        if m < n {
-            return Err(CaqrError::BadShape(format!(
-                "least squares needs a tall matrix (got {m}x{n})"
-            )));
-        }
-        if b.len() != m {
-            return Err(CaqrError::BadShape(format!(
-                "right-hand side has {} rows; expected {m}",
-                b.len()
-            )));
-        }
-        let mut c = Matrix::from_fn(m, 1, |i, _| b[i]);
-        self.apply(&mut c, true)?;
-        let mut x: Vec<T> = (0..n).map(|i| c[(i, 0)]).collect();
-        trsv_upper(self.a.view(0, 0, n, n), &mut x);
-        Ok(x)
-    }
+pub fn caqr_cpu<T: Scalar>(
+    a: Matrix<T>,
+    opts: CpuCaqrOptions,
+) -> Result<Factorization<T>, CaqrError> {
+    drive(&CpuBackend, a, &opts.drive_config(), Mode::Sync)
 }
 
 #[cfg(test)]

@@ -29,8 +29,8 @@
 //! overhead of resilience is measurable (`wallclock_report
 //! --check-overhead` gates it in CI).
 
-use crate::backend::{CaqrBackend, DagGeometry, DriveConfig, DriveOutcome, PanelStep, SimBackend};
-use crate::caqr::{Caqr, CaqrOptions, LaunchPlan};
+use crate::backend::{CaqrBackend, DagGeometry, DriveConfig, Factorization, PanelStep, SimBackend};
+use crate::caqr::CaqrOptions;
 use crate::error::{checked_elems, CaqrError};
 use crate::health::{
     actual_col_sums, panel_col_sumsq, predicted_col_sums, r_col_sumsq, verify_apply_checksums,
@@ -201,33 +201,9 @@ pub fn caqr_resilient<T: Scalar>(
     gpu: &Gpu,
     a: Matrix<T>,
     opts: RecoveryOptions,
-) -> Result<(Caqr<T>, RecoveryReport), CaqrError> {
-    opts.caqr.bs.validate().map_err(CaqrError::BadShape)?;
-    let (m, n) = a.shape();
-    if m == 0 || n == 0 {
-        return Err(CaqrError::BadShape(format!("empty matrix {m}x{n}")));
-    }
+) -> Result<(Factorization<T>, RecoveryReport), CaqrError> {
     let backend = SimBackend::resilient(gpu, opts.streams)?;
-    let cfg = DriveConfig {
-        bs: opts.caqr.bs,
-        strategy: opts.caqr.strategy,
-        tree: opts.caqr.tree,
-        check_finite: opts.caqr.check_finite,
-        verify_checksums: false,
-        health_context: "caqr input",
-    };
-    let (out, report) = drive_resilient(&backend, a, &cfg, &opts.policy)?;
-    Ok((
-        Caqr {
-            a: out.a,
-            panels: out.panels,
-            opts: opts.caqr,
-            launch_plan: LaunchPlan::Dag {
-                launches: out.launches,
-            },
-        },
-        report,
-    ))
+    drive_resilient(&backend, a, &opts.caqr.drive_config(), &opts.policy)
 }
 
 /// The generic resilient driver: the barrier-mode DAG schedule of
@@ -241,7 +217,7 @@ pub fn drive_resilient<T: Scalar, B: CaqrBackend<T>>(
     pristine: Matrix<T>,
     cfg: &DriveConfig,
     policy: &RecoveryPolicy,
-) -> Result<(DriveOutcome<T>, RecoveryReport), CaqrError> {
+) -> Result<(Factorization<T>, RecoveryReport), CaqrError> {
     cfg.bs.validate().map_err(CaqrError::BadShape)?;
     let (m, n) = pristine.shape();
     if m == 0 || n == 0 {
@@ -286,7 +262,7 @@ fn run_once<T: Scalar, B: CaqrBackend<T>>(
     cfg: &DriveConfig,
     policy: &RecoveryPolicy,
     report: &mut RecoveryReport,
-) -> Result<DriveOutcome<T>, CaqrError> {
+) -> Result<Factorization<T>, CaqrError> {
     let mut a = pristine.clone();
     let (m, n) = a.shape();
     let mut launches = 0usize;
@@ -314,7 +290,7 @@ fn run_once<T: Scalar, B: CaqrBackend<T>>(
     }
     backend.sync()?;
     report.launches += launches as u64;
-    Ok(DriveOutcome {
+    Ok(Factorization {
         a,
         panels,
         launches,

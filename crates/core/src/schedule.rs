@@ -30,8 +30,8 @@
 //! touch disjoint matrices, so fusing their launches cannot reorder any
 //! job's own arithmetic).
 
-use crate::backend::{drive, DagGeometry, DriveConfig, Mode, SimBackend};
-use crate::caqr::{Caqr, CaqrOptions, LaunchPlan};
+use crate::backend::{drive, DagGeometry, Factorization, Mode, SimBackend};
+use crate::caqr::CaqrOptions;
 use crate::error::CaqrError;
 use crate::model::{
     model_apply_chain_on, model_factor_chain_on, model_health_on, model_pretranspose_on,
@@ -78,22 +78,11 @@ pub fn caqr_dag<T: Scalar>(
     gpu: &Gpu,
     a: Matrix<T>,
     opts: ScheduleOptions,
-) -> Result<(Caqr<T>, Timeline), CaqrError> {
-    let o = opts.caqr;
-    o.bs.validate().map_err(CaqrError::BadShape)?;
-    let backend = SimBackend::streams(gpu, opts.streams)?;
-    let cfg = DriveConfig {
-        bs: o.bs,
-        strategy: o.strategy,
-        tree: o.tree,
-        check_finite: o.check_finite,
-        verify_checksums: false,
-        health_context: "caqr input",
-    };
-    let out = drive(
-        &backend,
+) -> Result<(Factorization<T>, Timeline), CaqrError> {
+    let f = drive(
+        &SimBackend::streams(gpu, opts.streams)?,
         a,
-        &cfg,
+        &opts.caqr.drive_config(),
         Mode::Dag {
             lookahead: opts.lookahead,
         },
@@ -101,17 +90,7 @@ pub fn caqr_dag<T: Scalar>(
     let timeline = gpu
         .try_synchronize()
         .map_err(|context| CaqrError::Breakdown { context })?;
-    Ok((
-        Caqr {
-            a: out.a,
-            panels: out.panels,
-            opts: o,
-            launch_plan: LaunchPlan::Dag {
-                launches: out.launches,
-            },
-        },
-        timeline,
-    ))
+    Ok((f, timeline))
 }
 
 /// Shared validation + geometry + stream creation for the model replay,
@@ -340,7 +319,7 @@ mod tests {
             let g = gpu();
             let a = generate::uniform::<f64>(256, 24, 31);
             let (f, _tl) = caqr_dag(&g, a, opts(3, la)).unwrap();
-            assert_eq!(f.launches() as u64, g.ledger().calls, "lookahead={la}");
+            assert_eq!(f.launches as u64, g.ledger().calls, "lookahead={la}");
         }
     }
 
@@ -360,7 +339,7 @@ mod tests {
                     let modeled = g2.ledger();
 
                     assert_eq!(exec.calls, modeled.calls, "{m}x{n} s={s} la={la}");
-                    assert_eq!(f.launches() as u64, modeled.calls);
+                    assert_eq!(f.launches as u64, modeled.calls);
                     let dt = (exec.seconds - modeled.seconds).abs() / exec.seconds;
                     assert!(
                         dt < 1e-9,

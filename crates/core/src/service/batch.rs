@@ -9,9 +9,9 @@
 //! [`CaqrError`] while its riders complete bit-identically.
 
 use super::resilience::{Faulty, PlannedFault};
-use crate::backend::{drive_group, CpuBackend, DriveConfig};
+use crate::backend::{drive_group, CpuBackend, DriveConfig, Factorization};
 use crate::error::{checked_elems, CaqrError};
-use crate::multicore::{caqr_cpu, CpuCaqr, CpuCaqrOptions};
+use crate::multicore::{caqr_cpu, CpuCaqrOptions};
 use crate::recovery::RecoveryPolicy;
 use dense::matrix::Matrix;
 use dense::scalar::Scalar;
@@ -72,7 +72,7 @@ pub struct BatchStats {
     /// health scan plus every packed factor and apply launch.
     pub fused_launches: usize,
     /// Sum over jobs of the launch count the synchronous driver would
-    /// report for that job alone ([`crate::DriveOutcome::launches`]).
+    /// report for that job alone ([`crate::Factorization::launches`]).
     pub logical_launches: usize,
 }
 
@@ -80,7 +80,7 @@ pub struct BatchStats {
 /// host factorization: per panel, one level-0 factor launch plus one per
 /// tree level, and the same again for the trailing apply when the panel
 /// has trailing columns. The host health scan issues zero launches.
-pub fn logical_launches<T: Scalar>(f: &CpuCaqr<T>) -> usize {
+pub fn logical_launches<T: Scalar>(f: &Factorization<T>) -> usize {
     let n = f.a.cols();
     f.panels
         .iter()
@@ -99,19 +99,19 @@ pub fn logical_launches<T: Scalar>(f: &CpuCaqr<T>) -> usize {
 /// lockstep launches. Returns one result per job, in input order, each
 /// **bit-identical** to `caqr_cpu(a, opts)` on the same input.
 ///
-/// Jobs are grouped by [shape class](FuseKey); each group of two or more
-/// runs the synchronous driver loop over all its members, with the
-/// per-tile factor tasks, per-group tree reductions, and per-(tile ×
-/// column-block) trailing updates of *all* jobs packed into one parallel
-/// region per schedule step (a flat work list with per-job offsets). Odd
-/// shapes, checksummed jobs, and singleton classes fall back to per-job
-/// [`caqr_cpu`] runs. Fusion preserves bit-identity because every packed
-/// task reads and writes only its own job's matrix and the schedule per
-/// job is unchanged — see the conformance proptest in
+/// Jobs are grouped by shape class (shape, block size, tree arity); each
+/// group of two or more runs the synchronous driver loop over all its
+/// members, with the per-tile factor tasks, per-group tree reductions, and
+/// per-(tile × column-block) trailing updates of *all* jobs packed into one
+/// parallel region per schedule step (a flat work list with per-job
+/// offsets). Odd shapes, checksummed jobs, and singleton classes fall back
+/// to per-job [`caqr_cpu`] runs. Fusion preserves bit-identity because
+/// every packed task reads and writes only its own job's matrix and the
+/// schedule per job is unchanged — see the conformance proptest in
 /// `tests/service_batching.rs`.
 pub fn factor_many<T: Scalar>(
     jobs: Vec<(Matrix<T>, CpuCaqrOptions)>,
-) -> Vec<Result<CpuCaqr<T>, CaqrError>> {
+) -> Vec<Result<Factorization<T>, CaqrError>> {
     factor_many_with_stats(jobs).0
 }
 
@@ -119,7 +119,7 @@ pub fn factor_many<T: Scalar>(
 /// [`factor_many_resilient`] with no faults and no verification.
 pub fn factor_many_with_stats<T: Scalar>(
     jobs: Vec<(Matrix<T>, CpuCaqrOptions)>,
-) -> (Vec<Result<CpuCaqr<T>, CaqrError>>, BatchStats) {
+) -> (Vec<Result<Factorization<T>, CaqrError>>, BatchStats) {
     factor_many_resilient(jobs, &[], false, &RecoveryPolicy::default())
 }
 
@@ -150,10 +150,11 @@ pub fn factor_many_resilient<T: Scalar>(
     faults: &[Option<PlannedFault>],
     verify: bool,
     policy: &RecoveryPolicy,
-) -> (Vec<Result<CpuCaqr<T>, CaqrError>>, BatchStats) {
+) -> (Vec<Result<Factorization<T>, CaqrError>>, BatchStats) {
     let fault_at = |idx: usize| faults.get(idx).copied().flatten();
     let mut stats = BatchStats::default();
-    let mut out: Vec<Option<Result<CpuCaqr<T>, CaqrError>>> = jobs.iter().map(|_| None).collect();
+    let mut out: Vec<Option<Result<Factorization<T>, CaqrError>>> =
+        jobs.iter().map(|_| None).collect();
     let mut groups: BTreeMap<FuseKey, Vec<Job<T>>> = BTreeMap::new();
     let mut solo: Vec<Job<T>> = Vec::new();
     for (idx, (a, opts)) in jobs.into_iter().enumerate() {
@@ -201,17 +202,20 @@ fn run_group<T: Scalar>(
     members: Vec<Job<T>>,
     fault_at: &dyn Fn(usize) -> Option<PlannedFault>,
     verify: bool,
-    out: &mut [Option<Result<CpuCaqr<T>, CaqrError>>],
+    out: &mut [Option<Result<Factorization<T>, CaqrError>>],
     stats: &mut BatchStats,
 ) {
-    let (jobs, mats): (Vec<(usize, CpuCaqrOptions)>, Vec<Matrix<T>>) =
-        members.into_iter().map(|(i, a, o)| ((i, o), a)).unzip();
-    let faults: Vec<Option<PlannedFault>> = jobs.iter().map(|&(i, _)| fault_at(i)).collect();
+    // Members agree on everything the fuse key covers, so the first
+    // member's options configure the whole group.
+    let opts = members[0].2;
+    let (idxs, mats): (Vec<usize>, Vec<Matrix<T>>) =
+        members.into_iter().map(|(i, a, _)| (i, a)).unzip();
+    let faults: Vec<Option<PlannedFault>> = idxs.iter().map(|&i| fault_at(i)).collect();
     let clean = faults.iter().all(Option::is_none);
     // A group carrying a fault always verifies, so an SDC is caught.
     let cfg = DriveConfig {
         verify_checksums: verify || !clean,
-        ..jobs[0].1.drive_config()
+        ..opts.drive_config()
     };
     let group = if clean {
         drive_group(&CpuBackend, mats, &cfg)
@@ -223,21 +227,17 @@ fn run_group<T: Scalar>(
     // as zero launches.
     stats.fused_launches += 1 + group.launches;
     let mut fused = 0;
-    for ((idx, opts), res) in jobs.into_iter().zip(group.members) {
+    for (idx, res) in idxs.into_iter().zip(group.members) {
         // A member failing the input scan never entered the fused loop.
         if matches!(res, Err(CaqrError::NonFinite { .. })) {
             stats.solo_jobs += 1;
         } else {
             fused += 1;
         }
-        if let Ok(o) = &res {
-            stats.logical_launches += o.launches;
+        if let Ok(f) = &res {
+            stats.logical_launches += f.launches;
         }
-        out[idx] = Some(res.map(|o| CpuCaqr {
-            a: o.a,
-            panels: o.panels,
-            opts,
-        }));
+        out[idx] = Some(res);
     }
     if fused > 0 {
         stats.fused_jobs += fused;

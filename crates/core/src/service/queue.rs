@@ -11,7 +11,8 @@ use super::{
     lock, logical_launches, run_solo_resilient, service_retryable, JobSpec, Priority,
     ServiceConfig, ServiceError, SubmitError,
 };
-use crate::multicore::{CpuCaqr, CpuCaqrOptions};
+use crate::backend::Factorization;
+use crate::multicore::CpuCaqrOptions;
 use dense::matrix::Matrix;
 use dense::scalar::Scalar;
 use std::collections::{BTreeMap, VecDeque};
@@ -23,7 +24,7 @@ use std::time::{Duration, Instant};
 /// What the service hands back for one job.
 pub struct JobOutcome<T: Scalar> {
     /// The factorization, or the typed failure.
-    pub result: Result<CpuCaqr<T>, ServiceError>,
+    pub result: Result<Factorization<T>, ServiceError>,
     /// Tenant the job was charged to.
     pub tenant: String,
     /// Priority class the job ran under.
@@ -78,7 +79,7 @@ pub(super) struct QueueState<T: Scalar> {
 /// One job's dispatch outcome before accounting: the result plus the solo
 /// retries spent on it, the logical launches those retries cost, and the
 /// seconds the retry loop (backoff included) took.
-type Resolved<T> = (Result<CpuCaqr<T>, ServiceError>, u32, u64, f64);
+type Resolved<T> = (Result<Factorization<T>, ServiceError>, u32, u64, f64);
 
 /// One dispatched job's supervision record: enough to resolve its ticket
 /// with [`ServiceError::WorkerLost`] if the serving worker dies before

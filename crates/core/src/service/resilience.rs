@@ -4,10 +4,10 @@
 //! bounded retry budget, the overload circuit-breaker policy, and the
 //! per-tenant admission quotas.
 
-use crate::backend::{CaqrBackend, CpuBackend, DagGeometry, DriveConfig};
+use crate::backend::{CaqrBackend, CpuBackend, DagGeometry, DriveConfig, Factorization};
 use crate::block::BlockSize;
 use crate::error::CaqrError;
-use crate::multicore::{CpuCaqr, CpuCaqrOptions};
+use crate::multicore::CpuCaqrOptions;
 use crate::recovery::{drive_resilient, is_transient, RecoveryPolicy, RecoveryReport};
 use crate::tsqr::PanelFactor;
 use dense::matrix::Matrix;
@@ -530,9 +530,9 @@ impl<T: Scalar, B: CaqrBackend<T>> CaqrBackend<T> for Faulty<B> {
 
 /// Factor one job on the host through the §10 escalation ladder
 /// ([`drive_resilient`] over a [`CpuBackend`]), optionally with one
-/// injected [`PlannedFault`] fired by [`Faulty`]. This is the service's
-/// solo fallback for a batch member carved out of a fused group, and its
-/// chaos-mode solo path.
+/// injected [`PlannedFault`] fired by the crate's fault-steering backend.
+/// This is the service's solo fallback for a batch member carved out of a
+/// fused group, and its chaos-mode solo path.
 ///
 /// Transient injections (launch fault, hang, SDC) are recovered *inside*
 /// this call by snapshot/replay, so the returned factorization is
@@ -544,7 +544,7 @@ pub fn run_solo_resilient<T: Scalar>(
     opts: CpuCaqrOptions,
     fault: Option<PlannedFault>,
     policy: &RecoveryPolicy,
-) -> Result<(CpuCaqr<T>, RecoveryReport), CaqrError> {
+) -> Result<(Factorization<T>, RecoveryReport), CaqrError> {
     let (m, n) = a.shape();
     if m == 0 || n == 0 {
         return Err(CaqrError::BadShape(format!("empty matrix {m}x{n}")));
@@ -558,15 +558,7 @@ pub fn run_solo_resilient<T: Scalar>(
     match catch_unwind(AssertUnwindSafe(|| {
         drive_resilient(&backend, a, &cfg, policy)
     })) {
-        Ok(Ok((out, report))) => Ok((
-            CpuCaqr {
-                a: out.a,
-                panels: out.panels,
-                opts,
-            },
-            report,
-        )),
-        Ok(Err(e)) => Err(e),
+        Ok(res) => res,
         Err(_) => Err(CaqrError::Panicked {
             context: "resilient solo factorization".to_string(),
         }),

@@ -7,13 +7,14 @@
 //! needed to apply `Q`/`Q^T` later: the level-0 `tau`s (the Householder
 //! tails stay in the factored matrix) and the per-level [`TreeNode`]s.
 
+use crate::backend::Factorization;
 use crate::block::{plan_tree, tile_panel, BlockSize, Tile, TreeShape};
 use crate::error::CaqrError;
 use crate::kernels::{ApplyQtHKernel, ApplyQtTreeKernel, FactorKernel, FactorTreeKernel};
 use crate::microkernels::ReductionStrategy;
 use dense::matrix::Matrix;
 use dense::scalar::Scalar;
-use dense::{DenseError, MatPtr};
+use dense::MatPtr;
 use gpu_sim::{Exec, Gpu};
 use parking_lot::Mutex;
 
@@ -350,42 +351,16 @@ pub fn apply_panel_within<T: Scalar>(
     apply_panel_ptr(gpu, p, pf, &cols, transpose)
 }
 
-/// Apply the panel's `Q` or `Q^T` to a separate matrix `target`.
-pub fn apply_panel_to<T: Scalar>(
-    gpu: &Gpu,
-    pf: &PanelFactor<T>,
-    target: &mut Matrix<T>,
-    transpose: bool,
-) -> Result<(), CaqrError> {
-    if pf.rows_end() != target.rows() {
-        return Err(DenseError::ShapeMismatch {
-            context: "apply_panel_to: target rows vs panel rows",
-            expected: pf.rows_end(),
-            got: target.rows(),
-        }
-        .into());
-    }
-    let cols = col_blocks(0, target.cols(), pf.bs.w);
-    apply_panel_ptr(gpu, MatPtr::new(target), pf, &cols, transpose)
-}
-
-/// A standalone TSQR factorization of a tall-skinny matrix
-/// (width <= the block width).
-pub struct Tsqr<T: Scalar> {
-    /// The factored matrix (R in the top triangle, Householder tails in the
-    /// tiles).
-    pub factored: Matrix<T>,
-    /// The panel factor.
-    pub pf: PanelFactor<T>,
-}
-
-/// Factor a tall-skinny matrix (`cols <= bs.w`) with TSQR on the GPU.
+/// Factor a tall-skinny matrix (`cols <= bs.w`) with TSQR on the GPU: a
+/// one-panel [`Factorization`] whose `launches` counts the health check,
+/// the level-0 factor and one `factor_tree` launch per tree level. Unlike
+/// [`crate::caqr::caqr`] it models no pre-transpose pass.
 pub fn tsqr<T: Scalar>(
     gpu: &Gpu,
     mut a: Matrix<T>,
     bs: BlockSize,
     strategy: ReductionStrategy,
-) -> Result<Tsqr<T>, CaqrError> {
+) -> Result<Factorization<T>, CaqrError> {
     let n = a.cols();
     if n > bs.w {
         return Err(CaqrError::BadShape(format!(
@@ -401,47 +376,17 @@ pub fn tsqr<T: Scalar>(
     }
     crate::health::check_matrix_finite(gpu, Exec::Sync, &a, bs, "tsqr input")?;
     let pf = factor_panel(gpu, &mut a, 0, 0, n, bs, strategy)?;
-    Ok(Tsqr { factored: a, pf })
-}
-
-impl<T: Scalar> Tsqr<T> {
-    /// The `n x n` upper-triangular factor.
-    pub fn r(&self) -> Matrix<T> {
-        let n = self.pf.width;
-        Matrix::from_fn(n, n, |i, j| {
-            if i <= j {
-                self.factored[(i, j)]
-            } else {
-                T::ZERO
-            }
-        })
-    }
-
-    /// Apply `Q^T` to `c` in place (`c` has the panel's full row count).
-    pub fn apply_qt(&self, gpu: &Gpu, c: &mut Matrix<T>) -> Result<(), CaqrError> {
-        apply_panel_to(gpu, &self.pf, c, true)
-    }
-
-    /// Apply `Q` to `c` in place.
-    pub fn apply_q(&self, gpu: &Gpu, c: &mut Matrix<T>) -> Result<(), CaqrError> {
-        apply_panel_to(gpu, &self.pf, c, false)
-    }
-
-    /// Form the explicit `m x n` orthogonal factor (the `SORGQR` analogue —
-    /// "retrieving Q explicitly using CAQR is just as efficient as factoring
-    /// the matrix", Section V-C).
-    pub fn generate_q(&self, gpu: &Gpu) -> Result<Matrix<T>, CaqrError> {
-        let m = self.factored.rows();
-        let n = self.pf.width;
-        let mut q = Matrix::<T>::eye(m, n);
-        self.apply_q(gpu, &mut q)?;
-        Ok(q)
-    }
+    Ok(Factorization {
+        a,
+        launches: 2 + pf.levels.len(),
+        panels: vec![pf],
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::backend::SimBackend;
     use dense::generate;
     use dense::norms::{orthogonality_error, reconstruction_error};
     use gpu_sim::DeviceSpec;
@@ -461,7 +406,7 @@ mod tests {
         )
         .unwrap();
         let r = f.r();
-        let q = f.generate_q(&g).unwrap();
+        let q = f.generate_q_on(&SimBackend::sync(&g), n).unwrap();
         let rec = reconstruction_error(&a, &q, &r);
         let ort = orthogonality_error(&q);
         assert!(rec < 1e-13, "reconstruction {rec} for {m}x{n} bs {bs:?}");
@@ -540,8 +485,8 @@ mod tests {
         .unwrap();
         let c0 = generate::uniform::<f64>(400, 3, 10);
         let mut c = c0.clone();
-        f.apply_qt(&g, &mut c).unwrap();
-        f.apply_q(&g, &mut c).unwrap();
+        f.apply_on(&SimBackend::sync(&g), &mut c, true).unwrap();
+        f.apply_on(&SimBackend::sync(&g), &mut c, false).unwrap();
         for i in 0..400 {
             for j in 0..3 {
                 assert!((c[(i, j)] - c0[(i, j)]).abs() < 1e-12);
@@ -561,7 +506,7 @@ mod tests {
         )
         .unwrap();
         let mut c = a.clone();
-        f.apply_qt(&g, &mut c).unwrap();
+        f.apply_on(&SimBackend::sync(&g), &mut c, true).unwrap();
         let r = f.r();
         // ||Q^T A - [R; 0]|| should be ~ machine epsilon relative to ||A||.
         let mut err: f64 = 0.0;
@@ -591,7 +536,7 @@ mod tests {
     fn ledger_records_expected_kernel_mix() {
         let g = gpu();
         let a = generate::uniform::<f64>(4096, 16, 13);
-        let _f = tsqr(
+        let f = tsqr(
             &g,
             a,
             BlockSize { h: 64, w: 16 },
@@ -599,6 +544,7 @@ mod tests {
         )
         .unwrap();
         let l = g.ledger();
+        assert_eq!(f.launches as u64, l.calls);
         // 64 tiles, quad tree: levels of 16, 4, 1 -> 3 factor_tree launches.
         assert_eq!(l.per_op["factor"].calls, 1);
         assert_eq!(l.per_op["factor_tree"].calls, 3);

@@ -175,9 +175,15 @@ fn apply_qt_h_forward_backward_cancels() {
         STRAT,
     )
     .unwrap();
+    let f = caqr::Factorization {
+        a: v,
+        panels: vec![pf],
+        launches: 0,
+    };
+    let sim = caqr::SimBackend::sync(&gpu);
     let c0 = dense::generate::uniform::<f64>(96, 5, 5);
     let mut c = c0.clone();
-    caqr::tsqr::apply_panel_to(&gpu, &pf, &mut c, true).unwrap();
+    f.apply_on(&sim, &mut c, true).unwrap();
     // Something must have changed...
     let changed = c
         .as_slice()
@@ -186,7 +192,7 @@ fn apply_qt_h_forward_backward_cancels() {
         .any(|(a, b)| (a - b).abs() > 1e-9);
     assert!(changed);
     // ...and applying Q undoes it.
-    caqr::tsqr::apply_panel_to(&gpu, &pf, &mut c, false).unwrap();
+    f.apply_on(&sim, &mut c, false).unwrap();
     for (a, b) in c.as_slice().iter().zip(c0.as_slice()) {
         assert!((a - b).abs() < 1e-12);
     }

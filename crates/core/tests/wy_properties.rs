@@ -5,7 +5,7 @@
 
 use caqr::block::Tile;
 use caqr::blockops;
-use caqr::{BlockSize, ReductionStrategy};
+use caqr::{BlockSize, ReductionStrategy, SimBackend};
 use dense::matrix::Matrix;
 use dense::norms::{orthogonality_error, reconstruction_error};
 use dense::MatPtr;
@@ -122,7 +122,7 @@ fn tsqr_reconstructs_table1_shapes() {
     ] {
         let a = dense::generate::uniform::<f64>(m, w, seed);
         let f = caqr::tsqr(&gpu, a.clone(), BlockSize { h, w }, STRAT).unwrap();
-        let q = f.generate_q(&gpu).unwrap();
+        let q = f.generate_q_on(&SimBackend::sync(&gpu), w).unwrap();
         let r = f.r();
         assert!(
             reconstruction_error(&a, &q, &r) < 1e-12,
@@ -149,7 +149,7 @@ fn caqr_reconstructs_with_wy_updates() {
         },
     )
     .unwrap();
-    let q = f.generate_q(&gpu, 96).unwrap();
+    let q = f.generate_q_on(&SimBackend::sync(&gpu), 96).unwrap();
     let r = f.r();
     assert!(reconstruction_error(&a, &q, &r) < 1e-12);
     assert!(orthogonality_error(&q) < 1e-12);

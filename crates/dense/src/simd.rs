@@ -1,7 +1,7 @@
 //! Runtime SIMD dispatch for the hot microkernels (pulp/faer idiom).
 //!
 //! Every microkernel in this module is written **once** against the small
-//! [`Vf`] vector abstraction (splat/load/store/mul_add/reduce) and
+//! `Vf` vector abstraction (splat/load/store/mul_add/reduce) and
 //! instantiated inside per-backend `#[target_feature]` wrappers, so one
 //! generic body yields AVX-512, AVX2+FMA, NEON and portable-scalar code.
 //! The backend is picked **at runtime** from CPU feature detection, cached

@@ -8,7 +8,7 @@
 
 use crate::gpu_ops::launch;
 use crate::solver::{RpcaParams, RpcaResult};
-use caqr::{CaqrError, CaqrOptions};
+use caqr::{CaqrError, CaqrOptions, SimBackend};
 use dense::matrix::Matrix;
 use dense::norms::frobenius;
 use dense::scalar::Scalar;
@@ -27,7 +27,7 @@ fn gpu_svd<T: Scalar>(
 ) -> Result<GpuSvdFactors<T>, CaqrError> {
     let (m, n) = a.shape();
     let f = caqr::caqr::caqr(gpu, a.clone(), opts)?;
-    let q = f.generate_q(gpu, n)?;
+    let q = f.generate_q_on(&SimBackend::sync(gpu), n)?;
     let r = f.r();
     // R down to the host, small SVD, factors back up.
     gpu.transfer_d2h((n * n) as u64 * T::BYTES);

@@ -214,7 +214,7 @@ impl<T: Scalar> Kernel<T> for GemmKernel<T> {
 }
 
 /// Launch helpers used by the all-GPU Robust PCA loop. Each returns the
-/// typed [`CaqrError`] so injected device faults surface to the solver
+/// typed [`CaqrError`](caqr::CaqrError) so injected device faults surface to the solver
 /// instead of panicking.
 pub mod launch {
     use super::*;

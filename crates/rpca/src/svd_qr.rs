@@ -9,7 +9,7 @@
 //! Robust PCA solver can run on the plain CPU path or through the simulated
 //! GPU CAQR — the Table II comparison.
 
-use caqr::{Caqr, CaqrError, CaqrOptions};
+use caqr::{CaqrError, CaqrOptions, Factorization, SimBackend};
 use dense::blas3::{gemm, Trans};
 use dense::matrix::Matrix;
 use dense::scalar::Scalar;
@@ -59,8 +59,8 @@ pub struct GpuCaqrBackend<'a> {
 impl<'a, T: Scalar> QrBackend<T> for GpuCaqrBackend<'a> {
     fn qr(&self, a: &Matrix<T>) -> Result<(Matrix<T>, Matrix<T>), CaqrError> {
         let n = a.cols();
-        let f: Caqr<T> = caqr::caqr::caqr(self.gpu, a.clone(), self.opts)?;
-        let q = f.generate_q(self.gpu, n)?;
+        let f: Factorization<T> = caqr::caqr::caqr(self.gpu, a.clone(), self.opts)?;
+        let q = f.generate_q_on(&SimBackend::sync(self.gpu), n)?;
         Ok((q, f.r()))
     }
     fn name(&self) -> &'static str {

@@ -12,7 +12,7 @@
 //! cargo run --release --example sstep_krylov
 //! ```
 
-use caqr::{tsqr, BlockSize, ReductionStrategy};
+use caqr::{tsqr, BlockSize, ReductionStrategy, SimBackend};
 use dense::norms::orthogonality_error;
 use gpu_sim::{DeviceSpec, Gpu};
 
@@ -39,7 +39,9 @@ fn main() {
         ReductionStrategy::RegisterSerialTransposed,
     )
     .expect("tsqr failed");
-    let q_tsqr = f.generate_q(&gpu).expect("generate_q failed");
+    let q_tsqr = f
+        .generate_q_on(&SimBackend::sync(&gpu), s)
+        .expect("generate_q failed");
     let tsqr_err = orthogonality_error(&q_tsqr);
     let ledger = gpu.ledger();
     println!(

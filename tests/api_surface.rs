@@ -2,7 +2,11 @@
 //! the glue a downstream user sees first — plus the error-path contract:
 //! malformed or non-finite user input returns a typed `Err`, never a panic.
 
-use caqr::{BlockSize, CaqrError, CaqrOptions, ReductionStrategy};
+use caqr::{
+    BlockSize, CaqrBackend, CaqrError, CaqrOptions, CpuBackend, Factorization, ReductionStrategy,
+    SimBackend,
+};
+use dense::matrix::Matrix;
 use gpu_sim::{DeviceSpec, Gpu, LaunchError};
 
 fn small_opts() -> CaqrOptions {
@@ -123,37 +127,76 @@ fn disabling_the_health_check_skips_its_launch() {
             ..small_opts()
         };
         let f = caqr::caqr::caqr(&gpu, a.clone(), o).unwrap();
-        assert_eq!(f.launches() as u64, gpu.ledger().calls);
+        assert_eq!(f.launches as u64, gpu.ledger().calls);
         gpu.ledger().calls
     };
     assert_eq!(count(true), count(false) + 1);
+}
+
+/// The three boundary checks of the one `Q`-apply surface, on `backend`.
+fn assert_boundary_errors<B: CaqrBackend<f64>>(name: &str, f: &Factorization<f64>, backend: &B) {
+    // Applying Q^T to a matrix with the wrong row count.
+    let mut c = Matrix::<f64>::zeros(100, 4);
+    assert!(
+        matches!(
+            f.apply_on(backend, &mut c, true),
+            Err(CaqrError::BadShape(_))
+        ),
+        "{name}: apply"
+    );
+
+    // More Q columns than rows.
+    assert!(
+        matches!(
+            f.generate_q_on(backend, 10_000),
+            Err(CaqrError::BadShape(_))
+        ),
+        "{name}: generate_q"
+    );
+
+    // Right-hand side of the wrong length.
+    let b = Matrix::from_fn(7, 1, |_, _| 1.0f64);
+    assert!(
+        matches!(f.least_squares_on(backend, &b), Err(CaqrError::BadShape(_))),
+        "{name}: least_squares"
+    );
 }
 
 #[test]
 fn shape_mismatches_are_typed_errors_not_panics() {
     let gpu = Gpu::new(DeviceSpec::c2050());
     let a = dense::generate::uniform::<f64>(256, 16, 3);
-    let f = caqr::caqr::caqr(&gpu, a, small_opts()).unwrap();
-
-    // Applying Q^T to a matrix with the wrong row count.
-    let mut c = dense::matrix::Matrix::<f64>::zeros(100, 4);
-    assert!(matches!(
-        f.apply_qt(&gpu, &mut c),
-        Err(CaqrError::BadShape(_))
-    ));
-
-    // More Q columns than rows.
-    assert!(matches!(
-        f.generate_q(&gpu, 10_000),
-        Err(CaqrError::BadShape(_))
-    ));
-
-    // Right-hand side of the wrong length.
-    let b = vec![1.0f64; 7];
-    assert!(matches!(
-        f.least_squares(&gpu, &b),
-        Err(CaqrError::BadShape(_))
-    ));
+    // (executor, its factorization, applied on the simulator or the host)
+    let rows = [
+        (
+            "caqr",
+            caqr::caqr::caqr(&gpu, a.clone(), small_opts()).unwrap(),
+            true,
+        ),
+        (
+            "caqr_cpu",
+            caqr::caqr_cpu(a.clone(), caqr::CpuCaqrOptions::for_width(16)).unwrap(),
+            false,
+        ),
+        (
+            "tsqr",
+            caqr::tsqr(
+                &gpu,
+                a,
+                BlockSize { h: 64, w: 16 },
+                ReductionStrategy::RegisterSerialTransposed,
+            )
+            .unwrap(),
+            true,
+        ),
+    ];
+    for (name, f, on_sim) in &rows {
+        if *on_sim {
+            assert_boundary_errors(name, f, &SimBackend::sync(&gpu));
+        } else {
+            assert_boundary_errors(name, f, &CpuBackend);
+        }
+    }
 }
 
 #[test]

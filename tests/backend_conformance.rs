@@ -14,8 +14,8 @@ use caqr::multicore::{caqr_cpu, CpuCaqrOptions};
 use caqr::schedule::{caqr_dag, ScheduleOptions};
 use caqr::tsqr::{TreeNode, WyTile};
 use caqr::{
-    caqr_resilient, distributed_tsqr, BlockSize, CaqrOptions, DistOptions, RecoveryOptions,
-    ReductionStrategy, TreeShape,
+    caqr_resilient, distributed_tsqr, BlockSize, CaqrOptions, CpuBackend, DistOptions,
+    Factorization, RecoveryOptions, ReductionStrategy, SimBackend, TreeShape,
 };
 use dense::matrix::Matrix;
 use dense::scalar::Scalar;
@@ -69,40 +69,13 @@ fn pack_panel<T: Scalar>(
 
 /// The full conformance fingerprint of a factorization: the factored
 /// matrix (R + Householder tails) plus every packed panel factor.
-fn fingerprint<T: Scalar>(
-    a: &Matrix<T>,
-    panels: impl Iterator<Item = (usize, usize, Vec<u64>)>,
-) -> Vec<u64> {
+fn fingerprint(f: &Factorization<f64>) -> Vec<u64> {
     let mut out = Vec::new();
-    push_matrix(&mut out, a);
-    for (col0, width, packed) in panels {
-        out.push(col0 as u64);
-        out.push(width as u64);
-        out.extend(packed);
+    push_matrix(&mut out, &f.a);
+    for p in &f.panels {
+        pack_panel(&mut out, p.col0, p.width, &p.tiles, &p.wy0, &p.levels);
     }
     out
-}
-
-fn cpu_fingerprint(f: &caqr::CpuCaqr<f64>) -> Vec<u64> {
-    fingerprint(
-        &f.a,
-        f.panels.iter().map(|p| {
-            let mut v = Vec::new();
-            pack_panel(&mut v, p.col0, p.width, &p.tiles, &p.wy0, &p.levels);
-            (p.col0, p.width, v)
-        }),
-    )
-}
-
-fn sim_fingerprint(f: &caqr::Caqr<f64>) -> Vec<u64> {
-    fingerprint(
-        &f.a,
-        f.panels.iter().map(|p| {
-            let mut v = Vec::new();
-            pack_panel(&mut v, p.col0, p.width, &p.tiles, &p.wy0, &p.levels);
-            (p.col0, p.width, v)
-        }),
-    )
 }
 
 fn caqr_opts(h: usize, w: usize, strategy: ReductionStrategy) -> CaqrOptions {
@@ -141,31 +114,58 @@ proptest! {
         let (h, w) = [(16, 4), (32, 8), (64, 16)][geom];
         let a = dense::generate::uniform::<f64>(m, n, seed);
 
-        // Host reference.
+        // Host reference. Its recorded launch count is the closed form of
+        // the synchronous schedule: per panel a factor chain (one level-0
+        // launch plus one per tree level) and, when the panel has trailing
+        // columns, an apply chain of the same length; the host health scan
+        // and pre-transpose book none.
         let reference = caqr_cpu(a.clone(), cpu_opts(h, w)).unwrap();
-        let want = cpu_fingerprint(&reference);
+        let want = fingerprint(&reference);
+        let closed_form: usize = reference
+            .panels
+            .iter()
+            .map(|p| {
+                let chain = 1 + p.levels.len();
+                chain + if p.col0 + p.width < n { chain } else { 0 }
+            })
+            .sum();
+        prop_assert_eq!(reference.launches, closed_form);
 
         // Simulator, synchronous Figure-4 loop.
         let g = Gpu::new(DeviceSpec::c2050());
         let o = caqr_opts(h, w, ReductionStrategy::RegisterSerialTransposed);
         let f = caqr::caqr::caqr(&g, a.clone(), o).unwrap();
-        prop_assert_eq!(&sim_fingerprint(&f), &want);
-        prop_assert_eq!(f.launches() as u64, g.ledger().calls);
+        prop_assert_eq!(&fingerprint(&f), &want);
+        prop_assert_eq!(f.launches as u64, g.ledger().calls);
+
+        // One Q-apply loop over either backend: the host and simulator Q
+        // agree bit-for-bit, and the simulator issues one apply chain
+        // (horizontal launch plus one per tree level) per panel.
+        let k = m.min(n);
+        let before = g.ledger().calls;
+        let q_sim = f.generate_q_on(&SimBackend::sync(&g), k).unwrap();
+        let chains: usize = f.panels.iter().map(|p| 1 + p.levels.len()).sum();
+        prop_assert_eq!(g.ledger().calls - before, chains as u64);
+        let q_cpu = reference.generate_q_on(&CpuBackend, k).unwrap();
+        let (mut qs, mut qc) = (Vec::new(), Vec::new());
+        push_matrix(&mut qs, &q_sim);
+        push_matrix(&mut qc, &q_cpu);
+        prop_assert_eq!(qs, qc);
 
         // Simulator, stream DAG — barrier and lookahead schedules.
         for lookahead in [false, true] {
             let g = Gpu::new(DeviceSpec::c2050());
             let so = ScheduleOptions { caqr: o, streams, lookahead };
             let (f, _tl) = caqr_dag(&g, a.clone(), so).unwrap();
-            prop_assert_eq!(&sim_fingerprint(&f), &want);
-            prop_assert_eq!(f.launches() as u64, g.ledger().calls);
+            prop_assert_eq!(&fingerprint(&f), &want);
+            prop_assert_eq!(f.launches as u64, g.ledger().calls);
         }
 
         // Resilient executor, fault-free run.
         let g = Gpu::new(DeviceSpec::c2050());
         let ro = RecoveryOptions { caqr: o, streams, ..RecoveryOptions::default() };
         let (f, report) = caqr_resilient(&g, a, ro).unwrap();
-        prop_assert_eq!(&sim_fingerprint(&f), &want);
+        prop_assert_eq!(&fingerprint(&f), &want);
         // The resilient ledger also books the ABFT verify and snapshot
         // passes as host pseudo-ops; kernel launches are what's left.
         let l = g.ledger();
@@ -199,7 +199,7 @@ proptest! {
             CpuCaqrOptions { tile_rows: 128, panel_width: n, tree, verify_checksums: false },
         )
         .unwrap();
-        let want = cpu_fingerprint(&reference);
+        let want = fingerprint(&reference);
 
         let c = Cluster::new(p, DeviceSpec::c2050(), LinkSpec::infiniband_qdr(), Topology::BinomialTree);
         let opts = DistOptions {
@@ -208,11 +208,11 @@ proptest! {
             strategy: ReductionStrategy::RegisterSerialTransposed,
             verify_checksums: false,
         };
-        let f = distributed_tsqr(&c, a, opts).unwrap();
-        prop_assert_eq!(&cpu_fingerprint(&f.factored), &want);
-        prop_assert_eq!(f.devices_lost(), 0);
-        prop_assert_eq!(f.report.device_failovers, 0);
-        prop_assert!(f.report.launches > 0);
+        let (f, rep) = distributed_tsqr(&c, a, opts).unwrap();
+        prop_assert_eq!(&fingerprint(&f), &want);
+        prop_assert_eq!(rep.devices_lost(), 0);
+        prop_assert_eq!(rep.recovery.device_failovers, 0);
+        prop_assert!(rep.recovery.launches > 0);
     }
 }
 
@@ -223,12 +223,12 @@ proptest! {
 fn every_strategy_matches_the_host_reference_bitwise() {
     let a = dense::generate::uniform::<f64>(300, 24, 7);
     let reference = caqr_cpu(a.clone(), cpu_opts(32, 8)).unwrap();
-    let want = cpu_fingerprint(&reference);
+    let want = fingerprint(&reference);
     for s in ReductionStrategy::ALL {
         let g = Gpu::new(DeviceSpec::c2050());
         let f = caqr::caqr::caqr(&g, a.clone(), caqr_opts(32, 8, s)).unwrap();
         assert_eq!(
-            sim_fingerprint(&f),
+            fingerprint(&f),
             want,
             "strategy {s:?} changed the arithmetic"
         );
@@ -245,5 +245,5 @@ fn verification_does_not_perturb_any_backend() {
     let mut verified_opts = cpu_opts(32, 8);
     verified_opts.verify_checksums = true;
     let verified = caqr_cpu(a, verified_opts).unwrap();
-    assert_eq!(cpu_fingerprint(&plain), cpu_fingerprint(&verified));
+    assert_eq!(fingerprint(&plain), fingerprint(&verified));
 }

@@ -58,14 +58,14 @@ fn device_loss_during_level0_fails_over_bit_identically() {
     c.device(2)
         .set_fault_plan(FaultPlan::device_loss_at_launches(&[0]));
     let a = dense::generate::uniform::<f32>(M, N, SEED);
-    let f = distributed_tsqr(&c, a, dist_opts(TreeShape::DeviceArity)).expect("fails over");
+    let (f, rep) = distributed_tsqr(&c, a, dist_opts(TreeShape::DeviceArity)).expect("fails over");
     assert_eq!(f.r(), r_ref, "R survives a level-0 device loss unchanged");
     assert_eq!(f.generate_q(N).expect("Q"), q_ref);
-    assert_eq!(f.devices_lost(), 1);
-    assert!(!f.alive[2]);
-    assert_eq!(f.report.device_failovers, 1);
+    assert_eq!(rep.devices_lost(), 1);
+    assert!(!rep.alive[2]);
+    assert_eq!(rep.recovery.device_failovers, 1);
     // Every tile the dead device owned now belongs to the survivor.
-    assert!(f.owner.iter().all(|&d| d != 2));
+    assert!(rep.owner.iter().all(|&d| d != 2));
     // The loss and the adoption both land on the ledgers.
     assert_eq!(c.device(2).ledger().device_losses, 1);
     assert!(c.device(2).is_lost());
@@ -84,21 +84,21 @@ fn device_loss_mid_tree_replays_completed_work() {
     c.device(1)
         .set_fault_plan(FaultPlan::device_loss_at_launches(&[1]));
     let a = dense::generate::uniform::<f32>(M, N, SEED);
-    let f = distributed_tsqr(&c, a, dist_opts(TreeShape::Binomial)).expect("fails over");
+    let (f, rep) = distributed_tsqr(&c, a, dist_opts(TreeShape::Binomial)).expect("fails over");
     assert_eq!(f.r(), r_ref, "R survives a mid-tree device loss unchanged");
     assert_eq!(f.generate_q(N).expect("Q"), q_ref);
-    assert_eq!(f.devices_lost(), 1);
-    assert_eq!(f.report.device_failovers, 1);
+    assert_eq!(rep.devices_lost(), 1);
+    assert_eq!(rep.recovery.device_failovers, 1);
     // The survivor replayed the dead device's finished tile factors, so
     // more launches ran than the loss-free schedule needs.
     let clean = cluster(4, Topology::BinomialTree);
     let a2 = dense::generate::uniform::<f32>(M, N, SEED);
-    let clean_f = distributed_tsqr(&clean, a2, dist_opts(TreeShape::Binomial)).unwrap();
+    let (_, clean_rep) = distributed_tsqr(&clean, a2, dist_opts(TreeShape::Binomial)).unwrap();
     assert!(
-        f.report.launches > clean_f.report.launches,
+        rep.recovery.launches > clean_rep.recovery.launches,
         "replay must cost extra launches ({} vs {})",
-        f.report.launches,
-        clean_f.report.launches
+        rep.recovery.launches,
+        clean_rep.recovery.launches
     );
 }
 
@@ -114,13 +114,14 @@ fn cascading_losses_chain_failovers() {
     c.device(0)
         .set_fault_plan(FaultPlan::device_loss_at_launches(&[1]));
     let a = dense::generate::uniform::<f32>(M, N, SEED);
-    let f = distributed_tsqr(&c, a, dist_opts(TreeShape::DeviceArity)).expect("double failover");
+    let (f, rep) =
+        distributed_tsqr(&c, a, dist_opts(TreeShape::DeviceArity)).expect("double failover");
     assert_eq!(f.r(), r_ref, "R survives cascading losses unchanged");
     assert_eq!(f.generate_q(N).expect("Q"), q_ref);
-    assert_eq!(f.devices_lost(), 2);
-    assert!(!f.alive[3] && !f.alive[0]);
-    assert_eq!(f.report.device_failovers, 2);
-    assert!(f.owner.iter().all(|&d| d == 1 || d == 2));
+    assert_eq!(rep.devices_lost(), 2);
+    assert!(!rep.alive[3] && !rep.alive[0]);
+    assert_eq!(rep.recovery.device_failovers, 2);
+    assert!(rep.owner.iter().all(|&d| d == 1 || d == 2));
 }
 
 #[test]
@@ -135,7 +136,10 @@ fn losing_every_device_is_unrecoverable() {
         Err(CaqrError::Unrecoverable { context }) => {
             assert!(context.contains("no surviving device"), "{context}");
         }
-        other => panic!("expected Unrecoverable, got {:?}", other.map(|f| f.report)),
+        other => panic!(
+            "expected Unrecoverable, got {:?}",
+            other.map(|(_, rep)| rep.recovery)
+        ),
     }
 }
 
@@ -145,7 +149,7 @@ fn failover_charges_the_interconnect_and_pcie() {
     c.device(2)
         .set_fault_plan(FaultPlan::device_loss_at_launches(&[0]));
     let a = dense::generate::uniform::<f32>(M, N, SEED);
-    let f = distributed_tsqr(&c, a, dist_opts(TreeShape::DeviceArity)).expect("fails over");
+    let (f, _) = distributed_tsqr(&c, a, dist_opts(TreeShape::DeviceArity)).expect("fails over");
     // The survivor (the first alive device, 0) re-uploaded the dead
     // device's partition over PCIe: two 128-row tiles of 16 f32 columns.
     let up = c.device(0).ledger();
@@ -159,7 +163,7 @@ fn failover_charges_the_interconnect_and_pcie() {
     // the full solve path (apply + triangular solve) sees a coherent
     // factorization.
     let b = vec![1.0f32; M];
-    let x = f.factored.least_squares(&b).expect("solve");
+    let x = f.least_squares(&b).expect("solve");
     assert_eq!(x.len(), N);
     assert!(x.iter().all(|v| v.is_finite()));
 }

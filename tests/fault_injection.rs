@@ -5,7 +5,7 @@
 
 use caqr::recovery::{caqr_resilient, RecoveryOptions, RecoveryPolicy};
 use caqr::schedule::{caqr_dag, ScheduleOptions};
-use caqr::{BlockSize, CaqrError, CaqrOptions, CpuCaqrOptions, ReductionStrategy};
+use caqr::{BlockSize, CaqrError, CaqrOptions, CpuCaqrOptions, ReductionStrategy, SimBackend};
 use gpu_sim::{DeviceSpec, FaultKind, FaultPlan, Gpu, RetryPolicy};
 
 fn opts() -> CaqrOptions {
@@ -23,14 +23,16 @@ fn retried_caqr_run_is_bit_identical_to_fault_free_run() {
 
     let clean_gpu = Gpu::new(DeviceSpec::c2050());
     let clean = caqr::caqr::caqr(&clean_gpu, a.clone(), opts()).unwrap();
-    let clean_q = clean.generate_q(&clean_gpu, 32).unwrap();
+    let clean_q = clean
+        .generate_q_on(&SimBackend::sync(&clean_gpu), 32)
+        .unwrap();
 
     // Fault the first attempt of three launches spread across the pipeline;
     // an explicit plan's retries always succeed.
     let gpu = Gpu::new(DeviceSpec::c2050());
     gpu.set_fault_plan(FaultPlan::at_launches(&[0, 4, 9]));
     let faulted = caqr::caqr::caqr(&gpu, a.clone(), opts()).unwrap();
-    let faulted_q = faulted.generate_q(&gpu, 32).unwrap();
+    let faulted_q = faulted.generate_q_on(&SimBackend::sync(&gpu), 32).unwrap();
 
     // Faults fire at admission, before any block runs, so the retried run
     // must be bit-identical — not merely close.

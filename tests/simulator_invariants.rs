@@ -84,7 +84,7 @@ fn launch_count_formula() {
     let g = Gpu::new(DeviceSpec::c2050());
     let a = dense::generate::uniform::<f32>(512, 32, 4);
     let f = caqr::caqr::caqr(&g, a, opts(64, 16)).unwrap();
-    assert_eq!(f.launches() as u64, g.ledger().calls);
+    assert_eq!(f.launches as u64, g.ledger().calls);
     // 2 panels of width 16, 64x16 blocks => quad-tree (arity 4).
     // Panel 0: 8 tiles -> 2 -> 1: two tree levels; panel 1 (496 rows, 8
     // tiles after remainder merge): two levels. Only panel 0 has a trailing
@@ -188,7 +188,7 @@ fn interconnect_ledgers_reconcile_with_trace_events() {
         Topology::BinomialTree,
     );
     let a = dense::generate::uniform::<f32>(128 * 8, 16, 3);
-    let f = distributed_tsqr(&c, a, DistOptions::default()).unwrap();
+    let (f, _) = distributed_tsqr(&c, a, DistOptions::default()).unwrap();
     assert_eq!(f.r().cols(), 16);
 
     let events = c.comm_events();

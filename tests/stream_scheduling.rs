@@ -3,7 +3,7 @@
 //! "Concurrency model").
 
 use caqr::schedule::{caqr_dag, model_caqr_dag_seconds};
-use caqr::{BlockSize, CaqrOptions, LaunchPlan, ReductionStrategy, ScheduleOptions};
+use caqr::{BlockSize, CaqrOptions, ReductionStrategy, ScheduleOptions, SimBackend};
 use gpu_sim::{DeviceSpec, Gpu, Timeline};
 use proptest::prelude::*;
 
@@ -80,13 +80,13 @@ fn dag_r_and_q_are_bit_identical_to_synchronous() {
         let gs = Gpu::new(DeviceSpec::c2050());
         let sync = caqr::caqr::caqr(&gs, a.clone(), o.caqr).unwrap();
         let k = m.min(n);
-        let q_sync = sync.generate_q(&gs, k).unwrap();
+        let q_sync = sync.generate_q_on(&SimBackend::sync(&gs), k).unwrap();
         for &streams in &[1usize, 2, 4] {
             for &lookahead in &[false, true] {
                 let g = Gpu::new(DeviceSpec::c2050());
                 let (f, tl) = caqr_dag(&g, a.clone(), opts(h, w, streams, lookahead)).unwrap();
                 check_timeline(&tl);
-                let q = f.generate_q(&g, k).unwrap();
+                let q = f.generate_q_on(&SimBackend::sync(&g), k).unwrap();
                 for j in 0..n {
                     for i in 0..m {
                         assert_eq!(
@@ -113,16 +113,15 @@ fn dag_r_and_q_are_bit_identical_to_synchronous() {
 #[test]
 fn dag_launches_match_ledger_calls() {
     // The DAG analogue of `launch_count_formula` in simulator_invariants.rs:
-    // `Caqr::launches()` must agree with the ledger under stream scheduling
+    // the recorded `launches` must agree with the ledger under stream scheduling
     // too, where the fan-out issues more apply chains than the sync loop.
     for &streams in &[1usize, 3, 4] {
         for &lookahead in &[false, true] {
             let g = Gpu::new(DeviceSpec::c2050());
             let a = dense::generate::uniform::<f32>(512, 32, 4);
             let (f, _tl) = caqr_dag(&g, a, opts(64, 16, streams, lookahead)).unwrap();
-            assert!(matches!(f.launch_plan, LaunchPlan::Dag { .. }));
             assert_eq!(
-                f.launches() as u64,
+                f.launches as u64,
                 g.ledger().calls,
                 "s={streams} la={lookahead}"
             );
@@ -296,7 +295,7 @@ proptest! {
         model_caqr_dag_seconds(&g2, m, n, o).unwrap();
         let modeled = g2.ledger();
         prop_assert_eq!(exec.calls, modeled.calls);
-        prop_assert_eq!(f.launches() as u64, modeled.calls);
+        prop_assert_eq!(f.launches as u64, modeled.calls);
         prop_assert!((exec.seconds - modeled.seconds).abs() / exec.seconds < 1e-9);
     }
 }

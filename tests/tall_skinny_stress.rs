@@ -2,7 +2,7 @@
 //! motivates: real execution at moderately large sizes and model-only
 //! evaluation at the paper's most extreme shapes.
 
-use caqr::{caqr_qr, BlockSize, CaqrOptions, ReductionStrategy, TreeShape};
+use caqr::{caqr_qr, BlockSize, CaqrOptions, ReductionStrategy, SimBackend, TreeShape};
 use dense::norms::{orthogonality_error, reconstruction_error};
 use gpu_sim::{DeviceSpec, Gpu};
 
@@ -33,11 +33,11 @@ fn execute_200k_by_8_like_an_s_step_method() {
         assert!((na - nr).abs() < 1e-3 * na, "column {j}: {na} vs {nr}");
     }
     // Deep tree: 1563 tiles at arity 8 -> 4 levels.
-    assert_eq!(f.pf.levels.len(), 4);
+    assert_eq!(f.panels[0].levels.len(), 4);
     // Q^T b solve against the CPU reference on a narrow slice.
     let b: Vec<f32> = (0..m).map(|i| ((i % 97) as f32) / 97.0 - 0.5).collect();
     let mut c = dense::Matrix::from_fn(m, 1, |i, _| b[i]);
-    f.apply_qt(&gpu, &mut c).unwrap();
+    f.apply_on(&SimBackend::sync(&gpu), &mut c, true).unwrap();
     let mut x: Vec<f32> = (0..n).map(|i| c[(i, 0)]).collect();
     dense::blas2::trsv_upper(r.view(0, 0, n, n), &mut x);
     let x_ref = dense::blocked::least_squares(a, &b);
@@ -55,7 +55,8 @@ fn execute_32k_by_256_full_caqr() {
     // full Q: ||Q^T (A e_j)|| must equal ||A e_j||.
     let mut probe = dense::Matrix::from_fn(32_768, 1, |i, _| a[(i, 100)]);
     let before = dense::blas1::nrm2(probe.col(0));
-    f.apply_qt(&gpu, &mut probe).unwrap();
+    f.apply_on(&SimBackend::sync(&gpu), &mut probe, true)
+        .unwrap();
     let after = dense::blas1::nrm2(probe.col(0));
     assert!(
         (before - after).abs() < 1e-3 * before,
