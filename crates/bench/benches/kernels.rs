@@ -119,6 +119,7 @@ fn bench_dense_primitives(c: &mut Criterion) {
 fn bench_larf_vs_larfb(c: &mut Criterion) {
     use caqr::block::tile_panel;
     use caqr::blockops;
+    use dense::matrix::Matrix;
     use dense::MatPtr;
 
     let mut group = c.benchmark_group("apply_qt_h");
@@ -126,11 +127,16 @@ fn bench_larf_vs_larfb(c: &mut Criterion) {
     for &(m, w, h) in &[(10240usize, 16usize, 128usize), (4096, 8, 64)] {
         let mut panel = dense::generate::uniform::<f32>(m, w, 11);
         let tiles = tile_panel(0, m, h, w);
+        let mut vs: Vec<Matrix<f32>> = tiles
+            .iter()
+            .map(|t| Matrix::zeros(t.rows, t.rows.min(w)))
+            .collect();
         let wys: Vec<_> = {
             let p = MatPtr::new(&mut panel);
             tiles
                 .iter()
-                .map(|&t| blockops::factor_tile(p, t, 0, w))
+                .zip(&mut vs)
+                .map(|(&t, v)| blockops::factor_tile(p, t, 0, w, MatPtr::new(v)))
                 .collect()
         };
         let c0 = dense::generate::uniform::<f32>(m, w, 12);
@@ -140,7 +146,7 @@ fn bench_larf_vs_larfb(c: &mut Criterion) {
                 let mut cm = c0.clone();
                 let cp = MatPtr::new(&mut cm);
                 for (ti, &tile) in tiles.iter().enumerate() {
-                    blockops::apply_tile_wy(&wys[ti], cp, tile, 0, w, true);
+                    blockops::apply_tile_wy(&wys[ti], vs[ti].as_ref(), cp, tile, 0, w, true);
                 }
                 black_box(cm)
             });

@@ -204,14 +204,19 @@ fn main() {
         inputs.iter().map(|a| (a.clone(), gate_opts)).collect()
     };
 
-    // Warm up both paths once: fills the arena's thread caches and global
-    // pool so the measured reps below run allocation-free.
+    // Warm up both paths: fills the arena's thread caches and global pool
+    // so the measured reps below run allocation-free. Each measured rep
+    // runs while the previous rep's results are still held, and those
+    // results own pooled level-0 `V` slabs, so the batched warm-up runs
+    // twice the same way to leave two bags' worth of slabs in the pool.
     dense::arena::prewarm::<f64>(2 * gn.min(gw * 2), 8);
     let (warm, _) = factor_many_with_stats(bag(&inputs));
+    let (warm_next, _) = factor_many_with_stats(bag(&inputs));
     for a in &inputs {
         drop(caqr_cpu(a.clone(), gate_opts).expect("warmup solo factor"));
     }
     drop(warm);
+    drop(warm_next);
 
     dense::arena::reset_stats::<f64>();
     let mut batched_best_s = f64::INFINITY;

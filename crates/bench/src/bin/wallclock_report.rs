@@ -2,7 +2,8 @@
 //! kernel class (packed GEMM, per-reflector larf apply, compact-WY larfb
 //! apply, the pre-transposed factor micro-kernel vs its pre-arena reference,
 //! host CAQR factor) and emits `BENCH_kernels.json` with GFLOP/s and arena
-//! hit/miss counts per kernel per shape, plus a human-readable table.
+//! hit/miss counts per kernel per shape (and minor page faults per
+//! factorization on the host CAQR rows), plus a human-readable table.
 //!
 //! `--quick` shrinks shapes and repetitions for the CI smoke run; without
 //! it the shapes match the EXPERIMENTS.md entries.
@@ -36,6 +37,22 @@ struct Entry {
     /// Zero for every arena-backed kernel once the pool is warm — this is
     /// the "no per-launch allocation" evidence.
     arena_misses: u64,
+    /// `caqr_cpu_*` rows only (`None` elsewhere): mean process-wide minor
+    /// page faults per timed factorization, its drop included, or
+    /// `Some(None)` where `/proc/self/stat` cannot be read. Memory the
+    /// allocator hands back to the kernel between runs shows up here as
+    /// re-faults.
+    minor_faults: Option<Option<f64>>,
+}
+
+/// The process's minor page-fault count (field 10 of `/proc/self/stat`),
+/// or `None` where that file is absent or unreadable.
+fn minor_faults() -> Option<u64> {
+    let stat = std::fs::read_to_string("/proc/self/stat").ok()?;
+    // Fields after the parenthesised command name (which may hold spaces)
+    // start at field 3, so field 10 is the eighth of them.
+    let rest = &stat[stat.rfind(')')? + 1..];
+    rest.split_whitespace().nth(7)?.parse().ok()
 }
 
 /// The auto-selected SIMD backend's name, recorded on every row that is
@@ -95,6 +112,7 @@ fn bench_gemm(entries: &mut Vec<Entry>, reps: usize, shapes: &[(usize, usize, us
                 gflops,
                 arena_hits: hits,
                 arena_misses: misses,
+                minor_faults: None,
             });
         }
     }
@@ -105,11 +123,16 @@ fn bench_apply(entries: &mut Vec<Entry>, reps: usize, shapes: &[(usize, usize, u
     for &(m, w, h) in shapes {
         let mut panel = dense::generate::uniform::<f32>(m, w, 3);
         let tiles = tile_panel(0, m, h, w);
+        let mut vs: Vec<Matrix<f32>> = tiles
+            .iter()
+            .map(|t| Matrix::zeros(t.rows, t.rows.min(w)))
+            .collect();
         let wys: Vec<_> = {
             let p = MatPtr::new(&mut panel);
             tiles
                 .iter()
-                .map(|&t| blockops::factor_tile(p, t, 0, w))
+                .zip(&mut vs)
+                .map(|(&t, v)| blockops::factor_tile(p, t, 0, w, MatPtr::new(v)))
                 .collect()
         };
         let c0 = dense::generate::uniform::<f32>(m, w, 4);
@@ -122,7 +145,7 @@ fn bench_apply(entries: &mut Vec<Entry>, reps: usize, shapes: &[(usize, usize, u
             cm.as_mut_slice().copy_from_slice(c0.as_slice());
             let cp = MatPtr::new(&mut cm);
             for (ti, &tile) in tiles.iter().enumerate() {
-                blockops::apply_tile_wy(&wys[ti], cp, tile, 0, w, true);
+                blockops::apply_tile_wy(&wys[ti], vs[ti].as_ref(), cp, tile, 0, w, true);
             }
             std::hint::black_box(&cm);
         });
@@ -134,6 +157,7 @@ fn bench_apply(entries: &mut Vec<Entry>, reps: usize, shapes: &[(usize, usize, u
             gflops,
             arena_hits: hits,
             arena_misses: misses,
+            minor_faults: None,
         });
         let (seconds, gflops, hits, misses) = time_kernel::<f32>(reps, flops, || {
             cm.as_mut_slice().copy_from_slice(c0.as_slice());
@@ -152,6 +176,7 @@ fn bench_apply(entries: &mut Vec<Entry>, reps: usize, shapes: &[(usize, usize, u
             gflops,
             arena_hits: hits,
             arena_misses: misses,
+            minor_faults: None,
         });
     }
 }
@@ -167,11 +192,16 @@ fn bench_factor_tile(entries: &mut Vec<Entry>, reps: usize, shapes: &[(usize, us
         let flops = 2.0 * (m * w * w) as f64 - 2.0 / 3.0 * (w * w * w) as f64;
         let shape = format!("{m}x{w}");
         let mut a = a0.clone();
+        // The V blocks a panel's slab would hold, allocated once up front.
+        let mut vs: Vec<Matrix<f64>> = tiles
+            .iter()
+            .map(|t| Matrix::zeros(t.rows, t.rows.min(w)))
+            .collect();
         let (seconds, gflops, hits, misses) = time_kernel::<f64>(reps, flops, || {
             a.as_mut_slice().copy_from_slice(a0.as_slice());
             let p = MatPtr::new(&mut a);
-            for &tile in &tiles {
-                std::hint::black_box(blockops::factor_tile(p, tile, 0, w));
+            for (&tile, v) in tiles.iter().zip(&mut vs) {
+                std::hint::black_box(blockops::factor_tile(p, tile, 0, w, MatPtr::new(v)));
             }
         });
         entries.push(Entry {
@@ -182,6 +212,7 @@ fn bench_factor_tile(entries: &mut Vec<Entry>, reps: usize, shapes: &[(usize, us
             gflops,
             arena_hits: hits,
             arena_misses: misses,
+            minor_faults: None,
         });
         let (seconds, gflops, hits, misses) = time_kernel::<f64>(reps, flops, || {
             a.as_mut_slice().copy_from_slice(a0.as_slice());
@@ -198,6 +229,7 @@ fn bench_factor_tile(entries: &mut Vec<Entry>, reps: usize, shapes: &[(usize, us
             gflops,
             arena_hits: hits,
             arena_misses: misses,
+            minor_faults: None,
         });
     }
 }
@@ -240,16 +272,24 @@ fn bench_caqr_cpu(
         let mut best = [f64::INFINITY; 2];
         let mut hits = [0u64; 2];
         let mut misses = [0u64; 2];
+        let mut faults = [Some(0u64); 2];
         let mut ratios = Vec::with_capacity(reps);
         for _ in 0..reps {
             let mut pair = [0.0f64; 2];
             for (side, (_, o)) in variants.iter().enumerate() {
                 let input = inputs.pop().expect("one input copy per repetition");
                 arena::reset_stats::<f64>();
+                let faults0 = minor_faults();
                 let t = Instant::now();
                 let f = caqr_cpu(input, *o).unwrap();
                 std::hint::black_box(f.a.as_slice().len());
                 pair[side] = t.elapsed().as_secs_f64();
+                // The drop returns the factors to the pool (or the
+                // allocator), which is where re-faulting starts.
+                drop(f);
+                faults[side] = faults[side]
+                    .zip(faults0.zip(minor_faults()))
+                    .map(|(sum, (before, after))| sum + (after - before));
                 best[side] = best[side].min(pair[side]);
                 let s = arena::stats::<f64>();
                 hits[side] += s.hits;
@@ -280,6 +320,7 @@ fn bench_caqr_cpu(
                 gflops: flops / best[side] / 1e9,
                 arena_hits: hits[side],
                 arena_misses: misses[side],
+                minor_faults: Some(faults[side].map(|f| f as f64 / reps as f64)),
             });
         }
     }
@@ -333,11 +374,13 @@ fn main() {
         );
         bench_apply(&mut entries, reps, &[(10240, 16, 128), (65536, 16, 128)]);
         bench_factor_tile(&mut entries, reps, &[(65536, 16, 1024)]);
+        // 131072x32 with the untuned 512-row tiles is perfbench's
+        // `tsqr_tall` shape: the row behind the minor-fault count.
         bench_caqr_cpu(
             &mut entries,
             &mut overheads,
             reps,
-            &[(65536, 16), (131072, 8), (16384, 64)],
+            &[(65536, 16), (131072, 8), (16384, 64), (131072, 32)],
         );
     }
 
@@ -348,6 +391,7 @@ fn main() {
         "seconds",
         "GFLOP/s",
         "arena hit/miss",
+        "minor faults",
     ]);
     for e in &entries {
         table.row(vec![
@@ -357,6 +401,11 @@ fn main() {
             format!("{:.6}", e.seconds),
             format!("{:.2}", e.gflops),
             format!("{}/{}", e.arena_hits, e.arena_misses),
+            match e.minor_faults {
+                Some(Some(f)) => format!("{f:.0}"),
+                Some(None) => "n/a".to_string(),
+                None => "-".to_string(),
+            },
         ]);
     }
     print!("{}", table.render());
@@ -371,8 +420,13 @@ fn main() {
     json.push_str(&format!("  \"detected_backend\": \"{}\",\n", active_name()));
     json.push_str("  \"results\": [\n");
     for (i, e) in entries.iter().enumerate() {
+        let faults = match e.minor_faults {
+            Some(Some(f)) => format!(", \"minor_faults\": {f:.1}"),
+            Some(None) => ", \"minor_faults\": null".to_string(),
+            None => String::new(),
+        };
         json.push_str(&format!(
-            "    {{\"kernel\": \"{}\", \"shape\": \"{}\", \"backend\": \"{}\", \"seconds\": {:.6}, \"gflops\": {:.3}, \"arena_hits\": {}, \"arena_misses\": {}}}{}\n",
+            "    {{\"kernel\": \"{}\", \"shape\": \"{}\", \"backend\": \"{}\", \"seconds\": {:.6}, \"gflops\": {:.3}, \"arena_hits\": {}, \"arena_misses\": {}{}}}{}\n",
             e.kernel,
             e.shape,
             e.backend,
@@ -380,6 +434,7 @@ fn main() {
             e.gflops,
             e.arena_hits,
             e.arena_misses,
+            faults,
             if i + 1 < entries.len() { "," } else { "" }
         ));
     }

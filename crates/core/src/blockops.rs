@@ -32,28 +32,44 @@ use dense::MatPtr;
 /// ([`dense::householder::geqr2_transposed`]), and the WY factors are built
 /// from the same packing — bit-identical to [`factor_tile_ref`] but with
 /// contiguous-row trailing updates and no per-launch allocation beyond the
-/// owned `WyTile` outputs.
+/// small `tau`/`T` outputs.
+///
+/// The explicit `V` (unit diagonal, zeros above, tails below) is written in
+/// full through `v`, the tile's `tile.rows x k` block of its panel's slab
+/// (`k = min(tile.rows, width)`, see [`crate::tsqr::PanelFactor::tile_v`]).
+/// The slab comes from the arena dirty, so every element is written. `v`
+/// follows the same disjoint-tile contract as `a`.
 #[allow(clippy::eq_op)] // the `x - x` probe is +0.0 iff `x` is finite, NaN otherwise
-pub fn factor_tile<T: Scalar>(a: MatPtr<T>, tile: Tile, col0: usize, width: usize) -> WyTile<T> {
+pub fn factor_tile<T: Scalar>(
+    a: MatPtr<T>,
+    tile: Tile,
+    col0: usize,
+    width: usize,
+    v: MatPtr<T>,
+) -> WyTile<T> {
     let rows = tile.rows;
+    let k = rows.min(width);
+    assert!(
+        v.rows() == rows && v.cols() == k,
+        "V block is {}x{}, tile needs {rows}x{k}",
+        v.rows(),
+        v.cols()
+    );
     // Pack pre-transposed straight from the panel: at[r * width + j] = A(r, j).
     let mut at = arena::take_dirty::<T>(rows * width);
     // SAFETY: the caller assigns disjoint tiles to concurrent invocations.
     unsafe {
         a.load_tile_transposed(tile.start, col0, rows, width, &mut at);
     }
-    let k = rows.min(width);
     let mut tau = vec![T::ZERO; k];
     let mut gram = arena::take_dirty::<T>(k * k);
     geqr2_gram_transposed(&mut at, rows, width, 0, &mut tau, &mut gram);
     // One sweep per column of the factored packing serves the store-back of
-    // the tile, the explicit V (unit diagonal, zeros above, tails below)
-    // and the finiteness check of the tails — both destinations are written
-    // contiguously while `at` stays cache-resident. `x - x` is exactly
-    // `+0.0` for finite `x` and NaN otherwise, so the branchless
+    // the tile, the explicit V and the finiteness check of the tails — both
+    // destinations are written while `at` stays cache-resident. `x - x` is
+    // exactly `+0.0` for finite `x` and NaN otherwise, so the branchless
     // accumulator stays zero iff every tail entry is finite (the diagonal
     // ones and the zeros above are finite by construction).
-    let mut v = Matrix::<T>::zeros(rows, k);
     // Four rotating lanes keep the NaN accumulation off the loop's critical
     // path (a single lane would serialize on FP-add latency).
     let mut tails_acc = [T::ZERO; 4];
@@ -63,15 +79,19 @@ pub fn factor_tile<T: Scalar>(a: MatPtr<T>, tile: Tile, col0: usize, width: usiz
             unsafe { a.set(tile.start + r, col0 + j, at[r * width + j]) };
         }
         if j < k {
-            let vc = v.col_mut(j);
-            if j < rows {
-                vc[j] = T::ONE;
+            for r in 0..j {
+                // SAFETY: the caller hands this invocation its own V block.
+                unsafe { v.set(r, j, T::ZERO) };
             }
+            // SAFETY: as above (j < k <= rows).
+            unsafe { v.set(j, j, T::ONE) };
             for r in j + 1..rows {
                 let x = at[r * width + j];
-                // SAFETY: same tile.
-                unsafe { a.set(tile.start + r, col0 + j, x) };
-                vc[r] = x;
+                // SAFETY: same tile, same V block.
+                unsafe {
+                    a.set(tile.start + r, col0 + j, x);
+                    v.set(r, j, x);
+                }
                 tails_acc[r & 3] += x - x;
             }
         } else {
@@ -84,18 +104,19 @@ pub fn factor_tile<T: Scalar>(a: MatPtr<T>, tile: Tile, col0: usize, width: usiz
     let t = larft_from_gram(&gram, &tau);
     let healthy =
         all_finite(t.as_slice()) && all_finite(&tau) && tails_acc.iter().all(|&x| x == T::ZERO);
-    WyTile { tau, v, t, healthy }
+    WyTile { tau, t, healthy }
 }
 
 /// Pre-arena reference implementation of [`factor_tile`]: fresh column-major
-/// buffer, dense [`geqr2`]/[`larft`]. Kept as the bit-identity oracle for
-/// the property tests and the "before" row of the wallclock report.
+/// buffer, dense [`geqr2`]/[`larft`], and an owned explicit `V` returned
+/// beside the factors. Kept as the bit-identity oracle for the property
+/// tests and the "before" row of the wallclock report.
 pub fn factor_tile_ref<T: Scalar>(
     a: MatPtr<T>,
     tile: Tile,
     col0: usize,
     width: usize,
-) -> WyTile<T> {
+) -> (WyTile<T>, Matrix<T>) {
     let mut buf = vec![T::ZERO; tile.rows * width];
     // SAFETY: the caller assigns disjoint tiles to concurrent invocations.
     unsafe {
@@ -118,7 +139,7 @@ pub fn factor_tile_ref<T: Scalar>(
     let t = larft(factored, &tau);
     let v = extract_v(factored, k);
     let healthy = all_finite(t.as_slice()) && all_finite(&tau) && all_finite(v.as_slice());
-    WyTile { tau, v, t, healthy }
+    (WyTile { tau, t, healthy }, v)
 }
 
 /// True when every entry of the slice is finite (no NaN/inf).
@@ -240,10 +261,12 @@ pub fn factor_tree_group_ref<T: Scalar>(
     }
 }
 
-/// Apply one tile's compact-WY factor to one `tile.rows x wc` target tile at
-/// column `c0` via three GEMMs (`larfb`). (The `apply_qt_h` kernel body.)
+/// Apply one tile's compact-WY factor (`wy`, with its explicit `V` block
+/// `v`) to one `tile.rows x wc` target tile at column `c0` via three GEMMs
+/// (`larfb`). (The `apply_qt_h` kernel body.)
 pub fn apply_tile_wy<T: Scalar>(
     wy: &WyTile<T>,
+    v: MatRef<'_, T>,
     c: MatPtr<T>,
     tile: Tile,
     c0: usize,
@@ -259,7 +282,7 @@ pub fn apply_tile_wy<T: Scalar>(
     }
     if wy.healthy {
         larfb_left(
-            wy.v.as_ref(),
+            v,
             wy.t.as_ref(),
             transpose,
             MatMut::from_parts(&mut cbuf, rows, wc, rows),
@@ -270,7 +293,7 @@ pub fn apply_tile_wy<T: Scalar>(
         // has the geqr2 layout (unit diagonal implicit, tails below), which
         // is exactly what apply_block_reflectors expects.
         crate::microkernels::apply_block_reflectors(
-            wy.v.as_ref(),
+            v,
             &wy.tau,
             transpose,
             MatMut::from_parts(&mut cbuf, rows, wc, rows),
@@ -453,24 +476,55 @@ mod tests {
     use super::*;
     use crate::block::tile_panel;
 
+    /// [`factor_tile`] into an owned `V` that starts as NaN, so a block
+    /// element the kernel forgot to write shows up in the comparison.
+    fn factor_tile_owned(
+        a: &mut Matrix<f64>,
+        tile: Tile,
+        width: usize,
+    ) -> (WyTile<f64>, Matrix<f64>) {
+        let k = tile.rows.min(width);
+        let mut v = Matrix::from_fn(tile.rows, k, |_, _| f64::NAN);
+        let wy = factor_tile(MatPtr::new(a), tile, 0, width, MatPtr::new(&mut v));
+        (wy, v)
+    }
+
+    fn bits(xs: &[f64]) -> Vec<u64> {
+        xs.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// Bitwise against `geqr2` + `extract_v` + `larft`, over every dot arm of
+    /// the factor sweep: widths 8/16/32 take `dot_rows_w`'s unrolled bodies,
+    /// 6 and 12 the generic one, and 33 rows leave an odd remainder.
     #[test]
     fn factor_tile_equals_geqr2() {
-        let mut a = dense::generate::uniform::<f64>(40, 6, 1);
-        let reference = a.clone();
-        let tile = Tile { start: 8, rows: 24 };
-        let wy = factor_tile(MatPtr::new(&mut a), tile, 0, 6);
-        let mut want = reference.extract(8, 0, 24, 6);
-        let mut tau_want = vec![0.0; 6];
-        dense::householder::geqr2(want.as_mut(), &mut tau_want);
-        assert_eq!(wy.tau, tau_want);
-        assert_eq!(a.extract(8, 0, 24, 6), want);
-        // The packed V matches the factored tile's tails.
-        assert_eq!(wy.v, extract_v(want.as_ref(), 6));
-        assert_eq!(wy.t.rows(), 6);
-        // Rows outside the tile untouched.
-        for j in 0..6 {
-            for i in 0..8 {
-                assert_eq!(a[(i, j)], reference[(i, j)]);
+        for (rows, width) in [(40, 6), (33, 8), (48, 16), (64, 32), (96, 12), (512, 32)] {
+            let ctx = format!("{rows}x{width}");
+            let mut a = dense::generate::uniform::<f64>(rows + 16, width, rows as u64);
+            let reference = a.clone();
+            let tile = Tile { start: 8, rows };
+            let (wy, v) = factor_tile_owned(&mut a, tile, width);
+            let mut want = reference.extract(8, 0, rows, width);
+            let mut tau_want = vec![0.0; width.min(rows)];
+            dense::householder::geqr2(want.as_mut(), &mut tau_want);
+            let v_want = extract_v(want.as_ref(), width.min(rows));
+            assert_eq!(bits(&wy.tau), bits(&tau_want), "{ctx} tau");
+            assert_eq!(
+                bits(a.extract(8, 0, rows, width).as_slice()),
+                bits(want.as_slice()),
+                "{ctx} factored tile"
+            );
+            assert_eq!(bits(v.as_slice()), bits(v_want.as_slice()), "{ctx} V");
+            assert_eq!(
+                bits(wy.t.as_slice()),
+                bits(larft(want.as_ref(), &tau_want).as_slice()),
+                "{ctx} T"
+            );
+            // Rows outside the tile untouched.
+            for j in 0..width {
+                for i in (0..8).chain(rows + 8..rows + 16) {
+                    assert_eq!(a[(i, j)], reference[(i, j)], "{ctx} ({i},{j})");
+                }
             }
         }
     }
@@ -479,15 +533,15 @@ mod tests {
     fn wy_apply_matches_per_reflector_apply() {
         let mut panel = dense::generate::uniform::<f64>(64, 4, 2);
         let tiles = tile_panel(0, 64, 32, 4);
-        let wys: Vec<WyTile<f64>> = tiles
+        let wys: Vec<(WyTile<f64>, Matrix<f64>)> = tiles
             .iter()
-            .map(|&t| factor_tile(MatPtr::new(&mut panel), t, 0, 4))
+            .map(|&t| factor_tile_owned(&mut panel, t, 4))
             .collect();
         let c0m = dense::generate::uniform::<f64>(64, 3, 3);
         let mut c_wy = c0m.clone();
         let mut c_ref = c0m.clone();
-        for (t, wy) in tiles.iter().zip(&wys) {
-            apply_tile_wy(wy, MatPtr::new(&mut c_wy), *t, 0, 3, true);
+        for (t, (wy, v)) in tiles.iter().zip(&wys) {
+            apply_tile_wy(wy, v.as_ref(), MatPtr::new(&mut c_wy), *t, 0, 3, true);
             apply_tile_reflectors(
                 MatPtr::new_readonly(&panel),
                 MatPtr::new(&mut c_ref),
@@ -509,17 +563,17 @@ mod tests {
     fn apply_round_trip_via_blockops() {
         let mut panel = dense::generate::uniform::<f64>(64, 4, 2);
         let tiles = tile_panel(0, 64, 32, 4);
-        let wys: Vec<WyTile<f64>> = tiles
+        let wys: Vec<(WyTile<f64>, Matrix<f64>)> = tiles
             .iter()
-            .map(|&t| factor_tile(MatPtr::new(&mut panel), t, 0, 4))
+            .map(|&t| factor_tile_owned(&mut panel, t, 4))
             .collect();
         let c0m = dense::generate::uniform::<f64>(64, 3, 3);
         let mut c = c0m.clone();
-        for (t, wy) in tiles.iter().zip(&wys) {
-            apply_tile_wy(wy, MatPtr::new(&mut c), *t, 0, 3, true);
+        for (t, (wy, v)) in tiles.iter().zip(&wys) {
+            apply_tile_wy(wy, v.as_ref(), MatPtr::new(&mut c), *t, 0, 3, true);
         }
-        for (t, wy) in tiles.iter().zip(&wys) {
-            apply_tile_wy(wy, MatPtr::new(&mut c), *t, 0, 3, false);
+        for (t, (wy, v)) in tiles.iter().zip(&wys) {
+            apply_tile_wy(wy, v.as_ref(), MatPtr::new(&mut c), *t, 0, 3, false);
         }
         for (x, y) in c.as_slice().iter().zip(c0m.as_slice()) {
             assert!((x - y).abs() < 1e-12);
@@ -556,7 +610,7 @@ mod tests {
         // breakdown flag and produce the same result via the larf path.
         let mut panel = dense::generate::uniform::<f64>(32, 4, 11);
         let tile = Tile { start: 0, rows: 32 };
-        let wy = factor_tile(MatPtr::new(&mut panel), tile, 0, 4);
+        let (wy, v) = factor_tile_owned(&mut panel, tile, 4);
         assert!(wy.healthy, "well-conditioned tile must be healthy");
         let mut broken = wy.clone();
         broken.t[(0, 0)] = f64::NAN;
@@ -564,9 +618,25 @@ mod tests {
         let c0m = dense::generate::uniform::<f64>(32, 3, 12);
         for transpose in [true, false] {
             let mut c_good = c0m.clone();
-            apply_tile_wy(&wy, MatPtr::new(&mut c_good), tile, 0, 3, transpose);
+            apply_tile_wy(
+                &wy,
+                v.as_ref(),
+                MatPtr::new(&mut c_good),
+                tile,
+                0,
+                3,
+                transpose,
+            );
             let mut c_fallback = c0m.clone();
-            apply_tile_wy(&broken, MatPtr::new(&mut c_fallback), tile, 0, 3, transpose);
+            apply_tile_wy(
+                &broken,
+                v.as_ref(),
+                MatPtr::new(&mut c_fallback),
+                tile,
+                0,
+                3,
+                transpose,
+            );
             for (x, y) in c_good.as_slice().iter().zip(c_fallback.as_slice()) {
                 assert!(
                     (x - y).abs() < 1e-12 && y.is_finite(),

@@ -44,8 +44,8 @@ use crate::health;
 use crate::kernels::{FactorKernel, FactorTreeKernel};
 use crate::microkernels::ReductionStrategy;
 use crate::recovery::RecoveryReport;
-use crate::tsqr::PanelFactor;
-use crate::tsqr::{TreeNode, WyTile};
+use crate::tsqr::{self, PanelFactor, TreeNode, WyTile};
+use dense::arena::{self, ArenaBuf};
 use dense::matrix::Matrix;
 use dense::scalar::Scalar;
 use dense::MatPtr;
@@ -53,6 +53,7 @@ use gpu_sim::{Cluster, StreamId};
 use parking_lot::Mutex;
 use std::cell::RefCell;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Options for [`distributed_tsqr`].
 #[derive(Clone, Copy, Debug)]
@@ -125,6 +126,9 @@ struct Driver<'c, T: Scalar> {
     tile_done: Vec<bool>,
     tile_exec: Vec<usize>,
     wy0: Vec<Option<WyTile<T>>>,
+    /// The panel's level-0 `V` slab while `factor_panel` runs (empty
+    /// otherwise); a replayed tile rewrites its own block.
+    v: ArenaBuf<T>,
     level_nodes: Vec<Vec<Option<TreeNode<T>>>>,
     level_exec: Vec<Vec<usize>>,
 }
@@ -152,6 +156,7 @@ impl<'c, T: Scalar> Driver<'c, T> {
                 strategy: self.opts.strategy,
                 spec: gpu.spec(),
                 wy: &slots,
+                v: &tsqr::v_blocks(&mut self.v, 0, self.width, &subset),
             };
             gpu.launch_async(self.streams[d], &kernel)?;
         }
@@ -434,6 +439,7 @@ impl<'c, T: Scalar> ClusterBackend<'c, T> {
                 tile_done: vec![false; ntiles],
                 tile_exec: vec![usize::MAX; ntiles],
                 wy0: (0..ntiles).map(|_| None).collect(),
+                v: arena::take_dirty(0),
                 level_nodes: plan
                     .levels
                     .iter()
@@ -502,6 +508,7 @@ impl<'c, T: Scalar> CaqrBackend<T> for ClusterBackend<'c, T> {
                  not a {width}-column panel at ({row0}, {col0})"
             )));
         }
+        drv.v = arena::take_dirty(tsqr::v_share_len(0, a.rows(), drv.width));
         drv.factor_all(a)?;
         // The phase loops run until nothing is pending, so every ledger
         // slot is filled when they return cleanly.
@@ -525,6 +532,8 @@ impl<'c, T: Scalar> CaqrBackend<T> for ClusterBackend<'c, T> {
             width: drv.width,
             tiles: drv.tiles.clone(),
             wy0,
+            v: Arc::new(std::mem::replace(&mut drv.v, arena::take_dirty(0))),
+            v_off: 0,
             levels,
             bs: BlockSize {
                 h: drv.opts.tile_rows,

@@ -356,8 +356,8 @@ pub fn q_ones_probe<T: Scalar>(m: usize, pf: &PanelFactor<T>) -> Vec<T> {
             crate::blockops::apply_tree_node(p, node, pf.width, 0, 1, false);
         }
     }
-    for (tile, wy) in pf.tiles.iter().zip(&pf.wy0) {
-        crate::blockops::apply_tile_wy(wy, p, *tile, 0, 1, false);
+    for (ti, (tile, wy)) in pf.tiles.iter().zip(&pf.wy0).enumerate() {
+        crate::blockops::apply_tile_wy(wy, pf.tile_v(ti), p, *tile, 0, 1, false);
     }
     ones.col(0).to_vec()
 }

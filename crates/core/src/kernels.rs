@@ -11,7 +11,7 @@
 
 use crate::block::{Tile, TreeGroup};
 use crate::microkernels::{self as mk, ReductionStrategy};
-use crate::tsqr::{TreeNode, WyTile};
+use crate::tsqr::{PanelFactor, TreeNode, WyTile};
 use dense::scalar::Scalar;
 use dense::MatPtr;
 use gpu_sim::{BlockCost, BlockCtx, CostMeter, DeviceSpec, Kernel, LaunchConfig};
@@ -180,6 +180,9 @@ pub struct FactorKernel<'a, T: Scalar> {
     pub spec: &'a DeviceSpec,
     /// Output compact-WY slot per tile.
     pub wy: &'a [Mutex<Option<WyTile<T>>>],
+    /// Write handle onto each tile's `V` block, `tiles[b].rows x
+    /// min(rows, width)` (disjoint blocks, e.g. of a panel's slab).
+    pub v: &'a [MatPtr<T>],
 }
 
 impl<'a, T: Scalar> Kernel<T> for FactorKernel<'a, T> {
@@ -206,7 +209,7 @@ impl<'a, T: Scalar> Kernel<T> for FactorKernel<'a, T> {
     fn run_block(&self, b: usize, ctx: &mut BlockCtx<T>) {
         let tile = self.tiles[b];
         *self.wy[b].lock() = Some(crate::blockops::factor_tile(
-            self.a, tile, self.col0, self.width,
+            self.a, tile, self.col0, self.width, self.v[b],
         ));
         ctx.meter.charge(&factor_block_cost(
             self.spec,
@@ -366,12 +369,9 @@ impl<'a, T: Scalar> Kernel<T> for FactorTreeKernel<'a, T> {
 pub struct ApplyQtHKernel<'a, T: Scalar> {
     /// Target matrix being updated (tiles never overlap the panel columns).
     pub c: MatPtr<T>,
-    /// Panel tiles.
-    pub tiles: &'a [Tile],
-    /// Panel width (number of reflectors per tile).
-    pub width: usize,
-    /// Per-tile compact-WY factors from the factor kernel.
-    pub wy: &'a [WyTile<T>],
+    /// The factored panel: its tiles, width and per-tile compact-WY
+    /// factors with their `V` blocks.
+    pub panel: &'a PanelFactor<T>,
     /// `(first_col, width)` of each target column block.
     pub col_blocks: &'a [(usize, usize)],
     /// Apply `Q^T` (true) or `Q` (false).
@@ -388,14 +388,14 @@ impl<'a, T: Scalar> Kernel<T> for ApplyQtHKernel<'a, T> {
     }
 
     fn config(&self) -> LaunchConfig {
-        let max_rows = self.tiles.iter().map(|t| t.rows).max().unwrap_or(0);
+        let max_rows = self.panel.tiles.iter().map(|t| t.rows).max().unwrap_or(0);
         let max_wc = self.col_blocks.iter().map(|c| c.1).max().unwrap_or(0);
         LaunchConfig {
-            blocks: self.tiles.len() * self.col_blocks.len(),
+            blocks: self.panel.tiles.len() * self.col_blocks.len(),
             threads_per_block: THREADS,
             shared_mem_bytes: launch_smem_bytes::<T>(
                 max_rows,
-                self.width,
+                self.panel.width,
                 max_wc,
                 self.strategy,
                 true,
@@ -405,15 +405,17 @@ impl<'a, T: Scalar> Kernel<T> for ApplyQtHKernel<'a, T> {
     }
 
     fn run_block(&self, b: usize, ctx: &mut BlockCtx<T>) {
-        let ti = b % self.tiles.len();
-        let cb = b / self.tiles.len();
-        let tile = self.tiles[ti];
+        let pf = self.panel;
+        let ti = b % pf.tiles.len();
+        let cb = b / pf.tiles.len();
+        let tile = pf.tiles[ti];
         let (c0, wc) = self.col_blocks[cb];
-        crate::blockops::apply_tile_wy(&self.wy[ti], self.c, tile, c0, wc, self.transpose);
+        let v = pf.tile_v(ti);
+        crate::blockops::apply_tile_wy(&pf.wy0[ti], v, self.c, tile, c0, wc, self.transpose);
         ctx.meter.charge(&apply_qt_h_block_cost(
             self.spec,
             tile.rows,
-            self.width.min(tile.rows),
+            pf.width.min(tile.rows),
             wc,
             self.strategy,
             T::BYTES,
@@ -421,15 +423,15 @@ impl<'a, T: Scalar> Kernel<T> for ApplyQtHKernel<'a, T> {
     }
 
     fn inject_sdc(&self, r: u64) -> bool {
-        let blocks = self.tiles.len() * self.col_blocks.len();
+        let blocks = self.panel.tiles.len() * self.col_blocks.len();
         if blocks == 0 {
             return false;
         }
         // Corrupt one element of one updated target block; the per-column
         // checksum prediction (u^T . C) localizes it to this update.
         let b = r as usize % blocks;
-        let tile = self.tiles[b % self.tiles.len()];
-        let (c0, wc) = self.col_blocks[b / self.tiles.len()];
+        let tile = self.panel.tiles[b % self.panel.tiles.len()];
+        let (c0, wc) = self.col_blocks[b / self.panel.tiles.len()];
         let i = (r / 64) as usize % tile.rows;
         let j = (r / 4096) as usize % wc;
         unsafe {

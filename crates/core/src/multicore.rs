@@ -20,13 +20,14 @@ use crate::block::{plan_tree, tile_panel, BlockSize, TreeShape};
 use crate::blockops;
 use crate::error::CaqrError;
 use crate::microkernels::ReductionStrategy;
-use crate::tsqr::{PanelFactor, TreeNode, WyTile};
+use crate::tsqr::{self, PanelFactor, TreeNode, WyTile};
 use dense::arena;
-use dense::matrix::{MatMut, Matrix};
+use dense::matrix::{MatMut, MatRef, Matrix};
 use dense::scalar::Scalar;
 use dense::MatPtr;
 use rayon::prelude::*;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::Arc;
 
 /// Options for the host execution.
 #[derive(Clone, Copy, Debug)]
@@ -138,10 +139,13 @@ fn panicked(stage: &str, col0: usize) -> CaqrError {
 
 /// Factor the same panel of every matrix in `mats` (all of one shape) —
 /// [`CpuBackend`]'s factor launch, for a standalone run (one member) and a
-/// fused group alike. Level 0 is one parallel region over the
-/// (member × tile) grid; each tree level is one region over the
-/// (member × tree-group) grid, with a barrier between levels exactly where
-/// each member's own schedule has one. Every task touches only its own
+/// fused group alike. The level-0 `V` slab the members share is taken
+/// from the calling thread's arena before any parallel region, so a
+/// factor dropped on this thread hands the next run its slab warm. Level 0
+/// is one parallel region over the (member × tile) grid; each tree level
+/// is one region over the (member × tree-group) grid, with a barrier
+/// between levels exactly where each member's own schedule has one.
+/// Every task touches only its own
 /// member's disjoint tile and runs under `catch_unwind`: a panic fails only
 /// its member (with [`CaqrError::Panicked`]), which then drops out of the
 /// later levels.
@@ -158,13 +162,23 @@ pub(crate) fn factor_panels<T: Scalar>(
     };
     let tiles = tile_panel(row0, first.rows() - row0, cfg.bs.h, cfg.bs.w);
     let nt = tiles.len();
-    let work: Vec<(usize, usize)> = (0..g)
-        .flat_map(|j| (0..nt).map(move |ti| (j, ti)))
+    // One V slab for the whole group, member `j`'s share at `j * share`:
+    // a fused group holds one pooled buffer per panel, not one per member,
+    // which keeps large groups inside the arena's per-class retention caps.
+    let share = tsqr::v_share_len(row0, first.rows(), width);
+    let mut slab = arena::take_dirty::<T>(g * share);
+    let vblocks: Vec<MatPtr<T>> = slab
+        .chunks_exact_mut(share)
+        .flat_map(|member| tsqr::v_blocks(member, row0, width, &tiles))
         .collect();
-    let wy_flat: Vec<Option<WyTile<T>>> = work
-        .par_iter()
-        .map(|&(j, ti)| isolated(|| blockops::factor_tile(mats[j], tiles[ti], col0, width)))
+    let wy_flat: Vec<Option<WyTile<T>>> = (0..g * nt)
+        .into_par_iter()
+        .map(|i| {
+            let (j, ti) = (i / nt, i % nt);
+            isolated(|| blockops::factor_tile(mats[j], tiles[ti], col0, width, vblocks[i]))
+        })
         .collect();
+    let slab = Arc::new(slab);
     let mut parts: Vec<_> = split(wy_flat, nt)
         .map(|wy0| wy0.map(|w| (w, Vec::new())))
         .collect();
@@ -211,6 +225,8 @@ pub(crate) fn factor_panels<T: Scalar>(
                 width,
                 tiles: tiles.expect("the tile list outlives every member but the last"),
                 wy0,
+                v: Arc::clone(&slab),
+                v_off: j * share,
                 levels,
                 bs: cfg.bs,
                 strategy: cfg.strategy,
@@ -239,9 +255,9 @@ fn split<R>(mut flat: Vec<Option<R>>, k: usize) -> impl Iterator<Item = Option<V
 /// GEMM path: at one column the GEMMs degenerate to matvecs whose packing
 /// overhead dwarfs the arithmetic, and this probe helper runs once per
 /// panel on the checksum hot path.
-fn wy_apply_one_col<T: Scalar>(wy: &WyTile<T>, c: &mut [T]) {
-    let h = wy.v.rows();
-    let k = wy.v.cols();
+fn wy_apply_one_col<T: Scalar>(wy: &WyTile<T>, v: MatRef<'_, T>, c: &mut [T]) {
+    let h = v.rows();
+    let k = v.cols();
     debug_assert_eq!(c.len(), h);
     // The column kernels dispatch through the SIMD layer: at one column the
     // `larfb` GEMMs degenerate to matvecs, so the vectorized dot/axpy pair
@@ -253,7 +269,7 @@ fn wy_apply_one_col<T: Scalar>(wy: &WyTile<T>, c: &mut [T]) {
     // w = V^T c  (V is the explicit dense reflector block: unit diagonal
     // stored, zeros above — full-column dot products are exact).
     for (j, wj) in w.iter_mut().enumerate() {
-        let vj = wy.v.col(j);
+        let vj = v.col(j);
         // SAFETY: the kernel came from `T::small_kernels(active())`, whose
         // backend is available on this CPU.
         *wj = unsafe { (sk.dot)(vj, c) };
@@ -268,7 +284,7 @@ fn wy_apply_one_col<T: Scalar>(wy: &WyTile<T>, c: &mut [T]) {
     }
     // c -= V z, one streaming axpy per reflector column.
     for (j, &zj) in z.iter().enumerate() {
-        let vj = wy.v.col(j);
+        let vj = v.col(j);
         // SAFETY: as above — the dispatched backend is available.
         unsafe { (sk.axpy)(T::ZERO - zj, vj, c) };
     }
@@ -292,16 +308,17 @@ pub(crate) fn q_ones_probe_host<T: Scalar>(m: usize, pf: &PanelFactor<T>) -> Vec
     // cache-resident V block, and the whole probe measures about 2% of a
     // verified `caqr_cpu` run, so there is little for a pool region to win.
     let col = ones.col_mut(0);
-    for (&tile, wy) in pf.tiles.iter().zip(&pf.wy0) {
+    for (ti, (&tile, wy)) in pf.tiles.iter().zip(&pf.wy0).enumerate() {
         let seg = &mut col[tile.start..tile.start + tile.rows];
+        let v = pf.tile_v(ti);
         if wy.healthy {
-            wy_apply_one_col(wy, seg);
+            wy_apply_one_col(wy, v, seg);
         } else {
             // Compact-WY breakdown: same per-reflector degradation as
             // `blockops::apply_tile_wy`, which never reads `T`.
             let rows = tile.rows;
             crate::microkernels::apply_block_reflectors(
-                wy.v.as_ref(),
+                v,
                 &wy.tau,
                 false,
                 MatMut::from_parts(seg, rows, 1, rows),
@@ -332,7 +349,8 @@ pub(crate) fn apply_panels<T: Scalar>(
             ok,
             |pf| pf.tiles.len(),
             |c, pf, ti, (c0, wc)| {
-                blockops::apply_tile_wy(&pf.wy0[ti], c, pf.tiles[ti], c0, wc, transpose)
+                let v = pf.tile_v(ti);
+                blockops::apply_tile_wy(&pf.wy0[ti], v, c, pf.tiles[ti], c0, wc, transpose)
             },
         )
     };

@@ -4,39 +4,34 @@
 //! The host-side control flow mirrors the pseudocode of Figure 4: a
 //! `factor` launch over the panel tiles, then one `factor_tree` launch per
 //! reduction-tree level. The resulting [`PanelFactor`] holds everything
-//! needed to apply `Q`/`Q^T` later: the level-0 `tau`s (the Householder
-//! tails stay in the factored matrix) and the per-level [`TreeNode`]s.
+//! needed to apply `Q`/`Q^T` later: the level-0 compact-WY factors with
+//! their `V` slab (the Householder tails also stay in the factored matrix)
+//! and the per-level [`TreeNode`]s.
 
 use crate::backend::Factorization;
 use crate::block::{plan_tree, tile_panel, BlockSize, Tile, TreeShape};
 use crate::error::CaqrError;
 use crate::kernels::{ApplyQtHKernel, ApplyQtTreeKernel, FactorKernel, FactorTreeKernel};
 use crate::microkernels::ReductionStrategy;
-use dense::matrix::Matrix;
+use dense::arena::{self, ArenaBuf};
+use dense::matrix::{MatRef, Matrix};
 use dense::scalar::Scalar;
 use dense::MatPtr;
 use gpu_sim::{Exec, Gpu};
 use parking_lot::Mutex;
+use std::sync::Arc;
 
-/// One tile's factorization in compact-WY form: the explicit unit
-/// lower-trapezoidal `V`, the upper-triangular `T` of `Q = I - V T V^T`
-/// (LAPACK `larft`), and the raw `tau` scalars (kept for the per-reflector
-/// reference path and the cost model).
-///
-/// Storing `V` explicitly — packed contiguously, once per tile at factor
-/// time — is the CPU analogue of the paper's strategy-4 pre-transpose: the
-/// panel is restructured once so that every one of the many trailing-block
-/// applies streams it with unit stride, instead of re-deriving the
-/// unit-diagonal/zero structure per reflector on every pass.
+/// One tile's factorization in compact-WY form: the upper-triangular `T`
+/// of `Q = I - V T V^T` (LAPACK `larft`) and the raw `tau` scalars (kept for
+/// the per-reflector reference path and the cost model). The tile's
+/// explicit `V` lives in its panel's slab ([`PanelFactor::tile_v`]).
 #[derive(Clone, Debug)]
 pub struct WyTile<T: Scalar> {
     /// Scalar reflector factors.
     pub tau: Vec<T>,
-    /// Explicit `rows x k` unit lower-trapezoidal reflector block.
-    pub v: Matrix<T>,
     /// `k x k` upper-triangular compact-WY factor.
     pub t: Matrix<T>,
-    /// Whether every entry of `v`/`t`/`tau` came out finite. When `false`
+    /// Whether every entry of `V`/`t`/`tau` came out finite. When `false`
     /// (a compact-WY breakdown, e.g. overflow while accumulating `T`), the
     /// apply kernels fall back to the per-reflector `larf` reference path,
     /// which never touches `t`.
@@ -75,16 +70,67 @@ pub struct PanelFactor<T: Scalar> {
     pub width: usize,
     /// The level-0 tiles.
     pub tiles: Vec<Tile>,
-    /// Per-tile compact-WY factors from the level-0 factorization (the
-    /// Householder tails also live below the diagonal of each tile in the
-    /// factored matrix; the packed copy here is what the apply kernels use).
+    /// Per-tile compact-WY factors from the level-0 factorization.
     pub wy0: Vec<WyTile<T>>,
+    /// The level-0 `V` slab, drawn from `dense::arena`: this panel's share
+    /// is the `(rows_end - row0) * width` elements from offset `v_off`,
+    /// tile-major. Tile `i`'s explicit unit lower-trapezoidal `V` is the
+    /// contiguous column-major `tiles[i].rows x k` block at `v_off +
+    /// (tiles[i].start - row0) * width`, with leading dimension
+    /// `tiles[i].rows` (see [`Self::tile_v`]). A standalone run owns its
+    /// slab alone; the members of a fused group share one slab per panel
+    /// (DESIGN.md §9).
+    ///
+    /// Storing `V` explicitly, packed once per tile at factor time, is the
+    /// CPU analogue of the paper's strategy-4 pre-transpose: every one of
+    /// the many trailing-block applies streams it with unit stride instead
+    /// of re-deriving the unit-diagonal/zero structure per reflector (the
+    /// Householder tails also stay below the diagonal of the factored
+    /// matrix). Dropping the last factor that shares a slab hands it back
+    /// to the pool warm.
+    pub(crate) v: Arc<ArenaBuf<T>>,
+    /// Offset of this panel's share of `v`.
+    pub(crate) v_off: usize,
     /// Reduction-tree levels, bottom-up.
     pub levels: Vec<Vec<TreeNode<T>>>,
     /// Block size used.
     pub bs: BlockSize,
     /// Strategy used (cost model only).
     pub strategy: ReductionStrategy,
+}
+
+/// Elements of one panel's share of a `V` slab (see [`PanelFactor`]'s
+/// `v`): its rows `[row0, rows_end)` times its width.
+pub(crate) fn v_share_len(row0: usize, rows_end: usize, width: usize) -> usize {
+    (rows_end - row0) * width
+}
+
+/// One write handle per tile of `tiles` onto its `V` block in `share`, the
+/// tile-major share of a `V` slab for a panel starting at row `row0` (see
+/// [`PanelFactor`]'s `v`). Every element of the share is written by the
+/// level-0 factor before anything reads it, so the slab is taken dirty.
+/// The blocks of distinct tiles are disjoint, so the handles can go to
+/// concurrent `factor` tasks under the [`MatPtr`] contract; the slab must
+/// outlive every use of them.
+pub(crate) fn v_blocks<T: Scalar>(
+    share: &mut [T],
+    row0: usize,
+    width: usize,
+    tiles: &[Tile],
+) -> Vec<MatPtr<T>> {
+    tiles
+        .iter()
+        .map(|tile| {
+            let off = (tile.start - row0) * width;
+            let k = tile.rows.min(width);
+            let block = &mut share[off..off + tile.rows * k];
+            // SAFETY: `block` is a live, exclusively borrowed run of exactly
+            // `rows * k` elements, a column-major `rows x k` matrix with
+            // `ld = rows`; the MatPtr contract covers its use after the
+            // borrow ends, as for `MatPtr::new`.
+            unsafe { MatPtr::from_raw_parts(block.as_mut_ptr(), tile.rows, k, tile.rows) }
+        })
+        .collect()
 }
 
 /// Split the columns `[from, to)` into blocks of width `w` (last may be
@@ -170,6 +216,7 @@ pub fn factor_panel_with_tree_on<T: Scalar>(
 
     // Level 0: factor every tile independently.
     let wy_slots: Vec<Mutex<Option<WyTile<T>>>> = tiles.iter().map(|_| Mutex::new(None)).collect();
+    let mut v = arena::take_dirty::<T>(v_share_len(row0, m, width));
     {
         let kernel = FactorKernel {
             a: MatPtr::new(a),
@@ -179,6 +226,7 @@ pub fn factor_panel_with_tree_on<T: Scalar>(
             strategy,
             spec,
             wy: &wy_slots,
+            v: &v_blocks(&mut v, row0, width, &tiles),
         };
         gpu.launch_on(exec, &kernel)?;
     }
@@ -222,6 +270,8 @@ pub fn factor_panel_with_tree_on<T: Scalar>(
         width,
         tiles,
         wy0,
+        v: Arc::new(v),
+        v_off: 0,
         levels,
         bs,
         strategy,
@@ -229,6 +279,16 @@ pub fn factor_panel_with_tree_on<T: Scalar>(
 }
 
 impl<T: Scalar> PanelFactor<T> {
+    /// Tile `ti`'s explicit `tiles[ti].rows x k` unit lower-trapezoidal
+    /// reflector block (`k = min(rows, width)`): unit diagonal and zeros
+    /// above stored, Householder tails below, `ld = rows`.
+    pub fn tile_v(&self, ti: usize) -> MatRef<'_, T> {
+        let tile = self.tiles[ti];
+        let k = tile.rows.min(self.width);
+        let off = self.v_off + (tile.start - self.row0) * self.width;
+        MatRef::from_parts(&self.v[off..off + tile.rows * k], tile.rows, k, tile.rows)
+    }
+
     /// One past the last row the panel's tiles cover (== the factored
     /// matrix's row count for a full-height panel).
     pub fn rows_end(&self) -> usize {
@@ -287,9 +347,7 @@ pub fn apply_panel_ptr_on<T: Scalar>(
     let horizontal = |gpu: &Gpu| -> Result<(), CaqrError> {
         let kernel = ApplyQtHKernel {
             c,
-            tiles: &pf.tiles,
-            width: pf.width,
-            wy: &pf.wy0,
+            panel: pf,
             col_blocks: cols,
             transpose,
             strategy: pf.strategy,
@@ -327,28 +385,6 @@ pub fn apply_panel_ptr_on<T: Scalar>(
         horizontal(gpu)?;
     }
     Ok(())
-}
-
-/// Trailing-matrix update inside one matrix: apply the panel's `Q^T` to the
-/// columns `[col_from, col_to)` of `a` (the matrix that was factored).
-pub fn apply_panel_within<T: Scalar>(
-    gpu: &Gpu,
-    a: &mut Matrix<T>,
-    pf: &PanelFactor<T>,
-    col_from: usize,
-    col_to: usize,
-    transpose: bool,
-) -> Result<(), CaqrError> {
-    if col_from < pf.col0 + pf.width && col_to > pf.col0 {
-        return Err(CaqrError::BadShape(format!(
-            "trailing columns [{col_from}, {col_to}) overlap panel columns [{}, {})",
-            pf.col0,
-            pf.col0 + pf.width
-        )));
-    }
-    let cols = col_blocks(col_from, col_to, pf.bs.w);
-    let p = MatPtr::new(a);
-    apply_panel_ptr(gpu, p, pf, &cols, transpose)
 }
 
 /// Factor a tall-skinny matrix (`cols <= bs.w`) with TSQR on the GPU: a

@@ -80,13 +80,22 @@ proptest! {
         let a0 = dense::generate::uniform::<f64>(rows, width, seed);
 
         let mut a_fast = a0.clone();
-        let wy_fast = blockops::factor_tile(MatPtr::new(&mut a_fast), tile, 0, width);
+        // A NaN-filled V block, like a poisoned slab: every element the
+        // kernel leaves unwritten shows up in the comparison.
+        let mut v_fast = Matrix::from_fn(rows, width, |_, _| f64::NAN);
+        let wy_fast = blockops::factor_tile(
+            MatPtr::new(&mut a_fast),
+            tile,
+            0,
+            width,
+            MatPtr::new(&mut v_fast),
+        );
         let mut a_ref = a0.clone();
-        let wy_ref = blockops::factor_tile_ref(MatPtr::new(&mut a_ref), tile, 0, width);
+        let (wy_ref, v_ref) = blockops::factor_tile_ref(MatPtr::new(&mut a_ref), tile, 0, width);
 
         assert_bits_eq("tile", a_fast.as_slice(), a_ref.as_slice())?;
         assert_bits_eq("tau", &wy_fast.tau, &wy_ref.tau)?;
-        assert_bits_eq("v", wy_fast.v.as_slice(), wy_ref.v.as_slice())?;
+        assert_bits_eq("v", v_fast.as_slice(), v_ref.as_slice())?;
         assert_bits_eq("t", wy_fast.t.as_slice(), wy_ref.t.as_slice())?;
         prop_assert_eq!(wy_fast.healthy, wy_ref.healthy);
     }
@@ -134,7 +143,9 @@ proptest! {
     /// Re-running the same factorization after poisoning every pool with NaN
     /// reproduces the clean run bit-for-bit: the arena contract (`take_dirty`
     /// users overwrite every element they read) holds on the whole caqr_cpu
-    /// pipeline, not just the leaf kernels.
+    /// pipeline, not just the leaf kernels. The comparison covers every
+    /// panel factor as well as the factored matrix, since the level-0 `V`
+    /// slabs themselves come from the (poisoned) pool.
     #[test]
     fn poisoned_pools_cannot_perturb_caqr_cpu(
         m in 16usize..200,
@@ -152,13 +163,31 @@ proptest! {
         let clean = caqr_cpu_bits(&a, opts);
         arena::poison_pools::<f64>(f64::NAN);
         let poisoned = caqr_cpu_bits(&a, opts);
-        assert_bits_eq("factored matrix", &clean, &poisoned)?;
+        assert_bits_eq("factored matrix and panel factors", &clean, &poisoned)?;
     }
 }
 
+/// The factored matrix followed by every panel's level-0 `tau`, `T` and
+/// `V` (through [`caqr::PanelFactor::tile_v`]) and every tree node.
 fn caqr_cpu_bits(a: &Matrix<f64>, opts: caqr::CpuCaqrOptions) -> Vec<f64> {
     let f = caqr::caqr_cpu(a.clone(), opts).expect("factorization");
-    f.a.as_slice().to_vec()
+    let mut out = f.a.as_slice().to_vec();
+    for pf in &f.panels {
+        for (ti, wy) in pf.wy0.iter().enumerate() {
+            out.extend(&wy.tau);
+            out.extend(wy.t.as_slice());
+            let v = pf.tile_v(ti);
+            for j in 0..v.cols() {
+                out.extend(v.col(j));
+            }
+        }
+        for node in pf.levels.iter().flatten() {
+            out.extend(node.u.as_slice());
+            out.extend(&node.tau);
+            out.extend(node.tmat.as_slice());
+        }
+    }
+    out
 }
 
 /// Steady state really is allocation-free: after a warm-up run, repeating
@@ -170,13 +199,55 @@ fn steady_state_factor_serves_from_pool() {
     let width = 12;
     let tile = Tile { start: 0, rows };
     let mut a = dense::generate::uniform::<f64>(rows, width, 7);
-    blockops::factor_tile(MatPtr::new(&mut a), tile, 0, width); // warm
+    let mut v = Matrix::<f64>::zeros(rows, width);
+    let mut factor =
+        || blockops::factor_tile(MatPtr::new(&mut a), tile, 0, width, MatPtr::new(&mut v));
+    factor(); // warm
     let before = arena::thread_stats::<f64>();
     for _ in 0..8 {
-        blockops::factor_tile(MatPtr::new(&mut a), tile, 0, width);
+        factor();
     }
     let after = arena::thread_stats::<f64>();
     let (hits, misses) = (after.hits - before.hits, after.misses - before.misses);
     assert!(hits > 0, "no pooled requests recorded: {after:?}");
     assert_eq!(misses, 0, "steady state allocated: {after:?}");
+}
+
+/// A dropped factorization hands its level-0 `V` slab back to the calling
+/// thread's cache, so the next run of the same shape takes it warm: the
+/// second multi-tile `caqr_cpu` gets the very same slab and, counted on
+/// this thread, allocates nothing at all.
+#[test]
+fn steady_state_caqr_cpu_reuses_the_v_slab() {
+    let (m, n) = (8192, 32);
+    let a = dense::generate::uniform::<f64>(m, n, 9);
+    let opts = caqr::CpuCaqrOptions {
+        tile_rows: 512,
+        panel_width: n,
+        tree: caqr::TreeShape::DeviceArity,
+        verify_checksums: false,
+    };
+    let slab_of = |f: &caqr::Factorization<f64>| f.panels[0].tile_v(0).col(0).as_ptr();
+    // This thread may claim more factor tasks in the second run than in
+    // the first; pooled tile scratch (packing, Gram, pivot columns, lanes)
+    // keeps those takes hits too.
+    for len in [512 * n, n * n, 512, n] {
+        arena::prewarm::<f64>(len, 8);
+    }
+    let first = caqr::caqr_cpu(a.clone(), opts).expect("factorization");
+    assert_eq!(first.panels[0].tiles.len(), 16);
+    let first_slab = slab_of(&first);
+    drop(first);
+    let before = arena::thread_stats::<f64>();
+    let second = caqr::caqr_cpu(a.clone(), opts).expect("factorization");
+    let after = arena::thread_stats::<f64>();
+    assert_eq!(slab_of(&second), first_slab, "the slab was not recycled");
+    assert_eq!(
+        after.misses, before.misses,
+        "steady state allocated: {after:?}"
+    );
+    assert!(
+        after.hits > before.hits,
+        "no pooled requests recorded: {after:?}"
+    );
 }

@@ -19,7 +19,12 @@ fn factor_kernel_factors_every_tile_like_geqr2() {
     let reference = a.clone();
     let tiles = tile_panel(0, 200, 64, 8);
     let wy: Vec<Mutex<Option<WyTile<f64>>>> = tiles.iter().map(|_| Mutex::new(None)).collect();
+    let mut vs: Vec<Matrix<f64>> = tiles
+        .iter()
+        .map(|t| Matrix::from_fn(t.rows, 8, |_, _| f64::NAN))
+        .collect();
     {
+        let v: Vec<MatPtr<f64>> = vs.iter_mut().map(MatPtr::new).collect();
         let k = FactorKernel {
             a: MatPtr::new(&mut a),
             tiles: &tiles,
@@ -28,6 +33,7 @@ fn factor_kernel_factors_every_tile_like_geqr2() {
             strategy: STRAT,
             spec: gpu.spec(),
             wy: &wy,
+            v: &v,
         };
         gpu.launch(&k).unwrap();
     }
@@ -43,13 +49,13 @@ fn factor_kernel_factors_every_tile_like_geqr2() {
         let w = slot.as_ref().expect("factor kernel must fill the WY slot");
         assert_eq!(w.tau, tau_want, "tile {ti} taus differ");
         assert_eq!(
-            w.v,
+            vs[ti],
             dense::blocked::extract_v(want.as_ref(), 8),
             "tile {ti} packed V differs"
         );
         assert_eq!(
             w.t,
-            dense::blocked::larft(w.v.as_ref(), &w.tau),
+            dense::blocked::larft(vs[ti].as_ref(), &w.tau),
             "tile {ti} T factor differs"
         );
     }
@@ -128,21 +134,25 @@ fn apply_qt_h_kernel_matches_host_application() {
 
     let target0 = dense::generate::uniform::<f64>(32, 6, 3);
     let mut target = target0.clone();
-    let tiles = tile_panel(0, 32, 32, 4);
-    let vexp = dense::blocked::extract_v(v.view(0, 0, 32, 4), 4);
-    let wy = vec![WyTile {
-        tau: tau.clone(),
-        t: dense::blocked::larft(vexp.as_ref(), &tau),
-        v: vexp,
-        healthy: true,
-    }];
+    // The kernel applies the packed factors of a one-tile panel factored
+    // by the tsqr driver (the same geqr2 reflectors as `v`/`tau`).
+    let mut factored = panel0.clone();
+    let pf = caqr::tsqr::factor_panel(
+        &gpu,
+        &mut factored,
+        0,
+        0,
+        4,
+        caqr::BlockSize { h: 32, w: 4 },
+        STRAT,
+    )
+    .unwrap();
+    assert_eq!(pf.wy0[0].tau, tau);
     let cols = [(0usize, 6usize)];
     {
         let k = ApplyQtHKernel {
             c: MatPtr::new(&mut target),
-            tiles: &tiles,
-            width: 4,
-            wy: &wy,
+            panel: &pf,
             col_blocks: &cols,
             transpose: true,
             strategy: STRAT,
@@ -204,7 +214,9 @@ fn kernels_count_positive_flops_and_traffic() {
     let mut a = dense::generate::uniform::<f32>(256, 8, 6);
     let tiles = tile_panel(0, 256, 64, 8);
     let wy: Vec<Mutex<Option<WyTile<f32>>>> = tiles.iter().map(|_| Mutex::new(None)).collect();
+    let mut vs: Vec<Matrix<f32>> = tiles.iter().map(|t| Matrix::zeros(t.rows, 8)).collect();
     {
+        let v: Vec<MatPtr<f32>> = vs.iter_mut().map(MatPtr::new).collect();
         let k = FactorKernel {
             a: MatPtr::new(&mut a),
             tiles: &tiles,
@@ -213,6 +225,7 @@ fn kernels_count_positive_flops_and_traffic() {
             strategy: STRAT,
             spec: gpu.spec(),
             wy: &wy,
+            v: &v,
         };
         let report = gpu.launch(&k).unwrap();
         assert_eq!(report.blocks, 4);

@@ -30,11 +30,12 @@ proptest! {
         let transpose = tr == 1;
         let tile = Tile { start: 0, rows };
         let mut panel = dense::generate::uniform::<f64>(rows, width, seed);
-        let wy = blockops::factor_tile(MatPtr::new(&mut panel), tile, 0, width);
+        let mut v = Matrix::<f64>::zeros(rows, width);
+        let wy = blockops::factor_tile(MatPtr::new(&mut panel), tile, 0, width, MatPtr::new(&mut v));
         let c0 = dense::generate::uniform::<f64>(rows, wc, seed ^ 0xabcd);
         let mut c_wy = c0.clone();
         let mut c_ref = c0.clone();
-        blockops::apply_tile_wy(&wy, MatPtr::new(&mut c_wy), tile, 0, wc, transpose);
+        blockops::apply_tile_wy(&wy, v.as_ref(), MatPtr::new(&mut c_wy), tile, 0, wc, transpose);
         blockops::apply_tile_reflectors(
             MatPtr::new_readonly(&panel),
             MatPtr::new(&mut c_ref),

@@ -328,6 +328,13 @@ impl<T: PoolScalar> DerefMut for ArenaBuf<T> {
     }
 }
 
+impl<T: PoolScalar + std::fmt::Debug> std::fmt::Debug for ArenaBuf<T> {
+    /// The live elements, like the `[T]` it derefs to.
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
 impl<T: PoolScalar> Drop for ArenaBuf<T> {
     fn drop(&mut self) {
         let Some(class) = self.class else {
@@ -566,6 +573,14 @@ mod tests {
             ArenaStats { hits: 1, misses: 0 }
         );
         drop(b);
+    }
+
+    #[test]
+    fn debug_prints_the_live_elements() {
+        let mut a = take_dirty::<f64>(3);
+        a.copy_from_slice(&[1.0, 2.5, -0.0]);
+        assert_eq!(format!("{a:?}"), "[1.0, 2.5, -0.0]");
+        assert_eq!(format!("{:?}", take_zeroed::<f32>(2)), "[0.0, 0.0]");
     }
 
     #[test]

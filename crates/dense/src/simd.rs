@@ -36,8 +36,10 @@ use std::sync::OnceLock;
 /// `MeasuredProfile` so a `target/caqr_tuned.json` measured against an older
 /// kernel generation is invalidated and re-measured. Bump whenever kernel
 /// selection or blocking behaviour changes in a way that shifts the optimum.
-/// Version 1 was the scalar era; version 2 is the runtime-SIMD dispatch.
-pub const KERNEL_VERSION: u32 = 2;
+/// Version 1 was the scalar era; version 2 is the runtime-SIMD dispatch;
+/// version 3 moves the factor sweep's tail store after the row loads
+/// (1.4-1.8x faster sweep, which can move the winning tile height).
+pub const KERNEL_VERSION: u32 = 3;
 
 /// Widest microkernel register-tile height any backend uses (AVX-512 f32:
 /// two 16-lane vectors). Sizes the ragged-edge spill buffer.
@@ -784,13 +786,14 @@ unsafe fn dot_rows_rv<T: Scalar, V: Vf<T>, const RV: usize>(
         for r in j + 1..rows {
             let row = base.add(r * width);
             let vr = col[r - j];
-            // Scatter before the loads: lane j must accumulate vr itself,
-            // exactly like the scalar sweep.
-            *row.add(j) = vr;
             let bv = V::splat(vr);
             for (q, aq) in acc.iter_mut().enumerate() {
                 *aq = V::load(row.add(q * V::LANES)).mul_add(bv, *aq);
             }
+            // Scatter after the loads, exactly like the scalar sweep: lane j
+            // (dead) accumulates the old A(r, j), and the narrow store never
+            // sits in front of a wider load that overlaps it.
+            *row.add(j) = vr;
         }
     } else {
         // Wrapping position counter, no per-row division (see the scalar
@@ -807,11 +810,11 @@ unsafe fn dot_rows_rv<T: Scalar, V: Vf<T>, const RV: usize>(
             }
             let row = base.add(r * width);
             let vr = col[r - j];
-            *row.add(j) = vr;
             let bv = V::splat(vr);
             for (q, aq) in acc.iter_mut().enumerate() {
                 *aq = V::load(row.add(q * V::LANES)).mul_add(bv, *aq);
             }
+            *row.add(j) = vr;
         }
     }
     for (q, &aq) in acc.iter().enumerate() {
@@ -845,7 +848,6 @@ unsafe fn dot_rows_any_v<T: Scalar, VW: Vf<T>, VN: Vf<T>>(
         }
         let row = base.add(r * width);
         let vr = col[r - j];
-        *row.add(j) = vr;
         let bw = VW::splat(vr);
         let mut l = 0;
         while l < nw {
@@ -865,6 +867,8 @@ unsafe fn dot_rows_any_v<T: Scalar, VW: Vf<T>, VN: Vf<T>>(
             *wp.add(l) = (*row.add(l)).mul_add(vr, *wp.add(l));
             l += 1;
         }
+        // After the row's loads, as in the scalar sweep.
+        *row.add(j) = vr;
     }
 }
 
@@ -1417,11 +1421,13 @@ mod tests {
     }
 
     /// Assert one {dot_rows, rank1_rows} pair is bit-identical to the scalar
-    /// oracle on a small tile, over both tri_block regimes.
+    /// oracle on a small tile, over both tri_block regimes and every oracle
+    /// dot arm: widths 16 and 32 take `dot_rows_w`'s unrolled bodies, 12 the
+    /// generic one. Every `wacc` lane is compared, dead lane `j` included.
     fn assert_factor_pair_bit_matches(kern: FactorKernels<f64>, who: &str) {
-        let (rows, width, j) = (10usize, 16usize, 2usize);
-        {
-            let backend = who;
+        let (rows, j) = (10usize, 2usize);
+        for width in [12usize, 16, 32] {
+            let backend = format!("{who} width {width}");
             for tri_block in [0usize, 4] {
                 let at0: Vec<f64> = (0..rows * width)
                     .map(|i| (((i * 13 + 5) % 31) as f64 - 15.0) / 7.0)

@@ -259,6 +259,11 @@ fn kernel_reports_expose_boundedness() {
         .iter()
         .map(|_| parking_lot::Mutex::new(None))
         .collect();
+    let mut vs: Vec<dense::matrix::Matrix<f32>> = tiles
+        .iter()
+        .map(|t| dense::matrix::Matrix::zeros(t.rows, 16))
+        .collect();
+    let v: Vec<dense::MatPtr<f32>> = vs.iter_mut().map(dense::MatPtr::new).collect();
     let k = caqr::kernels::FactorKernel {
         a: dense::MatPtr::new(&mut a),
         tiles: &tiles,
@@ -267,6 +272,7 @@ fn kernel_reports_expose_boundedness() {
         strategy: caqr::ReductionStrategy::RegisterSerialTransposed,
         spec: gpu.spec(),
         wy: &wy,
+        v: &v,
     };
     let report = gpu.launch(&k).unwrap();
     assert_eq!(report.name, "factor");

@@ -12,7 +12,7 @@
 
 use caqr::multicore::{caqr_cpu, CpuCaqrOptions};
 use caqr::schedule::{caqr_dag, ScheduleOptions};
-use caqr::tsqr::{TreeNode, WyTile};
+use caqr::tsqr::PanelFactor;
 use caqr::{
     caqr_resilient, distributed_tsqr, BlockSize, CaqrOptions, CpuBackend, DistOptions,
     Factorization, RecoveryOptions, ReductionStrategy, SimBackend, TreeShape,
@@ -34,29 +34,28 @@ fn push_matrix<T: Scalar>(out: &mut Vec<u64>, m: &Matrix<T>) {
     out.extend(m.as_slice().iter().map(|&x| bits(x)));
 }
 
-/// Flatten one panel's packed compact-WY factors — level-0 tiles and every
-/// reduction-tree node — into a bit vector for exact comparison.
-fn pack_panel<T: Scalar>(
-    out: &mut Vec<u64>,
-    col0: usize,
-    width: usize,
-    tiles: &[caqr::block::Tile],
-    wy0: &[WyTile<T>],
-    levels: &[Vec<TreeNode<T>>],
-) {
-    out.push(col0 as u64);
-    out.push(width as u64);
-    for t in tiles {
+/// Flatten one panel's packed compact-WY factors — level-0 tiles with
+/// their `V` blocks and every reduction-tree node — into a bit vector for
+/// exact comparison.
+fn pack_panel<T: Scalar>(out: &mut Vec<u64>, p: &PanelFactor<T>) {
+    out.push(p.col0 as u64);
+    out.push(p.width as u64);
+    for t in &p.tiles {
         out.push(t.start as u64);
         out.push(t.rows as u64);
     }
-    for wy in wy0 {
+    for (ti, wy) in p.wy0.iter().enumerate() {
         out.extend(wy.tau.iter().map(|&x| bits(x)));
-        push_matrix(out, &wy.v);
+        let v = p.tile_v(ti);
+        out.push(v.rows() as u64);
+        out.push(v.cols() as u64);
+        for j in 0..v.cols() {
+            out.extend(v.col(j).iter().map(|&x| bits(x)));
+        }
         push_matrix(out, &wy.t);
         out.push(wy.healthy as u64);
     }
-    for level in levels {
+    for level in &p.levels {
         for node in level {
             out.extend(node.members.iter().map(|&s| s as u64));
             push_matrix(out, &node.u);
@@ -73,7 +72,7 @@ fn fingerprint(f: &Factorization<f64>) -> Vec<u64> {
     let mut out = Vec::new();
     push_matrix(&mut out, &f.a);
     for p in &f.panels {
-        pack_panel(&mut out, p.col0, p.width, &p.tiles, &p.wy0, &p.levels);
+        pack_panel(&mut out, p);
     }
     out
 }
