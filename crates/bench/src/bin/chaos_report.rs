@@ -1,23 +1,39 @@
 //! Chaos report: runs the resilient CAQR executor under a battery of fault
-//! plans — clean, seeded mixed faults, explicit silent data corruption,
-//! explicit hangs — and prints one table of what the escalation ladder did:
+//! plans — clean, seeded mixed faults, explicit silent data corruption
+//! (under budgets that leave each ladder tier to absorb it), explicit
+//! hangs — and prints one table of what the escalation ladder did:
 //! faults absorbed, replays per tier, ABFT overhead share, and stream-lane
 //! occupancy. Every faulted run's `R` must be bit-identical to the clean
 //! run's; any divergence fails the process (exit 1) — this is the CI chaos
 //! smoke gate.
 //!
-//! `--quick` shrinks the matrix and seed count for the CI smoke run.
+//! `--quick` shrinks the matrix and seed count for the CI smoke run. The
+//! full-mode table is modelled time only, so it is deterministic: CI diffs
+//! it against `crates/bench/golden/chaos_report.txt`.
 
-use caqr::recovery::{caqr_resilient, RecoveryOptions, RecoveryReport};
+use caqr::recovery::{caqr_resilient, RecoveryOptions, RecoveryPolicy, RecoveryReport};
 use caqr::{BlockSize, CaqrOptions, ReductionStrategy};
 use caqr_bench::Table;
 use dense::matrix::Matrix;
 use gpu_sim::{DeviceSpec, FaultPlan, Gpu, RetryPolicy, Timeline};
 
 struct Scenario {
-    name: &'static str,
+    name: String,
     plan: Option<FaultPlan>,
     retry: RetryPolicy,
+    policy: RecoveryPolicy,
+}
+
+impl Scenario {
+    /// `plan` under the default launch retries and replay budgets.
+    fn new(name: &str, plan: Option<FaultPlan>) -> Scenario {
+        Scenario {
+            name: name.to_string(),
+            plan,
+            retry: RetryPolicy::default(),
+            policy: RecoveryPolicy::default(),
+        }
+    }
 }
 
 fn opts() -> CaqrOptions {
@@ -52,6 +68,10 @@ fn run_scenario(
     if let Some(plan) = &s.plan {
         gpu.set_fault_plan_with_policy(plan.clone(), s.retry);
     }
+    let recovery = RecoveryOptions {
+        policy: s.policy,
+        ..recovery
+    };
     let (f, report) = match caqr_resilient(&gpu, a.clone(), recovery) {
         Ok(ok) => ok,
         Err(e) => {
@@ -82,34 +102,33 @@ fn main() {
         max_attempts: 6,
         backoff_us: 5.0,
     };
+    // One SDC under budgets that skip the lower tiers, so the panel tier,
+    // then the run tier, absorbs it.
+    let skip = |max_task_replays, max_panel_replays| RecoveryPolicy {
+        max_task_replays,
+        max_panel_replays,
+        max_run_retries: 1,
+    };
+    let sdc5 = || Some(FaultPlan::sdc_at_launches(&[5]));
     let mut scenarios = vec![
+        Scenario::new("clean", None),
+        Scenario::new("explicit-sdc", Some(FaultPlan::sdc_at_launches(&[2, 5, 9]))),
         Scenario {
-            name: "clean",
-            plan: None,
-            retry: RetryPolicy::default(),
+            policy: skip(0, 2),
+            ..Scenario::new("sdc/panel-tier", sdc5())
         },
         Scenario {
-            name: "explicit-sdc",
-            plan: Some(FaultPlan::sdc_at_launches(&[2, 5, 9])),
-            retry: RetryPolicy::default(),
+            policy: skip(0, 0),
+            ..Scenario::new("sdc/run-tier", sdc5())
         },
-        Scenario {
-            name: "explicit-hang",
-            plan: Some(FaultPlan::hang_at_launches(&[3])),
-            retry: RetryPolicy::default(),
-        },
+        Scenario::new("explicit-hang", Some(FaultPlan::hang_at_launches(&[3]))),
     ];
     let seeds: &[u64] = if quick { &[11] } else { &[11, 12, 13, 14] };
     for &seed in seeds {
+        let plan = Some(FaultPlan::seeded_mix(seed, 0.05, 0.03, 0.03));
         scenarios.push(Scenario {
-            name: match seed {
-                11 => "seeded-mix/11",
-                12 => "seeded-mix/12",
-                13 => "seeded-mix/13",
-                _ => "seeded-mix/14",
-            },
-            plan: Some(FaultPlan::seeded_mix(seed, 0.05, 0.03, 0.03)),
             retry: chaos_retry,
+            ..Scenario::new(&format!("seeded-mix/{seed}"), plan)
         });
     }
 
@@ -152,7 +171,7 @@ fn main() {
             .map(|o| o.seconds)
             .sum();
         table.row(vec![
-            s.name.to_string(),
+            s.name.clone(),
             format!("{:.3}", ledger.seconds * 1e3),
             format!("{}", ledger.faults),
             format!("{}", ledger.hangs),

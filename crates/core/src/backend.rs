@@ -19,12 +19,16 @@
 //!   lookahead ([`Mode::Dag`]), including the optional ABFT detection
 //!   checksums — written once, bit-identical across every backend because
 //!   all backends run the same `blockops` arithmetic in host order.
-//! * [`crate::recovery::drive_resilient`] layers the snapshot/replay
-//!   escalation ladder over the same trait.
+//! * The Sync loop is one loop for detection and recovery. It runs a group
+//!   of same-shape matrices (a standalone run is a group of one) and takes
+//!   a failure policy as an argument: without one a failing member is
+//!   carved out with its typed error; with a [`RecoveryPolicy`] it climbs
+//!   the snapshot/replay ladder of [`crate::recovery`].
 //!
 //! Dispatch is static: every entry point (`caqr`, `caqr_dag`, `caqr_cpu`,
-//! `caqr_resilient`, `distributed_tsqr`) is a thin shim that instantiates
-//! `drive` with a concrete backend type — no `dyn` anywhere on the hot path.
+//! `caqr_resilient`, `distributed_tsqr`, fused `factor_many` groups) is a
+//! thin shim that instantiates the driver with a concrete backend type —
+//! no `dyn` anywhere on the hot path.
 
 use crate::block::{BlockSize, TreeShape};
 use crate::error::{checked_elems, CaqrError};
@@ -32,6 +36,7 @@ use crate::health;
 use crate::kernels::PretransposeKernel;
 use crate::microkernels::ReductionStrategy;
 use crate::multicore::{apply_panels, factor_panels, q_ones_probe_host};
+use crate::recovery::{is_transient, RecoveryPolicy, RecoveryReport, RegionSnapshot};
 use crate::tsqr::{apply_panel_ptr_on, col_blocks, factor_panel_with_tree_on, PanelFactor};
 use dense::blas2::trsv_upper;
 use dense::matrix::Matrix;
@@ -71,8 +76,9 @@ pub struct DriveConfig {
     pub check_finite: bool,
     /// Run the ABFT detection checksums of [`crate::health`] around every
     /// panel (factor column norms, `Q·1` probe, predicted trailing column
-    /// sums). Only honoured by [`Mode::Sync`]; detection-with-replay lives
-    /// in [`crate::recovery::drive_resilient`].
+    /// sums). Only honoured by [`Mode::Sync`], which carves a failing
+    /// member out; under a [`RecoveryPolicy`] (`caqr_resilient`) the checks
+    /// always run and a failure replays instead.
     pub verify_checksums: bool,
     /// Context string for the typed [`CaqrError::NonFinite`] error.
     pub health_context: &'static str,
@@ -213,10 +219,10 @@ impl<T: Scalar> Factorization<T> {
 /// borrow gymnastics while the host control flow stays single-threaded.
 ///
 /// The `*_group` methods serve [`Mode::Sync`], which runs a group of
-/// same-shape matrices in lockstep (a standalone run is a group of one).
-/// Their provided bodies loop over the members with the per-matrix
-/// methods; a backend that can pack many members into one launch (the
-/// host [`CpuBackend`]) overrides them.
+/// same-shape matrices in lockstep (a standalone run is a group of one) on
+/// the slot the schedule names. Their provided bodies loop over the
+/// members with the per-matrix methods; a backend that can pack many
+/// members into one launch (the host [`CpuBackend`]) overrides them.
 ///
 /// [`record`]: CaqrBackend::record
 /// [`wait`]: CaqrBackend::wait
@@ -263,24 +269,27 @@ pub trait CaqrBackend<T: Scalar> {
         transpose: bool,
     ) -> Result<(), CaqrError>;
 
-    /// Group health scan: [`CaqrBackend::check_finite`] over every member
-    /// of a same-shape group, one verdict per member.
+    /// Group health scan: [`CaqrBackend::check_finite`] over each live
+    /// member `mats[j]`, `j` in `live` (rising), one verdict per live member.
     fn check_finite_group(
         &self,
         mats: &[Matrix<T>],
+        live: &[usize],
         bs: BlockSize,
         context: &'static str,
     ) -> Vec<Result<usize, CaqrError>> {
-        mats.iter()
-            .map(|a| self.check_finite(a, bs, context))
+        live.iter()
+            .map(|&j| self.check_finite(&mats[j], bs, context))
             .collect()
     }
 
-    /// Group factor: [`CaqrBackend::factor_panel`] on slot 0 for each live
+    /// Group factor: [`CaqrBackend::factor_panel`] on `slot` for each live
     /// member `mats[j]`, `j` in `live` (rising), one result per live member
     /// in `live` order. A failed member fails alone.
+    #[allow(clippy::too_many_arguments)]
     fn factor_panel_group(
         &self,
+        slot: usize,
         mats: &mut [Matrix<T>],
         live: &[usize],
         row0: usize,
@@ -289,23 +298,24 @@ pub trait CaqrBackend<T: Scalar> {
         cfg: &DriveConfig,
     ) -> Vec<Result<PanelFactor<T>, CaqrError>> {
         live.iter()
-            .map(|&j| self.factor_panel(0, &mut mats[j], row0, col0, width, cfg))
+            .map(|&j| self.factor_panel(slot, &mut mats[j], row0, col0, width, cfg))
             .collect()
     }
 
-    /// Group apply: [`CaqrBackend::apply_panel`] on slot 0 of each member's
+    /// Group apply: [`CaqrBackend::apply_panel`] on `slot` of each member's
     /// own panel factor to the column blocks `cols` of `mats[j]`, one result
     /// per `(j, factor)` pair of `work` (`j` rising). A failed member fails
     /// alone.
     fn apply_panel_group(
         &self,
+        slot: usize,
         mats: &mut [Matrix<T>],
         work: &[(usize, &PanelFactor<T>)],
         cols: &[(usize, usize)],
         transpose: bool,
     ) -> Vec<Result<(), CaqrError>> {
         work.iter()
-            .map(|&(j, pf)| self.apply_panel(0, MatPtr::new(&mut mats[j]), pf, cols, transpose))
+            .map(|&(j, pf)| self.apply_panel(slot, MatPtr::new(&mut mats[j]), pf, cols, transpose))
             .collect()
     }
 
@@ -338,19 +348,11 @@ pub trait CaqrBackend<T: Scalar> {
         let _ = elems;
     }
 
-    /// Count `n` individual checksum comparisons in the backend's report.
-    fn note_checksum_checks(&self, n: u64) {
-        let _ = n;
+    /// Mirror the replays of a finished run's ladder into the backend's
+    /// ledger. No-op on backends without one.
+    fn note_recovery(&self, report: &RecoveryReport) {
+        let _ = report;
     }
-
-    /// Mirror a tier-1 task replay into the backend's ledger.
-    fn note_task_replay(&self) {}
-
-    /// Mirror a tier-2 panel replay into the backend's ledger.
-    fn note_panel_replay(&self) {}
-
-    /// Mirror a tier-3 run retry into the backend's ledger.
-    fn note_run_retry(&self) {}
 }
 
 /// The static shape of one panel step of the schedule.
@@ -365,10 +367,9 @@ pub(crate) struct PanelStep {
 }
 
 /// Backend-independent schedule geometry: the fixed global column grid, its
-/// home-slot ownership, and the panel steps — shared by the generic driver,
-/// the model-only replay ([`crate::schedule`]) and the resilient executor
-/// ([`crate::recovery`]) so all three enqueue, event-for-event, the same
-/// schedule.
+/// home-slot ownership, and the panel steps — shared by both driver loops
+/// and the model-only replay ([`crate::schedule`]) so they enqueue,
+/// event-for-event, the same schedule.
 pub(crate) struct DagGeometry {
     w: usize,
     n: usize,
@@ -401,14 +402,6 @@ impl DagGeometry {
             slots,
             steps,
         }
-    }
-
-    /// The panel steps of the schedule over the leading `min(m, n)`
-    /// columns — the one grid every executor walks. A fused `factor_many`
-    /// group of [`crate::service`] is a [`Mode::Sync`] run over many
-    /// members, so it walks these steps by construction.
-    pub(crate) fn panel_steps(m: usize, n: usize, w: usize) -> Vec<PanelStep> {
-        DagGeometry::new(m, n, w, 1).steps
     }
 
     /// Home slot index of global column block `j`.
@@ -445,7 +438,8 @@ impl DagGeometry {
 ///
 /// [`Mode::Sync`] reproduces the Figure-4 host loop (and, with
 /// `cfg.verify_checksums`, the detection-only ABFT flow of the host path)
-/// as a group of one, through the same loop that runs fused groups;
+/// as a group of one, through the same loop that runs fused groups and
+/// the replay ladder;
 /// [`Mode::Dag`] reproduces the stream-scheduled task DAG with optional
 /// lookahead. Numerics are bit-identical across modes and backends: every
 /// backend runs the same `blockops` arithmetic eagerly in host order (a
@@ -459,7 +453,9 @@ pub fn drive<T: Scalar, B: CaqrBackend<T>>(
     mode: Mode,
 ) -> Result<Factorization<T>, CaqrError> {
     match mode {
-        Mode::Sync => one(drive_group(backend, vec![a], cfg).members),
+        Mode::Sync => drive_group(backend, vec![a], cfg, None)
+            .solo()
+            .map(|(f, _)| f),
         Mode::Dag { lookahead } => drive_dag(backend, a, cfg, lookahead),
     }
 }
@@ -476,27 +472,46 @@ fn validate(cfg: &DriveConfig, m: usize, n: usize) -> Result<(), CaqrError> {
     Ok(())
 }
 
-/// What [`drive_group`] produced: one outcome per member, in input order,
-/// and the launches the group issued (each counted once, however many
-/// members it served).
+/// What [`drive_group`] produced: one outcome and one [`RecoveryReport`]
+/// per member, in input order, and the launches the group issued (each
+/// counted once, however many members it served).
 pub(crate) struct GroupOutcome<T: Scalar> {
     pub(crate) members: Vec<Result<Factorization<T>, CaqrError>>,
+    pub(crate) reports: Vec<RecoveryReport>,
     pub(crate) launches: usize,
 }
 
+impl<T: Scalar> GroupOutcome<T> {
+    /// The outcome of a group of one, with its report.
+    pub(crate) fn solo(mut self) -> Result<(Factorization<T>, RecoveryReport), CaqrError> {
+        let report = self.reports.pop().unwrap_or_default();
+        Ok((one(self.members)?, report))
+    }
+}
+
 /// The [`Mode::Sync`] loop over a group of same-shape matrices walked in
-/// lockstep: per panel, one group factor, then one group apply of the
-/// whole trailing matrix. With `cfg.verify_checksums` every live member
-/// gets the ABFT flow of [`crate::health`]: pre-factor column sums and the
+/// lockstep — the one panel loop behind `caqr_cpu`, `caqr`,
+/// `caqr_resilient`, `distributed_tsqr` and fused `factor_many` groups.
+/// Per panel: one group factor on the panel's home slot, one group apply
+/// per slot group of the trailing matrix ([`DagGeometry::groups`]; one per
+/// panel on a one-slot backend), one sync, then each group's checks.
+///
+/// With `cfg.verify_checksums` or a `policy`, every live member gets the
+/// ABFT flow of [`crate::health`]: pre-factor column sums and the
 /// factor-norm check, the `Q·1` probe (reused as the apply predictor), and
-/// the apply-sum check. A member whose backend call or check fails is
-/// carved out with that typed error and the others continue; their
-/// arithmetic is untouched, because every member's tasks touch only its
-/// own matrix.
+/// the apply-sum check. Without a `policy` a failing member is carved out
+/// with its typed error while the others continue untouched (each
+/// member's tasks touch only its own matrix). With one it climbs the §10
+/// ladder: replay the failed task from a [`RegionSnapshot`] of its input,
+/// for the failing members only; then roll the panel back and redo it;
+/// then restart from the pristine input; then give up with
+/// [`CaqrError::Unrecoverable`]. Snapshots restore bit-exact state, so a
+/// recovered member is bit-identical to a fault-free one.
 pub(crate) fn drive_group<T: Scalar, B: CaqrBackend<T>>(
     backend: &B,
-    mut mats: Vec<Matrix<T>>,
+    mats: Vec<Matrix<T>>,
     cfg: &DriveConfig,
+    policy: Option<&RecoveryPolicy>,
 ) -> GroupOutcome<T> {
     let g = mats.len();
     let (m, n) = mats.first().map_or((0, 0), Matrix::shape);
@@ -504,133 +519,356 @@ pub(crate) fn drive_group<T: Scalar, B: CaqrBackend<T>>(
     if let Err(e) = validate(cfg, m, n) {
         return GroupOutcome {
             members: (0..g).map(|_| Err(e.clone())).collect(),
+            reports: vec![RecoveryReport::default(); g],
             launches: 0,
         };
     }
-    let w = cfg.bs.w;
-    let mut dead: Vec<Option<CaqrError>> = vec![None; g];
-    let mut launches = 0usize;
-
-    // Numerical health check: reject NaN/inf input with a typed error
-    // before any arithmetic.
-    if cfg.check_finite {
-        let scans = backend.check_finite_group(&mats, cfg.bs, cfg.health_context);
-        for (d, scan) in dead.iter_mut().zip(scans) {
-            match scan {
-                // Every member's scan issues the same launches.
-                Ok(l) => launches = l,
-                Err(e) => *d = Some(e),
-            }
-        }
-    }
-    // Strategy 4's out-of-place preprocessing, once for the group.
-    if cfg.strategy.needs_pretranspose() && dead.iter().any(Option::is_none) {
-        match backend.pretranspose(m, n, cfg.bs) {
-            Ok(l) => launches += l,
-            Err(e) => dead
-                .iter_mut()
-                .filter(|d| d.is_none())
-                .for_each(|d| *d = Some(e.clone())),
-        }
-    }
-
-    let mut panels: Vec<Vec<PanelFactor<T>>> = (0..g)
-        .map(|_| Vec::with_capacity(m.min(n).div_ceil(w)))
-        .collect();
-    for step in DagGeometry::panel_steps(m, n, w) {
-        let (p, c, width) = (step.p, step.c, step.width);
-        let trailing = c + width < n;
-        let live: Vec<usize> = (0..g).filter(|&j| dead[j].is_none()).collect();
-        if live.is_empty() {
+    // A run retry restarts a member from its input.
+    let pristine = policy.map_or(Vec::new(), |_| mats.clone());
+    let mut run = GroupRun {
+        backend,
+        cfg,
+        policy,
+        verify: cfg.verify_checksums || policy.is_some(),
+        geo: DagGeometry::new(m, n, cfg.bs.w, backend.slots()),
+        mats,
+        err: vec![None; g],
+        panels: (0..g).map(|_| Vec::new()).collect(),
+        reports: vec![RecoveryReport::default(); g],
+        launches: vec![0; g],
+        group_launches: 0,
+        factor: (0..g).map(|_| None).collect(),
+        probe: vec![None; g],
+        snaps: (0..g).map(|_| Vec::new()).collect(),
+        preds: vec![Vec::new(); g],
+    };
+    let mut members: Vec<usize> = (0..g).collect();
+    for round in 0.. {
+        run.attempt(&members);
+        let left = policy.is_some_and(|p| round < p.max_run_retries);
+        members = run.retry(&members, left, |r| r.run_retries += 1);
+        if members.is_empty() {
             break;
         }
-        let pre: Vec<Option<Vec<f64>>> = live
-            .iter()
-            .map(|&j| {
-                cfg.verify_checksums
-                    .then(|| health::panel_col_sumsq(&mats[j], c, c, width))
-            })
-            .collect();
-        // Grid redraw: panel p starts at row == its first column.
-        let factored = backend.factor_panel_group(&mut mats, &live, c, c, width, cfg);
-        let mut chain = 0;
-        // Per surviving member: its factor and, when verifying a panel
-        // with trailing columns, its `Q·1` probe.
-        let mut done = Vec::with_capacity(live.len());
-        for ((j, pre), r) in live.iter().copied().zip(pre).zip(factored) {
-            let checked = r.and_then(|pf| {
-                chain = 1 + pf.levels.len();
-                if let Some(pre) = &pre {
-                    backend.note_checksum_checks(width as u64);
-                    backend.charge_verify((m - c) * width);
-                    health::factor_norm_check::<T>(&mats[j], pre, m, p, c, width)?;
-                }
-                // The probe doubles as the apply-stage predictor, so it is
-                // computed once and only for panels that have trailing
-                // columns to predict; a final panel's R stays covered by
-                // the norm checksum above.
-                let u = (cfg.verify_checksums && trailing).then(|| backend.q_ones_probe(m, &pf));
-                if let Some(u) = &u {
-                    backend.note_checksum_checks(1);
-                    health::verify_probe(u, p, c)?;
-                }
-                Ok((pf, u))
-            });
-            match checked {
-                Ok((pf, u)) => done.push((j, pf, u)),
-                Err(e) => dead[j] = Some(e),
-            }
-        }
-        launches += chain;
-
-        if trailing && !done.is_empty() {
-            let cols = col_blocks(c + width, n, w);
-            let preds: Vec<Option<Vec<(f64, f64)>>> = done
-                .iter()
-                .map(|(j, _, u)| {
-                    u.as_ref()
-                        .map(|u| health::predicted_col_sums(u, &mats[*j], &cols))
-                })
-                .collect();
-            let work: Vec<(usize, &PanelFactor<T>)> =
-                done.iter().map(|(j, pf, _)| (*j, pf)).collect();
-            let applied = backend.apply_panel_group(&mut mats, &work, &cols, true);
-            launches += chain;
-            for ((&(j, _), r), pred) in work.iter().zip(applied).zip(preds) {
-                let checked = r.and_then(|()| match pred {
-                    Some(pred) => {
-                        backend.note_checksum_checks(pred.len() as u64);
-                        backend.charge_verify(m * pred.len());
-                        health::apply_sum_check::<T>(&mats[j], &pred, &cols, m, p)
-                    }
-                    None => Ok(()),
-                });
-                if let Err(e) = checked {
-                    dead[j] = Some(e);
-                }
-            }
-        }
-        for (j, pf, _) in done {
-            if dead[j].is_none() {
-                panels[j].push(pf);
-            }
+        for &j in &members {
+            run.mats[j] = pristine[j].clone();
+            run.panels[j].clear();
         }
     }
+    run.reports.iter().for_each(|r| backend.note_recovery(r));
 
-    let members = mats
-        .into_iter()
-        .zip(panels)
-        .zip(dead)
-        .map(|((a, panels), d)| match d {
-            None => Ok(Factorization {
+    let members = (run.mats.into_iter().zip(run.panels))
+        .zip(run.err.into_iter().zip(run.launches))
+        .map(|((a, panels), (err, launches))| match (err, policy) {
+            (None, _) => Ok(Factorization {
                 a,
                 panels,
                 launches,
             }),
-            Some(e) => Err(e),
+            // A member still failing transiently has spent its run budget.
+            (Some(e), Some(p)) if is_transient(&e) => Err(CaqrError::Unrecoverable {
+                context: format!(
+                    "run retry budget ({}) exhausted; last error: {e}",
+                    p.max_run_retries
+                ),
+            }),
+            (Some(e), _) => Err(e),
         })
         .collect();
-    GroupOutcome { members, launches }
+    GroupOutcome {
+        members,
+        reports: run.reports,
+        launches: run.group_launches,
+    }
+}
+
+/// The state of one [`drive_group`] run. Per member: its matrix, the
+/// error that ended its current attempt, its finished panels, its report
+/// and the launches of its current attempt; and, for the panel in flight,
+/// its factor with the `Q·1` probe, its snapshots (factor region first,
+/// then one per slot group) and its predicted column sums per slot group.
+struct GroupRun<'a, T: Scalar, B> {
+    backend: &'a B,
+    cfg: &'a DriveConfig,
+    policy: Option<&'a RecoveryPolicy>,
+    /// Run the ABFT checks: asked for, or needed by the ladder to see a
+    /// fault at all.
+    verify: bool,
+    geo: DagGeometry,
+    mats: Vec<Matrix<T>>,
+    err: Vec<Option<CaqrError>>,
+    panels: Vec<Vec<PanelFactor<T>>>,
+    reports: Vec<RecoveryReport>,
+    launches: Vec<usize>,
+    group_launches: usize,
+    factor: Vec<Option<PanelFactor<T>>>,
+    probe: Vec<Option<Vec<T>>>,
+    snaps: Vec<Vec<RegionSnapshot<T>>>,
+    preds: Vec<Vec<Vec<(f64, f64)>>>,
+}
+
+impl<T: Scalar, B: CaqrBackend<T>> GroupRun<'_, T, B> {
+    /// The members of `members` still without an error.
+    fn live(&self, members: &[usize]) -> Vec<usize> {
+        (members.iter().copied())
+            .filter(|&j| self.err[j].is_none())
+            .collect()
+    }
+
+    /// A member's task failed with `e`.
+    fn fail_task(&mut self, j: usize, e: CaqrError) {
+        self.reports[j].observe(&e);
+        self.err[j] = Some(e);
+    }
+
+    /// The members of `ran` whose attempt failed transiently, if their tier
+    /// has budget `left`: counted on the tier and cleared for another
+    /// round. The caller restores their input.
+    fn retry(&mut self, ran: &[usize], left: bool, count: fn(&mut RecoveryReport)) -> Vec<usize> {
+        let mut retry = ran.to_vec();
+        retry.retain(|&j| left && self.err[j].as_ref().is_some_and(is_transient));
+        for &j in &retry {
+            count(&mut self.reports[j]);
+            self.err[j] = None;
+        }
+        retry
+    }
+
+    /// One attempt of `members` over the whole schedule: health scan,
+    /// pre-transpose, every panel, and a final sync. Every launch of the
+    /// attempt lands in the members' reports, whether it succeeds or not.
+    fn attempt(&mut self, members: &[usize]) {
+        let (backend, cfg) = (self.backend, self.cfg);
+        members.iter().for_each(|&j| self.launches[j] = 0);
+        // Numerical health check: reject NaN/inf input with a typed error
+        // before any arithmetic.
+        if cfg.check_finite {
+            let scans = backend.check_finite_group(&self.mats, members, cfg.bs, cfg.health_context);
+            let mut issued = 0;
+            for (&j, scan) in members.iter().zip(scans) {
+                match scan {
+                    // Every member's scan issues the same launches.
+                    Ok(l) => (issued, self.launches[j]) = (l, l),
+                    Err(e) => self.err[j] = Some(e),
+                }
+            }
+            self.group_launches += issued;
+        }
+        // Strategy 4's out-of-place preprocessing, once for the group.
+        let live = self.live(members);
+        if cfg.strategy.needs_pretranspose() && !live.is_empty() {
+            let (m, n) = self.mats[live[0]].shape();
+            match backend.pretranspose(m, n, cfg.bs) {
+                Ok(l) => {
+                    self.group_launches += l;
+                    live.iter().for_each(|&j| self.launches[j] += l);
+                }
+                Err(e) => live.iter().for_each(|&j| self.err[j] = Some(e.clone())),
+            }
+        }
+        for s in 0..self.geo.steps.len() {
+            let live = self.live(members);
+            if live.is_empty() {
+                break;
+            }
+            self.panel(self.geo.steps[s], live);
+        }
+        // Resolve everything, failed work included, before the next round.
+        if let Err(e) = backend.sync() {
+            members.iter().for_each(|&j| self.err[j] = Some(e.clone()));
+        }
+        for &j in members {
+            self.reports[j].launches += self.launches[j] as u64;
+        }
+    }
+
+    /// One panel with the panel tier of the ladder: snapshot each member's
+    /// factor region (also the factor task's input), run the panel's tasks,
+    /// and roll back and redo the panel for the members whose tasks failed
+    /// transiently. With the slot-group snapshots the tasks take, this
+    /// restores the panel-start state exactly: the regions are disjoint.
+    fn panel(&mut self, step: PanelStep, mut todo: Vec<usize>) {
+        let backend = self.backend;
+        let groups = self.geo.groups(&step, step.p + 1);
+        for round in 0.. {
+            for &j in &todo {
+                self.snaps[j].clear();
+                self.preds[j].clear();
+                if self.policy.is_some() {
+                    let cols = [(step.c, step.width)];
+                    let snap = RegionSnapshot::save(backend, &self.mats[j], step.c, &cols);
+                    self.snaps[j].push(snap);
+                }
+            }
+            self.tasks(step, &groups, &todo);
+            let left = self.policy.is_some_and(|p| round < p.max_panel_replays);
+            todo = self.retry(&todo, left, |r| r.panel_replays += 1);
+            self.sync(&todo);
+            todo = self.live(&todo);
+            if todo.is_empty() {
+                return;
+            }
+            for &j in &todo {
+                let a = &mut self.mats[j];
+                self.snaps[j].iter().for_each(|s| s.restore(backend, a));
+            }
+        }
+    }
+
+    /// The panel's tasks with the task tier of the ladder: the factor chain
+    /// on the panel's home slot (checked by the column norms of `R` and the
+    /// `Q·1` probe), then one apply chain per slot group, all enqueued
+    /// before one sync, each checked by predicted column sums. A task that
+    /// fails transiently replays from its input snapshot for the failing
+    /// members only. Finished members get their panel factor.
+    fn tasks(&mut self, step: PanelStep, groups: &[Vec<(usize, usize)>], todo: &[usize]) {
+        let backend = self.backend;
+        let (m, p, c, width) = (self.mats[todo[0]].rows(), step.p, step.c, step.width);
+        let rows = m - c;
+        let policy = self.policy;
+        let task_left = |round| policy.is_some_and(|p| round < p.max_task_replays);
+        let count = |r: &mut RecoveryReport| r.task_replays += 1;
+        // The ladder probes every panel; detection alone probes only where
+        // the probe also predicts an apply (the cost is in DESIGN.md §10).
+        let probe = policy.is_some() || groups.iter().any(|cols| !cols.is_empty());
+
+        let mut pre = vec![None; self.mats.len()];
+        for &j in todo.iter().filter(|_| self.verify) {
+            backend.charge_verify(rows * width);
+            pre[j] = Some(health::panel_col_sumsq(&self.mats[j], c, c, width));
+        }
+        let mut pending = todo.to_vec();
+        let mut chain = 0;
+        for round in 0.. {
+            if pending.is_empty() {
+                break;
+            }
+            let slot = self.geo.home(p);
+            let factored =
+                backend.factor_panel_group(slot, &mut self.mats, &pending, c, c, width, self.cfg);
+            let synced = backend.sync();
+            let issued = (factored.iter().flatten().next()).map_or(0, |pf| 1 + pf.levels.len());
+            (chain, self.group_launches) = (chain.max(issued), self.group_launches + issued);
+            for (&j, r) in pending.iter().zip(factored) {
+                let checked = r.and_then(|pf| {
+                    synced.clone()?;
+                    self.launches[j] += chain;
+                    let Some(pre) = &pre[j] else {
+                        return Ok((pf, None));
+                    };
+                    self.reports[j].checksum_checks += width as u64;
+                    health::factor_norm_check::<T>(&self.mats[j], pre, m, p, c, width)?;
+                    let u = probe.then(|| backend.q_ones_probe(m, &pf));
+                    if let Some(u) = &u {
+                        self.reports[j].checksum_checks += 1;
+                        health::verify_probe(u, p, c)?;
+                    }
+                    backend.charge_verify(rows * width + u.as_ref().map_or(0, Vec::len));
+                    Ok((pf, u))
+                });
+                match checked {
+                    Ok((pf, u)) => (self.factor[j], self.probe[j]) = (Some(pf), u),
+                    Err(e) => self.fail_task(j, e),
+                }
+            }
+            pending = self.retry(&pending, synced.is_ok() && task_left(round), count);
+            for &j in &pending {
+                self.snaps[j][0].restore(backend, &mut self.mats[j]);
+            }
+        }
+
+        let slot_groups: Vec<(usize, &[(usize, usize)])> = (groups.iter().enumerate())
+            .filter(|(_, cols)| !cols.is_empty())
+            .map(|(t, cols)| (t, cols.as_slice()))
+            .collect();
+        for &(t, cols) in &slot_groups {
+            let live = self.live(todo);
+            for &j in &live {
+                let a = &self.mats[j];
+                if self.policy.is_some() {
+                    self.snaps[j].push(RegionSnapshot::save(backend, a, c, cols));
+                }
+                if let Some(u) = &self.probe[j] {
+                    let pred = health::predicted_col_sums(u, a, cols);
+                    backend.charge_verify(m * pred.len());
+                    self.preds[j].push(pred);
+                }
+            }
+            self.apply(t, &live, cols, chain);
+        }
+        if !slot_groups.is_empty() {
+            self.sync(todo);
+        }
+        let verify = self.verify;
+        for (si, &(t, cols)) in slot_groups.iter().enumerate().filter(|_| verify) {
+            let mut checking = self.live(todo);
+            for round in 0.. {
+                for &j in &checking {
+                    let pred = &self.preds[j][si];
+                    self.reports[j].checksum_checks += pred.len() as u64;
+                    backend.charge_verify(m * pred.len());
+                    if let Err(e) = health::apply_sum_check::<T>(&self.mats[j], pred, cols, m, p) {
+                        self.fail_task(j, e);
+                    }
+                }
+                let retry = self.retry(&checking, task_left(round), count);
+                if retry.is_empty() {
+                    break;
+                }
+                for &j in &retry {
+                    self.snaps[j][1 + si].restore(backend, &mut self.mats[j]);
+                }
+                self.apply(t, &retry, cols, chain);
+                self.sync(&retry);
+                // A replay that faults transiently spends task budget too:
+                // its region is restored, and the next round re-checks the
+                // stale region until the budget runs out.
+                for &j in &retry {
+                    if self.err[j].as_ref().is_some_and(is_transient) {
+                        self.err[j] = None;
+                        self.snaps[j][1 + si].restore(backend, &mut self.mats[j]);
+                    }
+                }
+                checking = self.live(&retry);
+            }
+        }
+        for &j in todo {
+            let factor = self.factor[j].take();
+            if let (None, Some(pf)) = (&self.err[j], factor) {
+                self.panels[j].push(pf);
+            }
+        }
+    }
+
+    /// One apply chain of each live member's panel factor to `cols` on
+    /// `slot`.
+    fn apply(&mut self, slot: usize, live: &[usize], cols: &[(usize, usize)], chain: usize) {
+        if live.is_empty() {
+            return;
+        }
+        let work: Vec<(usize, &PanelFactor<T>)> = (live.iter())
+            .filter_map(|&j| self.factor[j].as_ref().map(|pf| (j, pf)))
+            .collect();
+        let applied = self
+            .backend
+            .apply_panel_group(slot, &mut self.mats, &work, cols, true);
+        self.group_launches += chain;
+        for (&j, r) in live.iter().zip(applied) {
+            match r {
+                Ok(()) => self.launches[j] += chain,
+                Err(e) => self.fail_task(j, e),
+            }
+        }
+    }
+
+    /// Resolve the work of the members of `members` still live, failing
+    /// them if the schedule cannot be resolved.
+    fn sync(&mut self, members: &[usize]) {
+        let live = self.live(members);
+        if let Some(Err(e)) = (!live.is_empty()).then(|| self.backend.sync()) {
+            live.iter().for_each(|&j| self.err[j] = Some(e.clone()));
+        }
+    }
 }
 
 /// The [`Mode::Dag`] schedule of [`drive`] for one matrix.
@@ -788,19 +1026,21 @@ impl<T: Scalar> CaqrBackend<T> for CpuBackend {
     fn check_finite_group(
         &self,
         mats: &[Matrix<T>],
+        live: &[usize],
         bs: BlockSize,
         context: &'static str,
     ) -> Vec<Result<usize, CaqrError>> {
         // One region over the members. A one-item region runs inline on
         // the caller without marking it as inside a region, so a lone
         // member's scan still forks over its columns.
-        mats.par_iter()
-            .map(|a| self.check_finite(a, bs, context))
+        live.par_iter()
+            .map(|&j| self.check_finite(&mats[j], bs, context))
             .collect()
     }
 
     fn factor_panel_group(
         &self,
+        _slot: usize,
         mats: &mut [Matrix<T>],
         live: &[usize],
         row0: usize,
@@ -817,6 +1057,7 @@ impl<T: Scalar> CaqrBackend<T> for CpuBackend {
 
     fn apply_panel_group(
         &self,
+        _slot: usize,
         mats: &mut [Matrix<T>],
         work: &[(usize, &PanelFactor<T>)],
         cols: &[(usize, usize)],
@@ -1011,15 +1252,8 @@ impl<'g, T: Scalar> CaqrBackend<T> for SimBackend<'g> {
             .host_work("snapshot", bytes / (self.gpu.spec().dram_bw_gbs * 1e9), 0.0);
     }
 
-    fn note_task_replay(&self) {
-        self.gpu.note_task_replay();
-    }
-
-    fn note_panel_replay(&self) {
-        self.gpu.note_panel_replay();
-    }
-
-    fn note_run_retry(&self) {
-        self.gpu.note_run_retry();
+    fn note_recovery(&self, r: &RecoveryReport) {
+        self.gpu
+            .note_replays(r.task_replays, r.panel_replays, r.run_retries);
     }
 }

@@ -37,7 +37,7 @@
 //! [`caqr_cpu`]: crate::multicore::caqr_cpu
 //! [`blockops::factor_tree_group`]: crate::blockops::factor_tree_group
 
-use crate::backend::{drive, CaqrBackend, DriveConfig, Factorization, Mode};
+use crate::backend::{drive_group, CaqrBackend, DriveConfig, Factorization};
 use crate::block::{plan_tree, tile_panel, BlockSize, Tile, TreeGroup, TreePlan, TreeShape};
 use crate::error::{checked_bytes, checked_elems, CaqrError};
 use crate::health;
@@ -551,7 +551,7 @@ impl<'c, T: Scalar> CaqrBackend<T> for ClusterBackend<'c, T> {
         _cols: &[(usize, usize)],
         _transpose: bool,
     ) -> Result<(), CaqrError> {
-        // Unreachable from `drive`: the single panel spans all `n` columns,
+        // Unreachable from the Sync loop: the single panel spans all `n` columns,
         // so there is never a trailing block to update.
         Err(CaqrError::BadShape(
             "distributed TSQR has no trailing updates to apply".into(),
@@ -579,10 +579,6 @@ impl<'c, T: Scalar> CaqrBackend<T> for ClusterBackend<'c, T> {
             bytes / (root.spec().dram_bw_gbs * 1e9),
             2.0 * elems as f64,
         );
-    }
-
-    fn note_checksum_checks(&self, n: u64) {
-        self.state.borrow_mut().report.checksum_checks += n;
     }
 }
 
@@ -628,11 +624,14 @@ pub fn distributed_tsqr<T: Scalar>(
         verify_checksums: opts.verify_checksums,
         health_context: "distributed_tsqr input",
     };
-    // One full-width panel, so `drive` issues exactly one factor_panel call
-    // (the whole phase schedule) and no trailing updates; the launch count
-    // the report carries comes from the backend's own per-phase ledger.
-    let f = drive(&backend, a, &cfg, Mode::Sync)?;
-    Ok((f, backend.finish()))
+    // One full-width panel, so the Sync loop issues exactly one
+    // factor_panel call (the whole phase schedule) and no trailing
+    // updates; the launch count the report carries comes from the
+    // backend's own per-phase ledger, the checksum count from the loop's.
+    let (f, checked) = drive_group(&backend, vec![a], &cfg, None).solo()?;
+    let mut report = backend.finish();
+    report.recovery.checksum_checks = checked.checksum_checks;
+    Ok((f, report))
 }
 
 #[cfg(test)]

@@ -306,7 +306,7 @@ pub fn panel_col_sumsq<T: Scalar>(
 
 /// Per-column norm of the surviving `R` triangle: `sum_{i<=j} R[i,j]^2`
 /// read from the factored matrix at `(row0, col0)`.
-pub fn r_col_sumsq<T: Scalar>(a: &Matrix<T>, row0: usize, col0: usize, width: usize) -> Vec<f64> {
+fn r_col_sumsq<T: Scalar>(a: &Matrix<T>, row0: usize, col0: usize, width: usize) -> Vec<f64> {
     (0..width)
         .map(|j| {
             a.col(col0 + j)[row0..row0 + j + 1]
@@ -323,7 +323,7 @@ pub fn r_col_sumsq<T: Scalar>(a: &Matrix<T>, row0: usize, col0: usize, width: us
 /// Check the factor-stage invariant `pre[j] == post[j]` to relative
 /// tolerance; `col0` converts the panel-local index of the first mismatch
 /// into the global column reported by [`CaqrError::ChecksumMismatch`].
-pub fn verify_factor_checksums<T: Scalar>(
+fn verify_factor_checksums<T: Scalar>(
     pre: &[f64],
     post: &[f64],
     rows: usize,
@@ -393,7 +393,7 @@ pub fn predicted_col_sums<T: Scalar>(
 
 /// Per-column sums of the columns in `col_blocks` (f64 accumulation) — the
 /// post-update observation the predictions are checked against.
-pub fn actual_col_sums<T: Scalar>(c: &Matrix<T>, col_blocks: &[(usize, usize)]) -> Vec<f64> {
+fn actual_col_sums<T: Scalar>(c: &Matrix<T>, col_blocks: &[(usize, usize)]) -> Vec<f64> {
     let cols = block_cols(col_blocks);
     map_cols(0..cols.len(), c.rows(), |k| lane_sum(c.col(cols[k]), |x| x))
 }
@@ -401,7 +401,7 @@ pub fn actual_col_sums<T: Scalar>(c: &Matrix<T>, col_blocks: &[(usize, usize)]) 
 /// Check the apply-stage checksums: each observed column sum must match its
 /// prediction within `tol * scale`. The first mismatch is reported with the
 /// *global* column index recovered from `col_blocks`.
-pub fn verify_apply_checksums<T: Scalar>(
+fn verify_apply_checksums<T: Scalar>(
     pred: &[(f64, f64)],
     actual: &[f64],
     col_blocks: &[(usize, usize)],
@@ -426,8 +426,8 @@ pub fn verify_apply_checksums<T: Scalar>(
 /// norms at `(c, c)` and check them against the pre-factor checksums
 /// `pre` ([`panel_col_sumsq`] of the same columns). `panel` and `c` locate
 /// the mismatch report; the tolerance scales with the panel height
-/// `m - c`. Shared by the sync driver ([`crate::backend::drive`]) and the
-/// fused-batch verified path so both report identical errors.
+/// `m - c`. The one factor-stage check of the Sync loop, for solo runs,
+/// fused groups and the replay ladder alike.
 pub fn factor_norm_check<T: Scalar>(
     a: &Matrix<T>,
     pre: &[f64],

@@ -80,9 +80,7 @@ pub use error::{checked_bytes, checked_elems, CaqrError};
 pub use health::{check_matrix_finite, first_nonfinite};
 pub use microkernels::ReductionStrategy;
 pub use multicore::{caqr_cpu, CpuCaqr, CpuCaqrOptions};
-pub use recovery::{
-    caqr_resilient, drive_resilient, RecoveryOptions, RecoveryPolicy, RecoveryReport,
-};
+pub use recovery::{caqr_resilient, RecoveryOptions, RecoveryPolicy, RecoveryReport};
 pub use schedule::{caqr_dag, model_caqr_dag_seconds, ScheduleOptions};
 pub use service::{
     factor_many, factor_many_resilient, factor_many_with_stats, run_solo_resilient,

@@ -1,16 +1,18 @@
 //! Tile-granular fault recovery: ABFT-verified CAQR with a three-tier
 //! replay ladder (DESIGN.md §10).
 //!
-//! [`caqr_resilient`] runs the barrier-mode DAG schedule of
-//! [`crate::schedule::caqr_dag`] task by task, verifying every task's
-//! output against the algorithm-based checksums of [`crate::health`]:
+//! The ladder is a policy of the one [`Mode::Sync`] panel loop, not a loop
+//! of its own: given a [`RecoveryPolicy`], that loop verifies every task's
+//! output against the algorithm-based checksums of [`crate::health`] and
+//! replays what fails. [`caqr_resilient`] runs it as a group of one on the
+//! simulator's barrier executor:
 //!
 //! * a **factor task** (the panel's `factor` + `factor_tree` chain) is
 //!   checked with the column-norm invariant (`||R[:,j]|| == ||A[:,j]||`)
 //!   and the orthogonality probe `||Q_p . 1||^2 == m` over the packed
 //!   compact-WY factors the applies will consume;
-//! * an **apply task** (one home-stream group of trailing column blocks)
-//!   is checked against predicted post-update column sums (`u^T C`).
+//! * an **apply task** (one slot group of trailing column blocks) is
+//!   checked against predicted post-update column sums (`u^T C`).
 //!
 //! A detected fault — a checksum mismatch from silent data corruption, a
 //! [`CaqrError::Fault`] that outlived the launch-level retries, or a
@@ -28,19 +30,15 @@
 //! under `snapshot`, and watchdog stalls under `watchdog_stall` — so the
 //! overhead of resilience is measurable (`wallclock_report
 //! --check-overhead` gates it in CI).
+//!
+//! [`Mode::Sync`]: crate::backend::Mode::Sync
 
-use crate::backend::{CaqrBackend, DagGeometry, DriveConfig, Factorization, PanelStep, SimBackend};
+use crate::backend::{drive_group, CaqrBackend, Factorization, SimBackend};
 use crate::caqr::CaqrOptions;
-use crate::error::{checked_elems, CaqrError};
-use crate::health::{
-    actual_col_sums, panel_col_sumsq, predicted_col_sums, r_col_sumsq, verify_apply_checksums,
-    verify_factor_checksums, verify_probe,
-};
-use crate::tsqr::PanelFactor;
+use crate::error::CaqrError;
 use dense::arena;
 use dense::matrix::Matrix;
 use dense::scalar::Scalar;
-use dense::MatPtr;
 use gpu_sim::Gpu;
 
 /// Replay budgets of the escalation ladder. Each tier's budget is per
@@ -116,7 +114,8 @@ pub struct RecoveryReport {
 }
 
 impl RecoveryReport {
-    fn observe(&mut self, e: &CaqrError) {
+    /// Count a task failure by kind.
+    pub(crate) fn observe(&mut self, e: &CaqrError) {
         match e {
             CaqrError::Timeout { .. } => self.timeouts += 1,
             CaqrError::Fault { .. } => self.launch_faults += 1,
@@ -144,14 +143,14 @@ pub(crate) fn is_transient(e: &CaqrError) -> bool {
 /// the input state of one task, restored bit-exactly on replay. Snapshot
 /// traffic (a DRAM read + write) is charged through
 /// [`CaqrBackend::charge_snapshot`] under the `snapshot` op.
-struct RegionSnapshot<T: Scalar> {
+pub(crate) struct RegionSnapshot<T: Scalar> {
     row0: usize,
     cols: Vec<(usize, usize)>,
     data: arena::ArenaBuf<T>,
 }
 
 impl<T: Scalar> RegionSnapshot<T> {
-    fn save<B: CaqrBackend<T>>(
+    pub(crate) fn save<B: CaqrBackend<T>>(
         backend: &B,
         a: &Matrix<T>,
         row0: usize,
@@ -175,7 +174,7 @@ impl<T: Scalar> RegionSnapshot<T> {
         }
     }
 
-    fn restore<B: CaqrBackend<T>>(&self, backend: &B, a: &mut Matrix<T>) {
+    pub(crate) fn restore<B: CaqrBackend<T>>(&self, backend: &B, a: &mut Matrix<T>) {
         let rows = a.rows() - self.row0;
         let mut off = 0;
         for &(c0, wc) in &self.cols {
@@ -194,291 +193,17 @@ impl<T: Scalar> RegionSnapshot<T> {
 /// injected faults. Returns the factorization and a [`RecoveryReport`] of
 /// what the escalation ladder did.
 ///
-/// A thin shim over the generic [`drive_resilient`] on a barrier-mode
-/// [`SimBackend`] (DESIGN.md §13): the escalation ladder itself is written
-/// once against [`CaqrBackend`] and works on any executor.
+/// The Sync loop over a group of one on a barrier-mode [`SimBackend`]
+/// (DESIGN.md §13), under `opts.policy`: the factor runs on the panel's
+/// home stream and the trailing update fans out over every stream.
 pub fn caqr_resilient<T: Scalar>(
     gpu: &Gpu,
     a: Matrix<T>,
     opts: RecoveryOptions,
 ) -> Result<(Factorization<T>, RecoveryReport), CaqrError> {
     let backend = SimBackend::resilient(gpu, opts.streams)?;
-    drive_resilient(&backend, a, &opts.caqr.drive_config(), &opts.policy)
-}
-
-/// The generic resilient driver: the barrier-mode DAG schedule of
-/// [`crate::backend::drive`] run task by task on any [`CaqrBackend`], with
-/// ABFT verification of every task and the three-tier snapshot/replay
-/// escalation ladder described in the module docs. Written once against
-/// the trait — the single-device executor ([`caqr_resilient`]) and any
-/// future backend get identical recovery semantics.
-pub fn drive_resilient<T: Scalar, B: CaqrBackend<T>>(
-    backend: &B,
-    pristine: Matrix<T>,
-    cfg: &DriveConfig,
-    policy: &RecoveryPolicy,
-) -> Result<(Factorization<T>, RecoveryReport), CaqrError> {
-    cfg.bs.validate().map_err(CaqrError::BadShape)?;
-    let (m, n) = pristine.shape();
-    if m == 0 || n == 0 {
-        return Err(CaqrError::BadShape(format!("empty matrix {m}x{n}")));
-    }
-    checked_elems(m, n, "matrix element count")?;
-    let geo = DagGeometry::new(m, n, cfg.bs.w, backend.slots());
-    let mut report = RecoveryReport::default();
-    let mut run_attempt = 0u32;
-    loop {
-        match run_once(backend, &geo, &pristine, cfg, policy, &mut report) {
-            Ok(out) => return Ok((out, report)),
-            Err(e) if is_transient(&e) => {
-                backend.sync()?;
-                if run_attempt >= policy.max_run_retries {
-                    return Err(CaqrError::Unrecoverable {
-                        context: format!(
-                            "run retry budget ({}) exhausted; last error: {e}",
-                            policy.max_run_retries
-                        ),
-                    });
-                }
-                run_attempt += 1;
-                report.run_retries += 1;
-                backend.note_run_retry();
-            }
-            Err(e) => {
-                backend.sync()?;
-                return Err(e);
-            }
-        }
-    }
-}
-
-/// One full factorization attempt over a fresh copy of the pristine input.
-/// Transient errors bubbling out of here have already exhausted the task
-/// and panel tiers for their panel.
-fn run_once<T: Scalar, B: CaqrBackend<T>>(
-    backend: &B,
-    geo: &DagGeometry,
-    pristine: &Matrix<T>,
-    cfg: &DriveConfig,
-    policy: &RecoveryPolicy,
-    report: &mut RecoveryReport,
-) -> Result<Factorization<T>, CaqrError> {
-    let mut a = pristine.clone();
-    let (m, n) = a.shape();
-    let mut launches = 0usize;
-
-    if cfg.check_finite {
-        launches += backend.check_finite(&a, cfg.bs, cfg.health_context)?;
-    }
-    if cfg.strategy.needs_pretranspose() {
-        launches += backend.pretranspose(m, n, cfg.bs)?;
-    }
-
-    let mut panels: Vec<PanelFactor<T>> = Vec::with_capacity(geo.steps.len());
-    for step in &geo.steps {
-        let pf = run_panel(
-            backend,
-            geo,
-            &mut a,
-            step,
-            cfg,
-            policy,
-            report,
-            &mut launches,
-        )?;
-        panels.push(pf);
-    }
-    backend.sync()?;
-    report.launches += launches as u64;
-    Ok(Factorization {
-        a,
-        panels,
-        launches,
-    })
-}
-
-/// One panel with tier-2 recovery: snapshot the panel-start state of every
-/// region the panel writes, run the panel's tasks (tier-1 recovery
-/// inside), and on an escalated task failure roll everything back and
-/// redo the panel — until the panel budget is spent.
-#[allow(clippy::too_many_arguments)]
-fn run_panel<T: Scalar, B: CaqrBackend<T>>(
-    backend: &B,
-    geo: &DagGeometry,
-    a: &mut Matrix<T>,
-    step: &PanelStep,
-    cfg: &DriveConfig,
-    policy: &RecoveryPolicy,
-    report: &mut RecoveryReport,
-    launches: &mut usize,
-) -> Result<PanelFactor<T>, CaqrError> {
-    // Barrier geometry: every trailing block, partitioned by home slot.
-    let groups = geo.groups(step, step.p + 1);
-    let mut panel_attempt = 0u32;
-    loop {
-        // The factor snapshot doubles as the factor *task's* input snapshot
-        // (taken before any factor attempt, so tier-1 restores reuse it);
-        // the group snapshots are taken inside run_panel_tasks just before
-        // each group's first apply. On rollback the union restores the
-        // panel-start state exactly: the regions are disjoint and nothing
-        // else writes them.
-        let factor_snap = RegionSnapshot::save(backend, a, step.c, &[(step.c, step.width)]);
-        match run_panel_tasks(
-            backend,
-            geo,
-            a,
-            step,
-            &groups,
-            &factor_snap,
-            cfg,
-            policy,
-            report,
-            launches,
-        ) {
-            Ok(pf) => return Ok(pf),
-            Err((e, group_snaps)) if is_transient(&e) => {
-                if panel_attempt >= policy.max_panel_replays {
-                    return Err(e);
-                }
-                panel_attempt += 1;
-                report.panel_replays += 1;
-                backend.note_panel_replay();
-                backend.sync()?;
-                factor_snap.restore(backend, a);
-                for snap in &group_snaps {
-                    snap.restore(backend, a);
-                }
-            }
-            Err((e, _)) => return Err(e),
-        }
-    }
-}
-
-type TaskError<T> = (CaqrError, Vec<RegionSnapshot<T>>);
-
-/// The panel's task sequence with tier-1 recovery: factor chain (verified
-/// by column norms + orthogonality probe), then one apply chain per home
-/// stream (verified by predicted column sums). Errors return the group
-/// snapshots taken so far so the caller can roll the panel back.
-#[allow(clippy::too_many_arguments)]
-fn run_panel_tasks<T: Scalar, B: CaqrBackend<T>>(
-    backend: &B,
-    geo: &DagGeometry,
-    a: &mut Matrix<T>,
-    step: &PanelStep,
-    groups: &[Vec<(usize, usize)>],
-    factor_snap: &RegionSnapshot<T>,
-    cfg: &DriveConfig,
-    policy: &RecoveryPolicy,
-    report: &mut RecoveryReport,
-    launches: &mut usize,
-) -> Result<PanelFactor<T>, TaskError<T>> {
-    let m = a.rows();
-    let rows = m - step.c;
-    let slot = geo.home(step.p);
-    let mut group_snaps: Vec<RegionSnapshot<T>> = Vec::new();
-
-    // --- factor task -------------------------------------------------------
-    let pre = panel_col_sumsq(a, step.c, step.c, step.width);
-    backend.charge_verify(rows * step.width);
-    let mut attempt = 0u32;
-    let (pf, u) = loop {
-        let result = (|| -> Result<(PanelFactor<T>, Vec<T>), CaqrError> {
-            let pf = backend.factor_panel(slot, a, step.c, step.c, step.width, cfg)?;
-            backend.sync()?;
-            *launches += 1 + pf.levels.len();
-            // Column-norm invariance of the surviving R (catches corrupted
-            // R elements and corrupted reflectors feeding the tree).
-            let post = r_col_sumsq(a, step.c, step.c, step.width);
-            report.checksum_checks += step.width as u64;
-            verify_factor_checksums::<T>(&pre, &post, rows, step.p, step.c)?;
-            // Orthogonality probe over the packed factors (catches
-            // corrupted V/T/tau copies, which the matrix checks can't see).
-            let u = backend.q_ones_probe(m, &pf);
-            report.checksum_checks += 1;
-            verify_probe(&u, step.p, step.c)?;
-            backend.charge_verify(rows * step.width + m);
-            Ok((pf, u))
-        })();
-        match result {
-            Ok(out) => break out,
-            Err(e) if is_transient(&e) => {
-                report.observe(&e);
-                if attempt >= policy.max_task_replays {
-                    return Err((e, group_snaps));
-                }
-                attempt += 1;
-                report.task_replays += 1;
-                backend.note_task_replay();
-                if backend.sync().is_err() {
-                    return Err((e, group_snaps));
-                }
-                factor_snap.restore(backend, a);
-            }
-            Err(e) => return Err((e, group_snaps)),
-        }
-    };
-
-    // --- apply tasks -------------------------------------------------------
-    // Enqueue every group first (slots overlap in the resolved timeline),
-    // then barrier once and verify each group; only a failing group replays.
-    let mut preds: Vec<(usize, Vec<(f64, f64)>)> = Vec::new();
-    for (t, cols) in groups.iter().enumerate() {
-        if cols.is_empty() {
-            continue;
-        }
-        group_snaps.push(RegionSnapshot::save(backend, a, step.c, cols));
-        let pred = predicted_col_sums(&u, a, cols);
-        backend.charge_verify(m * pred.len());
-        preds.push((t, pred));
-        let ap = MatPtr::new(a);
-        if let Err(e) = backend.apply_panel(t, ap, &pf, cols, true) {
-            report.observe(&e);
-            return Err((e, group_snaps));
-        }
-        *launches += 1 + pf.levels.len();
-    }
-    if let Err(e) = backend.sync() {
-        return Err((e, group_snaps));
-    }
-    for (si, (t, pred)) in preds.iter().enumerate() {
-        let cols = &groups[*t];
-        let mut attempt = 0u32;
-        loop {
-            let actual = actual_col_sums(a, cols);
-            report.checksum_checks += pred.len() as u64;
-            backend.charge_verify(m * pred.len());
-            let verdict = verify_apply_checksums::<T>(pred, &actual, cols, m, step.p);
-            let e = match verdict {
-                Ok(()) => break,
-                Err(e) => e,
-            };
-            report.observe(&e);
-            if attempt >= policy.max_task_replays {
-                return Err((e, group_snaps));
-            }
-            attempt += 1;
-            report.task_replays += 1;
-            backend.note_task_replay();
-            group_snaps[si].restore(backend, a);
-            let ap = MatPtr::new(a);
-            let replay = backend
-                .apply_panel(*t, ap, &pf, cols, true)
-                .and_then(|()| backend.sync());
-            match replay {
-                Ok(()) => *launches += 1 + pf.levels.len(),
-                Err(e) if is_transient(&e) => {
-                    // A faulted replay attempt consumes task budget too; the
-                    // next loop iteration re-verifies the restored-but-stale
-                    // region and keeps going until the budget runs out.
-                    report.observe(&e);
-                    group_snaps[si].restore(backend, a);
-                }
-                Err(e) => return Err((e, group_snaps)),
-            }
-        }
-    }
-    Ok(pf)
+    let cfg = opts.caqr.drive_config();
+    drive_group(&backend, vec![a], &cfg, Some(&opts.policy)).solo()
 }
 
 #[cfg(test)]

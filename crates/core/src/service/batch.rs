@@ -20,9 +20,8 @@ use std::collections::BTreeMap;
 /// The fusion key: jobs agreeing on all of this factor under one packed
 /// launch sequence. Tree shapes are keyed by their *effective arity* — a
 /// `DeviceArity` tree and an explicit `Arity(h/w)` tree plan identically.
-/// Checksummed jobs still run solo through [`caqr_cpu`]: the group loop
-/// can verify every member (it does for [`factor_many_resilient`]'s
-/// `verify`), but letting them fuse is a separate change.
+/// Checksummed jobs fuse with each other: the group loop verifies every
+/// member of their group, exactly as a standalone [`caqr_cpu`] would.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub(crate) struct FuseKey {
     m: usize,
@@ -30,17 +29,17 @@ pub(crate) struct FuseKey {
     h: usize,
     w: usize,
     arity: usize,
+    verify: bool,
 }
 
 /// Classify one job: `Some(key)` if it can enter a fused group, `None` if
-/// it must run solo (odd/invalid shapes, checksummed jobs). Solo jobs go
-/// through [`caqr_cpu`] untouched, so invalid inputs surface exactly the
-/// typed error a standalone run would produce.
+/// it must run solo (odd/invalid shapes). Solo jobs go through
+/// [`caqr_cpu`] untouched, so invalid inputs surface exactly the typed
+/// error a standalone run would produce.
 pub(crate) fn fuse_key<T: Scalar>(a: &Matrix<T>, opts: &CpuCaqrOptions) -> Option<FuseKey> {
     let (m, n) = a.shape();
     let bs = opts.block_size();
-    if opts.verify_checksums
-        || m == 0
+    if m == 0
         || n == 0
         || bs.validate().is_err()
         || checked_elems(m, n, "matrix element count").is_err()
@@ -53,6 +52,7 @@ pub(crate) fn fuse_key<T: Scalar>(a: &Matrix<T>, opts: &CpuCaqrOptions) -> Optio
         h: bs.h,
         w: bs.w,
         arity: opts.tree.arity(bs),
+        verify: opts.verify_checksums,
     })
 }
 
@@ -62,8 +62,8 @@ pub struct BatchStats {
     /// Jobs that ran inside a fused group of two or more (members carved
     /// out by a fault still count: they consumed fused launches).
     pub fused_jobs: usize,
-    /// Jobs that ran as standalone `caqr_cpu` calls (odd shapes, checksum
-    /// jobs, or the only member of their shape class).
+    /// Jobs that ran as standalone `caqr_cpu` calls (odd shapes, or the
+    /// only member of their shape class).
     pub solo_jobs: usize,
     /// Fused groups executed.
     pub fused_groups: usize,
@@ -99,16 +99,18 @@ pub fn logical_launches<T: Scalar>(f: &Factorization<T>) -> usize {
 /// lockstep launches. Returns one result per job, in input order, each
 /// **bit-identical** to `caqr_cpu(a, opts)` on the same input.
 ///
-/// Jobs are grouped by shape class (shape, block size, tree arity); each
-/// group of two or more runs the synchronous driver loop over all its
-/// members, with the per-tile factor tasks, per-group tree reductions, and
-/// per-(tile × column-block) trailing updates of *all* jobs packed into one
-/// parallel region per schedule step (a flat work list with per-job
-/// offsets). Odd shapes, checksummed jobs, and singleton classes fall back
-/// to per-job [`caqr_cpu`] runs. Fusion preserves bit-identity because
-/// every packed task reads and writes only its own job's matrix and the
-/// schedule per job is unchanged — see the conformance proptest in
-/// `tests/service_batching.rs`.
+/// Jobs are grouped by shape class (shape, block size, tree arity, and
+/// whether they ask for checksums); each group of two or more runs the
+/// synchronous driver loop over all its members, with the per-tile factor
+/// tasks, per-group tree reductions, and per-(tile × column-block)
+/// trailing updates of *all* jobs packed into one parallel region per
+/// schedule step (a flat work list with per-job offsets). A checksummed
+/// group verifies every member, and a member whose check fails gets the
+/// [`CaqrError::ChecksumMismatch`] a standalone run would. Odd shapes and
+/// singleton classes fall back to per-job [`caqr_cpu`] runs. Fusion
+/// preserves bit-identity because every packed task reads and writes only
+/// its own job's matrix and the schedule per job is unchanged — see the
+/// conformance proptest in `tests/service_batching.rs`.
 pub fn factor_many<T: Scalar>(
     jobs: Vec<(Matrix<T>, CpuCaqrOptions)>,
 ) -> Vec<Result<Factorization<T>, CaqrError>> {
@@ -212,16 +214,17 @@ fn run_group<T: Scalar>(
         members.into_iter().map(|(i, a, _)| (i, a)).unzip();
     let faults: Vec<Option<PlannedFault>> = idxs.iter().map(|&i| fault_at(i)).collect();
     let clean = faults.iter().all(Option::is_none);
-    // A group carrying a fault always verifies, so an SDC is caught.
+    // A group carrying a fault always verifies, so an SDC is caught; a
+    // checksummed group verifies because its key says so.
     let cfg = DriveConfig {
-        verify_checksums: verify || !clean,
+        verify_checksums: key.verify || verify || !clean,
         ..opts.drive_config()
     };
     let group = if clean {
-        drive_group(&CpuBackend, mats, &cfg)
+        drive_group(&CpuBackend, mats, &cfg, None)
     } else {
         let backend = Faulty::new(CpuBackend, &faults, key.m, key.n, key.w);
-        drive_group(&backend, mats, &cfg)
+        drive_group(&backend, mats, &cfg, None)
     };
     // The packed health scan is one region; the host backend reports it
     // as zero launches.
@@ -328,13 +331,13 @@ mod tests {
     }
 
     #[test]
-    fn checksummed_jobs_run_solo_and_still_match() {
+    fn checksummed_jobs_fuse_and_still_match() {
         let a = dense::generate::uniform::<f64>(256, 8, 11);
         let mut o = opts(32, 8);
         o.verify_checksums = true;
         let (results, stats) = factor_many_with_stats(vec![(a.clone(), o), (a.clone(), o)]);
-        assert_eq!(stats.solo_jobs, 2);
-        assert_eq!(stats.fused_jobs, 0);
+        assert_eq!(stats.fused_jobs, 2);
+        assert_eq!(stats.solo_jobs, 0);
         let want = caqr_cpu(a, o).unwrap();
         for r in &results {
             assert_eq!(r.as_ref().unwrap().a, want.a);
@@ -433,14 +436,14 @@ mod tests {
         let cfg = opts(48, 8).drive_config();
         let mut mats = src.clone();
         let mut pfs: Vec<PanelFactor<f64>> = CpuBackend
-            .factor_panel_group(&mut mats, &[0, 1, 2], 0, 0, 8, &cfg)
+            .factor_panel_group(0, &mut mats, &[0, 1, 2], 0, 0, 8, &cfg)
             .into_iter()
             .map(|r| r.expect("clean factor"))
             .collect();
         pfs[1].wy0.truncate(1);
         let cols = col_blocks(8, 24, 8);
         let work: Vec<(usize, &PanelFactor<f64>)> = pfs.iter().enumerate().collect();
-        let applied = CpuBackend.apply_panel_group(&mut mats, &work, &cols, true);
+        let applied = CpuBackend.apply_panel_group(0, &mut mats, &work, &cols, true);
         assert!(
             matches!(applied[1], Err(CaqrError::Panicked { .. })),
             "{:?}",

@@ -4,11 +4,13 @@
 //! bounded retry budget, the overload circuit-breaker policy, and the
 //! per-tenant admission quotas.
 
-use crate::backend::{CaqrBackend, CpuBackend, DagGeometry, DriveConfig, Factorization};
+use crate::backend::{
+    drive_group, CaqrBackend, CpuBackend, DagGeometry, DriveConfig, Factorization,
+};
 use crate::block::BlockSize;
 use crate::error::CaqrError;
 use crate::multicore::CpuCaqrOptions;
-use crate::recovery::{drive_resilient, is_transient, RecoveryPolicy, RecoveryReport};
+use crate::recovery::{is_transient, RecoveryPolicy, RecoveryReport};
 use crate::tsqr::PanelFactor;
 use dense::matrix::Matrix;
 use dense::scalar::Scalar;
@@ -228,15 +230,15 @@ pub fn service_retryable(e: &CaqrError) -> bool {
 ///
 /// One steering rule: a member's fault fires at task ordinal
 /// `payload % tasks`, counting that member's tasks in the fault-free
-/// [`Mode::Sync`](crate::backend::Mode::Sync) schedule — one factor per
-/// panel, plus one apply when the panel has trailing columns. Admission
-/// faults fail the task with a typed error before it runs, a host panic
-/// unwinds out of it, and an SDC lets it run and then corrupts a value
-/// inside checksum coverage. The per-matrix methods (the §10 ladder of
-/// [`run_solo_resilient`]) are member 0: the panic unwinds to the ladder's
-/// boundary and a replay sees clean execution. The group methods (a fused
-/// run) catch an injected panic at its member, so every fault carves only
-/// its victim.
+/// [`Mode::Sync`](crate::backend::Mode::Sync) schedule on one slot — one
+/// factor per panel, plus one apply when the panel has trailing columns.
+/// Admission faults fail the task with a typed error before it runs, a
+/// host panic fails it as [`CaqrError::Panicked`], caught at its member,
+/// and an SDC lets it run and then corrupts a value inside checksum
+/// coverage. Faults fire from the group methods, the ones the Sync loop
+/// calls, whether it carves a fused run's victim or replays a solo run
+/// ([`run_solo_resilient`]) up the ladder; a replay sees clean execution.
+/// The per-matrix methods pass straight through.
 pub(crate) struct Faulty<B> {
     inner: B,
     /// Per member: the armed fault and the task ordinal it fires at.
@@ -255,7 +257,8 @@ impl<B> Faulty<B> {
         n: usize,
         w: usize,
     ) -> Faulty<B> {
-        let tasks: u64 = DagGeometry::panel_steps(m, n, w)
+        let tasks: u64 = DagGeometry::new(m, n, w, 1)
+            .steps
             .iter()
             .map(|s| if s.c + s.width < n { 2 } else { 1 })
             .sum();
@@ -323,15 +326,16 @@ impl<B> Faulty<B> {
     }
 }
 
-/// Fire `fault` against a `kernel` task: a typed error for an admission
-/// fault, an unwind for a host panic, nothing for an SDC (which corrupts
-/// the task's output instead) or no fault.
-fn fire(fault: Option<PlannedFault>, kernel: &'static str) -> Result<(), CaqrError> {
+/// Fire `fault` against one member's `kernel` task: a typed error for an
+/// admission fault, [`CaqrError::Panicked`] for a host panic (raised and
+/// caught here, so it fails only that member), nothing for an SDC (which
+/// corrupts the task's output instead) or no fault.
+fn fire_member(fault: Option<PlannedFault>, kernel: &'static str) -> Result<(), CaqrError> {
     let Some(f) = fault else {
         return Ok(());
     };
     let launch_index = f.ordinal;
-    match f.kind {
+    catch_unwind(|| match f.kind {
         FaultKind::LaunchFail => Err(CaqrError::Fault {
             kernel,
             launch_index,
@@ -348,13 +352,8 @@ fn fire(fault: Option<PlannedFault>, kernel: &'static str) -> Result<(), CaqrErr
         }),
         FaultKind::HostPanic => panic!("injected host panic: {kernel} task"),
         FaultKind::Sdc => Ok(()),
-    }
-}
-
-/// [`fire`] for one member of a group: an injected panic is caught here
-/// and fails only that member.
-fn fire_member(fault: Option<PlannedFault>, kernel: &'static str) -> Result<(), CaqrError> {
-    catch_unwind(|| fire(fault, kernel)).unwrap_or_else(|_| {
+    })
+    .unwrap_or_else(|_| {
         Err(CaqrError::Panicked {
             context: format!("injected host panic: {kernel} task"),
         })
@@ -413,13 +412,7 @@ impl<T: Scalar, B: CaqrBackend<T>> CaqrBackend<T> for Faulty<B> {
         width: usize,
         cfg: &DriveConfig,
     ) -> Result<PanelFactor<T>, CaqrError> {
-        let fault = self.draw(0);
-        fire(fault, "factor")?;
-        let pf = self.inner.factor_panel(slot, a, row0, col0, width, cfg)?;
-        if let Some(f) = fault.filter(is_sdc) {
-            corrupt_factor(MatPtr::new(a), f, col0, width);
-        }
-        Ok(pf)
+        self.inner.factor_panel(slot, a, row0, col0, width, cfg)
     }
 
     fn apply_panel(
@@ -430,26 +423,22 @@ impl<T: Scalar, B: CaqrBackend<T>> CaqrBackend<T> for Faulty<B> {
         cols: &[(usize, usize)],
         transpose: bool,
     ) -> Result<(), CaqrError> {
-        let fault = self.draw(0);
-        fire(fault, "apply")?;
-        self.inner.apply_panel(slot, c, pf, cols, transpose)?;
-        if fault.filter(is_sdc).is_some() {
-            corrupt_apply(c, pf, cols);
-        }
-        Ok(())
+        self.inner.apply_panel(slot, c, pf, cols, transpose)
     }
 
     fn check_finite_group(
         &self,
         mats: &[Matrix<T>],
+        live: &[usize],
         bs: BlockSize,
         context: &'static str,
     ) -> Vec<Result<usize, CaqrError>> {
-        self.inner.check_finite_group(mats, bs, context)
+        self.inner.check_finite_group(mats, live, bs, context)
     }
 
     fn factor_panel_group(
         &self,
+        slot: usize,
         mats: &mut [Matrix<T>],
         live: &[usize],
         row0: usize,
@@ -464,7 +453,7 @@ impl<T: Scalar, B: CaqrBackend<T>> CaqrBackend<T> for Faulty<B> {
             "factor",
             |mats, run| {
                 self.inner
-                    .factor_panel_group(mats, run, row0, col0, width, cfg)
+                    .factor_panel_group(slot, mats, run, row0, col0, width, cfg)
             },
             |c, _, f| corrupt_factor(c, f, col0, width),
         )
@@ -472,6 +461,7 @@ impl<T: Scalar, B: CaqrBackend<T>> CaqrBackend<T> for Faulty<B> {
 
     fn apply_panel_group(
         &self,
+        slot: usize,
         mats: &mut [Matrix<T>],
         work: &[(usize, &PanelFactor<T>)],
         cols: &[(usize, usize)],
@@ -482,7 +472,10 @@ impl<T: Scalar, B: CaqrBackend<T>> CaqrBackend<T> for Faulty<B> {
             work,
             |(j, _)| j,
             "apply",
-            |mats, run| self.inner.apply_panel_group(mats, run, cols, transpose),
+            |mats, run| {
+                self.inner
+                    .apply_panel_group(slot, mats, run, cols, transpose)
+            },
             |c, (_, pf), _| corrupt_apply(c, pf, cols),
         )
     }
@@ -511,34 +504,24 @@ impl<T: Scalar, B: CaqrBackend<T>> CaqrBackend<T> for Faulty<B> {
         self.inner.charge_snapshot(elems)
     }
 
-    fn note_checksum_checks(&self, n: u64) {
-        self.inner.note_checksum_checks(n)
-    }
-
-    fn note_task_replay(&self) {
-        self.inner.note_task_replay()
-    }
-
-    fn note_panel_replay(&self) {
-        self.inner.note_panel_replay()
-    }
-
-    fn note_run_retry(&self) {
-        self.inner.note_run_retry()
+    fn note_recovery(&self, report: &RecoveryReport) {
+        self.inner.note_recovery(report)
     }
 }
 
-/// Factor one job on the host through the §10 escalation ladder
-/// ([`drive_resilient`] over a [`CpuBackend`]), optionally with one
-/// injected [`PlannedFault`] fired by the crate's fault-steering backend.
-/// This is the service's solo fallback for a batch member carved out of a
-/// fused group, and its chaos-mode solo path.
+/// Factor one job on the host through the §10 escalation ladder (the Sync
+/// loop over a group of one on a [`CpuBackend`], under `policy`),
+/// optionally with one injected [`PlannedFault`] fired by the crate's
+/// fault-steering backend. This is the service's solo
+/// fallback for a batch member carved out of a fused group, and its
+/// chaos-mode solo path.
 ///
 /// Transient injections (launch fault, hang, SDC) are recovered *inside*
 /// this call by snapshot/replay, so the returned factorization is
 /// bit-identical to a fault-free [`caqr_cpu`](crate::multicore::caqr_cpu)
-/// run. A host panic is caught at this boundary and surfaced as
-/// [`CaqrError::Panicked`]; device loss stays typed and terminal.
+/// run. A host panic surfaces as [`CaqrError::Panicked`]: an injected one
+/// is caught at its member, anything else at this boundary. Device loss
+/// stays typed and terminal.
 pub fn run_solo_resilient<T: Scalar>(
     a: Matrix<T>,
     opts: CpuCaqrOptions,
@@ -546,17 +529,11 @@ pub fn run_solo_resilient<T: Scalar>(
     policy: &RecoveryPolicy,
 ) -> Result<(Factorization<T>, RecoveryReport), CaqrError> {
     let (m, n) = a.shape();
-    if m == 0 || n == 0 {
-        return Err(CaqrError::BadShape(format!("empty matrix {m}x{n}")));
-    }
-    let cfg = DriveConfig {
-        verify_checksums: false,
-        ..opts.drive_config()
-    };
+    let cfg = opts.drive_config();
     cfg.bs.validate().map_err(CaqrError::BadShape)?;
     let backend = Faulty::new(CpuBackend, &[fault], m, n, cfg.bs.w);
     match catch_unwind(AssertUnwindSafe(|| {
-        drive_resilient(&backend, a, &cfg, policy)
+        drive_group(&backend, vec![a], &cfg, Some(policy)).solo()
     })) {
         Ok(res) => res,
         Err(_) => Err(CaqrError::Panicked {
@@ -582,27 +559,39 @@ mod tests {
 
     #[test]
     fn solo_ladder_recovers_transient_injections_bitwise() {
+        // 300x32 in panels of 16: the fault-free task order is F A F, so
+        // payloads 0..3 steer the fault to every task ordinal. Each policy
+        // leaves one tier to absorb it: the task tier by default, the panel
+        // tier with no task replays, the run tier with neither.
         let a = dense::generate::uniform::<f64>(300, 32, 5);
         let want = caqr_cpu(a.clone(), opts()).unwrap();
-        for (kind, payload) in [
-            (FaultKind::LaunchFail, 0u64),
-            (FaultKind::Hang, 1),
-            (FaultKind::Sdc, 2),
-            (FaultKind::Sdc, 3),
-        ] {
-            let fault = Some(PlannedFault {
-                kind,
-                ordinal: 9,
-                payload,
-            });
-            let (got, report) =
-                run_solo_resilient(a.clone(), opts(), fault, &RecoveryPolicy::default())
-                    .unwrap_or_else(|e| panic!("{kind:?}/{payload} must recover, got {e}"));
-            assert_eq!(got.a, want.a, "{kind:?}/{payload} diverged after recovery");
-            assert!(
-                report.task_replays + report.panel_replays + report.run_retries > 0,
-                "{kind:?}/{payload} recovery must have replayed something"
-            );
+        let skip = |max_task_replays, max_panel_replays| RecoveryPolicy {
+            max_task_replays,
+            max_panel_replays,
+            max_run_retries: 1,
+        };
+        let policies = [RecoveryPolicy::default(), skip(0, 2), skip(0, 0)];
+        for (tier, policy) in policies.iter().enumerate() {
+            for kind in [FaultKind::LaunchFail, FaultKind::Hang, FaultKind::Sdc] {
+                for payload in 0..3u64 {
+                    let case = format!("{kind:?}@{payload} under {policy:?}");
+                    let fault = Some(PlannedFault {
+                        kind,
+                        ordinal: 9,
+                        payload,
+                    });
+                    let (got, r) = run_solo_resilient(a.clone(), opts(), fault, policy)
+                        .unwrap_or_else(|e| panic!("{case} must recover, got {e}"));
+                    assert_eq!(got.a, want.a, "{case} diverged after recovery");
+                    // A failed apply launch is not replayed on its own: it
+                    // goes straight to the panel tier.
+                    let apply_admission = payload == 1 && kind != FaultKind::Sdc;
+                    let mut replays = [0; 3];
+                    replays[tier.max(usize::from(apply_admission))] = 1;
+                    let got = [r.task_replays, r.panel_replays, r.run_retries];
+                    assert_eq!(got, replays, "{case} must replay once");
+                }
+            }
         }
     }
 
@@ -681,7 +670,7 @@ mod tests {
         });
         match run_solo_resilient(a, opts(), fault, &RecoveryPolicy::default()) {
             Err(CaqrError::Panicked { context }) => {
-                assert!(context.contains("solo"), "{context}")
+                assert!(context.contains("injected host panic"), "{context}")
             }
             other => panic!("expected Panicked, got {:?}", other.err()),
         }

@@ -638,19 +638,13 @@ impl Gpu {
 
     // ---- recovery accounting ---------------------------------------------
 
-    /// Ledger hook for tier-1 recovery: one task replayed in place.
-    pub fn note_task_replay(&self) {
-        self.ledger.lock().record_task_replay();
-    }
-
-    /// Ledger hook for tier-2 recovery: one panel rolled back + refactored.
-    pub fn note_panel_replay(&self) {
-        self.ledger.lock().record_panel_replay();
-    }
-
-    /// Ledger hook for tier-3 recovery: one whole-run retry.
-    pub fn note_run_retry(&self) {
-        self.ledger.lock().record_run_retry();
+    /// Ledger hook for the recovery ladder: a run's task replays in place
+    /// (tier 1), panel rollbacks (tier 2) and whole-run retries (tier 3).
+    pub fn note_replays(&self, task: u64, panel: u64, run: u64) {
+        let mut ledger = self.ledger.lock();
+        ledger.task_replays += task;
+        ledger.panel_replays += panel;
+        ledger.run_retries += run;
     }
 
     /// Charge a host-to-device PCIe transfer.

@@ -152,21 +152,6 @@ impl CostLedger {
         self.sdc_injected += 1;
     }
 
-    /// Record one recovery action at the given escalation tier.
-    pub fn record_task_replay(&mut self) {
-        self.task_replays += 1;
-    }
-
-    /// Record a tier-2 recovery action (panel rollback + refactor).
-    pub fn record_panel_replay(&mut self) {
-        self.panel_replays += 1;
-    }
-
-    /// Record a tier-3 recovery action (whole-run retry).
-    pub fn record_run_retry(&mut self) {
-        self.run_retries += 1;
-    }
-
     /// Record this device dropping off the bus (a `DeviceLoss` fault).
     pub fn record_device_loss(&mut self) {
         self.device_losses += 1;

@@ -243,6 +243,51 @@ fn sdc_is_detected_and_replayed_to_bit_identity() {
 }
 
 #[test]
+fn every_ladder_tier_absorbs_an_sdc_bitwise() {
+    // One SDC at launch 5, absorbed on the tier the budgets leave open:
+    // tier 1 by default, tier 2 with no task replays, tier 3 with neither.
+    let a = dense::generate::uniform::<f64>(640, 48, 29);
+    let clean_gpu = Gpu::new(DeviceSpec::c2050());
+    let clean = caqr::caqr::caqr(&clean_gpu, a.clone(), opts()).unwrap();
+    let tier = |max_task_replays, max_panel_replays| RecoveryPolicy {
+        max_task_replays,
+        max_panel_replays,
+        max_run_retries: 1,
+    };
+    let policies = [RecoveryPolicy::default(), tier(0, 2), tier(0, 0)];
+    for (t, policy) in policies.into_iter().enumerate() {
+        let gpu = Gpu::new(DeviceSpec::c2050());
+        gpu.set_fault_plan(FaultPlan::sdc_at_launches(&[5]));
+        let ropts = RecoveryOptions {
+            caqr: opts(),
+            streams: 3,
+            policy,
+        };
+        let case = format!("tier {}", t + 1);
+        let (f, r) = caqr_resilient(&gpu, a.clone(), ropts)
+            .unwrap_or_else(|e| panic!("{case}: recovery failed: {e}"));
+        assert_eq!(f.a, clean.a, "{case}: bits must match");
+        let mut replays = [0; 3];
+        replays[t] = 1;
+        let got = [r.task_replays, r.panel_replays, r.run_retries];
+        assert_eq!(got, replays, "{case}: {r:?}");
+        assert_eq!(r.checksum_failures, 1, "{case}");
+        // The ledger mirrors the report, and every kernel launch of every
+        // attempt is in the report: the ledger's other calls are the
+        // host-side verify and snapshot passes.
+        let l = gpu.ledger();
+        assert_eq!(l.sdc_injected, 1, "{case}");
+        assert_eq!([l.task_replays, l.panel_replays, l.run_retries], got);
+        let host_ops: u64 = ["checksum_verify", "snapshot"]
+            .iter()
+            .filter_map(|op| l.per_op.get(*op))
+            .map(|e| e.calls)
+            .sum();
+        assert_eq!(r.launches, l.calls - host_ops, "{case}");
+    }
+}
+
+#[test]
 fn chaos_soak_recovers_bit_identically_across_seeds() {
     // Seeded chaos: mixed launch-fail / SDC / hang plans across several
     // seeds. Every run must converge to the exact fault-free bits, replay
