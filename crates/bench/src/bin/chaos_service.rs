@@ -22,8 +22,8 @@
 
 use caqr::multicore::{caqr_cpu, CpuCaqrOptions};
 use caqr::{
-    factor_many_resilient, factor_many_with_stats, JobSpec, Priority, RecoveryPolicy,
-    ResilienceConfig, RetryBudget, Service, ServiceConfig, ServiceFaultPlan, ShedPolicy, TreeShape,
+    factor_many_resilient, factor_many_with_stats, JobSpec, Priority, ResilienceConfig,
+    RetryBudget, Service, ServiceConfig, ServiceFaultPlan, ShedPolicy, TreeShape,
 };
 use caqr_bench::Table;
 use dense::Matrix;
@@ -100,11 +100,10 @@ fn main() {
     };
     let total_gflop = dense::geqrf_flops(gm, gn) * gjobs as f64 / 1e9;
     let no_faults = vec![None; gjobs];
-    let policy = RecoveryPolicy::default();
 
     // Warm both paths once so the measured reps run out of the arena.
     drop(factor_many_with_stats(bag()));
-    drop(factor_many_resilient(bag(), &no_faults, true, &policy));
+    drop(factor_many_resilient(bag(), &no_faults, true));
 
     let mut plain_best_s = f64::INFINITY;
     let mut verified_best_s = f64::INFINITY;
@@ -115,7 +114,7 @@ fn main() {
         assert!(results.iter().all(Result::is_ok), "gate bag must factor");
 
         let t0 = Instant::now();
-        let (results, _) = factor_many_resilient(bag(), &no_faults, true, &policy);
+        let (results, _) = factor_many_resilient(bag(), &no_faults, true);
         verified_best_s = verified_best_s.min(t0.elapsed().as_secs_f64());
         assert!(
             results.iter().all(Result::is_ok),
@@ -188,7 +187,6 @@ fn main() {
                 backoff: Duration::from_micros(100),
                 max_backoff: Duration::from_millis(2),
             },
-            ..ResilienceConfig::default()
         },
         ..ServiceConfig::default()
     };

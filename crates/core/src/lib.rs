@@ -30,7 +30,7 @@
 //!   shape-fused `factor_many` batches (bit-identical per matrix to
 //!   standalone [`caqr_cpu`]), service-tier fault tolerance (fault-isolated
 //!   fused batches with ABFT carve-out, supervised workers, an overload
-//!   circuit breaker, bounded solo retry), and a per-tenant accounting
+//!   circuit breaker, bounded retry rounds), and a per-tenant accounting
 //!   ledger that reconciles exactly even mid-chaos.
 //!
 //! ## Quick start
@@ -83,10 +83,10 @@ pub use multicore::{caqr_cpu, CpuCaqr, CpuCaqrOptions};
 pub use recovery::{caqr_resilient, RecoveryOptions, RecoveryPolicy, RecoveryReport};
 pub use schedule::{caqr_dag, model_caqr_dag_seconds, ScheduleOptions};
 pub use service::{
-    factor_many, factor_many_resilient, factor_many_with_stats, run_solo_resilient,
-    service_retryable, BatchStats, JobOutcome, JobSpec, PlannedFault, Priority, ResilienceConfig,
-    RetryBudget, Service, ServiceConfig, ServiceError, ServiceFaultPlan, ServiceLedger, ShedPolicy,
-    SubmitError, TenantCounters, TenantQuota, Ticket,
+    factor_many, factor_many_resilient, factor_many_with_stats, service_retryable, BatchStats,
+    JobOutcome, JobSpec, PlannedFault, Priority, ResilienceConfig, RetryBudget, Service,
+    ServiceConfig, ServiceError, ServiceFaultPlan, ServiceLedger, ShedPolicy, SubmitError,
+    TenantCounters, TenantQuota, Ticket,
 };
 pub use tsqr::{tsqr, PanelFactor, TreeNode};
 pub use tuning::{autotune_measured, MeasuredPoint, MeasuredProfile};

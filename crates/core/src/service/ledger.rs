@@ -34,19 +34,21 @@ pub struct TenantCounters {
     /// Panels factored on behalf of the tenant.
     pub panels: u64,
     /// Per-job logical launch chains, as the synchronous driver counts
-    /// them. Fault-free work only: launches spent inside the solo-retry
-    /// path land in [`retry_launches`](Self::retry_launches) instead, so
-    /// the fault-free cost of a tenant's traffic stays legible.
+    /// them. Fault-free work only: launches spent inside retry rounds land
+    /// in [`retry_launches`](Self::retry_launches) instead, so the
+    /// fault-free cost of a tenant's traffic stays legible.
     pub launches: u64,
-    /// Jobs that ran inside a fused group.
+    /// Jobs that ran inside a fused group in their batch attempt.
     pub fused_jobs: u64,
-    /// Jobs that ran standalone.
+    /// Jobs that ran alone in their batch attempt: a group of one, or a
+    /// member that failed the input scan.
     pub solo_jobs: u64,
-    /// Jobs that needed at least one solo retry after a batch-path fault.
+    /// Jobs that took part in at least one retry round after the batch
+    /// carved them out.
     pub retry_jobs: u64,
-    /// Total solo retry attempts across the tenant's jobs.
+    /// Total retry rounds across the tenant's jobs.
     pub retry_attempts: u64,
-    /// Logical launches spent inside successful solo retries — the extra
+    /// Logical launches spent inside successful retry rounds — the extra
     /// work faults cost this tenant, kept out of `launches`.
     pub retry_launches: u64,
     /// Useful flops factored (`geqrf` count of each completed job).
@@ -55,7 +57,8 @@ pub struct TenantCounters {
     pub queue_seconds: f64,
     /// Seconds of batch execution the jobs participated in.
     pub service_seconds: f64,
-    /// Seconds spent in the solo-retry loop (backoff included).
+    /// Seconds from the first retry round's start (backoff included) to
+    /// the end of the round that resolved the job.
     pub retry_seconds: f64,
 }
 

@@ -29,14 +29,17 @@
 //! The resilience layer (PR 10) extends all of that to misbehaving
 //! traffic and misbehaving infrastructure:
 //!
-//! * **fault-isolated fused batches** — [`factor_many_resilient`] threads
-//!   the ABFT checksums of [`crate::health`] and per-task `catch_unwind`
-//!   isolation through the fused engine, so a batch member hit by an
-//!   injected SDC / hang / launch fault (or whose task panics) is *carved
-//!   out* with a typed [`CaqrError`] while its riders complete untouched
-//!   and bit-identical; the service then retries the carved member solo
-//!   down the §10 escalation ladder ([`run_solo_resilient`]) under a
-//!   bounded [`RetryBudget`] with exponential backoff.
+//! * **one recovery path: carve, then re-run** — [`factor_many_resilient`]
+//!   threads the ABFT checksums of [`crate::health`] and per-task
+//!   `catch_unwind` isolation through every batch group, a job alone in
+//!   its group included, so a job hit by an injected SDC / hang / launch
+//!   fault (or whose task panics) is *carved out* with a typed
+//!   [`CaqrError`] while its riders complete untouched and bit-identical.
+//!   The service then re-runs the carved jobs from their specs in retry
+//!   rounds — each round one batch call over every still-retryable job,
+//!   so retried jobs fuse with each other — under a bounded
+//!   [`RetryBudget`] with exponential backoff. The §10 replay ladder stays
+//!   with `caqr_resilient` on the simulator, where its costs are modelled.
 //! * **worker supervision** — worker bodies run under `catch_unwind`; a
 //!   dead worker's in-flight tickets are resolved with
 //!   [`ServiceError::WorkerLost`] and the worker is respawned, so every
@@ -59,8 +62,8 @@ pub use batch::{
 pub use ledger::{ServiceLedger, TenantCounters};
 pub use queue::{JobOutcome, Service, Ticket};
 pub use resilience::{
-    run_solo_resilient, service_retryable, PlannedFault, ResilienceConfig, RetryBudget,
-    ServiceFaultPlan, ShedPolicy, TenantQuota,
+    service_retryable, PlannedFault, ResilienceConfig, RetryBudget, ServiceFaultPlan, ShedPolicy,
+    TenantQuota,
 };
 
 use crate::error::CaqrError;
@@ -178,7 +181,7 @@ pub struct ServiceConfig {
     /// Largest fused group a worker will gather per dispatch. `1` disables
     /// fusion (the one-at-a-time baseline of the benches).
     pub max_batch: usize,
-    /// Fault injection, batch verification, and the solo-retry budget.
+    /// Fault injection, batch verification, and the retry-round budget.
     pub resilience: ResilienceConfig,
     /// Overload circuit-breaker policy (default: disabled).
     pub shed: ShedPolicy,
@@ -281,10 +284,10 @@ pub enum ServiceError {
         /// The class the job ran under.
         priority: Priority,
     },
-    /// The job kept failing with retryable faults until the solo-retry
+    /// The job kept failing with retryable faults until the retry-round
     /// budget ([`RetryBudget`]) ran out.
     RetryExhausted {
-        /// Solo retry attempts performed.
+        /// Retry rounds performed.
         attempts: u32,
         /// The error the final attempt died with.
         last: CaqrError,
@@ -324,7 +327,7 @@ impl std::fmt::Display for ServiceError {
             ),
             ServiceError::RetryExhausted { attempts, last } => write!(
                 f,
-                "retry budget exhausted after {attempts} solo retries; last error: {last}"
+                "retry budget exhausted after {attempts} retry rounds; last error: {last}"
             ),
             ServiceError::WorkerLost { worker } => match worker {
                 Some(w) => write!(f, "worker {w} died before delivering the job's result"),

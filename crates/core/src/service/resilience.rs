@@ -1,29 +1,27 @@
 //! Service-tier resilience policy (DESIGN.md §15): the planned-fault
 //! plumbing that threads gpu-sim fault injection through the host batch
-//! engine, the solo §10-ladder fallback for carved-out batch members, the
-//! bounded retry budget, the overload circuit-breaker policy, and the
-//! per-tenant admission quotas.
+//! engine ([`Faulty`]), the bounded budget of retry rounds that re-run
+//! carved-out jobs, the overload circuit-breaker policy, and the
+//! per-tenant admission quotas. The service recovers one way: the batch
+//! engine detects a fault and carves its job out, and a retry round
+//! re-runs the job from its spec.
 
-use crate::backend::{
-    drive_group, CaqrBackend, CpuBackend, DagGeometry, DriveConfig, Factorization,
-};
+use crate::backend::{CaqrBackend, DagGeometry, DriveConfig};
 use crate::block::BlockSize;
 use crate::error::CaqrError;
-use crate::multicore::CpuCaqrOptions;
-use crate::recovery::{is_transient, RecoveryPolicy, RecoveryReport};
+use crate::recovery::{is_transient, RecoveryReport};
 use crate::tsqr::PanelFactor;
 use dense::matrix::Matrix;
 use dense::scalar::Scalar;
 use dense::MatPtr;
 use gpu_sim::{FaultKind, FaultPlan};
 use std::cell::Cell;
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::panic::catch_unwind;
 use std::time::Duration;
 
 /// One fault the service plans to inject against one job: drawn from a
-/// [`ServiceFaultPlan`] at dispatch, steered into the batch engine
-/// ([`super::factor_many_resilient`]) or the solo ladder
-/// ([`run_solo_resilient`]) by the `payload` bits.
+/// [`ServiceFaultPlan`] at dispatch and steered into the batch engine
+/// ([`super::factor_many_resilient`]) by the `payload` bits.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct PlannedFault {
     /// What goes wrong.
@@ -42,8 +40,8 @@ pub struct PlannedFault {
 #[derive(Clone, Debug)]
 pub struct ServiceFaultPlan {
     /// Per-job fault draw, keyed by `(job seq, attempt)` exactly like the
-    /// device keys its plan by `(launch ordinal, attempt)` — so retries of
-    /// a faulted job re-draw, and a seeded plan is reproducible end to end.
+    /// device keys its plan by `(launch ordinal, attempt)` — so each retry
+    /// round re-draws, and a seeded plan is reproducible end to end.
     pub plan: FaultPlan,
     /// Kill the serving worker (panic its thread) on every N-th dispatched
     /// batch, exercising the supervisor. `None` disables.
@@ -65,8 +63,8 @@ impl ServiceFaultPlan {
         self
     }
 
-    /// Draw the planned fault for job `seq` on retry `attempt` (0 = the
-    /// batch attempt). Deterministic in `(seed, seq, attempt)`.
+    /// Draw the planned fault for job `seq` on retry round `attempt` (0 =
+    /// the batch attempt). Deterministic in `(seed, seq, attempt)`.
     pub fn draw(&self, seq: u64, attempt: u32) -> Option<PlannedFault> {
         self.plan.fault_kind(seq, attempt).map(|kind| PlannedFault {
             kind,
@@ -76,14 +74,16 @@ impl ServiceFaultPlan {
     }
 }
 
-/// Bounded solo-retry budget with exponential backoff: how many times the
-/// service re-runs a job that failed retryably in a batch, and how long it
-/// waits between attempts.
+/// Bounded retry budget with exponential backoff: how many retry rounds
+/// the service runs for the jobs a batch carved out retryably, and how
+/// long it waits before each. A round re-runs every still-retryable job of
+/// the batch from its spec through the batch engine, so retried jobs fuse
+/// with each other.
 #[derive(Clone, Copy, Debug)]
 pub struct RetryBudget {
-    /// Solo retries per job after the batch attempt (0 disables retry).
+    /// Retry rounds per batch after the batch attempt (0 disables retry).
     pub max_retries: u32,
-    /// Backoff before the first retry; doubles per subsequent attempt.
+    /// Backoff before the first round; doubles per subsequent round.
     pub backoff: Duration,
     /// Backoff ceiling.
     pub max_backoff: Duration,
@@ -100,7 +100,7 @@ impl Default for RetryBudget {
 }
 
 impl RetryBudget {
-    /// Backoff before retry `attempt` (1-based): `backoff * 2^(attempt-1)`,
+    /// Backoff before retry round `attempt` (1-based): `backoff * 2^(attempt-1)`,
     /// capped at `max_backoff`.
     pub fn backoff_for(&self, attempt: u32) -> Duration {
         let shift = attempt.saturating_sub(1).min(20);
@@ -187,18 +187,18 @@ pub enum TenantQuota {
 
 /// The service's resilience configuration. Everything defaults to off: a
 /// default-configured service runs the plain fused engine with no
-/// verification overhead and no retries.
+/// verification overhead and no retries. When on, recovery takes one path:
+/// the batch engine carves a faulted job out with a typed error, and
+/// retry rounds re-run it.
 #[derive(Clone, Debug, Default)]
 pub struct ResilienceConfig {
-    /// Verify every fused batch with the ABFT checksums even without
-    /// planned faults (detection always on, ~the checksum overhead of §9).
+    /// Verify every batch with the ABFT checksums even without planned
+    /// faults (detection always on, ~the checksum overhead of §9).
     pub verify_batches: bool,
     /// Inject a seeded fault campaign (tests, chaos soak).
     pub faults: Option<ServiceFaultPlan>,
-    /// Solo-retry budget for jobs that fail retryably in a batch.
+    /// Retry rounds for jobs that fail retryably in a batch.
     pub retry: RetryBudget,
-    /// §10 escalation-ladder budgets for the solo resilient path.
-    pub recovery: RecoveryPolicy,
 }
 
 impl ResilienceConfig {
@@ -208,19 +208,13 @@ impl ResilienceConfig {
     }
 }
 
-/// Should the service spend solo-retry budget on this error? Transient
-/// faults (launch faults, hangs, checksum mismatches) retry, as do caught
-/// panics (the worker that died took no state with it — the job's input is
-/// intact in the spec) and `Unrecoverable` (the §10 ladder's budgets may
-/// simply have been exhausted by an unlucky streak; a fresh solo run
-/// re-draws). Deterministic failures — bad shapes, non-finite input,
+/// Should the service spend a retry round on this error? Transient faults
+/// (launch faults, hangs, checksum mismatches) retry, as do caught panics
+/// (the task that died took no state with it — the job's input is intact
+/// in the spec). Deterministic failures — bad shapes, non-finite input,
 /// breakdowns, a lost device — fail fast.
 pub fn service_retryable(e: &CaqrError) -> bool {
-    is_transient(e)
-        || matches!(
-            e,
-            CaqrError::Panicked { .. } | CaqrError::Unrecoverable { .. }
-        )
+    is_transient(e) || matches!(e, CaqrError::Panicked { .. })
 }
 
 /// The one host-side fault injector: a decorator over any backend that
@@ -236,8 +230,9 @@ pub fn service_retryable(e: &CaqrError) -> bool {
 /// host panic fails it as [`CaqrError::Panicked`], caught at its member,
 /// and an SDC lets it run and then corrupts a value inside checksum
 /// coverage. Faults fire from the group methods, the ones the Sync loop
-/// calls, whether it carves a fused run's victim or replays a solo run
-/// ([`run_solo_resilient`]) up the ladder; a replay sees clean execution.
+/// calls: the batch engine runs every group, a job alone included, with
+/// no recovery policy, so the victim is carved out and a service retry
+/// round re-runs it. Under a ladder policy a replay sees clean execution.
 /// The per-matrix methods pass straight through.
 pub(crate) struct Faulty<B> {
     inner: B,
@@ -509,44 +504,27 @@ impl<T: Scalar, B: CaqrBackend<T>> CaqrBackend<T> for Faulty<B> {
     }
 }
 
-/// Factor one job on the host through the §10 escalation ladder (the Sync
-/// loop over a group of one on a [`CpuBackend`], under `policy`),
-/// optionally with one injected [`PlannedFault`] fired by the crate's
-/// fault-steering backend. This is the service's solo
-/// fallback for a batch member carved out of a fused group, and its
-/// chaos-mode solo path.
-///
-/// Transient injections (launch fault, hang, SDC) are recovered *inside*
-/// this call by snapshot/replay, so the returned factorization is
-/// bit-identical to a fault-free [`caqr_cpu`](crate::multicore::caqr_cpu)
-/// run. A host panic surfaces as [`CaqrError::Panicked`]: an injected one
-/// is caught at its member, anything else at this boundary. Device loss
-/// stays typed and terminal.
-pub fn run_solo_resilient<T: Scalar>(
-    a: Matrix<T>,
-    opts: CpuCaqrOptions,
-    fault: Option<PlannedFault>,
-    policy: &RecoveryPolicy,
-) -> Result<(Factorization<T>, RecoveryReport), CaqrError> {
-    let (m, n) = a.shape();
-    let cfg = opts.drive_config();
-    cfg.bs.validate().map_err(CaqrError::BadShape)?;
-    let backend = Faulty::new(CpuBackend, &[fault], m, n, cfg.bs.w);
-    match catch_unwind(AssertUnwindSafe(|| {
-        drive_group(&backend, vec![a], &cfg, Some(policy)).solo()
-    })) {
-        Ok(res) => res,
-        Err(_) => Err(CaqrError::Panicked {
-            context: "resilient solo factorization".to_string(),
-        }),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::backend::{drive_group, CpuBackend, Factorization};
     use crate::block::TreeShape;
-    use crate::multicore::caqr_cpu;
+    use crate::multicore::{caqr_cpu, CpuCaqrOptions};
+    use crate::recovery::RecoveryPolicy;
+
+    /// The §10 ladder on the host: a group of one on a [`Faulty`]
+    /// [`CpuBackend`] under `policy`, with one planned fault.
+    fn solo_ladder(
+        a: Matrix<f64>,
+        opts: CpuCaqrOptions,
+        fault: Option<PlannedFault>,
+        policy: &RecoveryPolicy,
+    ) -> Result<(Factorization<f64>, RecoveryReport), CaqrError> {
+        let (m, n) = a.shape();
+        let cfg = opts.drive_config();
+        let backend = Faulty::new(CpuBackend, &[fault], m, n, cfg.bs.w);
+        drive_group(&backend, vec![a], &cfg, Some(policy)).solo()
+    }
 
     fn opts() -> CpuCaqrOptions {
         CpuCaqrOptions {
@@ -580,7 +558,7 @@ mod tests {
                         ordinal: 9,
                         payload,
                     });
-                    let (got, r) = run_solo_resilient(a.clone(), opts(), fault, policy)
+                    let (got, r) = solo_ladder(a.clone(), opts(), fault, policy)
                         .unwrap_or_else(|e| panic!("{case} must recover, got {e}"));
                     assert_eq!(got.a, want.a, "{case} diverged after recovery");
                     // A failed apply launch is not replayed on its own: it
@@ -615,9 +593,8 @@ mod tests {
                     ordinal: 3,
                     payload,
                 };
-                let (got, _) =
-                    run_solo_resilient(mk(1), o, Some(fault), &RecoveryPolicy::default())
-                        .unwrap_or_else(|e| panic!("{kind:?}@{payload} must recover: {e}"));
+                let (got, _) = solo_ladder(mk(1), o, Some(fault), &RecoveryPolicy::default())
+                    .unwrap_or_else(|e| panic!("{kind:?}@{payload} must recover: {e}"));
                 assert_eq!(got.a, want[1], "{kind:?}@{payload} diverged after recovery");
             }
             for kind in [
@@ -639,7 +616,6 @@ mod tests {
                     (0..3).map(|s| (mk(s), o)).collect(),
                     &faults,
                     false,
-                    &RecoveryPolicy::default(),
                 );
                 for (j, r) in results.iter().enumerate() {
                     match (j, r) {
@@ -658,47 +634,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn solo_host_panic_is_caught_as_a_typed_error() {
-        let a = dense::generate::uniform::<f64>(200, 16, 6);
-        let fault = Some(PlannedFault {
-            kind: FaultKind::HostPanic,
-            ordinal: 1,
-            payload: 0,
-        });
-        match run_solo_resilient(a, opts(), fault, &RecoveryPolicy::default()) {
-            Err(CaqrError::Panicked { context }) => {
-                assert!(context.contains("injected host panic"), "{context}")
-            }
-            other => panic!("expected Panicked, got {:?}", other.err()),
-        }
-    }
-
-    #[test]
-    fn solo_device_loss_stays_terminal() {
-        let a = dense::generate::uniform::<f64>(200, 16, 7);
-        let fault = Some(PlannedFault {
-            kind: FaultKind::DeviceLoss,
-            ordinal: 2,
-            payload: 0,
-        });
-        match run_solo_resilient(a, opts(), fault, &RecoveryPolicy::default()) {
-            Err(CaqrError::DeviceLost { .. }) => {}
-            other => panic!("expected DeviceLost, got {:?}", other.err()),
-        }
-    }
-
-    #[test]
-    fn no_fault_means_plain_bitwise_output() {
-        let a = dense::generate::uniform::<f64>(256, 16, 8);
-        let want = caqr_cpu(a.clone(), opts()).unwrap();
-        let (got, report) =
-            run_solo_resilient(a, opts(), None, &RecoveryPolicy::default()).unwrap();
-        assert_eq!(got.a, want.a);
-        assert_eq!(report.task_replays, 0);
-        assert_eq!(report.checksum_failures, 0);
     }
 
     #[test]

@@ -10,8 +10,8 @@
 
 use caqr::multicore::{caqr_cpu, CpuCaqrOptions};
 use caqr::{
-    factor_many_resilient, factor_many_with_stats, JobSpec, Priority, RecoveryPolicy, Service,
-    ServiceConfig, TreeShape,
+    factor_many_resilient, factor_many_with_stats, JobSpec, Priority, Service, ServiceConfig,
+    TreeShape,
 };
 use dense::matrix::Matrix;
 use proptest::prelude::*;
@@ -74,12 +74,9 @@ proptest! {
             .map(|(a, o)| caqr_cpu(a.clone(), *o).expect("sequential run factors"))
             .collect();
         let (batched, stats) = factor_many_with_stats(jobs.clone());
-        let (verified, _) = factor_many_resilient(
-            jobs,
-            &[],
-            true,
-            &RecoveryPolicy::default(),
-        );
+        let (verified, verified_stats) = factor_many_resilient(jobs, &[], true);
+        // Verification changes nothing a fault-free batch reports.
+        prop_assert_eq!(verified_stats, stats);
         for ((want, b), v) in solo.iter().zip(batched).zip(verified) {
             prop_assert_eq!(bits(&b.expect("batched run factors")), bits(want));
             prop_assert_eq!(bits(&v.expect("verified run factors")), bits(want));
@@ -101,15 +98,19 @@ proptest! {
                     .sum()
             })
             .collect();
-        let mut fused_launches = 0;
+        let (mut fused_launches, mut fused_jobs, mut fused_groups) = (0, 0, 0);
         for k in 0..PALETTE.len() {
             let members: Vec<usize> = (0..bag.len()).filter(|&j| bag[j] == k).collect();
             if members.len() >= 2 {
                 fused_launches += 1 + logical[members[0]];
+                fused_jobs += members.len();
+                fused_groups += 1;
             }
         }
         prop_assert_eq!(stats.logical_launches, logical.iter().sum::<usize>());
         prop_assert_eq!(stats.fused_launches, fused_launches);
+        prop_assert_eq!((stats.fused_jobs, stats.fused_groups), (fused_jobs, fused_groups));
+        prop_assert_eq!(stats.solo_jobs, bag.len() - fused_jobs);
     }
 }
 
