@@ -24,6 +24,10 @@
 //!   a failure policy as an argument: without one a failing member is
 //!   carved out with its typed error; with a [`RecoveryPolicy`] it climbs
 //!   the snapshot/replay ladder of [`crate::recovery`].
+//! * The DAG loop is also the cost model's schedule: it runs against a
+//!   sink that either executes on a backend or only charges the analytic
+//!   chain costs of [`crate::model`], so the modelled sweeps issue the
+//!   launches the executors issue.
 //!
 //! Dispatch is static: every entry point (`caqr`, `caqr_dag`, `caqr_cpu`,
 //! `caqr_resilient`, `distributed_tsqr`, fused `factor_many` groups) is a
@@ -35,6 +39,9 @@ use crate::error::{checked_elems, CaqrError};
 use crate::health;
 use crate::kernels::PretransposeKernel;
 use crate::microkernels::ReductionStrategy;
+use crate::model::{
+    model_apply_chain_on, model_factor_chain_on, model_health_on, model_pretranspose_on,
+};
 use crate::multicore::{apply_panels, factor_panels, q_ones_probe_host};
 use crate::recovery::{is_transient, RecoveryPolicy, RecoveryReport, RegionSnapshot};
 use crate::tsqr::{apply_panel_ptr_on, col_blocks, factor_panel_with_tree_on, PanelFactor};
@@ -368,8 +375,8 @@ pub(crate) struct PanelStep {
 
 /// Backend-independent schedule geometry: the fixed global column grid, its
 /// home-slot ownership, and the panel steps — shared by both driver loops
-/// and the model-only replay ([`crate::schedule`]) so they enqueue,
-/// event-for-event, the same schedule.
+/// (and through them the cost model) so they enqueue, event-for-event, the
+/// same schedule.
 pub(crate) struct DagGeometry {
     w: usize,
     n: usize,
@@ -874,13 +881,12 @@ impl<T: Scalar, B: CaqrBackend<T>> GroupRun<'_, T, B> {
 /// The [`Mode::Dag`] schedule of [`drive`] for one matrix.
 fn drive_dag<T: Scalar, B: CaqrBackend<T>>(
     backend: &B,
-    mut a: Matrix<T>,
+    a: Matrix<T>,
     cfg: &DriveConfig,
     lookahead: bool,
 ) -> Result<Factorization<T>, CaqrError> {
     let (m, n) = a.shape();
     validate(cfg, m, n)?;
-    let w = cfg.bs.w;
     let mut launches = 0usize;
     if cfg.check_finite {
         launches += backend.check_finite(&a, cfg.bs, cfg.health_context)?;
@@ -888,86 +894,174 @@ fn drive_dag<T: Scalar, B: CaqrBackend<T>>(
     if cfg.strategy.needs_pretranspose() {
         launches += backend.pretranspose(m, n, cfg.bs)?;
     }
+    let geo = DagGeometry::new(m, n, cfg.bs.w, backend.slots());
+    let mut sink = ExecSink {
+        backend,
+        cfg,
+        a,
+        panels: Vec::with_capacity(geo.steps.len()),
+    };
+    launches += run_panels(&mut sink, &geo, lookahead)?;
+    Ok(Factorization {
+        a: sink.a,
+        panels: sink.panels,
+        launches,
+    })
+}
 
-    let geo = DagGeometry::new(m, n, w, backend.slots());
+/// Where the panel schedule's work goes: an executing backend
+/// ([`ExecSink`]) or the cost model ([`CostSink`]).
+trait PanelSink {
+    type Token: Copy;
+    /// Factor the panel of `step` on `slot`; returns the chain's launches.
+    fn factor(&mut self, slot: usize, step: &PanelStep) -> Result<usize, CaqrError>;
+    /// Apply panel `step.p` to the column blocks `cols` on `slot`.
+    fn apply(
+        &mut self,
+        slot: usize,
+        step: &PanelStep,
+        cols: &[(usize, usize)],
+    ) -> Result<(), CaqrError>;
+    fn record(&mut self, slot: usize) -> Self::Token;
+    fn wait(&mut self, slot: usize, token: Self::Token);
+}
+
+/// The panel schedule, written once: per panel, a factor chain on the
+/// panel's home slot, then one apply chain per slot group of the trailing
+/// matrix ([`DagGeometry::groups`]), cross-slot dependencies expressed
+/// with tokens. Barrier mode makes each factor wait for the whole previous
+/// update; lookahead updates the next panel's own block and factors it
+/// ahead of the bulk update. On one slot in barrier order this is the
+/// launch sequence of the [`Mode::Sync`] loop. Returns the launches issued.
+fn run_panels<S: PanelSink>(
+    sink: &mut S,
+    geo: &DagGeometry,
+    lookahead: bool,
+) -> Result<usize, CaqrError> {
     let npanels = geo.steps.len();
-    let mut panels: Vec<PanelFactor<T>> = Vec::with_capacity(npanels);
+    let mut launches = 0;
     // Barrier mode: apply-completion tokens the next factor waits on.
-    let mut pending: Vec<B::Token> = Vec::new();
-    // Lookahead mode: the next panel's factor, done ahead of schedule.
-    let mut next: Option<(PanelFactor<T>, B::Token)> = None;
-
-    for p in 0..npanels {
-        let step = &geo.steps[p];
-        let (pf, f_tok) = match next.take() {
+    let mut pending: Vec<S::Token> = Vec::new();
+    // Lookahead mode: the next panel's factor chain, done ahead of schedule.
+    let mut next: Option<(usize, S::Token)> = None;
+    for (p, step) in geo.steps.iter().enumerate() {
+        let (chain, f_tok) = match next.take() {
             Some(x) => x,
             None => {
                 let h = geo.home(p);
                 for tok in pending.drain(..) {
-                    backend.wait(h, tok);
+                    sink.wait(h, tok);
                 }
-                let pf = backend.factor_panel(h, &mut a, step.c, step.c, step.width, cfg)?;
-                launches += 1 + pf.levels.len();
-                let tok = backend.record(h);
-                (pf, tok)
+                let chain = sink.factor(h, step)?;
+                launches += chain;
+                (chain, sink.record(h))
             }
         };
-        let chain = 1 + pf.levels.len();
-
+        let mut first_block = p + 1;
         if lookahead && p + 1 < npanels {
-            // Lookahead: update only the next panel's column block,
-            // factor it immediately, then fan the bulk update out.
+            // Update only the next panel's column block and factor it
+            // immediately; the bulk update below skips that block.
             let h_next = geo.home(p + 1);
             if h_next != geo.home(p) {
-                backend.wait(h_next, f_tok);
+                sink.wait(h_next, f_tok);
             }
-            backend.apply_panel(h_next, MatPtr::new(&mut a), &pf, &[geo.block(p + 1)], true)?;
+            sink.apply(h_next, step, &[geo.block(p + 1)])?;
+            let next_chain = sink.factor(h_next, &geo.steps[p + 1])?;
+            launches += chain + next_chain;
+            next = Some((next_chain, sink.record(h_next)));
+            first_block = p + 2;
+        }
+        for (t, cols) in geo.groups(step, first_block).into_iter().enumerate() {
+            if cols.is_empty() {
+                continue;
+            }
+            if t != geo.home(p) {
+                sink.wait(t, f_tok);
+            }
+            sink.apply(t, step, &cols)?;
             launches += chain;
-
-            let (nc, nw) = {
-                let nstep = &geo.steps[p + 1];
-                (nstep.c, nstep.width)
-            };
-            let pf2 = backend.factor_panel(h_next, &mut a, nc, nc, nw, cfg)?;
-            launches += 1 + pf2.levels.len();
-            let tok2 = backend.record(h_next);
-            next = Some((pf2, tok2));
-
-            for (t, cols) in geo.groups(step, p + 2).into_iter().enumerate() {
-                if cols.is_empty() {
-                    continue;
-                }
-                if t != geo.home(p) {
-                    backend.wait(t, f_tok);
-                }
-                backend.apply_panel(t, MatPtr::new(&mut a), &pf, &cols, true)?;
-                launches += chain;
-            }
-        } else {
-            // Barrier mode (and the last panel of either mode): fan
-            // the whole trailing update out, one apply chain per slot.
-            for (t, cols) in geo.groups(step, p + 1).into_iter().enumerate() {
-                if cols.is_empty() {
-                    continue;
-                }
-                if t != geo.home(p) {
-                    backend.wait(t, f_tok);
-                }
-                backend.apply_panel(t, MatPtr::new(&mut a), &pf, &cols, true)?;
-                launches += chain;
-                if !lookahead && p + 1 < npanels {
-                    pending.push(backend.record(t));
-                }
+            if !lookahead && p + 1 < npanels {
+                pending.push(sink.record(t));
             }
         }
-        panels.push(pf);
+    }
+    Ok(launches)
+}
+
+/// The executing sink: a backend factoring `a` in place, keeping each
+/// panel's factor for its applies and the result.
+struct ExecSink<'a, T: Scalar, B> {
+    backend: &'a B,
+    cfg: &'a DriveConfig,
+    a: Matrix<T>,
+    panels: Vec<PanelFactor<T>>,
+}
+
+impl<T: Scalar, B: CaqrBackend<T>> PanelSink for ExecSink<'_, T, B> {
+    type Token = B::Token;
+
+    fn factor(&mut self, slot: usize, step: &PanelStep) -> Result<usize, CaqrError> {
+        let (c, width) = (step.c, step.width);
+        let pf = (self.backend).factor_panel(slot, &mut self.a, c, c, width, self.cfg)?;
+        let chain = 1 + pf.levels.len();
+        self.panels.push(pf);
+        Ok(chain)
     }
 
-    Ok(Factorization {
-        a,
-        panels,
-        launches,
-    })
+    fn apply(
+        &mut self,
+        slot: usize,
+        step: &PanelStep,
+        cols: &[(usize, usize)],
+    ) -> Result<(), CaqrError> {
+        let pf = &self.panels[step.p];
+        (self.backend).apply_panel(slot, MatPtr::new(&mut self.a), pf, cols, true)
+    }
+
+    fn record(&mut self, slot: usize) -> Self::Token {
+        self.backend.record(slot)
+    }
+
+    fn wait(&mut self, slot: usize, token: Self::Token) {
+        self.backend.wait(slot, token);
+    }
+}
+
+/// The cost-only sink: the simulator's slots charged with the analytic
+/// per-block costs of each chain ([`crate::model`]) for an `m`-row
+/// single-precision matrix, without doing the arithmetic.
+struct CostSink<'a, 'g> {
+    sim: &'a SimBackend<'g>,
+    cfg: &'a DriveConfig,
+    m: usize,
+}
+
+impl PanelSink for CostSink<'_, '_> {
+    type Token = Option<EventId>;
+
+    fn factor(&mut self, slot: usize, step: &PanelStep) -> Result<usize, CaqrError> {
+        let (gpu, exec) = (self.sim.gpu, self.sim.execs[slot]);
+        model_factor_chain_on(gpu, exec, self.cfg, self.m, step.c, step.width)
+    }
+
+    fn apply(
+        &mut self,
+        slot: usize,
+        step: &PanelStep,
+        cols: &[(usize, usize)],
+    ) -> Result<(), CaqrError> {
+        let (gpu, exec) = (self.sim.gpu, self.sim.execs[slot]);
+        model_apply_chain_on(gpu, exec, self.cfg, self.m, step.c, step.width, cols)?;
+        Ok(())
+    }
+
+    fn record(&mut self, slot: usize) -> Self::Token {
+        CaqrBackend::<f32>::record(self.sim, slot)
+    }
+
+    fn wait(&mut self, slot: usize, token: Self::Token) {
+        CaqrBackend::<f32>::wait(self.sim, slot, token);
+    }
 }
 
 /// The host-multicore backend: no simulator, no cost model, real rayon
@@ -1154,6 +1248,47 @@ impl<'g> SimBackend<'g> {
             return Err(CaqrError::BadShape("streams must be >= 1".into()));
         }
         Ok((0..s).map(|_| gpu.create_stream()).collect())
+    }
+
+    /// Charge the modelled cost of factoring an `m x n` single-precision
+    /// matrix: the schedule [`drive`] runs on this backend (barrier order
+    /// is the [`Mode::Sync`] launch sequence on a one-slot backend), with
+    /// the analytic costs of [`crate::model`] instead of kernels.
+    pub(crate) fn model_factor(
+        &self,
+        m: usize,
+        n: usize,
+        cfg: &DriveConfig,
+        lookahead: bool,
+    ) -> Result<(), CaqrError> {
+        validate(cfg, m, n)?;
+        if cfg.check_finite {
+            model_health_on(self.gpu, self.health_exec, m, n, cfg.bs)?;
+        }
+        if cfg.strategy.needs_pretranspose() {
+            model_pretranspose_on(self.gpu, self.pre_exec, m, n, cfg.bs)?;
+        }
+        let geo = DagGeometry::new(m, n, cfg.bs.w, self.execs.len());
+        run_panels(&mut CostSink { sim: self, cfg, m }, &geo, lookahead)?;
+        Ok(())
+    }
+
+    /// Charge the modelled cost of applying the `Q` of an `m x n`
+    /// factorization to `nc` columns on slot 0: one apply chain per panel
+    /// over the column grid [`Factorization::apply_on`] executes.
+    pub(crate) fn model_apply(
+        &self,
+        m: usize,
+        n: usize,
+        nc: usize,
+        cfg: &DriveConfig,
+    ) -> Result<(), CaqrError> {
+        validate(cfg, m, n)?;
+        checked_elems(m, nc, "apply target element count")?;
+        let geo = DagGeometry::new(m, n, cfg.bs.w, 1);
+        let cols = col_blocks(0, nc, cfg.bs.w);
+        let mut sink = CostSink { sim: self, cfg, m };
+        (geo.steps.iter()).try_for_each(|step| sink.apply(0, step, &cols))
     }
 }
 

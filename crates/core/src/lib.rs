@@ -13,8 +13,8 @@
 //! * [`microkernels`] — the matrix-vector/rank-1 core with the paper's four
 //!   tuning strategies (55 -> 388 GFLOPS, Section IV-E),
 //! * [`tuning`] — the block-size autotuner (Figure 7),
-//! * [`model`] — the model-only launch replay behind the large figure
-//!   sweeps, provably consistent with execution,
+//! * [`model`] — the cost model behind the large figure sweeps: the
+//!   driver's own panel schedule, charged without doing the arithmetic,
 //! * [`schedule`] — CAQR as a task DAG on simulated CUDA streams with
 //!   lookahead, bit-identical to the synchronous loop,
 //! * [`recovery`] — ABFT-checksummed, fault-recovering CAQR: tile-granular

@@ -1,12 +1,15 @@
-//! Model-only CAQR/TSQR timing: replays the exact launch sequence of the
-//! drivers in [`mod@crate::tsqr`]/[`mod@crate::caqr`] through
-//! [`Gpu::launch_with_costs`], charging the same per-block cost functions
-//! the executing kernels charge — block for block, in the same grid order —
-//! so a modelled sweep over a 1M x 192 matrix agrees with what executing it
-//! would record, without doing the arithmetic (verified against real
-//! execution in this module's tests).
+//! Model-only CAQR/TSQR timing: the driver's own panel schedule
+//! ([`crate::backend`]) run against a cost-only sink, which charges each
+//! chain through [`Gpu::launch_with_costs_on`] with the same per-block cost
+//! functions the executing kernels charge — block for block, in the same
+//! grid order — so a modelled sweep over a 1M x 192 matrix agrees with what
+//! executing it would record, without doing the arithmetic (verified
+//! against real execution in this module's tests). This module holds the
+//! per-chain charges and the public entry points; it has no panel loop of
+//! its own.
 
-use crate::block::{plan_tree, tile_panel, BlockSize, TreeShape};
+use crate::backend::{DriveConfig, SimBackend};
+use crate::block::{plan_tree, tile_panel, BlockSize};
 use crate::caqr::CaqrOptions;
 use crate::error::CaqrError;
 use crate::health::{health_block_cost, health_cfg, health_tiles};
@@ -15,13 +18,12 @@ use crate::kernels::{
     pretranspose_block_cost, THREADS,
 };
 use crate::microkernels::{self as mk, ReductionStrategy};
-use crate::tsqr::col_blocks;
-use gpu_sim::{BlockCost, DeviceSpec, Exec, Gpu, LaunchConfig};
+use gpu_sim::{BlockCost, Exec, Gpu, LaunchConfig};
 
 /// Element size of the paper's single-precision pipeline.
 const ELEM_BYTES: u64 = 4;
 
-fn cfg(
+fn launch_cfg(
     blocks: usize,
     max_rows: usize,
     width: usize,
@@ -65,65 +67,17 @@ impl<F: FnMut(usize, usize) -> BlockCost> CostCache<F> {
     }
 }
 
-/// Charge the launches of one TSQR panel factorization (rows `[row0, m)`,
-/// width `width`) plus, when `trailing_cols > 0`, the trailing-matrix
-/// updates across that many columns. Returns the modelled seconds consumed.
-pub fn model_panel(
-    gpu: &Gpu,
-    m: usize,
-    row0: usize,
-    width: usize,
-    trailing_cols: usize,
-    bs: BlockSize,
-    strategy: ReductionStrategy,
-) -> Result<f64, CaqrError> {
-    model_panel_with_tree(
-        gpu,
-        m,
-        row0,
-        width,
-        trailing_cols,
-        bs,
-        strategy,
-        TreeShape::DeviceArity,
-    )
-}
-
-/// [`model_panel`] with an explicit tree shape.
-#[allow(clippy::too_many_arguments)]
-pub fn model_panel_with_tree(
-    gpu: &Gpu,
-    m: usize,
-    row0: usize,
-    width: usize,
-    trailing_cols: usize,
-    bs: BlockSize,
-    strategy: ReductionStrategy,
-    tree: TreeShape,
-) -> Result<f64, CaqrError> {
-    let t0 = gpu.elapsed();
-    model_factor_chain_on(gpu, Exec::Sync, m, row0, width, bs, strategy, tree)?;
-    if trailing_cols > 0 {
-        let cbs = col_blocks(row0 + width, row0 + width + trailing_cols, bs.w);
-        model_apply_chain_on(gpu, Exec::Sync, m, row0, width, &cbs, bs, strategy, tree)?;
-    }
-    Ok(gpu.elapsed() - t0)
-}
-
 /// Charge one panel-factorization chain (factor + one factor_tree per level)
-/// under an [`Exec`] policy. Returns the number of launches issued — the
-/// stream scheduler's model replay counts launches with this.
-#[allow(clippy::too_many_arguments)]
+/// under an [`Exec`] policy. Returns the number of launches issued.
 pub(crate) fn model_factor_chain_on(
     gpu: &Gpu,
     exec: Exec,
+    cfg: &DriveConfig,
     m: usize,
     row0: usize,
     width: usize,
-    bs: BlockSize,
-    strategy: ReductionStrategy,
-    tree: TreeShape,
 ) -> Result<usize, CaqrError> {
+    let (bs, strategy) = (cfg.bs, cfg.strategy);
     let spec = gpu.spec().clone();
     let tiles = tile_panel(row0, m - row0, bs.h, bs.w);
     let max_rows = tiles.iter().map(|t| t.rows).max().unwrap_or(0);
@@ -136,14 +90,14 @@ pub(crate) fn model_factor_chain_on(
         gpu.launch_with_costs_on(
             exec,
             "factor",
-            cfg(tiles.len(), max_rows, width, width, strategy, false),
+            launch_cfg(tiles.len(), max_rows, width, width, strategy, false),
             &costs,
         )?;
     }
 
     // factor_tree per level, exact per-group arity.
     let starts: Vec<usize> = tiles.iter().map(|t| t.start).collect();
-    let plan = plan_tree(&starts, tree.arity(bs));
+    let plan = plan_tree(&starts, cfg.tree.arity(bs));
     for level in &plan.levels {
         let max_t = level.iter().map(|g| g.members.len()).max().unwrap_or(2);
         let mut cache =
@@ -155,7 +109,7 @@ pub(crate) fn model_factor_chain_on(
         gpu.launch_with_costs_on(
             exec,
             "factor_tree",
-            cfg(level.len(), max_t * width, width, width, strategy, false),
+            launch_cfg(level.len(), max_t * width, width, width, strategy, false),
             &costs,
         )?;
     }
@@ -166,26 +120,24 @@ pub(crate) fn model_factor_chain_on(
 /// panel at `(row0, width)` across the column blocks `cols`, under an
 /// [`Exec`] policy. Grid order is (ti = b % ntiles, cb = b / ntiles),
 /// matching ApplyQtHKernel/ApplyQtTreeKernel. Returns the launch count.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn model_apply_chain_on(
     gpu: &Gpu,
     exec: Exec,
+    cfg: &DriveConfig,
     m: usize,
     row0: usize,
     width: usize,
     cols: &[(usize, usize)],
-    bs: BlockSize,
-    strategy: ReductionStrategy,
-    tree: TreeShape,
 ) -> Result<usize, CaqrError> {
     if cols.is_empty() {
         return Ok(0);
     }
+    let (bs, strategy) = (cfg.bs, cfg.strategy);
     let spec = gpu.spec().clone();
     let tiles = tile_panel(row0, m - row0, bs.h, bs.w);
     let max_rows = tiles.iter().map(|t| t.rows).max().unwrap_or(0);
     let starts: Vec<usize> = tiles.iter().map(|t| t.start).collect();
-    let plan = plan_tree(&starts, tree.arity(bs));
+    let plan = plan_tree(&starts, cfg.tree.arity(bs));
     let max_wc = cols.iter().map(|c| c.1).max().unwrap_or(0);
     {
         let mut cache = CostCache::new(|rows, wc| {
@@ -200,7 +152,7 @@ pub(crate) fn model_apply_chain_on(
         gpu.launch_with_costs_on(
             exec,
             "apply_qt_h",
-            cfg(
+            launch_cfg(
                 tiles.len() * cols.len(),
                 max_rows,
                 width,
@@ -225,7 +177,7 @@ pub(crate) fn model_apply_chain_on(
         gpu.launch_with_costs_on(
             exec,
             "apply_qt_tree",
-            cfg(
+            launch_cfg(
                 level.len() * cols.len(),
                 max_t * width,
                 width,
@@ -240,66 +192,17 @@ pub(crate) fn model_apply_chain_on(
 }
 
 /// Modelled seconds for a full CAQR factorization of an `m x n` matrix
-/// (the engine behind Figures 8/9 and Table I).
+/// (the engine behind Figures 8/9 and Table I): the launch sequence
+/// [`crate::caqr::caqr`] issues, charged by the cost model.
 pub fn model_caqr_seconds(
     gpu: &Gpu,
     m: usize,
     n: usize,
     opts: CaqrOptions,
 ) -> Result<f64, CaqrError> {
-    opts.bs.validate().map_err(CaqrError::BadShape)?;
     let t0 = gpu.elapsed();
-    let w = opts.bs.w;
-    let k = m.min(n);
-
-    if opts.check_finite {
-        model_health_on(gpu, Exec::Sync, m, n, opts.bs)?;
-    }
-    if opts.strategy.needs_pretranspose() {
-        model_pretranspose(gpu, gpu.spec(), m, n, opts.bs)?;
-    }
-
-    let mut c = 0;
-    while c < k {
-        let width = w.min(k - c);
-        model_panel_with_tree(
-            gpu,
-            m,
-            c,
-            width,
-            n - c - width,
-            opts.bs,
-            opts.strategy,
-            opts.tree,
-        )?;
-        c += width;
-    }
+    SimBackend::sync(gpu).model_factor(m, n, &opts.drive_config(), false)?;
     Ok(gpu.elapsed() - t0)
-}
-
-fn model_pretranspose(
-    gpu: &Gpu,
-    spec: &DeviceSpec,
-    m: usize,
-    n: usize,
-    bs: BlockSize,
-) -> Result<(), CaqrError> {
-    let tiles = m.div_ceil(bs.h) * n.div_ceil(bs.w);
-    gpu.launch_uniform(
-        "pretranspose",
-        pretranspose_cfg(tiles, bs),
-        &pretranspose_block_cost(spec, bs.h, bs.w, ELEM_BYTES),
-    )?;
-    Ok(())
-}
-
-fn pretranspose_cfg(tiles: usize, bs: BlockSize) -> LaunchConfig {
-    LaunchConfig {
-        blocks: tiles,
-        threads_per_block: THREADS,
-        shared_mem_bytes: bs.h * bs.w * ELEM_BYTES as usize,
-        regs_per_thread: 16,
-    }
 }
 
 /// Charge the input health check under an [`Exec`] policy, block for block
@@ -319,9 +222,8 @@ pub(crate) fn model_health_on(
     Ok(())
 }
 
-/// Charge the pretranspose pass under an [`Exec`] policy (the synchronous
-/// path keeps the allocation-free `launch_uniform`; streams need explicit
-/// per-block costs for the queue).
+/// Charge the pretranspose pass under an [`Exec`] policy, block for block
+/// the same launch the executing backend submits.
 pub(crate) fn model_pretranspose_on(
     gpu: &Gpu,
     exec: Exec,
@@ -329,22 +231,22 @@ pub(crate) fn model_pretranspose_on(
     n: usize,
     bs: BlockSize,
 ) -> Result<(), CaqrError> {
-    match exec {
-        Exec::Sync => model_pretranspose(gpu, gpu.spec(), m, n, bs),
-        Exec::Stream(_) => {
-            let tiles = m.div_ceil(bs.h) * n.div_ceil(bs.w);
-            let per = pretranspose_block_cost(gpu.spec(), bs.h, bs.w, ELEM_BYTES);
-            let costs = vec![per; tiles];
-            gpu.launch_with_costs_on(exec, "pretranspose", pretranspose_cfg(tiles, bs), &costs)?;
-            Ok(())
-        }
-    }
+    let tiles = m.div_ceil(bs.h) * n.div_ceil(bs.w);
+    let cfg = LaunchConfig {
+        blocks: tiles,
+        threads_per_block: THREADS,
+        shared_mem_bytes: bs.h * bs.w * ELEM_BYTES as usize,
+        regs_per_thread: 16,
+    };
+    let costs = vec![pretranspose_block_cost(gpu.spec(), bs.h, bs.w, ELEM_BYTES); tiles];
+    gpu.launch_with_costs_on(exec, "pretranspose", cfg, &costs)?;
+    Ok(())
 }
 
 /// Modelled seconds for applying `Q^T` (or generating explicit `Q`) from a
 /// CAQR factorization of an `m x n` matrix to `nc` columns. The paper notes
-/// `SORGQR` is "just as efficient as factoring the matrix"; this models it
-/// with the same apply kernels.
+/// `SORGQR` is "just as efficient as factoring the matrix"; this charges
+/// the apply chains [`crate::backend::Factorization::apply_on`] issues.
 pub fn model_caqr_apply_seconds(
     gpu: &Gpu,
     m: usize,
@@ -353,40 +255,7 @@ pub fn model_caqr_apply_seconds(
     opts: CaqrOptions,
 ) -> Result<f64, CaqrError> {
     let t0 = gpu.elapsed();
-    let spec = gpu.spec().clone();
-    let w = opts.bs.w;
-    let k = m.min(n);
-    let cbs = col_blocks(0, nc, w);
-    let ncb = cbs.len().max(1);
-    let mut c = 0;
-    while c < k {
-        let width = w.min(k - c);
-        let tiles = tile_panel(c, m - c, opts.bs.h, opts.bs.w);
-        let max_rows = tiles.iter().map(|t| t.rows).max().unwrap_or(0);
-        let starts: Vec<usize> = tiles.iter().map(|t| t.start).collect();
-        let plan = plan_tree(&starts, opts.tree.arity(opts.bs));
-        gpu.launch_uniform(
-            "apply_qt_h",
-            cfg(tiles.len() * ncb, max_rows, width, w, opts.strategy, true),
-            &apply_qt_h_block_cost(
-                &spec,
-                opts.bs.h.min(max_rows),
-                width,
-                w,
-                opts.strategy,
-                ELEM_BYTES,
-            ),
-        )?;
-        for level in &plan.levels {
-            let t = level.iter().map(|g| g.members.len()).max().unwrap_or(2);
-            gpu.launch_uniform(
-                "apply_qt_tree",
-                cfg(level.len() * ncb, t * width, width, w, opts.strategy, true),
-                &apply_qt_tree_block_cost(&spec, t, width, w, opts.strategy, ELEM_BYTES),
-            )?;
-        }
-        c += width;
-    }
+    SimBackend::sync(gpu).model_apply(m, n, nc, &opts.drive_config())?;
     Ok(gpu.elapsed() - t0)
 }
 
@@ -406,26 +275,14 @@ pub fn model_caqr_gflops(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::block::TreeShape;
     use crate::caqr::caqr;
+    use crate::schedule::{model_caqr_dag_seconds, ScheduleOptions};
     use dense::generate;
     use gpu_sim::DeviceSpec;
 
-    fn check_model_matches_execution(m: usize, n: usize, tol: f64) {
-        let opts = CaqrOptions {
-            bs: BlockSize { h: 32, w: 8 },
-            strategy: ReductionStrategy::RegisterSerialTransposed,
-            tree: TreeShape::DeviceArity,
-            check_finite: true,
-        };
-        let g1 = Gpu::new(DeviceSpec::c2050());
-        let a = generate::uniform::<f32>(m, n, 42);
-        let _f = caqr(&g1, a, opts).unwrap();
-        let exec = g1.ledger();
-
-        let g2 = Gpu::new(DeviceSpec::c2050());
-        model_caqr_seconds(&g2, m, n, opts).unwrap();
-        let modeled = g2.ledger();
-
+    /// Calls, seconds, flops and DRAM bytes of two ledgers agree to `tol`.
+    fn assert_ledgers_match(exec: &gpu_sim::CostLedger, modeled: &gpu_sim::CostLedger, tol: f64) {
         assert_eq!(exec.calls, modeled.calls, "launch counts must match");
         let dt = (exec.seconds - modeled.seconds).abs() / exec.seconds;
         assert!(
@@ -440,14 +297,88 @@ mod tests {
         assert!(db < tol, "traffic mismatch {db}");
     }
 
+    fn check_model_matches_execution(bs: BlockSize, m: usize, n: usize, tol: f64) {
+        let opts = CaqrOptions {
+            bs,
+            strategy: ReductionStrategy::RegisterSerialTransposed,
+            tree: TreeShape::DeviceArity,
+            check_finite: true,
+        };
+        let g1 = Gpu::new(DeviceSpec::c2050());
+        let a = generate::uniform::<f32>(m, n, 42);
+        let _f = caqr(&g1, a, opts).unwrap();
+
+        let g2 = Gpu::new(DeviceSpec::c2050());
+        let secs = model_caqr_seconds(&g2, m, n, opts).unwrap();
+        assert_ledgers_match(&g1.ledger(), &g2.ledger(), tol);
+
+        // One stream without lookahead is the synchronous loop.
+        let one_stream = ScheduleOptions {
+            caqr: opts,
+            streams: 1,
+            lookahead: false,
+        };
+        let dag = model_caqr_dag_seconds(&Gpu::new(DeviceSpec::c2050()), m, n, one_stream).unwrap();
+        assert!(
+            (dag - secs).abs() / secs < tol,
+            "{m}x{n}: 1-stream barrier DAG {dag} vs sync {secs}"
+        );
+    }
+
     #[test]
     fn model_matches_execution_exactly_for_uniform_tiles() {
-        check_model_matches_execution(256, 32, 1e-9);
+        check_model_matches_execution(BlockSize { h: 32, w: 8 }, 256, 32, 1e-9);
     }
 
     #[test]
     fn model_matches_execution_exactly_for_ragged_tiles() {
-        check_model_matches_execution(301, 27, 1e-9);
+        check_model_matches_execution(BlockSize { h: 32, w: 8 }, 301, 27, 1e-9);
+    }
+
+    #[test]
+    fn model_matches_execution_exactly_for_wide_shapes() {
+        // `min(m, n)` is not a multiple of `w`: the narrow last panel's
+        // trailing update spans its own block's tail plus the global grid.
+        for &(m, n) in &[(20, 29), (20, 60), (44, 132)] {
+            check_model_matches_execution(BlockSize { h: 32, w: 8 }, m, n, 1e-9);
+        }
+        for &(m, n) in &[(44, 53), (60, 69)] {
+            check_model_matches_execution(BlockSize { h: 64, w: 16 }, m, n, 1e-9);
+        }
+    }
+
+    #[test]
+    fn apply_model_matches_executed_explicit_q() {
+        let opts = CaqrOptions::default();
+        for &(m, n) in &[(256, 32), (301, 27), (2048, 100), (4000, 192)] {
+            let a = generate::uniform::<f32>(m, n, 7);
+            let f = caqr(&Gpu::new(DeviceSpec::c2050()), a, opts).unwrap();
+            let g1 = Gpu::new(DeviceSpec::c2050());
+            f.generate_q_on(&SimBackend::sync(&g1), n).unwrap();
+
+            let g2 = Gpu::new(DeviceSpec::c2050());
+            let secs = model_caqr_apply_seconds(&g2, m, n, n, opts).unwrap();
+            let (exec, modeled) = (g1.ledger(), g2.ledger());
+            assert_ledgers_match(&exec, &modeled, 1e-9);
+            assert!((secs - exec.seconds).abs() / exec.seconds < 1e-9, "{m}x{n}");
+        }
+    }
+
+    #[test]
+    fn overflowing_and_empty_shapes_are_rejected() {
+        let g = Gpu::new(DeviceSpec::c2050());
+        let opts = CaqrOptions::default();
+        let dag = ScheduleOptions {
+            caqr: opts,
+            ..ScheduleOptions::default()
+        };
+        for &(m, n) in &[(usize::MAX / 2, 4), (0, 4), (4, 0)] {
+            let bad = |r: Result<f64, CaqrError>| matches!(r, Err(CaqrError::BadShape(_)));
+            assert!(bad(model_caqr_seconds(&g, m, n, opts)), "{m}x{n}");
+            assert!(bad(model_caqr_dag_seconds(&g, m, n, dag)), "{m}x{n}");
+            assert!(bad(model_caqr_apply_seconds(&g, m, n, 4, opts)), "{m}x{n}");
+        }
+        assert_eq!(g.ledger().calls, 0, "a rejected shape charges nothing");
     }
 
     #[test]

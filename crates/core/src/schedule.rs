@@ -30,15 +30,12 @@
 //! touch disjoint matrices, so fusing their launches cannot reorder any
 //! job's own arithmetic).
 
-use crate::backend::{drive, DagGeometry, Factorization, Mode, SimBackend};
+use crate::backend::{drive, Factorization, Mode, SimBackend};
 use crate::caqr::CaqrOptions;
 use crate::error::CaqrError;
-use crate::model::{
-    model_apply_chain_on, model_factor_chain_on, model_health_on, model_pretranspose_on,
-};
 use dense::matrix::Matrix;
 use dense::scalar::Scalar;
-use gpu_sim::{EventId, Exec, Gpu, StreamId, Timeline};
+use gpu_sim::{Gpu, Timeline};
 
 /// Options for a stream-scheduled CAQR factorization.
 #[derive(Clone, Copy, Debug)]
@@ -72,8 +69,7 @@ impl Default for ScheduleOptions {
 ///
 /// A thin shim over the generic [`crate::backend::drive`] loop in
 /// [`Mode::Dag`] on a streamed [`SimBackend`] (DESIGN.md §13): the schedule
-/// described above lives there now, shared with the model replay below and
-/// the fault-recovery executor.
+/// described above lives there, and the model below runs the same one.
 pub fn caqr_dag<T: Scalar>(
     gpu: &Gpu,
     a: Matrix<T>,
@@ -93,31 +89,12 @@ pub fn caqr_dag<T: Scalar>(
     Ok((f, timeline))
 }
 
-/// Shared validation + geometry + stream creation for the model replay,
-/// mirroring what the executing path's shim and driver do.
-fn model_setup(
-    gpu: &Gpu,
-    m: usize,
-    n: usize,
-    opts: &ScheduleOptions,
-) -> Result<(DagGeometry, Vec<StreamId>), CaqrError> {
-    opts.caqr.bs.validate().map_err(CaqrError::BadShape)?;
-    if m == 0 || n == 0 {
-        return Err(CaqrError::BadShape(format!("empty matrix {m}x{n}")));
-    }
-    if opts.streams == 0 {
-        return Err(CaqrError::BadShape("streams must be >= 1".into()));
-    }
-    let geo = DagGeometry::new(m, n, opts.caqr.bs.w, opts.streams);
-    let streams = (0..opts.streams).map(|_| gpu.create_stream()).collect();
-    Ok((geo, streams))
-}
-
-/// Model-only replay of [`caqr_dag`] for an `m x n` single-precision matrix:
-/// the same streams, events and launch sequence, with per-block costs from
-/// the analytic cost functions instead of execution — so Table-I-scale
-/// shapes (1M x 192) can be scheduled without 768 MB of arithmetic. Returns
-/// the modelled seconds (the schedule's makespan).
+/// Model-only [`caqr_dag`] for an `m x n` single-precision matrix: the
+/// driver's schedule with the same streams, events and launch sequence,
+/// charged with per-block costs from the analytic cost functions instead of
+/// execution — so Table-I-scale shapes (1M x 192) can be scheduled without
+/// 768 MB of arithmetic. Returns the modelled seconds (the schedule's
+/// makespan).
 pub fn model_caqr_dag_seconds(
     gpu: &Gpu,
     m: usize,
@@ -136,117 +113,8 @@ pub fn model_caqr_dag_timeline(
     opts: ScheduleOptions,
 ) -> Result<(f64, Timeline), CaqrError> {
     let t0 = gpu.elapsed();
-    let (geo, streams) = model_setup(gpu, m, n, &opts)?;
-    let o = opts.caqr;
-
-    if o.check_finite {
-        model_health_on(gpu, Exec::Stream(streams[0]), m, n, o.bs)?;
-    }
-    if o.strategy.needs_pretranspose() {
-        model_pretranspose_on(gpu, Exec::Stream(streams[0]), m, n, o.bs)?;
-    }
-
-    let npanels = geo.steps.len();
-    let mut pending: Vec<EventId> = Vec::new();
-    let mut next: Option<EventId> = None;
-
-    for p in 0..npanels {
-        let step = &geo.steps[p];
-        let f_ev = match next.take() {
-            Some(ev) => ev,
-            None => {
-                let sid = streams[geo.home(p)];
-                for ev in pending.drain(..) {
-                    gpu.wait_event(sid, ev);
-                }
-                model_factor_chain_on(
-                    gpu,
-                    Exec::Stream(sid),
-                    m,
-                    step.c,
-                    step.width,
-                    o.bs,
-                    o.strategy,
-                    o.tree,
-                )?;
-                gpu.record_event(sid)
-            }
-        };
-
-        if opts.lookahead && p + 1 < npanels {
-            let sid_next = streams[geo.home(p + 1)];
-            if geo.home(p + 1) != geo.home(p) {
-                gpu.wait_event(sid_next, f_ev);
-            }
-            model_apply_chain_on(
-                gpu,
-                Exec::Stream(sid_next),
-                m,
-                step.c,
-                step.width,
-                &[geo.block(p + 1)],
-                o.bs,
-                o.strategy,
-                o.tree,
-            )?;
-            let nstep = &geo.steps[p + 1];
-            model_factor_chain_on(
-                gpu,
-                Exec::Stream(sid_next),
-                m,
-                nstep.c,
-                nstep.width,
-                o.bs,
-                o.strategy,
-                o.tree,
-            )?;
-            next = Some(gpu.record_event(sid_next));
-
-            for (t, cols) in geo.groups(step, p + 2).into_iter().enumerate() {
-                if cols.is_empty() {
-                    continue;
-                }
-                if t != geo.home(p) {
-                    gpu.wait_event(streams[t], f_ev);
-                }
-                model_apply_chain_on(
-                    gpu,
-                    Exec::Stream(streams[t]),
-                    m,
-                    step.c,
-                    step.width,
-                    &cols,
-                    o.bs,
-                    o.strategy,
-                    o.tree,
-                )?;
-            }
-        } else {
-            for (t, cols) in geo.groups(step, p + 1).into_iter().enumerate() {
-                if cols.is_empty() {
-                    continue;
-                }
-                if t != geo.home(p) {
-                    gpu.wait_event(streams[t], f_ev);
-                }
-                model_apply_chain_on(
-                    gpu,
-                    Exec::Stream(streams[t]),
-                    m,
-                    step.c,
-                    step.width,
-                    &cols,
-                    o.bs,
-                    o.strategy,
-                    o.tree,
-                )?;
-                if !opts.lookahead && p + 1 < npanels {
-                    pending.push(gpu.record_event(streams[t]));
-                }
-            }
-        }
-    }
-
+    let sim = SimBackend::streams(gpu, opts.streams)?;
+    sim.model_factor(m, n, &opts.caqr.drive_config(), opts.lookahead)?;
     let tl = gpu
         .try_synchronize()
         .map_err(|context| CaqrError::Breakdown { context })?;
