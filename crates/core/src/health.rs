@@ -540,7 +540,7 @@ mod tests {
     // -- ABFT checksums -----------------------------------------------------
 
     use crate::microkernels::ReductionStrategy;
-    use crate::tsqr::{apply_panel_ptr, col_blocks, factor_panel_with_tree};
+    use crate::tsqr::{apply_panel_ptr_on, col_blocks, factor_panel_with_tree_on};
     use crate::TreeShape;
 
     fn factored_panel(
@@ -551,8 +551,9 @@ mod tests {
         let g = Gpu::new(DeviceSpec::c2050());
         let mut a = dense::generate::uniform::<f64>(m, n, 42);
         let pre = panel_col_sumsq(&a, 0, 0, w);
-        let pf = factor_panel_with_tree(
+        let pf = factor_panel_with_tree_on(
             &g,
+            Exec::Sync,
             &mut a,
             0,
             0,
@@ -680,7 +681,7 @@ mod tests {
         let cols = col_blocks(8, 24, 8);
         let pred = predicted_col_sums(&u, &a, &cols);
         let ptr = MatPtr::new(&mut a);
-        apply_panel_ptr(&g, ptr, &pf, &cols, true).unwrap();
+        apply_panel_ptr_on(&g, Exec::Sync, ptr, &pf, &cols, true).unwrap();
         let actual = actual_col_sums(&a, &cols);
         verify_apply_checksums::<f64>(&pred, &actual, &cols, 160, 0).unwrap();
 

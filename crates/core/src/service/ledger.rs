@@ -22,9 +22,9 @@ pub struct TenantCounters {
     /// Jobs shed at dispatch by the open overload circuit breaker
     /// ([`super::ShedPolicy`]).
     pub jobs_shed_overload: u64,
-    /// Jobs whose serving worker died before delivering a result; their
-    /// tickets were resolved with [`super::ServiceError::WorkerLost`] by
-    /// the supervisor.
+    /// Jobs whose serving worker panicked before delivering a result;
+    /// the worker resolved their tickets with
+    /// [`super::ServiceError::WorkerLost`].
     pub jobs_lost: u64,
     /// Jobs still queued when [`super::Service::shutdown_now`] drained the
     /// queue; resolved with [`super::ServiceError::ShuttingDown`].
@@ -98,9 +98,11 @@ pub struct ServiceLedger {
     pub batches: u64,
     /// Parallel regions actually issued by fused execution.
     pub fused_launches: u64,
-    /// Worker threads that died (panicked) while serving.
+    /// Panics a worker caught while serving.
     pub worker_panics: u64,
-    /// Workers respawned by the supervisor after a death.
+    /// Times a worker went back to serving after a caught panic: one per
+    /// panic, so it always equals `worker_panics`. Both move before the
+    /// panic's `WorkerLost` tickets resolve.
     pub workers_respawned: u64,
     /// Overload circuit-breaker open transitions.
     pub breaker_opens: u64,

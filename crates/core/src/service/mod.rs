@@ -40,12 +40,15 @@
 //!   so retried jobs fuse with each other — under a bounded
 //!   [`RetryBudget`] with exponential backoff. The §10 replay ladder stays
 //!   with `caqr_resilient` on the simulator, where its costs are modelled.
-//! * **worker supervision** — worker bodies run under `catch_unwind`; a
-//!   dead worker's in-flight tickets are resolved with
-//!   [`ServiceError::WorkerLost`] and the worker is respawned, so every
-//!   admitted [`Ticket`] resolves with a result or a typed error, never a
-//!   hang. [`Service::shutdown_now`] drains still-queued jobs in admission
-//!   order with [`ServiceError::ShuttingDown`].
+//! * **worker supervision** — worker bodies run under `catch_unwind` and
+//!   hold the batch they serve in their own stack frame; after a panic
+//!   the worker counts the death, resolves that batch's unresolved
+//!   tickets with [`ServiceError::WorkerLost`] and goes back to serving,
+//!   so every admitted [`Ticket`] resolves with a result or a typed
+//!   error, never a hang. [`Service::shutdown_now`] drains still-queued
+//!   jobs in admission order with [`ServiceError::ShuttingDown`]. Every
+//!   ticket, whatever its end, is resolved in one place, which charges
+//!   the ledger before it sends the outcome.
 //! * **overload protection** — per-tenant admission quotas
 //!   ([`TenantQuota`]) and a circuit breaker ([`ShedPolicy`]) that sheds
 //!   `Batch`-priority work when queue depth or the deadline-miss rate
@@ -73,11 +76,11 @@ use dense::scalar::Scalar;
 use std::sync::{Mutex, MutexGuard};
 use std::time::Duration;
 
-/// Recover a lock even if a holder panicked: the queue, ledger, breaker
-/// and flight board hold plain data whose invariants are re-established by
-/// every transition, so continuing after a poisoned lock beats deadlocking
-/// the service — a supervised worker that died mid-section must not take
-/// the whole pool down with it.
+/// Recover a lock even if a holder panicked: the queue, ledger and
+/// breaker hold plain data whose invariants are re-established by every
+/// transition, so continuing after a poisoned lock beats deadlocking the
+/// service — a worker that panicked mid-section must not take the whole
+/// pool down with it.
 pub(crate) fn lock<'a, S>(m: &'a Mutex<S>) -> MutexGuard<'a, S> {
     m.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
 }
@@ -292,13 +295,13 @@ pub enum ServiceError {
         /// The error the final attempt died with.
         last: CaqrError,
     },
-    /// The worker thread serving the job died (panicked) before delivering
-    /// a result. The supervisor resolves the ticket with this error and
-    /// respawns the worker; resubmitting the job is safe.
+    /// The worker thread serving the job panicked before delivering a
+    /// result. The worker resolves the ticket with this error and goes back
+    /// to serving; resubmitting the job is safe.
     WorkerLost {
-        /// Index of the dead worker, when the supervisor knows it; `None`
-        /// when the loss was detected structurally (the result channel
-        /// closed without a message).
+        /// Index of the worker that panicked, when it resolved the ticket
+        /// itself; `None` when the loss was detected structurally (the
+        /// result channel closed without a message).
         worker: Option<usize>,
     },
     /// The service shut down before the job was served

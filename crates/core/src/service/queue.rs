@@ -2,7 +2,8 @@
 //! backpressured admission with per-tenant quotas, priority-aware batch
 //! gathering, the overload circuit breaker, the fault-isolating dispatch
 //! path (batch carve-out + bounded retry rounds), and worker supervision
-//! that guarantees every admitted [`Ticket`] resolves.
+//! that guarantees every admitted [`Ticket`] resolves. Every ticket ends in
+//! [`Shared::resolve`].
 
 use super::batch::{factor_many_reported, fuse_key, FuseKey};
 use super::ledger::ServiceLedger;
@@ -17,7 +18,7 @@ use dense::matrix::Matrix;
 use dense::scalar::Scalar;
 use std::collections::{BTreeMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
@@ -50,7 +51,7 @@ pub struct Ticket<T: Scalar> {
 impl<T: Scalar> Ticket<T> {
     /// Block until the job resolves. Never hangs: every admitted job is
     /// guaranteed an outcome — served, shed, aborted at shutdown, or
-    /// resolved by the supervisor when its worker died. A closed channel
+    /// resolved by its worker after a caught panic. A closed channel
     /// (every sender dropped without a message — a structurally lost
     /// worker) surfaces as [`ServiceError::WorkerLost`].
     pub fn wait(self) -> Result<JobOutcome<T>, ServiceError> {
@@ -76,17 +77,17 @@ pub(super) struct QueueState<T: Scalar> {
     tenant_queued: BTreeMap<String, usize>,
 }
 
-/// One dispatched job's supervision record: enough to resolve its ticket
-/// with [`ServiceError::WorkerLost`] if the serving worker dies before
-/// sending an outcome. Posted to the worker's flight board at dispatch,
-/// marked resolved when the outcome is sent, reaped by the supervisor.
-struct Flight<T: Scalar> {
-    tx: Mutex<mpsc::Sender<JobOutcome<T>>>,
-    tenant: String,
-    priority: Priority,
-    submitted: Instant,
-    deadline: Option<Duration>,
-    resolved: AtomicBool,
+/// How the batch engine served a job that reached it, completed or
+/// failed: what [`Shared::resolve`] charges beyond the job's result.
+struct Served {
+    /// `Some(k)` if the batch attempt ran the job in a fused group of `k`.
+    fused_with: Option<usize>,
+    /// Retry rounds the job took part in.
+    retries: u32,
+    /// Seconds from the first retry round's start to the end of its last.
+    retry_secs: f64,
+    /// Seconds of batch execution, dispatch to the last retry round.
+    service_secs: f64,
 }
 
 /// The overload circuit breaker's state (policy in
@@ -106,8 +107,6 @@ pub(super) struct Shared<T: Scalar> {
     max_batch: usize,
     cfg: ServiceConfig,
     breaker: Mutex<Breaker>,
-    /// Per-worker flight boards (indexed by worker id).
-    flights: Vec<Mutex<Vec<Arc<Flight<T>>>>>,
     /// Batches dispatched, for the injected worker-panic cadence.
     batch_ordinal: AtomicU64,
 }
@@ -130,9 +129,6 @@ impl<T: Scalar> Shared<T> {
                 open: false,
                 window: VecDeque::new(),
             }),
-            flights: (0..cfg.workers.max(1))
-                .map(|_| Mutex::new(Vec::new()))
-                .collect(),
             batch_ordinal: AtomicU64::new(0),
             cfg: cfg.clone(),
         }
@@ -231,7 +227,7 @@ impl<T: Scalar> Shared<T> {
     /// and up to `max_batch - 1` queued jobs of the same shape class ride
     /// along regardless of their own priority — opportunistic fusion makes
     /// them near-free. Returns `None` when shut down and drained.
-    pub(super) fn next_batch(&self) -> Option<Vec<QueuedJob<T>>> {
+    pub(super) fn next_batch(&self) -> Option<VecDeque<QueuedJob<T>>> {
         let mut st = lock(&self.state);
         loop {
             if !st.q.is_empty() {
@@ -266,11 +262,10 @@ impl<T: Scalar> Shared<T> {
         // Preserve admission order within the batch; remove back-to-front
         // so earlier indices stay valid.
         picks.sort_unstable();
-        let mut batch: Vec<QueuedJob<T>> = Vec::with_capacity(picks.len());
+        let mut batch = VecDeque::with_capacity(picks.len());
         for &i in picks.iter().rev() {
-            batch.push(st.q.remove(i).expect("picked index in bounds"));
+            batch.push_front(st.q.remove(i).expect("picked index in bounds"));
         }
-        batch.reverse();
         for job in &batch {
             if let Some(v) = st.tenant_queued.get_mut(&job.spec.tenant) {
                 *v = v.saturating_sub(1);
@@ -281,130 +276,91 @@ impl<T: Scalar> Shared<T> {
         Some(batch)
     }
 
-    /// Serve one batch on worker `worker`: post flights for supervision,
-    /// shed expired-deadline and breaker-shed jobs, run the rest through
-    /// the (resilient) fused engine with bounded retry rounds, account
-    /// everything, resolve the tickets, and update the circuit breaker.
-    pub(super) fn serve(&self, batch: Vec<QueuedJob<T>>, worker: usize) {
+    /// Serve one batch: shed expired-deadline and breaker-shed jobs, run
+    /// the rest through the (resilient) fused engine with bounded retry
+    /// rounds, resolve the tickets, and update the circuit breaker. A job
+    /// leaves `batch` only as its ticket resolves, so if this panics,
+    /// `batch` holds exactly the jobs still owed an outcome.
+    pub(super) fn serve(&self, batch: &mut VecDeque<QueuedJob<T>>) {
         let dispatch = Instant::now();
         let depth = lock(&self.state).q.len() + batch.len();
         let breaker_open = lock(&self.breaker).open;
 
-        // Post every job to the flight board *before* any work: if this
-        // worker dies anywhere past this point, the supervisor resolves
-        // the unresolved flights with `WorkerLost` and respawns.
-        let mut flights: Vec<Arc<Flight<T>>> = Vec::with_capacity(batch.len());
-        {
-            let mut board = lock(&self.flights[worker]);
-            for job in &batch {
-                let fl = Arc::new(Flight {
-                    tx: Mutex::new(job.tx.clone()),
-                    tenant: job.spec.tenant.clone(),
-                    priority: job.spec.priority,
-                    submitted: job.submitted,
-                    deadline: job.spec.deadline,
-                    resolved: AtomicBool::new(false),
-                });
-                board.push(Arc::clone(&fl));
-                flights.push(fl);
-            }
-        }
-
         // Injected worker kill (chaos / supervision tests): the panic fires
-        // after the flights are posted, so every ticket still resolves.
-        if let Some(fp) = &self.cfg.resilience.faults {
-            if let Some(every) = fp.worker_panic_every {
-                let bo = self.batch_ordinal.fetch_add(1, Ordering::Relaxed);
-                if (bo + 1).is_multiple_of(every) {
-                    panic!("injected worker panic: batch #{bo}");
-                }
+        // with the whole batch unresolved, so every ticket ends `WorkerLost`.
+        let res = &self.cfg.resilience;
+        let plan = res.faults.as_ref();
+        if let Some(every) = plan.and_then(|fp| fp.worker_panic_every) {
+            let bo = self.batch_ordinal.fetch_add(1, Ordering::Relaxed);
+            if (bo + 1).is_multiple_of(every) {
+                panic!("injected worker panic: batch #{bo}");
             }
         }
 
         // Shed phase: expired deadlines, then the open breaker (which
         // sheds only `Batch`-class work).
-        let mut live: Vec<(QueuedJob<T>, Arc<Flight<T>>)> = Vec::with_capacity(batch.len());
-        for (job, fl) in batch.into_iter().zip(flights) {
+        for _ in 0..batch.len() {
+            let job = batch.pop_front().expect("one pop per queued job");
             let queued = dispatch.duration_since(job.submitted);
-            match job.spec.deadline {
+            let err = match job.spec.deadline {
                 Some(deadline) if queued > deadline => {
-                    lock(&self.ledger).charge(&job.spec.tenant, |c| {
-                        c.jobs_shed += 1;
-                        c.queue_seconds += queued.as_secs_f64();
-                    });
-                    let _ = job.tx.send(JobOutcome {
-                        result: Err(ServiceError::DeadlineExpired { queued, deadline }),
-                        tenant: job.spec.tenant,
-                        priority: job.spec.priority,
-                        queue_wait: queued,
-                        latency: queued,
-                        fused_with: 1,
-                        missed_deadline: true,
-                        retries: 0,
-                    });
-                    fl.resolved.store(true, Ordering::SeqCst);
+                    ServiceError::DeadlineExpired { queued, deadline }
                 }
                 _ if breaker_open && job.spec.priority == Priority::Batch => {
-                    lock(&self.ledger).charge(&job.spec.tenant, |c| {
-                        c.jobs_shed_overload += 1;
-                        c.queue_seconds += queued.as_secs_f64();
-                    });
-                    let _ = job.tx.send(JobOutcome {
-                        result: Err(ServiceError::Overloaded {
-                            queue_depth: depth,
-                            priority: job.spec.priority,
-                        }),
-                        tenant: job.spec.tenant,
-                        priority: job.spec.priority,
-                        queue_wait: queued,
-                        latency: queued,
-                        fused_with: 1,
-                        missed_deadline: false,
-                        retries: 0,
-                    });
-                    fl.resolved.store(true, Ordering::SeqCst);
+                    ServiceError::Overloaded {
+                        queue_depth: depth,
+                        priority: Priority::Batch,
+                    }
                 }
-                _ => live.push((job, fl)),
-            }
+                _ => {
+                    batch.push_back(job);
+                    continue;
+                }
+            };
+            self.resolve(job, Err(err), queued, None);
         }
-        let mut misses: Vec<bool> = Vec::new();
-        if live.is_empty() {
-            lock(&self.flights[worker]).retain(|f| !f.resolved.load(Ordering::SeqCst));
-            self.update_breaker(&misses);
+        if batch.is_empty() {
+            self.update_breaker(&[]);
             return;
         }
 
         // The engine: one batch attempt, then retry rounds for the jobs it
         // carved out retryably. With resilience off no fault is drawn and
-        // nothing verifies, so the attempt is the plain fused engine.
-        let res = &self.cfg.resilience;
-        let plan = res.faults.as_ref();
-        let run = |jobs: &[usize], attempt: u32| {
-            let inputs: Vec<(Matrix<T>, CpuCaqrOptions)> = (jobs.iter())
-                .map(|&i| (live[i].0.spec.a.clone(), live[i].0.spec.opts))
+        // nothing verifies, so the attempt is the plain fused engine. The
+        // attempt takes each job's matrix unless a retry round may re-run
+        // the job from its spec.
+        let rounds = if res.active() {
+            res.retry.max_retries
+        } else {
+            0
+        };
+        let inputs: Vec<Matrix<T>> = (batch.iter_mut())
+            .map(|job| match rounds {
+                0 => std::mem::replace(&mut job.spec.a, Matrix::zeros(0, 0)),
+                _ => job.spec.a.clone(),
+            })
+            .collect();
+        let run = |inputs: Vec<Matrix<T>>, jobs: &[usize], attempt: u32| {
+            let inputs: Vec<(Matrix<T>, CpuCaqrOptions)> = (jobs.iter().zip(inputs))
+                .map(|(&i, a)| (a, batch[i].spec.opts))
                 .collect();
             let drawn: Vec<Option<PlannedFault>> = (jobs.iter())
-                .map(|&i| plan.and_then(|fp| fp.draw(live[i].0.seq, attempt)))
+                .map(|&i| plan.and_then(|fp| fp.draw(batch[i].seq, attempt)))
                 .collect();
             factor_many_reported(inputs, &drawn, res.verify_batches)
         };
-        let all: Vec<usize> = (0..live.len()).collect();
+        let all: Vec<usize> = (0..batch.len()).collect();
         // Each job is charged fused or solo as the engine ran it in the
         // batch attempt.
-        let (ran, stats) = run(&all, 0);
+        let (ran, stats) = run(inputs, &all, 0);
         let (mut results, fused_with): (Vec<_>, Vec<_>) = ran.into_iter().unzip();
 
         // Retry rounds with exponential backoff: each round re-runs every
         // still-retryable job from its spec, fused with the others, under
         // a fresh fault draw for `(seq, attempt)`. Per job: the rounds it
         // took part in, and the seconds until its last one ended.
-        let mut retries = vec![0u32; live.len()];
-        let mut retry_secs = vec![0.0; live.len()];
-        let rounds = if res.active() {
-            res.retry.max_retries
-        } else {
-            0
-        };
+        let mut retries = vec![0u32; batch.len()];
+        let mut retry_secs = vec![0.0; batch.len()];
         let retry_t0 = Instant::now();
         for attempt in 1..=rounds {
             let jobs: Vec<usize> = (all.iter().copied())
@@ -414,7 +370,8 @@ impl<T: Scalar> Shared<T> {
                 break;
             }
             std::thread::sleep(res.retry.backoff_for(attempt));
-            let (rerun, _) = run(&jobs, attempt);
+            let inputs = jobs.iter().map(|&i| batch[i].spec.a.clone()).collect();
+            let (rerun, _) = run(inputs, &jobs, attempt);
             let secs = retry_t0.elapsed().as_secs_f64();
             for (i, (r, _)) in jobs.into_iter().zip(rerun) {
                 (results[i], retries[i], retry_secs[i]) = (r, attempt, secs);
@@ -422,80 +379,110 @@ impl<T: Scalar> Shared<T> {
         }
         let service_secs = dispatch.elapsed().as_secs_f64();
 
-        // Accounting + ticket resolution. Fault-free launches land in
-        // `launches`; work done by the retry rounds lands in the dedicated
-        // `retry_*` counters so the two costs stay separable (and both
-        // reconcile per tenant against the global row).
         {
             let mut ledger = lock(&self.ledger);
             ledger.batches += 1;
             ledger.fused_launches += stats.fused_launches as u64;
-            let outcomes =
-                (results.into_iter().zip(fused_with)).zip(retries.into_iter().zip(retry_secs));
-            for ((job, fl), ((result, fused_with), (retries, retry_secs))) in
-                live.into_iter().zip(outcomes)
-            {
-                // A job still retryable after a round spent the budget.
-                let result = match result {
-                    Err(last) if retries > 0 && service_retryable(&last) => {
-                        Err(ServiceError::RetryExhausted {
-                            attempts: retries,
-                            last,
-                        })
-                    }
-                    r => r.map_err(ServiceError::Caqr),
-                };
-                let queued = dispatch.duration_since(job.submitted);
-                let latency = job.submitted.elapsed();
-                let missed = job.spec.deadline.is_some_and(|d| latency > d);
-                ledger.charge(&job.spec.tenant, |c| {
-                    c.queue_seconds += queued.as_secs_f64();
-                    c.service_seconds += service_secs;
-                    if missed {
-                        c.deadline_misses += 1;
-                    }
-                    if fused_with.is_some() {
-                        c.fused_jobs += 1;
-                    } else {
-                        c.solo_jobs += 1;
-                    }
-                    if retries > 0 {
-                        c.retry_jobs += 1;
-                        c.retry_attempts += retries as u64;
-                        c.retry_launches += result.as_ref().map_or(0, logical_launches) as u64;
-                        c.retry_seconds += retry_secs;
-                    }
-                    match &result {
-                        Ok(f) => {
-                            c.jobs_completed += 1;
-                            c.panels += f.panels.len() as u64;
-                            if retries == 0 {
-                                c.launches += logical_launches(f) as u64;
-                            }
-                            let (m, n) = f.a.shape();
-                            c.flops += dense::geqrf_flops(m, n);
-                        }
-                        Err(_) => c.jobs_failed += 1,
-                    }
-                });
-                if job.spec.deadline.is_some() {
-                    misses.push(missed);
-                }
-                let _ = job.tx.send(JobOutcome {
-                    result,
-                    tenant: job.spec.tenant,
-                    priority: job.spec.priority,
-                    queue_wait: queued,
-                    latency,
-                    fused_with: fused_with.unwrap_or(1),
-                    missed_deadline: missed,
-                    retries,
-                });
-                fl.resolved.store(true, Ordering::SeqCst);
-            }
         }
-        lock(&self.flights[worker]).retain(|f| !f.resolved.load(Ordering::SeqCst));
+        let mut misses: Vec<bool> = Vec::new();
+        for (i, (result, fused_with)) in results.into_iter().zip(fused_with).enumerate() {
+            // A job still retryable after a round spent the budget.
+            let result = match result {
+                Err(last) if retries[i] > 0 && service_retryable(&last) => {
+                    Err(ServiceError::RetryExhausted {
+                        attempts: retries[i],
+                        last,
+                    })
+                }
+                r => r.map_err(ServiceError::Caqr),
+            };
+            let job = batch.pop_front().expect("one result per job");
+            let queued = dispatch.duration_since(job.submitted);
+            let served = Served {
+                fused_with,
+                retries: retries[i],
+                retry_secs: retry_secs[i],
+                service_secs,
+            };
+            misses.extend(self.resolve(job, result, queued, Some(served)));
+        }
         self.update_breaker(&misses);
+    }
+
+    /// The one way a ticket ends. Build the job's outcome, charge its queue
+    /// wait and terminal counters to its tenant under one ledger lock, then
+    /// send it, so a waiter woken by the outcome already sees its charge.
+    /// `served` is `Some` for a job the batch engine ran, whose latency runs
+    /// to now; every other job's latency is its queue wait. Returns whether
+    /// the job missed its deadline, if it carried one.
+    fn resolve(
+        &self,
+        job: QueuedJob<T>,
+        result: Result<Factorization<T>, ServiceError>,
+        queued: Duration,
+        served: Option<Served>,
+    ) -> Option<bool> {
+        let spec = job.spec;
+        let latency = match served {
+            Some(_) => job.submitted.elapsed(),
+            None => queued,
+        };
+        // An expired job missed by definition; a shed or aborted one is
+        // never counted late.
+        let missed = match &result {
+            Err(ServiceError::DeadlineExpired { .. }) => true,
+            Err(ServiceError::Overloaded { .. } | ServiceError::ShuttingDown) => false,
+            _ => spec.deadline.is_some_and(|d| latency > d),
+        };
+        lock(&self.ledger).charge(&spec.tenant, |c| {
+            c.queue_seconds += queued.as_secs_f64();
+            match &result {
+                Ok(f) => {
+                    c.jobs_completed += 1;
+                    c.panels += f.panels.len() as u64;
+                    let (m, n) = f.a.shape();
+                    c.flops += dense::geqrf_flops(m, n);
+                }
+                Err(ServiceError::Caqr(_) | ServiceError::RetryExhausted { .. }) => {
+                    c.jobs_failed += 1
+                }
+                Err(ServiceError::DeadlineExpired { .. }) => c.jobs_shed += 1,
+                Err(ServiceError::Overloaded { .. }) => c.jobs_shed_overload += 1,
+                Err(ServiceError::WorkerLost { .. }) => c.jobs_lost += 1,
+                Err(ServiceError::ShuttingDown) => c.jobs_aborted += 1,
+            }
+            let Some(s) = &served else { return };
+            // Fault-free launches land in `launches`; work done by retry
+            // rounds lands in the `retry_*` counters, so the two costs stay
+            // separable.
+            let launches = result.as_ref().map_or(0, logical_launches) as u64;
+            c.service_seconds += s.service_secs;
+            c.deadline_misses += missed as u64;
+            if s.fused_with.is_some() {
+                c.fused_jobs += 1;
+            } else {
+                c.solo_jobs += 1;
+            }
+            if s.retries > 0 {
+                c.retry_jobs += 1;
+                c.retry_attempts += s.retries as u64;
+                c.retry_launches += launches;
+                c.retry_seconds += s.retry_secs;
+            } else {
+                c.launches += launches;
+            }
+        });
+        let _ = job.tx.send(JobOutcome {
+            result,
+            priority: spec.priority,
+            queue_wait: queued,
+            latency,
+            fused_with: served.as_ref().and_then(|s| s.fused_with).unwrap_or(1),
+            missed_deadline: missed,
+            retries: served.map_or(0, |s| s.retries),
+            tenant: spec.tenant,
+        });
+        spec.deadline.map(|_| missed)
     }
 
     /// Advance the circuit breaker (DESIGN.md §15): feed the sliding
@@ -543,58 +530,38 @@ impl<T: Scalar> Shared<T> {
         }
     }
 
-    /// Supervisor path: worker `worker` died mid-serve. Resolve every
-    /// still-unresolved flight on its board with
-    /// [`ServiceError::WorkerLost`] and account the loss; the caller then
-    /// re-enters the serve loop (the respawn).
-    fn reap(&self, worker: usize) {
-        // Count the death before resolving its flights: a waiter woken by
-        // a `WorkerLost` outcome must already see the supervision counters.
-        {
-            let mut l = lock(&self.ledger);
-            l.worker_panics += 1;
-            l.workers_respawned += 1;
-        }
-        let dead: Vec<Arc<Flight<T>>> = lock(&self.flights[worker]).drain(..).collect();
-        for fl in dead {
-            if fl.resolved.swap(true, Ordering::SeqCst) {
-                continue;
-            }
-            let waited = fl.submitted.elapsed();
-            let missed = fl.deadline.is_some_and(|d| waited > d);
-            lock(&self.ledger).charge(&fl.tenant, |c| {
-                c.jobs_lost += 1;
-                c.queue_seconds += waited.as_secs_f64();
-            });
-            let _ = lock(&fl.tx).send(JobOutcome {
-                result: Err(ServiceError::WorkerLost {
-                    worker: Some(worker),
-                }),
-                tenant: fl.tenant.clone(),
-                priority: fl.priority,
-                queue_wait: waited,
-                latency: waited,
-                fused_with: 1,
-                missed_deadline: missed,
-                retries: 0,
-            });
-        }
-    }
-
     /// The supervised worker body: pull-and-serve until shutdown, with the
-    /// whole loop under `catch_unwind`. A panic (an injected worker kill,
-    /// a bug in a serve path) reaps the worker's flights and re-enters the
-    /// loop — the pool never shrinks and no ticket is ever orphaned.
+    /// loop under `catch_unwind`. The batch being served lives in this
+    /// frame, outside the unwind, and holds only jobs still owed an
+    /// outcome. After a panic (an injected worker kill, a bug in a serve
+    /// path) the worker counts its death, resolves what is left with
+    /// [`ServiceError::WorkerLost`] and re-enters the loop: the pool never
+    /// shrinks and no ticket is ever orphaned.
     fn worker_loop(&self, worker: usize) {
+        let mut batch = VecDeque::new();
         loop {
             let ran = catch_unwind(AssertUnwindSafe(|| {
-                while let Some(batch) = self.next_batch() {
-                    self.serve(batch, worker);
+                while let Some(next) = self.next_batch() {
+                    batch = next;
+                    self.serve(&mut batch);
                 }
             }));
-            match ran {
-                Ok(()) => break,
-                Err(_) => self.reap(worker),
+            if ran.is_ok() {
+                break;
+            }
+            // Count the death first: a waiter woken by a `WorkerLost`
+            // outcome must already see the supervision counters.
+            {
+                let mut l = lock(&self.ledger);
+                l.worker_panics += 1;
+                l.workers_respawned += 1;
+            }
+            for job in batch.drain(..) {
+                let waited = job.submitted.elapsed();
+                let lost = ServiceError::WorkerLost {
+                    worker: Some(worker),
+                };
+                self.resolve(job, Err(lost), waited, None);
             }
         }
     }
@@ -682,20 +649,7 @@ impl<T: Scalar> Service<T> {
         self.shared.not_full.notify_all();
         for job in drained {
             let queued = job.submitted.elapsed();
-            lock(&self.shared.ledger).charge(&job.spec.tenant, |c| {
-                c.jobs_aborted += 1;
-                c.queue_seconds += queued.as_secs_f64();
-            });
-            let _ = job.tx.send(JobOutcome {
-                result: Err(ServiceError::ShuttingDown),
-                tenant: job.spec.tenant,
-                priority: job.spec.priority,
-                queue_wait: queued,
-                latency: queued,
-                fused_with: 1,
-                missed_deadline: false,
-                retries: 0,
-            });
+            (self.shared).resolve(job, Err(ServiceError::ShuttingDown), queued, None);
         }
         for w in self.workers.drain(..) {
             let _ = w.join();
@@ -788,7 +742,7 @@ mod tests {
         let tickets: Vec<Ticket<f64>> = (mats.into_iter())
             .map(|a| shared.push(&mut lock(&shared.state), JobSpec::new(a, opts(48, 16))))
             .collect();
-        shared.serve(shared.next_batch().expect("queue non-empty"), 0);
+        shared.serve(&mut shared.next_batch().expect("queue non-empty"));
         let outs: Vec<JobOutcome<f64>> = (tickets.into_iter())
             .map(|t| t.wait().expect("served"))
             .collect();
@@ -824,8 +778,9 @@ mod tests {
     #[test]
     fn dead_workers_resolve_tickets_and_the_pool_survives() {
         // Every batch kills its worker: each ticket must still resolve
-        // (with WorkerLost), the supervisor must respawn every time, and
-        // the service must keep accepting work instead of deadlocking.
+        // (with WorkerLost), the worker must count each death once and
+        // before the ticket resolves, and the service must keep accepting
+        // work instead of deadlocking.
         let cfg = ServiceConfig {
             workers: 1,
             resilience: ResilienceConfig {
@@ -840,11 +795,18 @@ mod tests {
             let ticket = svc
                 .submit(JobSpec::new(a, opts(16, 4)).tenant("t"))
                 .unwrap_or_else(|_| panic!("accepting"));
-            let out = ticket.wait().expect("supervisor resolves the ticket");
+            let out = ticket.wait().expect("the worker resolves the ticket");
             match out.result {
                 Err(ServiceError::WorkerLost { worker }) => assert_eq!(worker, Some(0)),
                 other => panic!("expected WorkerLost, got {:?}", other.map(|f| f.a.shape())),
             }
+            let ledger = svc.ledger();
+            assert_eq!(
+                ledger.worker_panics,
+                s + 1,
+                "one count per panic, before the ticket"
+            );
+            assert_eq!(ledger.global.jobs_lost, s + 1);
         }
         let ledger = svc.ledger();
         assert_eq!(ledger.global.jobs_lost, 3);
@@ -928,7 +890,7 @@ mod tests {
         }
         // Serve everything; after the first batch (depth 3 >= 2) the
         // breaker opens, shedding the Batch job at its dispatch.
-        while let Some(batch) = {
+        while let Some(mut batch) = {
             let empty = lock(&shared.state).q.is_empty();
             if empty {
                 None
@@ -936,7 +898,7 @@ mod tests {
                 shared.next_batch()
             }
         } {
-            shared.serve(batch, 0);
+            shared.serve(&mut batch);
         }
         let mut shed = 0;
         let mut served = 0;

@@ -44,7 +44,7 @@ pub struct ServiceFaultPlan {
     /// round re-draws, and a seeded plan is reproducible end to end.
     pub plan: FaultPlan,
     /// Kill the serving worker (panic its thread) on every N-th dispatched
-    /// batch, exercising the supervisor. `None` disables.
+    /// batch, exercising worker supervision. `None` disables.
     pub worker_panic_every: Option<u64>,
 }
 

@@ -157,35 +157,13 @@ pub fn factor_panel<T: Scalar>(
     bs: BlockSize,
     strategy: ReductionStrategy,
 ) -> Result<PanelFactor<T>, CaqrError> {
-    factor_panel_with_tree(
-        gpu,
-        a,
-        row0,
-        col0,
-        width,
-        bs,
-        strategy,
-        TreeShape::DeviceArity,
-    )
-}
-
-/// [`factor_panel`] with an explicit reduction-tree shape (Section II-B's
-/// "any tree shape"; used by the tree-shape ablation).
-#[allow(clippy::too_many_arguments)]
-pub fn factor_panel_with_tree<T: Scalar>(
-    gpu: &Gpu,
-    a: &mut Matrix<T>,
-    row0: usize,
-    col0: usize,
-    width: usize,
-    bs: BlockSize,
-    strategy: ReductionStrategy,
-    tree: TreeShape,
-) -> Result<PanelFactor<T>, CaqrError> {
+    let tree = TreeShape::DeviceArity;
     factor_panel_with_tree_on(gpu, Exec::Sync, a, row0, col0, width, bs, strategy, tree)
 }
 
-/// [`factor_panel_with_tree`] under an explicit [`Exec`] policy. With
+/// [`factor_panel`] with an explicit reduction-tree shape (Section II-B's
+/// "any tree shape"; used by the tree-shape ablation) under an explicit
+/// [`Exec`] policy. With
 /// `Exec::Stream` the factor and tree launches are queued in order on that
 /// stream; the arithmetic (and therefore the returned [`PanelFactor`]) is
 /// complete when this returns either way — only the modelled timing defers
@@ -297,41 +275,18 @@ impl<T: Scalar> PanelFactor<T> {
             .map(|t| t.start + t.rows)
             .unwrap_or(self.row0)
     }
-
-    /// Whether every cached compact-WY factor (per-tile and per-tree-node)
-    /// came out finite. The recovery executor treats `false` as a detected
-    /// factor-task fault: the packed factors are what every later apply
-    /// consumes, so a non-finite `T`/`V` there corrupts everything
-    /// downstream of this panel.
-    pub fn is_healthy(&self) -> bool {
-        self.wy0.iter().all(|wy| wy.healthy)
-            && self
-                .levels
-                .iter()
-                .all(|nodes| nodes.iter().all(|n| n.healthy))
-    }
 }
 
 /// Apply the panel's `Q^T` (`transpose == true`, reflectors in factorization
 /// order) or `Q` (reverse order) to the column blocks `cols` of the matrix
-/// behind `c`. The panel's reflectors come from the packed compact-WY
-/// factors cached in `pf` — the factored matrix itself is no longer read.
+/// behind `c`, under an explicit [`Exec`] policy (the apply chain —
+/// horizontal kernel plus one kernel per tree level — is queued in order on
+/// the stream when `Exec::Stream`). The panel's reflectors come from the
+/// packed compact-WY factors cached in `pf` — the factored matrix itself is
+/// no longer read.
 ///
 /// # Safety-by-contract
 /// `cols` must be disjoint column blocks of `c`.
-pub fn apply_panel_ptr<T: Scalar>(
-    gpu: &Gpu,
-    c: MatPtr<T>,
-    pf: &PanelFactor<T>,
-    cols: &[(usize, usize)],
-    transpose: bool,
-) -> Result<(), CaqrError> {
-    apply_panel_ptr_on(gpu, Exec::Sync, c, pf, cols, transpose)
-}
-
-/// [`apply_panel_ptr`] under an explicit [`Exec`] policy (the apply chain —
-/// horizontal kernel plus one kernel per tree level — is queued in order on
-/// the stream when `Exec::Stream`).
 pub fn apply_panel_ptr_on<T: Scalar>(
     gpu: &Gpu,
     exec: Exec,

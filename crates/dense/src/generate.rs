@@ -17,17 +17,6 @@ pub fn uniform<T: Scalar>(rows: usize, cols: usize, seed: u64) -> Matrix<T> {
     Matrix::from_fn(rows, cols, |_, _| T::from_f64(dist.sample(&mut rng)))
 }
 
-/// Standard-normal-ish matrix (sum of uniforms, adequate for conditioning
-/// purposes and avoids pulling in a normal distribution implementation).
-pub fn gaussian_like<T: Scalar>(rows: usize, cols: usize, seed: u64) -> Matrix<T> {
-    let mut rng = ChaCha8Rng::seed_from_u64(seed);
-    let dist = Uniform::new(-0.5f64, 0.5);
-    Matrix::from_fn(rows, cols, |_, _| {
-        let s: f64 = (0..12).map(|_| dist.sample(&mut rng)).sum();
-        T::from_f64(s)
-    })
-}
-
 /// Matrix with prescribed singular-value decay `sigma_k = decay^k`
 /// (`decay < 1` for ill conditioning, `1.0` for orthogonal-like). Built as
 /// `Q1 * diag(sigma) * Q2^T` with random orthogonal-ish factors obtained by

@@ -460,14 +460,6 @@ impl<'a, T: Scalar> MatMut<'a, T> {
         }
     }
 
-    /// Copy from a same-shape source view.
-    pub fn copy_from(&mut self, src: MatRef<'_, T>) {
-        assert_eq!((self.rows, self.cols), (src.rows(), src.cols()));
-        for j in 0..self.cols {
-            self.col_mut(j).copy_from_slice(src.col(j));
-        }
-    }
-
     /// Copy into an owned matrix.
     pub fn to_owned(&self) -> Matrix<T> {
         self.as_ref().to_owned()

@@ -1360,18 +1360,17 @@ mod tests {
     }
 
     /// Pack a reference accumulation of `alpha * A * B + C` for one
-    /// microkernel-shaped problem, in f64 regardless of T.
+    /// microkernel-shaped problem, in f64 regardless of T: `ap` and `bp`
+    /// are `kb`-deep packed panels of `mr` and `nr` lanes, and only the
+    /// live `h x w` corner of `C` is updated.
     fn ukr_reference(
-        kb: usize,
-        mr: usize,
-        nr: usize,
+        (kb, mr, nr): (usize, usize, usize),
         ap: &[f64],
         bp: &[f64],
         alpha: f64,
         c0: &[f64],
         ldc: usize,
-        h: usize,
-        w: usize,
+        (h, w): (usize, usize),
     ) -> Vec<f64> {
         let mut c = c0.to_vec();
         for jj in 0..w {
@@ -1407,7 +1406,7 @@ mod tests {
                 unsafe {
                     (kern.ukr)(kb, ap.as_ptr(), bp.as_ptr(), 1.5, c.as_mut_ptr(), ldc, h, w);
                 }
-                let want = ukr_reference(kb, mr, nr, &ap, &bp, 1.5, &c0, ldc, h, w);
+                let want = ukr_reference((kb, mr, nr), &ap, &bp, 1.5, &c0, ldc, (h, w));
                 for (i, (&got, &wv)) in c.iter().zip(&want).enumerate() {
                     // Off-corner entries must be untouched; live entries are
                     // exact here (small integers).

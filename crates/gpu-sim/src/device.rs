@@ -63,7 +63,9 @@ impl Admission {
     };
 }
 
-/// Default watchdog deadline for hung launches, microseconds. Generous
+/// The watchdog deadline for hung launches, microseconds. Each hung
+/// attempt charges it as stall time before the kill + resubmit; a launch
+/// hanging on its final attempt surfaces [`LaunchError::Timeout`]. Generous
 /// relative to the sub-millisecond kernels the paper's grids produce, so
 /// the watchdog never fires on healthy work.
 pub const DEFAULT_WATCHDOG_US: f64 = 10_000.0;
@@ -75,7 +77,6 @@ pub struct Gpu {
     ledger: Mutex<CostLedger>,
     streams: Mutex<StreamTable>,
     fault: Mutex<Option<FaultState>>,
-    watchdog_us: Mutex<f64>,
     /// Set when a `FaultKind::DeviceLoss` fires: the device is gone and
     /// every subsequent admission fails with [`LaunchError::DeviceLost`]
     /// until [`Gpu::reset`] revives it.
@@ -91,23 +92,8 @@ impl Gpu {
             ledger: Mutex::new(CostLedger::default()),
             streams: Mutex::new(StreamTable::default()),
             fault: Mutex::new(None),
-            watchdog_us: Mutex::new(DEFAULT_WATCHDOG_US),
             lost: AtomicBool::new(false),
         }
-    }
-
-    /// The deadline after which the watchdog declares a launch hung,
-    /// microseconds.
-    pub fn watchdog_deadline_us(&self) -> f64 {
-        *self.watchdog_us.lock()
-    }
-
-    /// Set the watchdog deadline (clamped to at least 1 µs). Each hung
-    /// attempt charges this deadline as stall time before the kill +
-    /// resubmit; a launch hanging on its final attempt surfaces
-    /// [`LaunchError::Timeout`].
-    pub fn set_watchdog_deadline_us(&self, us: f64) {
-        *self.watchdog_us.lock() = us.max(1.0);
     }
 
     /// Install a fault-injection plan with the default [`RetryPolicy`].
@@ -178,7 +164,6 @@ impl Gpu {
         state.next_launch += 1;
         let max = state.policy.max_attempts.max(1);
         let overhead = self.spec.launch_overhead_us * 1.0e-6;
-        let deadline_us = *self.watchdog_us.lock();
         let mut stall_seconds = 0.0;
         let mut hung_last = false;
         for attempt in 0..max {
@@ -201,8 +186,9 @@ impl Gpu {
                 }
                 Some(FaultKind::Hang) => {
                     hung_last = true;
-                    stall_seconds +=
-                        overhead + deadline_us * 1.0e-6 + state.policy.backoff_seconds(attempt);
+                    stall_seconds += overhead
+                        + DEFAULT_WATCHDOG_US * 1.0e-6
+                        + state.policy.backoff_seconds(attempt);
                     self.ledger.lock().record_hang();
                 }
                 Some(FaultKind::HostPanic) => {
@@ -240,7 +226,7 @@ impl Gpu {
             LaunchError::Timeout {
                 kernel: name,
                 launch_index: idx,
-                deadline_us: deadline_us as u64,
+                deadline_us: DEFAULT_WATCHDOG_US as u64,
             }
         } else {
             LaunchError::DeviceFault {
