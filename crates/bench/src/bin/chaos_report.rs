@@ -1,7 +1,8 @@
 //! Chaos report: runs the resilient CAQR executor under a battery of fault
 //! plans — clean, seeded mixed faults, explicit silent data corruption
-//! (under budgets that leave each ladder tier to absorb it), explicit
-//! hangs — and prints one table of what the escalation ladder did:
+//! (under the default budgets, and under budgets that leave the run tier
+//! to absorb it), explicit hangs — and prints one table of what the
+//! two-tier escalation ladder did:
 //! faults absorbed, replays per tier, ABFT overhead share, and stream-lane
 //! occupancy. Every faulted run's `R` must be bit-identical to the clean
 //! run's; any divergence fails the process (exit 1) — this is the CI chaos
@@ -102,24 +103,18 @@ fn main() {
         max_attempts: 6,
         backoff_us: 5.0,
     };
-    // One SDC under budgets that skip the lower tiers, so the panel tier,
-    // then the run tier, absorbs it.
-    let skip = |max_task_replays, max_panel_replays| RecoveryPolicy {
-        max_task_replays,
-        max_panel_replays,
+    // One SDC under budgets with no task replays, so the run tier absorbs
+    // it.
+    let run_tier = RecoveryPolicy {
+        max_task_replays: 0,
         max_run_retries: 1,
     };
-    let sdc5 = || Some(FaultPlan::sdc_at_launches(&[5]));
     let mut scenarios = vec![
         Scenario::new("clean", None),
         Scenario::new("explicit-sdc", Some(FaultPlan::sdc_at_launches(&[2, 5, 9]))),
         Scenario {
-            policy: skip(0, 2),
-            ..Scenario::new("sdc/panel-tier", sdc5())
-        },
-        Scenario {
-            policy: skip(0, 0),
-            ..Scenario::new("sdc/run-tier", sdc5())
+            policy: run_tier,
+            ..Scenario::new("sdc/run-tier", Some(FaultPlan::sdc_at_launches(&[5])))
         },
         Scenario::new("explicit-hang", Some(FaultPlan::hang_at_launches(&[3]))),
     ];
@@ -139,7 +134,7 @@ fn main() {
         "hangs",
         "sdc",
         "ck fail",
-        "replays t/p/r",
+        "replays t/r",
         "launches",
         "abft %",
         "util %",
@@ -177,10 +172,7 @@ fn main() {
             format!("{}", ledger.hangs),
             format!("{}", ledger.sdc_injected),
             format!("{}", report.checksum_failures),
-            format!(
-                "{}/{}/{}",
-                report.task_replays, report.panel_replays, report.run_retries
-            ),
+            format!("{}/{}", report.task_replays, report.run_retries),
             format!("{}", report.launches),
             format!("{:.1}", abft / ledger.seconds * 100.0),
             format!("{:.1}", util * 100.0),

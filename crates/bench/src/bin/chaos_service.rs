@@ -314,7 +314,6 @@ fn main() {
         ("retry_attempts", g.retry_attempts),
         ("retry_launches", g.retry_launches),
         ("worker_panics", ledger.worker_panics),
-        ("workers_respawned", ledger.workers_respawned),
         ("breaker_opens", ledger.breaker_opens),
         ("breaker_closes", ledger.breaker_closes),
     ] {
@@ -326,7 +325,7 @@ fn main() {
 
     // ---- JSON ---------------------------------------------------------
     let json = format!(
-        "{{\n  \"bench\": \"chaos_service\",\n  \"quick\": {quick},\n  \"gate\": {{\"jobs\": {gjobs}, \"m\": {gm}, \"n\": {gn}, \"plain_gflops\": {plain_gflops:.4}, \"verified_gflops\": {verified_gflops:.4}, \"verify_overhead\": {:.4}, \"floor_gflops\": {}}},\n  \"soak\": {{\"jobs\": {njobs}, \"seed\": {seed}, \"rounds\": {rounds}, \"resubmitted\": {resubmitted}, \"typed_failures\": {typed_failures}, \"wall_s\": {soak_s:.4}, \"jobs_completed\": {}, \"jobs_failed\": {}, \"jobs_lost\": {}, \"jobs_shed_overload\": {}, \"jobs_shed\": {}, \"retry_jobs\": {}, \"retry_attempts\": {}, \"retry_launches\": {}, \"retry_seconds\": {:.6}, \"worker_panics\": {}, \"workers_respawned\": {}, \"breaker_opens\": {}, \"breaker_closes\": {}}}\n}}\n",
+        "{{\n  \"bench\": \"chaos_service\",\n  \"quick\": {quick},\n  \"gate\": {{\"jobs\": {gjobs}, \"m\": {gm}, \"n\": {gn}, \"plain_gflops\": {plain_gflops:.4}, \"verified_gflops\": {verified_gflops:.4}, \"verify_overhead\": {:.4}, \"floor_gflops\": {}}},\n  \"soak\": {{\"jobs\": {njobs}, \"seed\": {seed}, \"rounds\": {rounds}, \"resubmitted\": {resubmitted}, \"typed_failures\": {typed_failures}, \"wall_s\": {soak_s:.4}, \"jobs_completed\": {}, \"jobs_failed\": {}, \"jobs_lost\": {}, \"jobs_shed_overload\": {}, \"jobs_shed\": {}, \"retry_jobs\": {}, \"retry_attempts\": {}, \"retry_launches\": {}, \"retry_seconds\": {:.6}, \"worker_panics\": {}, \"breaker_opens\": {}, \"breaker_closes\": {}}}\n}}\n",
         plain_gflops / verified_gflops,
         floor.map_or_else(|| "null".to_string(), |f| format!("{f:.4}")),
         g.jobs_completed,
@@ -339,7 +338,6 @@ fn main() {
         g.retry_launches,
         g.retry_seconds,
         ledger.worker_panics,
-        ledger.workers_respawned,
         ledger.breaker_opens,
         ledger.breaker_closes,
     );

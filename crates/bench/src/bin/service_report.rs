@@ -476,7 +476,7 @@ fn main() {
             .join(", ");
         let g = &run.ledger.global;
         let resilience = format!(
-            "{{\"shed_overload\": {}, \"lost\": {}, \"aborted\": {}, \"retry_jobs\": {}, \"retry_attempts\": {}, \"retry_launches\": {}, \"retry_seconds\": {:.6}, \"worker_panics\": {}, \"workers_respawned\": {}, \"breaker_opens\": {}, \"breaker_closes\": {}}}",
+            "{{\"shed_overload\": {}, \"lost\": {}, \"aborted\": {}, \"retry_jobs\": {}, \"retry_attempts\": {}, \"retry_launches\": {}, \"retry_seconds\": {:.6}, \"worker_panics\": {}, \"breaker_opens\": {}, \"breaker_closes\": {}}}",
             g.jobs_shed_overload,
             g.jobs_lost,
             g.jobs_aborted,
@@ -485,7 +485,6 @@ fn main() {
             g.retry_launches,
             g.retry_seconds,
             run.ledger.worker_panics,
-            run.ledger.workers_respawned,
             run.ledger.breaker_opens,
             run.ledger.breaker_closes
         );

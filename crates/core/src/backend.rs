@@ -19,15 +19,15 @@
 //!   lookahead ([`Mode::Dag`]), including the optional ABFT detection
 //!   checksums — written once, bit-identical across every backend because
 //!   all backends run the same `blockops` arithmetic in host order.
-//! * The Sync loop is one loop for detection and recovery. It runs a group
-//!   of same-shape matrices (a standalone run is a group of one) and takes
-//!   a failure policy as an argument: without one a failing member is
-//!   carved out with its typed error; with a [`RecoveryPolicy`] it climbs
-//!   the snapshot/replay ladder of [`crate::recovery`].
-//! * The DAG loop is also the cost model's schedule: it runs against a
-//!   sink that either executes on a backend or only charges the analytic
-//!   chain costs of [`crate::model`], so the modelled sweeps issue the
-//!   launches the executors issue.
+//! * One panel loop walks the schedule for every run, against a sink that
+//!   either executes on a backend or only charges the analytic chain costs
+//!   of [`crate::model`], so the modelled sweeps issue the launches the
+//!   executors issue.
+//! * The executing sink runs a group of same-shape matrices (a standalone
+//!   run is a group of one) and takes a failure policy as an argument:
+//!   without one a failing member is carved out with its typed error; with
+//!   a [`RecoveryPolicy`] it climbs the two-tier replay ladder of
+//!   [`crate::recovery`].
 //!
 //! Dispatch is static: every entry point (`caqr`, `caqr_dag`, `caqr_cpu`,
 //! `caqr_resilient`, `distributed_tsqr`, fused `factor_many` groups) is a
@@ -83,9 +83,10 @@ pub struct DriveConfig {
     pub check_finite: bool,
     /// Run the ABFT detection checksums of [`crate::health`] around every
     /// panel (factor column norms, `Q·1` probe, predicted trailing column
-    /// sums). Only honoured by [`Mode::Sync`], which carves a failing
-    /// member out; under a [`RecoveryPolicy`] (`caqr_resilient`) the checks
-    /// always run and a failure replays instead.
+    /// sums). Only honoured by [`Mode::Sync`], since the checks run in
+    /// barrier order; a failing member is carved out. Under a
+    /// [`RecoveryPolicy`] (`caqr_resilient`) the checks always run and a
+    /// failed task replays instead.
     pub verify_checksums: bool,
     /// Context string for the typed [`CaqrError::NonFinite`] error.
     pub health_context: &'static str,
@@ -225,7 +226,7 @@ impl<T: Scalar> Factorization<T> {
 /// failover maps) use interior mutability, which keeps the driver free of
 /// borrow gymnastics while the host control flow stays single-threaded.
 ///
-/// The `*_group` methods serve [`Mode::Sync`], which runs a group of
+/// The `*_group` methods serve the driver, which runs a group of
 /// same-shape matrices in lockstep (a standalone run is a group of one) on
 /// the slot the schedule names. Their provided bodies loop over the
 /// members with the per-matrix methods; a backend that can pack many
@@ -374,9 +375,9 @@ pub(crate) struct PanelStep {
 }
 
 /// Backend-independent schedule geometry: the fixed global column grid, its
-/// home-slot ownership, and the panel steps — shared by both driver loops
-/// (and through them the cost model) so they enqueue, event-for-event, the
-/// same schedule.
+/// home-slot ownership, and the panel steps — shared by the executing runs
+/// and the cost model, so they enqueue, event-for-event, the same
+/// schedule.
 pub(crate) struct DagGeometry {
     w: usize,
     n: usize,
@@ -443,28 +444,25 @@ impl DagGeometry {
 /// Factor `a` with CAQR on any [`CaqrBackend`] — the one generic driver
 /// every entry point routes through.
 ///
+/// Both modes run the driver's one panel loop as a group of one.
 /// [`Mode::Sync`] reproduces the Figure-4 host loop (and, with
-/// `cfg.verify_checksums`, the detection-only ABFT flow of the host path)
-/// as a group of one, through the same loop that runs fused groups and
-/// the replay ladder;
+/// `cfg.verify_checksums`, the detection-only ABFT flow of the host path);
 /// [`Mode::Dag`] reproduces the stream-scheduled task DAG with optional
-/// lookahead. Numerics are bit-identical across modes and backends: every
-/// backend runs the same `blockops` arithmetic eagerly in host order (a
-/// valid topological order of the DAG), operations on disjoint column
-/// blocks commute exactly, and within the apply kernels each column is
-/// processed independently of how columns are grouped into launches.
+/// lookahead, unchecked. Numerics are bit-identical across modes and
+/// backends: every backend runs the same `blockops` arithmetic eagerly in
+/// host order (a valid topological order of the DAG), operations on
+/// disjoint column blocks commute exactly, and within the apply kernels
+/// each column is processed independently of how columns are grouped into
+/// launches.
 pub fn drive<T: Scalar, B: CaqrBackend<T>>(
     backend: &B,
     a: Matrix<T>,
     cfg: &DriveConfig,
     mode: Mode,
 ) -> Result<Factorization<T>, CaqrError> {
-    match mode {
-        Mode::Sync => drive_group(backend, vec![a], cfg, None)
-            .solo()
-            .map(|(f, _)| f),
-        Mode::Dag { lookahead } => drive_dag(backend, a, cfg, lookahead),
-    }
+    drive_group(backend, vec![a], cfg, mode, None)
+        .solo()
+        .map(|(f, _)| f)
 }
 
 /// Reject an empty or overflowing shape and an invalid block size.
@@ -496,28 +494,32 @@ impl<T: Scalar> GroupOutcome<T> {
     }
 }
 
-/// The [`Mode::Sync`] loop over a group of same-shape matrices walked in
-/// lockstep — the one panel loop behind `caqr_cpu`, `caqr`,
-/// `caqr_resilient`, `distributed_tsqr` and fused `factor_many` groups.
-/// Per panel: one group factor on the panel's home slot, one group apply
-/// per slot group of the trailing matrix ([`DagGeometry::groups`]; one per
-/// panel on a one-slot backend), one sync, then each group's checks.
+/// The CAQR loop over a group of same-shape matrices walked in lockstep —
+/// behind `caqr_cpu`, `caqr`, `caqr_dag`, `caqr_resilient`,
+/// `distributed_tsqr` and fused `factor_many` groups. The group is a
+/// [`PanelSink`] of [`run_panels`]: per panel, one group factor on the
+/// panel's home slot, one group apply per slot group of the trailing
+/// matrix ([`DagGeometry::groups`]; one per panel on a one-slot backend),
+/// then the panel's checks. [`Mode::Dag`] adds lookahead and never checks.
 ///
-/// With `cfg.verify_checksums` or a `policy`, every live member gets the
-/// ABFT flow of [`crate::health`]: pre-factor column sums and the
-/// factor-norm check, the `Q·1` probe (reused as the apply predictor), and
-/// the apply-sum check. Without a `policy` a failing member is carved out
-/// with its typed error while the others continue untouched (each
-/// member's tasks touch only its own matrix). With one it climbs the §10
-/// ladder: replay the failed task from a [`RegionSnapshot`] of its input,
-/// for the failing members only; then roll the panel back and redo it;
-/// then restart from the pristine input; then give up with
-/// [`CaqrError::Unrecoverable`]. Snapshots restore bit-exact state, so a
-/// recovered member is bit-identical to a fault-free one.
+/// In [`Mode::Sync`], with `cfg.verify_checksums` or a `policy`, every
+/// live member gets the ABFT flow of [`crate::health`] in barrier order:
+/// pre-factor column sums and the factor-norm check, the `Q·1` probe
+/// (reused as the apply predictor), and the apply-sum check. Without a
+/// `policy` a failing member is carved out with its typed error while the
+/// others continue untouched (each member's tasks touch only its own
+/// matrix). With one it climbs the two-tier §10 ladder: a task that fails
+/// transiently — caught by a checksum, or its launch failed or hung —
+/// replays from a [`RegionSnapshot`] of its input, for the failing members
+/// only; once its task budget is spent the member restarts from its
+/// pristine input; then it gives up with [`CaqrError::Unrecoverable`].
+/// Snapshots restore bit-exact state, so a recovered member is
+/// bit-identical to a fault-free one.
 pub(crate) fn drive_group<T: Scalar, B: CaqrBackend<T>>(
     backend: &B,
     mats: Vec<Matrix<T>>,
     cfg: &DriveConfig,
+    mode: Mode,
     policy: Option<&RecoveryPolicy>,
 ) -> GroupOutcome<T> {
     let g = mats.len();
@@ -530,34 +532,37 @@ pub(crate) fn drive_group<T: Scalar, B: CaqrBackend<T>>(
             launches: 0,
         };
     }
+    let verify = policy.is_some() || (mode == Mode::Sync && cfg.verify_checksums);
+    let lookahead = mode == (Mode::Dag { lookahead: true });
+    debug_assert!(!(verify && lookahead), "checks run in barrier order");
     // A run retry restarts a member from its input.
     let pristine = policy.map_or(Vec::new(), |_| mats.clone());
+    let geo = DagGeometry::new(m, n, cfg.bs.w, backend.slots());
     let mut run = GroupRun {
         backend,
         cfg,
         policy,
-        verify: cfg.verify_checksums || policy.is_some(),
-        geo: DagGeometry::new(m, n, cfg.bs.w, backend.slots()),
+        verify,
+        shape: (m, n),
         mats,
+        members: (0..g).collect(),
         err: vec![None; g],
         panels: (0..g).map(|_| Vec::new()).collect(),
         reports: vec![RecoveryReport::default(); g],
         launches: vec![0; g],
         group_launches: 0,
-        factor: (0..g).map(|_| None).collect(),
         probe: vec![None; g],
-        snaps: (0..g).map(|_| Vec::new()).collect(),
-        preds: vec![Vec::new(); g],
+        tasks: Vec::new(),
     };
-    let mut members: Vec<usize> = (0..g).collect();
     for round in 0.. {
-        run.attempt(&members);
+        run.attempt(&geo, lookahead);
         let left = policy.is_some_and(|p| round < p.max_run_retries);
-        members = run.retry(&members, left, |r| r.run_retries += 1);
-        if members.is_empty() {
+        let ran = std::mem::take(&mut run.members);
+        run.members = run.retry(&ran, left, |r| r.run_retries += 1);
+        if run.members.is_empty() {
             break;
         }
-        for &j in &members {
+        for &j in &run.members {
             run.mats[j] = pristine[j].clone();
             run.panels[j].clear();
         }
@@ -590,10 +595,9 @@ pub(crate) fn drive_group<T: Scalar, B: CaqrBackend<T>>(
 }
 
 /// The state of one [`drive_group`] run. Per member: its matrix, the
-/// error that ended its current attempt, its finished panels, its report
-/// and the launches of its current attempt; and, for the panel in flight,
-/// its factor with the `Q·1` probe, its snapshots (factor region first,
-/// then one per slot group) and its predicted column sums per slot group.
+/// error that ended its current attempt, its panel factors, its report
+/// and the launches of its current attempt; for the panel in flight, its
+/// `Q·1` probe and the apply tasks still to settle.
 struct GroupRun<'a, T: Scalar, B> {
     backend: &'a B,
     cfg: &'a DriveConfig,
@@ -601,25 +605,45 @@ struct GroupRun<'a, T: Scalar, B> {
     /// Run the ABFT checks: asked for, or needed by the ladder to see a
     /// fault at all.
     verify: bool,
-    geo: DagGeometry,
+    /// Every member's `(rows, cols)`.
+    shape: (usize, usize),
     mats: Vec<Matrix<T>>,
+    /// The members the current attempt runs.
+    members: Vec<usize>,
     err: Vec<Option<CaqrError>>,
     panels: Vec<Vec<PanelFactor<T>>>,
     reports: Vec<RecoveryReport>,
     launches: Vec<usize>,
     group_launches: usize,
-    factor: Vec<Option<PanelFactor<T>>>,
     probe: Vec<Option<Vec<T>>>,
-    snaps: Vec<Vec<RegionSnapshot<T>>>,
-    preds: Vec<Vec<Vec<(f64, f64)>>>,
+    tasks: Vec<ApplyTask<T>>,
+}
+
+/// One group apply of the panel in flight: panel `p`'s factors applied to
+/// `cols` on `slot`. Per member (indexed like the group): its input
+/// snapshot under a policy, its predicted column sums when checking, and
+/// the outcome of its latest launch.
+struct ApplyTask<T: Scalar> {
+    slot: usize,
+    p: usize,
+    cols: Vec<(usize, usize)>,
+    members: Vec<usize>,
+    snaps: Vec<Option<RegionSnapshot<T>>>,
+    preds: Vec<Option<Vec<(f64, f64)>>>,
+    launched: Vec<Result<(), CaqrError>>,
 }
 
 impl<T: Scalar, B: CaqrBackend<T>> GroupRun<'_, T, B> {
-    /// The members of `members` still without an error.
-    fn live(&self, members: &[usize]) -> Vec<usize> {
-        (members.iter().copied())
+    /// The members of `of` still without an error.
+    fn live_of(&self, of: &[usize]) -> Vec<usize> {
+        (of.iter().copied())
             .filter(|&j| self.err[j].is_none())
             .collect()
+    }
+
+    /// The live members of the current attempt.
+    fn live(&self) -> Vec<usize> {
+        self.live_of(&self.members)
     }
 
     /// A member's task failed with `e`.
@@ -628,9 +652,14 @@ impl<T: Scalar, B: CaqrBackend<T>> GroupRun<'_, T, B> {
         self.err[j] = Some(e);
     }
 
-    /// The members of `ran` whose attempt failed transiently, if their tier
-    /// has budget `left`: counted on the tier and cleared for another
-    /// round. The caller restores their input.
+    /// Whether a task that failed `round` times may replay.
+    fn task_left(&self, round: u32) -> bool {
+        self.policy.is_some_and(|p| round < p.max_task_replays)
+    }
+
+    /// The members of `ran` whose task or attempt failed transiently, if
+    /// their tier has budget `left`: counted on the tier and cleared for
+    /// another round. The caller restores their input.
     fn retry(&mut self, ran: &[usize], left: bool, count: fn(&mut RecoveryReport)) -> Vec<usize> {
         let mut retry = ran.to_vec();
         retry.retain(|&j| left && self.err[j].as_ref().is_some_and(is_transient));
@@ -641,16 +670,18 @@ impl<T: Scalar, B: CaqrBackend<T>> GroupRun<'_, T, B> {
         retry
     }
 
-    /// One attempt of `members` over the whole schedule: health scan,
-    /// pre-transpose, every panel, and a final sync. Every launch of the
-    /// attempt lands in the members' reports, whether it succeeds or not.
-    fn attempt(&mut self, members: &[usize]) {
+    /// One attempt of the current members over the whole schedule: health
+    /// scan, pre-transpose and the panel loop. Every launch of the attempt
+    /// lands in the members' reports, whether it succeeds or not.
+    fn attempt(&mut self, geo: &DagGeometry, lookahead: bool) {
         let (backend, cfg) = (self.backend, self.cfg);
+        let members = self.members.clone();
         members.iter().for_each(|&j| self.launches[j] = 0);
         // Numerical health check: reject NaN/inf input with a typed error
         // before any arithmetic.
         if cfg.check_finite {
-            let scans = backend.check_finite_group(&self.mats, members, cfg.bs, cfg.health_context);
+            let scans =
+                backend.check_finite_group(&self.mats, &members, cfg.bs, cfg.health_context);
             let mut issued = 0;
             for (&j, scan) in members.iter().zip(scans) {
                 match scan {
@@ -662,9 +693,9 @@ impl<T: Scalar, B: CaqrBackend<T>> GroupRun<'_, T, B> {
             self.group_launches += issued;
         }
         // Strategy 4's out-of-place preprocessing, once for the group.
-        let live = self.live(members);
+        let live = self.live();
         if cfg.strategy.needs_pretranspose() && !live.is_empty() {
-            let (m, n) = self.mats[live[0]].shape();
+            let (m, n) = self.shape;
             match backend.pretranspose(m, n, cfg.bs) {
                 Ok(l) => {
                     self.group_launches += l;
@@ -673,93 +704,132 @@ impl<T: Scalar, B: CaqrBackend<T>> GroupRun<'_, T, B> {
                 Err(e) => live.iter().for_each(|&j| self.err[j] = Some(e.clone())),
             }
         }
-        for s in 0..self.geo.steps.len() {
-            let live = self.live(members);
-            if live.is_empty() {
-                break;
+        // The group's failures are its members', kept in `err`: its sink
+        // never fails the walk.
+        let _ = run_panels(self, geo, lookahead);
+        // A checked attempt resolves everything, failed work included,
+        // before the next round. An unchecked one leaves the queued work to
+        // the caller, which reads its timeline (`caqr_dag`).
+        if self.verify {
+            if let Err(e) = backend.sync() {
+                members.iter().for_each(|&j| self.err[j] = Some(e.clone()));
             }
-            self.panel(self.geo.steps[s], live);
         }
-        // Resolve everything, failed work included, before the next round.
-        if let Err(e) = backend.sync() {
-            members.iter().for_each(|&j| self.err[j] = Some(e.clone()));
-        }
-        for &j in members {
+        for &j in &members {
             self.reports[j].launches += self.launches[j] as u64;
         }
     }
 
-    /// One panel with the panel tier of the ladder: snapshot each member's
-    /// factor region (also the factor task's input), run the panel's tasks,
-    /// and roll back and redo the panel for the members whose tasks failed
-    /// transiently. With the slot-group snapshots the tasks take, this
-    /// restores the panel-start state exactly: the regions are disjoint.
-    fn panel(&mut self, step: PanelStep, mut todo: Vec<usize>) {
-        let backend = self.backend;
-        let groups = self.geo.groups(&step, step.p + 1);
-        for round in 0.. {
-            for &j in &todo {
-                self.snaps[j].clear();
-                self.preds[j].clear();
-                if self.policy.is_some() {
-                    let cols = [(step.c, step.width)];
-                    let snap = RegionSnapshot::save(backend, &self.mats[j], step.c, &cols);
-                    self.snaps[j].push(snap);
-                }
+    /// One launch of `task` for `members`, keeping each member's outcome.
+    fn launch(&mut self, task: &mut ApplyTask<T>, members: &[usize]) {
+        let work: Vec<(usize, &PanelFactor<T>)> = (members.iter())
+            .map(|&j| (j, &self.panels[j][task.p]))
+            .collect();
+        let chain = work.first().map_or(0, |(_, pf)| 1 + pf.levels.len());
+        let applied =
+            (self.backend).apply_panel_group(task.slot, &mut self.mats, &work, &task.cols, true);
+        self.group_launches += chain;
+        for (&j, r) in members.iter().zip(applied) {
+            if r.is_ok() {
+                self.launches[j] += chain;
             }
-            self.tasks(step, &groups, &todo);
-            let left = self.policy.is_some_and(|p| round < p.max_panel_replays);
-            todo = self.retry(&todo, left, |r| r.panel_replays += 1);
-            self.sync(&todo);
-            todo = self.live(&todo);
-            if todo.is_empty() {
-                return;
-            }
-            for &j in &todo {
-                let a = &mut self.mats[j];
-                self.snaps[j].iter().for_each(|s| s.restore(backend, a));
-            }
+            task.launched[j] = r;
         }
     }
 
-    /// The panel's tasks with the task tier of the ladder: the factor chain
-    /// on the panel's home slot (checked by the column norms of `R` and the
-    /// `Q·1` probe), then one apply chain per slot group, all enqueued
-    /// before one sync, each checked by predicted column sums. A task that
-    /// fails transiently replays from its input snapshot for the failing
-    /// members only. Finished members get their panel factor.
-    fn tasks(&mut self, step: PanelStep, groups: &[Vec<(usize, usize)>], todo: &[usize]) {
+    /// Settle one apply task with the task tier of the ladder: a member
+    /// fails it by its launch's error or, when checking, by its predicted
+    /// column sums, and replays it from its snapshot while its task budget
+    /// lasts.
+    fn settle(&mut self, mut task: ApplyTask<T>) {
+        let (backend, m) = (self.backend, self.shape.0);
+        let mut checking = self.live_of(&task.members);
+        for round in 0.. {
+            for &j in &checking {
+                let launched = std::mem::replace(&mut task.launched[j], Ok(()));
+                let checked = launched.and_then(|()| {
+                    let Some(pred) = &task.preds[j] else {
+                        return Ok(());
+                    };
+                    self.reports[j].checksum_checks += pred.len() as u64;
+                    backend.charge_verify(m * pred.len());
+                    health::apply_sum_check::<T>(&self.mats[j], pred, &task.cols, m, task.p)
+                });
+                if let Err(e) = checked {
+                    self.fail_task(j, e);
+                }
+            }
+            let retry = self.retry(&checking, self.task_left(round), |r| r.task_replays += 1);
+            if retry.is_empty() {
+                return;
+            }
+            for &j in &retry {
+                let a = &mut self.mats[j];
+                task.snaps[j].iter().for_each(|s| s.restore(backend, a));
+            }
+            self.launch(&mut task, &retry);
+            self.sync(&retry);
+            checking = self.live_of(&retry);
+        }
+    }
+
+    /// Resolve the work of the members of `members` still live, failing
+    /// them if the schedule cannot be resolved.
+    fn sync(&mut self, members: &[usize]) {
+        let live = self.live_of(members);
+        if let Some(Err(e)) = (!live.is_empty()).then(|| self.backend.sync()) {
+            live.iter().for_each(|&j| self.err[j] = Some(e.clone()));
+        }
+    }
+}
+
+impl<T: Scalar, B: CaqrBackend<T>> PanelSink for GroupRun<'_, T, B> {
+    /// A checked run resolves its work at host syncs, so it orders nothing
+    /// with tokens (a token recorded before a sync cannot be waited on
+    /// after it).
+    type Token = Option<B::Token>;
+
+    /// The factor task with the task tier of the ladder: snapshot each
+    /// live member's panel under a policy, take its pre-factor column sums
+    /// when checking, and run one group factor. When checking, sync and
+    /// check it by the column norms of `R` and the `Q·1` probe; a member
+    /// that fails transiently replays from its snapshot. Members that come
+    /// through keep the panel's factor.
+    fn factor(&mut self, slot: usize, step: &PanelStep) -> Result<(), CaqrError> {
         let backend = self.backend;
-        let (m, p, c, width) = (self.mats[todo[0]].rows(), step.p, step.c, step.width);
+        let ((m, n), p, c, width) = (self.shape, step.p, step.c, step.width);
         let rows = m - c;
-        let policy = self.policy;
-        let task_left = |round| policy.is_some_and(|p| round < p.max_task_replays);
-        let count = |r: &mut RecoveryReport| r.task_replays += 1;
         // The ladder probes every panel; detection alone probes only where
         // the probe also predicts an apply (the cost is in DESIGN.md §10).
-        let probe = policy.is_some() || groups.iter().any(|cols| !cols.is_empty());
-
+        let probe = self.policy.is_some() || c + width < n;
+        let mut pending = self.live();
+        let mut snaps: Vec<Option<RegionSnapshot<T>>> = (self.mats.iter()).map(|_| None).collect();
+        for &j in pending.iter().filter(|_| self.policy.is_some()) {
+            snaps[j] = Some(RegionSnapshot::save(
+                backend,
+                &self.mats[j],
+                c,
+                &[(c, width)],
+            ));
+        }
         let mut pre = vec![None; self.mats.len()];
-        for &j in todo.iter().filter(|_| self.verify) {
+        for &j in pending.iter().filter(|_| self.verify) {
             backend.charge_verify(rows * width);
             pre[j] = Some(health::panel_col_sumsq(&self.mats[j], c, c, width));
         }
-        let mut pending = todo.to_vec();
-        let mut chain = 0;
         for round in 0.. {
             if pending.is_empty() {
                 break;
             }
-            let slot = self.geo.home(p);
             let factored =
                 backend.factor_panel_group(slot, &mut self.mats, &pending, c, c, width, self.cfg);
-            let synced = backend.sync();
+            let synced = if self.verify { backend.sync() } else { Ok(()) };
             let issued = (factored.iter().flatten().next()).map_or(0, |pf| 1 + pf.levels.len());
-            (chain, self.group_launches) = (chain.max(issued), self.group_launches + issued);
+            self.group_launches += issued;
             for (&j, r) in pending.iter().zip(factored) {
                 let checked = r.and_then(|pf| {
                     synced.clone()?;
-                    self.launches[j] += chain;
+                    self.launches[j] += 1 + pf.levels.len();
                     let Some(pre) = &pre[j] else {
                         return Ok((pf, None));
                     };
@@ -774,147 +844,89 @@ impl<T: Scalar, B: CaqrBackend<T>> GroupRun<'_, T, B> {
                     Ok((pf, u))
                 });
                 match checked {
-                    Ok((pf, u)) => (self.factor[j], self.probe[j]) = (Some(pf), u),
+                    Ok((pf, u)) => {
+                        self.panels[j].push(pf);
+                        self.probe[j] = u;
+                    }
                     Err(e) => self.fail_task(j, e),
                 }
             }
-            pending = self.retry(&pending, synced.is_ok() && task_left(round), count);
+            let left = synced.is_ok() && self.task_left(round);
+            pending = self.retry(&pending, left, |r| r.task_replays += 1);
             for &j in &pending {
-                self.snaps[j][0].restore(backend, &mut self.mats[j]);
+                let a = &mut self.mats[j];
+                snaps[j].iter().for_each(|s| s.restore(backend, a));
             }
         }
-
-        let slot_groups: Vec<(usize, &[(usize, usize)])> = (groups.iter().enumerate())
-            .filter(|(_, cols)| !cols.is_empty())
-            .map(|(t, cols)| (t, cols.as_slice()))
-            .collect();
-        for &(t, cols) in &slot_groups {
-            let live = self.live(todo);
-            for &j in &live {
-                let a = &self.mats[j];
-                if self.policy.is_some() {
-                    self.snaps[j].push(RegionSnapshot::save(backend, a, c, cols));
-                }
-                if let Some(u) = &self.probe[j] {
-                    let pred = health::predicted_col_sums(u, a, cols);
-                    backend.charge_verify(m * pred.len());
-                    self.preds[j].push(pred);
-                }
-            }
-            self.apply(t, &live, cols, chain);
-        }
-        if !slot_groups.is_empty() {
-            self.sync(todo);
-        }
-        let verify = self.verify;
-        for (si, &(t, cols)) in slot_groups.iter().enumerate().filter(|_| verify) {
-            let mut checking = self.live(todo);
-            for round in 0.. {
-                for &j in &checking {
-                    let pred = &self.preds[j][si];
-                    self.reports[j].checksum_checks += pred.len() as u64;
-                    backend.charge_verify(m * pred.len());
-                    if let Err(e) = health::apply_sum_check::<T>(&self.mats[j], pred, cols, m, p) {
-                        self.fail_task(j, e);
-                    }
-                }
-                let retry = self.retry(&checking, task_left(round), count);
-                if retry.is_empty() {
-                    break;
-                }
-                for &j in &retry {
-                    self.snaps[j][1 + si].restore(backend, &mut self.mats[j]);
-                }
-                self.apply(t, &retry, cols, chain);
-                self.sync(&retry);
-                // A replay that faults transiently spends task budget too:
-                // its region is restored, and the next round re-checks the
-                // stale region until the budget runs out.
-                for &j in &retry {
-                    if self.err[j].as_ref().is_some_and(is_transient) {
-                        self.err[j] = None;
-                        self.snaps[j][1 + si].restore(backend, &mut self.mats[j]);
-                    }
-                }
-                checking = self.live(&retry);
-            }
-        }
-        for &j in todo {
-            let factor = self.factor[j].take();
-            if let (None, Some(pf)) = (&self.err[j], factor) {
-                self.panels[j].push(pf);
-            }
-        }
+        Ok(())
     }
 
-    /// One apply chain of each live member's panel factor to `cols` on
-    /// `slot`.
-    fn apply(&mut self, slot: usize, live: &[usize], cols: &[(usize, usize)], chain: usize) {
+    /// The apply task: snapshot each live member's input under a policy,
+    /// predict its column sums when checking, then one group apply. Its
+    /// failures wait for [`PanelSink::finish_panel`].
+    fn apply(
+        &mut self,
+        slot: usize,
+        step: &PanelStep,
+        cols: &[(usize, usize)],
+    ) -> Result<(), CaqrError> {
+        let live = self.live();
         if live.is_empty() {
-            return;
+            return Ok(());
         }
-        let work: Vec<(usize, &PanelFactor<T>)> = (live.iter())
-            .filter_map(|&j| self.factor[j].as_ref().map(|pf| (j, pf)))
-            .collect();
-        let applied = self
-            .backend
-            .apply_panel_group(slot, &mut self.mats, &work, cols, true);
-        self.group_launches += chain;
-        for (&j, r) in live.iter().zip(applied) {
-            match r {
-                Ok(()) => self.launches[j] += chain,
-                Err(e) => self.fail_task(j, e),
+        let g = self.mats.len();
+        let mut task = ApplyTask {
+            slot,
+            p: step.p,
+            cols: cols.to_vec(),
+            members: live.clone(),
+            snaps: (0..g).map(|_| None).collect(),
+            preds: vec![None; g],
+            launched: vec![Ok(()); g],
+        };
+        for &j in &live {
+            let a = &self.mats[j];
+            if self.policy.is_some() {
+                task.snaps[j] = Some(RegionSnapshot::save(self.backend, a, step.c, cols));
+            }
+            if let Some(u) = &self.probe[j] {
+                let pred = health::predicted_col_sums(u, a, cols);
+                self.backend.charge_verify(a.rows() * pred.len());
+                task.preds[j] = Some(pred);
             }
         }
+        self.launch(&mut task, &live);
+        self.tasks.push(task);
+        Ok(())
     }
 
-    /// Resolve the work of the members of `members` still live, failing
-    /// them if the schedule cannot be resolved.
-    fn sync(&mut self, members: &[usize]) {
-        let live = self.live(members);
-        if let Some(Err(e)) = (!live.is_empty()).then(|| self.backend.sync()) {
-            live.iter().for_each(|&j| self.err[j] = Some(e.clone()));
+    /// After the panel's applies: when checking, one sync; then every
+    /// apply task settles, in the order it was issued.
+    fn finish_panel(&mut self) {
+        let tasks = std::mem::take(&mut self.tasks);
+        if self.verify && !tasks.is_empty() {
+            self.sync(&self.members.clone());
+        }
+        tasks.into_iter().for_each(|task| self.settle(task));
+    }
+
+    fn record(&mut self, slot: usize) -> Self::Token {
+        (!self.verify).then(|| self.backend.record(slot))
+    }
+
+    fn wait(&mut self, slot: usize, token: Self::Token) {
+        if let Some(token) = token {
+            self.backend.wait(slot, token);
         }
     }
 }
 
-/// The [`Mode::Dag`] schedule of [`drive`] for one matrix.
-fn drive_dag<T: Scalar, B: CaqrBackend<T>>(
-    backend: &B,
-    a: Matrix<T>,
-    cfg: &DriveConfig,
-    lookahead: bool,
-) -> Result<Factorization<T>, CaqrError> {
-    let (m, n) = a.shape();
-    validate(cfg, m, n)?;
-    let mut launches = 0usize;
-    if cfg.check_finite {
-        launches += backend.check_finite(&a, cfg.bs, cfg.health_context)?;
-    }
-    if cfg.strategy.needs_pretranspose() {
-        launches += backend.pretranspose(m, n, cfg.bs)?;
-    }
-    let geo = DagGeometry::new(m, n, cfg.bs.w, backend.slots());
-    let mut sink = ExecSink {
-        backend,
-        cfg,
-        a,
-        panels: Vec::with_capacity(geo.steps.len()),
-    };
-    launches += run_panels(&mut sink, &geo, lookahead)?;
-    Ok(Factorization {
-        a: sink.a,
-        panels: sink.panels,
-        launches,
-    })
-}
-
-/// Where the panel schedule's work goes: an executing backend
-/// ([`ExecSink`]) or the cost model ([`CostSink`]).
+/// Where the panel schedule's work goes: a group of matrices on an
+/// executing backend ([`GroupRun`]) or the cost model ([`CostSink`]).
 trait PanelSink {
     type Token: Copy;
-    /// Factor the panel of `step` on `slot`; returns the chain's launches.
-    fn factor(&mut self, slot: usize, step: &PanelStep) -> Result<usize, CaqrError>;
+    /// Factor the panel of `step` on `slot`.
+    fn factor(&mut self, slot: usize, step: &PanelStep) -> Result<(), CaqrError>;
     /// Apply panel `step.p` to the column blocks `cols` on `slot`.
     fn apply(
         &mut self,
@@ -922,6 +934,9 @@ trait PanelSink {
         step: &PanelStep,
         cols: &[(usize, usize)],
     ) -> Result<(), CaqrError>;
+    /// Close a panel after its applies (the checks and replays of an
+    /// executing group).
+    fn finish_panel(&mut self) {}
     fn record(&mut self, slot: usize) -> Self::Token;
     fn wait(&mut self, slot: usize, token: Self::Token);
 }
@@ -929,32 +944,29 @@ trait PanelSink {
 /// The panel schedule, written once: per panel, a factor chain on the
 /// panel's home slot, then one apply chain per slot group of the trailing
 /// matrix ([`DagGeometry::groups`]), cross-slot dependencies expressed
-/// with tokens. Barrier mode makes each factor wait for the whole previous
-/// update; lookahead updates the next panel's own block and factors it
-/// ahead of the bulk update. On one slot in barrier order this is the
-/// launch sequence of the [`Mode::Sync`] loop. Returns the launches issued.
+/// with tokens, then the sink closes the panel. Barrier mode makes each
+/// factor wait for the whole previous update; lookahead updates the next
+/// panel's own block and factors it ahead of the bulk update.
 fn run_panels<S: PanelSink>(
     sink: &mut S,
     geo: &DagGeometry,
     lookahead: bool,
-) -> Result<usize, CaqrError> {
+) -> Result<(), CaqrError> {
     let npanels = geo.steps.len();
-    let mut launches = 0;
     // Barrier mode: apply-completion tokens the next factor waits on.
     let mut pending: Vec<S::Token> = Vec::new();
-    // Lookahead mode: the next panel's factor chain, done ahead of schedule.
-    let mut next: Option<(usize, S::Token)> = None;
+    // Lookahead mode: the next panel's factor, done ahead of schedule.
+    let mut next: Option<S::Token> = None;
     for (p, step) in geo.steps.iter().enumerate() {
-        let (chain, f_tok) = match next.take() {
-            Some(x) => x,
+        let f_tok = match next.take() {
+            Some(tok) => tok,
             None => {
                 let h = geo.home(p);
                 for tok in pending.drain(..) {
                     sink.wait(h, tok);
                 }
-                let chain = sink.factor(h, step)?;
-                launches += chain;
-                (chain, sink.record(h))
+                sink.factor(h, step)?;
+                sink.record(h)
             }
         };
         let mut first_block = p + 1;
@@ -966,9 +978,8 @@ fn run_panels<S: PanelSink>(
                 sink.wait(h_next, f_tok);
             }
             sink.apply(h_next, step, &[geo.block(p + 1)])?;
-            let next_chain = sink.factor(h_next, &geo.steps[p + 1])?;
-            launches += chain + next_chain;
-            next = Some((next_chain, sink.record(h_next)));
+            sink.factor(h_next, &geo.steps[p + 1])?;
+            next = Some(sink.record(h_next));
             first_block = p + 2;
         }
         for (t, cols) in geo.groups(step, first_block).into_iter().enumerate() {
@@ -979,52 +990,13 @@ fn run_panels<S: PanelSink>(
                 sink.wait(t, f_tok);
             }
             sink.apply(t, step, &cols)?;
-            launches += chain;
             if !lookahead && p + 1 < npanels {
                 pending.push(sink.record(t));
             }
         }
+        sink.finish_panel();
     }
-    Ok(launches)
-}
-
-/// The executing sink: a backend factoring `a` in place, keeping each
-/// panel's factor for its applies and the result.
-struct ExecSink<'a, T: Scalar, B> {
-    backend: &'a B,
-    cfg: &'a DriveConfig,
-    a: Matrix<T>,
-    panels: Vec<PanelFactor<T>>,
-}
-
-impl<T: Scalar, B: CaqrBackend<T>> PanelSink for ExecSink<'_, T, B> {
-    type Token = B::Token;
-
-    fn factor(&mut self, slot: usize, step: &PanelStep) -> Result<usize, CaqrError> {
-        let (c, width) = (step.c, step.width);
-        let pf = (self.backend).factor_panel(slot, &mut self.a, c, c, width, self.cfg)?;
-        let chain = 1 + pf.levels.len();
-        self.panels.push(pf);
-        Ok(chain)
-    }
-
-    fn apply(
-        &mut self,
-        slot: usize,
-        step: &PanelStep,
-        cols: &[(usize, usize)],
-    ) -> Result<(), CaqrError> {
-        let pf = &self.panels[step.p];
-        (self.backend).apply_panel(slot, MatPtr::new(&mut self.a), pf, cols, true)
-    }
-
-    fn record(&mut self, slot: usize) -> Self::Token {
-        self.backend.record(slot)
-    }
-
-    fn wait(&mut self, slot: usize, token: Self::Token) {
-        self.backend.wait(slot, token);
-    }
+    Ok(())
 }
 
 /// The cost-only sink: the simulator's slots charged with the analytic
@@ -1039,7 +1011,7 @@ struct CostSink<'a, 'g> {
 impl PanelSink for CostSink<'_, '_> {
     type Token = Option<EventId>;
 
-    fn factor(&mut self, slot: usize, step: &PanelStep) -> Result<usize, CaqrError> {
+    fn factor(&mut self, slot: usize, step: &PanelStep) -> Result<(), CaqrError> {
         let (gpu, exec) = (self.sim.gpu, self.sim.execs[slot]);
         model_factor_chain_on(gpu, exec, self.cfg, self.m, step.c, step.width)
     }
@@ -1051,8 +1023,7 @@ impl PanelSink for CostSink<'_, '_> {
         cols: &[(usize, usize)],
     ) -> Result<(), CaqrError> {
         let (gpu, exec) = (self.sim.gpu, self.sim.execs[slot]);
-        model_apply_chain_on(gpu, exec, self.cfg, self.m, step.c, step.width, cols)?;
-        Ok(())
+        model_apply_chain_on(gpu, exec, self.cfg, self.m, step.c, step.width, cols)
     }
 
     fn record(&mut self, slot: usize) -> Self::Token {
@@ -1251,9 +1222,8 @@ impl<'g> SimBackend<'g> {
     }
 
     /// Charge the modelled cost of factoring an `m x n` single-precision
-    /// matrix: the schedule [`drive`] runs on this backend (barrier order
-    /// is the [`Mode::Sync`] launch sequence on a one-slot backend), with
-    /// the analytic costs of [`crate::model`] instead of kernels.
+    /// matrix: the schedule an unchecked [`drive`] runs on this backend,
+    /// with the analytic costs of [`crate::model`] instead of kernels.
     pub(crate) fn model_factor(
         &self,
         m: usize,
@@ -1269,8 +1239,7 @@ impl<'g> SimBackend<'g> {
             model_pretranspose_on(self.gpu, self.pre_exec, m, n, cfg.bs)?;
         }
         let geo = DagGeometry::new(m, n, cfg.bs.w, self.execs.len());
-        run_panels(&mut CostSink { sim: self, cfg, m }, &geo, lookahead)?;
-        Ok(())
+        run_panels(&mut CostSink { sim: self, cfg, m }, &geo, lookahead)
     }
 
     /// Charge the modelled cost of applying the `Q` of an `m x n`
@@ -1388,7 +1357,6 @@ impl<'g, T: Scalar> CaqrBackend<T> for SimBackend<'g> {
     }
 
     fn note_recovery(&self, r: &RecoveryReport) {
-        self.gpu
-            .note_replays(r.task_replays, r.panel_replays, r.run_retries);
+        self.gpu.note_replays(r.task_replays, r.run_retries);
     }
 }

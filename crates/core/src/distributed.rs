@@ -21,7 +21,7 @@
 //! therefore bit-identical to [`caqr_cpu`] for every device count,
 //! including runs that lose devices mid-flight (below).
 //!
-//! ## Device loss (recovery tier 4)
+//! ## Device loss (recovery tier 3)
 //!
 //! A [`gpu_sim::FaultKind::DeviceLoss`] makes every launch on the dead
 //! device fail with [`CaqrError::DeviceLost`] — terminal on one device (see
@@ -37,7 +37,7 @@
 //! [`caqr_cpu`]: crate::multicore::caqr_cpu
 //! [`blockops::factor_tree_group`]: crate::blockops::factor_tree_group
 
-use crate::backend::{drive_group, CaqrBackend, DriveConfig, Factorization};
+use crate::backend::{drive_group, CaqrBackend, DriveConfig, Factorization, Mode};
 use crate::block::{plan_tree, tile_panel, BlockSize, Tile, TreeGroup, TreePlan, TreeShape};
 use crate::error::{checked_bytes, checked_elems, CaqrError};
 use crate::health;
@@ -242,7 +242,7 @@ impl<'c, T: Scalar> Driver<'c, T> {
         (!v.is_empty()).then_some(v)
     }
 
-    /// Tier-4 recovery: mark `first_dead` lost and migrate its work to a
+    /// Tier-3 recovery: mark `first_dead` lost and migrate its work to a
     /// survivor, chaining if a survivor dies mid-replay. Errors other than
     /// a further [`CaqrError::DeviceLost`] propagate.
     fn handle_loss(&mut self, a: &mut Matrix<T>, first_dead: usize) -> Result<(), CaqrError> {
@@ -386,7 +386,7 @@ impl<'c, T: Scalar> Driver<'c, T> {
 /// The multi-device cluster executor (DESIGN.md §11): one slot whose
 /// [`factor_panel`](CaqrBackend::factor_panel) runs the whole distributed
 /// phase schedule — level-0 tile factors on their owning devices, tree
-/// levels with interconnect triangle gathers, tier-4 failover on device
+/// levels with interconnect triangle gathers, tier-3 failover on device
 /// loss. The one panel spans every column of the tall-skinny input, so the
 /// generic driver never issues a trailing update through this backend.
 ///
@@ -551,8 +551,8 @@ impl<'c, T: Scalar> CaqrBackend<T> for ClusterBackend<'c, T> {
         _cols: &[(usize, usize)],
         _transpose: bool,
     ) -> Result<(), CaqrError> {
-        // Unreachable from the Sync loop: the single panel spans all `n` columns,
-        // so there is never a trailing block to update.
+        // Unreachable from the driver: the single panel spans all `n`
+        // columns, so there is never a trailing block to update.
         Err(CaqrError::BadShape(
             "distributed TSQR has no trailing updates to apply".into(),
         ))
@@ -592,7 +592,7 @@ impl<'c, T: Scalar> CaqrBackend<T> for ClusterBackend<'c, T> {
 /// launches one kernel per owning device and resolves its stream through
 /// [`Cluster::sync_device`], so compute lands on the per-device modelled
 /// clocks and cross-device triangle gathers land on the interconnect.
-/// A [`CaqrError::DeviceLost`] from any launch triggers tier-4 failover
+/// A [`CaqrError::DeviceLost`] from any launch triggers tier-3 failover
 /// (see the module docs) instead of propagating.
 ///
 /// Errors: [`CaqrError::BadShape`] for invalid geometry (wide matrices,
@@ -624,11 +624,11 @@ pub fn distributed_tsqr<T: Scalar>(
         verify_checksums: opts.verify_checksums,
         health_context: "distributed_tsqr input",
     };
-    // One full-width panel, so the Sync loop issues exactly one
+    // One full-width panel, so the driver issues exactly one
     // factor_panel call (the whole phase schedule) and no trailing
     // updates; the launch count the report carries comes from the
     // backend's own per-phase ledger, the checksum count from the loop's.
-    let (f, checked) = drive_group(&backend, vec![a], &cfg, None).solo()?;
+    let (f, checked) = drive_group(&backend, vec![a], &cfg, Mode::Sync, None).solo()?;
     let mut report = backend.finish();
     report.recovery.checksum_checks = checked.checksum_checks;
     Ok((f, report))

@@ -67,8 +67,8 @@ pub enum CaqrError {
         /// Launch ordinal (0-based admission order).
         launch_index: u64,
     },
-    /// Every tier of the recovery escalation ladder (task replay → panel
-    /// replay → run retry) was exhausted without a clean run.
+    /// Both tiers of the recovery escalation ladder (task replay → run
+    /// retry) were exhausted without a clean run.
     Unrecoverable {
         /// The final straw: what kept failing after all replay budgets.
         context: String,

@@ -426,8 +426,8 @@ fn verify_apply_checksums<T: Scalar>(
 /// norms at `(c, c)` and check them against the pre-factor checksums
 /// `pre` ([`panel_col_sumsq`] of the same columns). `panel` and `c` locate
 /// the mismatch report; the tolerance scales with the panel height
-/// `m - c`. The one factor-stage check of the Sync loop, for solo runs,
-/// fused groups and the replay ladder alike.
+/// `m - c`. The one factor-stage check of the driver's panel loop, for
+/// solo runs, fused groups and the replay ladder alike.
 pub fn factor_norm_check<T: Scalar>(
     a: &Matrix<T>,
     pre: &[f64],

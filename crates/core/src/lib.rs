@@ -18,9 +18,9 @@
 //! * [`schedule`] — CAQR as a task DAG on simulated CUDA streams with
 //!   lookahead, bit-identical to the synchronous loop,
 //! * [`recovery`] — ABFT-checksummed, fault-recovering CAQR: tile-granular
-//!   replay of faulted tasks with a task -> panel -> run escalation ladder,
+//!   replay of faulted tasks with a task -> run escalation ladder,
 //! * [`distributed`] — multi-device TSQR over an interconnect-modelled
-//!   cluster with tier-4 device-loss failover, bit-identical to the
+//!   cluster with tier-3 device-loss failover, bit-identical to the
 //!   single-device host path,
 //! * [`backend`] — the execution-backend trait behind all of the above:
 //!   one generic CAQR driver ([`backend::drive`]), pluggable executors

@@ -68,7 +68,7 @@ impl<F: FnMut(usize, usize) -> BlockCost> CostCache<F> {
 }
 
 /// Charge one panel-factorization chain (factor + one factor_tree per level)
-/// under an [`Exec`] policy. Returns the number of launches issued.
+/// under an [`Exec`] policy.
 pub(crate) fn model_factor_chain_on(
     gpu: &Gpu,
     exec: Exec,
@@ -76,7 +76,7 @@ pub(crate) fn model_factor_chain_on(
     m: usize,
     row0: usize,
     width: usize,
-) -> Result<usize, CaqrError> {
+) -> Result<(), CaqrError> {
     let (bs, strategy) = (cfg.bs, cfg.strategy);
     let spec = gpu.spec().clone();
     let tiles = tile_panel(row0, m - row0, bs.h, bs.w);
@@ -113,13 +113,13 @@ pub(crate) fn model_factor_chain_on(
             &costs,
         )?;
     }
-    Ok(1 + plan.levels.len())
+    Ok(())
 }
 
 /// Charge one apply chain (apply_qt_h + one apply_qt_tree per level) of the
 /// panel at `(row0, width)` across the column blocks `cols`, under an
 /// [`Exec`] policy. Grid order is (ti = b % ntiles, cb = b / ntiles),
-/// matching ApplyQtHKernel/ApplyQtTreeKernel. Returns the launch count.
+/// matching ApplyQtHKernel/ApplyQtTreeKernel.
 pub(crate) fn model_apply_chain_on(
     gpu: &Gpu,
     exec: Exec,
@@ -128,9 +128,9 @@ pub(crate) fn model_apply_chain_on(
     row0: usize,
     width: usize,
     cols: &[(usize, usize)],
-) -> Result<usize, CaqrError> {
+) -> Result<(), CaqrError> {
     if cols.is_empty() {
-        return Ok(0);
+        return Ok(());
     }
     let (bs, strategy) = (cfg.bs, cfg.strategy);
     let spec = gpu.spec().clone();
@@ -188,7 +188,7 @@ pub(crate) fn model_apply_chain_on(
             &costs,
         )?;
     }
-    Ok(1 + plan.levels.len())
+    Ok(())
 }
 
 /// Modelled seconds for a full CAQR factorization of an `m x n` matrix

@@ -1,11 +1,11 @@
-//! Tile-granular fault recovery: ABFT-verified CAQR with a three-tier
+//! Tile-granular fault recovery: ABFT-verified CAQR with a two-tier
 //! replay ladder (DESIGN.md §10).
 //!
-//! The ladder is a policy of the one [`Mode::Sync`] panel loop, not a loop
-//! of its own: given a [`RecoveryPolicy`], that loop verifies every task's
-//! output against the algorithm-based checksums of [`crate::health`] and
-//! replays what fails. [`caqr_resilient`] runs it as a group of one on the
-//! simulator's barrier executor:
+//! The ladder is a policy of the driver's one panel loop, not a loop of its
+//! own: given a [`RecoveryPolicy`], a [`Mode::Sync`] run verifies every
+//! task's output against the algorithm-based checksums of
+//! [`crate::health`] and replays what fails. [`caqr_resilient`] runs it as
+//! a group of one on the simulator's barrier executor:
 //!
 //! * a **factor task** (the panel's `factor` + `factor_tree` chain) is
 //!   checked with the column-norm invariant (`||R[:,j]|| == ||A[:,j]||`)
@@ -18,8 +18,8 @@
 //! [`CaqrError::Fault`] that outlived the launch-level retries, or a
 //! [`CaqrError::Timeout`] from the hang watchdog — triggers replay of
 //! *only the affected task* from an arena-backed snapshot of its input.
-//! Repeated task failures escalate: replay the whole panel, then retry the
-//! whole run from the pristine input, then give up with a typed
+//! A task that keeps failing spends its task budget and escalates: retry
+//! the whole run from the pristine input, then give up with a typed
 //! [`CaqrError::Unrecoverable`]. Snapshots restore bit-exact input state
 //! and launch ordinals advance on every attempt (so a seeded fault plan
 //! redraws), which makes a recovered run **bit-identical** to a fault-free
@@ -33,7 +33,7 @@
 //!
 //! [`Mode::Sync`]: crate::backend::Mode::Sync
 
-use crate::backend::{drive_group, CaqrBackend, Factorization, SimBackend};
+use crate::backend::{drive_group, CaqrBackend, Factorization, Mode, SimBackend};
 use crate::caqr::CaqrOptions;
 use crate::error::CaqrError;
 use dense::arena;
@@ -42,16 +42,14 @@ use dense::scalar::Scalar;
 use gpu_sim::Gpu;
 
 /// Replay budgets of the escalation ladder. Each tier's budget is per
-/// scope: `max_task_replays` per task attempt streak, `max_panel_replays`
-/// per panel, `max_run_retries` per call.
+/// scope: `max_task_replays` per task attempt streak, `max_run_retries`
+/// per call.
 #[derive(Clone, Copy, Debug)]
 pub struct RecoveryPolicy {
     /// Tier 1: how many times one task (factor chain or apply group) may be
     /// replayed from its input snapshot before escalating.
     pub max_task_replays: u32,
-    /// Tier 2: how many times a whole panel may be rolled back and redone.
-    pub max_panel_replays: u32,
-    /// Tier 3: how many times the whole run may restart from the pristine
+    /// Tier 2: how many times the whole run may restart from the pristine
     /// input before returning [`CaqrError::Unrecoverable`].
     pub max_run_retries: u32,
 }
@@ -60,7 +58,6 @@ impl Default for RecoveryPolicy {
     fn default() -> Self {
         RecoveryPolicy {
             max_task_replays: 3,
-            max_panel_replays: 2,
             max_run_retries: 1,
         }
     }
@@ -97,9 +94,7 @@ pub struct RecoveryReport {
     pub checksum_failures: u64,
     /// Tier-1 replays of a single task from its snapshot.
     pub task_replays: u64,
-    /// Tier-2 whole-panel rollbacks.
-    pub panel_replays: u64,
-    /// Tier-3 whole-run retries from the pristine input.
+    /// Tier-2 whole-run retries from the pristine input.
     pub run_retries: u64,
     /// Watchdog timeouts the executor recovered from (or escalated past).
     pub timeouts: u64,
@@ -107,7 +102,7 @@ pub struct RecoveryReport {
     pub launch_faults: u64,
     /// Kernel launches enqueued across every attempt (replays included).
     pub launches: u64,
-    /// Tier-4 failovers: whole devices lost and their work adopted by a
+    /// Tier-3 failovers: whole devices lost and their work adopted by a
     /// survivor. Always 0 on a single device — `DeviceLost` is terminal
     /// there; the multi-device driver (`distributed`) fills this in.
     pub device_failovers: u64,
@@ -193,9 +188,10 @@ impl<T: Scalar> RegionSnapshot<T> {
 /// injected faults. Returns the factorization and a [`RecoveryReport`] of
 /// what the escalation ladder did.
 ///
-/// The Sync loop over a group of one on a barrier-mode [`SimBackend`]
-/// (DESIGN.md §13), under `opts.policy`: the factor runs on the panel's
-/// home stream and the trailing update fans out over every stream.
+/// A [`Mode::Sync`] run of the driver's panel loop as a group of one on a
+/// barrier-mode [`SimBackend`] (DESIGN.md §13), under `opts.policy`: the
+/// factor runs on the panel's home stream and the trailing update fans out
+/// over every stream.
 pub fn caqr_resilient<T: Scalar>(
     gpu: &Gpu,
     a: Matrix<T>,
@@ -203,7 +199,7 @@ pub fn caqr_resilient<T: Scalar>(
 ) -> Result<(Factorization<T>, RecoveryReport), CaqrError> {
     let backend = SimBackend::resilient(gpu, opts.streams)?;
     let cfg = opts.caqr.drive_config();
-    drive_group(&backend, vec![a], &cfg, Some(&opts.policy)).solo()
+    drive_group(&backend, vec![a], &cfg, Mode::Sync, Some(&opts.policy)).solo()
 }
 
 #[cfg(test)]
@@ -244,7 +240,6 @@ mod tests {
             }
         }
         assert_eq!(report.task_replays, 0);
-        assert_eq!(report.panel_replays, 0);
         assert_eq!(report.run_retries, 0);
         assert_eq!(report.checksum_failures, 0);
         assert!(report.checksum_checks > 0);
@@ -277,7 +272,7 @@ mod tests {
     #[test]
     fn unrecoverable_hang_surfaces_typed_error_not_a_panic() {
         let g = gpu();
-        // Every launch hangs forever: all tiers must drain, then a typed
+        // Every launch hangs forever: both tiers must drain, then a typed
         // Unrecoverable (the health check itself times out first).
         g.set_fault_plan(FaultPlan::seeded_mix(3, 0.0, 0.0, 1.0));
         let a = generate::uniform::<f64>(96, 16, 11);

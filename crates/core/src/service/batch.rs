@@ -9,7 +9,7 @@
 //! [`CaqrError`] while its riders complete bit-identically.
 
 use super::resilience::{Faulty, PlannedFault};
-use crate::backend::{drive_group, CpuBackend, DriveConfig, Factorization};
+use crate::backend::{drive_group, CpuBackend, DriveConfig, Factorization, Mode};
 use crate::error::{checked_elems, CaqrError};
 use crate::multicore::CpuCaqrOptions;
 use dense::matrix::Matrix;
@@ -221,10 +221,10 @@ fn run_group<T: Scalar>(
     // valid block size; an invalid one fails in the driver's own
     // validation, before any fault could fire.
     let group = if clean || cfg.bs.validate().is_err() {
-        drive_group(&CpuBackend, mats, &cfg, None)
+        drive_group(&CpuBackend, mats, &cfg, Mode::Sync, None)
     } else {
         let backend = Faulty::new(CpuBackend, &faults, m, n, cfg.bs.w);
-        drive_group(&backend, mats, &cfg, None)
+        drive_group(&backend, mats, &cfg, Mode::Sync, None)
     };
     let in_fused: Vec<bool> = group.members.iter().map(|r| ran_fused(size, r)).collect();
     let fused = in_fused.iter().filter(|&&f| f).count();

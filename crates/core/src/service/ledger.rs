@@ -98,12 +98,10 @@ pub struct ServiceLedger {
     pub batches: u64,
     /// Parallel regions actually issued by fused execution.
     pub fused_launches: u64,
-    /// Panics a worker caught while serving.
+    /// Panics a worker caught while serving. The worker goes back to
+    /// serving, and the counter moves before the panic's `WorkerLost`
+    /// tickets resolve.
     pub worker_panics: u64,
-    /// Times a worker went back to serving after a caught panic: one per
-    /// panic, so it always equals `worker_panics`. Both move before the
-    /// panic's `WorkerLost` tickets resolve.
-    pub workers_respawned: u64,
     /// Overload circuit-breaker open transitions.
     pub breaker_opens: u64,
     /// Overload circuit-breaker close transitions.

@@ -229,7 +229,7 @@ pub fn service_retryable(e: &CaqrError) -> bool {
 /// Admission faults fail the task with a typed error before it runs, a
 /// host panic fails it as [`CaqrError::Panicked`], caught at its member,
 /// and an SDC lets it run and then corrupts a value inside checksum
-/// coverage. Faults fire from the group methods, the ones the Sync loop
+/// coverage. Faults fire from the group methods, the ones the driver
 /// calls: the batch engine runs every group, a job alone included, with
 /// no recovery policy, so the victim is carved out and a service retry
 /// round re-runs it. Under a ladder policy a replay sees clean execution.
@@ -507,7 +507,7 @@ impl<T: Scalar, B: CaqrBackend<T>> CaqrBackend<T> for Faulty<B> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::{drive_group, CpuBackend, Factorization};
+    use crate::backend::{drive_group, CpuBackend, Factorization, Mode};
     use crate::block::TreeShape;
     use crate::multicore::{caqr_cpu, CpuCaqrOptions};
     use crate::recovery::RecoveryPolicy;
@@ -523,7 +523,7 @@ mod tests {
         let (m, n) = a.shape();
         let cfg = opts.drive_config();
         let backend = Faulty::new(CpuBackend, &[fault], m, n, cfg.bs.w);
-        drive_group(&backend, vec![a], &cfg, Some(policy)).solo()
+        drive_group(&backend, vec![a], &cfg, Mode::Sync, Some(policy)).solo()
     }
 
     fn opts() -> CpuCaqrOptions {
@@ -539,16 +539,15 @@ mod tests {
     fn solo_ladder_recovers_transient_injections_bitwise() {
         // 300x32 in panels of 16: the fault-free task order is F A F, so
         // payloads 0..3 steer the fault to every task ordinal. Each policy
-        // leaves one tier to absorb it: the task tier by default, the panel
-        // tier with no task replays, the run tier with neither.
+        // leaves one tier to absorb it: the task tier by default, the run
+        // tier with no task replays.
         let a = dense::generate::uniform::<f64>(300, 32, 5);
         let want = caqr_cpu(a.clone(), opts()).unwrap();
-        let skip = |max_task_replays, max_panel_replays| RecoveryPolicy {
-            max_task_replays,
-            max_panel_replays,
+        let run_tier = RecoveryPolicy {
+            max_task_replays: 0,
             max_run_retries: 1,
         };
-        let policies = [RecoveryPolicy::default(), skip(0, 2), skip(0, 0)];
+        let policies = [RecoveryPolicy::default(), run_tier];
         for (tier, policy) in policies.iter().enumerate() {
             for kind in [FaultKind::LaunchFail, FaultKind::Hang, FaultKind::Sdc] {
                 for payload in 0..3u64 {
@@ -561,12 +560,9 @@ mod tests {
                     let (got, r) = solo_ladder(a.clone(), opts(), fault, policy)
                         .unwrap_or_else(|e| panic!("{case} must recover, got {e}"));
                     assert_eq!(got.a, want.a, "{case} diverged after recovery");
-                    // A failed apply launch is not replayed on its own: it
-                    // goes straight to the panel tier.
-                    let apply_admission = payload == 1 && kind != FaultKind::Sdc;
-                    let mut replays = [0; 3];
-                    replays[tier.max(usize::from(apply_admission))] = 1;
-                    let got = [r.task_replays, r.panel_replays, r.run_retries];
+                    let mut replays = [0; 2];
+                    replays[tier] = 1;
+                    let got = [r.task_replays, r.run_retries];
                     assert_eq!(got, replays, "{case} must replay once");
                 }
             }

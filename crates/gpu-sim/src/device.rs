@@ -196,7 +196,7 @@ impl Gpu {
                     // instead of returning, exactly where a crashed worker
                     // would take down its submission path. A supervisor
                     // (e.g. the service worker loop) catches the unwind and
-                    // respawns; launch ordinals keep counting so the plan
+                    // serves on; launch ordinals keep counting so the plan
                     // stays aligned for the replay.
                     panic!("injected host panic: launch #{idx} of kernel `{name}`");
                 }
@@ -260,7 +260,7 @@ impl Gpu {
     }
 
     /// Record that this device adopted a lost device's workload as the
-    /// failover survivor (tier-4 recovery; called by multi-device drivers).
+    /// failover survivor (tier-3 recovery; called by multi-device drivers).
     pub fn note_device_failover(&self) {
         self.ledger.lock().record_device_failover();
     }
@@ -625,11 +625,10 @@ impl Gpu {
     // ---- recovery accounting ---------------------------------------------
 
     /// Ledger hook for the recovery ladder: a run's task replays in place
-    /// (tier 1), panel rollbacks (tier 2) and whole-run retries (tier 3).
-    pub fn note_replays(&self, task: u64, panel: u64, run: u64) {
+    /// (tier 1) and whole-run retries (tier 2).
+    pub fn note_replays(&self, task: u64, run: u64) {
         let mut ledger = self.ledger.lock();
         ledger.task_replays += task;
-        ledger.panel_replays += panel;
         ledger.run_retries += run;
     }
 

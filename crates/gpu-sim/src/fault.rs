@@ -62,8 +62,8 @@ pub enum FaultKind {
     /// The *host* thread driving the launch dies: submitting the launch
     /// panics instead of returning. Models a crashed worker / driver
     /// thread rather than a device-side fault; a supervisor that catches
-    /// the unwind can respawn the worker and replay the work (the batch
-    /// carve-out and worker supervision of `caqr::service`).
+    /// the unwind can put the worker back to serving and replay the work
+    /// (the batch carve-out and worker supervision of `caqr::service`).
     HostPanic,
 }
 
@@ -164,7 +164,7 @@ impl FaultPlan {
     }
 
     /// Kill the host thread at exactly these launch ordinals (first attempt
-    /// only — the respawned worker's replay draws a fresh attempt).
+    /// only — the recovered worker's replay draws a fresh attempt).
     pub fn host_panic_at_launches(indices: &[u64]) -> Self {
         Self::explicit(indices.iter().map(|&i| (i, FaultKind::HostPanic)))
     }

@@ -51,14 +51,12 @@ pub struct CostLedger {
     pub sdc_injected: u64,
     /// Recovery tier 1: single tasks replayed after a detected fault.
     pub task_replays: u64,
-    /// Recovery tier 2: whole panels rolled back and refactored.
-    pub panel_replays: u64,
-    /// Recovery tier 3: whole-run retries from the pristine input.
+    /// Recovery tier 2: whole-run retries from the pristine input.
     pub run_retries: u64,
     /// Device losses suffered (see `fault::FaultKind::DeviceLoss`): the
     /// launch that found the device gone. At most 1 per `Gpu::reset` epoch.
     pub device_losses: u64,
-    /// Recovery tier 4: lost-device workloads this device adopted as the
+    /// Recovery tier 3: lost-device workloads this device adopted as the
     /// failover survivor (multi-device runs only).
     pub device_failovers: u64,
     /// Interconnect messages sent by this device (multi-device runs only).
@@ -157,7 +155,7 @@ impl CostLedger {
         self.device_losses += 1;
     }
 
-    /// Record a tier-4 recovery action: this device adopted a lost
+    /// Record a tier-3 recovery action: this device adopted a lost
     /// device's workload as the failover survivor.
     pub fn record_device_failover(&mut self) {
         self.device_failovers += 1;
@@ -222,11 +220,11 @@ impl CostLedger {
                 self.faults, self.retries, self.hangs, self.sdc_injected
             );
         }
-        if self.task_replays > 0 || self.panel_replays > 0 || self.run_retries > 0 {
+        if self.task_replays > 0 || self.run_retries > 0 {
             let _ = writeln!(
                 s,
-                "  recovery: {} task replays, {} panel replays, {} run retries",
-                self.task_replays, self.panel_replays, self.run_retries
+                "  recovery: {} task replays, {} run retries",
+                self.task_replays, self.run_retries
             );
         }
         if self.device_losses > 0 || self.device_failovers > 0 {

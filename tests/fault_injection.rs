@@ -245,16 +245,15 @@ fn sdc_is_detected_and_replayed_to_bit_identity() {
 #[test]
 fn every_ladder_tier_absorbs_an_sdc_bitwise() {
     // One SDC at launch 5, absorbed on the tier the budgets leave open:
-    // tier 1 by default, tier 2 with no task replays, tier 3 with neither.
+    // tier 1 by default, tier 2 with no task replays.
     let a = dense::generate::uniform::<f64>(640, 48, 29);
     let clean_gpu = Gpu::new(DeviceSpec::c2050());
     let clean = caqr::caqr::caqr(&clean_gpu, a.clone(), opts()).unwrap();
-    let tier = |max_task_replays, max_panel_replays| RecoveryPolicy {
-        max_task_replays,
-        max_panel_replays,
+    let run_tier = RecoveryPolicy {
+        max_task_replays: 0,
         max_run_retries: 1,
     };
-    let policies = [RecoveryPolicy::default(), tier(0, 2), tier(0, 0)];
+    let policies = [RecoveryPolicy::default(), run_tier];
     for (t, policy) in policies.into_iter().enumerate() {
         let gpu = Gpu::new(DeviceSpec::c2050());
         gpu.set_fault_plan(FaultPlan::sdc_at_launches(&[5]));
@@ -267,9 +266,9 @@ fn every_ladder_tier_absorbs_an_sdc_bitwise() {
         let (f, r) = caqr_resilient(&gpu, a.clone(), ropts)
             .unwrap_or_else(|e| panic!("{case}: recovery failed: {e}"));
         assert_eq!(f.a, clean.a, "{case}: bits must match");
-        let mut replays = [0; 3];
+        let mut replays = [0; 2];
         replays[t] = 1;
-        let got = [r.task_replays, r.panel_replays, r.run_retries];
+        let got = [r.task_replays, r.run_retries];
         assert_eq!(got, replays, "{case}: {r:?}");
         assert_eq!(r.checksum_failures, 1, "{case}");
         // The ledger mirrors the report, and every kernel launch of every
@@ -277,13 +276,47 @@ fn every_ladder_tier_absorbs_an_sdc_bitwise() {
         // host-side verify and snapshot passes.
         let l = gpu.ledger();
         assert_eq!(l.sdc_injected, 1, "{case}");
-        assert_eq!([l.task_replays, l.panel_replays, l.run_retries], got);
+        assert_eq!([l.task_replays, l.run_retries], got);
         let host_ops: u64 = ["checksum_verify", "snapshot"]
             .iter()
             .filter_map(|op| l.per_op.get(*op))
             .map(|e| e.calls)
             .sum();
         assert_eq!(r.launches, l.calls - host_ops, "{case}");
+    }
+}
+
+#[test]
+fn every_launch_fault_in_a_task_costs_one_task_replay() {
+    // 640x48 in panels of 16 on 3 streams: 20 launches when clean, the
+    // health scan and the pre-transpose first. With no launch-level
+    // retries, a fault or a hang at any later ordinal fails its factor or
+    // apply task, which replays once from its own input snapshot.
+    let a = dense::generate::uniform::<f64>(640, 48, 31);
+    let ropts = RecoveryOptions {
+        caqr: opts(),
+        streams: 3,
+        policy: RecoveryPolicy::default(),
+    };
+    let (clean, report) = caqr_resilient(&Gpu::new(DeviceSpec::c2050()), a.clone(), ropts).unwrap();
+    assert_eq!(report.launches, 20);
+    let no_retry = RetryPolicy {
+        max_attempts: 1,
+        ..RetryPolicy::default()
+    };
+    for k in 2..20 {
+        for (kind, plan) in [
+            ("fault", FaultPlan::at_launches(&[k])),
+            ("hang", FaultPlan::hang_at_launches(&[k])),
+        ] {
+            let gpu = Gpu::new(DeviceSpec::c2050());
+            gpu.set_fault_plan_with_policy(plan, no_retry);
+            let (f, r) = caqr_resilient(&gpu, a.clone(), ropts)
+                .unwrap_or_else(|e| panic!("{kind} at launch {k}: recovery failed: {e}"));
+            assert_eq!(f.a, clean.a, "{kind} at launch {k}: bits must match");
+            assert_eq!(r.task_replays, 1, "{kind} at launch {k}: {r:?}");
+            assert_eq!(r.run_retries, 0, "{kind} at launch {k}: {r:?}");
+        }
     }
 }
 
@@ -330,7 +363,6 @@ fn chaos_soak_recovers_bit_identically_across_seeds() {
         assert_eq!(f.r(), clean.r(), "seed {seed}: bits must match");
         let l = gpu.ledger();
         assert_eq!(l.task_replays, report.task_replays, "seed {seed}");
-        assert_eq!(l.panel_replays, report.panel_replays, "seed {seed}");
         assert_eq!(l.run_retries, report.run_retries, "seed {seed}");
         // Recovery is tile-granular: replayed work stays a small fraction
         // of the schedule instead of redoing whole runs.
