@@ -2,14 +2,19 @@
 //!
 //! Sweeps the candidate grid of `caqr::tuning::measured_grid` with real
 //! wall-clock (`caqr_cpu`, f64), prints the measured surface, and persists
-//! the profile to `target/caqr_tuned.json` where
-//! `CpuCaqrOptions::tuned_for_width` (and the wallclock report) pick it up.
+//! the profile to `target/caqr_tuned.json`. Nothing reads that file unless
+//! asked to: `wallclock_report --profile target/caqr_tuned.json` blocks its
+//! `caqr_cpu` rows from it, and a library caller passes the loaded profile
+//! to `CpuCaqrOptions::from_measured`.
 //!
 //! `--quick` calibrates on a small shape with one repetition — the CI smoke
 //! configuration. The default run uses the paper-scale 65536x16 panel.
 
 use caqr::tuning::{autotune_measured, MeasuredProfile};
 use gpu_sim::DeviceSpec;
+
+/// Where the profile is written.
+const PROFILE_PATH: &str = "target/caqr_tuned.json";
 
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
@@ -37,13 +42,13 @@ fn main() {
         }
     }
 
-    let path = MeasuredProfile::default_path();
-    profile.save(&path).expect("persist tuned profile");
+    let path = std::path::Path::new(PROFILE_PATH);
+    profile.save(path).expect("persist tuned profile");
     // Round-trip through `load`, which rejects profiles whose SIMD backend
     // or kernel generation doesn't match this process — proving the file
     // just written carries the tags that will keep it valid (and that a
     // later kernel bump or different machine will retire it).
-    let back = MeasuredProfile::load(&path)
+    let back = MeasuredProfile::load(path)
         .expect("freshly saved profile must reload under the current backend/kernel tags");
     assert_eq!(back.backend, dense::simd::active().name());
     assert_eq!(back.kernel_version, dense::simd::KERNEL_VERSION);

@@ -42,7 +42,6 @@ fn opts() -> CaqrOptions {
         bs: BlockSize { h: 64, w: 16 },
         strategy: ReductionStrategy::RegisterSerialTransposed,
         tree: caqr::block::TreeShape::DeviceArity,
-        check_finite: true,
     }
 }
 

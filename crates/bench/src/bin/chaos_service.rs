@@ -22,8 +22,8 @@
 
 use caqr::multicore::{caqr_cpu, CpuCaqrOptions};
 use caqr::{
-    factor_many_resilient, factor_many_with_stats, JobSpec, Priority, ResilienceConfig,
-    RetryBudget, Service, ServiceConfig, ServiceFaultPlan, ShedPolicy, TreeShape,
+    factor_many, JobSpec, Priority, ResilienceConfig, RetryBudget, Service, ServiceConfig,
+    ServiceFaultPlan, ShedPolicy, TreeShape,
 };
 use caqr_bench::Table;
 use dense::Matrix;
@@ -99,22 +99,21 @@ fn main() {
         inputs.iter().map(|a| (a.clone(), gate_opts)).collect()
     };
     let total_gflop = dense::geqrf_flops(gm, gn) * gjobs as f64 / 1e9;
-    let no_faults = vec![None; gjobs];
 
     // Warm both paths once so the measured reps run out of the arena.
-    drop(factor_many_with_stats(bag()));
-    drop(factor_many_resilient(bag(), &no_faults, true));
+    drop(factor_many(bag(), &[], false));
+    drop(factor_many(bag(), &[], true));
 
     let mut plain_best_s = f64::INFINITY;
     let mut verified_best_s = f64::INFINITY;
     for _ in 0..reps {
         let t0 = Instant::now();
-        let (results, _) = factor_many_with_stats(bag());
+        let (results, _) = factor_many(bag(), &[], false);
         plain_best_s = plain_best_s.min(t0.elapsed().as_secs_f64());
         assert!(results.iter().all(Result::is_ok), "gate bag must factor");
 
         let t0 = Instant::now();
-        let (results, _) = factor_many_resilient(bag(), &no_faults, true);
+        let (results, _) = factor_many(bag(), &[], true);
         verified_best_s = verified_best_s.min(t0.elapsed().as_secs_f64());
         assert!(
             results.iter().all(Result::is_ok),

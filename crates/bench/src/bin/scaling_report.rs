@@ -12,7 +12,7 @@
 
 use caqr::distributed::{distributed_tsqr, DistOptions};
 use caqr::multicore::{caqr_cpu, CpuCaqrOptions};
-use caqr::{ReductionStrategy, TreeShape};
+use caqr::TreeShape;
 use caqr_bench::Table;
 use gpu_sim::{Cluster, DeviceSpec, LinkSpec, Topology};
 
@@ -41,7 +41,6 @@ fn run(p: usize, m: usize, n: usize, tile: usize) -> (Entry, caqr::Factorization
     let opts = DistOptions {
         tile_rows: tile,
         tree: TreeShape::DeviceArity,
-        strategy: ReductionStrategy::RegisterSerialTransposed,
         verify_checksums: false,
     };
     let (f, _) = distributed_tsqr(&cluster, a, opts).expect("distributed TSQR");

@@ -8,14 +8,15 @@
 //! `BENCH_service.json` alongside human-readable tables.
 //!
 //! `--quick` shrinks everything for the CI smoke run. `--check` gates the
-//! run (exit 1 on failure): batched aggregate GFLOP/s must be at least the
-//! one-at-a-time rate on the fused-shape workload, the measured fused reps
+//! run (exit 1 on failure): on the fused-shape workload, timed in
+//! alternating reps, the median per-rep ratio of one-at-a-time to batched
+//! time must be at least 1 (batched is not slower), the measured fused reps
 //! must run with zero steady-state arena misses, every serviced matrix
 //! must be bit-identical to a standalone `caqr_cpu` run, and the ledger
 //! must reconcile (per-tenant counters summing to the global row).
 
 use caqr::multicore::{caqr_cpu, CpuCaqrOptions};
-use caqr::{factor_many_with_stats, JobOutcome, JobSpec, Priority, Service, ServiceConfig};
+use caqr::{factor_many, JobOutcome, JobSpec, Priority, Service, ServiceConfig};
 use caqr::{BatchStats, TreeShape};
 use caqr_bench::Table;
 use dense::Matrix;
@@ -191,9 +192,9 @@ fn main() {
     // fused group's working set still fits in cache. (Single large
     // factorizations do not need a batching service in the first place.)
     let (gm, gn, gh, gw, gjobs, reps) = if quick {
-        (384, 32, 48, 16, 48, 5)
+        (384, 32, 48, 16, 48, 9)
     } else {
-        (512, 32, 64, 16, 96, 3)
+        (512, 32, 64, 16, 96, 5)
     };
     let gate_opts = opts(gh, gw);
     let inputs: Vec<Matrix<f64>> = (0..gjobs)
@@ -210,39 +211,55 @@ fn main() {
     // results own pooled level-0 `V` slabs, so the batched warm-up runs
     // twice the same way to leave two bags' worth of slabs in the pool.
     dense::arena::prewarm::<f64>(2 * gn.min(gw * 2), 8);
-    let (warm, _) = factor_many_with_stats(bag(&inputs));
-    let (warm_next, _) = factor_many_with_stats(bag(&inputs));
+    let (warm, _) = factor_many(bag(&inputs), &[], false);
+    let (warm_next, _) = factor_many(bag(&inputs), &[], false);
     for a in &inputs {
         drop(caqr_cpu(a.clone(), gate_opts).expect("warmup solo factor"));
     }
     drop(warm);
     drop(warm_next);
 
-    dense::arena::reset_stats::<f64>();
+    // The two sides are timed alternately, rep by rep, and each rep swaps
+    // which side goes first, so a slow phase of a shared host lands on
+    // both sides instead of on whichever window it happens to hit. The gate
+    // reads the median of the per-rep time ratios; the table reports each
+    // side's best rep.
     let mut batched_best_s = f64::INFINITY;
+    let mut solo_best_s = f64::INFINITY;
+    let mut ratios = Vec::with_capacity(reps);
+    let (mut arena_hits, mut arena_misses) = (0, 0);
     let mut last_stats = BatchStats::default();
     let mut last_results = Vec::new();
-    for _ in 0..reps {
-        let jobs = bag(&inputs);
-        let t0 = Instant::now();
-        let (results, stats) = factor_many_with_stats(jobs);
-        let dt = t0.elapsed().as_secs_f64();
-        batched_best_s = batched_best_s.min(dt);
-        assert!(results.iter().all(|r| r.is_ok()), "gate bag must factor");
-        last_stats = stats;
-        last_results = results;
-    }
-    let arena = dense::arena::stats::<f64>();
-
-    let mut solo_best_s = f64::INFINITY;
-    for _ in 0..reps {
-        let jobs = bag(&inputs);
-        let t0 = Instant::now();
-        for (a, o) in jobs {
-            drop(caqr_cpu(a, o).expect("gate bag must factor solo"));
+    for rep in 0..reps {
+        let mut pair = [0.0f64; 2];
+        for side in [rep % 2, 1 - rep % 2] {
+            let jobs = bag(&inputs);
+            if side == 0 {
+                // Only the fused side's arena traffic is gated.
+                let before = dense::arena::stats::<f64>();
+                let t0 = Instant::now();
+                let (results, stats) = factor_many(jobs, &[], false);
+                pair[0] = t0.elapsed().as_secs_f64();
+                let after = dense::arena::stats::<f64>();
+                arena_hits += after.hits - before.hits;
+                arena_misses += after.misses - before.misses;
+                assert!(results.iter().all(|r| r.is_ok()), "gate bag must factor");
+                last_stats = stats;
+                last_results = results;
+            } else {
+                let t0 = Instant::now();
+                for (a, o) in jobs {
+                    drop(caqr_cpu(a, o).expect("gate bag must factor solo"));
+                }
+                pair[1] = t0.elapsed().as_secs_f64();
+            }
         }
-        solo_best_s = solo_best_s.min(t0.elapsed().as_secs_f64());
+        batched_best_s = batched_best_s.min(pair[0]);
+        solo_best_s = solo_best_s.min(pair[1]);
+        ratios.push(pair[1] / pair[0]);
     }
+    ratios.sort_by(f64::total_cmp);
+    let median_ratio = ratios[reps / 2];
     let batched_gflops = total_gflop / batched_best_s;
     let solo_gflops = total_gflop / solo_best_s;
 
@@ -260,21 +277,21 @@ fn main() {
         last_stats.logical_launches.to_string(),
     ]);
     gate_table.emit(&format!(
-        "fused-shape gate: {gjobs} x {gm}x{gn} (h {gh}, w {gw}), best of {reps}, arena {}/{} hit/miss",
-        arena.hits, arena.misses
+        "fused-shape gate: {gjobs} x {gm}x{gn} (h {gh}, w {gw}), best of {reps} alternating reps, \
+         median one-at-a-time/batched time {median_ratio:.3}, arena {arena_hits}/{arena_misses} hit/miss"
     ));
 
     if check {
-        if batched_gflops < solo_gflops {
+        if median_ratio < 1.0 {
             eprintln!(
-                "FAIL: batched {batched_gflops:.3} GFLOP/s < one-at-a-time {solo_gflops:.3} GFLOP/s"
+                "FAIL: batched is slower than one-at-a-time: median per-rep time ratio \
+                 {median_ratio:.3} < 1 over {reps} alternating reps"
             );
             failed = true;
         }
-        if arena.misses != 0 {
+        if arena_misses != 0 {
             eprintln!(
-                "FAIL: {} steady-state arena misses across {reps} fused reps (want 0)",
-                arena.misses
+                "FAIL: {arena_misses} steady-state arena misses across {reps} fused reps (want 0)"
             );
             failed = true;
         }
@@ -428,11 +445,11 @@ fn main() {
     json.push_str(&format!("  \"quick\": {quick},\n"));
     json.push_str(&format!(
         "  \"fused_gate\": {{\"jobs\": {gjobs}, \"m\": {gm}, \"n\": {gn}, \"tile_rows\": {gh}, \"panel_width\": {gw}, \"reps\": {reps}, \"batched_gflops\": {batched_gflops:.4}, \"one_at_a_time_gflops\": {solo_gflops:.4}, \"speedup\": {:.4}, \"fused_launches\": {}, \"logical_launches\": {}, \"arena_hits\": {}, \"arena_misses\": {}}},\n",
-        batched_gflops / solo_gflops,
+        median_ratio,
         last_stats.fused_launches,
         last_stats.logical_launches,
-        arena.hits,
-        arena.misses
+        arena_hits,
+        arena_misses
     ));
     json.push_str(&format!(
         "  \"workload\": {{\"jobs\": {njobs}, \"mean_gap_ms\": {mean_gap_ms}, \"tenants\": {}, \"shapes\": [{}]}},\n",
@@ -510,7 +527,7 @@ fn main() {
             std::process::exit(1);
         }
         eprintln!(
-            "check: batched >= one-at-a-time on the fused-shape gate, zero steady-state arena misses, all serviced matrices bit-identical, ledgers reconcile"
+            "check: batched >= one-at-a-time (median alternating-rep time ratio) on the fused-shape gate, zero steady-state arena misses, all serviced matrices bit-identical, ledgers reconcile"
         );
     }
 }

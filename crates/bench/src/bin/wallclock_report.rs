@@ -7,12 +7,20 @@
 //!
 //! `--quick` shrinks shapes and repetitions for the CI smoke run; without
 //! it the shapes match the EXPERIMENTS.md entries.
+//! `--profile <path>` blocks the `caqr_cpu_*` rows from a measured profile
+//! written by the `autotune` bin (`CpuCaqrOptions::from_measured`); without
+//! it every row uses the `CpuCaqrOptions::for_width` heuristic. A named
+//! profile that is missing, malformed or stale (another SIMD backend or
+//! kernel generation) fails the run (exit 1) instead of falling back.
+//! Every `caqr_cpu_*` row records its `tile_rows`, `panel_width` and
+//! profile source (`for_width` or the path).
 //! `--check-factor <min_gflops>` fails (exit 1) if any `caqr_cpu_factor`
 //! row lands below the threshold or any arena-backed kernel still allocates
 //! in steady state — the CI regression gate for the factor hot path.
 
 use caqr::block::tile_panel;
 use caqr::blockops;
+use caqr::tuning::MeasuredProfile;
 use caqr::{caqr_cpu, CpuCaqrOptions};
 use caqr_bench::Table;
 use dense::arena;
@@ -37,12 +45,21 @@ struct Entry {
     /// Zero for every arena-backed kernel once the pool is warm — this is
     /// the "no per-launch allocation" evidence.
     arena_misses: u64,
-    /// `caqr_cpu_*` rows only (`None` elsewhere): mean process-wide minor
-    /// page faults per timed factorization, its drop included, or
-    /// `Some(None)` where `/proc/self/stat` cannot be read. Memory the
-    /// allocator hands back to the kernel between runs shows up here as
-    /// re-faults.
-    minor_faults: Option<Option<f64>>,
+    /// `caqr_cpu_*` rows only (`None` elsewhere).
+    host: Option<HostRow>,
+}
+
+/// What a `caqr_cpu_*` row ran with, and its page faults.
+struct HostRow {
+    tile_rows: usize,
+    panel_width: usize,
+    /// Where the blocking came from: `for_width` or the profile's path.
+    profile: String,
+    /// Mean process-wide minor page faults per timed factorization, its
+    /// drop included, or `None` where `/proc/self/stat` cannot be read.
+    /// Memory the allocator hands back to the kernel between runs shows
+    /// up here as re-faults.
+    minor_faults: Option<f64>,
 }
 
 /// The process's minor page-fault count (field 10 of `/proc/self/stat`),
@@ -61,15 +78,34 @@ fn active_name() -> String {
     dense::simd::active().name().to_string()
 }
 
+/// Stock the global arena pool with one buffer per pool thread, plus one,
+/// of every size class up to `max_len` elements. A kernel's parallel
+/// tasks draw scratch from the cache of whichever thread runs them, and a
+/// thread that ran no task during the warm-up call finds its cache empty;
+/// with every class it can draw on the global shelf, the timed
+/// repetitions allocate nothing whatever the schedule.
+fn prewarm_classes<T: PoolScalar>(max_len: usize) {
+    let count = std::thread::available_parallelism().map_or(1, |n| n.get()) + 1;
+    // 32 elements is the smallest pooled class.
+    let mut len = 32;
+    while len < 2 * max_len {
+        arena::prewarm::<T>(len, count);
+        len *= 2;
+    }
+}
+
 /// Best-of-`reps` wall-clock of `f`, charged with `flops` useful flops.
-/// `f` is run once untimed to warm the arena pools; the hit/miss counters
-/// then cover exactly the timed repetitions.
+/// `max_len` bounds the largest arena buffer `f` draws, in elements. The
+/// pool is stocked up to it and `f` is run once untimed; the hit/miss
+/// counters then cover exactly the timed repetitions.
 fn time_kernel<T: PoolScalar>(
     reps: usize,
     flops: f64,
+    max_len: usize,
     mut f: impl FnMut(),
 ) -> (f64, f64, u64, u64) {
-    f(); // warm caches and arena pools
+    prewarm_classes::<T>(max_len);
+    f(); // warm caches
     arena::reset_stats::<T>();
     let mut best = f64::INFINITY;
     for _ in 0..reps {
@@ -91,8 +127,11 @@ fn bench_gemm(entries: &mut Vec<Entry>, reps: usize, shapes: &[(usize, usize, us
             let a = dense::generate::uniform::<f32>(m, k, 1);
             let b = dense::generate::uniform::<f32>(k, n, 2);
             let mut c = Matrix::<f32>::zeros(m, n);
+            // The largest of a task's C block (at most m x n) and its
+            // packed A and B panels (at most `(m or n) + MR` by k).
+            let max_len = (m.max(n) + 32) * n.max(k);
             let (seconds, gflops, hits, misses) =
-                time_kernel::<f32>(reps, 2.0 * (m * n * k) as f64, || {
+                time_kernel::<f32>(reps, 2.0 * (m * n * k) as f64, max_len, || {
                     gemm(
                         Trans::No,
                         Trans::No,
@@ -112,7 +151,7 @@ fn bench_gemm(entries: &mut Vec<Entry>, reps: usize, shapes: &[(usize, usize, us
                 gflops,
                 arena_hits: hits,
                 arena_misses: misses,
-                minor_faults: None,
+                host: None,
             });
         }
     }
@@ -141,7 +180,7 @@ fn bench_apply(entries: &mut Vec<Entry>, reps: usize, shapes: &[(usize, usize, u
         let flops = 4.0 * (m * w * w) as f64;
         let shape = format!("{m}x{w}");
         let mut cm = c0.clone();
-        let (seconds, gflops, hits, misses) = time_kernel::<f32>(reps, flops, || {
+        let (seconds, gflops, hits, misses) = time_kernel::<f32>(reps, flops, m * w, || {
             cm.as_mut_slice().copy_from_slice(c0.as_slice());
             let cp = MatPtr::new(&mut cm);
             for (ti, &tile) in tiles.iter().enumerate() {
@@ -157,9 +196,9 @@ fn bench_apply(entries: &mut Vec<Entry>, reps: usize, shapes: &[(usize, usize, u
             gflops,
             arena_hits: hits,
             arena_misses: misses,
-            minor_faults: None,
+            host: None,
         });
-        let (seconds, gflops, hits, misses) = time_kernel::<f32>(reps, flops, || {
+        let (seconds, gflops, hits, misses) = time_kernel::<f32>(reps, flops, m * w, || {
             cm.as_mut_slice().copy_from_slice(c0.as_slice());
             let cp = MatPtr::new(&mut cm);
             let vp = MatPtr::new_readonly(&panel);
@@ -176,7 +215,7 @@ fn bench_apply(entries: &mut Vec<Entry>, reps: usize, shapes: &[(usize, usize, u
             gflops,
             arena_hits: hits,
             arena_misses: misses,
-            minor_faults: None,
+            host: None,
         });
     }
 }
@@ -197,7 +236,7 @@ fn bench_factor_tile(entries: &mut Vec<Entry>, reps: usize, shapes: &[(usize, us
             .iter()
             .map(|t| Matrix::zeros(t.rows, t.rows.min(w)))
             .collect();
-        let (seconds, gflops, hits, misses) = time_kernel::<f64>(reps, flops, || {
+        let (seconds, gflops, hits, misses) = time_kernel::<f64>(reps, flops, m * w, || {
             a.as_mut_slice().copy_from_slice(a0.as_slice());
             let p = MatPtr::new(&mut a);
             for (&tile, v) in tiles.iter().zip(&mut vs) {
@@ -212,9 +251,9 @@ fn bench_factor_tile(entries: &mut Vec<Entry>, reps: usize, shapes: &[(usize, us
             gflops,
             arena_hits: hits,
             arena_misses: misses,
-            minor_faults: None,
+            host: None,
         });
-        let (seconds, gflops, hits, misses) = time_kernel::<f64>(reps, flops, || {
+        let (seconds, gflops, hits, misses) = time_kernel::<f64>(reps, flops, m * w, || {
             a.as_mut_slice().copy_from_slice(a0.as_slice());
             let p = MatPtr::new(&mut a);
             for &tile in &tiles {
@@ -229,26 +268,35 @@ fn bench_factor_tile(entries: &mut Vec<Entry>, reps: usize, shapes: &[(usize, us
             gflops,
             arena_hits: hits,
             arena_misses: misses,
-            minor_faults: None,
+            host: None,
         });
     }
 }
+
+/// The `--profile` a run was given: the loaded profile and its path.
+type Profile = (MeasuredProfile, String);
 
 fn bench_caqr_cpu(
     entries: &mut Vec<Entry>,
     overheads: &mut Vec<(String, f64, f64)>,
     reps: usize,
     shapes: &[(usize, usize)],
+    profile: Option<&Profile>,
 ) {
     for &(m, n) in shapes {
         let a = dense::generate::uniform::<f64>(m, n, 5);
         // Tall-skinny QR: ~ 2 m n^2 - (2/3) n^3 useful flops.
         let flops = 2.0 * (m * n * n) as f64 - 2.0 / 3.0 * (n * n * n) as f64;
-        // Consume the measured autotuning profile when one has been
-        // persisted (`cargo run --bin autotune`); fall back to the static
-        // heuristic otherwise. The checksummed twin differs only in the
-        // ABFT verification — the row pair behind `--check-overhead`.
-        let plain = CpuCaqrOptions::tuned_for_width(n);
+        // The blocking comes from the named profile when it swept this
+        // panel width, and from the static heuristic otherwise. The
+        // checksummed twin differs only in the ABFT verification — the
+        // row pair behind `--check-overhead`.
+        let (plain, source) = match profile {
+            Some((p, path)) if p.best_for_width(n.clamp(1, 32)).is_some() => {
+                (CpuCaqrOptions::from_measured(p, n), path.as_str())
+            }
+            _ => (CpuCaqrOptions::for_width(n), "for_width"),
+        };
         let checked = CpuCaqrOptions {
             verify_checksums: true,
             ..plain
@@ -265,6 +313,9 @@ fn bench_caqr_cpu(
             ("caqr_cpu_checksummed", checked),
         ];
         let mut inputs: Vec<_> = (0..2 * (reps + 1)).map(|_| a.clone()).collect();
+        // No scratch buffer (the panel's `V` slab, tile and apply scratch)
+        // is larger than the matrix.
+        prewarm_classes::<f64>(m * n);
         for (_, o) in &variants {
             let f = caqr_cpu(inputs.pop().expect("warmup copy"), *o).unwrap();
             std::hint::black_box(f.a.as_slice().len());
@@ -320,7 +371,12 @@ fn bench_caqr_cpu(
                 gflops: flops / best[side] / 1e9,
                 arena_hits: hits[side],
                 arena_misses: misses[side],
-                minor_faults: Some(faults[side].map(|f| f as f64 / reps as f64)),
+                host: Some(HostRow {
+                    tile_rows: plain.tile_rows,
+                    panel_width: plain.panel_width,
+                    profile: source.to_string(),
+                    minor_faults: faults[side].map(|f| f as f64 / reps as f64),
+                }),
             });
         }
     }
@@ -340,6 +396,25 @@ fn main() {
         .and_then(|i| args.get(i + 1))
         .map(|v| v.parse().expect("--check-gemm expects a number"));
     let check_overhead = args.iter().any(|a| a == "--check-overhead");
+    let profile: Option<Profile> = args.iter().position(|a| a == "--profile").map(|i| {
+        let path = args.get(i + 1).expect("--profile expects a path");
+        match MeasuredProfile::load(std::path::Path::new(path)) {
+            Some(p) => (p, path.clone()),
+            None => {
+                eprintln!(
+                    "FAIL: profile {path} is missing, malformed, or stale for this \
+                     backend and kernel generation; re-run the autotune bin"
+                );
+                std::process::exit(1);
+            }
+        }
+    });
+    eprintln!(
+        "caqr_cpu rows blocked by: {}",
+        profile
+            .as_ref()
+            .map_or("for_width (no --profile)", |(_, path)| path)
+    );
     let reps = if quick { 2 } else { 5 };
     let mut entries = Vec::new();
     let mut overheads = Vec::new();
@@ -365,6 +440,7 @@ fn main() {
             &mut overheads,
             reps.max(8),
             &[(4096, 16), (8192, 64)],
+            profile.as_ref(),
         );
     } else {
         bench_gemm(
@@ -381,6 +457,7 @@ fn main() {
             &mut overheads,
             reps,
             &[(65536, 16), (131072, 8), (16384, 64), (131072, 32)],
+            profile.as_ref(),
         );
     }
 
@@ -392,8 +469,17 @@ fn main() {
         "GFLOP/s",
         "arena hit/miss",
         "minor faults",
+        "blocking",
     ]);
     for e in &entries {
+        let (faults, blocking) = match &e.host {
+            Some(h) => (
+                h.minor_faults
+                    .map_or("n/a".to_string(), |f| format!("{f:.0}")),
+                format!("{}x{} {}", h.tile_rows, h.panel_width, h.profile),
+            ),
+            None => ("-".to_string(), "-".to_string()),
+        };
         table.row(vec![
             e.kernel.to_string(),
             e.shape.clone(),
@@ -401,11 +487,8 @@ fn main() {
             format!("{:.6}", e.seconds),
             format!("{:.2}", e.gflops),
             format!("{}/{}", e.arena_hits, e.arena_misses),
-            match e.minor_faults {
-                Some(Some(f)) => format!("{f:.0}"),
-                Some(None) => "n/a".to_string(),
-                None => "-".to_string(),
-            },
+            faults,
+            blocking,
         ]);
     }
     print!("{}", table.render());
@@ -420,9 +503,15 @@ fn main() {
     json.push_str(&format!("  \"detected_backend\": \"{}\",\n", active_name()));
     json.push_str("  \"results\": [\n");
     for (i, e) in entries.iter().enumerate() {
-        let faults = match e.minor_faults {
-            Some(Some(f)) => format!(", \"minor_faults\": {f:.1}"),
-            Some(None) => ", \"minor_faults\": null".to_string(),
+        let host = match &e.host {
+            Some(h) => format!(
+                ", \"tile_rows\": {}, \"panel_width\": {}, \"profile\": {:?}, \"minor_faults\": {}",
+                h.tile_rows,
+                h.panel_width,
+                h.profile,
+                h.minor_faults
+                    .map_or("null".to_string(), |f| format!("{f:.1}"))
+            ),
             None => String::new(),
         };
         json.push_str(&format!(
@@ -434,7 +523,7 @@ fn main() {
             e.gflops,
             e.arena_hits,
             e.arena_misses,
-            faults,
+            host,
             if i + 1 < entries.len() { "," } else { "" }
         ));
     }

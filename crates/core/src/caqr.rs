@@ -33,23 +33,16 @@ pub struct CaqrOptions {
     pub strategy: ReductionStrategy,
     /// Reduction-tree shape (the GPU default is the `h/w`-ary device tree).
     pub tree: TreeShape,
-    /// Scan the input for NaN/inf with a charged `health_check` launch
-    /// before factoring (on by default — "garbage in" becomes a typed
-    /// [`CaqrError::NonFinite`] instead of silent NaN propagation). The
-    /// launch is counted in [`Factorization::launches`] and charged
-    /// identically by [`crate::model::model_caqr_seconds`].
-    pub check_finite: bool,
 }
 
 impl Default for CaqrOptions {
     /// The paper's shipping configuration: 128 x 16 blocks, register-file
-    /// serial reductions with pre-transposed panels, input health check on.
+    /// serial reductions with pre-transposed panels.
     fn default() -> Self {
         CaqrOptions {
             bs: BlockSize::c2050_best(),
             strategy: ReductionStrategy::RegisterSerialTransposed,
             tree: TreeShape::DeviceArity,
-            check_finite: true,
         }
     }
 }
@@ -61,7 +54,7 @@ impl CaqrOptions {
             bs: self.bs,
             strategy: self.strategy,
             tree: self.tree,
-            check_finite: self.check_finite,
+            check_finite: true,
             verify_checksums: false,
             health_context: "caqr input",
         }
@@ -70,6 +63,12 @@ impl CaqrOptions {
 
 /// Factor `a` with CAQR on the simulated GPU. Supports any shape (wide
 /// matrices factor the leading `min(m, n)` panels and update the rest).
+///
+/// The input is always scanned for NaN/inf first, by a charged
+/// `health_check` launch: "garbage in" becomes a typed
+/// [`CaqrError::NonFinite`] instead of silent NaN propagation. The launch
+/// is counted in [`Factorization::launches`] and charged identically by
+/// [`crate::model::model_caqr_seconds`].
 ///
 /// A thin shim over the generic [`crate::backend::drive`] loop on a
 /// synchronous [`SimBackend`] (DESIGN.md §13) — the Figure-4 pseudocode
@@ -116,7 +115,6 @@ mod tests {
             bs: BlockSize { h: 32, w: 8 },
             strategy: ReductionStrategy::RegisterSerialTransposed,
             tree: TreeShape::DeviceArity,
-            check_finite: true,
         }
     }
 

@@ -63,8 +63,6 @@ pub struct DistOptions {
     pub tile_rows: usize,
     /// Reduction-tree shape shared by the local and cross-device levels.
     pub tree: TreeShape,
-    /// Microkernel tuning strategy (cost model only; the math is identical).
-    pub strategy: ReductionStrategy,
     /// Verify the panel's ABFT column-norm checksums after factoring
     /// (detection tier of the recovery ladder; see [`crate::health`]).
     pub verify_checksums: bool,
@@ -72,16 +70,19 @@ pub struct DistOptions {
 
 impl Default for DistOptions {
     /// The paper's shipping block geometry (128-row tiles, device-arity
-    /// tree, strategy 4) with checksum verification off.
+    /// tree) with checksum verification off.
     fn default() -> Self {
         DistOptions {
             tile_rows: 128,
             tree: TreeShape::DeviceArity,
-            strategy: ReductionStrategy::RegisterSerialTransposed,
             verify_checksums: false,
         }
     }
 }
+
+/// The microkernel strategy every device runs: the paper's shipping
+/// strategy 4. It moves modelled cost only; the math is identical.
+const STRATEGY: ReductionStrategy = ReductionStrategy::RegisterSerialTransposed;
 
 /// What the cluster did during a [`distributed_tsqr`] run, reported beside
 /// its [`Factorization`]: the recovery counters, the final tile → device
@@ -153,7 +154,7 @@ impl<'c, T: Scalar> Driver<'c, T> {
                 tiles: &subset,
                 col0: 0,
                 width: self.width,
-                strategy: self.opts.strategy,
+                strategy: STRATEGY,
                 spec: gpu.spec(),
                 wy: &slots,
                 v: &tsqr::v_blocks(&mut self.v, 0, self.width, &subset),
@@ -205,7 +206,7 @@ impl<'c, T: Scalar> Driver<'c, T> {
                 groups: &groups,
                 col0: 0,
                 width: self.width,
-                strategy: self.opts.strategy,
+                strategy: STRATEGY,
                 spec: gpu.spec(),
                 out: &slots,
             };
@@ -539,7 +540,7 @@ impl<'c, T: Scalar> CaqrBackend<T> for ClusterBackend<'c, T> {
                 h: drv.opts.tile_rows,
                 w: drv.width,
             },
-            strategy: drv.opts.strategy,
+            strategy: STRATEGY,
         })
     }
 
@@ -618,7 +619,7 @@ pub fn distributed_tsqr<T: Scalar>(
     let backend = ClusterBackend::new(cluster, &a, opts)?;
     let cfg = DriveConfig {
         bs,
-        strategy: opts.strategy,
+        strategy: STRATEGY,
         tree: opts.tree,
         check_finite: true,
         verify_checksums: opts.verify_checksums,

@@ -83,10 +83,9 @@ pub use multicore::{caqr_cpu, CpuCaqr, CpuCaqrOptions};
 pub use recovery::{caqr_resilient, RecoveryOptions, RecoveryPolicy, RecoveryReport};
 pub use schedule::{caqr_dag, model_caqr_dag_seconds, ScheduleOptions};
 pub use service::{
-    factor_many, factor_many_resilient, factor_many_with_stats, service_retryable, BatchStats,
-    JobOutcome, JobSpec, PlannedFault, Priority, ResilienceConfig, RetryBudget, Service,
-    ServiceConfig, ServiceError, ServiceFaultPlan, ServiceLedger, ShedPolicy, SubmitError,
-    TenantCounters, TenantQuota, Ticket,
+    factor_many, service_retryable, BatchStats, JobOutcome, JobSpec, PlannedFault, Priority,
+    ResilienceConfig, RetryBudget, Service, ServiceConfig, ServiceError, ServiceFaultPlan,
+    ServiceLedger, ShedPolicy, SubmitError, TenantCounters, TenantQuota, Ticket,
 };
 pub use tsqr::{tsqr, PanelFactor, TreeNode};
 pub use tuning::{autotune_measured, MeasuredPoint, MeasuredProfile};

@@ -302,7 +302,6 @@ mod tests {
             bs,
             strategy: ReductionStrategy::RegisterSerialTransposed,
             tree: TreeShape::DeviceArity,
-            check_finite: true,
         };
         let g1 = Gpu::new(DeviceSpec::c2050());
         let a = generate::uniform::<f32>(m, n, 42);

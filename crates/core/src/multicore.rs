@@ -69,7 +69,8 @@ impl CpuCaqrOptions {
     /// Choose the tile height from a measured autotuning profile (see
     /// [`crate::tuning::autotune_measured`]), falling back to the
     /// [`Self::for_width`] heuristic when the profile has no candidate of
-    /// this width.
+    /// this width. The caller loads the profile from a path it names
+    /// ([`crate::tuning::MeasuredProfile::load`]); no file is read here.
     pub fn from_measured(profile: &crate::tuning::MeasuredProfile, width: usize) -> Self {
         match profile.best_for_width(width.clamp(1, 32)) {
             Some(p) => CpuCaqrOptions {
@@ -78,22 +79,6 @@ impl CpuCaqrOptions {
                 tree: TreeShape::DeviceArity,
                 verify_checksums: false,
             },
-            None => Self::for_width(width),
-        }
-    }
-
-    /// Like [`Self::for_width`] but consults the persisted measured profile
-    /// at [`crate::tuning::MeasuredProfile::default_path`] first. Absent or
-    /// malformed profiles fall back to the static heuristic, so this is
-    /// always safe to call. The profile is read through the process-wide
-    /// [`crate::tuning::MeasuredProfile::load_cached`] cache, so per-job
-    /// lookups under mixed-shape service traffic cost a map probe, not a
-    /// file parse.
-    pub fn tuned_for_width(width: usize) -> Self {
-        match crate::tuning::MeasuredProfile::load_cached(
-            &crate::tuning::MeasuredProfile::default_path(),
-        ) {
-            Some(p) => Self::from_measured(&p, width),
             None => Self::for_width(width),
         }
     }
@@ -466,7 +451,6 @@ mod tests {
                 bs: BlockSize { h: 64, w: 16 },
                 strategy: crate::ReductionStrategy::RegisterSerialTransposed,
                 tree: TreeShape::DeviceArity,
-                check_finite: true,
             },
         )
         .unwrap();

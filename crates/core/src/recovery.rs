@@ -221,7 +221,6 @@ mod tests {
                 bs: BlockSize { h: 32, w: 8 },
                 strategy: ReductionStrategy::RegisterSerialTransposed,
                 tree: TreeShape::DeviceArity,
-                check_finite: true,
             },
             streams: 3,
             policy: RecoveryPolicy::default(),

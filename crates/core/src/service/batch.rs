@@ -1,6 +1,6 @@
-//! The shape-fused batch engine: [`factor_many`] (the plain fast path)
-//! and [`factor_many_resilient`] (ABFT verification and fault isolation),
-//! one body for both. Same-shape jobs form a group that runs as one
+//! The shape-fused batch engine, [`factor_many`]: the plain fast path,
+//! ABFT verification and fault isolation in one body. Same-shape jobs
+//! form a group that runs as one
 //! [`Mode::Sync`](crate::backend::Mode::Sync) run of the generic driver
 //! over all its members ([`drive_group`]) on [`CpuBackend`], whose group
 //! methods pack every member's tasks into one parallel region per
@@ -97,8 +97,10 @@ pub fn logical_launches<T: Scalar>(f: &Factorization<T>) -> usize {
 }
 
 /// Factor many independent matrices, fusing same-shape jobs into packed
-/// lockstep launches. Returns one result per job, in input order, each
-/// **bit-identical** to `caqr_cpu(a, opts)` on the same input.
+/// lockstep launches: the batch engine behind the service (DESIGN.md
+/// §14–15). Returns one result per job, in input order, each
+/// **bit-identical** to `caqr_cpu(a, opts)` on the same input, and the
+/// fusion accounting the service ledger records.
 ///
 /// Jobs are grouped by shape class (shape, block size, tree arity, and
 /// whether they ask for checksums); each group runs the synchronous driver
@@ -112,27 +114,11 @@ pub fn logical_launches<T: Scalar>(f: &Factorization<T>) -> usize {
 /// Fusion preserves bit-identity because every packed task reads and
 /// writes only its own job's matrix and the schedule per job is unchanged
 /// — see the conformance proptest in `tests/service_batching.rs`.
-pub fn factor_many<T: Scalar>(
-    jobs: Vec<(Matrix<T>, CpuCaqrOptions)>,
-) -> Vec<Result<Factorization<T>, CaqrError>> {
-    factor_many_with_stats(jobs).0
-}
-
-/// [`factor_many`] plus the fusion accounting the service ledger records:
-/// [`factor_many_resilient`] with no faults and no verification.
-pub fn factor_many_with_stats<T: Scalar>(
-    jobs: Vec<(Matrix<T>, CpuCaqrOptions)>,
-) -> (Vec<Result<Factorization<T>, CaqrError>>, BatchStats) {
-    factor_many_resilient(jobs, &[], false)
-}
-
-/// [`factor_many`] with fault isolation: the resilient batch engine behind
-/// the service's chaos gate (DESIGN.md §15).
 ///
 /// `faults[idx]` optionally schedules one injected fault against job
-/// `idx` (missing / short slices mean "no fault"). `verify` turns on the
-/// ABFT checksums for every group; a group carrying a planned fault
-/// verifies anyway, so an SDC is caught.
+/// `idx` (missing / short slices mean "no fault"; pass `&[]` for none).
+/// `verify` turns on the ABFT checksums for every group; a group carrying
+/// a planned fault verifies anyway, so an SDC is caught.
 ///
 /// Every job, fused or alone in its group, follows one rule: a member
 /// whose fault fires (or whose task panics) is **carved** out with a typed
@@ -142,9 +128,8 @@ pub fn factor_many_with_stats<T: Scalar>(
 /// [`CaqrError::Panicked`] for a host panic — while every rider completes
 /// **bit-identical** to its standalone run. Nothing is replayed here: the
 /// caller (the service's retry rounds) re-runs carved jobs from their
-/// input. With no faults and `verify == false` this is
-/// [`factor_many_with_stats`].
-pub fn factor_many_resilient<T: Scalar>(
+/// input.
+pub fn factor_many<T: Scalar>(
     jobs: Vec<(Matrix<T>, CpuCaqrOptions)>,
     faults: &[Option<PlannedFault>],
     verify: bool,
@@ -158,7 +143,7 @@ pub fn factor_many_resilient<T: Scalar>(
 /// `None` if it ran alone. The service's ledger charges jobs by it.
 pub(crate) type Ran<T> = (Result<Factorization<T>, CaqrError>, Option<usize>);
 
-/// [`factor_many_resilient`] reporting, per job, how the engine ran it.
+/// [`factor_many`] reporting, per job, how the engine ran it.
 pub(crate) fn factor_many_reported<T: Scalar>(
     jobs: Vec<(Matrix<T>, CpuCaqrOptions)>,
     faults: &[Option<PlannedFault>],
@@ -268,7 +253,7 @@ mod tests {
         let jobs: Vec<(Matrix<f64>, CpuCaqrOptions)> = (0..6)
             .map(|s| (dense::generate::uniform(400, 16, 100 + s), opts(64, 16)))
             .collect();
-        let (results, stats) = factor_many_with_stats(jobs);
+        let (results, stats) = factor_many(jobs, &[], false);
         assert!(results.iter().all(|r| r.is_ok()));
         assert_eq!(stats.fused_jobs, 6);
         // 6 jobs' logical chains were packed into one group's regions (plus
@@ -286,11 +271,12 @@ mod tests {
         let mut bad = dense::generate::uniform::<f64>(300, 16, 7);
         bad[(17, 3)] = f64::NAN;
         let good = dense::generate::uniform::<f64>(300, 16, 8);
-        let (results, _) = factor_many_with_stats(vec![
+        let jobs = vec![
             (good.clone(), opts(48, 16)),
             (bad.clone(), opts(48, 16)),
             (dense::generate::uniform::<f64>(300, 16, 9), opts(48, 16)),
-        ]);
+        ];
+        let (results, _) = factor_many(jobs, &[], false);
         let want_err = match caqr_cpu(bad, opts(48, 16)) {
             Err(e) => e,
             Ok(_) => panic!("NaN input must fail standalone"),
@@ -309,7 +295,7 @@ mod tests {
         let a = dense::generate::uniform::<f64>(256, 8, 11);
         let mut o = opts(32, 8);
         o.verify_checksums = true;
-        let (results, stats) = factor_many_with_stats(vec![(a.clone(), o), (a.clone(), o)]);
+        let (results, stats) = factor_many(vec![(a.clone(), o), (a.clone(), o)], &[], false);
         assert_eq!(stats.fused_jobs, 2);
         assert_eq!(stats.solo_jobs, 0);
         let want = caqr_cpu(a, o).unwrap();
@@ -337,8 +323,7 @@ mod tests {
             };
             for fault in [None, Some(sdc)] {
                 for verify in [false, true] {
-                    let (results, stats) =
-                        factor_many_resilient(vec![(a.clone(), o)], &[fault], verify);
+                    let (results, stats) = factor_many(vec![(a.clone(), o)], &[fault], verify);
                     let case = format!("{o:?} fault {fault:?} verify {verify}");
                     assert_eq!(results[0].as_ref().err(), Some(&want), "{case}");
                     assert_eq!(stats.solo_jobs, 1, "{case}");
@@ -392,8 +377,8 @@ mod tests {
         let jobs: Vec<(Matrix<f64>, CpuCaqrOptions)> = (0..2)
             .map(|s| (dense::generate::uniform(24, 8, 300 + s), opts(8, 4)))
             .collect();
-        let (results, stats) =
-            factor_many_with_stats(jobs.iter().map(|(a, o)| (a.clone(), *o)).collect());
+        let inputs = jobs.iter().map(|(a, o)| (a.clone(), *o)).collect();
+        let (results, stats) = factor_many(inputs, &[], false);
         assert_eq!(stats.fused_groups, 1);
         for ((a, o), got) in jobs.into_iter().zip(results) {
             assert_eq!(got.unwrap().a, caqr_cpu(a, o).unwrap().a);
@@ -412,7 +397,7 @@ mod tests {
             ordinal: 0,
             payload: 1,
         })];
-        let (results, stats) = factor_many_resilient(
+        let (results, stats) = factor_many(
             jobs.iter().map(|(a, o)| (a.clone(), *o)).collect(),
             &faults,
             false,

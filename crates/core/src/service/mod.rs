@@ -29,7 +29,7 @@
 //! The resilience layer (PR 10) extends all of that to misbehaving
 //! traffic and misbehaving infrastructure:
 //!
-//! * **one recovery path: carve, then re-run** — [`factor_many_resilient`]
+//! * **one recovery path: carve, then re-run** — [`factor_many`]
 //!   threads the ABFT checksums of [`crate::health`] and per-task
 //!   `catch_unwind` isolation through every batch group, a job alone in
 //!   its group included, so a job hit by an injected SDC / hang / launch
@@ -59,9 +59,7 @@ mod ledger;
 mod queue;
 mod resilience;
 
-pub use batch::{
-    factor_many, factor_many_resilient, factor_many_with_stats, logical_launches, BatchStats,
-};
+pub use batch::{factor_many, logical_launches, BatchStats};
 pub use ledger::{ServiceLedger, TenantCounters};
 pub use queue::{JobOutcome, Service, Ticket};
 pub use resilience::{

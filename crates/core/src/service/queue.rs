@@ -574,7 +574,7 @@ impl<T: Scalar> Shared<T> {
 /// let svc = Service::<f64>::start(ServiceConfig::default());
 /// let a = dense::generate::uniform::<f64>(4096, 16, 1);
 /// let ticket = svc
-///     .submit(JobSpec::new(a, CpuCaqrOptions::tuned_for_width(16)).tenant("alice"))
+///     .submit(JobSpec::new(a, CpuCaqrOptions::for_width(16)).tenant("alice"))
 ///     .unwrap_or_else(|_| panic!("service accepting"));
 /// let outcome = ticket.wait().expect("job served");
 /// let f = outcome.result.expect("factorization succeeded");

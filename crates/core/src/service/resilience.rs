@@ -21,7 +21,7 @@ use std::time::Duration;
 
 /// One fault the service plans to inject against one job: drawn from a
 /// [`ServiceFaultPlan`] at dispatch and steered into the batch engine
-/// ([`super::factor_many_resilient`]) by the `payload` bits.
+/// ([`super::factor_many`]) by the `payload` bits.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct PlannedFault {
     /// What goes wrong.
@@ -608,11 +608,8 @@ mod tests {
                         payload,
                     }),
                 ];
-                let (results, _) = super::super::factor_many_resilient(
-                    (0..3).map(|s| (mk(s), o)).collect(),
-                    &faults,
-                    false,
-                );
+                let (results, _) =
+                    super::super::factor_many((0..3).map(|s| (mk(s), o)).collect(), &faults, false);
                 for (j, r) in results.iter().enumerate() {
                     match (j, r) {
                         (1, Err(CaqrError::Fault { kernel, .. })) => assert_eq!(kernel, stage),

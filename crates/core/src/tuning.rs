@@ -53,49 +53,6 @@ pub fn autotune(spec: &DeviceSpec, strategy: ReductionStrategy) -> TunedPoint {
         .expect("figure7_surface always emits the fixed candidate grid")
 }
 
-/// One scored stream-count candidate for the DAG schedule.
-#[derive(Clone, Copy, Debug)]
-pub struct TunedStreams {
-    /// Stream count.
-    pub streams: usize,
-    /// Lookahead on/off.
-    pub lookahead: bool,
-    /// Modelled seconds for the whole factorization.
-    pub seconds: f64,
-}
-
-/// Sweep the stream count (and lookahead) of the DAG schedule for an
-/// `m x n` factorization and return every candidate, best first — the
-/// streams analogue of [`figure7_surface`]. Candidates that fail to
-/// schedule are skipped.
-pub fn tune_streams(
-    spec: &DeviceSpec,
-    m: usize,
-    n: usize,
-    opts: crate::CaqrOptions,
-) -> Vec<TunedStreams> {
-    let mut out = Vec::new();
-    for &streams in &[1usize, 2, 4, 8] {
-        for &lookahead in &[false, true] {
-            let gpu = gpu_sim::Gpu::new(spec.clone());
-            let so = crate::ScheduleOptions {
-                caqr: opts,
-                streams,
-                lookahead,
-            };
-            if let Ok(seconds) = crate::schedule::model_caqr_dag_seconds(&gpu, m, n, so) {
-                out.push(TunedStreams {
-                    streams,
-                    lookahead,
-                    seconds,
-                });
-            }
-        }
-    }
-    out.sort_by(|a, b| a.seconds.total_cmp(&b.seconds));
-    out
-}
-
 /// One wall-clock-measured block-size candidate of the host factor path.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct MeasuredPoint {
@@ -115,7 +72,9 @@ pub struct MeasuredPoint {
 /// best"). Profiles persist as a small hand-rolled JSON file (no external
 /// dependencies) so one calibration run serves every later process; see
 /// [`MeasuredProfile::save`] / [`MeasuredProfile::load`] and
-/// [`crate::CpuCaqrOptions::tuned_for_width`] for the consuming side.
+/// [`crate::CpuCaqrOptions::from_measured`] for the consuming side. The
+/// library opens only the path its caller names: a process uses a
+/// profile only when it asks for one.
 #[derive(Clone, Debug, PartialEq)]
 pub struct MeasuredProfile {
     /// Calibration matrix height.
@@ -135,11 +94,6 @@ pub struct MeasuredProfile {
 }
 
 impl MeasuredProfile {
-    /// Default on-disk location of the persisted profile.
-    pub fn default_path() -> std::path::PathBuf {
-        std::path::PathBuf::from("target/caqr_tuned.json")
-    }
-
     /// The fastest measured candidate overall.
     pub fn best(&self) -> Option<MeasuredPoint> {
         self.points
@@ -175,8 +129,7 @@ impl MeasuredProfile {
     }
 
     /// Parse a profile produced by [`Self::to_json`]. Returns `None` on any
-    /// malformed input (a corrupt profile falls back to the heuristics, it
-    /// never aborts the caller).
+    /// malformed input; it never panics.
     pub fn from_json(text: &str) -> Option<Self> {
         fn field_usize(obj: &str, key: &str) -> Option<usize> {
             field_raw(obj, key)?.parse().ok()
@@ -231,26 +184,23 @@ impl MeasuredProfile {
         })
     }
 
-    /// Persist to `path` (atomically via a sibling temp file). Drops every
-    /// [`Self::load_cached`] entry so readers in this process observe the
-    /// new calibration immediately.
+    /// Persist to `path` (atomically via a sibling temp file).
     pub fn save(&self, path: &std::path::Path) -> std::io::Result<()> {
         if let Some(dir) = path.parent() {
             std::fs::create_dir_all(dir)?;
         }
         let tmp = path.with_extension("json.tmp");
         std::fs::write(&tmp, self.to_json())?;
-        std::fs::rename(&tmp, path)?;
-        Self::invalidate_cache();
-        Ok(())
+        std::fs::rename(&tmp, path)
     }
 
     /// Load a persisted profile; `None` if the file is absent, malformed,
     /// or **stale** — measured on a different SIMD backend or an older
     /// microkernel generation than this process runs. A stale profile's
-    /// block-size ranking no longer reflects the machine, so callers fall
-    /// back to heuristics (and typically re-run `autotune`) instead of
-    /// trusting it. A profile whose tags match but whose candidate grid is
+    /// block-size ranking no longer reflects the machine, so it is never
+    /// returned; the caller decides whether that is an error (the
+    /// `wallclock_report` bin's `--profile` treats it as one) and re-runs
+    /// `autotune`. A profile whose tags match but whose candidate grid is
     /// empty (e.g. a sweep truncated mid-write) is rejected the same way:
     /// it would make `best()`/`best_for_width()` silently answer `None`
     /// forever while looking like a valid calibration.
@@ -264,47 +214,6 @@ impl MeasuredProfile {
         }
         Some(p)
     }
-
-    /// [`Self::load`] through a process-wide cache keyed by
-    /// `(path, active SIMD backend)`, so mixed-shape service traffic that
-    /// resolves [`crate::CpuCaqrOptions::tuned_for_width`] per job parses
-    /// `target/caqr_tuned.json` once instead of on every admission. The
-    /// *absence* of a profile is cached too (a missing file costs one probe,
-    /// not one per job); [`Self::save`] and [`Self::invalidate_cache`] drop
-    /// the cache. The backend is part of the key because a
-    /// `CAQR_SIMD`-style override can change the active backend — and hence
-    /// `load`'s staleness verdict — between lookups.
-    pub fn load_cached(path: &std::path::Path) -> Option<std::sync::Arc<MeasuredProfile>> {
-        let key = (path.to_path_buf(), dense::simd::active().name());
-        let mut map = profile_cache()
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner());
-        map.entry(key)
-            .or_insert_with(|| Self::load(path).map(std::sync::Arc::new))
-            .clone()
-    }
-
-    /// Forget every cached [`Self::load_cached`] profile (positive and
-    /// negative entries). Called by [`Self::save`]; tests and long-lived
-    /// services that expect an external recalibration may call it directly.
-    pub fn invalidate_cache() {
-        profile_cache()
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner())
-            .clear();
-    }
-}
-
-/// Backing store of [`MeasuredProfile::load_cached`].
-type ProfileCacheMap = std::collections::HashMap<
-    (std::path::PathBuf, &'static str),
-    Option<std::sync::Arc<MeasuredProfile>>,
->;
-
-fn profile_cache() -> &'static std::sync::Mutex<ProfileCacheMap> {
-    static CACHE: std::sync::OnceLock<std::sync::Mutex<ProfileCacheMap>> =
-        std::sync::OnceLock::new();
-    CACHE.get_or_init(|| std::sync::Mutex::new(ProfileCacheMap::new()))
 }
 
 /// Candidate grid of the measured sweep for an `n`-column factorization:
@@ -339,7 +248,7 @@ pub fn measured_grid(spec: &DeviceSpec, n: usize) -> Vec<BlockSize> {
 /// for an `m x n` calibration shape, best-of-`reps` wall-clock per
 /// candidate. Returns the full measured surface; persist the result with
 /// [`MeasuredProfile::save`] and consume it via
-/// [`crate::CpuCaqrOptions::tuned_for_width`].
+/// [`crate::CpuCaqrOptions::from_measured`].
 pub fn autotune_measured(spec: &DeviceSpec, m: usize, n: usize, reps: usize) -> MeasuredProfile {
     let a = dense::generate::uniform::<f64>(m, n, 0x7471);
     let flops = 2.0 * (m * n * n) as f64 - 2.0 / 3.0 * (n * n * n) as f64;
@@ -500,23 +409,6 @@ mod tests {
     }
 
     #[test]
-    fn stream_tuner_prefers_lookahead_on_tall_skinny() {
-        let spec = DeviceSpec::c2050();
-        let ranked = tune_streams(&spec, 100_000, 192, crate::CaqrOptions::default());
-        assert_eq!(ranked.len(), 8);
-        let best = ranked[0];
-        assert!(
-            best.lookahead,
-            "best candidate should use lookahead: {best:?}"
-        );
-        assert!(best.streams > 1, "best candidate should overlap: {best:?}");
-        // Ranked ascending by modelled time.
-        for w in ranked.windows(2) {
-            assert!(w[0].seconds <= w[1].seconds);
-        }
-    }
-
-    #[test]
     fn measured_profile_json_round_trips() {
         let p = MeasuredProfile {
             rows: 65536,
@@ -652,40 +544,6 @@ mod tests {
             fallback.tile_rows,
             crate::CpuCaqrOptions::for_width(5).tile_rows
         );
-    }
-
-    #[test]
-    fn profile_cache_serves_loads_until_invalidated() {
-        let dir = std::env::temp_dir().join(format!("caqr_tuning_cache_{}", std::process::id()));
-        let path = dir.join("cache_probe.json");
-        let _ = std::fs::remove_file(&path);
-        MeasuredProfile::invalidate_cache();
-        // Negative result (missing file) is cached too.
-        assert!(MeasuredProfile::load_cached(&path).is_none());
-        let profile = MeasuredProfile {
-            rows: 256,
-            cols: 8,
-            backend: dense::simd::active().name().to_string(),
-            kernel_version: dense::simd::KERNEL_VERSION,
-            points: vec![MeasuredPoint {
-                bs: BlockSize { h: 64, w: 8 },
-                gflops: 1.5,
-            }],
-        };
-        // `save` drops the cache, so the fresh profile is visible at once.
-        profile.save(&path).unwrap();
-        let first = MeasuredProfile::load_cached(&path).expect("freshly saved profile loads");
-        assert_eq!(*first, profile);
-        // Corrupt the file on disk: the cache must keep serving the parsed
-        // profile (that is the point — no per-job re-read)...
-        std::fs::write(&path, "{ not json").unwrap();
-        let cached = MeasuredProfile::load_cached(&path).expect("cache survives disk changes");
-        assert_eq!(*cached, profile);
-        // ...until explicitly invalidated, after which the corrupt file is
-        // re-read and rejected.
-        MeasuredProfile::invalidate_cache();
-        assert!(MeasuredProfile::load_cached(&path).is_none());
-        let _ = std::fs::remove_file(&path);
     }
 
     #[test]

@@ -146,7 +146,6 @@ fn caqr_reconstructs_with_wy_updates() {
             bs: BlockSize { h: 64, w: 16 },
             strategy: STRAT,
             tree: caqr::TreeShape::DeviceArity,
-            check_finite: true,
         },
     )
     .unwrap();

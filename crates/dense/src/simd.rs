@@ -33,9 +33,10 @@ use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::OnceLock;
 
 /// Version tag of the dispatched kernel set, stored in the autotuner's
-/// `MeasuredProfile` so a `target/caqr_tuned.json` measured against an older
-/// kernel generation is invalidated and re-measured. Bump whenever kernel
-/// selection or blocking behaviour changes in a way that shifts the optimum.
+/// `MeasuredProfile`: `MeasuredProfile::load` rejects a profile measured
+/// against an older kernel generation, so it must be re-measured. Bump
+/// whenever kernel selection or blocking behaviour changes in a way that
+/// shifts the optimum.
 /// Version 1 was the scalar era; version 2 is the runtime-SIMD dispatch;
 /// version 3 moves the factor sweep's tail store after the row loads
 /// (1.4-1.8x faster sweep, which can move the winning tile height).

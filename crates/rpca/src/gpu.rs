@@ -160,7 +160,6 @@ mod tests {
             bs: caqr::BlockSize { h: 32, w: 8 },
             strategy: caqr::ReductionStrategy::RegisterSerialTransposed,
             tree: caqr::TreeShape::DeviceArity,
-            check_finite: true,
         }
     }
 

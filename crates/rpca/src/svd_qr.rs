@@ -153,7 +153,6 @@ mod tests {
                 bs: caqr::BlockSize { h: 32, w: 8 },
                 strategy: caqr::ReductionStrategy::RegisterSerialTransposed,
                 tree: caqr::block::TreeShape::DeviceArity,
-                check_finite: true,
             },
         };
         let a = generate::uniform::<f64>(200, 12, 4);

@@ -14,7 +14,6 @@ fn small_opts() -> CaqrOptions {
         bs: BlockSize { h: 32, w: 8 },
         strategy: ReductionStrategy::RegisterSerialTransposed,
         tree: caqr::block::TreeShape::DeviceArity,
-        check_finite: true,
     }
 }
 
@@ -118,19 +117,47 @@ fn nan_input_is_rejected_not_propagated() {
 }
 
 #[test]
-fn disabling_the_health_check_skips_its_launch() {
+fn every_simulator_entry_point_scans_its_input() {
+    // No option turns the input health check off: each entry point charges
+    // exactly one `health_check` launch on a clean input and rejects a NaN
+    // with the typed error.
     let a = dense::generate::uniform::<f64>(256, 16, 2);
-    let count = |check_finite: bool| {
-        let gpu = Gpu::new(DeviceSpec::c2050());
-        let o = CaqrOptions {
-            check_finite,
-            ..small_opts()
-        };
-        let f = caqr::caqr::caqr(&gpu, a.clone(), o).unwrap();
-        assert_eq!(f.launches as u64, gpu.ledger().calls);
-        gpu.ledger().calls
+    let mut bad = a.clone();
+    bad[(90, 2)] = f64::NAN;
+    let sched = caqr::ScheduleOptions {
+        caqr: small_opts(),
+        streams: 2,
+        lookahead: true,
     };
-    assert_eq!(count(true), count(false) + 1);
+    let rec = caqr::RecoveryOptions {
+        caqr: small_opts(),
+        ..caqr::RecoveryOptions::default()
+    };
+    type Run<'a> = Box<dyn Fn(&Gpu, Matrix<f64>) -> Result<(), CaqrError> + 'a>;
+    let runs: [(&str, Run); 3] = [
+        (
+            "caqr",
+            Box::new(|g, a| caqr::caqr::caqr(g, a, small_opts()).map(drop)),
+        ),
+        (
+            "caqr_dag",
+            Box::new(|g, a| caqr::caqr_dag(g, a, sched).map(drop)),
+        ),
+        (
+            "caqr_resilient",
+            Box::new(|g, a| caqr::caqr_resilient(g, a, rec).map(drop)),
+        ),
+    ];
+    for (name, run) in &runs {
+        let gpu = Gpu::new(DeviceSpec::c2050());
+        run(&gpu, a.clone()).unwrap();
+        assert_eq!(gpu.ledger().per_op["health_check"].calls, 1, "{name}");
+        let gpu = Gpu::new(DeviceSpec::c2050());
+        assert!(
+            matches!(run(&gpu, bad.clone()), Err(CaqrError::NonFinite { .. })),
+            "{name} accepted a NaN matrix"
+        );
+    }
 }
 
 /// The three boundary checks of the one `Q`-apply surface, on `backend`.
@@ -290,7 +317,6 @@ fn default_options_are_the_papers_configuration() {
     assert!(o.strategy.needs_pretranspose());
     assert_eq!(o.tree, caqr::TreeShape::DeviceArity);
     assert_eq!(o.bs.threads(), 64);
-    assert!(o.check_finite, "the input health check defaults on");
 }
 
 #[test]

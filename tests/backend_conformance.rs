@@ -10,6 +10,7 @@
 //! points separately); the fault/failover paths keep their own suites in
 //! `fault_injection.rs` and `distributed_caqr.rs`.
 
+use caqr::backend::{drive, DriveConfig, Mode};
 use caqr::multicore::{caqr_cpu, CpuCaqrOptions};
 use caqr::schedule::{caqr_dag, ScheduleOptions};
 use caqr::tsqr::PanelFactor;
@@ -82,7 +83,6 @@ fn caqr_opts(h: usize, w: usize, strategy: ReductionStrategy) -> CaqrOptions {
         bs: BlockSize { h, w },
         strategy,
         tree: TreeShape::DeviceArity,
-        check_finite: true,
     }
 }
 
@@ -204,7 +204,6 @@ proptest! {
         let opts = DistOptions {
             tile_rows: 128,
             tree,
-            strategy: ReductionStrategy::RegisterSerialTransposed,
             verify_checksums: false,
         };
         let (f, rep) = distributed_tsqr(&c, a, opts).unwrap();
@@ -235,14 +234,52 @@ fn every_strategy_matches_the_host_reference_bitwise() {
 }
 
 /// Checksum verification is observation-only: a sync run with the ABFT
-/// detectors on is bit-identical to one with them off, on both the host
-/// and simulator backends.
+/// detectors on is bit-identical to one with them off, on the host, the
+/// synchronous simulator and the cluster backends.
 #[test]
 fn verification_does_not_perturb_any_backend() {
     let a = dense::generate::uniform::<f64>(256, 16, 13);
     let plain = caqr_cpu(a.clone(), cpu_opts(32, 8)).unwrap();
     let mut verified_opts = cpu_opts(32, 8);
     verified_opts.verify_checksums = true;
-    let verified = caqr_cpu(a, verified_opts).unwrap();
+    let verified = caqr_cpu(a.clone(), verified_opts).unwrap();
     assert_eq!(fingerprint(&plain), fingerprint(&verified));
+
+    // The simulator's synchronous backend through the generic driver.
+    let sim = |verify_checksums: bool| {
+        let gpu = Gpu::new(DeviceSpec::c2050());
+        let cfg = DriveConfig {
+            bs: BlockSize { h: 32, w: 8 },
+            strategy: ReductionStrategy::RegisterSerialTransposed,
+            tree: TreeShape::DeviceArity,
+            check_finite: true,
+            verify_checksums,
+            health_context: "conformance input",
+        };
+        drive(&SimBackend::sync(&gpu), a.clone(), &cfg, Mode::Sync).unwrap()
+    };
+    assert_eq!(fingerprint(&sim(false)), fingerprint(&sim(true)));
+
+    // The cluster: one full-width panel over 4 devices, every column's
+    // norm checked once.
+    let (m, n) = (1024, 16);
+    let tall = dense::generate::uniform::<f64>(m, n, 17);
+    let dist = |verify_checksums: bool| {
+        let c = Cluster::new(
+            4,
+            DeviceSpec::c2050(),
+            LinkSpec::infiniband_qdr(),
+            Topology::BinomialTree,
+        );
+        let opts = DistOptions {
+            tile_rows: 64,
+            verify_checksums,
+            ..DistOptions::default()
+        };
+        distributed_tsqr(&c, tall.clone(), opts).unwrap()
+    };
+    let (plain, _) = dist(false);
+    let (verified, report) = dist(true);
+    assert_eq!(fingerprint(&plain), fingerprint(&verified));
+    assert_eq!(report.recovery.checksum_checks, n as u64);
 }

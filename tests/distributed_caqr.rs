@@ -5,7 +5,7 @@
 
 use caqr::distributed::{distributed_tsqr, DistOptions};
 use caqr::multicore::{caqr_cpu, CpuCaqrOptions};
-use caqr::{CaqrError, ReductionStrategy, TreeShape};
+use caqr::{CaqrError, TreeShape};
 use dense::matrix::Matrix;
 use gpu_sim::{Cluster, DeviceSpec, FaultPlan, LinkSpec, Topology};
 
@@ -22,7 +22,6 @@ fn dist_opts(tree: TreeShape) -> DistOptions {
     DistOptions {
         tile_rows: TILE,
         tree,
-        strategy: ReductionStrategy::RegisterSerialTransposed,
         verify_checksums: false,
     }
 }

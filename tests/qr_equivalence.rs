@@ -13,7 +13,6 @@ fn opts(h: usize, w: usize) -> CaqrOptions {
         bs: BlockSize { h, w },
         strategy: ReductionStrategy::RegisterSerialTransposed,
         tree: caqr::block::TreeShape::DeviceArity,
-        check_finite: true,
     }
 }
 

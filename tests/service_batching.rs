@@ -9,10 +9,7 @@
 //! global row).
 
 use caqr::multicore::{caqr_cpu, CpuCaqrOptions};
-use caqr::{
-    factor_many_resilient, factor_many_with_stats, JobSpec, Priority, Service, ServiceConfig,
-    TreeShape,
-};
+use caqr::{factor_many, JobSpec, Priority, Service, ServiceConfig, TreeShape};
 use dense::matrix::Matrix;
 use proptest::prelude::*;
 
@@ -73,8 +70,8 @@ proptest! {
             .iter()
             .map(|(a, o)| caqr_cpu(a.clone(), *o).expect("sequential run factors"))
             .collect();
-        let (batched, stats) = factor_many_with_stats(jobs.clone());
-        let (verified, verified_stats) = factor_many_resilient(jobs, &[], true);
+        let (batched, stats) = factor_many(jobs.clone(), &[], false);
+        let (verified, verified_stats) = factor_many(jobs, &[], true);
         // Verification changes nothing a fault-free batch reports.
         prop_assert_eq!(verified_stats, stats);
         for ((want, b), v) in solo.iter().zip(batched).zip(verified) {

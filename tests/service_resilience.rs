@@ -12,7 +12,7 @@
 use caqr::multicore::{caqr_cpu, CpuCaqrOptions};
 use caqr::CaqrError;
 use caqr::{
-    factor_many_resilient, JobSpec, PlannedFault, Priority, ResilienceConfig, RetryBudget, Service,
+    factor_many, JobSpec, PlannedFault, Priority, ResilienceConfig, RetryBudget, Service,
     ServiceConfig, ServiceError, ServiceFaultPlan, TreeShape,
 };
 use dense::matrix::Matrix;
@@ -72,9 +72,9 @@ fn carved_members_get_typed_errors_and_riders_stay_bitwise() {
                 ordinal: victim as u64,
                 payload: (victim as u64) << 16 | (victim as u64 & 1),
             });
-            let (results, stats) = factor_many_resilient(jobs, &faults, false);
+            let (results, stats) = factor_many(jobs, &faults, false);
             assert_eq!(stats.fused_groups, 1);
-            let (alone, _) = factor_many_resilient(vec![(mk(victim), o)], &faults[victim..], false);
+            let (alone, _) = factor_many(vec![(mk(victim), o)], &faults[victim..], false);
             for r in [&results[victim], &alone[0]] {
                 let typed = matches!(
                     (kind, r),
@@ -117,7 +117,7 @@ fn a_singleton_fault_recovers_in_one_retry_round() {
     ] {
         let plan = ServiceFaultPlan::new(plan);
         let fault = plan.draw(0, 0).expect("seq 0 faults on its batch attempt");
-        let (results, stats) = factor_many_resilient(vec![(a.clone(), o)], &[Some(fault)], false);
+        let (results, stats) = factor_many(vec![(a.clone(), o)], &[Some(fault)], false);
         let carved = results[0].as_ref().err();
         assert!(
             matches!(

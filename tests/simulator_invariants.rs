@@ -9,7 +9,6 @@ fn opts(h: usize, w: usize) -> CaqrOptions {
         bs: BlockSize { h, w },
         strategy: ReductionStrategy::RegisterSerialTransposed,
         tree: caqr::block::TreeShape::DeviceArity,
-        check_finite: true,
     }
 }
 
@@ -120,7 +119,6 @@ fn shared_serial_strategy_rejects_blocks_that_overflow_smem() {
             bs: BlockSize { h: 512, w: 64 },
             strategy: ReductionStrategy::SharedSerial,
             tree: caqr::block::TreeShape::DeviceArity,
-            check_finite: true,
         },
     );
     assert!(

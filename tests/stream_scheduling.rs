@@ -13,7 +13,6 @@ fn opts(h: usize, w: usize, streams: usize, lookahead: bool) -> ScheduleOptions 
             bs: BlockSize { h, w },
             strategy: ReductionStrategy::RegisterSerialTransposed,
             tree: caqr::block::TreeShape::DeviceArity,
-            check_finite: true,
         },
         streams,
         lookahead,

@@ -101,7 +101,6 @@ fn small_blocks_with_huge_aspect_ratio_execute_correctly() {
         bs: BlockSize { h: 8, w: 4 },
         strategy: ReductionStrategy::RegisterSerialTransposed,
         tree: TreeShape::Binomial,
-        check_finite: true,
     };
     let (q, r) = caqr_qr(&gpu, a.clone(), o).unwrap();
     assert!(reconstruction_error(&a, &q, &r) < 1e-11);
