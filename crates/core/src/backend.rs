@@ -37,12 +37,12 @@
 use crate::block::{BlockSize, TreeShape};
 use crate::error::{checked_elems, CaqrError};
 use crate::health;
-use crate::kernels::PretransposeKernel;
+use crate::kernels::GridLaunch;
 use crate::microkernels::ReductionStrategy;
 use crate::model::{
     model_apply_chain_on, model_factor_chain_on, model_health_on, model_pretranspose_on,
 };
-use crate::multicore::{apply_panels, factor_panels, q_ones_probe_host};
+use crate::multicore::{apply_panels, factor_panels, q_ones_probe};
 use crate::recovery::{is_transient, RecoveryPolicy, RecoveryReport, RegionSnapshot};
 use crate::tsqr::{apply_panel_ptr_on, col_blocks, factor_panel_with_tree_on, PanelFactor};
 use dense::blas2::trsv_upper;
@@ -337,10 +337,10 @@ pub trait CaqrBackend<T: Scalar> {
     fn sync(&self) -> Result<(), CaqrError>;
 
     /// The `‖Q·1‖² = m` orthogonality probe over the panel's packed
-    /// compact-WY factors. Overridable so the host backend can use its
-    /// one-column fast path.
+    /// compact-WY factors, on the host for every backend. Overridable so a
+    /// wrapper can observe it.
     fn q_ones_probe(&self, m: usize, pf: &PanelFactor<T>) -> Vec<T> {
-        health::q_ones_probe(m, pf)
+        q_ones_probe(m, pf)
     }
 
     /// Charge one ABFT checksum pass over `elems` elements (a streamed read
@@ -1146,10 +1146,6 @@ impl<T: Scalar> CaqrBackend<T> for CpuBackend {
     fn sync(&self) -> Result<(), CaqrError> {
         Ok(())
     }
-
-    fn q_ones_probe(&self, m: usize, pf: &PanelFactor<T>) -> Vec<T> {
-        q_ones_probe_host(m, pf)
-    }
 }
 
 /// The lone result of a one-member packed launch.
@@ -1279,13 +1275,8 @@ impl<'g, T: Scalar> CaqrBackend<T> for SimBackend<'g> {
     }
 
     fn pretranspose(&self, m: usize, n: usize, bs: BlockSize) -> Result<usize, CaqrError> {
-        let kernel = PretransposeKernel {
-            blocks: m.div_ceil(bs.h) * n.div_ceil(bs.w),
-            tile_rows: bs.h,
-            tile_cols: bs.w,
-            spec: self.gpu.spec(),
-        };
-        self.gpu.launch_on::<T>(self.pre_exec, &kernel)?;
+        let launch = GridLaunch::pretranspose(self.gpu.spec(), m, n, bs, T::BYTES);
+        self.gpu.charge_on(self.pre_exec, &launch)?;
         Ok(1)
     }
 

@@ -18,7 +18,6 @@
 use crate::backend::{drive, DriveConfig, Factorization, Mode, SimBackend};
 use crate::block::{BlockSize, TreeShape};
 use crate::error::CaqrError;
-use crate::kernels::THREADS;
 use crate::microkernels::ReductionStrategy;
 use dense::matrix::Matrix;
 use dense::scalar::Scalar;
@@ -92,11 +91,6 @@ pub fn caqr_qr<T: Scalar>(
     let f = caqr(gpu, a, opts)?;
     let q = f.generate_q_on(&SimBackend::sync(gpu), k)?;
     Ok((q, f.r()))
-}
-
-/// Hint for `THREADS`-related sizing reused by downstream crates.
-pub const fn threads_per_block() -> usize {
-    THREADS
 }
 
 #[cfg(test)]

@@ -41,7 +41,7 @@ use crate::backend::{drive_group, CaqrBackend, DriveConfig, Factorization, Mode}
 use crate::block::{plan_tree, tile_panel, BlockSize, Tile, TreeGroup, TreePlan, TreeShape};
 use crate::error::{checked_bytes, checked_elems, CaqrError};
 use crate::health;
-use crate::kernels::{FactorKernel, FactorTreeKernel};
+use crate::kernels::{FactorKernel, FactorTreeKernel, GridLaunch};
 use crate::microkernels::ReductionStrategy;
 use crate::recovery::RecoveryReport;
 use crate::tsqr::{self, PanelFactor, TreeNode, WyTile};
@@ -49,7 +49,7 @@ use dense::arena::{self, ArenaBuf};
 use dense::matrix::Matrix;
 use dense::scalar::Scalar;
 use dense::MatPtr;
-use gpu_sim::{Cluster, StreamId};
+use gpu_sim::{Cluster, Exec, StreamId};
 use parking_lot::Mutex;
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -150,16 +150,15 @@ impl<'c, T: Scalar> Driver<'c, T> {
         self.report.launches += 1;
         {
             let kernel = FactorKernel {
+                launch: GridLaunch::factor(gpu.spec(), &subset, self.width, STRATEGY, T::BYTES),
                 a: MatPtr::new(a),
                 tiles: &subset,
                 col0: 0,
                 width: self.width,
-                strategy: STRATEGY,
-                spec: gpu.spec(),
                 wy: &slots,
                 v: &tsqr::v_blocks(&mut self.v, 0, self.width, &subset),
             };
-            gpu.launch_async(self.streams[d], &kernel)?;
+            gpu.launch_on(Exec::Stream(self.streams[d]), &kernel)?;
         }
         for (slot, &t) in slots.iter().zip(idxs) {
             let wy = slot.lock().take().expect("factor block did not produce WY");
@@ -201,16 +200,22 @@ impl<'c, T: Scalar> Driver<'c, T> {
             groups.iter().map(|_| Mutex::new(None)).collect();
         self.report.launches += 1;
         {
+            let arities = groups.iter().map(|g| g.members.len()).collect();
             let kernel = FactorTreeKernel {
+                launch: GridLaunch::factor_tree(
+                    gpu.spec(),
+                    arities,
+                    self.width,
+                    STRATEGY,
+                    T::BYTES,
+                ),
                 a: MatPtr::new(a),
                 groups: &groups,
                 col0: 0,
                 width: self.width,
-                strategy: STRATEGY,
-                spec: gpu.spec(),
                 out: &slots,
             };
-            gpu.launch_async(self.streams[d], &kernel)?;
+            gpu.launch_on(Exec::Stream(self.streams[d]), &kernel)?;
         }
         for (slot, &g) in slots.iter().zip(idxs) {
             let node = slot

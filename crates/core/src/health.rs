@@ -2,48 +2,23 @@
 //! matrix tile-by-tile for NaN/inf before factorization starts.
 //!
 //! The scan is a real GPU pass in the simulator's accounting — one block per
-//! row tile, each streaming its `rows x n` slab from global memory — so
-//! enabling it shows up in the ledger and the modelled figures exactly like
-//! any other kernel. [`crate::model::model_caqr_seconds`] charges the same
-//! per-block cost function, keeping model and execution bit-consistent.
+//! row tile, each streaming its `rows x n` slab from global memory — so it
+//! shows up in the ledger and the modelled figures exactly like any other
+//! kernel. [`crate::model::model_caqr_seconds`] charges the same
+//! [`GridLaunch::health_check`] description the kernel executes with.
 //!
 //! Drivers call [`check_matrix_finite`]; the first offending entry (in
 //! column-major order) comes back as [`CaqrError::NonFinite`].
 
 use crate::block::{tile_panel, BlockSize, Tile};
 use crate::error::CaqrError;
-use crate::kernels::THREADS;
+use crate::kernels::GridLaunch;
 use dense::matrix::Matrix;
 use dense::scalar::Scalar;
 use dense::MatPtr;
-use gpu_sim::{BlockCost, BlockCtx, CostMeter, DeviceSpec, Exec, Gpu, Kernel, LaunchConfig};
+use gpu_sim::{Exec, Gpu, Kernel, Launch};
 use parking_lot::Mutex;
 use rayon::prelude::*;
-
-/// Cost of one `health_check` block: a single coalesced read pass over a
-/// `rows x cols` slab (no flops — comparisons are not counted as useful
-/// arithmetic, matching the pretranspose convention).
-pub fn health_block_cost(
-    spec: &DeviceSpec,
-    rows: usize,
-    cols: usize,
-    elem_bytes: u64,
-) -> BlockCost {
-    let mut m = CostMeter::new(spec);
-    m.gmem((rows * cols) as u64, elem_bytes, true);
-    m.cost
-}
-
-/// Launch configuration of the health scan — shared with the model replay so
-/// both paths submit identical launches.
-pub(crate) fn health_cfg(blocks: usize) -> LaunchConfig {
-    LaunchConfig {
-        blocks,
-        threads_per_block: THREADS,
-        shared_mem_bytes: 0,
-        regs_per_thread: 8,
-    }
-}
 
 /// The row tiles the health scan covers for an `m`-row matrix (the same
 /// tiling the factor grid would use, so ragged remainders match).
@@ -54,31 +29,25 @@ pub(crate) fn health_tiles(m: usize, bs: BlockSize) -> Vec<Tile> {
 /// `health_check`: block `b` scans row tile `b` across every column and
 /// records the first non-finite entry it sees (column-major order).
 pub struct HealthCheckKernel<'a, T: Scalar> {
+    /// What the device charges: [`GridLaunch::health_check`] over `tiles`.
+    pub launch: GridLaunch,
     /// Read-only handle of the matrix being validated.
     pub a: MatPtr<T>,
     /// Row tiles (disjoint — the grid contract).
     pub tiles: &'a [Tile],
-    /// Device description for cost derivation (borrowed: launch descriptors
-    /// are transient, the spec outlives every launch).
-    pub spec: &'a DeviceSpec,
     /// Per-block output slot: first `(row, col)` holding NaN/inf, if any.
     pub first_bad: &'a [Mutex<Option<(usize, usize)>>],
 }
 
 impl<'a, T: Scalar> Kernel<T> for HealthCheckKernel<'a, T> {
-    fn name(&self) -> &'static str {
-        "health_check"
+    fn launch(&self) -> &dyn Launch {
+        &self.launch
     }
 
-    fn config(&self) -> LaunchConfig {
-        health_cfg(self.tiles.len())
-    }
-
-    fn run_block(&self, b: usize, ctx: &mut BlockCtx<T>) {
+    fn run_block(&self, b: usize) {
         let tile = self.tiles[b];
-        let cols = self.a.cols();
         let mut bad = None;
-        'scan: for j in 0..cols {
+        'scan: for j in 0..self.a.cols() {
             for i in 0..tile.rows {
                 // SAFETY: read-only scan; nothing writes during this launch.
                 let v = unsafe { self.a.get(tile.start + i, j) };
@@ -89,8 +58,6 @@ impl<'a, T: Scalar> Kernel<T> for HealthCheckKernel<'a, T> {
             }
         }
         *self.first_bad[b].lock() = bad;
-        ctx.meter
-            .charge(&health_block_cost(self.spec, tile.rows, cols, T::BYTES));
     }
 }
 
@@ -112,9 +79,9 @@ pub fn check_matrix_finite<T: Scalar>(
         tiles.iter().map(|_| Mutex::new(None)).collect();
     {
         let kernel = HealthCheckKernel {
+            launch: GridLaunch::health_check(gpu.spec(), &tiles, a.cols(), T::BYTES),
             a: MatPtr::new_readonly(a),
             tiles: &tiles,
-            spec: gpu.spec(),
             first_bad: &slots,
         };
         gpu.launch_on(exec, &kernel)?;
@@ -231,8 +198,6 @@ fn first_nonfinite_in<T: Scalar>(col: &[T]) -> Option<usize> {
 // at very large `rows` the relative tolerance approaches O(1) and the
 // factor check goes soft; the chaos soak therefore runs in `f64`.
 
-use crate::tsqr::PanelFactor;
-
 /// Relative checksum tolerance for reductions over `rows` elements of `T`.
 pub fn checksum_tol<T: Scalar>(rows: usize) -> f64 {
     64.0 * rows as f64 * T::epsilon().to_f64()
@@ -341,25 +306,6 @@ fn verify_factor_checksums<T: Scalar>(
         }
     }
     Ok(())
-}
-
-/// `u = Q_p . 1`: apply the panel's packed factors (`Q`, not `Q^T`) to an
-/// all-ones `m`-vector. Rows above the panel stay exactly `1` (the implicit
-/// identity), so `||u||^2 == m` when the packed factors are intact.
-pub fn q_ones_probe<T: Scalar>(m: usize, pf: &PanelFactor<T>) -> Vec<T> {
-    let mut ones = Matrix::from_fn(m, 1, |_, _| T::ONE);
-    let p = MatPtr::new(&mut ones);
-    // Q = (level-0 applies) . (tree applies bottom-up)^T reversed: the same
-    // transpose=false order as `apply_panel_ptr_on` / `apply_panels`.
-    for nodes in pf.levels.iter().rev() {
-        for node in nodes {
-            crate::blockops::apply_tree_node(p, node, pf.width, 0, 1, false);
-        }
-    }
-    for (ti, (tile, wy)) in pf.tiles.iter().zip(&pf.wy0).enumerate() {
-        crate::blockops::apply_tile_wy(wy, pf.tile_v(ti), p, *tile, 0, 1, false);
-    }
-    ones.col(0).to_vec()
 }
 
 /// Check the orthogonality probe: `||u||^2` must equal `u.len()` to
@@ -540,6 +486,7 @@ mod tests {
     // -- ABFT checksums -----------------------------------------------------
 
     use crate::microkernels::ReductionStrategy;
+    use crate::multicore::q_ones_probe;
     use crate::tsqr::{apply_panel_ptr_on, col_blocks, factor_panel_with_tree_on};
     use crate::TreeShape;
 

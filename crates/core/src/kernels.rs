@@ -1,20 +1,23 @@
 //! The four GPU kernels of Section IV-D — `factor`, `factor_tree`,
 //! `apply_qt_h`, `apply_qt_tree` — plus the out-of-place pre-transpose
-//! preprocessing pass of strategy 4.
+//! preprocessing pass of strategy 4 and the input health check.
 //!
-//! Each kernel performs its real arithmetic on the matrix (thread blocks run
-//! in parallel on the rayon pool, touching disjoint tiles per the
-//! [`dense::ptr::MatPtr`] contract) and charges the analytic per-block cost
-//! from the `*_block_cost` functions below. The model-only figure sweeps in
-//! [`crate::model`] charge the *same* functions, so executed and modelled
-//! timelines agree by construction (verified in the tests at the bottom).
+//! Each of these six launches is described once, by a [`GridLaunch`] built
+//! from geometry and element size only: the grid, its resource demands and
+//! the analytic per-block cost from the `*_block_cost` functions below. An
+//! executing kernel holds its description plus its data and performs the
+//! real arithmetic (thread blocks run in parallel on the rayon pool,
+//! touching disjoint tiles per the [`dense::ptr::MatPtr`] contract); the
+//! model-only sweeps in [`crate::model`] charge the same descriptions
+//! without executing. Executed and modelled timelines therefore agree by
+//! construction.
 
-use crate::block::{Tile, TreeGroup};
+use crate::block::{BlockSize, Tile, TreeGroup};
 use crate::microkernels::{self as mk, ReductionStrategy};
 use crate::tsqr::{PanelFactor, TreeNode, WyTile};
 use dense::scalar::Scalar;
 use dense::MatPtr;
-use gpu_sim::{BlockCost, BlockCtx, CostMeter, DeviceSpec, Kernel, LaunchConfig};
+use gpu_sim::{BlockCost, CostMeter, DeviceSpec, Kernel, Launch, LaunchConfig};
 use parking_lot::Mutex;
 
 /// Threads per block for every kernel (the paper's choice).
@@ -118,14 +121,29 @@ pub fn pretranspose_block_cost(
     m.cost
 }
 
-fn launch_smem_bytes<T: Scalar>(
+/// Cost of one `health_check` block: a single coalesced read pass over a
+/// `rows x cols` slab (no flops — comparisons are not counted as useful
+/// arithmetic, matching the pretranspose convention).
+pub fn health_block_cost(
+    spec: &DeviceSpec,
+    rows: usize,
+    cols: usize,
+    elem_bytes: u64,
+) -> BlockCost {
+    let mut m = CostMeter::new(spec);
+    m.gmem((rows * cols) as u64, elem_bytes, true);
+    m.cost
+}
+
+fn launch_smem_bytes(
     max_rows: usize,
     width: usize,
     wc: usize,
     strategy: ReductionStrategy,
     stage_v: bool,
+    elem_bytes: u64,
 ) -> usize {
-    let eb = std::mem::size_of::<T>();
+    let eb = elem_bytes as usize;
     let mut bytes = mk::smem_bytes(max_rows, wc, THREADS, strategy, eb);
     if stage_v {
         bytes += max_rows * width * eb;
@@ -135,6 +153,211 @@ fn launch_smem_bytes<T: Scalar>(
 
 fn launch_regs(max_rows: usize, wc: usize, strategy: ReductionStrategy) -> usize {
     mk::regs_per_thread(max_rows, wc, THREADS, strategy).min(mk::FERMI_MAX_REGS_PER_THREAD)
+}
+
+// ---------------------------------------------------------------------------
+// Launch descriptions (shared by execution and model-only paths).
+// ---------------------------------------------------------------------------
+
+/// The data-free description of one simulated launch: a grid of row units
+/// (tiles, or tree groups) times column blocks, with [`THREADS`] threads
+/// per block; with `u` row units, block `b` covers row unit `b % u` and
+/// column block `b / u`. The device charges it block for block in grid
+/// order, whether a kernel executes alongside it or not.
+pub struct GridLaunch {
+    name: &'static str,
+    cfg: LaunchConfig,
+    /// Index into `costs` of each block's shape, in grid order.
+    shape: Vec<u16>,
+    /// Cost of each distinct `(row unit, column block)` size pair, computed
+    /// once: a grid has at most full and remainder tiles times full and
+    /// remainder column blocks.
+    costs: Vec<BlockCost>,
+}
+
+/// The distinct values of `xs` in first-seen order, and the index of each
+/// entry's value among them.
+fn classify(xs: &[usize]) -> (Vec<usize>, Vec<usize>) {
+    let mut seen = Vec::new();
+    let idx = xs
+        .iter()
+        .map(|x| {
+            seen.iter().position(|s| s == x).unwrap_or_else(|| {
+                seen.push(*x);
+                seen.len() - 1
+            })
+        })
+        .collect();
+    (seen, idx)
+}
+
+impl GridLaunch {
+    fn new(
+        name: &'static str,
+        rows: Vec<usize>,
+        cols: Vec<usize>,
+        shared_mem_bytes: usize,
+        regs_per_thread: usize,
+        cost: impl Fn(usize, usize) -> BlockCost,
+    ) -> Self {
+        let (row_sizes, row_shape) = classify(&rows);
+        let (col_sizes, col_shape) = classify(&cols);
+        let nr = row_sizes.len();
+        let costs = (col_sizes.iter())
+            .flat_map(|&c| row_sizes.iter().map(move |&r| (r, c)))
+            .map(|(r, c)| cost(r, c))
+            .collect();
+        // Looked up per block instead of derived from `b`: the division it
+        // would take per block is most of the charge loop's cost.
+        let shape = (col_shape.iter())
+            .flat_map(|&c| row_shape.iter().map(move |&r| c * nr + r))
+            .map(|s| u16::try_from(s).expect("a grid has few distinct block shapes"))
+            .collect();
+        GridLaunch {
+            name,
+            cfg: LaunchConfig {
+                blocks: rows.len() * cols.len(),
+                threads_per_block: THREADS,
+                shared_mem_bytes,
+                regs_per_thread,
+            },
+            shape,
+            costs,
+        }
+    }
+
+    /// `factor`: one block per tile, QR of a `rows x width` tile.
+    pub fn factor(
+        spec: &DeviceSpec,
+        tiles: &[Tile],
+        width: usize,
+        strategy: ReductionStrategy,
+        elem_bytes: u64,
+    ) -> Self {
+        let rows: Vec<usize> = tiles.iter().map(|t| t.rows).collect();
+        let max_rows = rows.iter().copied().max().unwrap_or(0);
+        GridLaunch::new(
+            "factor",
+            rows,
+            vec![width],
+            launch_smem_bytes(max_rows, width, width, strategy, false, elem_bytes),
+            launch_regs(max_rows, width, strategy),
+            |r, _| factor_block_cost(spec, r, width, strategy, elem_bytes),
+        )
+    }
+
+    /// `factor_tree`: one block per tree group of the given arities.
+    pub fn factor_tree(
+        spec: &DeviceSpec,
+        arities: Vec<usize>,
+        width: usize,
+        strategy: ReductionStrategy,
+        elem_bytes: u64,
+    ) -> Self {
+        let rows = arities.iter().copied().max().unwrap_or(2) * width;
+        GridLaunch::new(
+            "factor_tree",
+            arities,
+            vec![width],
+            launch_smem_bytes(rows, width, width, strategy, false, elem_bytes),
+            launch_regs(rows, width, strategy),
+            |t, _| factor_tree_block_cost(spec, t, width, strategy, elem_bytes),
+        )
+    }
+
+    /// `apply_qt_h`: the level-0 reflectors of a `width`-wide panel's
+    /// `tiles` applied across the column blocks `cols`.
+    pub fn apply_qt_h(
+        spec: &DeviceSpec,
+        tiles: &[Tile],
+        width: usize,
+        cols: &[(usize, usize)],
+        strategy: ReductionStrategy,
+        elem_bytes: u64,
+    ) -> Self {
+        let rows: Vec<usize> = tiles.iter().map(|t| t.rows).collect();
+        let max_rows = rows.iter().copied().max().unwrap_or(0);
+        let wcs: Vec<usize> = cols.iter().map(|c| c.1).collect();
+        let max_wc = wcs.iter().copied().max().unwrap_or(0);
+        GridLaunch::new(
+            "apply_qt_h",
+            rows,
+            wcs,
+            launch_smem_bytes(max_rows, width, max_wc, strategy, true, elem_bytes),
+            launch_regs(max_rows, max_wc, strategy),
+            |r, wc| apply_qt_h_block_cost(spec, r, width.min(r), wc, strategy, elem_bytes),
+        )
+    }
+
+    /// `apply_qt_tree`: one tree level's groups, of the given arities,
+    /// applied across the column blocks `cols`.
+    pub fn apply_qt_tree(
+        spec: &DeviceSpec,
+        arities: Vec<usize>,
+        width: usize,
+        cols: &[(usize, usize)],
+        strategy: ReductionStrategy,
+        elem_bytes: u64,
+    ) -> Self {
+        let rows = arities.iter().copied().max().unwrap_or(2) * width;
+        let wcs: Vec<usize> = cols.iter().map(|c| c.1).collect();
+        let max_wc = wcs.iter().copied().max().unwrap_or(0);
+        GridLaunch::new(
+            "apply_qt_tree",
+            arities,
+            wcs,
+            launch_smem_bytes(rows, width, max_wc, strategy, true, elem_bytes),
+            launch_regs(rows, max_wc, strategy),
+            |t, wc| apply_qt_tree_block_cost(spec, t, width, wc, strategy, elem_bytes),
+        )
+    }
+
+    /// `health_check`: one block per row tile, each reading its tile
+    /// across all `cols` columns.
+    pub fn health_check(spec: &DeviceSpec, tiles: &[Tile], cols: usize, elem_bytes: u64) -> Self {
+        let rows = tiles.iter().map(|t| t.rows).collect();
+        GridLaunch::new("health_check", rows, vec![cols], 0, 8, |r, c| {
+            health_block_cost(spec, r, c, elem_bytes)
+        })
+    }
+
+    /// `pretranspose`, the out-of-place panel-transpose pass of strategy 4
+    /// (Section IV-E.4): one block per `bs.h x bs.w` tile of an `m x n`
+    /// matrix, each staging its tile through shared memory as 4-byte words.
+    /// In the simulator the data stays column-major — the transposed layout
+    /// only changes coalescing, which the cost model already credits — so
+    /// this launch is charged, never executed, exactly where the real
+    /// pipeline would launch it, with its traffic in full.
+    pub fn pretranspose(
+        spec: &DeviceSpec,
+        m: usize,
+        n: usize,
+        bs: BlockSize,
+        elem_bytes: u64,
+    ) -> Self {
+        GridLaunch::new(
+            "pretranspose",
+            vec![bs.h; m.div_ceil(bs.h)],
+            vec![bs.w; n.div_ceil(bs.w)],
+            bs.h * bs.w * std::mem::size_of::<f32>(),
+            16,
+            |r, c| pretranspose_block_cost(spec, r, c, elem_bytes),
+        )
+    }
+}
+
+impl Launch for GridLaunch {
+    fn name(&self) -> &'static str {
+        self.name
+    }
+
+    fn config(&self) -> LaunchConfig {
+        self.cfg
+    }
+
+    fn block_cost(&self, b: usize) -> BlockCost {
+        self.costs[usize::from(self.shape[b])]
+    }
 }
 
 /// The single-element corruption a simulated SDC applies: a bit-flip proxy
@@ -165,6 +388,8 @@ fn sdc_triangle_elem(r: u64, k: usize) -> (usize, usize) {
 /// derived and deliberately unchanged, so modelled figures stay stable
 /// across the BLAS3 rewrite.
 pub struct FactorKernel<'a, T: Scalar> {
+    /// What the device charges: [`GridLaunch::factor`] over `tiles`.
+    pub launch: GridLaunch,
     /// Global-memory handle of the matrix being factored.
     pub a: MatPtr<T>,
     /// Panel tiles (disjoint row ranges — the grid contract).
@@ -173,11 +398,6 @@ pub struct FactorKernel<'a, T: Scalar> {
     pub col0: usize,
     /// Panel width.
     pub width: usize,
-    /// Tuning strategy (cost only; the math is identical).
-    pub strategy: ReductionStrategy,
-    /// Device description for cost derivation (borrowed: launch descriptors
-    /// are transient, the spec outlives every launch).
-    pub spec: &'a DeviceSpec,
     /// Output compact-WY slot per tile.
     pub wy: &'a [Mutex<Option<WyTile<T>>>],
     /// Write handle onto each tile's `V` block, `tiles[b].rows x
@@ -186,37 +406,17 @@ pub struct FactorKernel<'a, T: Scalar> {
 }
 
 impl<'a, T: Scalar> Kernel<T> for FactorKernel<'a, T> {
-    fn name(&self) -> &'static str {
-        "factor"
+    fn launch(&self) -> &dyn Launch {
+        &self.launch
     }
 
-    fn config(&self) -> LaunchConfig {
-        let max_rows = self.tiles.iter().map(|t| t.rows).max().unwrap_or(0);
-        LaunchConfig {
-            blocks: self.tiles.len(),
-            threads_per_block: THREADS,
-            shared_mem_bytes: launch_smem_bytes::<T>(
-                max_rows,
-                self.width,
-                self.width,
-                self.strategy,
-                false,
-            ),
-            regs_per_thread: launch_regs(max_rows, self.width, self.strategy),
-        }
-    }
-
-    fn run_block(&self, b: usize, ctx: &mut BlockCtx<T>) {
-        let tile = self.tiles[b];
+    fn run_block(&self, b: usize) {
         *self.wy[b].lock() = Some(crate::blockops::factor_tile(
-            self.a, tile, self.col0, self.width, self.v[b],
-        ));
-        ctx.meter.charge(&factor_block_cost(
-            self.spec,
-            tile.rows,
+            self.a,
+            self.tiles[b],
+            self.col0,
             self.width,
-            self.strategy,
-            T::BYTES,
+            self.v[b],
         ));
     }
 
@@ -266,6 +466,8 @@ impl<'a, T: Scalar> Kernel<T> for FactorKernel<'a, T> {
 /// writes the surviving R back to the group leader's triangle, and emits
 /// the stacked Householder representation as a [`TreeNode`].
 pub struct FactorTreeKernel<'a, T: Scalar> {
+    /// What the device charges: [`GridLaunch::factor_tree`] over `groups`.
+    pub launch: GridLaunch,
     /// Global-memory handle of the matrix being factored.
     pub a: MatPtr<T>,
     /// Groups at this tree level (disjoint member sets).
@@ -274,56 +476,21 @@ pub struct FactorTreeKernel<'a, T: Scalar> {
     pub col0: usize,
     /// Panel width.
     pub width: usize,
-    /// Tuning strategy.
-    pub strategy: ReductionStrategy,
-    /// Device description (borrowed).
-    pub spec: &'a DeviceSpec,
     /// Output slot per group.
     pub out: &'a [Mutex<Option<TreeNode<T>>>],
 }
 
 impl<'a, T: Scalar> Kernel<T> for FactorTreeKernel<'a, T> {
-    fn name(&self) -> &'static str {
-        "factor_tree"
+    fn launch(&self) -> &dyn Launch {
+        &self.launch
     }
 
-    fn config(&self) -> LaunchConfig {
-        let max_t = self
-            .groups
-            .iter()
-            .map(|g| g.members.len())
-            .max()
-            .unwrap_or(2);
-        let rows = max_t * self.width;
-        LaunchConfig {
-            blocks: self.groups.len(),
-            threads_per_block: THREADS,
-            shared_mem_bytes: launch_smem_bytes::<T>(
-                rows,
-                self.width,
-                self.width,
-                self.strategy,
-                false,
-            ),
-            regs_per_thread: launch_regs(rows, self.width, self.strategy),
-        }
-    }
-
-    fn run_block(&self, g: usize, ctx: &mut BlockCtx<T>) {
-        let grp = &self.groups[g];
-        let t = grp.members.len();
+    fn run_block(&self, g: usize) {
         *self.out[g].lock() = Some(crate::blockops::factor_tree_group(
             self.a,
-            &grp.members,
+            &self.groups[g].members,
             self.col0,
             self.width,
-        ));
-        ctx.meter.charge(&factor_tree_block_cost(
-            self.spec,
-            t,
-            self.width,
-            self.strategy,
-            T::BYTES,
         ));
     }
 
@@ -367,6 +534,9 @@ impl<'a, T: Scalar> Kernel<T> for FactorTreeKernel<'a, T> {
 /// rank-1 sweeps). The grid is `tiles x column-blocks`; block `(ti, cb)`
 /// updates the `tiles[ti].rows x col_blocks[cb].1` tile of the target.
 pub struct ApplyQtHKernel<'a, T: Scalar> {
+    /// What the device charges: [`GridLaunch::apply_qt_h`] over the
+    /// panel's tiles and `col_blocks`.
+    pub launch: GridLaunch,
     /// Target matrix being updated (tiles never overlap the panel columns).
     pub c: MatPtr<T>,
     /// The factored panel: its tiles, width and per-tile compact-WY
@@ -376,50 +546,27 @@ pub struct ApplyQtHKernel<'a, T: Scalar> {
     pub col_blocks: &'a [(usize, usize)],
     /// Apply `Q^T` (true) or `Q` (false).
     pub transpose: bool,
-    /// Tuning strategy.
-    pub strategy: ReductionStrategy,
-    /// Device description (borrowed).
-    pub spec: &'a DeviceSpec,
 }
 
 impl<'a, T: Scalar> Kernel<T> for ApplyQtHKernel<'a, T> {
-    fn name(&self) -> &'static str {
-        "apply_qt_h"
+    fn launch(&self) -> &dyn Launch {
+        &self.launch
     }
 
-    fn config(&self) -> LaunchConfig {
-        let max_rows = self.panel.tiles.iter().map(|t| t.rows).max().unwrap_or(0);
-        let max_wc = self.col_blocks.iter().map(|c| c.1).max().unwrap_or(0);
-        LaunchConfig {
-            blocks: self.panel.tiles.len() * self.col_blocks.len(),
-            threads_per_block: THREADS,
-            shared_mem_bytes: launch_smem_bytes::<T>(
-                max_rows,
-                self.panel.width,
-                max_wc,
-                self.strategy,
-                true,
-            ),
-            regs_per_thread: launch_regs(max_rows, max_wc, self.strategy),
-        }
-    }
-
-    fn run_block(&self, b: usize, ctx: &mut BlockCtx<T>) {
+    fn run_block(&self, b: usize) {
         let pf = self.panel;
         let ti = b % pf.tiles.len();
-        let cb = b / pf.tiles.len();
-        let tile = pf.tiles[ti];
-        let (c0, wc) = self.col_blocks[cb];
+        let (c0, wc) = self.col_blocks[b / pf.tiles.len()];
         let v = pf.tile_v(ti);
-        crate::blockops::apply_tile_wy(&pf.wy0[ti], v, self.c, tile, c0, wc, self.transpose);
-        ctx.meter.charge(&apply_qt_h_block_cost(
-            self.spec,
-            tile.rows,
-            pf.width.min(tile.rows),
+        crate::blockops::apply_tile_wy(
+            &pf.wy0[ti],
+            v,
+            self.c,
+            pf.tiles[ti],
+            c0,
             wc,
-            self.strategy,
-            T::BYTES,
-        ));
+            self.transpose,
+        );
     }
 
     fn inject_sdc(&self, r: u64) -> bool {
@@ -452,6 +599,9 @@ impl<'a, T: Scalar> Kernel<T> for ApplyQtHKernel<'a, T> {
 /// stacked reflectors, and scatters the strips back — the "irregular and
 /// somewhat sparse" access pattern the paper calls out.
 pub struct ApplyQtTreeKernel<'a, T: Scalar> {
+    /// What the device charges: [`GridLaunch::apply_qt_tree`] over the
+    /// nodes' arities and `col_blocks`.
+    pub launch: GridLaunch,
     /// Target matrix being updated.
     pub c: MatPtr<T>,
     /// Tree nodes at this level (factored stacks + taus).
@@ -462,48 +612,17 @@ pub struct ApplyQtTreeKernel<'a, T: Scalar> {
     pub col_blocks: &'a [(usize, usize)],
     /// Apply `Q^T` (true) or `Q` (false).
     pub transpose: bool,
-    /// Tuning strategy.
-    pub strategy: ReductionStrategy,
-    /// Device description (borrowed).
-    pub spec: &'a DeviceSpec,
 }
 
 impl<'a, T: Scalar> Kernel<T> for ApplyQtTreeKernel<'a, T> {
-    fn name(&self) -> &'static str {
-        "apply_qt_tree"
+    fn launch(&self) -> &dyn Launch {
+        &self.launch
     }
 
-    fn config(&self) -> LaunchConfig {
-        let max_t = self
-            .nodes
-            .iter()
-            .map(|n| n.members.len())
-            .max()
-            .unwrap_or(2);
-        let rows = max_t * self.width;
-        let max_wc = self.col_blocks.iter().map(|c| c.1).max().unwrap_or(0);
-        LaunchConfig {
-            blocks: self.nodes.len() * self.col_blocks.len(),
-            threads_per_block: THREADS,
-            shared_mem_bytes: launch_smem_bytes::<T>(rows, self.width, max_wc, self.strategy, true),
-            regs_per_thread: launch_regs(rows, max_wc, self.strategy),
-        }
-    }
-
-    fn run_block(&self, b: usize, ctx: &mut BlockCtx<T>) {
-        let g = b % self.nodes.len();
-        let cb = b / self.nodes.len();
-        let node = &self.nodes[g];
-        let (c0, wc) = self.col_blocks[cb];
+    fn run_block(&self, b: usize) {
+        let node = &self.nodes[b % self.nodes.len()];
+        let (c0, wc) = self.col_blocks[b / self.nodes.len()];
         crate::blockops::apply_tree_node(self.c, node, self.width, c0, wc, self.transpose);
-        ctx.meter.charge(&apply_qt_tree_block_cost(
-            self.spec,
-            node.members.len(),
-            self.width,
-            wc,
-            self.strategy,
-            T::BYTES,
-        ));
     }
 
     fn inject_sdc(&self, r: u64) -> bool {
@@ -526,54 +645,9 @@ impl<'a, T: Scalar> Kernel<T> for ApplyQtTreeKernel<'a, T> {
     }
 }
 
-// ---------------------------------------------------------------------------
-// pretranspose
-// ---------------------------------------------------------------------------
-
-/// The out-of-place panel-transpose preprocessing pass of strategy 4
-/// (Section IV-E.4). In the simulator the data stays column-major — the
-/// transposed layout only changes coalescing, which the cost model already
-/// credits — so this kernel is cost-only, but it is launched exactly where
-/// the real pipeline would launch it and its traffic is charged in full.
-pub struct PretransposeKernel<'a> {
-    /// Number of tiles (grid size).
-    pub blocks: usize,
-    /// Tile rows.
-    pub tile_rows: usize,
-    /// Tile columns.
-    pub tile_cols: usize,
-    /// Device description (borrowed).
-    pub spec: &'a DeviceSpec,
-}
-
-impl<'a, T: Scalar> Kernel<T> for PretransposeKernel<'a> {
-    fn name(&self) -> &'static str {
-        "pretranspose"
-    }
-
-    fn config(&self) -> LaunchConfig {
-        LaunchConfig {
-            blocks: self.blocks,
-            threads_per_block: THREADS,
-            shared_mem_bytes: self.tile_rows * self.tile_cols * std::mem::size_of::<f32>(),
-            regs_per_thread: 16,
-        }
-    }
-
-    fn run_block(&self, _b: usize, ctx: &mut BlockCtx<T>) {
-        ctx.meter.charge(&pretranspose_block_cost(
-            self.spec,
-            self.tile_rows,
-            self.tile_cols,
-            T::BYTES,
-        ));
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::block::BlockSize;
 
     #[test]
     fn block_costs_have_flops_and_traffic() {
@@ -625,7 +699,7 @@ mod tests {
             let cfg = LaunchConfig {
                 blocks: 10,
                 threads_per_block: THREADS,
-                shared_mem_bytes: launch_smem_bytes::<f32>(bs.h + bs.w, bs.w, bs.w, strategy, true),
+                shared_mem_bytes: launch_smem_bytes(bs.h + bs.w, bs.w, bs.w, strategy, true, 4),
                 regs_per_thread: launch_regs(bs.h + bs.w, bs.w, strategy),
             };
             cfg.validate(&spec)

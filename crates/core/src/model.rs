@@ -1,71 +1,22 @@
 //! Model-only CAQR/TSQR timing: the driver's own panel schedule
-//! ([`crate::backend`]) run against a cost-only sink, which charges each
-//! chain through [`Gpu::launch_with_costs_on`] with the same per-block cost
-//! functions the executing kernels charge — block for block, in the same
-//! grid order — so a modelled sweep over a 1M x 192 matrix agrees with what
-//! executing it would record, without doing the arithmetic (verified
-//! against real execution in this module's tests). This module holds the
-//! per-chain charges and the public entry points; it has no panel loop of
-//! its own.
+//! ([`crate::backend`]) run against a cost-only sink, which walks each
+//! chain — the panel's tiles, its tree plan, the launch order — and charges
+//! every launch through [`Gpu::charge_on`] with the same [`GridLaunch`]
+//! description the executing kernel carries. A modelled sweep over a
+//! 1M x 192 matrix therefore records what executing it would, without
+//! doing the arithmetic. This module holds the chain walks and the public
+//! entry points; it has no panel loop and no cost arithmetic of its own.
 
 use crate::backend::{DriveConfig, SimBackend};
 use crate::block::{plan_tree, tile_panel, BlockSize};
 use crate::caqr::CaqrOptions;
 use crate::error::CaqrError;
-use crate::health::{health_block_cost, health_cfg, health_tiles};
-use crate::kernels::{
-    apply_qt_h_block_cost, apply_qt_tree_block_cost, factor_block_cost, factor_tree_block_cost,
-    pretranspose_block_cost, THREADS,
-};
-use crate::microkernels::{self as mk, ReductionStrategy};
-use gpu_sim::{BlockCost, Exec, Gpu, LaunchConfig};
+use crate::health::health_tiles;
+use crate::kernels::GridLaunch;
+use gpu_sim::{Exec, Gpu};
 
 /// Element size of the paper's single-precision pipeline.
 const ELEM_BYTES: u64 = 4;
-
-fn launch_cfg(
-    blocks: usize,
-    max_rows: usize,
-    width: usize,
-    wc: usize,
-    strategy: ReductionStrategy,
-    stage_v: bool,
-) -> LaunchConfig {
-    let mut smem = mk::smem_bytes(max_rows, wc, THREADS, strategy, ELEM_BYTES as usize);
-    if stage_v {
-        smem += max_rows * width * ELEM_BYTES as usize;
-    }
-    LaunchConfig {
-        blocks,
-        threads_per_block: THREADS,
-        shared_mem_bytes: smem,
-        regs_per_thread: mk::regs_per_thread(max_rows, wc, THREADS, strategy)
-            .min(mk::FERMI_MAX_REGS_PER_THREAD),
-    }
-}
-
-/// Tiny memoizer: the grids contain at most a handful of distinct shapes.
-struct CostCache<F: FnMut(usize, usize) -> BlockCost> {
-    make: F,
-    seen: Vec<((usize, usize), BlockCost)>,
-}
-
-impl<F: FnMut(usize, usize) -> BlockCost> CostCache<F> {
-    fn new(make: F) -> Self {
-        CostCache {
-            make,
-            seen: Vec::new(),
-        }
-    }
-    fn get(&mut self, a: usize, b: usize) -> BlockCost {
-        if let Some((_, c)) = self.seen.iter().find(|(k, _)| *k == (a, b)) {
-            return *c;
-        }
-        let c = (self.make)(a, b);
-        self.seen.push(((a, b), c));
-        c
-    }
-}
 
 /// Charge one panel-factorization chain (factor + one factor_tree per level)
 /// under an [`Exec`] policy.
@@ -77,49 +28,22 @@ pub(crate) fn model_factor_chain_on(
     row0: usize,
     width: usize,
 ) -> Result<(), CaqrError> {
-    let (bs, strategy) = (cfg.bs, cfg.strategy);
-    let spec = gpu.spec().clone();
+    let (bs, strategy, spec) = (cfg.bs, cfg.strategy, gpu.spec());
     let tiles = tile_panel(row0, m - row0, bs.h, bs.w);
-    let max_rows = tiles.iter().map(|t| t.rows).max().unwrap_or(0);
-
-    // factor — one block per tile, exact per-tile cost.
-    {
-        let mut cache =
-            CostCache::new(|rows, _| factor_block_cost(&spec, rows, width, strategy, ELEM_BYTES));
-        let costs: Vec<BlockCost> = tiles.iter().map(|t| cache.get(t.rows, 0)).collect();
-        gpu.launch_with_costs_on(
-            exec,
-            "factor",
-            launch_cfg(tiles.len(), max_rows, width, width, strategy, false),
-            &costs,
-        )?;
-    }
-
-    // factor_tree per level, exact per-group arity.
+    let factor = GridLaunch::factor(spec, &tiles, width, strategy, ELEM_BYTES);
+    gpu.charge_on(exec, &factor)?;
     let starts: Vec<usize> = tiles.iter().map(|t| t.start).collect();
-    let plan = plan_tree(&starts, cfg.tree.arity(bs));
-    for level in &plan.levels {
-        let max_t = level.iter().map(|g| g.members.len()).max().unwrap_or(2);
-        let mut cache =
-            CostCache::new(|t, _| factor_tree_block_cost(&spec, t, width, strategy, ELEM_BYTES));
-        let costs: Vec<BlockCost> = level
-            .iter()
-            .map(|g| cache.get(g.members.len(), 0))
-            .collect();
-        gpu.launch_with_costs_on(
-            exec,
-            "factor_tree",
-            launch_cfg(level.len(), max_t * width, width, width, strategy, false),
-            &costs,
-        )?;
+    for level in &plan_tree(&starts, cfg.tree.arity(bs)).levels {
+        let arities = level.iter().map(|g| g.members.len()).collect();
+        let tree = GridLaunch::factor_tree(spec, arities, width, strategy, ELEM_BYTES);
+        gpu.charge_on(exec, &tree)?;
     }
     Ok(())
 }
 
 /// Charge one apply chain (apply_qt_h + one apply_qt_tree per level) of the
 /// panel at `(row0, width)` across the column blocks `cols`, under an
-/// [`Exec`] policy. Grid order is (ti = b % ntiles, cb = b / ntiles),
-/// matching ApplyQtHKernel/ApplyQtTreeKernel.
+/// [`Exec`] policy.
 pub(crate) fn model_apply_chain_on(
     gpu: &Gpu,
     exec: Exec,
@@ -132,61 +56,15 @@ pub(crate) fn model_apply_chain_on(
     if cols.is_empty() {
         return Ok(());
     }
-    let (bs, strategy) = (cfg.bs, cfg.strategy);
-    let spec = gpu.spec().clone();
+    let (bs, strategy, spec) = (cfg.bs, cfg.strategy, gpu.spec());
     let tiles = tile_panel(row0, m - row0, bs.h, bs.w);
-    let max_rows = tiles.iter().map(|t| t.rows).max().unwrap_or(0);
+    let horizontal = GridLaunch::apply_qt_h(spec, &tiles, width, cols, strategy, ELEM_BYTES);
+    gpu.charge_on(exec, &horizontal)?;
     let starts: Vec<usize> = tiles.iter().map(|t| t.start).collect();
-    let plan = plan_tree(&starts, cfg.tree.arity(bs));
-    let max_wc = cols.iter().map(|c| c.1).max().unwrap_or(0);
-    {
-        let mut cache = CostCache::new(|rows, wc| {
-            apply_qt_h_block_cost(&spec, rows, width.min(rows), wc, strategy, ELEM_BYTES)
-        });
-        let mut costs = Vec::with_capacity(tiles.len() * cols.len());
-        for &(_, wc) in cols {
-            for t in &tiles {
-                costs.push(cache.get(t.rows, wc));
-            }
-        }
-        gpu.launch_with_costs_on(
-            exec,
-            "apply_qt_h",
-            launch_cfg(
-                tiles.len() * cols.len(),
-                max_rows,
-                width,
-                max_wc,
-                strategy,
-                true,
-            ),
-            &costs,
-        )?;
-    }
-    for level in &plan.levels {
-        let max_t = level.iter().map(|g| g.members.len()).max().unwrap_or(2);
-        let mut cache = CostCache::new(|t, wc| {
-            apply_qt_tree_block_cost(&spec, t, width, wc, strategy, ELEM_BYTES)
-        });
-        let mut costs = Vec::with_capacity(level.len() * cols.len());
-        for &(_, wc) in cols {
-            for g in level {
-                costs.push(cache.get(g.members.len(), wc));
-            }
-        }
-        gpu.launch_with_costs_on(
-            exec,
-            "apply_qt_tree",
-            launch_cfg(
-                level.len() * cols.len(),
-                max_t * width,
-                width,
-                max_wc,
-                strategy,
-                true,
-            ),
-            &costs,
-        )?;
+    for level in &plan_tree(&starts, cfg.tree.arity(bs)).levels {
+        let arities = level.iter().map(|g| g.members.len()).collect();
+        let tree = GridLaunch::apply_qt_tree(spec, arities, width, cols, strategy, ELEM_BYTES);
+        gpu.charge_on(exec, &tree)?;
     }
     Ok(())
 }
@@ -205,8 +83,8 @@ pub fn model_caqr_seconds(
     Ok(gpu.elapsed() - t0)
 }
 
-/// Charge the input health check under an [`Exec`] policy, block for block
-/// the same launch [`crate::health::check_matrix_finite`] submits.
+/// Charge the input health check under an [`Exec`] policy: the launch
+/// [`crate::health::check_matrix_finite`] submits.
 pub(crate) fn model_health_on(
     gpu: &Gpu,
     exec: Exec,
@@ -214,16 +92,13 @@ pub(crate) fn model_health_on(
     n: usize,
     bs: BlockSize,
 ) -> Result<(), CaqrError> {
-    let spec = gpu.spec().clone();
-    let tiles = health_tiles(m, bs);
-    let mut cache = CostCache::new(|rows, _| health_block_cost(&spec, rows, n, ELEM_BYTES));
-    let costs: Vec<BlockCost> = tiles.iter().map(|t| cache.get(t.rows, 0)).collect();
-    gpu.launch_with_costs_on(exec, "health_check", health_cfg(tiles.len()), &costs)?;
+    let launch = GridLaunch::health_check(gpu.spec(), &health_tiles(m, bs), n, ELEM_BYTES);
+    gpu.charge_on(exec, &launch)?;
     Ok(())
 }
 
-/// Charge the pretranspose pass under an [`Exec`] policy, block for block
-/// the same launch the executing backend submits.
+/// Charge the pretranspose pass under an [`Exec`] policy: the launch the
+/// executing backend submits.
 pub(crate) fn model_pretranspose_on(
     gpu: &Gpu,
     exec: Exec,
@@ -231,15 +106,10 @@ pub(crate) fn model_pretranspose_on(
     n: usize,
     bs: BlockSize,
 ) -> Result<(), CaqrError> {
-    let tiles = m.div_ceil(bs.h) * n.div_ceil(bs.w);
-    let cfg = LaunchConfig {
-        blocks: tiles,
-        threads_per_block: THREADS,
-        shared_mem_bytes: bs.h * bs.w * ELEM_BYTES as usize,
-        regs_per_thread: 16,
-    };
-    let costs = vec![pretranspose_block_cost(gpu.spec(), bs.h, bs.w, ELEM_BYTES); tiles];
-    gpu.launch_with_costs_on(exec, "pretranspose", cfg, &costs)?;
+    gpu.charge_on(
+        exec,
+        &GridLaunch::pretranspose(gpu.spec(), m, n, bs, ELEM_BYTES),
+    )?;
     Ok(())
 }
 
@@ -277,6 +147,7 @@ mod tests {
     use super::*;
     use crate::block::TreeShape;
     use crate::caqr::caqr;
+    use crate::microkernels::ReductionStrategy;
     use crate::schedule::{model_caqr_dag_seconds, ScheduleOptions};
     use dense::generate;
     use gpu_sim::DeviceSpec;

@@ -275,11 +275,15 @@ fn wy_apply_one_col<T: Scalar>(wy: &WyTile<T>, v: MatRef<'_, T>, c: &mut [T]) {
     }
 }
 
-/// The `Q . 1` orthogonality probe of [`crate::health::q_ones_probe`],
-/// specialised for the host checksum path: the level-0 applies use
-/// [`wy_apply_one_col`] so the probe costs a sliver of the factorization
-/// it verifies instead of paying the one-column `larfb` GEMM overhead.
-pub(crate) fn q_ones_probe_host<T: Scalar>(m: usize, pf: &PanelFactor<T>) -> Vec<T> {
+/// `u = Q_p . 1`: apply the panel's packed factors (`Q`, not `Q^T`) to an
+/// all-ones `m`-vector — the orthogonality probe of the ABFT checks
+/// (DESIGN.md §10). Rows above the panel stay exactly `1` (the implicit
+/// identity), so `||u||^2 == m` when the packed factors are intact. The
+/// order is the transpose=false order of `apply_panels`: tree levels top
+/// down, then level 0. The level-0 applies use [`wy_apply_one_col`], so
+/// the probe costs a sliver of the factorization it verifies instead of
+/// paying the one-column `larfb` GEMM overhead.
+pub(crate) fn q_ones_probe<T: Scalar>(m: usize, pf: &PanelFactor<T>) -> Vec<T> {
     let mut ones = Matrix::from_fn(m, 1, |_, _| T::ONE);
     {
         let p = MatPtr::new(&mut ones);
@@ -517,7 +521,7 @@ mod tests {
         let mut f = caqr_cpu(a, opts).unwrap();
         let p = &mut f.panels[0];
         p.levels[0][0].tmat[(0, 1)] += 0.25;
-        let u = crate::health::q_ones_probe(600, p);
+        let u = q_ones_probe(600, p);
         match crate::health::verify_probe(&u, 0, 0) {
             Err(CaqrError::ChecksumMismatch { stage, .. }) => assert_eq!(stage, "factor"),
             other => panic!("corruption not detected: {other:?}"),

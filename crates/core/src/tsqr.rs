@@ -11,7 +11,9 @@
 use crate::backend::Factorization;
 use crate::block::{plan_tree, tile_panel, BlockSize, Tile, TreeShape};
 use crate::error::CaqrError;
-use crate::kernels::{ApplyQtHKernel, ApplyQtTreeKernel, FactorKernel, FactorTreeKernel};
+use crate::kernels::{
+    ApplyQtHKernel, ApplyQtTreeKernel, FactorKernel, FactorTreeKernel, GridLaunch,
+};
 use crate::microkernels::ReductionStrategy;
 use dense::arena::{self, ArenaBuf};
 use dense::matrix::{MatRef, Matrix};
@@ -197,12 +199,11 @@ pub fn factor_panel_with_tree_on<T: Scalar>(
     let mut v = arena::take_dirty::<T>(v_share_len(row0, m, width));
     {
         let kernel = FactorKernel {
+            launch: GridLaunch::factor(spec, &tiles, width, strategy, T::BYTES),
             a: MatPtr::new(a),
             tiles: &tiles,
             col0,
             width,
-            strategy,
-            spec,
             wy: &wy_slots,
             v: &v_blocks(&mut v, row0, width, &tiles),
         };
@@ -221,13 +222,13 @@ pub fn factor_panel_with_tree_on<T: Scalar>(
         let out: Vec<Mutex<Option<TreeNode<T>>>> =
             level_groups.iter().map(|_| Mutex::new(None)).collect();
         {
+            let arities = level_groups.iter().map(|g| g.members.len()).collect();
             let kernel = FactorTreeKernel {
+                launch: GridLaunch::factor_tree(spec, arities, width, strategy, T::BYTES),
                 a: MatPtr::new(a),
                 groups: level_groups,
                 col0,
                 width,
-                strategy,
-                spec,
                 out: &out,
             };
             gpu.launch_on(exec, &kernel)?;
@@ -301,25 +302,24 @@ pub fn apply_panel_ptr_on<T: Scalar>(
     let spec = gpu.spec();
     let horizontal = |gpu: &Gpu| -> Result<(), CaqrError> {
         let kernel = ApplyQtHKernel {
+            launch: GridLaunch::apply_qt_h(spec, &pf.tiles, pf.width, cols, pf.strategy, T::BYTES),
             c,
             panel: pf,
             col_blocks: cols,
             transpose,
-            strategy: pf.strategy,
-            spec,
         };
         gpu.launch_on(exec, &kernel)?;
         Ok(())
     };
     let tree_level = |gpu: &Gpu, nodes: &[TreeNode<T>]| -> Result<(), CaqrError> {
+        let arities = nodes.iter().map(|n| n.members.len()).collect();
         let kernel = ApplyQtTreeKernel {
+            launch: GridLaunch::apply_qt_tree(spec, arities, pf.width, cols, pf.strategy, T::BYTES),
             c,
             nodes,
             width: pf.width,
             col_blocks: cols,
             transpose,
-            strategy: pf.strategy,
-            spec,
         };
         gpu.launch_on(exec, &kernel)?;
         Ok(())

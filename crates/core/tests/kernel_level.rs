@@ -2,12 +2,12 @@
 //! them end-to-end; these pin each kernel's contract individually).
 
 use caqr::block::{tile_panel, TreeGroup};
-use caqr::kernels::{ApplyQtHKernel, FactorKernel, FactorTreeKernel};
+use caqr::kernels::{ApplyQtHKernel, FactorKernel, FactorTreeKernel, GridLaunch};
 use caqr::microkernels::ReductionStrategy;
 use caqr::tsqr::{TreeNode, WyTile};
 use dense::matrix::Matrix;
 use dense::MatPtr;
-use gpu_sim::{DeviceSpec, Gpu};
+use gpu_sim::{DeviceSpec, Exec, Gpu};
 use parking_lot::Mutex;
 
 const STRAT: ReductionStrategy = ReductionStrategy::RegisterSerialTransposed;
@@ -26,16 +26,15 @@ fn factor_kernel_factors_every_tile_like_geqr2() {
     {
         let v: Vec<MatPtr<f64>> = vs.iter_mut().map(MatPtr::new).collect();
         let k = FactorKernel {
+            launch: GridLaunch::factor(gpu.spec(), &tiles, 8, STRAT, 8),
             a: MatPtr::new(&mut a),
             tiles: &tiles,
             col0: 0,
             width: 8,
-            strategy: STRAT,
-            spec: gpu.spec(),
             wy: &wy,
             v: &v,
         };
-        gpu.launch(&k).unwrap();
+        gpu.launch_on(Exec::Sync, &k).unwrap();
     }
     // Each tile must hold exactly the geqr2 factorization of its rows, and
     // its output slot the matching compact-WY factors.
@@ -97,15 +96,14 @@ fn factor_tree_kernel_eliminates_triangles() {
     let out: Vec<Mutex<Option<TreeNode<f64>>>> = vec![Mutex::new(None)];
     {
         let k = FactorTreeKernel {
+            launch: GridLaunch::factor_tree(gpu.spec(), vec![2], w, STRAT, 8),
             a: MatPtr::new(&mut a),
             groups: &groups,
             col0: 0,
             width: w,
-            strategy: STRAT,
-            spec: gpu.spec(),
             out: &out,
         };
-        gpu.launch(&k).unwrap();
+        gpu.launch_on(Exec::Sync, &k).unwrap();
     }
     let node = out.into_iter().next().unwrap().into_inner().unwrap();
     assert_eq!(node.members, vec![0, 32]);
@@ -151,14 +149,13 @@ fn apply_qt_h_kernel_matches_host_application() {
     let cols = [(0usize, 6usize)];
     {
         let k = ApplyQtHKernel {
+            launch: GridLaunch::apply_qt_h(gpu.spec(), &pf.tiles, 4, &cols, STRAT, 8),
             c: MatPtr::new(&mut target),
             panel: &pf,
             col_blocks: &cols,
             transpose: true,
-            strategy: STRAT,
-            spec: gpu.spec(),
         };
-        gpu.launch(&k).unwrap();
+        gpu.launch_on(Exec::Sync, &k).unwrap();
     }
     let mut want = target0.clone();
     dense::householder::apply_q2(&v, &tau, true, &mut want);
@@ -218,16 +215,15 @@ fn kernels_count_positive_flops_and_traffic() {
     {
         let v: Vec<MatPtr<f32>> = vs.iter_mut().map(MatPtr::new).collect();
         let k = FactorKernel {
+            launch: GridLaunch::factor(gpu.spec(), &tiles, 8, STRAT, 4),
             a: MatPtr::new(&mut a),
             tiles: &tiles,
             col0: 0,
             width: 8,
-            strategy: STRAT,
-            spec: gpu.spec(),
             wy: &wy,
             v: &v,
         };
-        let report = gpu.launch(&k).unwrap();
+        let report = gpu.launch_on(Exec::Sync, &k).unwrap();
         assert_eq!(report.blocks, 4);
         assert!(report.total.flops > 0);
         assert!(

@@ -5,14 +5,31 @@ use crate::blas3::{gemm, Trans};
 use crate::matrix::Matrix;
 use crate::scalar::Scalar;
 
+/// `sqrt(sum x^2)` over `xs`, accumulated as a scaled sum of squares (as
+/// [`crate::blas1::nrm2`] does) so that entries near the overflow or
+/// underflow threshold neither overflow to `inf` nor vanish to zero.
+fn norm2(xs: impl Iterator<Item = f64>) -> f64 {
+    let mut scale = 0.0f64;
+    let mut ssq = 1.0f64;
+    for x in xs {
+        if x != 0.0 {
+            let a = x.abs();
+            if scale < a {
+                let r = scale / a;
+                ssq = 1.0 + ssq * r * r;
+                scale = a;
+            } else {
+                let r = a / scale;
+                ssq += r * r;
+            }
+        }
+    }
+    scale * ssq.sqrt()
+}
+
 /// Frobenius norm.
 pub fn frobenius<T: Scalar>(a: &Matrix<T>) -> f64 {
-    let mut acc = 0.0f64;
-    for v in a.as_slice() {
-        let x = v.to_f64();
-        acc += x * x;
-    }
-    acc.sqrt()
+    norm2(a.as_slice().iter().map(|v| v.to_f64()))
 }
 
 /// Largest absolute entry.
@@ -54,16 +71,13 @@ pub fn reconstruction_error<T: Scalar>(a: &Matrix<T>, q: &Matrix<T>, r: &Matrix<
         T::ZERO,
         qr.as_mut(),
     );
-    let mut diff = 0.0f64;
-    for (x, y) in qr.as_slice().iter().zip(a.as_slice()) {
-        let d = x.to_f64() - y.to_f64();
-        diff += d * d;
-    }
+    let diffs = qr.as_slice().iter().zip(a.as_slice());
+    let diff = norm2(diffs.map(|(x, y)| x.to_f64() - y.to_f64()));
     let na = frobenius(a);
     if na > 0.0 {
-        diff.sqrt() / na
+        diff / na
     } else {
-        diff.sqrt()
+        diff
     }
 }
 
@@ -102,6 +116,24 @@ mod tests {
         assert_eq!(max_abs(&a), 4.0);
         assert_eq!(one_norm(&a), 4.0);
         assert_eq!(inf_norm(&a), 7.0);
+    }
+
+    #[test]
+    fn metrics_hold_at_the_extremes_of_the_exponent_range() {
+        // Squaring raw entries overflows at 1e300 (|A| = inf, the backward
+        // error NaN) and underflows at 1e-300 (|A| = 0, every error hidden).
+        let a = Matrix::from_row_major(2, 2, &[3.0f64, -4.0, 0.0, 0.0]);
+        let q = Matrix::<f64>::eye(2, 2);
+        for s in [1e300, 1e-300] {
+            let sa = Matrix::from_fn(2, 2, |i, j| a[(i, j)] * s);
+            let rel = (frobenius(&sa) - 5.0 * s).abs() / (5.0 * s);
+            assert!(rel < 1e-15, "scale {s:e}: |A| = {:e}", frobenius(&sa));
+            // Q R misses A by one entry of a tenth of A's scale.
+            let mut r = sa.clone();
+            r[(0, 1)] += 0.5 * s;
+            let err = reconstruction_error(&sa, &q, &r);
+            assert!((err - 0.1).abs() < 1e-15, "scale {s:e}: error {err}");
+        }
     }
 
     #[test]

@@ -1,12 +1,13 @@
 //! Per-block operation counters and per-launch statistics.
 //!
-//! Kernels record what they *do* (flops, shared/global memory words moved,
-//! barriers, warp-level issue slots) as they do it; the device model in
-//! [`crate::device`] converts the totals into modelled seconds.
+//! A launch description states what each block *does* (flops, shared/global
+//! memory words moved, barriers, warp-level issue slots), tallied with a
+//! [`CostMeter`]; the device model in [`crate::device`] converts the totals
+//! into modelled seconds.
 
 use crate::spec::DeviceSpec;
 
-/// Operation counts accumulated by one thread block during `run_block`.
+/// Operation counts of one thread block.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct BlockCost {
     /// Algorithmically useful floating-point operations (an FMA counts 2).
@@ -33,7 +34,7 @@ impl BlockCost {
     }
 }
 
-/// Counting interface handed to kernels. Wraps a [`BlockCost`] plus the
+/// Counting interface for block costs. Wraps a [`BlockCost`] plus the
 /// device constants needed to convert operations into issue cycles.
 #[derive(Clone, Debug)]
 pub struct CostMeter {
@@ -59,18 +60,6 @@ impl CostMeter {
             uncoalesced: spec.uncoalesced_factor,
             issue_eff: spec.issue_efficiency,
         }
-    }
-
-    /// Reset counters between blocks (meters are reused per worker thread).
-    pub fn reset(&mut self) {
-        self.cost = BlockCost::default();
-    }
-
-    /// Add a pre-computed block cost (used by kernels whose cost is derived
-    /// analytically by the same functions the model-only sweeps call, so the
-    /// executed and modelled paths agree by construction).
-    pub fn charge(&mut self, c: &BlockCost) {
-        self.cost.merge(c);
     }
 
     /// `n` fused multiply-adds executed across the block's threads
@@ -182,7 +171,7 @@ mod tests {
         let mut m = CostMeter::new(&spec);
         m.gmem(10, 4, true);
         let coalesced = m.cost.gmem_bytes;
-        m.reset();
+        let mut m = CostMeter::new(&spec);
         m.gmem(10, 4, false);
         assert!((m.cost.gmem_bytes - coalesced * spec.uncoalesced_factor).abs() < 1e-9);
     }

@@ -10,14 +10,16 @@
 //! * DRAM is a shared resource: `dram_time = total_bytes / bandwidth`.
 //! * A launch costs `overhead + max(issue_time, dram_time)` — the roofline.
 //!
-//! Kernels may also be launched in *model-only* mode ([`Gpu::launch_uniform`])
-//! where the per-block cost is supplied analytically instead of being
-//! recorded during execution; the `caqr` crate derives both from the same
-//! cost functions so the two paths agree (tested in `caqr::kernels`).
+//! A launch is charged from its [`Launch`] description alone, block by
+//! block in grid order. [`Gpu::launch_on`] runs a [`Kernel`]'s blocks and
+//! then charges its description; [`Gpu::charge_on`] charges a description
+//! without running anything (the model-only figure sweeps). The two differ
+//! only in whether arithmetic happens, so a kernel and its description
+//! record the same time by construction.
 
-use crate::cost::{BlockCost, CostMeter, KernelReport};
+use crate::cost::{BlockCost, KernelReport};
 use crate::fault::{self, FaultKind, FaultPlan, RetryPolicy};
-use crate::kernel::{BlockCtx, Kernel, LaunchConfig, LaunchError};
+use crate::kernel::{Kernel, Launch, LaunchError};
 use crate::ledger::CostLedger;
 use crate::spec::{DeviceSpec, PcieSpec};
 use crate::stream::{EventId, QueuedKernel, StreamId, StreamOp, StreamTable};
@@ -286,165 +288,129 @@ impl Gpu {
         }
     }
 
-    /// Execute a kernel: all blocks run in parallel on the rayon pool, each
-    /// with its own shared-memory arena and cost meter.
-    pub fn launch<T: Scalar>(&self, kernel: &dyn Kernel<T>) -> Result<KernelReport, LaunchError> {
-        let cfg = kernel.config();
-        cfg.validate(&self.spec)?;
-        let adm = self.admit(kernel.name())?;
-        if adm.stall_seconds > 0.0 {
-            // Synchronous launch: watchdog stall from killed hung attempts
-            // advances the global clock directly.
-            self.ledger.lock().record_stall(adm.stall_seconds, true);
-        }
-        let costs = self.execute_blocks(kernel, &cfg);
-        self.apply_sdc(kernel, &adm);
-        let report = self.time_and_record(kernel.name(), &cfg, &costs);
-        Ok(report)
-    }
-
-    /// Apply a pending silent-data-corruption payload to a completed
-    /// launch's output, counting it only if the kernel actually perturbed
-    /// an element.
-    fn apply_sdc<T: Scalar>(&self, kernel: &dyn Kernel<T>, adm: &Admission) {
+    /// Execute a kernel under an [`Exec`] policy: all blocks run in
+    /// parallel on the rayon pool, then the launch is charged from its
+    /// description like [`Self::charge_on`]. With `Exec::Stream` the
+    /// arithmetic still runs now — host enqueue order is a valid topological
+    /// order of any stream/event DAG, so results are bit-identical to
+    /// synchronous launches — while the timing is queued on the stream and
+    /// resolved by the next [`Self::synchronize`].
+    pub fn launch_on<T: Scalar>(
+        &self,
+        exec: Exec,
+        kernel: &dyn Kernel<T>,
+    ) -> Result<KernelReport, LaunchError> {
+        let launch = kernel.launch();
+        let adm = self.admit_launch(launch)?;
+        (0..launch.config().blocks)
+            .into_par_iter()
+            .for_each(|b| kernel.run_block(b));
         if let Some(r) = adm.sdc {
+            // Count the corruption only if the kernel perturbed an element.
             if kernel.inject_sdc(r) {
                 self.ledger.lock().record_sdc();
             }
         }
+        Ok(self.charge(exec, launch, adm.stall_seconds))
     }
 
-    /// Run every block of a validated launch on the rayon pool, returning
-    /// the per-block recorded costs in grid order.
-    fn execute_blocks<T: Scalar>(
+    /// Charge a launch description under an [`Exec`] policy without
+    /// executing anything: the same validation, fault admission and timing
+    /// as [`Self::launch_on`]. Used by the model-only sweeps, where running
+    /// terabyte-scale workloads would be pointless (the arithmetic is
+    /// validated at smaller sizes). Generic so that a concrete description's
+    /// `block_cost` inlines into the per-block loop: an indirect call per
+    /// block about triples the sweeps' time.
+    pub fn charge_on<L: Launch + ?Sized>(
         &self,
-        kernel: &dyn Kernel<T>,
-        cfg: &LaunchConfig,
-    ) -> Vec<BlockCost> {
-        let smem_elems = cfg.shared_mem_bytes / std::mem::size_of::<T>();
-        let spec = &self.spec;
-        (0..cfg.blocks)
-            .into_par_iter()
-            .map_init(
-                || BlockCtx {
-                    shared: vec![T::ZERO; smem_elems],
-                    meter: CostMeter::new(spec),
-                },
-                |ctx, b| {
-                    ctx.meter.reset();
-                    // A fresh block sees undefined shared memory; zeroing it
-                    // keeps runs deterministic without charging the kernel.
-                    ctx.shared.fill(T::ZERO);
-                    kernel.run_block(b, ctx);
-                    ctx.meter.cost
-                },
-            )
-            .collect()
-    }
-
-    /// Model-only launch with heterogeneous per-block costs (one entry per
-    /// block, in grid order). Timing is identical to an executed launch with
-    /// the same recorded costs — the model-vs-execution agreement tests in
-    /// the `caqr` crate rely on this.
-    pub fn launch_with_costs(
-        &self,
-        name: &'static str,
-        cfg: LaunchConfig,
-        costs: &[BlockCost],
+        exec: Exec,
+        launch: &L,
     ) -> Result<KernelReport, LaunchError> {
-        cfg.validate(&self.spec)?;
-        let adm = self.admit(name)?;
-        if adm.stall_seconds > 0.0 {
-            self.ledger.lock().record_stall(adm.stall_seconds, true);
-        }
-        // Model-only launches have no output to corrupt; an admitted SDC
-        // payload is dropped (and not counted as injected).
-        assert_eq!(cfg.blocks, costs.len(), "one cost entry per block");
-        Ok(self.time_and_record(name, &cfg, costs))
+        // A charged launch has no output to corrupt; an admitted SDC payload
+        // is dropped (and not counted as injected).
+        let adm = self.admit_launch(launch)?;
+        Ok(self.charge(exec, launch, adm.stall_seconds))
     }
 
-    /// Model-only launch: charge `blocks` copies of an analytically derived
-    /// per-block cost without executing anything. Used by the figure/table
-    /// sweeps where real execution of terabyte-scale workloads would be
-    /// pointless (the arithmetic is validated at smaller sizes).
-    pub fn launch_uniform(
-        &self,
-        name: &'static str,
-        cfg: LaunchConfig,
-        per_block: &BlockCost,
-    ) -> Result<KernelReport, LaunchError> {
-        cfg.validate(&self.spec)?;
-        let adm = self.admit(name)?;
-        if adm.stall_seconds > 0.0 {
-            self.ledger.lock().record_stall(adm.stall_seconds, true);
-        }
-        // Avoid materializing huge vectors: the round-robin maximum for a
-        // uniform grid is ceil(blocks / sms) blocks on the fullest SM.
-        let sms = self.spec.sms;
-        let fullest = cfg.blocks.div_ceil(sms);
-        let issue_time = fullest as f64 * per_block.issue_cycles * self.spec.cycle_seconds();
-        let total = BlockCost {
-            flops: per_block.flops * cfg.blocks as u64,
-            issue_cycles: per_block.issue_cycles * cfg.blocks as f64,
-            gmem_bytes: per_block.gmem_bytes * cfg.blocks as f64,
-            smem_words: per_block.smem_words * cfg.blocks as u64,
-            syncs: per_block.syncs * cfg.blocks as u64,
-        };
-        let report = self.finish_launch(name, &cfg, total, issue_time);
-        Ok(report)
+    /// Validate a launch against the device limits, then admit it under the
+    /// installed fault plan.
+    fn admit_launch<L: Launch + ?Sized>(&self, launch: &L) -> Result<Admission, LaunchError> {
+        launch.config().validate(&self.spec)?;
+        self.admit(launch.name())
     }
 
-    fn time_and_record(
+    /// Time an admitted launch from its per-block costs and record it:
+    /// synchronously on the ledger, or queued on a stream (the report then
+    /// carries the contention-free time; the realized interval, stretched
+    /// by whatever overlaps it, lands in the [`Timeline`]). Watchdog stall
+    /// from killed hung attempts advances the global clock when synchronous
+    /// and occupies the stream's lane ahead of the kernel when queued.
+    fn charge<L: Launch + ?Sized>(
         &self,
-        name: &'static str,
-        cfg: &LaunchConfig,
-        costs: &[BlockCost],
+        exec: Exec,
+        launch: &L,
+        stall_seconds: f64,
     ) -> KernelReport {
-        let (total, issue_time) = self.aggregate(costs);
-        self.finish_launch(name, cfg, total, issue_time)
-    }
-
-    /// Sum per-block costs and compute the round-robin issue time — the one
-    /// timing computation shared by the synchronous and stream paths, so a
-    /// kernel costs exactly the same alone either way.
-    fn aggregate(&self, costs: &[BlockCost]) -> (BlockCost, f64) {
+        let name = launch.name();
+        let blocks = launch.config().blocks;
+        // Blocks go to SMs round-robin in grid order and serialize through
+        // each SM's issue port.
         let sms = self.spec.sms;
         let mut sm_cycles = vec![0.0f64; sms];
         let mut total = BlockCost::default();
-        for (b, c) in costs.iter().enumerate() {
+        for b in 0..blocks {
+            let c = launch.block_cost(b);
             sm_cycles[b % sms] += c.issue_cycles;
-            total.merge(c);
+            total.merge(&c);
         }
         let issue_time = sm_cycles.iter().cloned().fold(0.0, f64::max) * self.spec.cycle_seconds();
-        (total, issue_time)
-    }
-
-    fn finish_launch(
-        &self,
-        name: &'static str,
-        cfg: &LaunchConfig,
-        total: BlockCost,
-        issue_time: f64,
-    ) -> KernelReport {
         let dram_time = total.gmem_bytes / (self.spec.dram_bw_gbs * 1.0e9);
-        let body = issue_time.max(dram_time);
-        let seconds = self.spec.launch_overhead_us * 1.0e-6 + body;
-        let gflops = if seconds > 0.0 {
-            total.flops as f64 / seconds / 1.0e9
-        } else {
-            0.0
+        let overhead = self.spec.launch_overhead_us * 1.0e-6;
+        let seconds = overhead + issue_time.max(dram_time);
+        let stream = match exec {
+            Exec::Sync => {
+                let mut ledger = self.ledger.lock();
+                if stall_seconds > 0.0 {
+                    ledger.record_stall(stall_seconds, true);
+                }
+                ledger.record(name, seconds, total.flops as f64, total.gmem_bytes);
+                None
+            }
+            Exec::Stream(stream) => {
+                let mut streams = self.streams.lock();
+                if stall_seconds > 0.0 {
+                    // Resolves into a `watchdog_stall` interval at
+                    // synchronize, attributed as a stall, never as a call.
+                    streams.push(stream, StreamOp::Kernel(QueuedKernel::stall(stall_seconds)));
+                }
+                streams.push(
+                    stream,
+                    StreamOp::Kernel(QueuedKernel {
+                        name,
+                        blocks,
+                        overhead,
+                        issue_seconds: issue_time,
+                        dram_seconds: dram_time,
+                        sm_fraction: blocks.min(sms) as f64 / sms as f64,
+                        flops: total.flops as f64,
+                        bytes: total.gmem_bytes,
+                    }),
+                );
+                Some(stream.index())
+            }
         };
-        self.ledger
-            .lock()
-            .record(name, seconds, total.flops as f64, total.gmem_bytes);
         KernelReport {
             name,
-            blocks: cfg.blocks,
+            blocks,
             seconds,
             total,
-            gflops,
+            gflops: if seconds > 0.0 {
+                total.flops as f64 / seconds / 1.0e9
+            } else {
+                0.0
+            },
             compute_bound: issue_time >= dram_time,
-            stream: None,
+            stream,
         }
     }
 
@@ -471,118 +437,6 @@ impl Gpu {
     /// schedule, which [`Self::synchronize`] reports by panicking.
     pub fn wait_event(&self, stream: StreamId, event: EventId) {
         self.streams.lock().push(stream, StreamOp::Wait(event));
-    }
-
-    /// Asynchronous kernel launch. The kernel's arithmetic executes
-    /// immediately on the rayon pool — host enqueue order is a valid
-    /// topological order of any stream/event DAG, so results are
-    /// bit-identical to synchronous launches — while its *timing* is queued
-    /// on `stream` and resolved by the next [`Self::synchronize`].
-    ///
-    /// The returned report carries the contention-free (`alone`) time; the
-    /// realized interval, stretched by whatever overlaps it, lands in the
-    /// [`Timeline`].
-    pub fn launch_async<T: Scalar>(
-        &self,
-        stream: StreamId,
-        kernel: &dyn Kernel<T>,
-    ) -> Result<KernelReport, LaunchError> {
-        let cfg = kernel.config();
-        cfg.validate(&self.spec)?;
-        let adm = self.admit(kernel.name())?;
-        let costs = self.execute_blocks(kernel, &cfg);
-        self.apply_sdc(kernel, &adm);
-        Ok(self.enqueue(stream, kernel.name(), &cfg, &costs, adm.stall_seconds))
-    }
-
-    /// Model-only asynchronous launch with heterogeneous per-block costs:
-    /// the stream counterpart of [`Self::launch_with_costs`].
-    pub fn launch_with_costs_async(
-        &self,
-        stream: StreamId,
-        name: &'static str,
-        cfg: LaunchConfig,
-        costs: &[BlockCost],
-    ) -> Result<KernelReport, LaunchError> {
-        cfg.validate(&self.spec)?;
-        let adm = self.admit(name)?;
-        assert_eq!(cfg.blocks, costs.len(), "one cost entry per block");
-        Ok(self.enqueue(stream, name, &cfg, costs, adm.stall_seconds))
-    }
-
-    /// Launch via an [`Exec`] policy: synchronously, or on a stream.
-    pub fn launch_on<T: Scalar>(
-        &self,
-        exec: Exec,
-        kernel: &dyn Kernel<T>,
-    ) -> Result<KernelReport, LaunchError> {
-        match exec {
-            Exec::Sync => self.launch(kernel),
-            Exec::Stream(s) => self.launch_async(s, kernel),
-        }
-    }
-
-    /// Model-only launch via an [`Exec`] policy.
-    pub fn launch_with_costs_on(
-        &self,
-        exec: Exec,
-        name: &'static str,
-        cfg: LaunchConfig,
-        costs: &[BlockCost],
-    ) -> Result<KernelReport, LaunchError> {
-        match exec {
-            Exec::Sync => self.launch_with_costs(name, cfg, costs),
-            Exec::Stream(s) => self.launch_with_costs_async(s, name, cfg, costs),
-        }
-    }
-
-    fn enqueue(
-        &self,
-        stream: StreamId,
-        name: &'static str,
-        cfg: &LaunchConfig,
-        costs: &[BlockCost],
-        stall_seconds: f64,
-    ) -> KernelReport {
-        let (total, issue_time) = self.aggregate(costs);
-        let dram_time = total.gmem_bytes / (self.spec.dram_bw_gbs * 1.0e9);
-        let overhead = self.spec.launch_overhead_us * 1.0e-6;
-        let alone = overhead + issue_time.max(dram_time);
-        if stall_seconds > 0.0 {
-            // Watchdog stall from killed hung attempts occupies this
-            // stream's lane ahead of the resubmitted kernel; it resolves
-            // into a `watchdog_stall` interval at synchronize and is
-            // attributed as a stall, never as a kernel call.
-            self.streams
-                .lock()
-                .push(stream, StreamOp::Kernel(QueuedKernel::stall(stall_seconds)));
-        }
-        self.streams.lock().push(
-            stream,
-            StreamOp::Kernel(QueuedKernel {
-                name,
-                blocks: cfg.blocks,
-                overhead,
-                issue_seconds: issue_time,
-                dram_seconds: dram_time,
-                sm_fraction: cfg.blocks.min(self.spec.sms) as f64 / self.spec.sms as f64,
-                flops: total.flops as f64,
-                bytes: total.gmem_bytes,
-            }),
-        );
-        KernelReport {
-            name,
-            blocks: cfg.blocks,
-            seconds: alone,
-            total,
-            gflops: if alone > 0.0 {
-                total.flops as f64 / alone / 1.0e9
-            } else {
-                0.0
-            },
-            compute_bound: issue_time >= dram_time,
-            stream: Some(stream.index()),
-        }
     }
 
     /// Resolve every queued stream operation into modelled time. Kernel
@@ -656,9 +510,32 @@ impl Gpu {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cost::CostMeter;
+    use crate::kernel::LaunchConfig;
     use dense::{MatPtr, Matrix};
 
-    /// Trivial kernel: each block scales its own 32-row tile by 2 and charges
+    /// A `blocks`-block grid of 64 threads with no shared memory.
+    fn grid(blocks: usize) -> LaunchConfig {
+        LaunchConfig {
+            blocks,
+            threads_per_block: 64,
+            shared_mem_bytes: 0,
+            regs_per_thread: 8,
+        }
+    }
+
+    /// A block cost with no shared-memory traffic or barriers.
+    fn cost(flops: u64, issue_cycles: f64, gmem_bytes: f64) -> BlockCost {
+        BlockCost {
+            flops,
+            issue_cycles,
+            gmem_bytes,
+            smem_words: 0,
+            syncs: 0,
+        }
+    }
+
+    /// Trivial kernel: each block scales its own row tile by 2 and charges
     /// one fma per element.
     struct ScaleKernel {
         mat: MatPtr<f32>,
@@ -666,22 +543,30 @@ mod tests {
         blocks: usize,
     }
 
-    impl Kernel<f32> for ScaleKernel {
+    impl Launch for ScaleKernel {
         fn name(&self) -> &'static str {
             "scale"
         }
         fn config(&self) -> LaunchConfig {
-            LaunchConfig {
-                blocks: self.blocks,
-                threads_per_block: 64,
-                shared_mem_bytes: 0,
-                regs_per_thread: 8,
-            }
+            grid(self.blocks)
         }
-        fn run_block(&self, b: usize, ctx: &mut BlockCtx<f32>) {
+        fn block_cost(&self, _b: usize) -> BlockCost {
+            let elems = (self.tile_rows * self.mat.cols()) as u64;
+            let mut m = CostMeter::new(&DeviceSpec::c2050());
+            m.gmem(elems, 4, true);
+            m.fma(elems);
+            m.gmem(elems, 4, true);
+            m.cost
+        }
+    }
+
+    impl Kernel<f32> for ScaleKernel {
+        fn launch(&self) -> &dyn Launch {
+            self
+        }
+        fn run_block(&self, b: usize) {
             let r0 = b * self.tile_rows;
-            let cols = self.mat.cols();
-            for j in 0..cols {
+            for j in 0..self.mat.cols() {
                 for i in 0..self.tile_rows {
                     // SAFETY: blocks own disjoint row tiles.
                     unsafe {
@@ -690,10 +575,21 @@ mod tests {
                     }
                 }
             }
-            let elems = (self.tile_rows * cols) as u64;
-            ctx.meter.gmem(elems, 4, true);
-            ctx.meter.fma(elems);
-            ctx.meter.gmem(elems, 4, true);
+        }
+    }
+
+    /// A charged launch whose blocks all cost the same.
+    struct Uniform(&'static str, LaunchConfig, BlockCost);
+
+    impl Launch for Uniform {
+        fn name(&self) -> &'static str {
+            self.0
+        }
+        fn config(&self) -> LaunchConfig {
+            self.1
+        }
+        fn block_cost(&self, _b: usize) -> BlockCost {
+            self.2
         }
     }
 
@@ -708,7 +604,7 @@ mod tests {
                 tile_rows: 32,
                 blocks: 8,
             };
-            gpu.launch(&k).unwrap()
+            gpu.launch_on(Exec::Sync, &k).unwrap()
         };
         // Real math happened.
         for i in 0..256 {
@@ -728,32 +624,12 @@ mod tests {
         // take the same modelled body time (perfect scaling), while 15 blocks
         // start a second wave.
         let gpu = Gpu::new(DeviceSpec::c2050());
-        let cfg = |blocks| LaunchConfig {
-            blocks,
-            threads_per_block: 64,
-            shared_mem_bytes: 0,
-            regs_per_thread: 8,
+        let per_block = cost(1_000_000, 100_000.0, 0.0);
+        let time = |blocks| {
+            let launch = Uniform("k", grid(blocks), per_block);
+            gpu.charge_on(Exec::Sync, &launch).unwrap().seconds
         };
-        let per_block = BlockCost {
-            flops: 1_000_000,
-            issue_cycles: 100_000.0,
-            gmem_bytes: 0.0,
-            smem_words: 0,
-            syncs: 0,
-        };
-        let t1 = gpu.launch_uniform("k", cfg(1), &per_block).unwrap().seconds;
-        let t14 = gpu
-            .launch_uniform("k", cfg(14), &per_block)
-            .unwrap()
-            .seconds;
-        let t15 = gpu
-            .launch_uniform("k", cfg(15), &per_block)
-            .unwrap()
-            .seconds;
-        let t28 = gpu
-            .launch_uniform("k", cfg(28), &per_block)
-            .unwrap()
-            .seconds;
+        let (t1, t14, t15, t28) = (time(1), time(14), time(15), time(28));
         assert!(
             (t1 - t14).abs() < 1e-12,
             "1 and 14 blocks fill <= one block per SM"
@@ -765,20 +641,11 @@ mod tests {
     #[test]
     fn dram_bound_launch_obeys_bandwidth_roofline() {
         let gpu = Gpu::new(DeviceSpec::c2050());
-        let per_block = BlockCost {
-            flops: 1000,
-            issue_cycles: 10.0,
-            gmem_bytes: 1.0e6, // 1 MB per block
-            smem_words: 0,
-            syncs: 0,
-        };
-        let cfg = LaunchConfig {
-            blocks: 144,
-            threads_per_block: 64,
-            shared_mem_bytes: 0,
-            regs_per_thread: 8,
-        };
-        let r = gpu.launch_uniform("bw", cfg, &per_block).unwrap();
+        let per_block = cost(1000, 10.0, 1.0e6); // 1 MB per block
+        let cfg = grid(144);
+        let r = gpu
+            .charge_on(Exec::Sync, &Uniform("bw", cfg, per_block))
+            .unwrap();
         assert!(!r.compute_bound);
         // 144 MB / 144 GB/s = 1 ms.
         let want = 1.0e-3 + gpu.spec().launch_overhead_us * 1e-6;
@@ -797,7 +664,7 @@ mod tests {
                 tile_rows: 32,
                 blocks: 8,
             };
-            gpu.launch_async(s, &k).unwrap();
+            gpu.launch_on(Exec::Stream(s), &k).unwrap();
         }
         // Numerics are done before synchronize.
         for i in 0..256 {
@@ -819,31 +686,20 @@ mod tests {
 
     #[test]
     fn single_stream_equals_synchronous_time() {
-        let per_block = BlockCost {
-            flops: 1_000_000,
-            issue_cycles: 100_000.0,
-            gmem_bytes: 5.0e5,
-            smem_words: 0,
-            syncs: 0,
-        };
-        let cfg = LaunchConfig {
-            blocks: 28,
-            threads_per_block: 64,
-            shared_mem_bytes: 0,
-            regs_per_thread: 8,
-        };
-        let costs = vec![per_block; 28];
+        let per_block = cost(1_000_000, 100_000.0, 5.0e5);
+        let cfg = grid(28);
 
         let sync = Gpu::new(DeviceSpec::c2050());
         for _ in 0..3 {
-            sync.launch_with_costs("k", cfg, &costs).unwrap();
+            sync.charge_on(Exec::Sync, &Uniform("k", cfg, per_block))
+                .unwrap();
         }
 
         let streamed = Gpu::new(DeviceSpec::c2050());
         let s = streamed.create_stream();
         for _ in 0..3 {
             streamed
-                .launch_with_costs_async(s, "k", cfg, &costs)
+                .charge_on(Exec::Stream(s), &Uniform("k", cfg, per_block))
                 .unwrap();
         }
         let tl = streamed.synchronize();
@@ -860,27 +716,15 @@ mod tests {
     #[test]
     fn events_serialize_across_streams() {
         let gpu = Gpu::new(DeviceSpec::c2050());
-        let per_block = BlockCost {
-            flops: 1000,
-            issue_cycles: 50_000.0,
-            gmem_bytes: 0.0,
-            smem_words: 0,
-            syncs: 0,
-        };
-        let cfg = LaunchConfig {
-            blocks: 14,
-            threads_per_block: 64,
-            shared_mem_bytes: 0,
-            regs_per_thread: 8,
-        };
-        let costs = vec![per_block; 14];
+        let per_block = cost(1000, 50_000.0, 0.0);
+        let cfg = grid(14);
         let s0 = gpu.create_stream();
         let s1 = gpu.create_stream();
-        gpu.launch_with_costs_async(s0, "producer", cfg, &costs)
+        gpu.charge_on(Exec::Stream(s0), &Uniform("producer", cfg, per_block))
             .unwrap();
         let ev = gpu.record_event(s0);
         gpu.wait_event(s1, ev);
-        gpu.launch_with_costs_async(s1, "consumer", cfg, &costs)
+        gpu.charge_on(Exec::Stream(s1), &Uniform("consumer", cfg, per_block))
             .unwrap();
         let tl = gpu.synchronize();
         let p = tl
@@ -932,7 +776,7 @@ mod tests {
                     tile_rows: 32,
                     blocks: 8,
                 };
-                gpu.launch(&k).unwrap();
+                gpu.launch_on(Exec::Sync, &k).unwrap();
             }
             m
         };
@@ -973,7 +817,7 @@ mod tests {
                 tile_rows: 8,
                 blocks: 8,
             };
-            gpu.launch(&k).unwrap_err()
+            gpu.launch_on(Exec::Sync, &k).unwrap_err()
         };
         assert_eq!(
             err,
@@ -992,30 +836,19 @@ mod tests {
     fn fault_plan_survives_reset_with_restarted_numbering() {
         let gpu = Gpu::new(DeviceSpec::c2050());
         gpu.set_fault_plan(crate::fault::FaultPlan::at_launches(&[1]));
-        let cfg = LaunchConfig {
-            blocks: 1,
-            threads_per_block: 64,
-            shared_mem_bytes: 0,
-            regs_per_thread: 8,
-        };
-        let pb = BlockCost {
-            flops: 1,
-            issue_cycles: 1.0,
-            gmem_bytes: 0.0,
-            smem_words: 0,
-            syncs: 0,
-        };
-        gpu.launch_uniform("k", cfg, &pb).unwrap();
-        gpu.launch_uniform("k", cfg, &pb).unwrap();
+        let cfg = grid(1);
+        let pb = cost(1, 1.0, 0.0);
+        gpu.charge_on(Exec::Sync, &Uniform("k", cfg, pb)).unwrap();
+        gpu.charge_on(Exec::Sync, &Uniform("k", cfg, pb)).unwrap();
         assert_eq!(gpu.ledger().faults, 1);
         gpu.reset();
-        gpu.launch_uniform("k", cfg, &pb).unwrap();
-        gpu.launch_uniform("k", cfg, &pb).unwrap();
+        gpu.charge_on(Exec::Sync, &Uniform("k", cfg, pb)).unwrap();
+        gpu.charge_on(Exec::Sync, &Uniform("k", cfg, pb)).unwrap();
         assert_eq!(gpu.ledger().faults, 1, "same schedule after reset");
         gpu.clear_fault_plan();
         gpu.reset();
-        gpu.launch_uniform("k", cfg, &pb).unwrap();
-        gpu.launch_uniform("k", cfg, &pb).unwrap();
+        gpu.charge_on(Exec::Sync, &Uniform("k", cfg, pb)).unwrap();
+        gpu.charge_on(Exec::Sync, &Uniform("k", cfg, pb)).unwrap();
         assert_eq!(gpu.ledger().faults, 0);
     }
 
@@ -1038,7 +871,7 @@ mod tests {
                 tile_rows: 8,
                 blocks: 8,
             };
-            gpu.launch(&k).unwrap_err()
+            gpu.launch_on(Exec::Sync, &k).unwrap_err()
         };
         // Persistent hang: every attempt killed at the deadline, typed
         // Timeout at exhaustion, memory untouched, stall time charged.
@@ -1070,24 +903,13 @@ mod tests {
             .expect("some launch hangs once then clears");
         let gpu2 = Gpu::new(DeviceSpec::c2050());
         gpu2.set_fault_plan(probe);
-        let cfg = LaunchConfig {
-            blocks: 1,
-            threads_per_block: 64,
-            shared_mem_bytes: 0,
-            regs_per_thread: 8,
-        };
-        let pb = BlockCost {
-            flops: 1,
-            issue_cycles: 1.0,
-            gmem_bytes: 0.0,
-            smem_words: 0,
-            syncs: 0,
-        };
+        let cfg = grid(1);
+        let pb = cost(1, 1.0, 0.0);
         // Burn launches up to `idx`, absorbing whatever the plan throws.
         for _ in 0..idx {
-            let _ = gpu2.launch_uniform("k", cfg, &pb);
+            let _ = gpu2.charge_on(Exec::Sync, &Uniform("k", cfg, pb));
         }
-        gpu2.launch_uniform("probe", cfg, &pb)
+        gpu2.charge_on(Exec::Sync, &Uniform("probe", cfg, pb))
             .expect("transient hang absorbed by watchdog retry");
         assert!(gpu2.ledger().hangs >= 1);
     }
@@ -1102,23 +924,15 @@ mod tests {
             })
             .unwrap();
         gpu.set_fault_plan(probe);
-        let cfg = LaunchConfig {
-            blocks: 1,
-            threads_per_block: 64,
-            shared_mem_bytes: 0,
-            regs_per_thread: 8,
-        };
-        let pb = BlockCost {
-            flops: 1,
-            issue_cycles: 1.0,
-            gmem_bytes: 0.0,
-            smem_words: 0,
-            syncs: 0,
-        };
+        let cfg = grid(1);
+        let pb = cost(1, 1.0, 0.0);
         let s = gpu.create_stream();
         let mut enqueued = 0u64;
         for _ in 0..=idx {
-            if gpu.launch_with_costs_async(s, "k", cfg, &[pb]).is_ok() {
+            if gpu
+                .charge_on(Exec::Stream(s), &Uniform("k", cfg, pb))
+                .is_ok()
+            {
                 enqueued += 1;
             }
         }
@@ -1143,21 +957,25 @@ mod tests {
         mat: MatPtr<f32>,
     }
 
-    impl Kernel<f32> for SdcProbeKernel {
+    impl Launch for SdcProbeKernel {
         fn name(&self) -> &'static str {
             "sdc_probe"
         }
         fn config(&self) -> LaunchConfig {
-            LaunchConfig {
-                blocks: 1,
-                threads_per_block: 64,
-                shared_mem_bytes: 0,
-                regs_per_thread: 8,
-            }
+            grid(1)
         }
-        fn run_block(&self, _b: usize, ctx: &mut BlockCtx<f32>) {
-            ctx.meter.fma(1);
+        fn block_cost(&self, _b: usize) -> BlockCost {
+            let mut m = CostMeter::new(&DeviceSpec::c2050());
+            m.fma(1);
+            m.cost
         }
+    }
+
+    impl Kernel<f32> for SdcProbeKernel {
+        fn launch(&self) -> &dyn Launch {
+            self
+        }
+        fn run_block(&self, _b: usize) {}
         fn inject_sdc(&self, r: u64) -> bool {
             let i = (r as usize) % self.mat.rows();
             let j = (r as usize >> 8) % self.mat.cols();
@@ -1182,7 +1000,7 @@ mod tests {
                 let k = SdcProbeKernel {
                     mat: MatPtr::new(&mut m),
                 };
-                gpu.launch(&k).unwrap();
+                gpu.launch_on(Exec::Sync, &k).unwrap();
             }
             (m, gpu.ledger())
         };

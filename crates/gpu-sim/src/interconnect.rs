@@ -72,17 +72,6 @@ impl LinkSpec {
         }
     }
 
-    /// Peer-to-peer DMA through a PCIe Gen2 switch: PCIe latency and
-    /// bandwidth (cf. [`crate::PcieSpec::gen2_x16`]) with a 1 µs hop
-    /// penalty per switch level.
-    pub fn pcie_switch() -> Self {
-        LinkSpec {
-            alpha_us: 10.0,
-            beta_gbs: 5.5,
-            hop_us: 1.0,
-        }
-    }
-
     /// Modelled wall-clock seconds for one message of `bytes` payload over
     /// `hops` link hops: `alpha + hops*hop + bytes/beta`. Zero-byte
     /// messages still pay the latency terms.

@@ -1,12 +1,16 @@
-//! The kernel abstraction: a grid of independent thread blocks.
+//! The kernel abstraction: a grid of independent thread blocks, in two
+//! halves.
 //!
-//! A kernel supplies a [`LaunchConfig`] (grid size plus per-block resource
-//! demands, which the device validates against its limits exactly like the
-//! CUDA runtime would) and a `run_block` body. Blocks execute in parallel on
-//! the rayon pool — the simulator's stand-in for the SM array — and each
-//! records its operation counts in a [`BlockCtx`].
+//! A [`Launch`] describes a launch without touching data: its name, its
+//! [`LaunchConfig`] (grid size plus per-block resource demands, which the
+//! device validates against its limits exactly like the CUDA runtime would)
+//! and the operation counts of each block. A [`Kernel`] adds the arithmetic:
+//! a `run_block` body whose blocks execute in parallel on the rayon pool —
+//! the simulator's stand-in for the SM array. The device charges every
+//! launch from its description alone, so running a kernel and charging its
+//! description record the same time.
 
-use crate::cost::CostMeter;
+use crate::cost::BlockCost;
 use crate::spec::DeviceSpec;
 use dense::Scalar;
 
@@ -195,27 +199,26 @@ impl LaunchConfig {
     }
 }
 
-/// Per-block execution context: the simulated fast memory plus the cost
-/// meter. The `shared` arena is the block's shared memory; kernels must not
-/// exceed their declared `shared_mem_bytes` (enforced by the launch code).
-pub struct BlockCtx<T> {
-    /// Shared-memory arena, `shared_mem_bytes / size_of::<T>()` elements.
-    pub shared: Vec<T>,
-    /// Operation counters for this block.
-    pub meter: CostMeter,
-}
-
-/// A GPU kernel: configuration plus a per-block body.
-///
-/// `run_block` must touch only the tile(s) of global memory owned by
-/// `block_idx` (see `dense::ptr::MatPtr` for the aliasing contract).
-pub trait Kernel<T: Scalar>: Sync {
+/// The data-free description of one launch: what the device validates and
+/// charges, block for block.
+pub trait Launch: Sync {
     /// Kernel name for reports and ledgers.
     fn name(&self) -> &'static str;
     /// Grid shape and resource demands.
     fn config(&self) -> LaunchConfig;
+    /// Operation counts of block `block_idx` (`< config().blocks`).
+    fn block_cost(&self, block_idx: usize) -> BlockCost;
+}
+
+/// A GPU kernel: a launch description plus a per-block body.
+///
+/// `run_block` must touch only the tile(s) of global memory owned by
+/// `block_idx` (see `dense::ptr::MatPtr` for the aliasing contract).
+pub trait Kernel<T: Scalar>: Sync {
+    /// What the device validates and charges for this launch.
+    fn launch(&self) -> &dyn Launch;
     /// Execute one thread block.
-    fn run_block(&self, block_idx: usize, ctx: &mut BlockCtx<T>);
+    fn run_block(&self, block_idx: usize);
     /// Silent-data-corruption hook: perturb exactly one element of this
     /// launch's *output* using the deterministic payload `r` (see
     /// [`crate::fault::sdc_payload`]) to pick the target. Called by the

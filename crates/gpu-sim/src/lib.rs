@@ -4,11 +4,13 @@
 //! substitution that makes the reproduction runnable without the hardware
 //! (DESIGN.md §2): kernels written against the [`kernel::Kernel`] trait run
 //! their *real* arithmetic, with thread blocks executing in parallel on the
-//! rayon pool, while every block records its operation counts
-//! ([`cost::CostMeter`]). The device ([`device::Gpu`]) converts those counts
-//! into modelled seconds with a roofline + issue-serialization + launch
-//! overhead model, so the paper's performance *shapes* are reproducible and
-//! the numerics are exact.
+//! rayon pool, while each launch's [`kernel::Launch`] description states
+//! every block's operation counts ([`cost::CostMeter`] tallies them). The
+//! device ([`device::Gpu`]) converts those counts into modelled seconds with
+//! a roofline + issue-serialization + launch overhead model, so the paper's
+//! performance *shapes* are reproducible and the numerics are exact. A
+//! description can also be charged without executing anything, which is
+//! how the figure sweeps model terabyte-scale shapes.
 //!
 //! The same crate models the CPU side ([`cpu::CpuMachine`]) and the PCIe
 //! link, which the MAGMA-style hybrid baseline needs.
@@ -44,7 +46,7 @@ pub use cpu::CpuMachine;
 pub use device::{Exec, Gpu, DEFAULT_WATCHDOG_US};
 pub use fault::{FaultKind, FaultPlan, RetryPolicy};
 pub use interconnect::{Cluster, CommEvent, LinkSpec, NetTotals, Topology};
-pub use kernel::{BlockCtx, Kernel, LaunchConfig, LaunchError};
+pub use kernel::{Kernel, Launch, LaunchConfig, LaunchError};
 pub use ledger::CostLedger;
 pub use spec::{CpuSpec, DeviceSpec, PcieSpec};
 pub use stream::{EventId, StreamId, WATCHDOG_STALL};

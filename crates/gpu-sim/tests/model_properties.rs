@@ -1,8 +1,23 @@
 //! Property tests of the device model: timing must be monotone, additive
 //! and conserve the recorded quantities.
 
-use gpu_sim::{BlockCost, CostMeter, DeviceSpec, Gpu, LaunchConfig};
+use gpu_sim::{BlockCost, CostMeter, DeviceSpec, Exec, Gpu, Launch, LaunchConfig};
 use proptest::prelude::*;
+
+/// A charged launch whose blocks all cost the same.
+struct Uniform(&'static str, LaunchConfig, BlockCost);
+
+impl Launch for Uniform {
+    fn name(&self) -> &'static str {
+        self.0
+    }
+    fn config(&self) -> LaunchConfig {
+        self.1
+    }
+    fn block_cost(&self, _b: usize) -> BlockCost {
+        self.2
+    }
+}
 
 fn cfg(blocks: usize) -> LaunchConfig {
     LaunchConfig {
@@ -21,8 +36,8 @@ proptest! {
         let gpu = Gpu::new(DeviceSpec::c2050());
         let small = BlockCost { flops: 100, issue_cycles: issue, gmem_bytes: gmem, smem_words: 0, syncs: 0 };
         let big = BlockCost { flops: 100, issue_cycles: issue * 2.0, gmem_bytes: gmem * 2.0, smem_words: 0, syncs: 0 };
-        let t1 = gpu.launch_uniform("a", cfg(blocks), &small).unwrap().seconds;
-        let t2 = gpu.launch_uniform("b", cfg(blocks), &big).unwrap().seconds;
+        let t1 = gpu.charge_on(Exec::Sync, &Uniform("a", cfg(blocks), small)).unwrap().seconds;
+        let t2 = gpu.charge_on(Exec::Sync, &Uniform("b", cfg(blocks), big)).unwrap().seconds;
         prop_assert!(t2 >= t1);
     }
 
@@ -35,7 +50,7 @@ proptest! {
         let gpu = Gpu::new(DeviceSpec::c2050());
         let spec = gpu.spec().clone();
         let c = BlockCost { flops: 1, issue_cycles: issue, gmem_bytes: gmem, smem_words: 0, syncs: 0 };
-        let t = gpu.launch_uniform("k", cfg(blocks), &c).unwrap().seconds;
+        let t = gpu.charge_on(Exec::Sync, &Uniform("k", cfg(blocks), c)).unwrap().seconds;
         let overhead = spec.launch_overhead_us * 1e-6;
         let dram_floor = blocks as f64 * gmem / (spec.dram_bw_gbs * 1e9);
         // Even a perfectly parallel machine cannot beat DRAM or the launch.
@@ -53,11 +68,11 @@ proptest! {
         let gpu = Gpu::new(DeviceSpec::c2050());
         let c = BlockCost { flops: 1000, issue_cycles: 500.0, gmem_bytes: 4096.0, smem_words: 10, syncs: 1 };
         for _ in 0..k1 {
-            gpu.launch_uniform("x", cfg(3), &c).unwrap();
+            gpu.charge_on(Exec::Sync, &Uniform("x", cfg(3), c)).unwrap();
         }
         let mid = gpu.ledger();
         for _ in 0..k2 {
-            gpu.launch_uniform("y", cfg(3), &c).unwrap();
+            gpu.charge_on(Exec::Sync, &Uniform("y", cfg(3), c)).unwrap();
         }
         let end = gpu.ledger();
         prop_assert_eq!(end.calls, (k1 + k2) as u64);
@@ -119,8 +134,17 @@ fn splitting_a_launch_in_two_is_never_faster() {
         smem_words: 0,
         syncs: 0,
     };
-    let one = gpu.launch_uniform("one", cfg(100), &c).unwrap().seconds;
-    let half_a = gpu.launch_uniform("a", cfg(50), &c).unwrap().seconds;
-    let half_b = gpu.launch_uniform("b", cfg(50), &c).unwrap().seconds;
+    let one = gpu
+        .charge_on(Exec::Sync, &Uniform("one", cfg(100), c))
+        .unwrap()
+        .seconds;
+    let half_a = gpu
+        .charge_on(Exec::Sync, &Uniform("a", cfg(50), c))
+        .unwrap()
+        .seconds;
+    let half_b = gpu
+        .charge_on(Exec::Sync, &Uniform("b", cfg(50), c))
+        .unwrap()
+        .seconds;
     assert!(one <= half_a + half_b + 1e-12);
 }

@@ -7,7 +7,7 @@ use crate::solver::shrink_scalar;
 use dense::matrix::Matrix;
 use dense::scalar::Scalar;
 use dense::MatPtr;
-use gpu_sim::{BlockCtx, Gpu, Kernel, LaunchConfig};
+use gpu_sim::{BlockCost, CostMeter, DeviceSpec, Exec, Gpu, Kernel, Launch, LaunchConfig};
 use parking_lot::Mutex;
 
 /// Rows per elementwise thread block.
@@ -30,8 +30,15 @@ pub enum TriadOp<T> {
     },
 }
 
+/// Rows of row tile `b` of an `m`-row matrix.
+fn tile_rows(m: usize, b: usize) -> usize {
+    TILE_ROWS.min(m - b * TILE_ROWS)
+}
+
 /// Three-input elementwise kernel over row tiles of `m x n` matrices.
-pub struct TriadKernel<T: Scalar> {
+pub struct TriadKernel<'a, T: Scalar> {
+    /// Device description the block costs are counted for.
+    pub spec: &'a DeviceSpec,
     /// Output matrix.
     pub out: MatPtr<T>,
     /// First input.
@@ -48,13 +55,7 @@ pub struct TriadKernel<T: Scalar> {
     pub cols: usize,
 }
 
-impl<T: Scalar> TriadKernel<T> {
-    fn tiles(&self) -> usize {
-        self.rows.div_ceil(TILE_ROWS)
-    }
-}
-
-impl<T: Scalar> Kernel<T> for TriadKernel<T> {
+impl<'a, T: Scalar> Launch for TriadKernel<'a, T> {
     fn name(&self) -> &'static str {
         match self.op {
             TriadOp::Combine { .. } => "ew_combine",
@@ -64,16 +65,31 @@ impl<T: Scalar> Kernel<T> for TriadKernel<T> {
 
     fn config(&self) -> LaunchConfig {
         LaunchConfig {
-            blocks: self.tiles(),
+            blocks: self.rows.div_ceil(TILE_ROWS),
             threads_per_block: 256,
             shared_mem_bytes: 0,
             regs_per_thread: 16,
         }
     }
 
-    fn run_block(&self, b: usize, ctx: &mut BlockCtx<T>) {
+    fn block_cost(&self, b: usize) -> BlockCost {
+        let elems = (tile_rows(self.rows, b) * self.cols) as u64;
+        let mut m = CostMeter::new(self.spec);
+        m.gmem(3 * elems, T::BYTES, true); // three input streams
+        m.fma(2 * elems); // combine + (shrink) arithmetic
+        m.gmem(elems, T::BYTES, true); // output stream
+        m.cost
+    }
+}
+
+impl<'a, T: Scalar> Kernel<T> for TriadKernel<'a, T> {
+    fn launch(&self) -> &dyn Launch {
+        self
+    }
+
+    fn run_block(&self, b: usize) {
         let r0 = b * TILE_ROWS;
-        let rows = TILE_ROWS.min(self.rows - r0);
+        let rows = tile_rows(self.rows, b);
         for j in 0..self.cols {
             for i in r0..r0 + rows {
                 // SAFETY: row tiles are disjoint across blocks; inputs are
@@ -95,16 +111,14 @@ impl<T: Scalar> Kernel<T> for TriadKernel<T> {
                 }
             }
         }
-        let elems = (rows * self.cols) as u64;
-        ctx.meter.gmem(3 * elems, T::BYTES, true); // three input streams
-        ctx.meter.fma(2 * elems); // combine + (shrink) arithmetic
-        ctx.meter.gmem(elems, T::BYTES, true); // output stream
     }
 }
 
 /// Residual/multiplier kernel: `z = m - l - s; y += mu * z`, accumulating
 /// `sum(z^2)` per block for the convergence test.
 pub struct ResidualKernel<'a, T: Scalar> {
+    /// Device description the block costs are counted for.
+    pub spec: &'a DeviceSpec,
     /// Observed matrix.
     pub m: MatPtr<T>,
     /// Low-rank iterate.
@@ -123,7 +137,7 @@ pub struct ResidualKernel<'a, T: Scalar> {
     pub partials: &'a [Mutex<f64>],
 }
 
-impl<'a, T: Scalar> Kernel<T> for ResidualKernel<'a, T> {
+impl<'a, T: Scalar> Launch for ResidualKernel<'a, T> {
     fn name(&self) -> &'static str {
         "ew_residual"
     }
@@ -137,9 +151,26 @@ impl<'a, T: Scalar> Kernel<T> for ResidualKernel<'a, T> {
         }
     }
 
-    fn run_block(&self, b: usize, ctx: &mut BlockCtx<T>) {
+    fn block_cost(&self, b: usize) -> BlockCost {
+        let elems = (tile_rows(self.rows, b) * self.cols) as u64;
+        let mut m = CostMeter::new(self.spec);
+        m.gmem(4 * elems, T::BYTES, true); // m, l, s, y reads
+        m.fma(3 * elems);
+        m.gmem(elems, T::BYTES, true); // y write
+        m.smem(256); // block reduction of the partial
+        m.sync();
+        m.cost
+    }
+}
+
+impl<'a, T: Scalar> Kernel<T> for ResidualKernel<'a, T> {
+    fn launch(&self) -> &dyn Launch {
+        self
+    }
+
+    fn run_block(&self, b: usize) {
         let r0 = b * TILE_ROWS;
-        let rows = TILE_ROWS.min(self.rows - r0);
+        let rows = tile_rows(self.rows, b);
         let mut acc = 0.0f64;
         for j in 0..self.cols {
             for i in r0..r0 + rows {
@@ -152,18 +183,14 @@ impl<'a, T: Scalar> Kernel<T> for ResidualKernel<'a, T> {
             }
         }
         *self.partials[b].lock() += acc;
-        let elems = (rows * self.cols) as u64;
-        ctx.meter.gmem(4 * elems, T::BYTES, true); // m, l, s, y reads
-        ctx.meter.fma(3 * elems);
-        ctx.meter.gmem(elems, T::BYTES, true); // y write
-        ctx.meter.smem(256); // block reduction of the partial
-        ctx.meter.sync();
     }
 }
 
 /// Row-tiled GEMM kernel `C = A * B` for the `Q * U` and `L = U' Sigma V^T`
 /// back-multiplications (`B` is the small `k x n` factor, staged per block).
-pub struct GemmKernel<T: Scalar> {
+pub struct GemmKernel<'a, T: Scalar> {
+    /// Device description the block costs are counted for.
+    pub spec: &'a DeviceSpec,
     /// Output, `m x n`.
     pub c_out: MatPtr<T>,
     /// Left operand, `m x k`.
@@ -174,7 +201,7 @@ pub struct GemmKernel<T: Scalar> {
     pub rows: usize,
 }
 
-impl<T: Scalar> Kernel<T> for GemmKernel<T> {
+impl<'a, T: Scalar> Launch for GemmKernel<'a, T> {
     fn name(&self) -> &'static str {
         "gpu_gemm"
     }
@@ -189,9 +216,28 @@ impl<T: Scalar> Kernel<T> for GemmKernel<T> {
         }
     }
 
-    fn run_block(&self, blk: usize, ctx: &mut BlockCtx<T>) {
+    fn block_cost(&self, blk: usize) -> BlockCost {
+        let rows = tile_rows(self.rows, blk);
+        let (k, n) = (self.b.rows(), self.b.cols());
+        let elems = (rows * n) as u64;
+        let mut m = CostMeter::new(self.spec);
+        m.gmem((rows * k) as u64, T::BYTES, true); // A strip
+        m.gmem((k * n) as u64, T::BYTES, true); // B staged once
+        m.smem((k * n) as u64);
+        m.fma(elems * k as u64);
+        m.gmem(elems, T::BYTES, true); // C out
+        m.cost
+    }
+}
+
+impl<'a, T: Scalar> Kernel<T> for GemmKernel<'a, T> {
+    fn launch(&self) -> &dyn Launch {
+        self
+    }
+
+    fn run_block(&self, blk: usize) {
         let r0 = blk * TILE_ROWS;
-        let rows = TILE_ROWS.min(self.rows - r0);
+        let rows = tile_rows(self.rows, blk);
         let k = self.b.rows();
         let n = self.b.cols();
         for j in 0..n {
@@ -204,12 +250,6 @@ impl<T: Scalar> Kernel<T> for GemmKernel<T> {
                 unsafe { self.c_out.set(i, j, acc) };
             }
         }
-        let elems = (rows * n) as u64;
-        ctx.meter.gmem((rows * k) as u64, T::BYTES, true); // A strip
-        ctx.meter.gmem((k * n) as u64, T::BYTES, true); // B staged once
-        ctx.meter.smem((k * n) as u64);
-        ctx.meter.fma(elems * k as u64);
-        ctx.meter.gmem(elems, T::BYTES, true); // C out
     }
 }
 
@@ -231,6 +271,7 @@ pub mod launch {
     ) -> Result<(), CaqrError> {
         let (rows, cols) = out.shape();
         let k = TriadKernel {
+            spec: gpu.spec(),
             out: MatPtr::new(out),
             a: MatPtr::new_readonly(a),
             b: MatPtr::new_readonly(b),
@@ -239,7 +280,7 @@ pub mod launch {
             rows,
             cols,
         };
-        gpu.launch(&k)?;
+        gpu.launch_on(Exec::Sync, &k)?;
         Ok(())
     }
 
@@ -256,6 +297,7 @@ pub mod launch {
     ) -> Result<(), CaqrError> {
         let (rows, cols) = out.shape();
         let k = TriadKernel {
+            spec: gpu.spec(),
             out: MatPtr::new(out),
             a: MatPtr::new_readonly(a),
             b: MatPtr::new_readonly(b),
@@ -264,7 +306,7 @@ pub mod launch {
             rows,
             cols,
         };
-        gpu.launch(&k)?;
+        gpu.launch_on(Exec::Sync, &k)?;
         Ok(())
     }
 
@@ -283,6 +325,7 @@ pub mod launch {
             .collect();
         {
             let k = ResidualKernel {
+                spec: gpu.spec(),
                 m: MatPtr::new_readonly(m),
                 l: MatPtr::new_readonly(l),
                 s: MatPtr::new_readonly(s),
@@ -292,7 +335,7 @@ pub mod launch {
                 cols,
                 partials: &partials,
             };
-            gpu.launch(&k)?;
+            gpu.launch_on(Exec::Sync, &k)?;
         }
         Ok(partials
             .into_iter()
@@ -321,12 +364,13 @@ pub mod launch {
         }
         let rows = c.rows();
         let k = GemmKernel {
+            spec: gpu.spec(),
             c_out: MatPtr::new(c),
             a: MatPtr::new_readonly(a),
             b,
             rows,
         };
-        gpu.launch(&k)?;
+        gpu.launch_on(Exec::Sync, &k)?;
         Ok(())
     }
 }

@@ -1,0 +1,109 @@
+//! Absolute accuracy of the host reference `caqr_cpu`: backward error
+//! `‖A − QR‖_F / ‖A‖_F` and loss of orthogonality `‖I − QᵀQ‖_F`, each
+//! bounded by `C · n · ε` with the constant `C` fixed in DESIGN.md §7.
+//! Every other executor is pinned bit-identical to `caqr_cpu` by
+//! `backend_conformance`, so the bound carries over to them.
+//!
+//! The inputs are the ones a QR must not lose accuracy on: graded columns,
+//! rank deficiency, a zero and a duplicated column, and entries near either
+//! end of the exponent range. Checksums are on, so a false ABFT alarm on
+//! any of them fails the run too.
+
+use caqr::{caqr_cpu, CpuCaqrOptions, TreeShape};
+use dense::generate;
+use dense::matrix::Matrix;
+use dense::norms::{orthogonality_error, reconstruction_error};
+use dense::scalar::Scalar;
+
+/// The `C` of the `C · n · ε` bound (DESIGN.md §7).
+const C: f64 = 2.0;
+
+/// `(rows, cols, tile_rows, panel_width)`: two tall shapes, the second
+/// with odd tile remainders and a narrow last panel (37 = 2·16 + 5), and
+/// a wide one (`m < n`).
+const SHAPES: [(usize, usize, usize, usize); 3] =
+    [(1000, 40, 64, 16), (1001, 37, 64, 16), (40, 100, 16, 8)];
+
+/// `a` with every entry multiplied by `s`.
+fn scaled<T: Scalar>(a: &Matrix<T>, s: f64) -> Matrix<T> {
+    Matrix::from_fn(a.rows(), a.cols(), |i, j| {
+        T::from_f64(a[(i, j)].to_f64() * s)
+    })
+}
+
+/// Singular values graded from 1 down to `1e-12`.
+fn graded<T: Scalar>(m: usize, n: usize) -> Matrix<T> {
+    let k = m.min(n);
+    let decay = 1e-12f64.powf(1.0 / (k - 1) as f64);
+    if m >= n {
+        generate::graded(m, n, decay, 3)
+    } else {
+        generate::graded::<T>(n, m, decay, 3).transpose()
+    }
+}
+
+/// The named inputs of an `m x n` run; `big` is the scale of the extreme
+/// inputs (`big` and `1 / big`).
+fn inputs<T: Scalar>(m: usize, n: usize, big: f64) -> Vec<(String, Matrix<T>)> {
+    let uniform = generate::uniform::<T>(m, n, 1);
+    let mut zero_col = uniform.clone();
+    zero_col.col_mut(3).fill(T::ZERO);
+    let mut dup_col = uniform.clone();
+    let c2 = dup_col.col(2).to_vec();
+    dup_col.col_mut(5).copy_from_slice(&c2);
+    vec![
+        ("uniform".into(), uniform.clone()),
+        ("graded to 1e-12".into(), graded(m, n)),
+        ("rank 5".into(), generate::low_rank(m, n, 5, 0.0, 2)),
+        ("zero column".into(), zero_col),
+        ("duplicated column".into(), dup_col),
+        (format!("scaled by {big:e}"), scaled(&uniform, big)),
+        (
+            format!("scaled by {:e}", 1.0 / big),
+            scaled(&uniform, 1.0 / big),
+        ),
+    ]
+}
+
+/// Factor every input at every shape with checksums on and check both
+/// metrics against `C · n · ε`. Returns the largest metric seen, in units
+/// of `n · ε`.
+fn check_precision<T: Scalar>(big: f64) -> f64 {
+    let eps = T::epsilon().to_f64();
+    let mut worst = 0.0f64;
+    for (m, n, h, w) in SHAPES {
+        let opts = CpuCaqrOptions {
+            tile_rows: h,
+            panel_width: w,
+            tree: TreeShape::DeviceArity,
+            verify_checksums: true,
+        };
+        let bound = C * n as f64 * eps;
+        for (name, a) in inputs::<T>(m, n, big) {
+            let f = caqr_cpu(a.clone(), opts).unwrap_or_else(|e| panic!("{m}x{n} {name}: {e}"));
+            let q = f.generate_q(m.min(n)).unwrap();
+            let backward = reconstruction_error(&a, &q, &f.r());
+            let orth = orthogonality_error(&q);
+            for (metric, v) in [("backward error", backward), ("orthogonality", orth)] {
+                assert!(
+                    v <= bound,
+                    "{m}x{n} {name}: {metric} {v:.3e} exceeds {C}·n·ε = {bound:.3e}"
+                );
+                worst = worst.max(v / (n as f64 * eps));
+            }
+        }
+    }
+    worst
+}
+
+#[test]
+fn caqr_cpu_is_backward_stable_and_orthogonal_in_f64() {
+    let worst = check_precision::<f64>(1e300);
+    println!("f64: worst metric {worst:.3} n·ε");
+}
+
+#[test]
+fn caqr_cpu_is_backward_stable_and_orthogonal_in_f32() {
+    let worst = check_precision::<f32>(1e35);
+    println!("f32: worst metric {worst:.3} n·ε");
+}

@@ -291,17 +291,17 @@ fn kernel_reports_expose_boundedness() {
         .map(|t| dense::matrix::Matrix::zeros(t.rows, 16))
         .collect();
     let v: Vec<dense::MatPtr<f32>> = vs.iter_mut().map(dense::MatPtr::new).collect();
+    let strategy = caqr::ReductionStrategy::RegisterSerialTransposed;
     let k = caqr::kernels::FactorKernel {
+        launch: caqr::kernels::GridLaunch::factor(gpu.spec(), &tiles, 16, strategy, 4),
         a: dense::MatPtr::new(&mut a),
         tiles: &tiles,
         col0: 0,
         width: 16,
-        strategy: caqr::ReductionStrategy::RegisterSerialTransposed,
-        spec: gpu.spec(),
         wy: &wy,
         v: &v,
     };
-    let report = gpu.launch(&k).unwrap();
+    let report = gpu.launch_on(gpu_sim::Exec::Sync, &k).unwrap();
     assert_eq!(report.name, "factor");
     assert_eq!(report.blocks, 16);
     assert!(report.seconds > 0.0);

@@ -2,7 +2,22 @@
 //! by the real CAQR pipeline (DESIGN.md §7).
 
 use caqr::{BlockSize, CaqrOptions, ReductionStrategy};
-use gpu_sim::{DeviceSpec, Gpu, LaunchConfig, LaunchError};
+use gpu_sim::{BlockCost, DeviceSpec, Exec, Gpu, Launch, LaunchConfig, LaunchError};
+
+/// A charged launch whose blocks all cost the same.
+struct Uniform(&'static str, LaunchConfig, BlockCost);
+
+impl Launch for Uniform {
+    fn name(&self) -> &'static str {
+        self.0
+    }
+    fn config(&self) -> LaunchConfig {
+        self.1
+    }
+    fn block_cost(&self, _b: usize) -> BlockCost {
+        self.2
+    }
+}
 
 fn opts(h: usize, w: usize) -> CaqrOptions {
     CaqrOptions {
@@ -102,7 +117,7 @@ fn oversized_shared_memory_is_rejected() {
         shared_mem_bytes: 48 * 1024 + 1,
         regs_per_thread: 8,
     };
-    let r = g.launch_uniform("too_big", cfg, &gpu_sim::BlockCost::default());
+    let r = g.charge_on(Exec::Sync, &Uniform("too_big", cfg, BlockCost::default()));
     assert!(matches!(r, Err(LaunchError::SharedMemory { .. })));
 }
 

@@ -4,8 +4,23 @@
 
 use caqr::schedule::{caqr_dag, model_caqr_dag_seconds};
 use caqr::{BlockSize, CaqrOptions, ReductionStrategy, ScheduleOptions, SimBackend};
-use gpu_sim::{DeviceSpec, Gpu, Timeline};
+use gpu_sim::{BlockCost, DeviceSpec, Exec, Gpu, Launch, LaunchConfig, Timeline};
 use proptest::prelude::*;
+
+/// A charged launch whose blocks all cost the same.
+struct Uniform(&'static str, LaunchConfig, BlockCost);
+
+impl Launch for Uniform {
+    fn name(&self) -> &'static str {
+        self.0
+    }
+    fn config(&self) -> LaunchConfig {
+        self.1
+    }
+    fn block_cost(&self, _b: usize) -> BlockCost {
+        self.2
+    }
+}
 
 fn opts(h: usize, w: usize, streams: usize, lookahead: bool) -> ScheduleOptions {
     ScheduleOptions {
@@ -145,27 +160,26 @@ fn event_waits_are_respected_in_the_resolved_timeline() {
     // Cross-stream ordering: a consumer kernel queued behind a wait must not
     // start before its producer's event fires.
     let g = Gpu::new(DeviceSpec::c2050());
-    let cfg = gpu_sim::LaunchConfig {
+    let cfg = LaunchConfig {
         blocks: 14,
         threads_per_block: 64,
         shared_mem_bytes: 0,
         regs_per_thread: 8,
     };
-    let cost = gpu_sim::BlockCost {
+    let cost = BlockCost {
         flops: 1000,
         issue_cycles: 50_000.0,
         gmem_bytes: 0.0,
         smem_words: 0,
         syncs: 0,
     };
-    let costs = vec![cost; 14];
     let s0 = g.create_stream();
     let s1 = g.create_stream();
-    g.launch_with_costs_async(s0, "producer", cfg, &costs)
+    g.charge_on(Exec::Stream(s0), &Uniform("producer", cfg, cost))
         .unwrap();
     let ev = g.record_event(s0);
     g.wait_event(s1, ev);
-    g.launch_with_costs_async(s1, "consumer", cfg, &costs)
+    g.charge_on(Exec::Stream(s1), &Uniform("consumer", cfg, cost))
         .unwrap();
     let tl = g.synchronize();
     check_timeline(&tl);
