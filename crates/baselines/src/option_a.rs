@@ -11,10 +11,10 @@
 //! transfer chain *is* the critical path.
 
 use caqr::block::{plan_tree, tile_panel, BlockSize, TreeShape};
-use caqr::kernels::{apply_qt_h_block_cost, apply_qt_tree_block_cost};
+use caqr::kernels::GridLaunch;
 use caqr::microkernels::ReductionStrategy;
 use caqr::tsqr::col_blocks;
-use gpu_sim::{CpuSpec, DeviceSpec, PcieSpec};
+use gpu_sim::{CpuSpec, DeviceSpec, Exec, Gpu, PcieSpec};
 
 /// Modelled seconds for the CPU-side TSQR of one `m_p x w` panel: the panel
 /// streams from DRAM twice (read + write) while the per-tile factorizations
@@ -27,8 +27,9 @@ fn cpu_tsqr_panel_seconds(cpu: &CpuSpec, mp: usize, w: usize) -> f64 {
     compute.max(stream) + 2.0 * cpu.call_overhead_us * 1.0e-6
 }
 
-/// Modelled seconds for the GPU trailing update of one panel (the same
-/// kernel grid Option B launches).
+/// Modelled seconds for the GPU trailing update of one panel: the
+/// `apply_qt_h` and per-level `apply_qt_tree` launches Option B issues,
+/// charged by the device's one cost model on a scratch [`Gpu`].
 fn gpu_trailing_seconds(
     gpu: &DeviceSpec,
     bs: BlockSize,
@@ -45,26 +46,20 @@ fn gpu_trailing_seconds(
     let starts: Vec<usize> = tiles.iter().map(|t| t.start).collect();
     let plan = plan_tree(&starts, TreeShape::DeviceArity.arity(bs));
     let cbs = col_blocks(row0 + width, row0 + width + trailing_cols, bs.w);
-    let cycle = gpu.cycle_seconds();
-    let mut t = 0.0;
-    // apply_qt_h launch.
-    {
-        let c = apply_qt_h_block_cost(gpu, bs.h.min(tiles[0].rows), width, bs.w, strategy, 4);
-        let blocks = tiles.len() * cbs.len();
-        let issue = blocks.div_ceil(gpu.sms) as f64 * c.issue_cycles * cycle;
-        let dram = blocks as f64 * c.gmem_bytes / (gpu.dram_bw_gbs * 1.0e9);
-        t += gpu.launch_overhead_us * 1.0e-6 + issue.max(dram);
-    }
-    // apply_qt_tree per level.
+    let scratch = Gpu::new(gpu.clone());
+    let charge = |launch: &GridLaunch| {
+        (scratch.charge_on(Exec::Sync, launch)).expect("the paper's apply grids fit the device");
+    };
+    charge(&GridLaunch::apply_qt_h(
+        gpu, &tiles, width, &cbs, strategy, 4,
+    ));
     for level in &plan.levels {
-        let arity = level.iter().map(|g| g.members.len()).max().unwrap_or(2);
-        let c = apply_qt_tree_block_cost(gpu, arity, width, bs.w, strategy, 4);
-        let blocks = level.len() * cbs.len();
-        let issue = blocks.div_ceil(gpu.sms) as f64 * c.issue_cycles * cycle;
-        let dram = blocks as f64 * c.gmem_bytes / (gpu.dram_bw_gbs * 1.0e9);
-        t += gpu.launch_overhead_us * 1.0e-6 + issue.max(dram);
+        let arities = level.iter().map(|g| g.members.len()).collect();
+        charge(&GridLaunch::apply_qt_tree(
+            gpu, arities, width, &cbs, strategy, 4,
+        ));
     }
-    t
+    scratch.elapsed()
 }
 
 /// Modelled seconds for Option A CAQR of an `m x n` matrix: CPU TSQR panels
@@ -114,7 +109,6 @@ pub fn model_caqr_option_a_gflops(
 mod tests {
     use super::*;
     use caqr::CaqrOptions;
-    use gpu_sim::Gpu;
 
     fn setup() -> (DeviceSpec, PcieSpec, CpuSpec, BlockSize) {
         (

@@ -1,8 +1,8 @@
 //! Chaos report: runs the resilient CAQR executor under a battery of fault
-//! plans — clean, seeded mixed faults, explicit silent data corruption
-//! (under the default budgets, and under budgets that leave the run tier
-//! to absorb it), explicit hangs — and prints one table of what the
-//! two-tier escalation ladder did:
+//! plans, keyed by task ordinal — clean, seeded mixed faults, explicit
+//! silent data corruption (under the default budgets, and under budgets
+//! that leave the run tier to absorb it), explicit hangs — and prints one
+//! table of what the two-tier escalation ladder did:
 //! faults absorbed, replays per tier, ABFT overhead share, and stream-lane
 //! occupancy. Every faulted run's `R` must be bit-identical to the clean
 //! run's; any divergence fails the process (exit 1) — this is the CI chaos
@@ -13,25 +13,23 @@
 //! it against `crates/bench/golden/chaos_report.txt`.
 
 use caqr::recovery::{caqr_resilient, RecoveryOptions, RecoveryPolicy, RecoveryReport};
-use caqr::{BlockSize, CaqrOptions, ReductionStrategy};
+use caqr::{BlockSize, CaqrOptions, FaultKind, FaultPlan, ReductionStrategy};
 use caqr_bench::Table;
 use dense::matrix::Matrix;
-use gpu_sim::{DeviceSpec, FaultPlan, Gpu, RetryPolicy, Timeline};
+use gpu_sim::{DeviceSpec, Gpu, Timeline};
 
 struct Scenario {
     name: String,
-    plan: Option<FaultPlan>,
-    retry: RetryPolicy,
+    plan: FaultPlan,
     policy: RecoveryPolicy,
 }
 
 impl Scenario {
-    /// `plan` under the default launch retries and replay budgets.
-    fn new(name: &str, plan: Option<FaultPlan>) -> Scenario {
+    /// `plan` under the default replay budgets.
+    fn new(name: &str, plan: FaultPlan) -> Scenario {
         Scenario {
             name: name.to_string(),
             plan,
-            retry: RetryPolicy::default(),
             policy: RecoveryPolicy::default(),
         }
     }
@@ -61,17 +59,16 @@ fn utilization(gpu: &Gpu, streams: usize) -> f64 {
 
 fn run_scenario(
     a: &Matrix<f64>,
-    recovery: RecoveryOptions,
+    recovery: &RecoveryOptions,
     s: &Scenario,
 ) -> (Matrix<f64>, RecoveryReport, gpu_sim::CostLedger, f64) {
     let gpu = Gpu::new(DeviceSpec::c2050());
-    if let Some(plan) = &s.plan {
-        gpu.set_fault_plan_with_policy(plan.clone(), s.retry);
-    }
     let recovery = RecoveryOptions {
         policy: s.policy,
-        ..recovery
+        faults: s.plan.clone(),
+        ..recovery.clone()
     };
+    let streams = recovery.streams;
     let (f, report) = match caqr_resilient(&gpu, a.clone(), recovery) {
         Ok(ok) => ok,
         Err(e) => {
@@ -79,7 +76,7 @@ fn run_scenario(
             std::process::exit(1);
         }
     };
-    let util = utilization(&gpu, recovery.streams);
+    let util = utilization(&gpu, streams);
     (f.r(), report, gpu.ledger(), util)
 }
 
@@ -93,15 +90,10 @@ fn main() {
         ..RecoveryOptions::default()
     };
 
-    // Launches 0 and 1 are the input health check and the pre-transpose;
-    // the explicit plans target real factor/apply launches past them. The
-    // seeded mix draws independently per (launch, attempt), so a generous
-    // attempt budget keeps launch-level retries from exhausting before the
-    // ABFT tiers even engage.
-    let chaos_retry = RetryPolicy {
-        max_attempts: 6,
-        backoff_us: 5.0,
-    };
+    // The plans key faults by task ordinal: each factor chain and each
+    // apply chain is one task, and a replay takes the next ordinal. Task 0
+    // is the first panel's factor, task 1 its first apply. The seeded mix
+    // draws independently per task.
     // One SDC under budgets with no task replays, so the run tier absorbs
     // it.
     let run_tier = RecoveryPolicy {
@@ -109,21 +101,18 @@ fn main() {
         max_run_retries: 1,
     };
     let mut scenarios = vec![
-        Scenario::new("clean", None),
-        Scenario::new("explicit-sdc", Some(FaultPlan::sdc_at_launches(&[2, 5, 9]))),
+        Scenario::new("clean", FaultPlan::default()),
+        Scenario::new("explicit-sdc", FaultPlan::at(FaultKind::Sdc, &[0, 1])),
         Scenario {
             policy: run_tier,
-            ..Scenario::new("sdc/run-tier", Some(FaultPlan::sdc_at_launches(&[5])))
+            ..Scenario::new("sdc/run-tier", FaultPlan::at(FaultKind::Sdc, &[0]))
         },
-        Scenario::new("explicit-hang", Some(FaultPlan::hang_at_launches(&[3]))),
+        Scenario::new("explicit-hang", FaultPlan::at(FaultKind::Hang, &[0])),
     ];
     let seeds: &[u64] = if quick { &[11] } else { &[11, 12, 13, 14] };
     for &seed in seeds {
-        let plan = Some(FaultPlan::seeded_mix(seed, 0.05, 0.03, 0.03));
-        scenarios.push(Scenario {
-            retry: chaos_retry,
-            ..Scenario::new(&format!("seeded-mix/{seed}"), plan)
-        });
+        let plan = FaultPlan::seeded_mix(seed, 0.05, 0.03, 0.03);
+        scenarios.push(Scenario::new(&format!("seeded-mix/{seed}"), plan));
     }
 
     let mut table = Table::new(&[
@@ -142,7 +131,7 @@ fn main() {
     let mut clean_r: Option<Matrix<f64>> = None;
     let mut failed = false;
     for s in &scenarios {
-        let (r, report, ledger, util) = run_scenario(&a, recovery, s);
+        let (r, report, ledger, util) = run_scenario(&a, &recovery, s);
         let identical = match &clean_r {
             None => {
                 clean_r = Some(r);

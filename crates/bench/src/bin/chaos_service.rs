@@ -22,12 +22,11 @@
 
 use caqr::multicore::{caqr_cpu, CpuCaqrOptions};
 use caqr::{
-    factor_many, JobSpec, Priority, ResilienceConfig, RetryBudget, Service, ServiceConfig,
-    ServiceFaultPlan, ShedPolicy, TreeShape,
+    factor_many, FaultPlan, JobSpec, Priority, ResilienceConfig, RetryBudget, Service,
+    ServiceConfig, ServiceFaultPlan, ShedPolicy, TreeShape,
 };
 use caqr_bench::Table;
 use dense::Matrix;
-use gpu_sim::FaultPlan;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};

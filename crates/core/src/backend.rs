@@ -28,6 +28,8 @@
 //!   without one a failing member is carved out with its typed error; with
 //!   a [`RecoveryPolicy`] it climbs the two-tier replay ladder of
 //!   [`crate::recovery`].
+//! * [`Faulty`] is the one fault injector: a decorator over any backend
+//!   that fails or corrupts the group tasks a [`FaultPlan`] names.
 //!
 //! Dispatch is static: every entry point (`caqr`, `caqr_dag`, `caqr_cpu`,
 //! `caqr_resilient`, `distributed_tsqr`, fused `factor_many` groups) is a
@@ -36,6 +38,7 @@
 
 use crate::block::{BlockSize, TreeShape};
 use crate::error::{checked_elems, CaqrError};
+use crate::fault::{FaultKind, FaultPlan, PlannedFault};
 use crate::health;
 use crate::kernels::GridLaunch;
 use crate::microkernels::ReductionStrategy;
@@ -49,8 +52,9 @@ use dense::blas2::trsv_upper;
 use dense::matrix::Matrix;
 use dense::scalar::Scalar;
 use dense::MatPtr;
-use gpu_sim::{EventId, Exec, Gpu, StreamId};
+use gpu_sim::{EventId, Exec, Gpu, StreamId, DEFAULT_WATCHDOG_US};
 use rayon::prelude::*;
+use std::cell::Cell;
 
 /// How the generic driver schedules the panel loop.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -360,6 +364,13 @@ pub trait CaqrBackend<T: Scalar> {
     /// ledger. No-op on backends without one.
     fn note_recovery(&self, report: &RecoveryReport) {
         let _ = report;
+    }
+
+    /// Charge one injected fault of a task on `slot` ([`Faulty`]): a task
+    /// it failed before it ran, or the SDC it applied after. No-op on
+    /// backends without a cost model.
+    fn charge_fault(&self, slot: usize, kind: FaultKind) {
+        let _ = (slot, kind);
     }
 }
 
@@ -815,7 +826,7 @@ impl<T: Scalar, B: CaqrBackend<T>> PanelSink for GroupRun<'_, T, B> {
         let mut pre = vec![None; self.mats.len()];
         for &j in pending.iter().filter(|_| self.verify) {
             backend.charge_verify(rows * width);
-            pre[j] = Some(health::panel_col_sumsq(&self.mats[j], c, c, width));
+            pre[j] = Some(health::panel_col_norms(&self.mats[j], c, c, width));
         }
         for round in 0.. {
             if pending.is_empty() {
@@ -1349,5 +1360,348 @@ impl<'g, T: Scalar> CaqrBackend<T> for SimBackend<'g> {
 
     fn note_recovery(&self, r: &RecoveryReport) {
         self.gpu.note_replays(r.task_replays, r.run_retries);
+    }
+
+    /// A failed task costs the launch overhead of its rejected first
+    /// launch, a hung one the watchdog deadline of stall on its slot.
+    fn charge_fault(&self, slot: usize, kind: FaultKind) {
+        match kind {
+            FaultKind::Sdc => self.gpu.note_sdc(),
+            kind => (self.gpu).charge_failed_launch(self.execs[slot], kind == FaultKind::Hang),
+        }
+    }
+}
+
+/// The one fault injector: a decorator over any backend that fails or
+/// corrupts the group tasks a [`FaultPlan`] names (DESIGN.md §8).
+///
+/// Each group member counts its own tasks from 0 in issue order: a group
+/// factor (one factor chain) or a group apply (one apply chain) is one
+/// task per member it serves, and a replay is a new task with a fresh
+/// ordinal. Member `j` draws `plans[j].fault(ordinal, 0)` per task; a
+/// member without a plan never faults. A launch fault, hang, device loss
+/// or host panic fails the task with a typed error before it runs (a host
+/// panic as the [`CaqrError::Panicked`] its member's caught unwind gives).
+/// An SDC lets the task run, then corrupts one value of its output inside
+/// checksum coverage: a factor's `R` diagonal on an even payload or the
+/// packed `T` the `Q·1` probe guards on an odd one (`R` on the last
+/// panel), an apply's first trailing column. Each fault is charged through
+/// [`CaqrBackend::charge_fault`]. Everything else, the per-matrix methods
+/// included, passes straight through.
+pub struct Faulty<B> {
+    inner: B,
+    plans: Vec<FaultPlan>,
+    /// Per member: tasks issued so far.
+    issued: Vec<Cell<u64>>,
+}
+
+impl<B> Faulty<B> {
+    /// Plan `plans[j]` against member `j` of every group run on `inner` (a
+    /// standalone run is member 0).
+    pub fn new(inner: B, plans: Vec<FaultPlan>) -> Faulty<B> {
+        let issued = vec![Cell::new(0); plans.len()];
+        Faulty {
+            inner,
+            plans,
+            issued,
+        }
+    }
+
+    /// Count one task of member `j` and draw its fault.
+    fn draw(&self, j: usize) -> Option<PlannedFault> {
+        let (plan, issued) = (self.plans.get(j)?, &self.issued[j]);
+        let ordinal = issued.replace(issued.get() + 1);
+        plan.fault(ordinal, 0)
+    }
+
+    /// One group task: draw a fault for every member of `work`, fail the
+    /// members whose fault stops the task, run the rest in one `launch` of
+    /// the inner backend, then let `sdc` corrupt the output of any member
+    /// whose fault is an SDC. One result per member of `work`.
+    #[allow(clippy::too_many_arguments)]
+    fn group_task<T: Scalar, W: Copy, R>(
+        &self,
+        slot: usize,
+        mats: &mut [Matrix<T>],
+        work: &[W],
+        member: impl Fn(W) -> usize,
+        kernel: &'static str,
+        launch: impl FnOnce(&mut [Matrix<T>], &[W]) -> Vec<Result<R, CaqrError>>,
+        sdc: impl Fn(&mut Matrix<T>, &mut R, W, u64),
+    ) -> Vec<Result<R, CaqrError>>
+    where
+        B: CaqrBackend<T>,
+    {
+        // Per member: the error its fault stops the task with, or the
+        // payload of an SDC to apply once the task has run.
+        let drawn: Vec<Result<Option<u64>, CaqrError>> = work
+            .iter()
+            .map(|&w| {
+                let Some(f) = self.draw(member(w)) else {
+                    return Ok(None);
+                };
+                let launch_index = f.ordinal;
+                let stop = match f.kind {
+                    FaultKind::Sdc => return Ok(Some(f.payload)),
+                    FaultKind::LaunchFail => CaqrError::Fault {
+                        kernel,
+                        launch_index,
+                        attempts: 1,
+                    },
+                    FaultKind::Hang => CaqrError::Timeout {
+                        kernel,
+                        launch_index,
+                        deadline_us: DEFAULT_WATCHDOG_US as u64,
+                    },
+                    FaultKind::DeviceLoss => CaqrError::DeviceLost {
+                        kernel,
+                        launch_index,
+                    },
+                    FaultKind::HostPanic => CaqrError::Panicked {
+                        context: format!("injected host panic: {kernel} task"),
+                    },
+                };
+                self.inner.charge_fault(slot, f.kind);
+                Err(stop)
+            })
+            .collect();
+        let run: Vec<W> = work
+            .iter()
+            .zip(&drawn)
+            .filter(|(_, d)| d.is_ok())
+            .map(|(&w, _)| w)
+            .collect();
+        let mut results = launch(mats, &run).into_iter();
+        work.iter()
+            .zip(drawn)
+            .map(|(&w, drawn)| {
+                let payload = drawn?;
+                let mut r = results.next().expect("one result per member run")?;
+                if let Some(payload) = payload {
+                    sdc(&mut mats[member(w)], &mut r, w, payload);
+                    self.inner.charge_fault(slot, FaultKind::Sdc);
+                }
+                Ok(r)
+            })
+            .collect()
+    }
+}
+
+/// The SDC corruption `x -> 2x + 1` of one value: it always changes the
+/// value and never makes it non-finite, so the checksums, not the
+/// finiteness scan, must catch it.
+fn corrupt<T: Scalar>(x: &mut T) {
+    *x = *x + *x + T::ONE;
+}
+
+/// A factor-task SDC: on an even payload one diagonal entry of the panel's
+/// `R`, inside the column-norm check's coverage; on an odd one a diagonal
+/// entry of one tile's packed `T`, which the `Q·1` probe guards. A
+/// detection-only run probes only panels with trailing columns (DESIGN.md
+/// §10), so on the last panel the SDC lands on `R` whatever the payload.
+fn corrupt_factor<T: Scalar>(a: &mut Matrix<T>, pf: &mut PanelFactor<T>, payload: u64) {
+    let bits = (payload / 2) as usize;
+    if payload.is_multiple_of(2) || pf.col0 + pf.width == a.cols() {
+        let d = pf.col0 + bits % pf.width;
+        corrupt(&mut a[(d, d)]);
+    } else {
+        let tiles = pf.wy0.len();
+        let t = &mut pf.wy0[bits % tiles].t;
+        let d = bits % t.rows();
+        corrupt(&mut t[(d, d)]);
+    }
+}
+
+impl<T: Scalar, B: CaqrBackend<T>> CaqrBackend<T> for Faulty<B> {
+    type Token = B::Token;
+
+    fn slots(&self) -> usize {
+        self.inner.slots()
+    }
+
+    fn check_finite(
+        &self,
+        a: &Matrix<T>,
+        bs: BlockSize,
+        context: &'static str,
+    ) -> Result<usize, CaqrError> {
+        self.inner.check_finite(a, bs, context)
+    }
+
+    fn pretranspose(&self, m: usize, n: usize, bs: BlockSize) -> Result<usize, CaqrError> {
+        self.inner.pretranspose(m, n, bs)
+    }
+
+    fn factor_panel(
+        &self,
+        slot: usize,
+        a: &mut Matrix<T>,
+        row0: usize,
+        col0: usize,
+        width: usize,
+        cfg: &DriveConfig,
+    ) -> Result<PanelFactor<T>, CaqrError> {
+        self.inner.factor_panel(slot, a, row0, col0, width, cfg)
+    }
+
+    fn apply_panel(
+        &self,
+        slot: usize,
+        c: MatPtr<T>,
+        pf: &PanelFactor<T>,
+        cols: &[(usize, usize)],
+        transpose: bool,
+    ) -> Result<(), CaqrError> {
+        self.inner.apply_panel(slot, c, pf, cols, transpose)
+    }
+
+    fn check_finite_group(
+        &self,
+        mats: &[Matrix<T>],
+        live: &[usize],
+        bs: BlockSize,
+        context: &'static str,
+    ) -> Vec<Result<usize, CaqrError>> {
+        self.inner.check_finite_group(mats, live, bs, context)
+    }
+
+    fn factor_panel_group(
+        &self,
+        slot: usize,
+        mats: &mut [Matrix<T>],
+        live: &[usize],
+        row0: usize,
+        col0: usize,
+        width: usize,
+        cfg: &DriveConfig,
+    ) -> Vec<Result<PanelFactor<T>, CaqrError>> {
+        self.group_task(
+            slot,
+            mats,
+            live,
+            |j| j,
+            "factor",
+            |mats, run| (self.inner).factor_panel_group(slot, mats, run, row0, col0, width, cfg),
+            |a, pf, _, payload| corrupt_factor(a, pf, payload),
+        )
+    }
+
+    fn apply_panel_group(
+        &self,
+        slot: usize,
+        mats: &mut [Matrix<T>],
+        work: &[(usize, &PanelFactor<T>)],
+        cols: &[(usize, usize)],
+        transpose: bool,
+    ) -> Vec<Result<(), CaqrError>> {
+        self.group_task(
+            slot,
+            mats,
+            work,
+            |(j, _)| j,
+            "apply",
+            |mats, run| (self.inner).apply_panel_group(slot, mats, run, cols, transpose),
+            |c, _, (_, pf), _| corrupt(&mut c[(pf.row0, cols[0].0)]),
+        )
+    }
+
+    fn record(&self, slot: usize) -> Self::Token {
+        self.inner.record(slot)
+    }
+
+    fn wait(&self, slot: usize, token: Self::Token) {
+        self.inner.wait(slot, token)
+    }
+
+    fn sync(&self) -> Result<(), CaqrError> {
+        self.inner.sync()
+    }
+
+    fn q_ones_probe(&self, m: usize, pf: &PanelFactor<T>) -> Vec<T> {
+        self.inner.q_ones_probe(m, pf)
+    }
+
+    fn charge_verify(&self, elems: usize) {
+        self.inner.charge_verify(elems)
+    }
+
+    fn charge_snapshot(&self, elems: usize) {
+        self.inner.charge_snapshot(elems)
+    }
+
+    fn note_recovery(&self, report: &RecoveryReport) {
+        self.inner.note_recovery(report)
+    }
+
+    fn charge_fault(&self, slot: usize, kind: FaultKind) {
+        self.inner.charge_fault(slot, kind)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::multicore::{caqr_cpu, CpuCaqrOptions};
+    use gpu_sim::DeviceSpec;
+
+    /// Recover `a` on `backend` under the default policy, check the bits
+    /// against `want`, and return the `[task, run]` replays.
+    fn recover<B: CaqrBackend<f64>>(
+        backend: &B,
+        a: &Matrix<f64>,
+        cfg: &DriveConfig,
+        want: &Matrix<f64>,
+        case: &str,
+    ) -> [u64; 2] {
+        let policy = RecoveryPolicy::default();
+        let (f, r) = drive_group(backend, vec![a.clone()], cfg, Mode::Sync, Some(&policy))
+            .solo()
+            .unwrap_or_else(|e| panic!("{case}: recovery failed: {e}"));
+        assert_eq!(&f.a, want, "{case}: bits must match caqr_cpu");
+        [r.task_replays, r.run_retries]
+    }
+
+    #[test]
+    fn one_injector_on_every_backend() {
+        // 400x24 in panels of 16 then 8: the first panel's update is one
+        // column block, so the host and the 3-stream simulator both issue
+        // the tasks F A F. The same plan goes through `Faulty` over each.
+        let opts = CpuCaqrOptions {
+            tile_rows: 48,
+            panel_width: 16,
+            tree: TreeShape::DeviceArity,
+            verify_checksums: false,
+        };
+        let a = dense::generate::uniform::<f64>(400, 24, 77);
+        let want = caqr_cpu(a.clone(), opts).unwrap().a;
+        let cfg = opts.drive_config();
+        // An SDC payload's parity picks its site in a factor task: R's
+        // diagonal when even, the packed T when odd.
+        let faults = [
+            (FaultKind::LaunchFail, 0),
+            (FaultKind::Hang, 0),
+            (FaultKind::Sdc, 0),
+            (FaultKind::Sdc, 1),
+        ];
+        for ordinal in 0..3 {
+            for (kind, payload) in faults {
+                let case = format!("{kind:?} (payload {payload}) at task {ordinal}");
+                let plan = FaultPlan::explicit([PlannedFault {
+                    kind,
+                    ordinal,
+                    payload,
+                }]);
+                let host = Faulty::new(CpuBackend, vec![plan.clone()]);
+                let cpu = recover(&host, &a, &cfg, &want, &case);
+                let gpu = Gpu::new(DeviceSpec::c2050());
+                let device = Faulty::new(SimBackend::resilient(&gpu, 3).unwrap(), vec![plan]);
+                let sim = recover(&device, &a, &cfg, &want, &case);
+                assert_eq!(cpu, sim, "{case}: backends disagree");
+                assert_eq!(cpu, [1, 0], "{case}: one task replay");
+                let l = gpu.ledger();
+                let charged = [l.faults, l.hangs, l.sdc_injected];
+                assert_eq!(charged.iter().sum::<u64>(), 1, "{case}: {charged:?}");
+            }
+        }
     }
 }

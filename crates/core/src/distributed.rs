@@ -23,8 +23,8 @@
 //!
 //! ## Device loss (recovery tier 3)
 //!
-//! A [`gpu_sim::FaultKind::DeviceLoss`] makes every launch on the dead
-//! device fail with [`CaqrError::DeviceLost`] — terminal on one device (see
+//! A lost device ([`gpu_sim::Gpu::lose_at_launch`]) fails every launch on
+//! it with [`CaqrError::DeviceLost`] — terminal on one device (see
 //! [`crate::recovery`]), but here the driver *fails over*: a survivor
 //! adopts the dead device's row partition (restored bit-exactly from the
 //! pristine input and re-uploaded at modelled PCIe cost), and every

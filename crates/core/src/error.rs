@@ -1,7 +1,7 @@
 //! Typed error taxonomy for the CAQR drivers.
 //!
 //! Everything a *caller* can trigger — bad shapes, non-finite input, a
-//! numerical breakdown, a device fault that outlived its retries — comes
+//! numerical breakdown, an injected fault that outlived recovery — comes
 //! back as a [`CaqrError`] instead of a panic, so the RPCA solver and the
 //! harness binaries can degrade gracefully. Panics that remain in the
 //! library crates are programmer errors on invariants held by construction
@@ -18,11 +18,12 @@ pub enum CaqrError {
     Launch(LaunchError),
     /// The requested factorization shape or block size is invalid.
     BadShape(String),
-    /// A simulated transient device fault persisted through every retry.
+    /// An injected launch fault failed a task before it ran (see
+    /// [`crate::fault`]).
     Fault {
         /// Kernel that failed.
         kernel: &'static str,
-        /// Launch ordinal (0-based admission order).
+        /// The ordinal the fault fired at.
         launch_index: u64,
         /// Attempts made before giving up.
         attempts: u32,
@@ -36,13 +37,13 @@ pub enum CaqrError {
         /// Column of the first offending entry.
         col: usize,
     },
-    /// A launch hung past the watchdog deadline on every retry attempt.
+    /// An injected hang ran a task past the watchdog deadline.
     Timeout {
         /// Kernel that hung.
         kernel: &'static str,
-        /// Launch ordinal (0-based admission order).
+        /// The ordinal the hang fired at.
         launch_index: u64,
-        /// Watchdog deadline charged per hung attempt, microseconds.
+        /// Watchdog deadline charged for the hang, microseconds.
         deadline_us: u64,
     },
     /// An ABFT checksum caught silently corrupted data (DESIGN.md §10):
@@ -56,7 +57,8 @@ pub enum CaqrError {
         /// Global column index of the first mismatching checksum.
         col: usize,
     },
-    /// The device a launch targeted has been lost wholesale (a simulated
+    /// The device a launch targeted has been lost wholesale
+    /// (`gpu_sim::Gpu::lose_at_launch`, or an injected
     /// `FaultKind::DeviceLoss`): every launch on it fails until the device
     /// is reset. On a single device this is terminal — there is no retry a
     /// dead device can answer. Multi-device drivers (`distributed`) catch
@@ -93,24 +95,6 @@ pub enum CaqrError {
 impl From<LaunchError> for CaqrError {
     fn from(e: LaunchError) -> Self {
         match e {
-            LaunchError::DeviceFault {
-                kernel,
-                launch_index,
-                attempts,
-            } => CaqrError::Fault {
-                kernel,
-                launch_index,
-                attempts,
-            },
-            LaunchError::Timeout {
-                kernel,
-                launch_index,
-                deadline_us,
-            } => CaqrError::Timeout {
-                kernel,
-                launch_index,
-                deadline_us,
-            },
             LaunchError::DeviceLost {
                 kernel,
                 launch_index,
@@ -160,7 +144,7 @@ impl std::fmt::Display for CaqrError {
                 deadline_us,
             } => write!(
                 f,
-                "watchdog timeout: kernel `{kernel}` (launch #{launch_index}) hung past the {deadline_us} us deadline on every retry"
+                "watchdog timeout: kernel `{kernel}` (launch #{launch_index}) hung past the {deadline_us} us deadline"
             ),
             CaqrError::ChecksumMismatch { stage, panel, col } => write!(
                 f,
@@ -225,52 +209,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn device_fault_converts_to_typed_fault() {
-        let e: CaqrError = LaunchError::DeviceFault {
-            kernel: "factor",
-            launch_index: 7,
-            attempts: 3,
-        }
-        .into();
-        assert_eq!(
-            e,
-            CaqrError::Fault {
-                kernel: "factor",
-                launch_index: 7,
-                attempts: 3
-            }
-        );
-        let s = e.to_string();
-        assert!(
-            s.contains("factor") && s.contains('7') && s.contains('3'),
-            "{s}"
-        );
-    }
-
-    #[test]
     fn other_launch_errors_stay_launch() {
         let e: CaqrError = LaunchError::EmptyGrid.into();
         assert!(matches!(e, CaqrError::Launch(LaunchError::EmptyGrid)));
-    }
-
-    #[test]
-    fn timeout_converts_to_typed_timeout() {
-        let e: CaqrError = LaunchError::Timeout {
-            kernel: "apply_qt_h",
-            launch_index: 12,
-            deadline_us: 10_000,
-        }
-        .into();
-        assert_eq!(
-            e,
-            CaqrError::Timeout {
-                kernel: "apply_qt_h",
-                launch_index: 12,
-                deadline_us: 10_000
-            }
-        );
-        let s = e.to_string();
-        assert!(s.contains("apply_qt_h") && s.contains("10000"), "{s}");
     }
 
     #[test]

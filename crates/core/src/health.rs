@@ -256,37 +256,45 @@ fn block_cols(col_blocks: &[(usize, usize)]) -> Vec<usize> {
         .collect()
 }
 
-/// Per-column `sum_i a[i, j]^2` over rows `row0..` of panel columns
-/// `col0..col0+width` (f64 accumulation) — the pre-factor checksum.
-pub fn panel_col_sumsq<T: Scalar>(
+/// The 2-norm of `xs`, accumulated in f64. The plain sum of squares is
+/// the fast path; a sum that overflows, or falls below
+/// `f64::MIN_POSITIVE / ε` where squaring has underflowed, is recomputed as
+/// a scaled sum of squares ([`dense::blas1::nrm2`]), so entries near
+/// either end of the f64 range keep their norm.
+fn col_norm<T: Scalar>(xs: &[T]) -> f64 {
+    let sumsq = lane_sum(xs, |x| x * x);
+    if sumsq.is_finite() && sumsq >= f64::MIN_POSITIVE / f64::EPSILON {
+        sumsq.sqrt()
+    } else {
+        dense::blas1::nrm2(xs).to_f64()
+    }
+}
+
+/// Per-column 2-norm over rows `row0..` of panel columns
+/// `col0..col0+width` — the pre-factor checksum.
+pub fn panel_col_norms<T: Scalar>(
     a: &Matrix<T>,
     row0: usize,
     col0: usize,
     width: usize,
 ) -> Vec<f64> {
     map_cols(col0..col0 + width, a.rows() - row0, |j| {
-        lane_sum(&a.col(j)[row0..], |x| x * x)
+        col_norm(&a.col(j)[row0..])
     })
 }
 
-/// Per-column norm of the surviving `R` triangle: `sum_{i<=j} R[i,j]^2`
-/// read from the factored matrix at `(row0, col0)`.
-fn r_col_sumsq<T: Scalar>(a: &Matrix<T>, row0: usize, col0: usize, width: usize) -> Vec<f64> {
+/// Per-column 2-norm of the surviving `R` triangle: `R[..=j, j]` read from
+/// the factored matrix at `(row0, col0)`.
+fn r_col_norms<T: Scalar>(a: &Matrix<T>, row0: usize, col0: usize, width: usize) -> Vec<f64> {
     (0..width)
-        .map(|j| {
-            a.col(col0 + j)[row0..row0 + j + 1]
-                .iter()
-                .map(|&v| {
-                    let x = v.to_f64();
-                    x * x
-                })
-                .sum()
-        })
+        .map(|j| col_norm(&a.col(col0 + j)[row0..row0 + j + 1]))
         .collect()
 }
 
-/// Check the factor-stage invariant `pre[j] == post[j]` to relative
-/// tolerance; `col0` converts the panel-local index of the first mismatch
+/// Check the factor-stage invariant `pre[j] == post[j]` (column norms) to
+/// relative tolerance on the sums of squares: `1 - (lo/hi)^2`, which never
+/// squares a norm, so it holds at any scale. A non-finite side is a
+/// mismatch. `col0` converts the panel-local index of the first mismatch
 /// into the global column reported by [`CaqrError::ChecksumMismatch`].
 fn verify_factor_checksums<T: Scalar>(
     pre: &[f64],
@@ -297,7 +305,9 @@ fn verify_factor_checksums<T: Scalar>(
 ) -> Result<(), CaqrError> {
     let tol = checksum_tol::<T>(rows);
     for (j, (&p, &q)) in pre.iter().zip(post).enumerate() {
-        if (p - q).abs() > tol * p.abs().max(q.abs()).max(f64::MIN_POSITIVE) {
+        let (lo, hi) = (p.min(q), p.max(q));
+        let r = if hi > 0.0 { lo / hi } else { 1.0 };
+        if !(p.is_finite() && q.is_finite() && (1.0 - r) * (1.0 + r) <= tol) {
             return Err(CaqrError::ChecksumMismatch {
                 stage: "factor",
                 panel,
@@ -370,7 +380,7 @@ fn verify_apply_checksums<T: Scalar>(
 
 /// Composite factor-stage verification: read the surviving `R` column
 /// norms at `(c, c)` and check them against the pre-factor checksums
-/// `pre` ([`panel_col_sumsq`] of the same columns). `panel` and `c` locate
+/// `pre` ([`panel_col_norms`] of the same columns). `panel` and `c` locate
 /// the mismatch report; the tolerance scales with the panel height
 /// `m - c`. The one factor-stage check of the driver's panel loop, for
 /// solo runs, fused groups and the replay ladder alike.
@@ -382,7 +392,7 @@ pub fn factor_norm_check<T: Scalar>(
     c: usize,
     width: usize,
 ) -> Result<(), CaqrError> {
-    let post = r_col_sumsq(a, c, c, width);
+    let post = r_col_norms(a, c, c, width);
     verify_factor_checksums::<T>(&pre[..width], &post, m - c, panel, c)
 }
 
@@ -497,7 +507,7 @@ mod tests {
     ) -> (Gpu, Matrix<f64>, Vec<f64>, crate::tsqr::PanelFactor<f64>) {
         let g = Gpu::new(DeviceSpec::c2050());
         let mut a = dense::generate::uniform::<f64>(m, n, 42);
-        let pre = panel_col_sumsq(&a, 0, 0, w);
+        let pre = panel_col_norms(&a, 0, 0, w);
         let pf = factor_panel_with_tree_on(
             &g,
             Exec::Sync,
@@ -527,14 +537,14 @@ mod tests {
                 (got - want).abs() <= tol * scale.max(f64::MIN_POSITIVE)
             };
 
-            let sumsq = panel_col_sumsq(&a, 0, 0, cols);
+            let norms = panel_col_norms(&a, 0, 0, cols);
             let pred = predicted_col_sums(&u, &a, &blocks);
             let actual = actual_col_sums(&a, &blocks);
             for j in 0..cols {
                 let col = a.col(j);
                 let want_sq: f64 = col.iter().map(|x| x * x).sum();
                 assert!(
-                    close(sumsq[j], want_sq, want_sq),
+                    close(norms[j] * norms[j], want_sq, want_sq),
                     "sumsq rows {rows} col {j}"
                 );
                 let want_pred: f64 = u.iter().zip(col).map(|(ui, c)| ui * c).sum();
@@ -576,8 +586,8 @@ mod tests {
                 },
                 "rows {rows}"
             );
-            let post = panel_col_sumsq(&bad, 0, 0, cols);
-            let e = verify_factor_checksums::<f64>(&sumsq, &post, rows, 0, 0).unwrap_err();
+            let post = panel_col_norms(&bad, 0, 0, cols);
+            let e = verify_factor_checksums::<f64>(&norms, &post, rows, 0, 0).unwrap_err();
             assert!(matches!(e, CaqrError::ChecksumMismatch { col, .. } if col == j));
         }
     }
@@ -585,13 +595,13 @@ mod tests {
     #[test]
     fn factor_checksums_hold_on_a_clean_panel_and_catch_a_corrupted_r() {
         let (_g, mut a, pre, _pf) = factored_panel(160, 16, 8);
-        let post = r_col_sumsq(&a, 0, 0, 8);
+        let post = r_col_norms(&a, 0, 0, 8);
         verify_factor_checksums::<f64>(&pre, &post, 160, 0, 0).unwrap();
 
         // An SDC-style bump on one R element breaks the invariant at that
         // column.
         a[(2, 5)] = a[(2, 5)] * 2.0 + 1.0;
-        let post = r_col_sumsq(&a, 0, 0, 8);
+        let post = r_col_norms(&a, 0, 0, 8);
         let e = verify_factor_checksums::<f64>(&pre, &post, 160, 3, 0).unwrap_err();
         assert_eq!(
             e,
@@ -601,6 +611,43 @@ mod tests {
                 col: 5
             }
         );
+    }
+
+    #[test]
+    fn factor_check_holds_and_catches_corruption_at_extreme_scales() {
+        // At 1e300 a plain sum of squares overflows on both sides (and
+        // `inf - inf` is NaN, which passed); at 1e-300 it underflows to 0
+        // on both sides. Neither may hide a tripled `R`.
+        for scale in [1e300, 1e-300] {
+            let mut a = dense::generate::uniform::<f64>(256, 16, 7);
+            a.as_mut_slice().iter_mut().for_each(|x| *x *= scale);
+            let pre = panel_col_norms(&a, 0, 0, 16);
+            let g = Gpu::new(DeviceSpec::c2050());
+            let bs = BlockSize { h: 64, w: 16 };
+            let strategy = ReductionStrategy::RegisterSerialTransposed;
+            factor_panel_with_tree_on(
+                &g,
+                Exec::Sync,
+                &mut a,
+                0,
+                0,
+                16,
+                bs,
+                strategy,
+                TreeShape::Binomial,
+            )
+            .unwrap();
+            factor_norm_check::<f64>(&a, &pre, 256, 0, 0, 16)
+                .unwrap_or_else(|e| panic!("clean panel at {scale:e}: {e}"));
+            for j in 0..16 {
+                a.col_mut(j)[..=j].iter_mut().for_each(|x| *x *= 3.0);
+            }
+            let e = factor_norm_check::<f64>(&a, &pre, 256, 0, 0, 16);
+            assert!(
+                matches!(e, Err(CaqrError::ChecksumMismatch { col: 0, .. })),
+                "tripled R at {scale:e}: {e:?}"
+            );
+        }
     }
 
     #[test]

@@ -360,22 +360,6 @@ impl Launch for GridLaunch {
     }
 }
 
-/// The single-element corruption a simulated SDC applies: a bit-flip proxy
-/// that is guaranteed to change the value (`0 -> 1`, `x -> 2x + 1` for
-/// positive `x`) without producing a NaN/inf that the finiteness checks
-/// would catch before the checksums get a chance to.
-fn sdc_bump<T: Scalar>(v: T) -> T {
-    v + T::ONE + v.abs()
-}
-
-/// Map an SDC payload to an element of the upper triangle of a `k`-wide
-/// R block: column `j`, then a row at or above the diagonal.
-fn sdc_triangle_elem(r: u64, k: usize) -> (usize, usize) {
-    let j = (r / 16) as usize % k.max(1);
-    let i = (r / 256) as usize % (j + 1);
-    (i, j)
-}
-
 // ---------------------------------------------------------------------------
 // factor
 // ---------------------------------------------------------------------------
@@ -419,42 +403,6 @@ impl<'a, T: Scalar> Kernel<T> for FactorKernel<'a, T> {
             self.v[b],
         ));
     }
-
-    fn inject_sdc(&self, r: u64) -> bool {
-        if self.tiles.is_empty() {
-            return false;
-        }
-        let ti = (r / 2) as usize % self.tiles.len();
-        let tile = self.tiles[ti];
-        let k = self.width.min(tile.rows);
-        if k == 0 {
-            return false;
-        }
-        let (i, j) = sdc_triangle_elem(r, k);
-        if r.is_multiple_of(2) {
-            // Corrupt an R element of the tile in the factored matrix — the
-            // output the `factor` checksum (column-norm invariance) guards.
-            // Safety: injection runs after every block has retired, so no
-            // block is concurrently writing the tile.
-            unsafe {
-                let v = self.a.get(tile.start + i, self.col0 + j);
-                self.a.set(tile.start + i, self.col0 + j, sdc_bump(v));
-            }
-            true
-        } else {
-            // Corrupt the packed compact-WY `T` factor — consumed by every
-            // later apply, caught by the orthogonality probe on `Q . 1`.
-            let mut slot = self.wy[ti].lock();
-            match slot.as_mut() {
-                Some(wy) => {
-                    let v = wy.t[(i, j)];
-                    wy.t[(i, j)] = sdc_bump(v);
-                    true
-                }
-                None => false,
-            }
-        }
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -492,35 +440,6 @@ impl<'a, T: Scalar> Kernel<T> for FactorTreeKernel<'a, T> {
             self.col0,
             self.width,
         ));
-    }
-
-    fn inject_sdc(&self, r: u64) -> bool {
-        if self.groups.is_empty() {
-            return false;
-        }
-        let g = (r / 2) as usize % self.groups.len();
-        let (i, j) = sdc_triangle_elem(r, self.width);
-        if r.is_multiple_of(2) {
-            // Corrupt the surviving R written back to the group leader's
-            // triangle (caught by the factor-stage column-norm checksum).
-            let leader = self.groups[g].members[0];
-            unsafe {
-                let v = self.a.get(leader + i, self.col0 + j);
-                self.a.set(leader + i, self.col0 + j, sdc_bump(v));
-            }
-            true
-        } else {
-            // Corrupt the node's compact-WY `T` (caught by the probe).
-            let mut slot = self.out[g].lock();
-            match slot.as_mut() {
-                Some(node) => {
-                    let v = node.tmat[(i, j)];
-                    node.tmat[(i, j)] = sdc_bump(v);
-                    true
-                }
-                None => false,
-            }
-        }
     }
 }
 
@@ -568,25 +487,6 @@ impl<'a, T: Scalar> Kernel<T> for ApplyQtHKernel<'a, T> {
             self.transpose,
         );
     }
-
-    fn inject_sdc(&self, r: u64) -> bool {
-        let blocks = self.panel.tiles.len() * self.col_blocks.len();
-        if blocks == 0 {
-            return false;
-        }
-        // Corrupt one element of one updated target block; the per-column
-        // checksum prediction (u^T . C) localizes it to this update.
-        let b = r as usize % blocks;
-        let tile = self.panel.tiles[b % self.panel.tiles.len()];
-        let (c0, wc) = self.col_blocks[b / self.panel.tiles.len()];
-        let i = (r / 64) as usize % tile.rows;
-        let j = (r / 4096) as usize % wc;
-        unsafe {
-            let v = self.c.get(tile.start + i, c0 + j);
-            self.c.set(tile.start + i, c0 + j, sdc_bump(v));
-        }
-        true
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -623,25 +523,6 @@ impl<'a, T: Scalar> Kernel<T> for ApplyQtTreeKernel<'a, T> {
         let node = &self.nodes[b % self.nodes.len()];
         let (c0, wc) = self.col_blocks[b / self.nodes.len()];
         crate::blockops::apply_tree_node(self.c, node, self.width, c0, wc, self.transpose);
-    }
-
-    fn inject_sdc(&self, r: u64) -> bool {
-        let blocks = self.nodes.len() * self.col_blocks.len();
-        if blocks == 0 {
-            return false;
-        }
-        // Corrupt one element of one updated strip of the target.
-        let b = r as usize % blocks;
-        let node = &self.nodes[b % self.nodes.len()];
-        let (c0, wc) = self.col_blocks[b / self.nodes.len()];
-        let member = node.members[(r / 64) as usize % node.members.len()];
-        let i = (r / 512) as usize % self.width;
-        let j = (r / 4096) as usize % wc;
-        unsafe {
-            let v = self.c.get(member + i, c0 + j);
-            self.c.set(member + i, c0 + j, sdc_bump(v));
-        }
-        true
     }
 }
 

@@ -19,6 +19,8 @@
 //!   lookahead, bit-identical to the synchronous loop,
 //! * [`recovery`] — ABFT-checksummed, fault-recovering CAQR: tile-granular
 //!   replay of faulted tasks with a task -> run escalation ladder,
+//! * [`fault`] — deterministic fault plans for the one fault injector,
+//!   [`backend::Faulty`],
 //! * [`distributed`] — multi-device TSQR over an interconnect-modelled
 //!   cluster with tier-3 device-loss failover, bit-identical to the
 //!   single-device host path,
@@ -61,6 +63,7 @@ pub mod bounds;
 pub mod caqr;
 pub mod distributed;
 pub mod error;
+pub mod fault;
 pub mod health;
 pub mod kernels;
 pub mod microkernels;
@@ -72,20 +75,23 @@ pub mod service;
 pub mod tsqr;
 pub mod tuning;
 
-pub use backend::{drive, CaqrBackend, CpuBackend, DriveConfig, Factorization, Mode, SimBackend};
+pub use backend::{
+    drive, CaqrBackend, CpuBackend, DriveConfig, Factorization, Faulty, Mode, SimBackend,
+};
 pub use block::{BlockSize, TreeShape};
 pub use caqr::{caqr_qr, CaqrOptions};
 pub use distributed::{distributed_tsqr, ClusterBackend, DistOptions, DistReport};
 pub use error::{checked_bytes, checked_elems, CaqrError};
+pub use fault::{FaultKind, FaultPlan, PlannedFault};
 pub use health::{check_matrix_finite, first_nonfinite};
 pub use microkernels::ReductionStrategy;
 pub use multicore::{caqr_cpu, CpuCaqr, CpuCaqrOptions};
 pub use recovery::{caqr_resilient, RecoveryOptions, RecoveryPolicy, RecoveryReport};
 pub use schedule::{caqr_dag, model_caqr_dag_seconds, ScheduleOptions};
 pub use service::{
-    factor_many, service_retryable, BatchStats, JobOutcome, JobSpec, PlannedFault, Priority,
-    ResilienceConfig, RetryBudget, Service, ServiceConfig, ServiceError, ServiceFaultPlan,
-    ServiceLedger, ShedPolicy, SubmitError, TenantCounters, TenantQuota, Ticket,
+    factor_many, service_retryable, BatchStats, JobOutcome, JobSpec, Priority, ResilienceConfig,
+    RetryBudget, Service, ServiceConfig, ServiceError, ServiceFaultPlan, ServiceLedger, ShedPolicy,
+    SubmitError, TenantCounters, TenantQuota, Ticket,
 };
 pub use tsqr::{tsqr, PanelFactor, TreeNode};
 pub use tuning::{autotune_measured, MeasuredPoint, MeasuredProfile};

@@ -15,15 +15,17 @@
 //!   checked against predicted post-update column sums (`u^T C`).
 //!
 //! A detected fault — a checksum mismatch from silent data corruption, a
-//! [`CaqrError::Fault`] that outlived the launch-level retries, or a
-//! [`CaqrError::Timeout`] from the hang watchdog — triggers replay of
-//! *only the affected task* from an arena-backed snapshot of its input.
-//! A task that keeps failing spends its task budget and escalates: retry
-//! the whole run from the pristine input, then give up with a typed
-//! [`CaqrError::Unrecoverable`]. Snapshots restore bit-exact input state
-//! and launch ordinals advance on every attempt (so a seeded fault plan
-//! redraws), which makes a recovered run **bit-identical** to a fault-free
-//! run of the same schedule.
+//! [`CaqrError::Fault`] from a failed launch, or a [`CaqrError::Timeout`]
+//! from the hang watchdog — triggers replay of *only the affected task*
+//! from an arena-backed snapshot of its input. A task that keeps failing
+//! spends its task budget and escalates: retry the whole run from the
+//! pristine input, then give up with a typed [`CaqrError::Unrecoverable`].
+//! Snapshots restore bit-exact input state and every replay is a new task
+//! with a fresh ordinal (so a fault plan redraws), which makes a recovered
+//! run **bit-identical** to a fault-free run of the same schedule.
+//!
+//! Faults come from [`RecoveryOptions::faults`], injected by the one fault
+//! injector, [`Faulty`], over the simulator backend.
 //!
 //! Detection is not free and is charged honestly: checksum passes appear
 //! in the ledger under `checksum_verify`, snapshot save/restore traffic
@@ -33,9 +35,10 @@
 //!
 //! [`Mode::Sync`]: crate::backend::Mode::Sync
 
-use crate::backend::{drive_group, CaqrBackend, Factorization, Mode, SimBackend};
+use crate::backend::{drive_group, CaqrBackend, Factorization, Faulty, Mode, SimBackend};
 use crate::caqr::CaqrOptions;
 use crate::error::CaqrError;
+use crate::fault::FaultPlan;
 use dense::arena;
 use dense::matrix::Matrix;
 use dense::scalar::Scalar;
@@ -64,7 +67,7 @@ impl Default for RecoveryPolicy {
 }
 
 /// Options for [`caqr_resilient`].
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Debug)]
 pub struct RecoveryOptions {
     /// The numerical configuration (block size, strategy, tree shape).
     pub caqr: CaqrOptions,
@@ -72,6 +75,8 @@ pub struct RecoveryOptions {
     pub streams: usize,
     /// Replay budgets.
     pub policy: RecoveryPolicy,
+    /// Faults to inject, keyed by task ordinal (none by default).
+    pub faults: FaultPlan,
 }
 
 impl Default for RecoveryOptions {
@@ -80,6 +85,7 @@ impl Default for RecoveryOptions {
             caqr: CaqrOptions::default(),
             streams: 4,
             policy: RecoveryPolicy::default(),
+            faults: FaultPlan::default(),
         }
     }
 }
@@ -98,7 +104,7 @@ pub struct RecoveryReport {
     pub run_retries: u64,
     /// Watchdog timeouts the executor recovered from (or escalated past).
     pub timeouts: u64,
-    /// Launch faults that outlived the launch-level retries.
+    /// Tasks failed by a launch fault.
     pub launch_faults: u64,
     /// Kernel launches enqueued across every attempt (replays included).
     pub launches: u64,
@@ -120,8 +126,8 @@ impl RecoveryReport {
     }
 }
 
-/// A recoverable fault: retrying the producing task (with fresh launch
-/// ordinals and restored inputs) can plausibly succeed. Everything else —
+/// A recoverable fault: retrying the producing task (with a fresh task
+/// ordinal and restored inputs) can plausibly succeed. Everything else —
 /// bad shapes, non-finite input, launch-config violations, a deadlocked
 /// schedule — is deterministic and propagates immediately. `DeviceLost`
 /// is deliberately *not* transient: a dead device answers no retry, so on
@@ -189,15 +195,15 @@ impl<T: Scalar> RegionSnapshot<T> {
 /// what the escalation ladder did.
 ///
 /// A [`Mode::Sync`] run of the driver's panel loop as a group of one on a
-/// barrier-mode [`SimBackend`] (DESIGN.md §13), under `opts.policy`: the
-/// factor runs on the panel's home stream and the trailing update fans out
-/// over every stream.
+/// barrier-mode [`SimBackend`] (DESIGN.md §13), under `opts.policy`, with
+/// `opts.faults` injected by [`Faulty`]: the factor runs on the panel's
+/// home stream and the trailing update fans out over every stream.
 pub fn caqr_resilient<T: Scalar>(
     gpu: &Gpu,
     a: Matrix<T>,
     opts: RecoveryOptions,
 ) -> Result<(Factorization<T>, RecoveryReport), CaqrError> {
-    let backend = SimBackend::resilient(gpu, opts.streams)?;
+    let backend = Faulty::new(SimBackend::resilient(gpu, opts.streams)?, vec![opts.faults]);
     let cfg = opts.caqr.drive_config();
     drive_group(&backend, vec![a], &cfg, Mode::Sync, Some(&opts.policy)).solo()
 }
@@ -207,9 +213,10 @@ mod tests {
     use super::*;
     use crate::block::{BlockSize, TreeShape};
     use crate::caqr::caqr;
+    use crate::fault::FaultKind;
     use crate::microkernels::ReductionStrategy;
     use dense::generate;
-    use gpu_sim::{DeviceSpec, FaultPlan};
+    use gpu_sim::DeviceSpec;
 
     fn gpu() -> Gpu {
         Gpu::new(DeviceSpec::c2050())
@@ -224,6 +231,7 @@ mod tests {
             },
             streams: 3,
             policy: RecoveryPolicy::default(),
+            faults: FaultPlan::default(),
         }
     }
 
@@ -251,10 +259,11 @@ mod tests {
         let a = generate::uniform::<f64>(200, 24, 10);
         let clean = caqr(&gpu(), a.clone(), opts().caqr).unwrap();
         let g = gpu();
-        // Launch 0 is the health check; corrupt a later launch so an apply
-        // or factor output takes the hit (either way recovery must fix it).
-        g.set_fault_plan(FaultPlan::sdc_at_launches(&[2, 5]));
-        let (f, report) = caqr_resilient(&g, a, opts()).unwrap();
+        // 200x24 in panels of 8 on 3 streams issues the tasks F A A F A F
+        // when clean, and a replay takes the next ordinal: corrupt two
+        // tasks, whichever they turn out to be.
+        let faults = FaultPlan::at(FaultKind::Sdc, &[2, 5]);
+        let (f, report) = caqr_resilient(&g, a, RecoveryOptions { faults, ..opts() }).unwrap();
         for j in 0..24 {
             for i in 0..200 {
                 assert_eq!(f.a[(i, j)], clean.a[(i, j)], "({i},{j})");
@@ -271,11 +280,11 @@ mod tests {
     #[test]
     fn unrecoverable_hang_surfaces_typed_error_not_a_panic() {
         let g = gpu();
-        // Every launch hangs forever: both tiers must drain, then a typed
-        // Unrecoverable (the health check itself times out first).
-        g.set_fault_plan(FaultPlan::seeded_mix(3, 0.0, 0.0, 1.0));
+        // Every task hangs: both tiers must drain, then a typed
+        // Unrecoverable (the first factor task never gets through).
+        let faults = FaultPlan::seeded_mix(3, 0.0, 0.0, 1.0);
         let a = generate::uniform::<f64>(96, 16, 11);
-        let e = match caqr_resilient(&g, a, opts()) {
+        let e = match caqr_resilient(&g, a, RecoveryOptions { faults, ..opts() }) {
             Err(e) => e,
             Ok(_) => panic!("an always-hanging plan cannot succeed"),
         };

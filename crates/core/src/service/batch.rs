@@ -8,9 +8,11 @@
 //! whose planned fault fires is **carved** out of the group with a typed
 //! [`CaqrError`] while its riders complete bit-identically.
 
-use super::resilience::{Faulty, PlannedFault};
-use crate::backend::{drive_group, CpuBackend, DriveConfig, Factorization, Mode};
+use crate::backend::{
+    drive_group, CpuBackend, DagGeometry, DriveConfig, Factorization, Faulty, Mode,
+};
 use crate::error::{checked_elems, CaqrError};
+use crate::fault::{FaultPlan, PlannedFault};
 use crate::multicore::CpuCaqrOptions;
 use dense::matrix::Matrix;
 use dense::scalar::Scalar;
@@ -180,7 +182,10 @@ fn ran_fused<T: Scalar>(size: usize, res: &Result<Factorization<T>, CaqrError>) 
 
 /// Run one group of jobs — a fused shape class, or a job alone in its
 /// class — through the group driver, on a [`Faulty`] host backend when any
-/// member carries a planned fault.
+/// member carries a planned fault. A member's fault becomes a one-entry
+/// plan on the task ordinal its payload picks, counting the member's
+/// tasks in the fault-free schedule: one factor per panel, plus one apply
+/// when the panel has trailing columns.
 fn run_group<T: Scalar>(
     members: Vec<Job<T>>,
     verify: bool,
@@ -202,13 +207,19 @@ fn run_group<T: Scalar>(
         verify_checksums: opts.verify_checksums || verify || !clean,
         ..opts.drive_config()
     };
-    // `Faulty` plans its steering over the panel schedule, which needs a
-    // valid block size; an invalid one fails in the driver's own
-    // validation, before any fault could fire.
+    // The steering counts the panel schedule's tasks, which needs a valid
+    // block size; an invalid one fails in the driver's own validation,
+    // before any fault could fire.
     let group = if clean || cfg.bs.validate().is_err() {
         drive_group(&CpuBackend, mats, &cfg, Mode::Sync, None)
     } else {
-        let backend = Faulty::new(CpuBackend, &faults, m, n, cfg.bs.w);
+        let tasks: u64 = (DagGeometry::new(m, n, cfg.bs.w, 1).steps.iter())
+            .map(|s| if s.c + s.width < n { 2 } else { 1 })
+            .sum();
+        let plans = (faults.iter())
+            .map(|f| f.map_or_else(FaultPlan::default, |f| f.task_plan(tasks)))
+            .collect();
+        let backend = Faulty::new(CpuBackend, plans);
         drive_group(&backend, mats, &cfg, Mode::Sync, None)
     };
     let in_fused: Vec<bool> = group.members.iter().map(|r| ran_fused(size, r)).collect();
@@ -234,10 +245,10 @@ mod tests {
     use super::*;
     use crate::backend::CaqrBackend;
     use crate::block::TreeShape;
+    use crate::fault::FaultKind;
     use crate::multicore::caqr_cpu;
     use crate::tsqr::{col_blocks, PanelFactor};
     use dense::MatPtr;
-    use gpu_sim::FaultKind;
 
     fn opts(h: usize, w: usize) -> CpuCaqrOptions {
         CpuCaqrOptions {

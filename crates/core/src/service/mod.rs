@@ -63,8 +63,7 @@ pub use batch::{factor_many, logical_launches, BatchStats};
 pub use ledger::{ServiceLedger, TenantCounters};
 pub use queue::{JobOutcome, Service, Ticket};
 pub use resilience::{
-    service_retryable, PlannedFault, ResilienceConfig, RetryBudget, ServiceFaultPlan, ShedPolicy,
-    TenantQuota,
+    service_retryable, ResilienceConfig, RetryBudget, ServiceFaultPlan, ShedPolicy, TenantQuota,
 };
 
 use crate::error::CaqrError;

@@ -7,12 +7,13 @@
 
 use super::batch::{factor_many_reported, fuse_key, FuseKey};
 use super::ledger::ServiceLedger;
-use super::resilience::{PlannedFault, TenantQuota};
+use super::resilience::TenantQuota;
 use super::{
     lock, logical_launches, service_retryable, JobSpec, Priority, ServiceConfig, ServiceError,
     SubmitError,
 };
 use crate::backend::Factorization;
+use crate::fault::PlannedFault;
 use crate::multicore::CpuCaqrOptions;
 use dense::matrix::Matrix;
 use dense::scalar::Scalar;
@@ -676,9 +677,9 @@ mod tests {
     use super::*;
     use crate::block::TreeShape;
     use crate::error::CaqrError;
+    use crate::fault::{FaultKind, FaultPlan};
     use crate::multicore::caqr_cpu;
     use crate::service::{ResilienceConfig, ServiceFaultPlan, ShedPolicy};
-    use gpu_sim::FaultPlan;
 
     fn opts(h: usize, w: usize) -> CpuCaqrOptions {
         CpuCaqrOptions {
@@ -1016,13 +1017,13 @@ mod tests {
             ("quota 0", |c| c.quota = TenantQuota::MaxQueued(0), "QQQ"),
             (
                 "no retries",
-                |c| inject(c, FaultPlan::at_launches(&[0, 2]), 0),
+                |c| inject(c, FaultPlan::at(FaultKind::LaunchFail, &[0, 2]), 0),
                 "FSFS",
             ),
             // A lost device is terminal: the retry budget goes unspent.
             (
                 "device loss",
-                |c| inject(c, FaultPlan::device_loss_at_launches(&[1]), 2),
+                |c| inject(c, FaultPlan::at(FaultKind::DeviceLoss, &[1]), 2),
                 "SF",
             ),
         ];

@@ -1,47 +1,24 @@
-//! Service-tier resilience policy (DESIGN.md §15): the planned-fault
-//! plumbing that threads gpu-sim fault injection through the host batch
-//! engine ([`Faulty`]), the bounded budget of retry rounds that re-run
-//! carved-out jobs, the overload circuit-breaker policy, and the
-//! per-tenant admission quotas. The service recovers one way: the batch
-//! engine detects a fault and carves its job out, and a retry round
-//! re-runs the job from its spec.
+//! Service-tier resilience policy (DESIGN.md §15): the seeded fault
+//! campaign the service draws one fault per job from, the bounded budget
+//! of retry rounds that re-run carved-out jobs, the overload
+//! circuit-breaker policy, and the per-tenant admission quotas. The
+//! service recovers one way: the batch engine detects a fault and carves
+//! its job out, and a retry round re-runs the job from its spec.
 
-use crate::backend::{CaqrBackend, DagGeometry, DriveConfig};
-use crate::block::BlockSize;
 use crate::error::CaqrError;
-use crate::recovery::{is_transient, RecoveryReport};
-use crate::tsqr::PanelFactor;
-use dense::matrix::Matrix;
-use dense::scalar::Scalar;
-use dense::MatPtr;
-use gpu_sim::{FaultKind, FaultPlan};
-use std::cell::Cell;
-use std::panic::catch_unwind;
+use crate::fault::{FaultPlan, PlannedFault};
+use crate::recovery::is_transient;
 use std::time::Duration;
-
-/// One fault the service plans to inject against one job: drawn from a
-/// [`ServiceFaultPlan`] at dispatch and steered into the batch engine
-/// ([`super::factor_many`]) by the `payload` bits.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct PlannedFault {
-    /// What goes wrong.
-    pub kind: FaultKind,
-    /// The launch ordinal the fault is attributed to in typed errors
-    /// (the job's admission sequence number, service-side).
-    pub ordinal: u64,
-    /// Deterministic steering bits (which panel / stage / element the
-    /// fault hits), from [`gpu_sim::fault::sdc_payload`].
-    pub payload: u64,
-}
 
 /// A seeded fault campaign against the service: which jobs fault (keyed by
 /// admission sequence number through a [`FaultPlan`]), plus an optional
 /// worker-killing cadence for supervision testing.
 #[derive(Clone, Debug)]
 pub struct ServiceFaultPlan {
-    /// Per-job fault draw, keyed by `(job seq, attempt)` exactly like the
-    /// device keys its plan by `(launch ordinal, attempt)` — so each retry
-    /// round re-draws, and a seeded plan is reproducible end to end.
+    /// Per-job fault draw, keyed by `(job seq, attempt)`, so each retry
+    /// round re-draws and a seeded plan is reproducible end to end. The
+    /// batch engine steers a drawn fault onto one task of its job
+    /// ([`PlannedFault::task_plan`]).
     pub plan: FaultPlan,
     /// Kill the serving worker (panic its thread) on every N-th dispatched
     /// batch, exercising worker supervision. `None` disables.
@@ -66,11 +43,7 @@ impl ServiceFaultPlan {
     /// Draw the planned fault for job `seq` on retry round `attempt` (0 =
     /// the batch attempt). Deterministic in `(seed, seq, attempt)`.
     pub fn draw(&self, seq: u64, attempt: u32) -> Option<PlannedFault> {
-        self.plan.fault_kind(seq, attempt).map(|kind| PlannedFault {
-            kind,
-            ordinal: seq,
-            payload: gpu_sim::fault::sdc_payload(seq, attempt),
-        })
+        self.plan.fault(seq, attempt)
     }
 }
 
@@ -217,312 +190,27 @@ pub fn service_retryable(e: &CaqrError) -> bool {
     is_transient(e) || matches!(e, CaqrError::Panicked { .. })
 }
 
-/// The one host-side fault injector: a decorator over any backend that
-/// fires each group member's [`PlannedFault`] once, then runs honestly —
-/// the host analogue of `gpu_sim::Device::admit` drawing from its
-/// [`FaultPlan`].
-///
-/// One steering rule: a member's fault fires at task ordinal
-/// `payload % tasks`, counting that member's tasks in the fault-free
-/// [`Mode::Sync`](crate::backend::Mode::Sync) schedule on one slot — one
-/// factor per panel, plus one apply when the panel has trailing columns.
-/// Admission faults fail the task with a typed error before it runs, a
-/// host panic fails it as [`CaqrError::Panicked`], caught at its member,
-/// and an SDC lets it run and then corrupts a value inside checksum
-/// coverage. Faults fire from the group methods, the ones the driver
-/// calls: the batch engine runs every group, a job alone included, with
-/// no recovery policy, so the victim is carved out and a service retry
-/// round re-runs it. Under a ladder policy a replay sees clean execution.
-/// The per-matrix methods pass straight through.
-pub(crate) struct Faulty<B> {
-    inner: B,
-    /// Per member: the armed fault and the task ordinal it fires at.
-    armed: Vec<Cell<Option<(u64, PlannedFault)>>>,
-    /// Per member: tasks issued so far.
-    issued: Vec<Cell<u64>>,
-}
-
-impl<B> Faulty<B> {
-    /// Arm `faults[j]` against member `j` of an `m x n` group with panel
-    /// width `w`.
-    pub(crate) fn new(
-        inner: B,
-        faults: &[Option<PlannedFault>],
-        m: usize,
-        n: usize,
-        w: usize,
-    ) -> Faulty<B> {
-        let tasks: u64 = DagGeometry::new(m, n, w, 1)
-            .steps
-            .iter()
-            .map(|s| if s.c + s.width < n { 2 } else { 1 })
-            .sum();
-        Faulty {
-            inner,
-            armed: faults
-                .iter()
-                .map(|f| Cell::new(f.map(|f| (f.payload % tasks.max(1), f))))
-                .collect(),
-            issued: vec![Cell::new(0); faults.len()],
-        }
-    }
-
-    /// Count one task of member `j`: its armed fault iff this task is the
-    /// firing ordinal.
-    fn draw(&self, j: usize) -> Option<PlannedFault> {
-        let ord = self.issued[j].get();
-        self.issued[j].set(ord + 1);
-        let (at, f) = self.armed[j].get()?;
-        (at == ord).then(|| {
-            self.armed[j].set(None);
-            f
-        })
-    }
-
-    /// One group launch under the steering rule: count a task for every
-    /// member of `work`, fire its fault, run the members that may still run
-    /// in one `launch` of the inner backend, then corrupt the output of any
-    /// member whose fault is an SDC. One result per member of `work`.
-    fn group_launch<T: Scalar, W: Copy, R>(
-        &self,
-        mats: &mut [Matrix<T>],
-        work: &[W],
-        member: impl Fn(W) -> usize,
-        kernel: &'static str,
-        launch: impl FnOnce(&mut [Matrix<T>], &[W]) -> Vec<Result<R, CaqrError>>,
-        sdc: impl Fn(MatPtr<T>, W, PlannedFault),
-    ) -> Vec<Result<R, CaqrError>> {
-        let fired: Vec<(Option<PlannedFault>, Result<(), CaqrError>)> = work
-            .iter()
-            .map(|&w| {
-                let fault = self.draw(member(w));
-                (fault, fire_member(fault, kernel))
-            })
-            .collect();
-        // Members whose fault stops the task leave the packed launch.
-        let run: Vec<W> = work
-            .iter()
-            .zip(&fired)
-            .filter(|(_, (_, r))| r.is_ok())
-            .map(|(&w, _)| w)
-            .collect();
-        let mut results = launch(mats, &run).into_iter();
-        work.iter()
-            .zip(fired)
-            .map(|(&w, (fault, fired))| {
-                fired?;
-                let r = results.next().expect("one result per member run")?;
-                if let Some(f) = fault.filter(is_sdc) {
-                    sdc(MatPtr::new(&mut mats[member(w)]), w, f);
-                }
-                Ok(r)
-            })
-            .collect()
-    }
-}
-
-/// Fire `fault` against one member's `kernel` task: a typed error for an
-/// admission fault, [`CaqrError::Panicked`] for a host panic (raised and
-/// caught here, so it fails only that member), nothing for an SDC (which
-/// corrupts the task's output instead) or no fault.
-fn fire_member(fault: Option<PlannedFault>, kernel: &'static str) -> Result<(), CaqrError> {
-    let Some(f) = fault else {
-        return Ok(());
-    };
-    let launch_index = f.ordinal;
-    catch_unwind(|| match f.kind {
-        FaultKind::LaunchFail => Err(CaqrError::Fault {
-            kernel,
-            launch_index,
-            attempts: 1,
-        }),
-        FaultKind::Hang => Err(CaqrError::Timeout {
-            kernel,
-            launch_index,
-            deadline_us: 1_000,
-        }),
-        FaultKind::DeviceLoss => Err(CaqrError::DeviceLost {
-            kernel,
-            launch_index,
-        }),
-        FaultKind::HostPanic => panic!("injected host panic: {kernel} task"),
-        FaultKind::Sdc => Ok(()),
-    })
-    .unwrap_or_else(|_| {
-        Err(CaqrError::Panicked {
-            context: format!("injected host panic: {kernel} task"),
-        })
-    })
-}
-
-/// The SDC corruption `x -> 2x + 1` of one entry, after its task ran.
-fn corrupt<T: Scalar>(c: MatPtr<T>, row: usize, col: usize) {
-    // SAFETY: called between launches, when no task holds the matrix.
-    unsafe { c.set(row, col, c.get(row, col) + c.get(row, col) + T::ONE) }
-}
-
-/// A factor-stage SDC hits the panel's `R` diagonal, inside the
-/// column-norm checksum's coverage.
-fn corrupt_factor<T: Scalar>(c: MatPtr<T>, f: PlannedFault, col0: usize, width: usize) {
-    let r = (f.payload % width as u64) as usize;
-    corrupt(c, col0 + r, col0 + r);
-}
-
-/// An apply-stage SDC hits the first trailing column, inside the predicted
-/// column-sum checksum's coverage.
-fn corrupt_apply<T: Scalar>(c: MatPtr<T>, pf: &PanelFactor<T>, cols: &[(usize, usize)]) {
-    corrupt(c, pf.tiles[0].start, cols[0].0);
-}
-
-fn is_sdc(f: &PlannedFault) -> bool {
-    f.kind == FaultKind::Sdc
-}
-
-impl<T: Scalar, B: CaqrBackend<T>> CaqrBackend<T> for Faulty<B> {
-    type Token = B::Token;
-
-    fn slots(&self) -> usize {
-        self.inner.slots()
-    }
-
-    fn check_finite(
-        &self,
-        a: &Matrix<T>,
-        bs: BlockSize,
-        context: &'static str,
-    ) -> Result<usize, CaqrError> {
-        self.inner.check_finite(a, bs, context)
-    }
-
-    fn pretranspose(&self, m: usize, n: usize, bs: BlockSize) -> Result<usize, CaqrError> {
-        self.inner.pretranspose(m, n, bs)
-    }
-
-    fn factor_panel(
-        &self,
-        slot: usize,
-        a: &mut Matrix<T>,
-        row0: usize,
-        col0: usize,
-        width: usize,
-        cfg: &DriveConfig,
-    ) -> Result<PanelFactor<T>, CaqrError> {
-        self.inner.factor_panel(slot, a, row0, col0, width, cfg)
-    }
-
-    fn apply_panel(
-        &self,
-        slot: usize,
-        c: MatPtr<T>,
-        pf: &PanelFactor<T>,
-        cols: &[(usize, usize)],
-        transpose: bool,
-    ) -> Result<(), CaqrError> {
-        self.inner.apply_panel(slot, c, pf, cols, transpose)
-    }
-
-    fn check_finite_group(
-        &self,
-        mats: &[Matrix<T>],
-        live: &[usize],
-        bs: BlockSize,
-        context: &'static str,
-    ) -> Vec<Result<usize, CaqrError>> {
-        self.inner.check_finite_group(mats, live, bs, context)
-    }
-
-    fn factor_panel_group(
-        &self,
-        slot: usize,
-        mats: &mut [Matrix<T>],
-        live: &[usize],
-        row0: usize,
-        col0: usize,
-        width: usize,
-        cfg: &DriveConfig,
-    ) -> Vec<Result<PanelFactor<T>, CaqrError>> {
-        self.group_launch(
-            mats,
-            live,
-            |j| j,
-            "factor",
-            |mats, run| {
-                self.inner
-                    .factor_panel_group(slot, mats, run, row0, col0, width, cfg)
-            },
-            |c, _, f| corrupt_factor(c, f, col0, width),
-        )
-    }
-
-    fn apply_panel_group(
-        &self,
-        slot: usize,
-        mats: &mut [Matrix<T>],
-        work: &[(usize, &PanelFactor<T>)],
-        cols: &[(usize, usize)],
-        transpose: bool,
-    ) -> Vec<Result<(), CaqrError>> {
-        self.group_launch(
-            mats,
-            work,
-            |(j, _)| j,
-            "apply",
-            |mats, run| {
-                self.inner
-                    .apply_panel_group(slot, mats, run, cols, transpose)
-            },
-            |c, (_, pf), _| corrupt_apply(c, pf, cols),
-        )
-    }
-
-    fn record(&self, slot: usize) -> Self::Token {
-        self.inner.record(slot)
-    }
-
-    fn wait(&self, slot: usize, token: Self::Token) {
-        self.inner.wait(slot, token)
-    }
-
-    fn sync(&self) -> Result<(), CaqrError> {
-        self.inner.sync()
-    }
-
-    fn q_ones_probe(&self, m: usize, pf: &PanelFactor<T>) -> Vec<T> {
-        self.inner.q_ones_probe(m, pf)
-    }
-
-    fn charge_verify(&self, elems: usize) {
-        self.inner.charge_verify(elems)
-    }
-
-    fn charge_snapshot(&self, elems: usize) {
-        self.inner.charge_snapshot(elems)
-    }
-
-    fn note_recovery(&self, report: &RecoveryReport) {
-        self.inner.note_recovery(report)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::{drive_group, CpuBackend, Factorization, Mode};
+    use crate::backend::{drive_group, CpuBackend, Factorization, Faulty, Mode};
     use crate::block::TreeShape;
+    use crate::fault::FaultKind;
     use crate::multicore::{caqr_cpu, CpuCaqrOptions};
-    use crate::recovery::RecoveryPolicy;
+    use crate::recovery::{RecoveryPolicy, RecoveryReport};
+    use dense::matrix::Matrix;
 
     /// The §10 ladder on the host: a group of one on a [`Faulty`]
-    /// [`CpuBackend`] under `policy`, with one planned fault.
+    /// [`CpuBackend`] under `policy`, with one planned fault steered onto
+    /// one of the run's `tasks` tasks.
     fn solo_ladder(
         a: Matrix<f64>,
         opts: CpuCaqrOptions,
-        fault: Option<PlannedFault>,
+        (fault, tasks): (PlannedFault, u64),
         policy: &RecoveryPolicy,
     ) -> Result<(Factorization<f64>, RecoveryReport), CaqrError> {
-        let (m, n) = a.shape();
         let cfg = opts.drive_config();
-        let backend = Faulty::new(CpuBackend, &[fault], m, n, cfg.bs.w);
+        let backend = Faulty::new(CpuBackend, vec![fault.task_plan(tasks)]);
         drive_group(&backend, vec![a], &cfg, Mode::Sync, Some(policy)).solo()
     }
 
@@ -552,12 +240,12 @@ mod tests {
             for kind in [FaultKind::LaunchFail, FaultKind::Hang, FaultKind::Sdc] {
                 for payload in 0..3u64 {
                     let case = format!("{kind:?}@{payload} under {policy:?}");
-                    let fault = Some(PlannedFault {
+                    let fault = PlannedFault {
                         kind,
                         ordinal: 9,
                         payload,
-                    });
-                    let (got, r) = solo_ladder(a.clone(), opts(), fault, policy)
+                    };
+                    let (got, r) = solo_ladder(a.clone(), opts(), (fault, 3), policy)
                         .unwrap_or_else(|e| panic!("{case} must recover, got {e}"));
                     assert_eq!(got.a, want.a, "{case} diverged after recovery");
                     let mut replays = [0; 2];
@@ -589,7 +277,7 @@ mod tests {
                     ordinal: 3,
                     payload,
                 };
-                let (got, _) = solo_ladder(mk(1), o, Some(fault), &RecoveryPolicy::default())
+                let (got, _) = solo_ladder(mk(1), o, (fault, 5), &RecoveryPolicy::default())
                     .unwrap_or_else(|e| panic!("{kind:?}@{payload} must recover: {e}"));
                 assert_eq!(got.a, want[1], "{kind:?}@{payload} diverged after recovery");
             }

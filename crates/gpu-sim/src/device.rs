@@ -18,7 +18,6 @@
 //! record the same time by construction.
 
 use crate::cost::{BlockCost, KernelReport};
-use crate::fault::{self, FaultKind, FaultPlan, RetryPolicy};
 use crate::kernel::{Kernel, Launch, LaunchError};
 use crate::ledger::CostLedger;
 use crate::spec::{DeviceSpec, PcieSpec};
@@ -41,36 +40,20 @@ pub enum Exec {
     Stream(StreamId),
 }
 
-/// Installed fault-injection state: the plan, the retry policy, and the
-/// admission-order launch counter the plan indexes by.
-struct FaultState {
-    plan: FaultPlan,
-    policy: RetryPolicy,
-    next_launch: u64,
-}
-
-/// What admission decided about one launch beyond pass/fail: a pending
-/// silent-data-corruption payload (the launch runs, then one output element
-/// is perturbed) and accumulated watchdog stall from hung attempts that
-/// were killed and resubmitted before one finally completed.
-struct Admission {
-    sdc: Option<u64>,
-    stall_seconds: f64,
-}
-
-impl Admission {
-    const CLEAN: Admission = Admission {
-        sdc: None,
-        stall_seconds: 0.0,
-    };
-}
-
-/// The watchdog deadline for hung launches, microseconds. Each hung
-/// attempt charges it as stall time before the kill + resubmit; a launch
-/// hanging on its final attempt surfaces [`LaunchError::Timeout`]. Generous
-/// relative to the sub-millisecond kernels the paper's grids produce, so
-/// the watchdog never fires on healthy work.
+/// The watchdog deadline for hung launches, microseconds: what a launch
+/// the driver reports hung costs in stall (see [`Gpu::charge_failed_launch`]).
+/// Generous relative to the sub-millisecond kernels the paper's grids
+/// produce, so the watchdog never fires on healthy work.
 pub const DEFAULT_WATCHDOG_US: f64 = 10_000.0;
+
+/// The device-loss trigger: launch ordinals counted since creation or the
+/// last [`Gpu::reset`], and the ordinal at which the device drops off the
+/// bus.
+#[derive(Default)]
+struct LossTrigger {
+    next_launch: u64,
+    lose_at: Option<u64>,
+}
 
 /// A simulated GPU with its modelled timeline.
 pub struct Gpu {
@@ -78,10 +61,10 @@ pub struct Gpu {
     pcie: PcieSpec,
     ledger: Mutex<CostLedger>,
     streams: Mutex<StreamTable>,
-    fault: Mutex<Option<FaultState>>,
-    /// Set when a `FaultKind::DeviceLoss` fires: the device is gone and
-    /// every subsequent admission fails with [`LaunchError::DeviceLost`]
-    /// until [`Gpu::reset`] revives it.
+    loss: Mutex<LossTrigger>,
+    /// Set when the loss trigger fires: the device is gone and every
+    /// subsequent launch fails with [`LaunchError::DeviceLost`] until
+    /// [`Gpu::reset`] revives it.
     lost: AtomicBool,
 }
 
@@ -93,150 +76,39 @@ impl Gpu {
             pcie: PcieSpec::gen2_x16(),
             ledger: Mutex::new(CostLedger::default()),
             streams: Mutex::new(StreamTable::default()),
-            fault: Mutex::new(None),
+            loss: Mutex::new(LossTrigger::default()),
             lost: AtomicBool::new(false),
         }
     }
 
-    /// Install a fault-injection plan with the default [`RetryPolicy`].
-    /// Launches are numbered from 0 in admission order from this call on.
-    pub fn set_fault_plan(&self, plan: FaultPlan) {
-        self.set_fault_plan_with_policy(plan, RetryPolicy::default());
+    /// Lose the whole device at its `k`-th launch from now (0 = the next
+    /// one): that launch and every later one fail with
+    /// [`LaunchError::DeviceLost`] until [`Gpu::reset`]. A dead device
+    /// answers no retry; recovery is the business of a multi-device driver,
+    /// which replays the lost device's work on a survivor
+    /// (`caqr::distributed`).
+    pub fn lose_at_launch(&self, k: u64) {
+        let mut trigger = self.loss.lock();
+        trigger.lose_at = Some(trigger.next_launch + k);
     }
 
-    /// Install a fault-injection plan with an explicit retry policy.
-    pub fn set_fault_plan_with_policy(&self, plan: FaultPlan, policy: RetryPolicy) {
-        *self.fault.lock() = Some(FaultState {
-            plan,
-            policy,
-            next_launch: 0,
-        });
-    }
-
-    /// Remove any installed fault plan; subsequent launches always succeed.
-    pub fn clear_fault_plan(&self) {
-        *self.fault.lock() = None;
-    }
-
-    /// Admit one launch under the installed fault plan (if any).
-    ///
-    /// * **Launch failures** charge the wasted submission overhead plus an
-    ///   exponential host backoff to the ledger, then the launch is
-    ///   resubmitted. They fire **before** any block executes — the CUDA
-    ///   analogue is a launch failure reported at submission — so in-place
-    ///   kernels are never partially applied and a retried run is
-    ///   bit-identical to a fault-free one.
-    /// * **Hangs** are killed by the deadline watchdog: each hung attempt
-    ///   accumulates `overhead + deadline + backoff` of stall (returned in
-    ///   the [`Admission`] so the caller charges it on the right timeline —
-    ///   global clock when synchronous, the stream's lane when queued) and
-    ///   is resubmitted under the same retry budget. Kill + resubmit is
-    ///   safe for the same reason launch-failure retry is: a hung launch
-    ///   never commits partial output in this model.
-    /// * **SDC** admits the launch normally and returns the deterministic
-    ///   corruption payload; the launch path applies it to the kernel's
-    ///   output after the grid completes.
-    ///
-    /// Exhausting the budget returns [`LaunchError::Timeout`] when the
-    /// final attempt hung, [`LaunchError::DeviceFault`] otherwise — in both
-    /// cases with device memory untouched by this launch.
-    ///
-    /// **Device loss** is different in kind: the faulted launch returns
-    /// [`LaunchError::DeviceLost`] with *no* retry (a dead device does not
-    /// answer resubmissions), the device is marked lost, and every later
-    /// admission fails the same way until [`Gpu::reset`]. Launch ordinals
-    /// keep counting on a lost device so fault plans stay aligned.
-    fn admit(&self, name: &'static str) -> Result<Admission, LaunchError> {
-        let mut guard = self.fault.lock();
+    /// Admit one launch: count its ordinal, fire the loss trigger if this is
+    /// its launch, and reject every launch on a lost device.
+    fn admit(&self, name: &'static str) -> Result<(), LaunchError> {
+        let mut trigger = self.loss.lock();
+        let idx = trigger.next_launch;
+        trigger.next_launch += 1;
+        if trigger.lose_at == Some(idx) {
+            self.lost.store(true, Ordering::Relaxed);
+            self.ledger.lock().record_device_loss();
+        }
         if self.lost.load(Ordering::Relaxed) {
-            let idx = guard.as_mut().map_or(0, |state| {
-                let i = state.next_launch;
-                state.next_launch += 1;
-                i
-            });
             return Err(LaunchError::DeviceLost {
                 kernel: name,
                 launch_index: idx,
             });
         }
-        let Some(state) = guard.as_mut() else {
-            return Ok(Admission::CLEAN);
-        };
-        let idx = state.next_launch;
-        state.next_launch += 1;
-        let max = state.policy.max_attempts.max(1);
-        let overhead = self.spec.launch_overhead_us * 1.0e-6;
-        let mut stall_seconds = 0.0;
-        let mut hung_last = false;
-        for attempt in 0..max {
-            let kind = state.plan.fault_kind(idx, attempt);
-            match kind {
-                None | Some(FaultKind::Sdc) => {
-                    if attempt > 0 {
-                        self.ledger.lock().retries += 1;
-                    }
-                    return Ok(Admission {
-                        sdc: kind.map(|_| fault::sdc_payload(idx, attempt)),
-                        stall_seconds,
-                    });
-                }
-                Some(FaultKind::LaunchFail) => {
-                    hung_last = false;
-                    self.ledger
-                        .lock()
-                        .record_fault(overhead + state.policy.backoff_seconds(attempt));
-                }
-                Some(FaultKind::Hang) => {
-                    hung_last = true;
-                    stall_seconds += overhead
-                        + DEFAULT_WATCHDOG_US * 1.0e-6
-                        + state.policy.backoff_seconds(attempt);
-                    self.ledger.lock().record_hang();
-                }
-                Some(FaultKind::HostPanic) => {
-                    // The *host* thread driving this launch dies: unwind
-                    // instead of returning, exactly where a crashed worker
-                    // would take down its submission path. A supervisor
-                    // (e.g. the service worker loop) catches the unwind and
-                    // serves on; launch ordinals keep counting so the plan
-                    // stays aligned for the replay.
-                    panic!("injected host panic: launch #{idx} of kernel `{name}`");
-                }
-                Some(FaultKind::DeviceLoss) => {
-                    // The device is gone. Charge any stall spent discovering
-                    // earlier hung attempts, mark the device dead, and fail
-                    // without retrying — resubmission cannot reach it.
-                    self.lost.store(true, Ordering::Relaxed);
-                    let mut ledger = self.ledger.lock();
-                    if stall_seconds > 0.0 {
-                        ledger.record_stall(stall_seconds, true);
-                    }
-                    ledger.record_device_loss();
-                    return Err(LaunchError::DeviceLost {
-                        kernel: name,
-                        launch_index: idx,
-                    });
-                }
-            }
-        }
-        // The stall spent discovering the hang is real wall-clock even
-        // though the launch ultimately fails; charge it before surfacing.
-        if stall_seconds > 0.0 {
-            self.ledger.lock().record_stall(stall_seconds, true);
-        }
-        Err(if hung_last {
-            LaunchError::Timeout {
-                kernel: name,
-                launch_index: idx,
-                deadline_us: DEFAULT_WATCHDOG_US as u64,
-            }
-        } else {
-            LaunchError::DeviceFault {
-                kernel: name,
-                launch_index: idx,
-                attempts: max,
-            }
-        })
+        Ok(())
     }
 
     /// The device description.
@@ -254,7 +126,7 @@ impl Gpu {
         self.ledger.lock().seconds
     }
 
-    /// Has this device been lost to a `FaultKind::DeviceLoss`? A lost
+    /// Has this device been lost (see [`Gpu::lose_at_launch`])? A lost
     /// device rejects every launch with [`LaunchError::DeviceLost`] until
     /// [`Gpu::reset`] revives it.
     pub fn is_lost(&self) -> bool {
@@ -275,17 +147,14 @@ impl Gpu {
     }
 
     /// Clear the timeline (between experiments). Also discards all streams
-    /// and any launches queued but not yet synchronized, and revives a
-    /// lost device (the simulation analogue of replacing the node).
+    /// and any launches queued but not yet synchronized, revives a lost
+    /// device (the simulation analogue of replacing the node) and disarms
+    /// its loss trigger.
     pub fn reset(&self) {
         *self.ledger.lock() = CostLedger::default();
         *self.streams.lock() = StreamTable::default();
         self.lost.store(false, Ordering::Relaxed);
-        // Keep any installed fault plan but restart its launch numbering so
-        // repeated experiments see identical fault schedules.
-        if let Some(state) = self.fault.lock().as_mut() {
-            state.next_launch = 0;
-        }
+        *self.loss.lock() = LossTrigger::default();
     }
 
     /// Execute a kernel under an [`Exec`] policy: all blocks run in
@@ -301,21 +170,15 @@ impl Gpu {
         kernel: &dyn Kernel<T>,
     ) -> Result<KernelReport, LaunchError> {
         let launch = kernel.launch();
-        let adm = self.admit_launch(launch)?;
+        self.admit_launch(launch)?;
         (0..launch.config().blocks)
             .into_par_iter()
             .for_each(|b| kernel.run_block(b));
-        if let Some(r) = adm.sdc {
-            // Count the corruption only if the kernel perturbed an element.
-            if kernel.inject_sdc(r) {
-                self.ledger.lock().record_sdc();
-            }
-        }
-        Ok(self.charge(exec, launch, adm.stall_seconds))
+        Ok(self.charge(exec, launch))
     }
 
     /// Charge a launch description under an [`Exec`] policy without
-    /// executing anything: the same validation, fault admission and timing
+    /// executing anything: the same validation, admission and timing
     /// as [`Self::launch_on`]. Used by the model-only sweeps, where running
     /// terabyte-scale workloads would be pointless (the arithmetic is
     /// validated at smaller sizes). Generic so that a concrete description's
@@ -326,15 +189,12 @@ impl Gpu {
         exec: Exec,
         launch: &L,
     ) -> Result<KernelReport, LaunchError> {
-        // A charged launch has no output to corrupt; an admitted SDC payload
-        // is dropped (and not counted as injected).
-        let adm = self.admit_launch(launch)?;
-        Ok(self.charge(exec, launch, adm.stall_seconds))
+        self.admit_launch(launch)?;
+        Ok(self.charge(exec, launch))
     }
 
-    /// Validate a launch against the device limits, then admit it under the
-    /// installed fault plan.
-    fn admit_launch<L: Launch + ?Sized>(&self, launch: &L) -> Result<Admission, LaunchError> {
+    /// Validate a launch against the device limits, then admit it.
+    fn admit_launch<L: Launch + ?Sized>(&self, launch: &L) -> Result<(), LaunchError> {
         launch.config().validate(&self.spec)?;
         self.admit(launch.name())
     }
@@ -342,15 +202,8 @@ impl Gpu {
     /// Time an admitted launch from its per-block costs and record it:
     /// synchronously on the ledger, or queued on a stream (the report then
     /// carries the contention-free time; the realized interval, stretched
-    /// by whatever overlaps it, lands in the [`Timeline`]). Watchdog stall
-    /// from killed hung attempts advances the global clock when synchronous
-    /// and occupies the stream's lane ahead of the kernel when queued.
-    fn charge<L: Launch + ?Sized>(
-        &self,
-        exec: Exec,
-        launch: &L,
-        stall_seconds: f64,
-    ) -> KernelReport {
+    /// by whatever overlaps it, lands in the [`Timeline`]).
+    fn charge<L: Launch + ?Sized>(&self, exec: Exec, launch: &L) -> KernelReport {
         let name = launch.name();
         let blocks = launch.config().blocks;
         // Blocks go to SMs round-robin in grid order and serialize through
@@ -369,21 +222,11 @@ impl Gpu {
         let seconds = overhead + issue_time.max(dram_time);
         let stream = match exec {
             Exec::Sync => {
-                let mut ledger = self.ledger.lock();
-                if stall_seconds > 0.0 {
-                    ledger.record_stall(stall_seconds, true);
-                }
-                ledger.record(name, seconds, total.flops as f64, total.gmem_bytes);
+                (self.ledger.lock()).record(name, seconds, total.flops as f64, total.gmem_bytes);
                 None
             }
             Exec::Stream(stream) => {
-                let mut streams = self.streams.lock();
-                if stall_seconds > 0.0 {
-                    // Resolves into a `watchdog_stall` interval at
-                    // synchronize, attributed as a stall, never as a call.
-                    streams.push(stream, StreamOp::Kernel(QueuedKernel::stall(stall_seconds)));
-                }
-                streams.push(
+                self.streams.lock().push(
                     stream,
                     StreamOp::Kernel(QueuedKernel {
                         name,
@@ -477,6 +320,34 @@ impl Gpu {
     }
 
     // ---- recovery accounting ---------------------------------------------
+
+    /// Charge one launch that a driver failed before any block ran. A
+    /// rejected launch costs its submission overhead and counts in the
+    /// ledger's `faults`. A hung one counts in `hangs` and is killed after
+    /// [`DEFAULT_WATCHDOG_US`] of `watchdog_stall`: on the global clock when
+    /// synchronous, on its stream's lane when queued. Neither is a kernel
+    /// call: the launch did no work.
+    pub fn charge_failed_launch(&self, exec: Exec, hung: bool) {
+        if !hung {
+            let overhead = self.spec.launch_overhead_us * 1.0e-6;
+            self.ledger.lock().record_fault(overhead);
+            return;
+        }
+        let stall = DEFAULT_WATCHDOG_US * 1.0e-6;
+        self.ledger.lock().record_hang();
+        match exec {
+            Exec::Sync => self.ledger.lock().record_stall(stall, true),
+            // Resolves into a `watchdog_stall` interval at synchronize.
+            Exec::Stream(stream) => {
+                (self.streams.lock()).push(stream, StreamOp::Kernel(QueuedKernel::stall(stall)))
+            }
+        }
+    }
+
+    /// Count one silent data corruption applied to a launch's output.
+    pub fn note_sdc(&self) {
+        self.ledger.lock().record_sdc();
+    }
 
     /// Ledger hook for the recovery ladder: a run's task replays in place
     /// (tier 1) and whole-run retries (tier 2).
@@ -767,265 +638,55 @@ mod tests {
     }
 
     #[test]
-    fn faulted_launch_retries_and_matches_fault_free_numerics() {
-        let run = |gpu: &Gpu| {
-            let mut m = Matrix::from_fn(256, 8, |i, j| (i * 31 + j) as f32 * 0.5);
-            for _ in 0..3 {
-                let k = ScaleKernel {
-                    mat: MatPtr::new(&mut m),
-                    tile_rows: 32,
-                    blocks: 8,
-                };
-                gpu.launch_on(Exec::Sync, &k).unwrap();
-            }
-            m
-        };
-        let clean = Gpu::new(DeviceSpec::c2050());
-        let reference = run(&clean);
-
-        let faulty = Gpu::new(DeviceSpec::c2050());
-        faulty.set_fault_plan(crate::fault::FaultPlan::at_launches(&[0, 2]));
-        let retried = run(&faulty);
-
-        assert_eq!(reference.as_slice(), retried.as_slice(), "bit-identical");
-        let l = faulty.ledger();
-        assert_eq!(l.faults, 2);
-        assert_eq!(l.retries, 2);
-        assert_eq!(l.calls, 3, "faulted attempts are not calls");
-        assert!(
-            faulty.elapsed() > clean.elapsed(),
-            "retries cost wall-clock time"
-        );
-    }
-
-    #[test]
-    fn exhausted_retries_surface_device_fault_without_touching_memory() {
+    fn failed_launches_charge_overhead_or_a_stall_but_no_call() {
         let gpu = Gpu::new(DeviceSpec::c2050());
-        // Rate 1.0: every attempt faults, retries can never succeed.
-        gpu.set_fault_plan_with_policy(
-            crate::fault::FaultPlan::seeded(9, 1.0),
-            crate::fault::RetryPolicy {
-                max_attempts: 4,
-                backoff_us: 1.0,
-            },
-        );
-        let mut m = Matrix::from_fn(64, 4, |i, j| (i + j) as f32);
-        let orig = m.clone();
-        let err = {
-            let k = ScaleKernel {
-                mat: MatPtr::new(&mut m),
-                tile_rows: 8,
-                blocks: 8,
-            };
-            gpu.launch_on(Exec::Sync, &k).unwrap_err()
-        };
-        assert_eq!(
-            err,
-            LaunchError::DeviceFault {
-                kernel: "scale",
-                launch_index: 0,
-                attempts: 4,
-            }
-        );
-        assert_eq!(m.as_slice(), orig.as_slice(), "no partial execution");
-        assert_eq!(gpu.ledger().calls, 0);
-        assert_eq!(gpu.ledger().faults, 4);
-    }
-
-    #[test]
-    fn fault_plan_survives_reset_with_restarted_numbering() {
-        let gpu = Gpu::new(DeviceSpec::c2050());
-        gpu.set_fault_plan(crate::fault::FaultPlan::at_launches(&[1]));
-        let cfg = grid(1);
-        let pb = cost(1, 1.0, 0.0);
-        gpu.charge_on(Exec::Sync, &Uniform("k", cfg, pb)).unwrap();
-        gpu.charge_on(Exec::Sync, &Uniform("k", cfg, pb)).unwrap();
-        assert_eq!(gpu.ledger().faults, 1);
-        gpu.reset();
-        gpu.charge_on(Exec::Sync, &Uniform("k", cfg, pb)).unwrap();
-        gpu.charge_on(Exec::Sync, &Uniform("k", cfg, pb)).unwrap();
-        assert_eq!(gpu.ledger().faults, 1, "same schedule after reset");
-        gpu.clear_fault_plan();
-        gpu.reset();
-        gpu.charge_on(Exec::Sync, &Uniform("k", cfg, pb)).unwrap();
-        gpu.charge_on(Exec::Sync, &Uniform("k", cfg, pb)).unwrap();
-        assert_eq!(gpu.ledger().faults, 0);
-    }
-
-    #[test]
-    fn hung_launch_is_killed_retried_and_charged_as_stall() {
-        let gpu = Gpu::new(DeviceSpec::c2050());
-        // Explicit hangs are persistent, so use a seeded plan whose retry
-        // redraw clears: hang band only, modest rate, generous attempts.
-        gpu.set_fault_plan_with_policy(
-            crate::fault::FaultPlan::hang_at_launches(&[0]),
-            crate::fault::RetryPolicy {
-                max_attempts: 3,
-                backoff_us: 1.0,
-            },
-        );
-        let mut m = Matrix::from_fn(64, 4, |i, j| (i + j) as f32);
-        let err = {
-            let k = ScaleKernel {
-                mat: MatPtr::new(&mut m),
-                tile_rows: 8,
-                blocks: 8,
-            };
-            gpu.launch_on(Exec::Sync, &k).unwrap_err()
-        };
-        // Persistent hang: every attempt killed at the deadline, typed
-        // Timeout at exhaustion, memory untouched, stall time charged.
-        assert_eq!(
-            err,
-            LaunchError::Timeout {
-                kernel: "scale",
-                launch_index: 0,
-                deadline_us: DEFAULT_WATCHDOG_US as u64,
-            }
-        );
+        gpu.charge_failed_launch(Exec::Sync, false);
+        let overhead = gpu.spec().launch_overhead_us * 1e-6;
+        assert!((gpu.elapsed() - overhead).abs() < 1e-15);
+        gpu.charge_failed_launch(Exec::Sync, true);
+        let deadline = DEFAULT_WATCHDOG_US * 1e-6;
+        assert!((gpu.elapsed() - overhead - deadline).abs() < 1e-12);
         let l = gpu.ledger();
-        assert_eq!(l.hangs, 3);
-        assert_eq!(l.calls, 0);
-        assert!(
-            gpu.elapsed() >= 3.0 * DEFAULT_WATCHDOG_US * 1e-6,
-            "each hung attempt charges at least the deadline: {}",
-            gpu.elapsed()
-        );
+        assert_eq!((l.faults, l.hangs, l.calls), (1, 1, 0));
         assert_eq!(l.per_op["watchdog_stall"].calls, 1);
 
-        // A transient hang (first attempt only via a seeded plan drawn to
-        // hang at attempt 0) is absorbed: find such a launch index.
-        let probe = crate::fault::FaultPlan::seeded_mix(11, 0.0, 0.0, 0.4);
-        let idx = (0..64u64)
-            .find(|&i| {
-                probe.fault_kind(i, 0) == Some(FaultKind::Hang) && probe.fault_kind(i, 1).is_none()
-            })
-            .expect("some launch hangs once then clears");
-        let gpu2 = Gpu::new(DeviceSpec::c2050());
-        gpu2.set_fault_plan(probe);
-        let cfg = grid(1);
-        let pb = cost(1, 1.0, 0.0);
-        // Burn launches up to `idx`, absorbing whatever the plan throws.
-        for _ in 0..idx {
-            let _ = gpu2.charge_on(Exec::Sync, &Uniform("k", cfg, pb));
-        }
-        gpu2.charge_on(Exec::Sync, &Uniform("probe", cfg, pb))
-            .expect("transient hang absorbed by watchdog retry");
-        assert!(gpu2.ledger().hangs >= 1);
-    }
-
-    #[test]
-    fn async_hang_stall_serializes_on_the_stream_without_counting_calls() {
+        // Queued, the hang occupies its stream's lane ahead of later work.
         let gpu = Gpu::new(DeviceSpec::c2050());
-        let probe = crate::fault::FaultPlan::seeded_mix(11, 0.0, 0.0, 0.4);
-        let idx = (0..64u64)
-            .find(|&i| {
-                probe.fault_kind(i, 0) == Some(FaultKind::Hang) && probe.fault_kind(i, 1).is_none()
-            })
-            .unwrap();
-        gpu.set_fault_plan(probe);
-        let cfg = grid(1);
-        let pb = cost(1, 1.0, 0.0);
         let s = gpu.create_stream();
-        let mut enqueued = 0u64;
-        for _ in 0..=idx {
-            if gpu
-                .charge_on(Exec::Stream(s), &Uniform("k", cfg, pb))
-                .is_ok()
-            {
-                enqueued += 1;
-            }
-        }
+        gpu.charge_failed_launch(Exec::Stream(s), true);
+        gpu.charge_on(Exec::Stream(s), &Uniform("k", grid(1), cost(1, 1.0, 0.0)))
+            .unwrap();
         let tl = gpu.synchronize();
-        let stalls: Vec<_> = tl
-            .intervals
-            .iter()
-            .filter(|iv| iv.name == crate::stream::WATCHDOG_STALL)
-            .collect();
-        assert!(!stalls.is_empty(), "hang must appear as a stall interval");
-        assert!(stalls
-            .iter()
-            .all(|iv| iv.duration() >= DEFAULT_WATCHDOG_US * 1e-6));
+        let stall = &tl.intervals[0];
+        assert_eq!(stall.name, crate::stream::WATCHDOG_STALL);
+        assert!(stall.duration() >= deadline);
+        assert!(tl.intervals[1].start >= stall.end - 1e-15);
         let l = gpu.ledger();
-        assert_eq!(l.calls, enqueued, "stalls are not kernel calls");
-        assert!(l.hangs >= 1);
-        assert!(tl.utilization(1) > 0.0);
-    }
-
-    /// Kernel with an SDC hook: corrupts one element of its matrix.
-    struct SdcProbeKernel {
-        mat: MatPtr<f32>,
-    }
-
-    impl Launch for SdcProbeKernel {
-        fn name(&self) -> &'static str {
-            "sdc_probe"
-        }
-        fn config(&self) -> LaunchConfig {
-            grid(1)
-        }
-        fn block_cost(&self, _b: usize) -> BlockCost {
-            let mut m = CostMeter::new(&DeviceSpec::c2050());
-            m.fma(1);
-            m.cost
-        }
-    }
-
-    impl Kernel<f32> for SdcProbeKernel {
-        fn launch(&self) -> &dyn Launch {
-            self
-        }
-        fn run_block(&self, _b: usize) {}
-        fn inject_sdc(&self, r: u64) -> bool {
-            let i = (r as usize) % self.mat.rows();
-            let j = (r as usize >> 8) % self.mat.cols();
-            // SAFETY: called after the grid completes; exclusive access.
-            unsafe {
-                let v = self.mat.get(i, j);
-                self.mat.set(i, j, v + 1.0 + v.abs());
-            }
-            true
-        }
+        assert_eq!((l.hangs, l.calls), (1, 1), "stalls are not kernel calls");
     }
 
     #[test]
-    fn sdc_fault_corrupts_exactly_one_element_deterministically() {
-        let run = |plan: Option<crate::fault::FaultPlan>| {
-            let gpu = Gpu::new(DeviceSpec::c2050());
-            if let Some(p) = plan {
-                gpu.set_fault_plan(p);
-            }
-            let mut m = Matrix::from_fn(32, 4, |i, j| (i * 7 + j) as f32 * 0.25);
-            {
-                let k = SdcProbeKernel {
-                    mat: MatPtr::new(&mut m),
-                };
-                gpu.launch_on(Exec::Sync, &k).unwrap();
-            }
-            (m, gpu.ledger())
-        };
-        let (clean, lc) = run(None);
-        assert_eq!(lc.sdc_injected, 0);
-        let (hit1, l1) = run(Some(crate::fault::FaultPlan::sdc_at_launches(&[0])));
-        let (hit2, l2) = run(Some(crate::fault::FaultPlan::sdc_at_launches(&[0])));
-        assert_eq!(l1.sdc_injected, 1);
-        assert_eq!(l1.calls, 1, "SDC admits the launch");
-        assert_eq!(l1.faults, 0);
-        let diff: Vec<usize> = clean
-            .as_slice()
-            .iter()
-            .zip(hit1.as_slice())
-            .enumerate()
-            .filter(|(_, (a, b))| a != b)
-            .map(|(i, _)| i)
-            .collect();
-        assert_eq!(diff.len(), 1, "exactly one element corrupted");
-        assert_eq!(
-            hit1.as_slice(),
-            hit2.as_slice(),
-            "same plan corrupts the same element"
-        );
-        assert_eq!(l2.sdc_injected, 1);
+    fn lost_device_rejects_every_launch_until_reset() {
+        let gpu = Gpu::new(DeviceSpec::c2050());
+        let k = Uniform("k", grid(1), cost(1, 1.0, 0.0));
+        gpu.lose_at_launch(1);
+        gpu.charge_on(Exec::Sync, &k).unwrap();
+        for idx in 1..4 {
+            let err = gpu.charge_on(Exec::Sync, &k).unwrap_err();
+            let want = LaunchError::DeviceLost {
+                kernel: "k",
+                launch_index: idx,
+            };
+            assert_eq!(err, want);
+        }
+        assert!(gpu.is_lost());
+        let l = gpu.ledger();
+        assert_eq!((l.device_losses, l.calls), (1, 1));
+        gpu.reset();
+        assert!(!gpu.is_lost());
+        gpu.charge_on(Exec::Sync, &k).unwrap();
+        gpu.charge_on(Exec::Sync, &k).unwrap();
+        assert_eq!(gpu.ledger().device_losses, 0, "reset disarms the trigger");
     }
 
     #[test]

@@ -256,7 +256,7 @@ impl Cluster {
     pub fn sync_device(&self, d: usize) -> crate::Timeline {
         let mut st = self.state.lock();
         // Fold everything charged before this batch (sync launches,
-        // transfer costs, fault backoffs) so the batch lands after it.
+        // transfer costs, failed launches) so the batch lands after it.
         self.fold(&mut st, d);
         let offset_us = st.clock[d] * 1e6;
         let tl = self.devices[d].synchronize();

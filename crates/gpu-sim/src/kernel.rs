@@ -54,34 +54,10 @@ pub enum LaunchError {
     },
     /// Grid was empty.
     EmptyGrid,
-    /// A simulated transient device fault persisted through every retry
-    /// (see [`crate::fault::FaultPlan`]) — the analogue of
-    /// `cudaErrorLaunchFailure` surviving the driver's resubmission.
-    DeviceFault {
-        /// Kernel that failed to launch.
-        kernel: &'static str,
-        /// Launch ordinal (0-based admission order) that faulted.
-        launch_index: u64,
-        /// Attempts made before giving up.
-        attempts: u32,
-    },
-    /// The launch hung on its final retry attempt and the deadline
-    /// watchdog killed it — the analogue of `cudaErrorLaunchTimeout`.
-    /// Earlier hung attempts were killed and resubmitted silently; this
-    /// surfaces only once the retry budget is exhausted.
-    Timeout {
-        /// Kernel that hung.
-        kernel: &'static str,
-        /// Launch ordinal (0-based admission order) that hung.
-        launch_index: u64,
-        /// Watchdog deadline charged per hung attempt, microseconds.
-        deadline_us: u64,
-    },
-    /// The whole device is gone (a simulated
-    /// [`crate::fault::FaultKind::DeviceLoss`]) — the analogue of
-    /// `cudaErrorDevicesUnavailable` after a node drops off the bus. Unlike
-    /// transient faults there is no retry: this launch and every subsequent
-    /// launch on the device fail until [`crate::Gpu::reset`] revives it.
+    /// The whole device is gone (see [`crate::Gpu::lose_at_launch`]) — the
+    /// analogue of `cudaErrorDevicesUnavailable` after a node drops off the
+    /// bus. There is no retry: this launch and every subsequent launch on
+    /// the device fail until [`crate::Gpu::reset`] revives it.
     /// Multi-device drivers recover by failing the lost device's work over
     /// to a survivor (see `caqr::distributed`).
     DeviceLost {
@@ -117,26 +93,6 @@ impl std::fmt::Display for LaunchError {
                 )
             }
             LaunchError::EmptyGrid => write!(f, "kernel launched with an empty grid"),
-            LaunchError::DeviceFault {
-                kernel,
-                launch_index,
-                attempts,
-            } => {
-                write!(
-                    f,
-                    "device fault: kernel `{kernel}` (launch #{launch_index}) failed {attempts} attempts"
-                )
-            }
-            LaunchError::Timeout {
-                kernel,
-                launch_index,
-                deadline_us,
-            } => {
-                write!(
-                    f,
-                    "watchdog timeout: kernel `{kernel}` (launch #{launch_index}) hung past the {deadline_us} us deadline on every retry"
-                )
-            }
             LaunchError::DeviceLost {
                 kernel,
                 launch_index,
@@ -219,17 +175,6 @@ pub trait Kernel<T: Scalar>: Sync {
     fn launch(&self) -> &dyn Launch;
     /// Execute one thread block.
     fn run_block(&self, block_idx: usize);
-    /// Silent-data-corruption hook: perturb exactly one element of this
-    /// launch's *output* using the deterministic payload `r` (see
-    /// [`crate::fault::sdc_payload`]) to pick the target. Called by the
-    /// device after the grid completes when the installed
-    /// [`crate::FaultPlan`] injects [`crate::FaultKind::Sdc`] into this
-    /// launch. Return `true` iff an element was actually corrupted (the
-    /// ledger counts applied corruptions only). The default is a no-op:
-    /// kernels with no host-visible output cannot be corrupted.
-    fn inject_sdc(&self, _r: u64) -> bool {
-        false
-    }
 }
 
 #[cfg(test)]

@@ -37,24 +37,20 @@ pub struct CostLedger {
     pub d2h_bytes: u64,
     /// Number of PCIe transfers.
     pub transfers: u64,
-    /// Simulated launch faults absorbed (see `fault::FaultPlan`). Faulted
-    /// attempts charge launch overhead + backoff to `seconds` but do not
-    /// count as `calls` — only admitted launches execute and record work.
+    /// Injected launch faults: each failed task charges one launch overhead
+    /// to `seconds` but does not count as a call — it did no work.
     pub faults: u64,
-    /// Successful resubmissions after a fault.
-    pub retries: u64,
-    /// Hung launch attempts killed by the deadline watchdog (each charges
-    /// the watchdog deadline as a stall; see [`Self::record_stall`]).
+    /// Injected hangs killed by the deadline watchdog (each charges the
+    /// watchdog deadline as a stall; see [`Self::record_stall`]).
     pub hangs: u64,
-    /// Silent-data-corruption events actually applied to kernel output
-    /// (admitted SDC faults whose kernel had no output are not counted).
+    /// Injected silent data corruptions applied to a task's output.
     pub sdc_injected: u64,
     /// Recovery tier 1: single tasks replayed after a detected fault.
     pub task_replays: u64,
     /// Recovery tier 2: whole-run retries from the pristine input.
     pub run_retries: u64,
-    /// Device losses suffered (see `fault::FaultKind::DeviceLoss`): the
-    /// launch that found the device gone. At most 1 per `Gpu::reset` epoch.
+    /// Device losses suffered (see `Gpu::lose_at_launch`): the launch that
+    /// found the device gone. At most 1 per `Gpu::reset` epoch.
     pub device_losses: u64,
     /// Recovery tier 3: lost-device workloads this device adopted as the
     /// failover survivor (multi-device runs only).
@@ -116,15 +112,14 @@ impl CostLedger {
         self.seconds += seconds;
     }
 
-    /// Record one faulted launch attempt: the wasted submission overhead
-    /// plus retry backoff advance the clock, but no call or work is
-    /// attributed (the kernel never ran).
+    /// Record one failed launch: the wasted submission overhead advances
+    /// the clock, but no call or work is attributed (the kernel never ran).
     pub fn record_fault(&mut self, seconds: f64) {
         self.seconds += seconds;
         self.faults += 1;
     }
 
-    /// Record one hung launch attempt killed by the watchdog (the stall
+    /// Record one hung launch killed by the watchdog (the stall
     /// seconds are charged separately via [`Self::record_stall`]).
     pub fn record_hang(&mut self) {
         self.hangs += 1;
@@ -150,7 +145,7 @@ impl CostLedger {
         self.sdc_injected += 1;
     }
 
-    /// Record this device dropping off the bus (a `DeviceLoss` fault).
+    /// Record this device dropping off the bus.
     pub fn record_device_loss(&mut self) {
         self.device_losses += 1;
     }
@@ -216,8 +211,8 @@ impl CostLedger {
         if self.faults > 0 || self.hangs > 0 || self.sdc_injected > 0 {
             let _ = writeln!(
                 s,
-                "  faults absorbed: {} ({} retried successfully), {} hangs killed, {} SDC injected",
-                self.faults, self.retries, self.hangs, self.sdc_injected
+                "  faults injected: {} launch faults, {} hangs killed, {} SDC",
+                self.faults, self.hangs, self.sdc_injected
             );
         }
         if self.task_replays > 0 || self.run_retries > 0 {

@@ -15,6 +15,12 @@
 //! The same crate models the CPU side ([`cpu::CpuMachine`]) and the PCIe
 //! link, which the MAGMA-style hybrid baseline needs.
 //!
+//! The device injects no faults of its own beyond device loss
+//! ([`device::Gpu::lose_at_launch`]), which is device state. Launch faults,
+//! hangs and silent data corruption are planned per task by the `caqr`
+//! crate's one injector, which charges them here through
+//! [`device::Gpu::charge_failed_launch`] and [`device::Gpu::note_sdc`].
+//!
 //! Work can also be submitted asynchronously on [`stream::StreamId`] queues
 //! with [`stream::EventId`] cross-stream dependencies; the numerics still
 //! run immediately (bit-identical to synchronous launches) while the
@@ -33,7 +39,6 @@
 pub mod cost;
 pub mod cpu;
 pub mod device;
-pub mod fault;
 pub mod interconnect;
 pub mod kernel;
 pub mod ledger;
@@ -44,7 +49,6 @@ pub mod timeline;
 pub use cost::{BlockCost, CostMeter, KernelReport};
 pub use cpu::CpuMachine;
 pub use device::{Exec, Gpu, DEFAULT_WATCHDOG_US};
-pub use fault::{FaultKind, FaultPlan, RetryPolicy};
 pub use interconnect::{Cluster, CommEvent, LinkSpec, NetTotals, Topology};
 pub use kernel::{Kernel, Launch, LaunchConfig, LaunchError};
 pub use ledger::CostLedger;

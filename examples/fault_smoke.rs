@@ -1,18 +1,22 @@
 //! Fault-injection smoke run: factor the same matrix fault-free and under a
-//! seeded transient-fault plan, and verify the retried run is bit-identical
-//! while the ledger shows the absorbed faults. Exits non-zero on any
-//! divergence, so CI can run it as a robustness gate.
+//! seeded plan of launch faults, silent data corruptions and hangs, injected
+//! per task by the one fault injector, and verify the recovered run is
+//! bit-identical while the ledger shows the absorbed faults. Exits non-zero
+//! on any divergence, so CI can run it as a robustness gate.
 //!
 //! ```text
 //! cargo run --release --example fault_smoke
 //! ```
 
-use caqr::{CaqrOptions, ReductionStrategy};
-use gpu_sim::{DeviceSpec, FaultPlan, Gpu, RetryPolicy};
+use caqr::recovery::{caqr_resilient, RecoveryOptions};
+use caqr::{CaqrOptions, FaultPlan, ReductionStrategy};
+use gpu_sim::{DeviceSpec, Gpu};
 
 fn main() {
     let (m, n) = (32_768usize, 64usize);
-    let a = dense::generate::uniform::<f32>(m, n, 7);
+    // f64: at this height the f32 checksum tolerance is too soft to catch
+    // every SDC (DESIGN.md §10).
+    let a = dense::generate::uniform::<f64>(m, n, 7);
     let opts = CaqrOptions {
         strategy: ReductionStrategy::RegisterSerialTransposed,
         ..CaqrOptions::default()
@@ -22,35 +26,35 @@ fn main() {
     let clean_gpu = Gpu::new(DeviceSpec::c2050());
     let clean = caqr::caqr::caqr(&clean_gpu, a.clone(), opts).expect("fault-free run failed");
 
-    // Same factorization under a 15% transient launch-fault rate with an
-    // 8-attempt retry budget (deterministic: the plan is seeded).
+    // Same factorization under a seeded 10% launch-fault, 5% SDC and 5%
+    // hang rate per task (deterministic: the plan is seeded), recovered
+    // by the default replay ladder.
     let gpu = Gpu::new(DeviceSpec::c2050());
-    gpu.set_fault_plan_with_policy(
-        FaultPlan::seeded(2024, 0.15),
-        RetryPolicy {
-            max_attempts: 8,
-            backoff_us: 5.0,
-        },
-    );
-    let faulted = caqr::caqr::caqr(&gpu, a, opts).expect("faulted run exhausted retries");
+    let recovery = RecoveryOptions {
+        caqr: opts,
+        faults: FaultPlan::seeded_mix(2024, 0.10, 0.05, 0.05),
+        ..RecoveryOptions::default()
+    };
+    let (faulted, report) = caqr_resilient(&gpu, a, recovery).expect("faulted run unrecoverable");
 
     let identical = clean.r() == faulted.r();
     let clean_ledger = clean_gpu.ledger();
     let ledger = gpu.ledger();
-    println!("factored {m}x{n} twice: fault-free and with seeded transient faults");
+    let injected = ledger.faults + ledger.hangs + ledger.sdc_injected;
+    println!("factored {m}x{n} twice: fault-free and with seeded per-task faults");
     println!(
-        "  faults absorbed: {} ({} retries), successful launches {} (fault-free run: {})",
-        ledger.faults, ledger.retries, ledger.calls, clean_ledger.calls
+        "  injected: {} launch faults, {} hangs, {} SDC; recovered by {} task replays, {} run retries",
+        ledger.faults, ledger.hangs, ledger.sdc_injected, report.task_replays, report.run_retries
     );
     println!(
-        "  modelled time {:.3} ms vs {:.3} ms fault-free ({:+.1}% fault overhead)",
+        "  modelled time {:.3} ms vs {:.3} ms fault-free ({:+.1}% recovery overhead)",
         ledger.seconds * 1e3,
         clean_ledger.seconds * 1e3,
         (ledger.seconds / clean_ledger.seconds - 1.0) * 100.0
     );
     println!("  R bit-identical across runs: {identical}");
 
-    if !identical || ledger.faults == 0 || ledger.calls != clean_ledger.calls {
+    if !identical || injected == 0 || report.task_replays + report.run_retries == 0 {
         eprintln!("fault smoke FAILED");
         std::process::exit(1);
     }

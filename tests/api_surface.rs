@@ -145,7 +145,7 @@ fn every_simulator_entry_point_scans_its_input() {
         ),
         (
             "caqr_resilient",
-            Box::new(|g, a| caqr::caqr_resilient(g, a, rec).map(drop)),
+            Box::new(|g, a| caqr::caqr_resilient(g, a, rec.clone()).map(drop)),
         ),
     ];
     for (name, run) in &runs {

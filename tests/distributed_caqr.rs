@@ -7,7 +7,7 @@ use caqr::distributed::{distributed_tsqr, DistOptions};
 use caqr::multicore::{caqr_cpu, CpuCaqrOptions};
 use caqr::{CaqrError, TreeShape};
 use dense::matrix::Matrix;
-use gpu_sim::{Cluster, DeviceSpec, FaultPlan, LinkSpec, Topology};
+use gpu_sim::{Cluster, DeviceSpec, LinkSpec, Topology};
 
 const M: usize = 128 * 8;
 const N: usize = 16;
@@ -54,8 +54,7 @@ fn device_loss_during_level0_fails_over_bit_identically() {
     // Device 2's very first launch (its level-0 factor) finds the device
     // gone; a survivor must adopt its partition and the result must not
     // change by a single bit.
-    c.device(2)
-        .set_fault_plan(FaultPlan::device_loss_at_launches(&[0]));
+    c.device(2).lose_at_launch(0);
     let a = dense::generate::uniform::<f32>(M, N, SEED);
     let (f, rep) = distributed_tsqr(&c, a, dist_opts(TreeShape::DeviceArity)).expect("fails over");
     assert_eq!(f.r(), r_ref, "R survives a level-0 device loss unchanged");
@@ -80,8 +79,7 @@ fn device_loss_mid_tree_replays_completed_work() {
     // exercising the replay (not just reassignment) path.
     let (r_ref, q_ref) = reference(TreeShape::Binomial);
     let c = cluster(4, Topology::BinomialTree);
-    c.device(1)
-        .set_fault_plan(FaultPlan::device_loss_at_launches(&[1]));
+    c.device(1).lose_at_launch(1);
     let a = dense::generate::uniform::<f32>(M, N, SEED);
     let (f, rep) = distributed_tsqr(&c, a, dist_opts(TreeShape::Binomial)).expect("fails over");
     assert_eq!(f.r(), r_ref, "R survives a mid-tree device loss unchanged");
@@ -108,10 +106,8 @@ fn cascading_losses_chain_failovers() {
     // Device 3 dies immediately; device 0 (the first survivor) adopts its
     // tiles and then dies on the adopted work's launch, forcing a second
     // failover onto device 1.
-    c.device(3)
-        .set_fault_plan(FaultPlan::device_loss_at_launches(&[0]));
-    c.device(0)
-        .set_fault_plan(FaultPlan::device_loss_at_launches(&[1]));
+    c.device(3).lose_at_launch(0);
+    c.device(0).lose_at_launch(1);
     let a = dense::generate::uniform::<f32>(M, N, SEED);
     let (f, rep) =
         distributed_tsqr(&c, a, dist_opts(TreeShape::DeviceArity)).expect("double failover");
@@ -127,8 +123,7 @@ fn cascading_losses_chain_failovers() {
 fn losing_every_device_is_unrecoverable() {
     let c = cluster(2, Topology::Ring);
     for d in 0..2 {
-        c.device(d)
-            .set_fault_plan(FaultPlan::device_loss_at_launches(&[0]));
+        c.device(d).lose_at_launch(0);
     }
     let a = dense::generate::uniform::<f32>(M, N, SEED);
     match distributed_tsqr(&c, a, dist_opts(TreeShape::DeviceArity)) {
@@ -145,8 +140,7 @@ fn losing_every_device_is_unrecoverable() {
 #[test]
 fn failover_charges_the_interconnect_and_pcie() {
     let c = cluster(4, Topology::BinomialTree);
-    c.device(2)
-        .set_fault_plan(FaultPlan::device_loss_at_launches(&[0]));
+    c.device(2).lose_at_launch(0);
     let a = dense::generate::uniform::<f32>(M, N, SEED);
     let (f, _) = distributed_tsqr(&c, a, dist_opts(TreeShape::DeviceArity)).expect("fails over");
     // The survivor (the first alive device, 0) re-uploaded the dead

@@ -1,12 +1,17 @@
-//! End-to-end fault-injection tests: transient launch faults, silent data
-//! corruptions, and hangs are absorbed by retry / ABFT-guided replay
-//! without perturbing the numerics, and exhausted budgets surface as typed
-//! [`CaqrError`] values rather than panics, deadlocks, or garbage.
+//! End-to-end fault-injection tests: launch faults, silent data
+//! corruptions and hangs, planned per task by the one injector
+//! ([`Faulty`]), are absorbed by ABFT-guided replay without perturbing the
+//! numerics, and exhausted budgets surface as typed [`CaqrError`] values
+//! rather than panics, deadlocks, or garbage. Device loss is device state
+//! ([`Gpu::lose_at_launch`]).
 
 use caqr::recovery::{caqr_resilient, RecoveryOptions, RecoveryPolicy};
 use caqr::schedule::{caqr_dag, ScheduleOptions};
-use caqr::{BlockSize, CaqrError, CaqrOptions, CpuCaqrOptions, ReductionStrategy, SimBackend};
-use gpu_sim::{DeviceSpec, FaultKind, FaultPlan, Gpu, RetryPolicy};
+use caqr::{
+    BlockSize, CaqrBackend, CaqrError, CaqrOptions, CpuBackend, CpuCaqrOptions, DriveConfig,
+    Factorization, FaultKind, FaultPlan, Faulty, Mode, ReductionStrategy, SimBackend,
+};
+use gpu_sim::{DeviceSpec, Gpu, DEFAULT_WATCHDOG_US};
 
 fn opts() -> CaqrOptions {
     CaqrOptions {
@@ -16,35 +21,248 @@ fn opts() -> CaqrOptions {
     }
 }
 
+/// [`caqr_resilient`] on 3 streams under the default budgets, injecting
+/// `faults`.
+fn resilient(faults: FaultPlan) -> RecoveryOptions {
+    RecoveryOptions {
+        caqr: opts(),
+        streams: 3,
+        policy: RecoveryPolicy::default(),
+        faults,
+    }
+}
+
+/// One run of the driver, with no recovery policy, on `inner` with `faults`
+/// injected: a faulted task carves the run out with its typed error.
+fn drive_faulty<B: CaqrBackend<f64>>(
+    inner: B,
+    a: dense::Matrix<f64>,
+    faults: FaultPlan,
+    mode: Mode,
+) -> Result<Factorization<f64>, CaqrError> {
+    let cfg = DriveConfig {
+        bs: opts().bs,
+        strategy: opts().strategy,
+        tree: opts().tree,
+        check_finite: true,
+        verify_checksums: false,
+        health_context: "caqr input",
+    };
+    caqr::drive(&Faulty::new(inner, vec![faults]), a, &cfg, mode)
+}
+
+/// [`drive_faulty`] on the synchronous simulator, expected to fail.
+fn unrecovered(gpu: &Gpu, a: dense::Matrix<f64>, faults: FaultPlan) -> CaqrError {
+    match drive_faulty(SimBackend::sync(gpu), a, faults, Mode::Sync) {
+        Ok(_) => panic!("expected the factorization to fail"),
+        Err(e) => e,
+    }
+}
+
 #[test]
 fn retried_caqr_run_is_bit_identical_to_fault_free_run() {
     let a = dense::generate::uniform::<f64>(1024, 32, 9);
 
     let clean_gpu = Gpu::new(DeviceSpec::c2050());
-    let clean = caqr::caqr::caqr(&clean_gpu, a.clone(), opts()).unwrap();
+    let (clean, clean_report) =
+        caqr_resilient(&clean_gpu, a.clone(), resilient(FaultPlan::default())).unwrap();
     let clean_q = clean
         .generate_q_on(&SimBackend::sync(&clean_gpu), 32)
         .unwrap();
 
-    // Fault the first attempt of three launches spread across the pipeline;
-    // an explicit plan's retries always succeed.
+    // 1024x32 in panels of 16 issues the tasks F A F. A replay takes a
+    // fresh ordinal, so ordinals 0, 2 and 4 fail the first attempt of
+    // each task; every replay succeeds.
     let gpu = Gpu::new(DeviceSpec::c2050());
-    gpu.set_fault_plan(FaultPlan::at_launches(&[0, 4, 9]));
-    let faulted = caqr::caqr::caqr(&gpu, a.clone(), opts()).unwrap();
+    let faults = FaultPlan::at(FaultKind::LaunchFail, &[0, 2, 4]);
+    let (faulted, report) = caqr_resilient(&gpu, a, resilient(faults)).unwrap();
     let faulted_q = faulted.generate_q_on(&SimBackend::sync(&gpu), 32).unwrap();
 
-    // Faults fire at admission, before any block runs, so the retried run
-    // must be bit-identical — not merely close.
+    // A launch fault fails its task before any block runs, so the replayed
+    // run must be bit-identical — not merely close.
     assert_eq!(clean.r(), faulted.r());
     assert_eq!(clean_q, faulted_q);
 
+    assert_eq!([report.task_replays, report.run_retries], [3, 0]);
+    assert_eq!(report.checksum_failures, 0, "no corruption was injected");
     let l = gpu.ledger();
     assert_eq!(l.faults, 3, "three first attempts faulted");
-    assert_eq!(l.retries, 3, "each fault recovered on its retry");
-    // Successful-call accounting matches the fault-free run exactly.
-    assert_eq!(l.calls, clean_gpu.ledger().calls);
-    // The faulted run paid for the wasted submissions and backoff.
+    assert_eq!(l.task_replays, 3, "each fault recovered on its replay");
+    // The failed tasks launched nothing: the kernel launches match the
+    // fault-free run exactly.
+    assert_eq!(report.launches, clean_report.launches);
+    // The faulted run paid for the wasted submissions.
     assert!(l.seconds > clean_gpu.ledger().seconds);
+}
+
+#[test]
+fn exhausted_replay_budgets_surface_as_typed_unrecoverable() {
+    let a = dense::generate::uniform::<f64>(256, 16, 5);
+    let gpu = Gpu::new(DeviceSpec::c2050());
+    // Every task faults, so the only panel's factor spends both tiers: each
+    // of the two run attempts fails the task once and replays it twice.
+    let policy = RecoveryPolicy {
+        max_task_replays: 2,
+        max_run_retries: 1,
+    };
+    let ropts = RecoveryOptions {
+        policy,
+        ..resilient(FaultPlan::seeded_mix(0, 1.0, 0.0, 0.0))
+    };
+    let err = match caqr_resilient(&gpu, a, ropts) {
+        Ok(_) => panic!("an always-faulting device cannot produce a result"),
+        Err(e) => e,
+    };
+    let last = CaqrError::Fault {
+        kernel: "factor",
+        launch_index: 5,
+        attempts: 1,
+    };
+    match err {
+        CaqrError::Unrecoverable { context } => assert_eq!(
+            context,
+            format!("run retry budget (1) exhausted; last error: {last}")
+        ),
+        other => panic!("expected CaqrError::Unrecoverable, got {other}"),
+    }
+    let l = gpu.ledger();
+    assert_eq!(l.faults, 6, "(1 + 2 replays) x (1 + 1 retry)");
+    assert_eq!([l.task_replays, l.run_retries], [4, 1]);
+}
+
+#[test]
+fn fault_plan_does_not_outlive_its_run() {
+    // The plan travels with the run, not on the device: the next run on the
+    // same Gpu injects nothing and gives the fault-free bits.
+    let a = dense::generate::uniform::<f64>(640, 32, 41);
+    let clean = caqr::caqr::caqr(&Gpu::new(DeviceSpec::c2050()), a.clone(), opts()).unwrap();
+
+    let gpu = Gpu::new(DeviceSpec::c2050());
+    let faults = FaultPlan::seeded_mix(0, 1.0, 0.0, 0.0);
+    assert!(caqr_resilient(&gpu, a.clone(), resilient(faults)).is_err());
+    let faults = gpu.ledger().faults;
+    assert!(faults > 0, "the planned run faulted");
+
+    let plain = caqr::caqr::caqr(&gpu, a.clone(), opts()).unwrap();
+    assert_eq!(plain.r(), clean.r());
+    let (resilient_run, report) = caqr_resilient(&gpu, a, resilient(FaultPlan::default())).unwrap();
+    assert_eq!(resilient_run.r(), clean.r());
+    assert_eq!([report.task_replays, report.run_retries], [0, 0]);
+    assert_eq!(gpu.ledger().faults, faults, "no later run faulted");
+}
+
+#[test]
+fn one_injector_fails_the_same_task_on_host_and_simulator() {
+    // 640x48 in panels of 16 on one slot: the tasks F A F A F. The same
+    // plan through `Faulty` over the host backend and over the simulator
+    // fails the same task with the same typed error.
+    let a = dense::generate::uniform::<f64>(640, 48, 37);
+    let sim_run = |faults: FaultPlan| {
+        let gpu = Gpu::new(DeviceSpec::c2050());
+        drive_faulty(SimBackend::sync(&gpu), a.clone(), faults, Mode::Sync)
+    };
+    let host_run = |faults: FaultPlan| drive_faulty(CpuBackend, a.clone(), faults, Mode::Sync);
+
+    // An empty plan is transparent on both backends.
+    let sim = sim_run(FaultPlan::default()).unwrap();
+    let host = host_run(FaultPlan::default()).unwrap();
+    let clean = caqr::caqr::caqr(&Gpu::new(DeviceSpec::c2050()), a.clone(), opts()).unwrap();
+    assert_eq!(sim.a, clean.a);
+    assert_eq!(host.r(), clean.r());
+
+    let kernels = ["factor", "apply", "factor", "apply", "factor"];
+    for (k, kernel) in kernels.into_iter().enumerate() {
+        let launch_index = k as u64;
+        let expected = [
+            CaqrError::Fault {
+                kernel,
+                launch_index,
+                attempts: 1,
+            },
+            CaqrError::Timeout {
+                kernel,
+                launch_index,
+                deadline_us: DEFAULT_WATCHDOG_US as u64,
+            },
+        ];
+        for (kind, want) in [FaultKind::LaunchFail, FaultKind::Hang]
+            .into_iter()
+            .zip(expected)
+        {
+            let case = format!("{kind:?} at task {k}");
+            let plan = FaultPlan::at(kind, &[launch_index]);
+            let on_sim = sim_run(plan.clone()).map(|_| ());
+            let on_host = host_run(plan).map(|_| ());
+            assert_eq!(on_sim, Err(want.clone()), "{case}: simulator");
+            assert_eq!(on_host, Err(want), "{case}: host");
+        }
+    }
+}
+
+#[test]
+fn dag_schedule_surfaces_planned_faults_as_typed_errors() {
+    // The stream DAG has no recovery ladder: an empty plan leaves its bits
+    // alone, and a planned fault ends the run with its typed error.
+    let a = dense::generate::uniform::<f64>(1024, 32, 7);
+    let sched = ScheduleOptions {
+        caqr: opts(),
+        streams: 2,
+        lookahead: true,
+    };
+    let mode = Mode::Dag { lookahead: true };
+    let (clean, _) = caqr_dag(&Gpu::new(DeviceSpec::c2050()), a.clone(), sched).unwrap();
+
+    let gpu = Gpu::new(DeviceSpec::c2050());
+    let sim = SimBackend::streams(&gpu, 2).unwrap();
+    let quiet = drive_faulty(sim, a.clone(), FaultPlan::default(), mode).unwrap();
+    assert_eq!(quiet.r(), clean.r());
+
+    for k in 0..3u64 {
+        let gpu = Gpu::new(DeviceSpec::c2050());
+        let sim = SimBackend::streams(&gpu, 2).unwrap();
+        let plan = FaultPlan::at(FaultKind::LaunchFail, &[k]);
+        match drive_faulty(sim, a.clone(), plan, mode) {
+            Err(CaqrError::Fault {
+                launch_index,
+                attempts,
+                ..
+            }) => assert_eq!([launch_index, attempts as u64], [k, 1], "task {k}"),
+            other => panic!(
+                "task {k}: expected CaqrError::Fault, got {:?}",
+                other.map(|_| ())
+            ),
+        }
+        assert_eq!(gpu.ledger().faults, 1, "task {k}");
+    }
+}
+
+#[test]
+fn an_unrecovered_launch_fault_surfaces_as_typed_fault() {
+    let a = dense::generate::uniform::<f64>(256, 16, 5);
+    let gpu = Gpu::new(DeviceSpec::c2050());
+    // Every task faults, so the first one (the only panel's factor) fails
+    // before it runs.
+    match unrecovered(&gpu, a, FaultPlan::seeded_mix(0, 1.0, 0.0, 0.0)) {
+        CaqrError::Fault {
+            kernel,
+            launch_index,
+            attempts,
+        } => {
+            assert_eq!(kernel, "factor");
+            assert_eq!(launch_index, 0);
+            assert_eq!(attempts, 1);
+        }
+        other => panic!("expected CaqrError::Fault, got {other}"),
+    }
+    let l = gpu.ledger();
+    // The health check and the pre-transpose ran; the factor never did.
+    assert_eq!(l.calls, 2, "the failed launch is not a call");
+    assert_eq!(l.faults, 1);
+    let overhead = gpu.spec().launch_overhead_us * 1e-6;
+    assert!(
+        l.seconds > overhead,
+        "the wasted submission still costs time"
+    );
 }
 
 #[test]
@@ -53,98 +271,41 @@ fn seeded_transient_faults_are_absorbed_and_deterministic() {
     let clean_gpu = Gpu::new(DeviceSpec::c2050());
     let clean = caqr::caqr::caqr(&clean_gpu, a.clone(), opts()).unwrap();
 
-    // Generous attempt budget so a 20% transient rate cannot plausibly
-    // exhaust retries; the seeded plan is a pure function of (seed, launch,
-    // attempt), so this test is deterministic.
+    // A 20% per-task launch-fault rate; the seeded plan is a pure function
+    // of (seed, task, attempt), so this test is deterministic.
     let run = |seed: u64| {
         let gpu = Gpu::new(DeviceSpec::c2050());
-        gpu.set_fault_plan_with_policy(
-            FaultPlan::seeded(seed, 0.2),
-            RetryPolicy {
-                max_attempts: 8,
-                backoff_us: 5.0,
-            },
-        );
-        let f = caqr::caqr::caqr(&gpu, a.clone(), opts()).unwrap();
+        let faults = FaultPlan::seeded_mix(seed, 0.2, 0.0, 0.0);
+        let (f, _) = caqr_resilient(&gpu, a.clone(), resilient(faults)).unwrap();
         (f.r(), gpu.ledger().faults)
     };
     let (r1, faults1) = run(1234);
     let (r2, faults2) = run(1234);
     assert_eq!(r1, r2, "same seed, same run");
     assert_eq!(faults1, faults2);
+    assert!(faults1 > 0, "the plan must fault some task");
     assert_eq!(r1, clean.r(), "faults must not perturb the numerics");
-}
-
-#[test]
-fn exhausted_retries_surface_as_typed_fault() {
-    let a = dense::generate::uniform::<f64>(256, 16, 5);
-    let gpu = Gpu::new(DeviceSpec::c2050());
-    // Rate 1.0: every attempt of every launch faults, so the very first
-    // launch (the input health check) exhausts its attempts.
-    gpu.set_fault_plan(FaultPlan::seeded(0, 1.0));
-    let err = match caqr::caqr::caqr(&gpu, a, opts()) {
-        Ok(_) => panic!("expected the factorization to fail"),
-        Err(e) => e,
-    };
-    match err {
-        CaqrError::Fault {
-            kernel,
-            launch_index,
-            attempts,
-        } => {
-            assert_eq!(kernel, "health_check");
-            assert_eq!(launch_index, 0);
-            assert_eq!(attempts, RetryPolicy::default().max_attempts);
-        }
-        other => panic!("expected CaqrError::Fault, got {other}"),
-    }
-    let l = gpu.ledger();
-    assert_eq!(l.calls, 0, "no launch ever succeeded");
-    assert_eq!(l.faults as u32, RetryPolicy::default().max_attempts);
-    assert!(l.seconds > 0.0, "wasted submissions still cost time");
-}
-
-#[test]
-fn dag_schedule_recovers_from_transient_faults() {
-    let a = dense::generate::uniform::<f64>(1024, 32, 7);
-    let sched = ScheduleOptions {
-        caqr: opts(),
-        streams: 2,
-        lookahead: true,
-    };
-
-    let clean_gpu = Gpu::new(DeviceSpec::c2050());
-    let (clean, _) = caqr_dag(&clean_gpu, a.clone(), sched).unwrap();
-
-    let gpu = Gpu::new(DeviceSpec::c2050());
-    gpu.set_fault_plan(FaultPlan::at_launches(&[1, 2, 6]));
-    let (faulted, _) = caqr_dag(&gpu, a, sched).unwrap();
-
-    assert_eq!(clean.r(), faulted.r());
-    let l = gpu.ledger();
-    assert_eq!(l.faults, 3);
-    assert_eq!(l.retries, 3);
 }
 
 #[test]
 fn seeded_plans_are_pure_functions_of_their_inputs() {
     // Two plans built from identical inputs must agree on every
-    // (launch, attempt) pair — this is what makes every chaos test in this
+    // (ordinal, attempt) pair — this is what makes every chaos test in this
     // file deterministic rather than flaky.
     let p1 = FaultPlan::seeded_mix(42, 0.10, 0.05, 0.02);
     let p2 = FaultPlan::seeded_mix(42, 0.10, 0.05, 0.02);
     let mut kinds = [0usize; 3];
-    for launch in 0..2000u64 {
+    for ordinal in 0..2000u64 {
         for attempt in 0..4u32 {
-            let k = p1.fault_kind(launch, attempt);
-            assert_eq!(k, p2.fault_kind(launch, attempt));
+            let k = p1.fault_kind(ordinal, attempt);
+            assert_eq!(k, p2.fault_kind(ordinal, attempt));
             match k {
                 Some(FaultKind::LaunchFail) => kinds[0] += 1,
                 Some(FaultKind::Sdc) => kinds[1] += 1,
                 Some(FaultKind::Hang) => kinds[2] += 1,
                 // Plain seeded plans draw only the three transient kinds;
-                // whole-device loss is explicit-plan-only and host panics
-                // come only from `seeded_service_mix`.
+                // device loss is explicit-plan-only and host panics come
+                // only from `seeded_service_mix`.
                 Some(FaultKind::DeviceLoss | FaultKind::HostPanic) | None => {}
             }
         }
@@ -158,60 +319,34 @@ fn seeded_plans_are_pure_functions_of_their_inputs() {
         "seed must matter"
     );
     // Rate zero means no faults, ever.
-    let quiet = FaultPlan::seeded(7, 0.0);
+    let quiet = FaultPlan::seeded_mix(7, 0.0, 0.0, 0.0);
     assert!((0..500u64).all(|l| quiet.fault_kind(l, 0).is_none()));
 }
 
 #[test]
-fn backoff_is_monotone_and_capped() {
-    let p = RetryPolicy::default();
-    let mut prev = 0.0f64;
-    for attempt in 0..64u32 {
-        let b = p.backoff_seconds(attempt);
-        assert!(
-            b.is_finite() && b >= prev,
-            "attempt {attempt}: {b} < {prev}"
-        );
-        prev = b;
-    }
-    // The exponent saturates at 20: arbitrarily late attempts never
-    // overflow to infinity and all pay the same capped backoff.
-    let cap = p.backoff_seconds(20);
-    for attempt in 21..64u32 {
-        assert_eq!(p.backoff_seconds(attempt), cap);
-    }
-}
-
-#[test]
-fn persistent_hang_exhausts_watchdog_into_typed_timeout() {
+fn an_unrecovered_hang_surfaces_as_typed_timeout() {
     let a = dense::generate::uniform::<f64>(256, 16, 13);
     let gpu = Gpu::new(DeviceSpec::c2050());
-    // An explicit hang is persistent across retry attempts (a stuck unit,
-    // not a transient): the plain driver's retries cannot escape it, so the
-    // watchdog must convert it into a typed Timeout instead of spinning.
-    gpu.set_fault_plan(FaultPlan::hang_at_launches(&[0]));
-    let err = match caqr::caqr::caqr(&gpu, a, opts()) {
-        Ok(_) => panic!("a persistently hung launch cannot succeed"),
-        Err(e) => e,
-    };
-    match err {
+    // Without a recovery policy nothing replays the hung task: the
+    // watchdog converts it into a typed Timeout instead of spinning.
+    match unrecovered(&gpu, a, FaultPlan::at(FaultKind::Hang, &[0])) {
         CaqrError::Timeout {
             kernel,
             launch_index,
             deadline_us,
         } => {
-            assert_eq!(kernel, "health_check");
+            assert_eq!(kernel, "factor");
             assert_eq!(launch_index, 0);
-            assert!(deadline_us > 0);
+            assert_eq!(deadline_us, DEFAULT_WATCHDOG_US as u64);
         }
         other => panic!("expected CaqrError::Timeout, got {other}"),
     }
     let l = gpu.ledger();
-    assert_eq!(l.hangs as u32, RetryPolicy::default().max_attempts);
-    assert_eq!(l.calls, 0, "no launch ever completed");
+    assert_eq!(l.hangs, 1);
+    assert_eq!(l.calls, 2, "the hung factor never completed");
     assert!(
-        l.seconds > 0.0,
-        "hung attempts still pay deadline + backoff"
+        l.seconds >= DEFAULT_WATCHDOG_US * 1e-6,
+        "the hang pays the watchdog deadline"
     );
 }
 
@@ -222,15 +357,10 @@ fn sdc_is_detected_and_replayed_to_bit_identity() {
     let clean = caqr::caqr::caqr(&clean_gpu, a.clone(), opts()).unwrap();
 
     let gpu = Gpu::new(DeviceSpec::c2050());
-    // Launches 0/1 are the health check and pretranspose; 2 and 5 land on
-    // factor / apply kernels whose outputs the checksums guard.
-    gpu.set_fault_plan(FaultPlan::sdc_at_launches(&[2, 5]));
-    let ropts = RecoveryOptions {
-        caqr: opts(),
-        streams: 3,
-        policy: RecoveryPolicy::default(),
-    };
-    let (f, report) = caqr_resilient(&gpu, a, ropts).unwrap();
+    // 640x32 in panels of 16 issues the tasks F A F: corrupt the first
+    // factor and the apply, outputs the checksums guard.
+    let faults = FaultPlan::at(FaultKind::Sdc, &[0, 1]);
+    let (f, report) = caqr_resilient(&gpu, a, resilient(faults)).unwrap();
     assert_eq!(f.r(), clean.r(), "recovered run must be bit-identical");
     let l = gpu.ledger();
     assert_eq!(l.sdc_injected, 2, "both corruptions were injected");
@@ -243,8 +373,9 @@ fn sdc_is_detected_and_replayed_to_bit_identity() {
 
 #[test]
 fn every_ladder_tier_absorbs_an_sdc_bitwise() {
-    // One SDC at launch 5, absorbed on the tier the budgets leave open:
-    // tier 1 by default, tier 2 with no task replays.
+    // One SDC at task 2 (an apply of the first panel), absorbed on the
+    // tier the budgets leave open: tier 1 by default, tier 2 with no task
+    // replays.
     let a = dense::generate::uniform::<f64>(640, 48, 29);
     let clean_gpu = Gpu::new(DeviceSpec::c2050());
     let clean = caqr::caqr::caqr(&clean_gpu, a.clone(), opts()).unwrap();
@@ -255,11 +386,9 @@ fn every_ladder_tier_absorbs_an_sdc_bitwise() {
     let policies = [RecoveryPolicy::default(), run_tier];
     for (t, policy) in policies.into_iter().enumerate() {
         let gpu = Gpu::new(DeviceSpec::c2050());
-        gpu.set_fault_plan(FaultPlan::sdc_at_launches(&[5]));
         let ropts = RecoveryOptions {
-            caqr: opts(),
-            streams: 3,
             policy,
+            ..resilient(FaultPlan::at(FaultKind::Sdc, &[2]))
         };
         let case = format!("tier {}", t + 1);
         let (f, r) = caqr_resilient(&gpu, a.clone(), ropts)
@@ -286,35 +415,30 @@ fn every_ladder_tier_absorbs_an_sdc_bitwise() {
 }
 
 #[test]
-fn every_launch_fault_in_a_task_costs_one_task_replay() {
-    // 640x48 in panels of 16 on 3 streams: 20 launches when clean, the
-    // health scan and the pre-transpose first. With no launch-level
-    // retries, a fault or a hang at any later ordinal fails its factor or
-    // apply task, which replays once from its own input snapshot.
+fn a_fault_or_hang_at_every_task_costs_one_task_replay() {
+    // 640x48 in panels of 16 on 3 streams: 20 launches in 6 tasks when
+    // clean (F A A F A F: the first panel's update spans two streams). A
+    // launch fault or a hang at any task ordinal fails that task, which
+    // replays once from its own input snapshot.
     let a = dense::generate::uniform::<f64>(640, 48, 31);
-    let ropts = RecoveryOptions {
-        caqr: opts(),
-        streams: 3,
-        policy: RecoveryPolicy::default(),
-    };
-    let (clean, report) = caqr_resilient(&Gpu::new(DeviceSpec::c2050()), a.clone(), ropts).unwrap();
+    let (clean, report) = caqr_resilient(
+        &Gpu::new(DeviceSpec::c2050()),
+        a.clone(),
+        resilient(FaultPlan::default()),
+    )
+    .unwrap();
     assert_eq!(report.launches, 20);
-    let no_retry = RetryPolicy {
-        max_attempts: 1,
-        ..RetryPolicy::default()
-    };
-    for k in 2..20 {
-        for (kind, plan) in [
-            ("fault", FaultPlan::at_launches(&[k])),
-            ("hang", FaultPlan::hang_at_launches(&[k])),
-        ] {
+    for k in 0..6 {
+        for kind in [FaultKind::LaunchFail, FaultKind::Hang] {
             let gpu = Gpu::new(DeviceSpec::c2050());
-            gpu.set_fault_plan_with_policy(plan, no_retry);
-            let (f, r) = caqr_resilient(&gpu, a.clone(), ropts)
-                .unwrap_or_else(|e| panic!("{kind} at launch {k}: recovery failed: {e}"));
-            assert_eq!(f.a, clean.a, "{kind} at launch {k}: bits must match");
-            assert_eq!(r.task_replays, 1, "{kind} at launch {k}: {r:?}");
-            assert_eq!(r.run_retries, 0, "{kind} at launch {k}: {r:?}");
+            let case = format!("{kind:?} at task {k}");
+            let (f, r) = caqr_resilient(&gpu, a.clone(), resilient(FaultPlan::at(kind, &[k])))
+                .unwrap_or_else(|e| panic!("{case}: recovery failed: {e}"));
+            assert_eq!(f.a, clean.a, "{case}: bits must match");
+            assert_eq!(r.task_replays, 1, "{case}: {r:?}");
+            assert_eq!(r.run_retries, 0, "{case}: {r:?}");
+            let l = gpu.ledger();
+            assert_eq!([l.faults, l.hangs].iter().sum::<u64>(), 1, "{case}");
         }
     }
 }
@@ -343,19 +467,8 @@ fn chaos_soak_recovers_bit_identically_across_seeds() {
 
     for seed in 0..8u64 {
         let gpu = Gpu::new(DeviceSpec::c2050());
-        gpu.set_fault_plan_with_policy(
-            FaultPlan::seeded_mix(seed, 0.05, 0.03, 0.03),
-            RetryPolicy {
-                max_attempts: 6,
-                backoff_us: 5.0,
-            },
-        );
-        let ropts = RecoveryOptions {
-            caqr: opts(),
-            streams: 3,
-            policy: RecoveryPolicy::default(),
-        };
-        let (f, report) = match caqr_resilient(&gpu, a.clone(), ropts) {
+        let faults = FaultPlan::seeded_mix(seed, 0.05, 0.03, 0.03);
+        let (f, report) = match caqr_resilient(&gpu, a.clone(), resilient(faults)) {
             Ok(ok) => ok,
             Err(e) => panic!("seed {seed}: recovery failed: {e}"),
         };
@@ -378,11 +491,15 @@ fn chaos_soak_recovers_bit_identically_across_seeds() {
 fn unrecoverable_chaos_surfaces_typed_error_not_a_panic() {
     let a = dense::generate::uniform::<f64>(256, 16, 23);
     let gpu = Gpu::new(DeviceSpec::c2050());
-    // Every launch hangs on every attempt: no replay tier can make
-    // progress, so the ladder must exhaust into a typed error — never a
-    // panic, deadlock, or silently wrong factorization.
-    gpu.set_fault_plan(FaultPlan::seeded_mix(3, 0.0, 0.0, 1.0));
-    let err = match caqr_resilient(&gpu, a, RecoveryOptions::default()) {
+    // Every task hangs: no replay tier can make progress, so the ladder
+    // must exhaust into a typed error — never a panic, deadlock, or
+    // silently wrong factorization.
+    let always_hang = FaultPlan::seeded_mix(3, 0.0, 0.0, 1.0);
+    let ropts = RecoveryOptions {
+        faults: always_hang,
+        ..RecoveryOptions::default()
+    };
+    let err = match caqr_resilient(&gpu, a, ropts) {
         Ok(_) => panic!("an always-hanging device cannot produce a result"),
         Err(e) => e,
     };
@@ -399,24 +516,12 @@ fn unrecoverable_chaos_surfaces_typed_error_not_a_panic() {
 }
 
 #[test]
-fn fault_plan_does_not_outlive_clear() {
-    let a = dense::generate::uniform::<f64>(256, 16, 11);
-    let gpu = Gpu::new(DeviceSpec::c2050());
-    gpu.set_fault_plan(FaultPlan::seeded(0, 1.0));
-    assert!(caqr::caqr::caqr(&gpu, a.clone(), opts()).is_err());
-    gpu.clear_fault_plan();
-    let faults_before = gpu.ledger().faults;
-    caqr::caqr::caqr(&gpu, a, opts()).unwrap();
-    assert_eq!(gpu.ledger().faults, faults_before, "no new faults");
-}
-
-#[test]
 fn device_loss_is_terminal_on_a_single_device() {
     let a = dense::generate::uniform::<f64>(1024, 32, 9);
     let gpu = Gpu::new(DeviceSpec::c2050());
-    gpu.set_fault_plan(FaultPlan::device_loss_at_launches(&[2]));
+    gpu.lose_at_launch(2);
     // No retry can answer on a dead device: the driver must fail fast with
-    // the typed loss, not spin through the retry budget.
+    // the typed loss.
     match caqr::caqr::caqr(&gpu, a.clone(), opts()) {
         Err(CaqrError::DeviceLost { launch_index, .. }) => assert_eq!(launch_index, 2),
         other => panic!("expected DeviceLost, got {:?}", other.map(|_| ())),
@@ -434,7 +539,7 @@ fn device_loss_is_terminal_on_a_single_device() {
     // deliberately not a transient tier (recovery needs a survivor, which
     // a single device does not have).
     let gpu2 = Gpu::new(DeviceSpec::c2050());
-    gpu2.set_fault_plan(FaultPlan::device_loss_at_launches(&[0]));
+    gpu2.lose_at_launch(0);
     let recovery = RecoveryOptions {
         caqr: opts(),
         ..RecoveryOptions::default()
@@ -447,10 +552,9 @@ fn device_loss_is_terminal_on_a_single_device() {
         ),
     }
 
-    // reset() revives the device (the simulated node rejoining): with the
-    // fault script cleared, a fresh run on the same Gpu succeeds and
+    // reset() revives the device (the simulated node rejoining) and
+    // disarms the trigger: a fresh run on the same Gpu succeeds and
     // matches a clean device bit-for-bit.
-    gpu.clear_fault_plan();
     gpu.reset();
     assert!(!gpu.is_lost());
     let revived = caqr::caqr::caqr(&gpu, a.clone(), opts()).unwrap();

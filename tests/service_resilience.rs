@@ -12,11 +12,10 @@
 use caqr::multicore::{caqr_cpu, CpuCaqrOptions};
 use caqr::CaqrError;
 use caqr::{
-    factor_many, JobSpec, PlannedFault, Priority, ResilienceConfig, RetryBudget, Service,
-    ServiceConfig, ServiceError, ServiceFaultPlan, TreeShape,
+    factor_many, FaultKind, FaultPlan, JobSpec, PlannedFault, Priority, ResilienceConfig,
+    RetryBudget, Service, ServiceConfig, ServiceError, ServiceFaultPlan, TreeShape,
 };
 use dense::matrix::Matrix;
-use gpu_sim::{FaultKind, FaultPlan};
 use proptest::prelude::*;
 use std::time::Duration;
 
@@ -112,8 +111,8 @@ fn a_singleton_fault_recovers_in_one_retry_round() {
     let want = caqr_cpu(a.clone(), o).unwrap();
     let launches = caqr::service::logical_launches(&want) as u64;
     for plan in [
-        FaultPlan::sdc_at_launches(&[0]),
-        FaultPlan::at_launches(&[0]),
+        FaultPlan::at(FaultKind::Sdc, &[0]),
+        FaultPlan::at(FaultKind::LaunchFail, &[0]),
     ] {
         let plan = ServiceFaultPlan::new(plan);
         let fault = plan.draw(0, 0).expect("seq 0 faults on its batch attempt");
@@ -211,7 +210,7 @@ proptest! {
             queue_capacity: 16,
             max_batch: 4,
             resilience: ResilienceConfig {
-                faults: Some(ServiceFaultPlan::new(FaultPlan::host_panic_at_launches(&[0]))),
+                faults: Some(ServiceFaultPlan::new(FaultPlan::at(FaultKind::HostPanic, &[0]))),
                 retry: RetryBudget {
                     max_retries: 2,
                     backoff: Duration::from_micros(50),
