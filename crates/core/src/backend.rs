@@ -1446,7 +1446,6 @@ impl<B> Faulty<B> {
                     FaultKind::LaunchFail => CaqrError::Fault {
                         kernel,
                         launch_index,
-                        attempts: 1,
                     },
                     FaultKind::Hang => CaqrError::Timeout {
                         kernel,

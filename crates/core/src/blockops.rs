@@ -19,7 +19,7 @@ use crate::tsqr::{TreeNode, WyTile};
 use dense::arena;
 use dense::blas3::{gemm, Trans};
 use dense::blocked::{extract_v, larfb_left, larft, larft_from_gram};
-use dense::householder::{geqr2, geqr2_gram_transposed};
+use dense::householder::{geqr2, geqr2_gram_transposed, geqrf_gram_transposed};
 use dense::matrix::{MatMut, MatRef, Matrix};
 use dense::scalar::Scalar;
 use dense::MatPtr;
@@ -28,11 +28,15 @@ use dense::MatPtr;
 /// compact-WY factors. (The `factor` kernel body.)
 ///
 /// The tile is packed **pre-transposed** (row-major) into arena scratch
-/// once, factored by the strategy-4 micro-kernel
-/// ([`dense::householder::geqr2_transposed`]), and the WY factors are built
-/// from the same packing — bit-identical to [`factor_tile_ref`] but with
-/// contiguous-row trailing updates and no per-launch allocation beyond the
-/// small `tau`/`T` outputs.
+/// once, factored by [`dense::householder::geqrf_gram_transposed`], and the
+/// WY factors are built from the same packing, with contiguous-row
+/// trailing updates and no per-launch allocation beyond the small
+/// `tau`/`T` outputs. A tile whose packing fits
+/// [`dense::householder::FACTOR_L1_BYTES`] runs the unblocked strategy-4
+/// sweep and is bit-identical to [`factor_tile_ref`]. A larger tile is
+/// factored in 8-column blocks (see `geqrf_gram_transposed`), which agrees
+/// with [`factor_tile_ref`] to rounding, not bitwise; every executor calls
+/// this function, so the executors still agree bitwise with each other.
 ///
 /// The explicit `V` (unit diagonal, zeros above, tails below) is written in
 /// full through `v`, the tile's `tile.rows x k` block of its panel's slab
@@ -63,7 +67,7 @@ pub fn factor_tile<T: Scalar>(
     }
     let mut tau = vec![T::ZERO; k];
     let mut gram = arena::take_dirty::<T>(k * k);
-    geqr2_gram_transposed(&mut at, rows, width, 0, &mut tau, &mut gram);
+    geqrf_gram_transposed(&mut at, rows, width, &mut tau, &mut gram);
     // One sweep per column of the factored packing serves the store-back of
     // the tile, the explicit V and the finiteness check of the tails — both
     // destinations are written while `at` stays cache-resident. `x - x` is
@@ -109,8 +113,9 @@ pub fn factor_tile<T: Scalar>(
 
 /// Pre-arena reference implementation of [`factor_tile`]: fresh column-major
 /// buffer, dense [`geqr2`]/[`larft`], and an owned explicit `V` returned
-/// beside the factors. Kept as the bit-identity oracle for the property
-/// tests and the "before" row of the wallclock report.
+/// beside the factors. Kept as the `geqr2` oracle for the property tests
+/// (bitwise for tiles within `FACTOR_L1_BYTES`) and the "before" row of the
+/// wallclock report.
 pub fn factor_tile_ref<T: Scalar>(
     a: MatPtr<T>,
     tile: Tile,
@@ -495,10 +500,12 @@ mod tests {
 
     /// Bitwise against `geqr2` + `extract_v` + `larft`, over every dot arm of
     /// the factor sweep: widths 8/16/32 take `dot_rows_w`'s unrolled bodies,
-    /// 6 and 12 the generic one, and 33 rows leave an odd remainder.
+    /// 6 and 12 the generic one, and 33 rows leave an odd remainder. These
+    /// tiles fit `FACTOR_L1_BYTES` and take the unblocked sweep; the 512x32
+    /// tile does not, and its blocked factor is held to rounding bounds.
     #[test]
     fn factor_tile_equals_geqr2() {
-        for (rows, width) in [(40, 6), (33, 8), (48, 16), (64, 32), (96, 12), (512, 32)] {
+        for (rows, width) in [(40, 6), (33, 8), (48, 16), (64, 32), (96, 12)] {
             let ctx = format!("{rows}x{width}");
             let mut a = dense::generate::uniform::<f64>(rows + 16, width, rows as u64);
             let reference = a.clone();
@@ -525,6 +532,88 @@ mod tests {
                 for i in (0..8).chain(rows + 8..rows + 16) {
                     assert_eq!(a[(i, j)], reference[(i, j)], "{ctx} ({i},{j})");
                 }
+            }
+        }
+        check_blocked_factor_tile(512, 32);
+    }
+
+    /// The smallest blocked tile, with a ragged last block (12 = 8 + 4):
+    /// one row more than `FACTOR_L1_BYTES` holds.
+    #[test]
+    fn blocked_factor_tile_smallest_shape() {
+        let width = 12;
+        let rows = dense::householder::FACTOR_L1_BYTES / (width * 8) + 1;
+        check_blocked_factor_tile(rows, width);
+    }
+
+    /// A tile too large for `FACTOR_L1_BYTES`, factored blockwise, against
+    /// `geqr2` to rounding: `Q = I - V T V^T` built from the kernel's own
+    /// `V` and `T` reconstructs the tile (backward error) and is orthogonal,
+    /// each within `2·n·ε`; `R` and `tau` agree with `geqr2`'s within the
+    /// same relative bound; rows outside the tile are untouched.
+    fn check_blocked_factor_tile(rows: usize, width: usize) {
+        assert!(rows * width * 8 > dense::householder::FACTOR_L1_BYTES);
+        let ctx = format!("{rows}x{width}");
+        let bound = 2.0 * width as f64 * f64::EPSILON;
+        let mut a = dense::generate::uniform::<f64>(rows + 16, width, rows as u64);
+        let reference = a.clone();
+        let tile = Tile { start: 8, rows };
+        let (wy, v) = factor_tile_owned(&mut a, tile, width);
+        assert!(wy.healthy, "{ctx} healthy");
+        let a0 = reference.extract(8, 0, rows, width);
+        let factored = a.extract(8, 0, rows, width);
+        let r = factored.upper_triangular();
+        let mut want = a0.clone();
+        let mut tau_want = vec![0.0; width];
+        dense::householder::geqr2(want.as_mut(), &mut tau_want);
+        // Q [R; 0] and Q [I; 0] through the tile's compact-WY factors.
+        let whole = Tile { start: 0, rows };
+        let mut qr = Matrix::from_fn(rows, width, |i, j| if i < width { r[(i, j)] } else { 0.0 });
+        apply_tile_wy(
+            &wy,
+            v.as_ref(),
+            MatPtr::new(&mut qr),
+            whole,
+            0,
+            width,
+            false,
+        );
+        let mut q = Matrix::from_fn(rows, width, |i, j| if i == j { 1.0 } else { 0.0 });
+        apply_tile_wy(&wy, v.as_ref(), MatPtr::new(&mut q), whole, 0, width, false);
+        let norm = |m: &Matrix<f64>| m.as_slice().iter().map(|x| x * x).sum::<f64>().sqrt();
+        let diff = |x: &[f64], y: &[f64]| {
+            x.iter()
+                .zip(y)
+                .map(|(a, b)| (a - b) * (a - b))
+                .sum::<f64>()
+                .sqrt()
+        };
+        let backward = diff(qr.as_slice(), a0.as_slice()) / norm(&a0);
+        let orth = dense::norms::orthogonality_error(&q);
+        let r_err = diff(r.as_slice(), want.upper_triangular().as_slice()) / norm(&a0);
+        let tau_err = diff(&wy.tau, &tau_want);
+        for (metric, x) in [
+            ("backward error", backward),
+            ("orthogonality", orth),
+            ("R vs geqr2", r_err),
+            ("tau vs geqr2", tau_err),
+        ] {
+            assert!(x <= bound, "{ctx} {metric} {x:.3e} > {bound:.3e}");
+        }
+        // V is the explicit unit lower trapezoid of the factored tile.
+        for j in 0..width {
+            for i in 0..rows {
+                let want = match i.cmp(&j) {
+                    std::cmp::Ordering::Less => 0.0,
+                    std::cmp::Ordering::Equal => 1.0,
+                    std::cmp::Ordering::Greater => factored[(i, j)],
+                };
+                assert_eq!(v[(i, j)].to_bits(), want.to_bits(), "{ctx} V ({i},{j})");
+            }
+        }
+        for j in 0..width {
+            for i in (0..8).chain(rows + 8..rows + 16) {
+                assert_eq!(a[(i, j)], reference[(i, j)], "{ctx} ({i},{j})");
             }
         }
     }

@@ -25,8 +25,6 @@ pub enum CaqrError {
         kernel: &'static str,
         /// The ordinal the fault fired at.
         launch_index: u64,
-        /// Attempts made before giving up.
-        attempts: u32,
     },
     /// A NaN or infinity where finite data is required.
     NonFinite {
@@ -130,10 +128,9 @@ impl std::fmt::Display for CaqrError {
             CaqrError::Fault {
                 kernel,
                 launch_index,
-                attempts,
             } => write!(
                 f,
-                "device fault: kernel `{kernel}` (launch #{launch_index}) failed {attempts} attempts"
+                "device fault: kernel `{kernel}` failed at launch #{launch_index}"
             ),
             CaqrError::NonFinite { context, row, col } => {
                 write!(f, "non-finite value in {context} at ({row}, {col})")

@@ -64,7 +64,8 @@ proptest! {
     /// The arena-backed pre-transposed `factor_tile` is bit-identical to the
     /// fresh-allocation column-major reference: same factored tile, same
     /// `tau`, `V` and `T` — even when the pools it draws from were poisoned
-    /// with NaN beforehand (stale contents cannot leak).
+    /// with NaN beforehand (stale contents cannot leak). These tiles fit
+    /// `FACTOR_L1_BYTES`, so they take the unblocked sweep.
     #[test]
     fn arena_factor_tile_is_bit_identical_to_fresh_allocation(
         rows in 2usize..96,
@@ -229,9 +230,11 @@ fn steady_state_caqr_cpu_reuses_the_v_slab() {
     };
     let slab_of = |f: &caqr::Factorization<f64>| f.panels[0].tile_v(0).col(0).as_ptr();
     // This thread may claim more factor tasks in the second run than in
-    // the first; pooled tile scratch (packing, Gram, pivot columns, lanes)
-    // keeps those takes hits too.
-    for len in [512 * n, n * n, 512, n] {
+    // the first; pooled tile scratch (packing, Gram, pivot columns, lanes,
+    // and the blocked factor's one take for its two strips, pass
+    // accumulators and block Gram) keeps those takes hits too.
+    let nb = dense::householder::FACTOR_BLOCK;
+    for len in [512 * n, n * n, 512, n, 2 * 512 * nb + nb * n + nb * nb] {
         arena::prewarm::<f64>(len, 8);
     }
     let first = caqr::caqr_cpu(a.clone(), opts).expect("factorization");

@@ -17,8 +17,45 @@ pub fn dot<T: Scalar>(x: &[T], y: &[T]) -> T {
     acc
 }
 
-/// Euclidean norm, overflow-safe via scaling (LAPACK `snrm2` style).
+/// Euclidean norm, overflow- and underflow-safe.
+///
+/// One pass sums plain squares and tracks the largest magnitude in eight
+/// independent lanes, so the loop vectorizes and has no division. When the
+/// largest entry lies in `[√safe_min, 1/(√safe_min·√n)]` no square can
+/// lose its leading bits and the sum cannot overflow, so `sqrt(sum)` is the
+/// answer. Anything else (zero, tiny, huge or non-finite entries) falls
+/// back to the scaled loop of LAPACK `snrm2`.
 pub fn nrm2<T: Scalar>(x: &[T]) -> T {
+    const LANES: usize = 8;
+    let mut ssq = [T::ZERO; LANES];
+    let mut amax = [T::ZERO; LANES];
+    let mut chunks = x.chunks_exact(LANES);
+    for c in &mut chunks {
+        for l in 0..LANES {
+            ssq[l] += c[l] * c[l];
+            let a = c[l].abs();
+            amax[l] = if a > amax[l] { a } else { amax[l] };
+        }
+    }
+    for (l, &v) in chunks.remainder().iter().enumerate() {
+        ssq[l] += v * v;
+        let a = v.abs();
+        amax[l] = if a > amax[l] { a } else { amax[l] };
+    }
+    let big = amax.iter().fold(T::ZERO, |m, &a| if a > m { a } else { m });
+    let sum = ((ssq[0] + ssq[1]) + (ssq[2] + ssq[3])) + ((ssq[4] + ssq[5]) + (ssq[6] + ssq[7]));
+    let small = T::safe_min().sqrt();
+    let limit = T::ONE / (small * T::from_f64(x.len().max(1) as f64).sqrt());
+    if big >= small && big <= limit && sum.is_finite() {
+        sum.sqrt()
+    } else {
+        nrm2_scaled(x)
+    }
+}
+
+/// Euclidean norm by the scaled running sum of LAPACK `snrm2`: one
+/// division per entry, safe at every magnitude. The fallback of [`nrm2`].
+fn nrm2_scaled<T: Scalar>(x: &[T]) -> T {
     let mut scale = T::ZERO;
     let mut ssq = T::ONE;
     for &v in x {
@@ -126,6 +163,32 @@ mod tests {
         let x = [1.0e-30f32, 1.0e-30];
         let n = nrm2(&x);
         assert!(n > 0.0);
+    }
+
+    /// Every side of the one-pass range: the fast sum, each fallback
+    /// (zero, tiny, huge, non-finite) and the range's edges agree with the
+    /// scaled loop to a few ulps, and non-finite input stays non-finite.
+    #[test]
+    fn nrm2_one_pass_agrees_with_scaled_loop() {
+        let small = f64::MIN_POSITIVE.sqrt();
+        for x in [
+            vec![0.0f64; 9],
+            vec![1.0e-300, -2.0e-300, 0.0],
+            vec![1.0e300, 1.0e300, -3.0e299],
+            vec![small, 2.0 * small, 0.5 * small],
+            vec![1.0e150; 17],
+            (0..37).map(|i| (i as f64 - 18.0) / 7.0).collect(),
+        ] {
+            let (got, want) = (nrm2(&x), nrm2_scaled(&x));
+            assert!(
+                (got - want).abs() <= 4.0 * f64::EPSILON * want,
+                "{x:?}: {got} vs {want}"
+            );
+        }
+        assert!(nrm2(&[1.0f64, f64::NAN, 2.0]).is_nan());
+        assert!(nrm2(&[0.0f64, f64::NAN]).is_nan());
+        assert_eq!(nrm2(&[1.0f64, f64::INFINITY]), f64::INFINITY);
+        assert_eq!(nrm2::<f32>(&[]), 0.0);
     }
 
     #[test]

@@ -207,6 +207,384 @@ pub fn geqr2_gram_transposed<T: Scalar>(
     factor_transposed_dispatch::<T, true>(at, rows, width, tri_block, tau, gram);
 }
 
+/// Column-block width of [`geqrf_gram_transposed`]: one block is factored
+/// by the unblocked sweep inside a `rows x 8` strip.
+pub const FACTOR_BLOCK: usize = 8;
+
+/// Packed-panel size, in bytes, up to which [`geqrf_gram_transposed`]
+/// runs the unblocked sweep directly: a panel this small stays in L1
+/// through all of its reflectors, so blocking only adds passes. Set from
+/// the measured crossover (DESIGN.md §9): f64 panels of 32 KB and less
+/// ran slower blocked, and panels of 48 KB and more ran faster.
+pub const FACTOR_L1_BYTES: usize = 32 * 1024;
+
+/// Column-blocked [`geqr2_gram_transposed`] over a dense pre-transposed
+/// panel (LAPACK `geqrf` over the strategy-4 sweep), with the same outputs:
+/// the factored panel in `at`, `tau`, and the `V^T V` Gram chains for
+/// [`crate::blocked::larft_from_gram`].
+///
+/// A panel of at most [`FACTOR_L1_BYTES`], one no wider than
+/// [`FACTOR_BLOCK`], or one with fewer rows than columns goes straight to
+/// the unblocked sweep and is bit-identical to [`geqr2`]. A larger panel
+/// is factored [`FACTOR_BLOCK`] columns at a time:
+///
+/// 1. the block's rows are copied into an L1-resident row-major strip and
+///    factored there by the unblocked sweep (the base case), which also
+///    yields the block's own Gram entries and `tau`s;
+/// 2. one register-blocked pass over the rows (`block_dot_rows`) forms
+///    `W = V_b^T C` for the trailing columns `C` and the cross-Gram
+///    `V_<^T V_b` against every earlier reflector;
+/// 3. a second pass (`block_update_rows`) applies `C -= V_b (T_b^T W)`,
+///    with `T_b` assembled from the block's Gram entries.
+///
+/// Both passes go through the rows in L1-sized chunks, and the strip
+/// copies ride along: the first pass stores the block's tails back into
+/// `at`, and the second gathers the next block's strip as its rows become
+/// final.
+///
+/// The trailing update is reassociated blockwise, so blocked panels agree
+/// with [`geqr2`] to rounding, not bitwise. Every backend runs the same
+/// per-element `mul_add` chains, so the result is bit-identical across
+/// backends, as for the unblocked sweep.
+pub fn geqrf_gram_transposed<T: Scalar>(
+    at: &mut [T],
+    rows: usize,
+    width: usize,
+    tau: &mut [T],
+    gram: &mut [T],
+) {
+    if rows < width
+        || width <= FACTOR_BLOCK
+        || rows * width * std::mem::size_of::<T>() <= FACTOR_L1_BYTES
+    {
+        return geqr2_gram_transposed(at, rows, width, 0, tau, gram);
+    }
+    assert_eq!(at.len(), rows * width);
+    let k = width;
+    assert!(tau.len() >= k, "tau too short: {} < {}", tau.len(), k);
+    assert!(
+        gram.len() >= k * k,
+        "gram too short: {} < {}",
+        gram.len(),
+        k * k
+    );
+    let kern = T::factor_kernels(crate::simd::active());
+    let nbm = FACTOR_BLOCK;
+    // One dirty scratch for the two strips (this block's and the next
+    // one's), the pass accumulators and the block's Gram; every element
+    // is written before it is read.
+    let mut scratch = crate::arena::take_dirty::<T>(2 * rows * nbm + nbm * width + nbm * nbm);
+    let (strips, rest) = scratch.split_at_mut(2 * rows * nbm);
+    let (mut strip, mut next) = strips.split_at_mut(rows * nbm);
+    let (acc, gb) = rest.split_at_mut(nbm * width);
+    // The first block's strip is gathered here; every later one by the
+    // update pass of the block before it.
+    copy_block(at, width, strip, nbm, nbm, rows);
+    for c0 in (0..width).step_by(nbm) {
+        let nb = nbm.min(width - c0);
+        let m = rows - c0;
+        let v = &mut strip[..m * nb];
+        let gb = &mut gb[..nb * nb];
+        geqr2_gram_transposed(v, m, nb, 0, &mut tau[c0..c0 + nb], gb);
+        // Store the block's first rows (its R), then make the strip the
+        // explicit V_b (unit diagonal, zeros above) the two passes stream;
+        // the dot pass stores the tails below.
+        copy_block(v, nb, &mut at[c0 * width + c0..], width, nb, nb);
+        for (r, s) in v.chunks_exact_mut(nb).take(nb).enumerate() {
+            s[r] = T::ONE;
+            s[r + 1..].fill(T::ZERO);
+        }
+        for a in 0..nb {
+            for b in a + 1..nb {
+                gram[(c0 + a) * k + c0 + b] = gb[a * nb + b];
+            }
+        }
+        // SAFETY: the slice shapes meet the scalar `block_dot_rows`
+        // contract and the kernel table only holds available backends.
+        unsafe { (kern.block_dot_rows)(at, width, rows, c0, nb, v, acc) };
+        for i in 0..nb {
+            for jj in 0..c0 {
+                gram[jj * k + c0 + i] = acc[i * width + jj];
+            }
+        }
+        if c0 + nb < width {
+            let tb = crate::blocked::larft_from_gram(gb, &tau[c0..c0 + nb]);
+            // SAFETY: as for the dot pass above; `next` holds the next
+            // block's `(rows - c0 - nb) x min(8, width - c0 - nb)` strip.
+            unsafe {
+                (kern.block_update_rows)(at, width, rows, c0, nb, v, tb.as_slice(), acc, next)
+            };
+            std::mem::swap(&mut strip, &mut next);
+        }
+    }
+}
+
+/// Copy `rows` row segments of `nb` elements from `src` (row pitch
+/// `src_pitch`) to `dst` (row pitch `dst_pitch`). Full blocks copy as
+/// fixed-size arrays: a per-row `copy_from_slice` of a runtime length
+/// becomes a `memcpy` call per row.
+#[inline(always)]
+fn copy_block<T: Copy>(
+    src: &[T],
+    src_pitch: usize,
+    dst: &mut [T],
+    dst_pitch: usize,
+    nb: usize,
+    rows: usize,
+) {
+    const N: usize = FACTOR_BLOCK;
+    for r in 0..rows {
+        let (s, d) = (&src[r * src_pitch..], &mut dst[r * dst_pitch..]);
+        if nb == N {
+            let s: &[T; N] = s[..N].try_into().expect("full block");
+            let d: &mut [T; N] = (&mut d[..N]).try_into().expect("full block");
+            *d = *s;
+        } else {
+            d[..nb].copy_from_slice(&s[..nb]);
+        }
+    }
+}
+
+/// One register block of the blocked factor's two passes: `CW` adjacent
+/// columns of every row. The scalar block ([`ScalarCols`]) is the oracle;
+/// the x86 backends use vector blocks (`crate::simd::VecCols`). Both run
+/// each entry as the same `mul_add` chain, so they agree bitwise.
+pub(crate) trait BlockCols<T: Scalar> {
+    /// Columns per block.
+    const CW: usize;
+    /// `acc[i * width + l + c] += sum_r v[r][i] * a[r][l + c]` for `c < CW`,
+    /// continuing each entry's `mul_add` chain in ascending rows. `v` is
+    /// row-major with `NB` columns and as many rows as `a` has rows of
+    /// `width`.
+    ///
+    /// # Safety
+    /// `l + CW <= width`, `a` holds `v.len() / NB` rows of `width`, `acc`
+    /// holds `NB` rows of `width`; the block's ISA is enabled.
+    unsafe fn dot<const NB: usize>(a: &[T], width: usize, l: usize, v: &[T], acc: &mut [T]);
+    /// `a[r][l + c] -= sum_i v[r][i] * y[i * width + l + c]` for `c < CW`,
+    /// one chain per entry in ascending `i`.
+    ///
+    /// # Safety
+    /// As for [`BlockCols::dot`], with `y` in place of `acc`.
+    unsafe fn update<const NB: usize>(a: &mut [T], width: usize, l: usize, v: &[T], y: &[T]);
+}
+
+/// The scalar register block of `C` columns: the oracle of [`BlockCols`].
+pub(crate) struct ScalarCols<const C: usize>;
+
+impl<T: Scalar, const C: usize> BlockCols<T> for ScalarCols<C> {
+    const CW: usize = C;
+
+    #[inline(always)]
+    unsafe fn dot<const NB: usize>(a: &[T], width: usize, l: usize, v: &[T], acc: &mut [T]) {
+        let mut s: [[T; C]; NB] =
+            std::array::from_fn(|i| std::array::from_fn(|c| acc[i * width + l + c]));
+        for (vr, row) in v.chunks_exact(NB).zip(a.chunks_exact(width)) {
+            let x = &row[l..l + C];
+            for i in 0..NB {
+                for c in 0..C {
+                    s[i][c] = vr[i].mul_add(x[c], s[i][c]);
+                }
+            }
+        }
+        for (i, si) in s.iter().enumerate() {
+            acc[i * width + l..i * width + l + C].copy_from_slice(si);
+        }
+    }
+
+    #[inline(always)]
+    unsafe fn update<const NB: usize>(a: &mut [T], width: usize, l: usize, v: &[T], y: &[T]) {
+        for (vr, row) in v.chunks_exact(NB).zip(a.chunks_exact_mut(width)) {
+            for c in 0..C {
+                let mut x = row[l + c];
+                for i in 0..NB {
+                    x = (-vr[i]).mul_add(y[i * width + l + c], x);
+                }
+                row[l + c] = x;
+            }
+        }
+    }
+}
+
+/// Blocked-factor pass 1 over rows `c0..rows`: `acc[i * width + l] =
+/// sum_r v[r][i] * A(r, l)` for every column `l` outside the block
+/// `[c0, c0 + nb)`. Columns to the right give `W = V_b^T C`; columns to the
+/// left hold earlier reflectors' tails and give the cross-Gram. `v` is the
+/// explicit `V_b`, row-major with `nb` columns. Columns go `K::CW` at a
+/// time through the register block `K`, the ragged rest one at a time.
+/// The pass also stores `v`'s rows `nb..` (the reflector tails) into the
+/// block's columns of `A`, chunk by chunk while the rows are in L1; the
+/// caller stores the block's first `nb` rows (its `R`).
+///
+/// # Safety
+/// `at` holds `rows * width`, `v` `(rows - c0) * nb`, `acc` `nb * width`,
+/// `nb <= FACTOR_BLOCK`; `K`'s ISA is enabled.
+#[inline(always)]
+pub(crate) unsafe fn block_dot_rows<T: Scalar, K: BlockCols<T>>(
+    at: &mut [T],
+    width: usize,
+    rows: usize,
+    c0: usize,
+    nb: usize,
+    v: &[T],
+    acc: &mut [T],
+) {
+    macro_rules! dispatch {
+        ($($n:literal)*) => {
+            match nb {
+                $($n => block_dot_nb::<T, K, $n>(at, width, rows, c0, v, acc),)*
+                _ => panic!("block width {nb} exceeds {FACTOR_BLOCK}"),
+            }
+        };
+    }
+    dispatch!(1 2 3 4 5 6 7 8)
+}
+
+#[inline(always)]
+unsafe fn block_dot_nb<T: Scalar, K: BlockCols<T>, const NB: usize>(
+    at: &mut [T],
+    width: usize,
+    rows: usize,
+    c0: usize,
+    v: &[T],
+    acc: &mut [T],
+) {
+    let v = &v[..(rows - c0) * NB];
+    let a = &mut at[c0 * width..rows * width];
+    let acc = &mut acc[..NB * width];
+    acc.fill(T::ZERO);
+    let rc = block_row_chunk::<T>(width);
+    for (ci, (vc, ac)) in v.chunks(rc * NB).zip(a.chunks_mut(rc * width)).enumerate() {
+        // Store the chunk's tails while its rows come into L1 for the
+        // accumulation below; the block's first NB rows hold `R` in `A`
+        // but the unit diagonal in `v`, and the caller stores those.
+        let skip = NB.saturating_sub(ci * rc);
+        let n = vc.len() / NB;
+        if skip < n {
+            copy_block(
+                &vc[skip * NB..],
+                NB,
+                &mut ac[skip * width + c0..],
+                width,
+                NB,
+                n - skip,
+            );
+        }
+        let ac = &*ac;
+        for (lo, hi) in [(0, c0), (c0 + NB, width)] {
+            let mut l = lo;
+            while l + K::CW <= hi {
+                K::dot::<NB>(ac, width, l, vc, acc);
+                l += K::CW;
+            }
+            for l in l..hi {
+                ScalarCols::<1>::dot::<NB>(ac, width, l, vc, acc);
+            }
+        }
+    }
+}
+
+/// Rows per chunk of the blocked passes: every register block of a pass
+/// sweeps one chunk before the next starts, so the chunk's rows stay in L1
+/// across the blocks that read them.
+#[inline(always)]
+fn block_row_chunk<T>(width: usize) -> usize {
+    (16 * 1024 / (width * std::mem::size_of::<T>())).max(1)
+}
+
+/// Blocked-factor pass 2 over rows `c0..rows`: with `W` in the trailing
+/// columns of `acc` (from [`block_dot_rows`]) and the block's `T_b` in `tb`
+/// (column-major `nb x nb`), forms `Y = T_b^T W` in place and applies
+/// `A(r, l) -= sum_i v[r][i] * Y[i][l]` to every trailing column. Each
+/// entry of `Y` and of the update is one `mul_add` chain in ascending `i`.
+/// As each row chunk is finished, the next block's columns of its rows
+/// from `c0 + nb` on are gathered into `next`, the next block's strip
+/// (row-major, `min(FACTOR_BLOCK, width - c0 - nb)` columns).
+///
+/// # Safety
+/// As for [`block_dot_rows`], with `tb` holding `nb * nb` and `next` the
+/// next block's `(rows - c0 - nb)`-row strip.
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+pub(crate) unsafe fn block_update_rows<T: Scalar, K: BlockCols<T>>(
+    at: &mut [T],
+    width: usize,
+    rows: usize,
+    c0: usize,
+    nb: usize,
+    v: &[T],
+    tb: &[T],
+    acc: &mut [T],
+    next: &mut [T],
+) {
+    macro_rules! dispatch {
+        ($($n:literal)*) => {
+            match nb {
+                $($n => block_update_nb::<T, K, $n>(at, width, rows, c0, v, tb, acc, next),)*
+                _ => panic!("block width {nb} exceeds {FACTOR_BLOCK}"),
+            }
+        };
+    }
+    dispatch!(1 2 3 4 5 6 7 8)
+}
+
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+unsafe fn block_update_nb<T: Scalar, K: BlockCols<T>, const NB: usize>(
+    at: &mut [T],
+    width: usize,
+    rows: usize,
+    c0: usize,
+    v: &[T],
+    tb: &[T],
+    acc: &mut [T],
+    next: &mut [T],
+) {
+    let lo = c0 + NB;
+    let nb2 = FACTOR_BLOCK.min(width - lo);
+    assert!(acc.len() >= NB * width && tb.len() >= NB * NB);
+    assert!(next.len() >= (rows - lo) * nb2);
+    // Y = T_b^T W, row i from W rows 0..=i: descending i keeps the W rows
+    // it still needs intact.
+    for l in lo..width {
+        for i in (0..NB).rev() {
+            let mut y = T::ZERO;
+            for p in 0..=i {
+                y = tb[i * NB + p].mul_add(acc[p * width + l], y);
+            }
+            acc[i * width + l] = y;
+        }
+    }
+    let v = &v[..(rows - c0) * NB];
+    let a = &mut at[c0 * width..rows * width];
+    let rc = block_row_chunk::<T>(width);
+    for (ci, (vc, ac)) in v.chunks(rc * NB).zip(a.chunks_mut(rc * width)).enumerate() {
+        let mut l = lo;
+        while l + K::CW <= width {
+            K::update::<NB>(ac, width, l, vc, acc);
+            l += K::CW;
+        }
+        for l in l..width {
+            ScalarCols::<1>::update::<NB>(ac, width, l, vc, acc);
+        }
+        // The next block's columns of these rows are final now: gather
+        // them into its strip while the rows are still in L1.
+        let first = ci * rc;
+        let skip = NB.saturating_sub(first);
+        let n = vc.len() / NB;
+        if skip < n {
+            copy_block(
+                &ac[skip * width + lo..],
+                width,
+                &mut next[(first + skip - NB) * nb2..],
+                nb2,
+                nb2,
+                n - skip,
+            );
+        }
+    }
+}
+
 /// Fetch the active backend's row-pass kernels once per panel and run the
 /// sweep with them. Every backend's passes are bit-identical to the scalar
 /// oracle (independent per-lane fused chains — see `crate::simd`), so the

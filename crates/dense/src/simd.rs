@@ -14,7 +14,8 @@
 //! * the packed gemm microkernel ([`GemmKernel`]) — the register tile is
 //!   per-backend (`mr x nr`), and `blas3` packs its micro-panels to match;
 //! * the fused strategy-4 factor sweep ([`FactorKernels`]) — the dot and
-//!   rank-1 row passes of `geqr2_gram_transposed`;
+//!   rank-1 row passes of `geqr2_gram_transposed`, and the two passes of
+//!   the blocked `geqrf_gram_transposed`;
 //! * the small dot/axpy column kernels ([`SmallKernels`]) used by the
 //!   streaming gemm path and the compact-WY `larfb` column updates.
 //!
@@ -28,6 +29,9 @@
 //! backend is reachable (`cfg(miri)`), keeping the interpreter off vendor
 //! intrinsics it cannot execute.
 
+#[cfg(target_arch = "x86_64")]
+use crate::householder::BlockCols;
+use crate::householder::ScalarCols;
 use crate::scalar::Scalar;
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::OnceLock;
@@ -39,8 +43,10 @@ use std::sync::OnceLock;
 /// shifts the optimum.
 /// Version 1 was the scalar era; version 2 is the runtime-SIMD dispatch;
 /// version 3 moves the factor sweep's tail store after the row loads
-/// (1.4-1.8x faster sweep, which can move the winning tile height).
-pub const KERNEL_VERSION: u32 = 3;
+/// (1.4-1.8x faster sweep, which can move the winning tile height);
+/// version 4 blocks tiles larger than L1 in 8-column sweeps and makes
+/// `nrm2` one pass.
+pub const KERNEL_VERSION: u32 = 4;
 
 /// Widest microkernel register-tile height any backend uses (AVX-512 f32:
 /// two 16-lane vectors). Sizes the ragged-edge spill buffer.
@@ -279,6 +285,24 @@ pub struct FactorKernels<T> {
     /// ISA availability.
     #[allow(clippy::type_complexity)]
     pub rank1_rows: unsafe fn(&mut [T], usize, usize, usize, usize, &[T], &mut [T], &[T]),
+    /// The blocked factor's first pass: `(at, width, rows, c0, nb, v, acc)`
+    /// — exactly `householder::block_dot_rows`'s contract.
+    ///
+    /// # Safety
+    /// Same slice-shape contract as the scalar `block_dot_rows` (`at` holds
+    /// `rows * width`, `v` the `(rows - c0) x nb` strip, `acc` `nb * width`)
+    /// plus backend ISA availability.
+    #[allow(clippy::type_complexity)]
+    pub block_dot_rows: unsafe fn(&mut [T], usize, usize, usize, usize, &[T], &mut [T]),
+    /// The blocked factor's update pass: `(at, width, rows, c0, nb, v, tb,
+    /// acc, next)` — exactly `householder::block_update_rows`'s contract.
+    ///
+    /// # Safety
+    /// Same slice-shape contract as the scalar `block_update_rows` plus
+    /// backend ISA availability.
+    #[allow(clippy::type_complexity)]
+    pub block_update_rows:
+        unsafe fn(&mut [T], usize, usize, usize, usize, &[T], &[T], &mut [T], &mut [T]),
 }
 
 impl<T> Clone for FactorKernels<T> {
@@ -1104,12 +1128,112 @@ macro_rules! x86_factor_auto {
 #[cfg(target_arch = "x86_64")]
 x86_factor_auto!(dot_rows_x86_avx2, rank1_rows_x86_avx2, "avx2", "fma");
 
+/// The [`Backend::Fma`] blocked-factor passes: the scalar register block
+/// compiled with hardware FMA (bit-identical — both are fused).
+///
+/// # Safety
+/// Scalar `block_dot_rows` contract; the host must support FMA.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "fma")]
+unsafe fn block_dot_x86_fma<T: Scalar>(
+    at: &mut [T],
+    width: usize,
+    rows: usize,
+    c0: usize,
+    nb: usize,
+    v: &[T],
+    acc: &mut [T],
+) {
+    crate::householder::block_dot_rows::<T, ScalarCols<SCALAR_BLOCK_CW>>(
+        at, width, rows, c0, nb, v, acc,
+    )
+}
+
+/// The [`Backend::Fma`] blocked update pass (see [`block_dot_x86_fma`]).
+///
+/// # Safety
+/// Scalar `block_update_rows` contract; the host must support FMA.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "fma")]
+#[allow(clippy::too_many_arguments)]
+unsafe fn block_update_x86_fma<T: Scalar>(
+    at: &mut [T],
+    width: usize,
+    rows: usize,
+    c0: usize,
+    nb: usize,
+    v: &[T],
+    tb: &[T],
+    acc: &mut [T],
+    next: &mut [T],
+) {
+    crate::householder::block_update_rows::<T, ScalarCols<SCALAR_BLOCK_CW>>(
+        at, width, rows, c0, nb, v, tb, acc, next,
+    )
+}
+
+/// Columns per register block of the scalar blocked-factor passes.
+const SCALAR_BLOCK_CW: usize = 4;
+
+/// A vector register block of the blocked factor's passes: one vector `V`
+/// across each row. The first pass keeps 8 accumulator vectors and the
+/// second 8 rows of `Y` in registers. Each lane runs the scalar
+/// [`ScalarCols`] chain with the same fused operations, so the block is
+/// bit-identical to the oracle.
+#[cfg(target_arch = "x86_64")]
+pub(crate) struct VecCols<V>(std::marker::PhantomData<V>);
+
+#[cfg(target_arch = "x86_64")]
+impl<T: Scalar, V: Vf<T>> BlockCols<T> for VecCols<V> {
+    const CW: usize = V::LANES;
+
+    #[inline(always)]
+    unsafe fn dot<const NB: usize>(a: &[T], width: usize, l: usize, v: &[T], acc: &mut [T]) {
+        let rows = v.len() / NB;
+        assert!(l + V::LANES <= width && a.len() >= rows * width && acc.len() >= NB * width);
+        let out = acc.as_mut_ptr().add(l);
+        let mut s = [V::splat(T::ZERO); NB];
+        for (i, si) in s.iter_mut().enumerate() {
+            *si = V::load(out.add(i * width));
+        }
+        let (ap, vp) = (a.as_ptr().add(l), v.as_ptr());
+        for r in 0..rows {
+            let x = V::load(ap.add(r * width));
+            for (i, si) in s.iter_mut().enumerate() {
+                *si = V::splat(*vp.add(r * NB + i)).mul_add(x, *si);
+            }
+        }
+        for (i, si) in s.iter().enumerate() {
+            si.store(out.add(i * width));
+        }
+    }
+
+    #[inline(always)]
+    unsafe fn update<const NB: usize>(a: &mut [T], width: usize, l: usize, v: &[T], y: &[T]) {
+        let rows = v.len() / NB;
+        assert!(l + V::LANES <= width && a.len() >= rows * width && y.len() >= NB * width);
+        let mut yv = [V::splat(T::ZERO); NB];
+        for (i, yi) in yv.iter_mut().enumerate() {
+            *yi = V::load(y.as_ptr().add(i * width + l));
+        }
+        let (ap, vp) = (a.as_mut_ptr().add(l), v.as_ptr());
+        for r in 0..rows {
+            let row = ap.add(r * width);
+            let mut x = V::load(row);
+            for (i, &yi) in yv.iter().enumerate() {
+                x = V::splat(-*vp.add(r * NB + i)).mul_add(yi, x);
+            }
+            x.store(row);
+        }
+    }
+}
+
 /// Generates one backend's concrete kernel set: `#[target_feature]`
 /// wrappers around the generic bodies, monomorphized for one scalar type
 /// and vector width.
 #[cfg(target_arch = "x86_64")]
 macro_rules! x86_kernels {
-    ($m:ident, $t:ty, $vw:ty, $rv:literal, $nr:literal, $($feat:literal),+) => {
+    ($m:ident, $t:ty, $vw:ty, $vb:ty, $rv:literal, $nr:literal, $($feat:literal),+) => {
         mod $m {
             use super::*;
 
@@ -1133,6 +1257,41 @@ macro_rules! x86_kernels {
                 small_dot_v::<$t, $vw>(x, y)
             }
 
+            /// One `$vb` vector per register block: `8` accumulator
+            /// vectors, and a block never wider than the 8-column blocks.
+            #[target_feature($(enable = $feat),+)]
+            pub(crate) unsafe fn bdot(
+                at: &mut [$t],
+                width: usize,
+                rows: usize,
+                c0: usize,
+                nb: usize,
+                v: &[$t],
+                acc: &mut [$t],
+            ) {
+                crate::householder::block_dot_rows::<$t, VecCols<$vb>>(
+                    at, width, rows, c0, nb, v, acc,
+                )
+            }
+
+            #[target_feature($(enable = $feat),+)]
+            #[allow(clippy::too_many_arguments)]
+            pub(crate) unsafe fn bupdate(
+                at: &mut [$t],
+                width: usize,
+                rows: usize,
+                c0: usize,
+                nb: usize,
+                v: &[$t],
+                tb: &[$t],
+                acc: &mut [$t],
+                next: &mut [$t],
+            ) {
+                crate::householder::block_update_rows::<$t, VecCols<$vb>>(
+                    at, width, rows, c0, nb, v, tb, acc, next,
+                )
+            }
+
             #[target_feature($(enable = $feat),+)]
             pub(crate) unsafe fn saxpy(s: $t, x: &[$t], y: &mut [$t]) {
                 small_axpy_v::<$t, $vw>(s, x, y)
@@ -1142,13 +1301,33 @@ macro_rules! x86_kernels {
 }
 
 #[cfg(target_arch = "x86_64")]
-x86_kernels!(avx2_f32, f32, x86::F32x8, 2, 6, "avx2", "fma");
+x86_kernels!(avx2_f32, f32, x86::F32x8, x86::F32x8, 2, 6, "avx2", "fma");
 #[cfg(target_arch = "x86_64")]
-x86_kernels!(avx2_f64, f64, x86::F64x4, 2, 6, "avx2", "fma");
+x86_kernels!(avx2_f64, f64, x86::F64x4, x86::F64x4, 2, 6, "avx2", "fma");
 #[cfg(target_arch = "x86_64")]
-x86_kernels!(avx512_f32, f32, x86::F32x16, 2, 8, "avx512f", "avx2", "fma");
+x86_kernels!(
+    avx512_f32,
+    f32,
+    x86::F32x16,
+    x86::F32x8,
+    2,
+    8,
+    "avx512f",
+    "avx2",
+    "fma"
+);
 #[cfg(target_arch = "x86_64")]
-x86_kernels!(avx512_f64, f64, x86::F64x8, 2, 8, "avx512f", "avx2", "fma");
+x86_kernels!(
+    avx512_f64,
+    f64,
+    x86::F64x8,
+    x86::F64x8,
+    2,
+    8,
+    "avx512f",
+    "avx2",
+    "fma"
+);
 
 /// NEON kernels need no detection or `target_feature` (baseline on
 /// aarch64), so plain unsafe fns suffice.
@@ -1263,32 +1442,57 @@ macro_rules! impl_simd_scalar {
                     Backend::Fma => FactorKernels {
                         dot_rows: dot_rows_x86_fma::<$t>,
                         rank1_rows: rank1_rows_x86_fma::<$t>,
+                        block_dot_rows: block_dot_x86_fma::<$t>,
+                        block_update_rows: block_update_x86_fma::<$t>,
                     },
                     // Avx2/Avx512 take the auto-vectorized scalar sweep
                     // compiled with their codegen features, which measured
                     // faster than explicit-vector kernels (see
-                    // `x86_factor_auto`).
+                    // `x86_factor_auto`). Their blocked passes are explicit
+                    // `VecCols` blocks: auto-vectorization spread the update
+                    // pass across rows with strided gathers.
                     #[cfg(target_arch = "x86_64")]
                     Backend::Avx2 => FactorKernels {
                         dot_rows: dot_rows_x86_avx2::<$t>,
                         rank1_rows: rank1_rows_x86_avx2::<$t>,
+                        block_dot_rows: $avx2::bdot,
+                        block_update_rows: $avx2::bupdate,
                     },
-                    // Avx512 also takes the 256-bit codegen: with width-16
-                    // panels the rows span one or two vectors and 512-bit
-                    // ops measured slower (downclock + tail cost) than ymm.
+                    // Avx512 also takes the 256-bit codegen for the sweep:
+                    // with width-16 panels the rows span one or two vectors
+                    // and 512-bit ops measured slower (downclock + tail
+                    // cost) than ymm.
                     #[cfg(target_arch = "x86_64")]
                     Backend::Avx512 => FactorKernels {
                         dot_rows: dot_rows_x86_avx2::<$t>,
                         rank1_rows: rank1_rows_x86_avx2::<$t>,
+                        block_dot_rows: $avx512::bdot,
+                        block_update_rows: $avx512::bupdate,
                     },
                     #[cfg(target_arch = "aarch64")]
                     Backend::Neon => FactorKernels {
                         dot_rows: $neon::dot,
                         rank1_rows: $neon::rank1,
+                        block_dot_rows: crate::householder::block_dot_rows::<
+                            $t,
+                            ScalarCols<SCALAR_BLOCK_CW>,
+                        >,
+                        block_update_rows: crate::householder::block_update_rows::<
+                            $t,
+                            ScalarCols<SCALAR_BLOCK_CW>,
+                        >,
                     },
                     _ => FactorKernels {
                         dot_rows: crate::householder::dot_rows::<$t>,
                         rank1_rows: crate::householder::rank1_rows::<$t>,
+                        block_dot_rows: crate::householder::block_dot_rows::<
+                            $t,
+                            ScalarCols<SCALAR_BLOCK_CW>,
+                        >,
+                        block_update_rows: crate::householder::block_update_rows::<
+                            $t,
+                            ScalarCols<SCALAR_BLOCK_CW>,
+                        >,
                     },
                 }
             }

@@ -185,6 +185,61 @@ proptest! {
     }
 }
 
+/// The blocked factor (`geqrf_gram_transposed` on a panel larger than
+/// `FACTOR_L1_BYTES`) is **bit-identical** to the scalar oracle on every
+/// backend: factored panel, `tau` and Gram. Widths 16 and 32 are whole
+/// blocks, 20 leaves a ragged 4-column last block and ragged register
+/// blocks; rows sit just above the budget and far above it.
+fn assert_blocked_factor_bit_identical<T: dense::scalar::Scalar>() {
+    let size = std::mem::size_of::<T>();
+    for width in [16usize, 20, 32] {
+        let min_rows = dense::householder::FACTOR_L1_BYTES / (width * size) + 1;
+        for rows in [min_rows, 4 * min_rows + 3] {
+            let a0 = dense::generate::uniform::<T>(rows, width, (rows + width) as u64);
+            let mut at0 = vec![T::ZERO; rows * width];
+            for r in 0..rows {
+                for j in 0..width {
+                    at0[r * width + j] = a0[(r, j)];
+                }
+            }
+            let run = |backend: Backend| {
+                with_backend(backend, || {
+                    let mut at = at0.clone();
+                    let mut tau = vec![T::ZERO; width];
+                    let mut gram = vec![T::ZERO; width * width];
+                    dense::householder::geqrf_gram_transposed(
+                        &mut at, rows, width, &mut tau, &mut gram,
+                    );
+                    (at, tau, gram)
+                })
+            };
+            let oracle = run(Backend::Scalar);
+            // The Gram is read above the diagonal only.
+            let upper = |g: &[T]| -> Vec<u64> {
+                (0..width * width)
+                    .filter(|i| i / width < i % width)
+                    .map(|i| g[i].to_f64().to_bits())
+                    .collect()
+            };
+            let bits = |x: &[T]| -> Vec<u64> { x.iter().map(|v| v.to_f64().to_bits()).collect() };
+            for backend in Backend::available() {
+                let got = run(backend);
+                let ctx = format!("{backend:?} {rows}x{width} f{}", 8 * size);
+                assert_eq!(bits(&got.0), bits(&oracle.0), "{ctx}: at");
+                assert_eq!(bits(&got.1), bits(&oracle.1), "{ctx}: tau");
+                assert_eq!(upper(&got.2), upper(&oracle.2), "{ctx}: gram");
+            }
+        }
+    }
+}
+
+#[test]
+fn blocked_factor_is_bit_identical_on_every_backend() {
+    let _g = LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    assert_blocked_factor_bit_identical::<f64>();
+    assert_blocked_factor_bit_identical::<f32>();
+}
+
 /// Zero-sized edges: `k == 0` must reduce gemm to `C = beta C` on every
 /// backend (bit-identically — no dot is ever formed), and empty `C` must
 /// be a no-op instead of a panic.

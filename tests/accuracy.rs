@@ -20,9 +20,17 @@ const C: f64 = 2.0;
 
 /// `(rows, cols, tile_rows, panel_width)`: two tall shapes, the second
 /// with odd tile remainders and a narrow last panel (37 = 2·16 + 5), and
-/// a wide one (`m < n`).
-const SHAPES: [(usize, usize, usize, usize); 3] =
-    [(1000, 40, 64, 16), (1001, 37, 64, 16), (40, 100, 16, 8)];
+/// a wide one (`m < n`). The last two have tiles larger than
+/// `FACTOR_L1_BYTES`, so their tiles take the blocked factor: 512x32 tiles
+/// in both precisions, and 640x20 tiles whose last 8-column block is a
+/// ragged 4 wide, with a short last tile (1500 = 2·640 + 220).
+const SHAPES: [(usize, usize, usize, usize); 5] = [
+    (1000, 40, 64, 16),
+    (1001, 37, 64, 16),
+    (40, 100, 16, 8),
+    (4096, 64, 512, 32),
+    (1500, 40, 640, 20),
+];
 
 /// `a` with every entry multiplied by `s`.
 fn scaled<T: Scalar>(a: &Matrix<T>, s: f64) -> Matrix<T> {

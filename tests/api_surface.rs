@@ -47,13 +47,9 @@ fn errors_render_usefully() {
     let e = CaqrError::Fault {
         kernel: "factor",
         launch_index: 7,
-        attempts: 3,
     };
     let s = e.to_string();
-    assert!(
-        s.contains("factor") && s.contains('7') && s.contains('3'),
-        "{s}"
-    );
+    assert!(s.contains("factor") && s.contains('7'), "{s}");
     let e = CaqrError::Breakdown {
         context: "iterate went non-finite".into(),
     };
