@@ -40,14 +40,11 @@ use crate::block::{BlockSize, TreeShape};
 use crate::error::{checked_elems, CaqrError};
 use crate::fault::{FaultKind, FaultPlan, PlannedFault};
 use crate::health;
-use crate::kernels::GridLaunch;
 use crate::microkernels::ReductionStrategy;
-use crate::model::{
-    model_apply_chain_on, model_factor_chain_on, model_health_on, model_pretranspose_on,
-};
+use crate::model::{charge_health, charge_pretranspose, PanelChains, ELEM_BYTES};
 use crate::multicore::{apply_panels, factor_panels, q_ones_probe};
 use crate::recovery::{is_transient, RecoveryPolicy, RecoveryReport, RegionSnapshot};
-use crate::tsqr::{apply_panel_ptr_on, col_blocks, factor_panel_with_tree_on, PanelFactor};
+use crate::tsqr::{col_blocks, PanelFactor};
 use dense::blas2::trsv_upper;
 use dense::matrix::Matrix;
 use dense::scalar::Scalar;
@@ -477,7 +474,7 @@ pub fn drive<T: Scalar, B: CaqrBackend<T>>(
 }
 
 /// Reject an empty or overflowing shape and an invalid block size.
-fn validate(cfg: &DriveConfig, m: usize, n: usize) -> Result<(), CaqrError> {
+pub(crate) fn validate(cfg: &DriveConfig, m: usize, n: usize) -> Result<(), CaqrError> {
     cfg.bs.validate().map_err(CaqrError::BadShape)?;
     if m == 0 || n == 0 {
         return Err(CaqrError::BadShape(format!("empty matrix {m}x{n}")));
@@ -640,7 +637,7 @@ struct ApplyTask<T: Scalar> {
     cols: Vec<(usize, usize)>,
     members: Vec<usize>,
     snaps: Vec<Option<RegionSnapshot<T>>>,
-    preds: Vec<Option<Vec<(f64, f64)>>>,
+    preds: Vec<Option<Vec<(f64, f64, bool)>>>,
     launched: Vec<Result<(), CaqrError>>,
 }
 
@@ -1010,9 +1007,9 @@ fn run_panels<S: PanelSink>(
     Ok(())
 }
 
-/// The cost-only sink: the simulator's slots charged with the analytic
-/// per-block costs of each chain ([`crate::model`]) for an `m`-row
-/// single-precision matrix, without doing the arithmetic.
+/// The cost-only sink: the simulator's slots charged with each chain's
+/// launches ([`PanelChains`]) for an `m`-row single-precision matrix,
+/// without doing the arithmetic.
 struct CostSink<'a, 'g> {
     sim: &'a SimBackend<'g>,
     cfg: &'a DriveConfig,
@@ -1023,8 +1020,8 @@ impl PanelSink for CostSink<'_, '_> {
     type Token = Option<EventId>;
 
     fn factor(&mut self, slot: usize, step: &PanelStep) -> Result<(), CaqrError> {
-        let (gpu, exec) = (self.sim.gpu, self.sim.execs[slot]);
-        model_factor_chain_on(gpu, exec, self.cfg, self.m, step.c, step.width)
+        let chains = PanelChains::planned(self.cfg, self.m, step.c, step.width, ELEM_BYTES);
+        chains.charge_factor(self.sim.gpu, self.sim.execs[slot])
     }
 
     fn apply(
@@ -1033,8 +1030,8 @@ impl PanelSink for CostSink<'_, '_> {
         step: &PanelStep,
         cols: &[(usize, usize)],
     ) -> Result<(), CaqrError> {
-        let (gpu, exec) = (self.sim.gpu, self.sim.execs[slot]);
-        model_apply_chain_on(gpu, exec, self.cfg, self.m, step.c, step.width, cols)
+        let chains = PanelChains::planned(self.cfg, self.m, step.c, step.width, ELEM_BYTES);
+        chains.charge_apply(self.sim.gpu, self.sim.execs[slot], cols, true)
     }
 
     fn record(&mut self, slot: usize) -> Self::Token {
@@ -1172,6 +1169,12 @@ fn one<R>(mut results: Vec<R>) -> R {
 /// the resilient barrier executor ([`SimBackend::resilient`], which keeps
 /// the health/pre-transpose passes synchronous the way the recovery
 /// schedule issues them).
+///
+/// Each method first charges its launch chain through the walks of
+/// [`crate::model`], which the model-only sweeps charge too, and then runs
+/// [`CpuBackend`]'s method for the arithmetic. A failed admission (device
+/// loss) ends the call before any arithmetic, and the factors it returns
+/// are the host's bit for bit.
 pub struct SimBackend<'g> {
     gpu: &'g Gpu,
     streams: Vec<StreamId>,
@@ -1240,10 +1243,10 @@ impl<'g> SimBackend<'g> {
     ) -> Result<(), CaqrError> {
         validate(cfg, m, n)?;
         if cfg.check_finite {
-            model_health_on(self.gpu, self.health_exec, m, n, cfg.bs)?;
+            charge_health(self.gpu, self.health_exec, m, n, cfg.bs, ELEM_BYTES)?;
         }
         if cfg.strategy.needs_pretranspose() {
-            model_pretranspose_on(self.gpu, self.pre_exec, m, n, cfg.bs)?;
+            charge_pretranspose(self.gpu, self.pre_exec, m, n, cfg.bs, ELEM_BYTES)?;
         }
         let geo = DagGeometry::new(m, n, cfg.bs.w, self.execs.len());
         run_panels(&mut CostSink { sim: self, cfg, m }, &geo, lookahead)
@@ -1281,13 +1284,14 @@ impl<'g, T: Scalar> CaqrBackend<T> for SimBackend<'g> {
         bs: BlockSize,
         context: &'static str,
     ) -> Result<usize, CaqrError> {
-        health::check_matrix_finite(self.gpu, self.health_exec, a, bs, context)?;
+        let (m, n) = a.shape();
+        charge_health(self.gpu, self.health_exec, m, n, bs, T::BYTES)?;
+        CpuBackend.check_finite(a, bs, context)?;
         Ok(1)
     }
 
     fn pretranspose(&self, m: usize, n: usize, bs: BlockSize) -> Result<usize, CaqrError> {
-        let launch = GridLaunch::pretranspose(self.gpu.spec(), m, n, bs, T::BYTES);
-        self.gpu.charge_on(self.pre_exec, &launch)?;
+        charge_pretranspose(self.gpu, self.pre_exec, m, n, bs, T::BYTES)?;
         Ok(1)
     }
 
@@ -1300,17 +1304,9 @@ impl<'g, T: Scalar> CaqrBackend<T> for SimBackend<'g> {
         width: usize,
         cfg: &DriveConfig,
     ) -> Result<PanelFactor<T>, CaqrError> {
-        factor_panel_with_tree_on(
-            self.gpu,
-            self.execs[slot],
-            a,
-            row0,
-            col0,
-            width,
-            cfg.bs,
-            cfg.strategy,
-            cfg.tree,
-        )
+        let chains = PanelChains::planned(cfg, a.rows(), row0, width, T::BYTES);
+        chains.charge_factor(self.gpu, self.execs[slot])?;
+        CpuBackend.factor_panel(slot, a, row0, col0, width, cfg)
     }
 
     fn apply_panel(
@@ -1321,7 +1317,8 @@ impl<'g, T: Scalar> CaqrBackend<T> for SimBackend<'g> {
         cols: &[(usize, usize)],
         transpose: bool,
     ) -> Result<(), CaqrError> {
-        apply_panel_ptr_on(self.gpu, self.execs[slot], c, pf, cols, transpose)
+        PanelChains::of(pf).charge_apply(self.gpu, self.execs[slot], cols, transpose)?;
+        CpuBackend.apply_panel(slot, c, pf, cols, transpose)
     }
 
     fn record(&self, slot: usize) -> Self::Token {

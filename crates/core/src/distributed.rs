@@ -6,10 +6,11 @@
 //! the structure that also minimizes inter-*device* messages, so the same
 //! algorithm scales out: partition the rows across the devices of a
 //! [`gpu_sim::Cluster`], factor each device's tiles locally with the
-//! existing [`FactorKernel`]/[`FactorTreeKernel`] machinery, and let tree
-//! groups that straddle devices pull the remote member triangles over the
-//! link (one `w x w` triangle per member — the α·log(P) + small-β cost that
-//! makes TSQR latency-optimal).
+//! [`blockops`] tile and tree-group tasks every executor runs (each phase
+//! charged as one `factor` or `factor_tree` launch on its device), and let
+//! tree groups that straddle devices pull the remote member triangles over
+//! the link (one `w x w` triangle per member — the α·log(P) + small-β cost
+//! that makes TSQR latency-optimal).
 //!
 //! ## Bit-identity
 //!
@@ -35,13 +36,13 @@
 //! so a run with failover still matches [`caqr_cpu`] exactly.
 //!
 //! [`caqr_cpu`]: crate::multicore::caqr_cpu
-//! [`blockops::factor_tree_group`]: crate::blockops::factor_tree_group
 
 use crate::backend::{drive_group, CaqrBackend, DriveConfig, Factorization, Mode};
 use crate::block::{plan_tree, tile_panel, BlockSize, Tile, TreeGroup, TreePlan, TreeShape};
+use crate::blockops;
 use crate::error::{checked_bytes, checked_elems, CaqrError};
 use crate::health;
-use crate::kernels::{FactorKernel, FactorTreeKernel, GridLaunch};
+use crate::kernels::GridLaunch;
 use crate::microkernels::ReductionStrategy;
 use crate::recovery::RecoveryReport;
 use crate::tsqr::{self, PanelFactor, TreeNode, WyTile};
@@ -50,7 +51,7 @@ use dense::matrix::Matrix;
 use dense::scalar::Scalar;
 use dense::MatPtr;
 use gpu_sim::{Cluster, Exec, StreamId};
-use parking_lot::Mutex;
+use rayon::prelude::*;
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -135,33 +136,26 @@ struct Driver<'c, T: Scalar> {
 }
 
 impl<'c, T: Scalar> Driver<'c, T> {
-    /// Factor the given tiles on device `d` with one `factor` launch.
+    /// Factor the given tiles on device `d`: charge one `factor` launch,
+    /// then factor the tiles in one parallel region.
     fn factor_tiles_on(
         &mut self,
         a: &mut Matrix<T>,
         d: usize,
         idxs: &[usize],
     ) -> Result<(), CaqrError> {
-        let cluster = self.cluster;
-        let gpu = cluster.device(d);
+        let (gpu, width) = (self.cluster.device(d), self.width);
         let subset: Vec<Tile> = idxs.iter().map(|&t| self.tiles[t]).collect();
-        let slots: Vec<Mutex<Option<WyTile<T>>>> =
-            subset.iter().map(|_| Mutex::new(None)).collect();
         self.report.launches += 1;
-        {
-            let kernel = FactorKernel {
-                launch: GridLaunch::factor(gpu.spec(), &subset, self.width, STRATEGY, T::BYTES),
-                a: MatPtr::new(a),
-                tiles: &subset,
-                col0: 0,
-                width: self.width,
-                wy: &slots,
-                v: &tsqr::v_blocks(&mut self.v, 0, self.width, &subset),
-            };
-            gpu.launch_on(Exec::Stream(self.streams[d]), &kernel)?;
-        }
-        for (slot, &t) in slots.iter().zip(idxs) {
-            let wy = slot.lock().take().expect("factor block did not produce WY");
+        let launch = GridLaunch::factor(gpu.spec(), &subset, width, STRATEGY, T::BYTES);
+        gpu.charge_on(Exec::Stream(self.streams[d]), &launch)?;
+        let a = MatPtr::new(a);
+        let v = tsqr::v_blocks(&mut self.v, 0, width, &subset);
+        let wy: Vec<WyTile<T>> = (0..subset.len())
+            .into_par_iter()
+            .map(|i| blockops::factor_tile(a, subset[i], 0, width, v[i]))
+            .collect();
+        for (wy, &t) in wy.into_iter().zip(idxs) {
             self.wy0[t] = Some(wy);
             self.tile_done[t] = true;
             self.tile_exec[t] = d;
@@ -169,9 +163,9 @@ impl<'c, T: Scalar> Driver<'c, T> {
         Ok(())
     }
 
-    /// Reduce the given groups of `plan.levels[level]` on device `d` with
-    /// one `factor_tree` launch, pulling remote member triangles over the
-    /// interconnect first.
+    /// Reduce the given groups of `plan.levels[level]` on device `d`: pull
+    /// remote member triangles over the interconnect, charge one
+    /// `factor_tree` launch, then reduce the groups in one parallel region.
     fn tree_groups_on(
         &mut self,
         a: &mut Matrix<T>,
@@ -179,7 +173,7 @@ impl<'c, T: Scalar> Driver<'c, T> {
         level: usize,
         idxs: &[usize],
     ) -> Result<(), CaqrError> {
-        let cluster = self.cluster;
+        let (cluster, width) = (self.cluster, self.width);
         let gpu = cluster.device(d);
         // Gather: each member triangle not resident on `d` costs one
         // point-to-point message (this is *all* the data the reduction
@@ -196,32 +190,15 @@ impl<'c, T: Scalar> Driver<'c, T> {
             .iter()
             .map(|&g| self.plan.levels[level][g].clone())
             .collect();
-        let slots: Vec<Mutex<Option<TreeNode<T>>>> =
-            groups.iter().map(|_| Mutex::new(None)).collect();
         self.report.launches += 1;
-        {
-            let arities = groups.iter().map(|g| g.members.len()).collect();
-            let kernel = FactorTreeKernel {
-                launch: GridLaunch::factor_tree(
-                    gpu.spec(),
-                    arities,
-                    self.width,
-                    STRATEGY,
-                    T::BYTES,
-                ),
-                a: MatPtr::new(a),
-                groups: &groups,
-                col0: 0,
-                width: self.width,
-                out: &slots,
-            };
-            gpu.launch_on(Exec::Stream(self.streams[d]), &kernel)?;
-        }
-        for (slot, &g) in slots.iter().zip(idxs) {
-            let node = slot
-                .lock()
-                .take()
-                .expect("factor_tree block did not produce a node");
+        let arities = groups.iter().map(|g| g.members.len()).collect();
+        let launch = GridLaunch::factor_tree(gpu.spec(), arities, width, STRATEGY, T::BYTES);
+        gpu.charge_on(Exec::Stream(self.streams[d]), &launch)?;
+        let a = MatPtr::new(a);
+        let nodes: Vec<TreeNode<T>> = (groups.par_iter())
+            .map(|g| blockops::factor_tree_group(a, &g.members, 0, width))
+            .collect();
+        for (node, &g) in nodes.into_iter().zip(idxs) {
             self.level_nodes[level][g] = Some(node);
             self.level_exec[level][g] = d;
         }
@@ -714,6 +691,27 @@ mod tests {
         let tri = (16 * 17 / 2 * std::mem::size_of::<f32>()) as u64;
         assert_eq!(totals.bytes % tri, 0, "payloads are whole triangles");
         assert_eq!(f.r().cols(), 16);
+    }
+
+    #[test]
+    fn tiny_two_device_cluster_matches_caqr_cpu() {
+        // Small enough for Miri, which runs it in CI: each device's tile
+        // and tree-group tasks write through `MatPtr` in a bare pool region.
+        let a = dense::generate::uniform::<f64>(64, 4, 13);
+        let opts = DistOptions {
+            tile_rows: 16,
+            ..DistOptions::default()
+        };
+        let (f, _) = distributed_tsqr(&cluster(2), a.clone(), opts).unwrap();
+        let host = crate::multicore::CpuCaqrOptions {
+            tile_rows: 16,
+            panel_width: 4,
+            tree: TreeShape::DeviceArity,
+            verify_checksums: false,
+        };
+        let want = crate::multicore::caqr_cpu(a, host).unwrap();
+        let bits = |m: &Matrix<f64>| m.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&f.a), bits(&want.a));
     }
 
     #[test]

@@ -1,107 +1,17 @@
-//! Numerical health check: a charged `health_check` kernel that scans the
-//! matrix tile-by-tile for NaN/inf before factorization starts.
+//! Numerical health checks on the host: the finiteness scan every
+//! executor runs before factoring, and the ABFT checksums (DESIGN.md §10)
+//! the driver runs around each panel.
 //!
-//! The scan is a real GPU pass in the simulator's accounting — one block per
-//! row tile, each streaming its `rows x n` slab from global memory — so it
-//! shows up in the ledger and the modelled figures exactly like any other
-//! kernel. [`crate::model::model_caqr_seconds`] charges the same
-//! [`GridLaunch::health_check`] description the kernel executes with.
-//!
-//! Drivers call [`check_matrix_finite`]; the first offending entry (in
-//! column-major order) comes back as [`CaqrError::NonFinite`].
+//! [`first_nonfinite`] finds the first NaN/inf entry in column-major order;
+//! a backend reports it as [`CaqrError::NonFinite`]. The simulator charges
+//! the scan as a `health_check` launch, one block per row tile streaming
+//! its `rows x n` slab ([`crate::kernels::GridLaunch::health_check`]),
+//! before it runs this same scan.
 
-use crate::block::{tile_panel, BlockSize, Tile};
 use crate::error::CaqrError;
-use crate::kernels::GridLaunch;
 use dense::matrix::Matrix;
 use dense::scalar::Scalar;
-use dense::MatPtr;
-use gpu_sim::{Exec, Gpu, Kernel, Launch};
-use parking_lot::Mutex;
 use rayon::prelude::*;
-
-/// The row tiles the health scan covers for an `m`-row matrix (the same
-/// tiling the factor grid would use, so ragged remainders match).
-pub(crate) fn health_tiles(m: usize, bs: BlockSize) -> Vec<Tile> {
-    tile_panel(0, m, bs.h, bs.w)
-}
-
-/// `health_check`: block `b` scans row tile `b` across every column and
-/// records the first non-finite entry it sees (column-major order).
-pub struct HealthCheckKernel<'a, T: Scalar> {
-    /// What the device charges: [`GridLaunch::health_check`] over `tiles`.
-    pub launch: GridLaunch,
-    /// Read-only handle of the matrix being validated.
-    pub a: MatPtr<T>,
-    /// Row tiles (disjoint — the grid contract).
-    pub tiles: &'a [Tile],
-    /// Per-block output slot: first `(row, col)` holding NaN/inf, if any.
-    pub first_bad: &'a [Mutex<Option<(usize, usize)>>],
-}
-
-impl<'a, T: Scalar> Kernel<T> for HealthCheckKernel<'a, T> {
-    fn launch(&self) -> &dyn Launch {
-        &self.launch
-    }
-
-    fn run_block(&self, b: usize) {
-        let tile = self.tiles[b];
-        let mut bad = None;
-        'scan: for j in 0..self.a.cols() {
-            for i in 0..tile.rows {
-                // SAFETY: read-only scan; nothing writes during this launch.
-                let v = unsafe { self.a.get(tile.start + i, j) };
-                if !v.is_finite() {
-                    bad = Some((tile.start + i, j));
-                    break 'scan;
-                }
-            }
-        }
-        *self.first_bad[b].lock() = bad;
-    }
-}
-
-/// Scan `a` for NaN/inf with a charged `health_check` launch. Returns
-/// `Err(CaqrError::NonFinite)` naming the first offending entry in
-/// column-major order, or `Ok(())` when every entry is finite.
-pub fn check_matrix_finite<T: Scalar>(
-    gpu: &Gpu,
-    exec: Exec,
-    a: &Matrix<T>,
-    bs: BlockSize,
-    context: &'static str,
-) -> Result<(), CaqrError> {
-    if a.rows() == 0 || a.cols() == 0 {
-        return Ok(());
-    }
-    let tiles = health_tiles(a.rows(), bs);
-    let slots: Vec<Mutex<Option<(usize, usize)>>> =
-        tiles.iter().map(|_| Mutex::new(None)).collect();
-    {
-        let kernel = HealthCheckKernel {
-            launch: GridLaunch::health_check(gpu.spec(), &tiles, a.cols(), T::BYTES),
-            a: MatPtr::new_readonly(a),
-            tiles: &tiles,
-            first_bad: &slots,
-        };
-        gpu.launch_on(exec, &kernel)?;
-    }
-    // Blocks cover disjoint row ranges; the globally first entry in
-    // column-major order is the one with the smallest (col, row).
-    let mut first: Option<(usize, usize)> = None;
-    for slot in slots {
-        if let Some((i, j)) = slot.into_inner() {
-            first = Some(match first {
-                Some((fi, fj)) if (fj, fi) <= (j, i) => (fi, fj),
-                _ => (i, j),
-            });
-        }
-    }
-    match first {
-        Some((row, col)) => Err(CaqrError::NonFinite { context, row, col }),
-        None => Ok(()),
-    }
-}
 
 /// Passes over fewer elements than this stay on the calling thread: below
 /// it a pool region costs more than the scan or sum it would split.
@@ -122,10 +32,10 @@ fn map_cols<R: Send>(
     }
 }
 
-/// Host-side finiteness scan (no simulator, no charge) for the CPU drivers.
-/// Returns the first non-finite entry in column-major order — exactly the
-/// entry the element-by-element scan finds: columns are scanned in
-/// parallel ranges and the first offending column in order wins.
+/// The finiteness scan every executor runs (the simulator charges it
+/// first). Returns the first non-finite entry in column-major order —
+/// exactly the entry the element-by-element scan finds: columns are
+/// scanned in parallel ranges and the first offending column in order wins.
 pub fn first_nonfinite<T: Scalar>(a: &Matrix<T>) -> Option<(usize, usize)> {
     map_cols(0..a.cols(), a.rows(), |j| {
         first_nonfinite_in(a.col(j)).map(|i| (i, j))
@@ -187,7 +97,9 @@ fn first_nonfinite_in<T: Scalar>(col: &[T]) -> Option<usize> {
 // * apply tasks — column sums are linear, so the post-update sum of each
 //   trailing column is predicted from pre-update data as `u^T C[:,j]`
 //   (`1^T Q_p^T C = (Q_p 1)^T C`). The comparison tolerance scales with
-//   `sum_i |u_i C[i,j]|`, the condition of the predicted sum.
+//   `sum_i |u_i C[i,j]|`, the condition of the predicted sum. A column
+//   whose sums overflow f64 is summed with every entry scaled by 2^-64 on
+//   both sides of the comparison, so the check sees at any scale.
 //
 // All accumulations are f64 regardless of `T`, split over `LANES`
 // independent chains that are combined in a fixed order, so a sum does not
@@ -223,10 +135,10 @@ fn lane_sum<T: Scalar>(xs: &[T], term: impl Fn(f64) -> f64) -> f64 {
     acc.iter().sum()
 }
 
-/// `(sum_i u_i c_i, sum_i |u_i c_i|)` in f64 with the chain split of
-/// [`lane_sum`].
+/// `(sum_i u_i c'_i, sum_i |u_i c'_i|)` with `c'_i = scale_c(c_i)`, in f64
+/// with the chain split of [`lane_sum`].
 #[inline]
-fn lane_dot_abs<T: Scalar>(u: &[T], c: &[T]) -> (f64, f64) {
+fn lane_dot_abs<T: Scalar>(u: &[T], c: &[T], scale_c: impl Fn(f64) -> f64) -> (f64, f64) {
     let n = u.len().min(c.len());
     let (u, c) = (&u[..n], &c[..n]);
     let mut pred = [0.0f64; LANES];
@@ -235,13 +147,13 @@ fn lane_dot_abs<T: Scalar>(u: &[T], c: &[T]) -> (f64, f64) {
     let mut cc = c.chunks_exact(LANES);
     for (ub, cb) in (&mut uc).zip(&mut cc) {
         for l in 0..LANES {
-            let term = ub[l].to_f64() * cb[l].to_f64();
+            let term = ub[l].to_f64() * scale_c(cb[l].to_f64());
             pred[l] += term;
             scale[l] += term.abs();
         }
     }
     for (l, (ui, ci)) in uc.remainder().iter().zip(cc.remainder()).enumerate() {
-        let term = ui.to_f64() * ci.to_f64();
+        let term = ui.to_f64() * scale_c(ci.to_f64());
         pred[l] += term;
         scale[l] += term.abs();
     }
@@ -334,31 +246,64 @@ pub fn verify_probe<T: Scalar>(u: &[T], panel: usize, col0: usize) -> Result<(),
     Ok(())
 }
 
-/// Per-column `(prediction, scale)` of the post-update sums of the columns
-/// in `col_blocks`, computed from *pre-update* data: prediction
+/// The power of two a column's apply sums are scaled by when their plain
+/// f64 sums overflow. With `|u_i| <= sqrt(rows)` (the probe has norm
+/// `sqrt(rows)`), `sum_i |u_i c_ij|` of a finite column then stays finite
+/// below 2^42 rows; the entries that underflow are negligible beside a
+/// column whose sum overflowed. Scaling by a power of two is exact, so the
+/// check compares the same numbers it would unscaled.
+const SUM_SCALE: f64 = 1.0 / (1u128 << 64) as f64;
+
+/// Per-column `(prediction, scale, scaled)` of the post-update sums of the
+/// columns in `col_blocks`, computed from *pre-update* data: prediction
 /// `sum_i u[i] * c[i,j]`, scale `sum_i |u[i] * c[i,j]|` (the tolerance
-/// reference for the cancellation-prone prediction).
+/// reference for the cancellation-prone prediction). The plain sums are
+/// the fast path; a column whose prediction or scale is not finite is
+/// recomputed with every `c[i,j]` scaled by `SUM_SCALE` (2^-64), and
+/// `scaled` tells the apply-sum check to scale that column's observed sum
+/// the same way.
 pub fn predicted_col_sums<T: Scalar>(
     u: &[T],
     c: &Matrix<T>,
     col_blocks: &[(usize, usize)],
-) -> Vec<(f64, f64)> {
+) -> Vec<(f64, f64, bool)> {
     let cols = block_cols(col_blocks);
-    map_cols(0..cols.len(), c.rows(), |k| lane_dot_abs(u, c.col(cols[k])))
+    map_cols(0..cols.len(), c.rows(), |k| {
+        let col = c.col(cols[k]);
+        match lane_dot_abs(u, col, |x| x) {
+            (pred, scale) if pred.is_finite() && scale.is_finite() => (pred, scale, false),
+            _ => {
+                let (pred, scale) = lane_dot_abs(u, col, |x| x * SUM_SCALE);
+                (pred, scale, true)
+            }
+        }
+    })
 }
 
 /// Per-column sums of the columns in `col_blocks` (f64 accumulation) — the
-/// post-update observation the predictions are checked against.
-fn actual_col_sums<T: Scalar>(c: &Matrix<T>, col_blocks: &[(usize, usize)]) -> Vec<f64> {
+/// post-update observation the predictions `pred` are checked against,
+/// each scaled as its prediction was.
+fn actual_col_sums<T: Scalar>(
+    c: &Matrix<T>,
+    col_blocks: &[(usize, usize)],
+    pred: &[(f64, f64, bool)],
+) -> Vec<f64> {
     let cols = block_cols(col_blocks);
-    map_cols(0..cols.len(), c.rows(), |k| lane_sum(c.col(cols[k]), |x| x))
+    map_cols(0..cols.len(), c.rows(), |k| {
+        let col = c.col(cols[k]);
+        if pred[k].2 {
+            lane_sum(col, |x| x * SUM_SCALE)
+        } else {
+            lane_sum(col, |x| x)
+        }
+    })
 }
 
 /// Check the apply-stage checksums: each observed column sum must match its
 /// prediction within `tol * scale`. The first mismatch is reported with the
 /// *global* column index recovered from `col_blocks`.
 fn verify_apply_checksums<T: Scalar>(
-    pred: &[(f64, f64)],
+    pred: &[(f64, f64, bool)],
     actual: &[f64],
     col_blocks: &[(usize, usize)],
     rows: usize,
@@ -366,7 +311,7 @@ fn verify_apply_checksums<T: Scalar>(
 ) -> Result<(), CaqrError> {
     let tol = checksum_tol::<T>(rows);
     let cols = col_blocks.iter().flat_map(|&(c0, wc)| c0..c0 + wc);
-    for ((&(p, scale), &a), col) in pred.iter().zip(actual).zip(cols) {
+    for ((&(p, scale, _), &a), col) in pred.iter().zip(actual).zip(cols) {
         if !a.is_finite() || (p - a).abs() > tol * scale.max(f64::MIN_POSITIVE) {
             return Err(CaqrError::ChecksumMismatch {
                 stage: "apply",
@@ -402,19 +347,26 @@ pub fn factor_norm_check<T: Scalar>(
 /// [`factor_norm_check`] for the trailing update.
 pub fn apply_sum_check<T: Scalar>(
     a: &Matrix<T>,
-    pred: &[(f64, f64)],
+    pred: &[(f64, f64, bool)],
     cols: &[(usize, usize)],
     m: usize,
     panel: usize,
 ) -> Result<(), CaqrError> {
-    let actual = actual_col_sums(a, cols);
+    let actual = actual_col_sums(a, cols, pred);
     verify_apply_checksums::<T>(pred, &actual, cols, m, panel)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gpu_sim::DeviceSpec;
+    use crate::backend::{CaqrBackend, DriveConfig, SimBackend};
+    use crate::block::BlockSize;
+    use crate::microkernels::ReductionStrategy;
+    use crate::multicore::q_ones_probe;
+    use crate::tsqr::{col_blocks, PanelFactor};
+    use crate::TreeShape;
+    use dense::MatPtr;
+    use gpu_sim::{DeviceSpec, Gpu};
 
     fn bs() -> BlockSize {
         BlockSize { h: 32, w: 8 }
@@ -424,7 +376,8 @@ mod tests {
     fn finite_matrix_passes_and_charges_one_launch() {
         let g = Gpu::new(DeviceSpec::c2050());
         let a = dense::generate::uniform::<f64>(100, 12, 1);
-        check_matrix_finite(&g, Exec::Sync, &a, bs(), "test input").unwrap();
+        let launches = SimBackend::sync(&g).check_finite(&a, bs(), "test input");
+        assert_eq!(launches, Ok(1));
         let l = g.ledger();
         assert_eq!(l.calls, 1);
         assert_eq!(l.per_op["health_check"].calls, 1);
@@ -441,7 +394,8 @@ mod tests {
         // late tile: column-major order picks the latter.
         a[(3, 7)] = f64::NAN;
         a[(90, 2)] = f64::INFINITY;
-        let e = check_matrix_finite(&g, Exec::Sync, &a, bs(), "test input").unwrap_err();
+        let sim = SimBackend::sync(&g);
+        let e = sim.check_finite(&a, bs(), "test input").unwrap_err();
         assert_eq!(
             e,
             CaqrError::NonFinite {
@@ -495,31 +449,30 @@ mod tests {
 
     // -- ABFT checksums -----------------------------------------------------
 
-    use crate::microkernels::ReductionStrategy;
-    use crate::multicore::q_ones_probe;
-    use crate::tsqr::{apply_panel_ptr_on, col_blocks, factor_panel_with_tree_on};
-    use crate::TreeShape;
+    /// A binomial-tree panel configuration with block size `bs`.
+    fn binomial(bs: BlockSize) -> DriveConfig {
+        DriveConfig {
+            bs,
+            strategy: ReductionStrategy::RegisterSerialTransposed,
+            tree: TreeShape::Binomial,
+            check_finite: false,
+            verify_checksums: false,
+            health_context: "test input",
+        }
+    }
 
     fn factored_panel(
         m: usize,
         n: usize,
         w: usize,
-    ) -> (Gpu, Matrix<f64>, Vec<f64>, crate::tsqr::PanelFactor<f64>) {
+    ) -> (Gpu, Matrix<f64>, Vec<f64>, PanelFactor<f64>) {
         let g = Gpu::new(DeviceSpec::c2050());
         let mut a = dense::generate::uniform::<f64>(m, n, 42);
         let pre = panel_col_norms(&a, 0, 0, w);
-        let pf = factor_panel_with_tree_on(
-            &g,
-            Exec::Sync,
-            &mut a,
-            0,
-            0,
-            w,
-            bs(),
-            ReductionStrategy::RegisterSerialTransposed,
-            TreeShape::Binomial,
-        )
-        .unwrap();
+        let sim = SimBackend::sync(&g);
+        let pf = sim
+            .factor_panel(0, &mut a, 0, 0, w, &binomial(bs()))
+            .unwrap();
         (g, a, pre, pf)
     }
 
@@ -539,7 +492,7 @@ mod tests {
 
             let norms = panel_col_norms(&a, 0, 0, cols);
             let pred = predicted_col_sums(&u, &a, &blocks);
-            let actual = actual_col_sums(&a, &blocks);
+            let actual = actual_col_sums(&a, &blocks, &pred);
             for j in 0..cols {
                 let col = a.col(j);
                 let want_sq: f64 = col.iter().map(|x| x * x).sum();
@@ -571,7 +524,7 @@ mod tests {
             bad[(i, j)] = bad[(i, j)] * 2.0 + 1.0;
             let e = verify_apply_checksums::<f64>(
                 &pred,
-                &actual_col_sums(&bad, &blocks),
+                &actual_col_sums(&bad, &blocks, &pred),
                 &blocks,
                 rows,
                 0,
@@ -623,20 +576,10 @@ mod tests {
             a.as_mut_slice().iter_mut().for_each(|x| *x *= scale);
             let pre = panel_col_norms(&a, 0, 0, 16);
             let g = Gpu::new(DeviceSpec::c2050());
-            let bs = BlockSize { h: 64, w: 16 };
-            let strategy = ReductionStrategy::RegisterSerialTransposed;
-            factor_panel_with_tree_on(
-                &g,
-                Exec::Sync,
-                &mut a,
-                0,
-                0,
-                16,
-                bs,
-                strategy,
-                TreeShape::Binomial,
-            )
-            .unwrap();
+            let cfg = binomial(BlockSize { h: 64, w: 16 });
+            SimBackend::sync(&g)
+                .factor_panel(0, &mut a, 0, 0, 16, &cfg)
+                .unwrap();
             factor_norm_check::<f64>(&a, &pre, 256, 0, 0, 16)
                 .unwrap_or_else(|e| panic!("clean panel at {scale:e}: {e}"));
             for j in 0..16 {
@@ -675,13 +618,15 @@ mod tests {
         let cols = col_blocks(8, 24, 8);
         let pred = predicted_col_sums(&u, &a, &cols);
         let ptr = MatPtr::new(&mut a);
-        apply_panel_ptr_on(&g, Exec::Sync, ptr, &pf, &cols, true).unwrap();
-        let actual = actual_col_sums(&a, &cols);
+        SimBackend::sync(&g)
+            .apply_panel(0, ptr, &pf, &cols, true)
+            .unwrap();
+        let actual = actual_col_sums(&a, &cols, &pred);
         verify_apply_checksums::<f64>(&pred, &actual, &cols, 160, 0).unwrap();
 
         // Corrupt one updated element: the checksum localizes the column.
         a[(40, 13)] = a[(40, 13)] * 2.0 + 1.0;
-        let actual = actual_col_sums(&a, &cols);
+        let actual = actual_col_sums(&a, &cols, &pred);
         let e = verify_apply_checksums::<f64>(&pred, &actual, &cols, 160, 2).unwrap_err();
         assert_eq!(
             e,

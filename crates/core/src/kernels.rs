@@ -1,24 +1,18 @@
-//! The four GPU kernels of Section IV-D — `factor`, `factor_tree`,
-//! `apply_qt_h`, `apply_qt_tree` — plus the out-of-place pre-transpose
-//! preprocessing pass of strategy 4 and the input health check.
+//! The launches of Section IV-D's four GPU kernels — `factor`,
+//! `factor_tree`, `apply_qt_h`, `apply_qt_tree` — plus the out-of-place
+//! pre-transpose pass of strategy 4 and the input health check.
 //!
 //! Each of these six launches is described once, by a [`GridLaunch`] built
 //! from geometry and element size only: the grid, its resource demands and
-//! the analytic per-block cost from the `*_block_cost` functions below. An
-//! executing kernel holds its description plus its data and performs the
-//! real arithmetic (thread blocks run in parallel on the rayon pool,
-//! touching disjoint tiles per the [`dense::ptr::MatPtr`] contract); the
-//! model-only sweeps in [`crate::model`] charge the same descriptions
-//! without executing. Executed and modelled timelines therefore agree by
-//! construction.
+//! the analytic per-block cost from the `*_block_cost` functions below. The
+//! simulator charges these descriptions through the chain walks of
+//! [`crate::model`], whether it then runs the host's panel arithmetic
+//! ([`crate::backend::SimBackend`]) or only models the run. The arithmetic
+//! of a block lives in [`crate::blockops`]; no kernel keeps a copy of it.
 
-use crate::block::{BlockSize, Tile, TreeGroup};
+use crate::block::{BlockSize, Tile};
 use crate::microkernels::{self as mk, ReductionStrategy};
-use crate::tsqr::{PanelFactor, TreeNode, WyTile};
-use dense::scalar::Scalar;
-use dense::MatPtr;
-use gpu_sim::{BlockCost, CostMeter, DeviceSpec, Kernel, Launch, LaunchConfig};
-use parking_lot::Mutex;
+use gpu_sim::{BlockCost, CostMeter, DeviceSpec, Launch, LaunchConfig};
 
 /// Threads per block for every kernel (the paper's choice).
 pub const THREADS: usize = 64;
@@ -357,172 +351,6 @@ impl Launch for GridLaunch {
 
     fn block_cost(&self, b: usize) -> BlockCost {
         self.costs[usize::from(self.shape[b])]
-    }
-}
-
-// ---------------------------------------------------------------------------
-// factor
-// ---------------------------------------------------------------------------
-
-/// `factor` (Section IV-D.1): each block QR-factors one `rows x width` tile
-/// of the panel in place, leaving R in the tile's upper triangle and the
-/// Householder tails below the diagonal; the compact-WY factors (packed `V`,
-/// triangular `T`, `tau`) go to the per-tile output slots. The WY build is
-/// part of the same per-block cost as before — the charge model is shape-
-/// derived and deliberately unchanged, so modelled figures stay stable
-/// across the BLAS3 rewrite.
-pub struct FactorKernel<'a, T: Scalar> {
-    /// What the device charges: [`GridLaunch::factor`] over `tiles`.
-    pub launch: GridLaunch,
-    /// Global-memory handle of the matrix being factored.
-    pub a: MatPtr<T>,
-    /// Panel tiles (disjoint row ranges — the grid contract).
-    pub tiles: &'a [Tile],
-    /// Panel's first column.
-    pub col0: usize,
-    /// Panel width.
-    pub width: usize,
-    /// Output compact-WY slot per tile.
-    pub wy: &'a [Mutex<Option<WyTile<T>>>],
-    /// Write handle onto each tile's `V` block, `tiles[b].rows x
-    /// min(rows, width)` (disjoint blocks, e.g. of a panel's slab).
-    pub v: &'a [MatPtr<T>],
-}
-
-impl<'a, T: Scalar> Kernel<T> for FactorKernel<'a, T> {
-    fn launch(&self) -> &dyn Launch {
-        &self.launch
-    }
-
-    fn run_block(&self, b: usize) {
-        *self.wy[b].lock() = Some(crate::blockops::factor_tile(
-            self.a,
-            self.tiles[b],
-            self.col0,
-            self.width,
-            self.v[b],
-        ));
-    }
-}
-
-// ---------------------------------------------------------------------------
-// factor_tree
-// ---------------------------------------------------------------------------
-
-/// `factor_tree` (Section IV-D.2): each block gathers the stacked upper
-/// triangular Rs of one tree group, QR-factors the stack in fast memory,
-/// writes the surviving R back to the group leader's triangle, and emits
-/// the stacked Householder representation as a [`TreeNode`].
-pub struct FactorTreeKernel<'a, T: Scalar> {
-    /// What the device charges: [`GridLaunch::factor_tree`] over `groups`.
-    pub launch: GridLaunch,
-    /// Global-memory handle of the matrix being factored.
-    pub a: MatPtr<T>,
-    /// Groups at this tree level (disjoint member sets).
-    pub groups: &'a [TreeGroup],
-    /// Panel's first column.
-    pub col0: usize,
-    /// Panel width.
-    pub width: usize,
-    /// Output slot per group.
-    pub out: &'a [Mutex<Option<TreeNode<T>>>],
-}
-
-impl<'a, T: Scalar> Kernel<T> for FactorTreeKernel<'a, T> {
-    fn launch(&self) -> &dyn Launch {
-        &self.launch
-    }
-
-    fn run_block(&self, g: usize) {
-        *self.out[g].lock() = Some(crate::blockops::factor_tree_group(
-            self.a,
-            &self.groups[g].members,
-            self.col0,
-            self.width,
-        ));
-    }
-}
-
-// ---------------------------------------------------------------------------
-// apply_qt_h
-// ---------------------------------------------------------------------------
-
-/// `apply_qt_h` (Section IV-D.3): apply the level-0 reflectors of each panel
-/// tile horizontally across the trailing matrix, via the packed compact-WY
-/// factors cached at factor time (three GEMMs per tile instead of `width`
-/// rank-1 sweeps). The grid is `tiles x column-blocks`; block `(ti, cb)`
-/// updates the `tiles[ti].rows x col_blocks[cb].1` tile of the target.
-pub struct ApplyQtHKernel<'a, T: Scalar> {
-    /// What the device charges: [`GridLaunch::apply_qt_h`] over the
-    /// panel's tiles and `col_blocks`.
-    pub launch: GridLaunch,
-    /// Target matrix being updated (tiles never overlap the panel columns).
-    pub c: MatPtr<T>,
-    /// The factored panel: its tiles, width and per-tile compact-WY
-    /// factors with their `V` blocks.
-    pub panel: &'a PanelFactor<T>,
-    /// `(first_col, width)` of each target column block.
-    pub col_blocks: &'a [(usize, usize)],
-    /// Apply `Q^T` (true) or `Q` (false).
-    pub transpose: bool,
-}
-
-impl<'a, T: Scalar> Kernel<T> for ApplyQtHKernel<'a, T> {
-    fn launch(&self) -> &dyn Launch {
-        &self.launch
-    }
-
-    fn run_block(&self, b: usize) {
-        let pf = self.panel;
-        let ti = b % pf.tiles.len();
-        let (c0, wc) = self.col_blocks[b / pf.tiles.len()];
-        let v = pf.tile_v(ti);
-        crate::blockops::apply_tile_wy(
-            &pf.wy0[ti],
-            v,
-            self.c,
-            pf.tiles[ti],
-            c0,
-            wc,
-            self.transpose,
-        );
-    }
-}
-
-// ---------------------------------------------------------------------------
-// apply_qt_tree
-// ---------------------------------------------------------------------------
-
-/// `apply_qt_tree` (Section IV-D.4): apply one tree level's Householder
-/// vectors to the trailing matrix. Block `(g, cb)` gathers the `width`-row
-/// strips of the target at each of group `g`'s member offsets, applies the
-/// stacked reflectors, and scatters the strips back — the "irregular and
-/// somewhat sparse" access pattern the paper calls out.
-pub struct ApplyQtTreeKernel<'a, T: Scalar> {
-    /// What the device charges: [`GridLaunch::apply_qt_tree`] over the
-    /// nodes' arities and `col_blocks`.
-    pub launch: GridLaunch,
-    /// Target matrix being updated.
-    pub c: MatPtr<T>,
-    /// Tree nodes at this level (factored stacks + taus).
-    pub nodes: &'a [TreeNode<T>],
-    /// Panel width.
-    pub width: usize,
-    /// `(first_col, width)` of each target column block.
-    pub col_blocks: &'a [(usize, usize)],
-    /// Apply `Q^T` (true) or `Q` (false).
-    pub transpose: bool,
-}
-
-impl<'a, T: Scalar> Kernel<T> for ApplyQtTreeKernel<'a, T> {
-    fn launch(&self) -> &dyn Launch {
-        &self.launch
-    }
-
-    fn run_block(&self, b: usize) {
-        let node = &self.nodes[b % self.nodes.len()];
-        let (c0, wc) = self.col_blocks[b / self.nodes.len()];
-        crate::blockops::apply_tree_node(self.c, node, self.width, c0, wc, self.transpose);
     }
 }
 

@@ -83,7 +83,7 @@ pub use caqr::{caqr_qr, CaqrOptions};
 pub use distributed::{distributed_tsqr, ClusterBackend, DistOptions, DistReport};
 pub use error::{checked_bytes, checked_elems, CaqrError};
 pub use fault::{FaultKind, FaultPlan, PlannedFault};
-pub use health::{check_matrix_finite, first_nonfinite};
+pub use health::first_nonfinite;
 pub use microkernels::ReductionStrategy;
 pub use multicore::{caqr_cpu, CpuCaqr, CpuCaqrOptions};
 pub use recovery::{caqr_resilient, RecoveryOptions, RecoveryPolicy, RecoveryReport};

@@ -1,72 +1,122 @@
-//! Model-only CAQR/TSQR timing: the driver's own panel schedule
-//! ([`crate::backend`]) run against a cost-only sink, which walks each
-//! chain — the panel's tiles, its tree plan, the launch order — and charges
-//! every launch through [`Gpu::charge_on`] with the same [`GridLaunch`]
-//! description the executing kernel carries. A modelled sweep over a
-//! 1M x 192 matrix therefore records what executing it would, without
-//! doing the arithmetic. This module holds the chain walks and the public
-//! entry points; it has no panel loop and no cost arithmetic of its own.
+//! The chain walks every simulated charge goes through, and the model-only
+//! CAQR/TSQR timing built on them. A `PanelChains` walks one panel's
+//! chains — its tiles, its tree levels, the launch order — and charges
+//! every launch through [`Gpu::charge_on`] with its [`GridLaunch`]
+//! description. The executing [`SimBackend`] charges a chain this way from
+//! its [`PanelFactor`] and then runs the host's panel arithmetic; the
+//! model-only sweeps run the driver's own panel schedule against a
+//! cost-only sink that charges the same chains from the geometry alone. A
+//! modelled sweep over a 1M x 192 matrix therefore records what executing
+//! it would, without doing the arithmetic. This module has no panel loop
+//! and no cost arithmetic of its own.
 
 use crate::backend::{DriveConfig, SimBackend};
-use crate::block::{plan_tree, tile_panel, BlockSize};
+use crate::block::{plan_tree, tile_panel, BlockSize, Tile};
 use crate::caqr::CaqrOptions;
 use crate::error::CaqrError;
-use crate::health::health_tiles;
 use crate::kernels::GridLaunch;
+use crate::microkernels::ReductionStrategy;
+use crate::tsqr::PanelFactor;
+use dense::scalar::Scalar;
 use gpu_sim::{Exec, Gpu};
 
 /// Element size of the paper's single-precision pipeline.
-const ELEM_BYTES: u64 = 4;
+pub(crate) const ELEM_BYTES: u64 = 4;
 
-/// Charge one panel-factorization chain (factor + one factor_tree per level)
-/// under an [`Exec`] policy.
-pub(crate) fn model_factor_chain_on(
-    gpu: &Gpu,
-    exec: Exec,
-    cfg: &DriveConfig,
-    m: usize,
-    row0: usize,
+/// The launches of one panel's chains: its level-0 tiles and, per
+/// reduction-tree level bottom-up, the arity of each group, for a
+/// `width`-wide panel of `elem_bytes`-byte elements.
+pub(crate) struct PanelChains {
+    tiles: Vec<Tile>,
+    levels: Vec<Vec<usize>>,
     width: usize,
-) -> Result<(), CaqrError> {
-    let (bs, strategy, spec) = (cfg.bs, cfg.strategy, gpu.spec());
-    let tiles = tile_panel(row0, m - row0, bs.h, bs.w);
-    let factor = GridLaunch::factor(spec, &tiles, width, strategy, ELEM_BYTES);
-    gpu.charge_on(exec, &factor)?;
-    let starts: Vec<usize> = tiles.iter().map(|t| t.start).collect();
-    for level in &plan_tree(&starts, cfg.tree.arity(bs)).levels {
-        let arities = level.iter().map(|g| g.members.len()).collect();
-        let tree = GridLaunch::factor_tree(spec, arities, width, strategy, ELEM_BYTES);
-        gpu.charge_on(exec, &tree)?;
-    }
-    Ok(())
+    strategy: ReductionStrategy,
+    elem_bytes: u64,
 }
 
-/// Charge one apply chain (apply_qt_h + one apply_qt_tree per level) of the
-/// panel at `(row0, width)` across the column blocks `cols`, under an
-/// [`Exec`] policy.
-pub(crate) fn model_apply_chain_on(
-    gpu: &Gpu,
-    exec: Exec,
-    cfg: &DriveConfig,
-    m: usize,
-    row0: usize,
-    width: usize,
-    cols: &[(usize, usize)],
-) -> Result<(), CaqrError> {
-    if cols.is_empty() {
-        return Ok(());
+impl PanelChains {
+    /// The chains `cfg` plans for the `width`-wide panel at row `row0` of
+    /// an `m`-row matrix: the tiling and tree the executors factor with.
+    pub(crate) fn planned(
+        cfg: &DriveConfig,
+        m: usize,
+        row0: usize,
+        width: usize,
+        elem_bytes: u64,
+    ) -> Self {
+        let tiles = tile_panel(row0, m - row0, cfg.bs.h, cfg.bs.w);
+        let starts: Vec<usize> = tiles.iter().map(|t| t.start).collect();
+        let levels = (plan_tree(&starts, cfg.tree.arity(cfg.bs)).levels.iter())
+            .map(|level| level.iter().map(|g| g.members.len()).collect())
+            .collect();
+        PanelChains {
+            tiles,
+            levels,
+            width,
+            strategy: cfg.strategy,
+            elem_bytes,
+        }
     }
-    let (bs, strategy, spec) = (cfg.bs, cfg.strategy, gpu.spec());
-    let tiles = tile_panel(row0, m - row0, bs.h, bs.w);
-    let horizontal = GridLaunch::apply_qt_h(spec, &tiles, width, cols, strategy, ELEM_BYTES);
-    gpu.charge_on(exec, &horizontal)?;
-    let starts: Vec<usize> = tiles.iter().map(|t| t.start).collect();
-    for level in &plan_tree(&starts, cfg.tree.arity(bs)).levels {
-        let arities = level.iter().map(|g| g.members.len()).collect();
-        let tree = GridLaunch::apply_qt_tree(spec, arities, width, cols, strategy, ELEM_BYTES);
-        gpu.charge_on(exec, &tree)?;
+
+    /// The chains of a factored panel.
+    pub(crate) fn of<T: Scalar>(pf: &PanelFactor<T>) -> Self {
+        PanelChains {
+            tiles: pf.tiles.clone(),
+            levels: (pf.levels.iter())
+                .map(|nodes| nodes.iter().map(|n| n.members.len()).collect())
+                .collect(),
+            width: pf.width,
+            strategy: pf.strategy,
+            elem_bytes: T::BYTES,
+        }
     }
-    Ok(())
+
+    /// Charge the factor chain under an [`Exec`] policy: `factor` over the
+    /// tiles, then one `factor_tree` per tree level.
+    pub(crate) fn charge_factor(&self, gpu: &Gpu, exec: Exec) -> Result<(), CaqrError> {
+        let (spec, w, s, e) = (gpu.spec(), self.width, self.strategy, self.elem_bytes);
+        gpu.charge_on(exec, &GridLaunch::factor(spec, &self.tiles, w, s, e))?;
+        for arities in &self.levels {
+            let tree = GridLaunch::factor_tree(spec, arities.clone(), w, s, e);
+            gpu.charge_on(exec, &tree)?;
+        }
+        Ok(())
+    }
+
+    /// Charge the apply chain across the column blocks `cols` under an
+    /// [`Exec`] policy, in the order the reflectors apply: for `Q^T`
+    /// (`transpose`) `apply_qt_h` and then one `apply_qt_tree` per level
+    /// bottom-up, for `Q` the reverse. No columns, no launch.
+    pub(crate) fn charge_apply(
+        &self,
+        gpu: &Gpu,
+        exec: Exec,
+        cols: &[(usize, usize)],
+        transpose: bool,
+    ) -> Result<(), CaqrError> {
+        if cols.is_empty() {
+            return Ok(());
+        }
+        let (spec, w, s, e) = (gpu.spec(), self.width, self.strategy, self.elem_bytes);
+        let horizontal = || {
+            gpu.charge_on(
+                exec,
+                &GridLaunch::apply_qt_h(spec, &self.tiles, w, cols, s, e),
+            )
+        };
+        let tree = |arities: &Vec<usize>| {
+            let launch = GridLaunch::apply_qt_tree(spec, arities.clone(), w, cols, s, e);
+            gpu.charge_on(exec, &launch).map(drop)
+        };
+        if transpose {
+            horizontal()?;
+            self.levels.iter().try_for_each(tree)?;
+        } else {
+            self.levels.iter().rev().try_for_each(tree)?;
+            horizontal()?;
+        }
+        Ok(())
+    }
 }
 
 /// Modelled seconds for a full CAQR factorization of an `m x n` matrix
@@ -83,32 +133,38 @@ pub fn model_caqr_seconds(
     Ok(gpu.elapsed() - t0)
 }
 
-/// Charge the input health check under an [`Exec`] policy: the launch
-/// [`crate::health::check_matrix_finite`] submits.
-pub(crate) fn model_health_on(
+/// Charge the input health scan of an `m x n` matrix of `elem_bytes`-byte
+/// elements under an [`Exec`] policy: one block per row tile of the
+/// factor grid, each reading its tile across every column.
+pub(crate) fn charge_health(
     gpu: &Gpu,
     exec: Exec,
     m: usize,
     n: usize,
     bs: BlockSize,
+    elem_bytes: u64,
 ) -> Result<(), CaqrError> {
-    let launch = GridLaunch::health_check(gpu.spec(), &health_tiles(m, bs), n, ELEM_BYTES);
-    gpu.charge_on(exec, &launch)?;
+    let tiles = tile_panel(0, m, bs.h, bs.w);
+    gpu.charge_on(
+        exec,
+        &GridLaunch::health_check(gpu.spec(), &tiles, n, elem_bytes),
+    )?;
     Ok(())
 }
 
-/// Charge the pretranspose pass under an [`Exec`] policy: the launch the
-/// executing backend submits.
-pub(crate) fn model_pretranspose_on(
+/// Charge the pre-transpose pass over an `m x n` matrix of
+/// `elem_bytes`-byte elements under an [`Exec`] policy.
+pub(crate) fn charge_pretranspose(
     gpu: &Gpu,
     exec: Exec,
     m: usize,
     n: usize,
     bs: BlockSize,
+    elem_bytes: u64,
 ) -> Result<(), CaqrError> {
     gpu.charge_on(
         exec,
-        &GridLaunch::pretranspose(gpu.spec(), m, n, bs, ELEM_BYTES),
+        &GridLaunch::pretranspose(gpu.spec(), m, n, bs, elem_bytes),
     )?;
     Ok(())
 }

@@ -1,26 +1,24 @@
-//! TSQR — Tall-Skinny QR (Section II-B / Figure 2) — and the panel
-//! factor/apply drivers shared with the full CAQR.
+//! TSQR — Tall-Skinny QR (Section II-B / Figure 2) — and the panel factor
+//! types shared with the full CAQR.
 //!
-//! The host-side control flow mirrors the pseudocode of Figure 4: a
-//! `factor` launch over the panel tiles, then one `factor_tree` launch per
-//! reduction-tree level. The resulting [`PanelFactor`] holds everything
-//! needed to apply `Q`/`Q^T` later: the level-0 compact-WY factors with
-//! their `V` slab (the Householder tails also stay in the factored matrix)
-//! and the per-level [`TreeNode`]s.
+//! A panel factors as in the pseudocode of Figure 4: a `factor` launch
+//! over the panel tiles, then one `factor_tree` launch per reduction-tree
+//! level. Every executor runs that chain through
+//! [`CaqrBackend::factor_panel`]; the resulting [`PanelFactor`] holds
+//! everything needed to apply `Q`/`Q^T` later: the level-0 compact-WY
+//! factors with their `V` slab (the Householder tails also stay in the
+//! factored matrix) and the per-level [`TreeNode`]s. [`tsqr`] is the
+//! one-panel factorization on the simulated GPU.
 
-use crate::backend::Factorization;
-use crate::block::{plan_tree, tile_panel, BlockSize, Tile, TreeShape};
+use crate::backend::{validate, CaqrBackend, DriveConfig, Factorization, SimBackend};
+use crate::block::{BlockSize, Tile, TreeShape};
 use crate::error::CaqrError;
-use crate::kernels::{
-    ApplyQtHKernel, ApplyQtTreeKernel, FactorKernel, FactorTreeKernel, GridLaunch,
-};
 use crate::microkernels::ReductionStrategy;
-use dense::arena::{self, ArenaBuf};
+use dense::arena::ArenaBuf;
 use dense::matrix::{MatRef, Matrix};
 use dense::scalar::Scalar;
 use dense::MatPtr;
-use gpu_sim::{Exec, Gpu};
-use parking_lot::Mutex;
+use gpu_sim::Gpu;
 use std::sync::Arc;
 
 /// One tile's factorization in compact-WY form: the upper-triangular `T`
@@ -148,115 +146,6 @@ pub fn col_blocks(from: usize, to: usize, w: usize) -> Vec<(usize, usize)> {
     v
 }
 
-/// TSQR panel factorization on the simulated GPU: factor columns
-/// `[col0, col0 + width)` of `a` over rows `[row0, a.rows())` in place.
-pub fn factor_panel<T: Scalar>(
-    gpu: &Gpu,
-    a: &mut Matrix<T>,
-    row0: usize,
-    col0: usize,
-    width: usize,
-    bs: BlockSize,
-    strategy: ReductionStrategy,
-) -> Result<PanelFactor<T>, CaqrError> {
-    let tree = TreeShape::DeviceArity;
-    factor_panel_with_tree_on(gpu, Exec::Sync, a, row0, col0, width, bs, strategy, tree)
-}
-
-/// [`factor_panel`] with an explicit reduction-tree shape (Section II-B's
-/// "any tree shape"; used by the tree-shape ablation) under an explicit
-/// [`Exec`] policy. With
-/// `Exec::Stream` the factor and tree launches are queued in order on that
-/// stream; the arithmetic (and therefore the returned [`PanelFactor`]) is
-/// complete when this returns either way — only the modelled timing defers
-/// to `Gpu::synchronize`.
-#[allow(clippy::too_many_arguments)]
-pub fn factor_panel_with_tree_on<T: Scalar>(
-    gpu: &Gpu,
-    exec: Exec,
-    a: &mut Matrix<T>,
-    row0: usize,
-    col0: usize,
-    width: usize,
-    bs: BlockSize,
-    strategy: ReductionStrategy,
-    tree: TreeShape,
-) -> Result<PanelFactor<T>, CaqrError> {
-    let m = a.rows();
-    if row0 >= m || col0 + width > a.cols() || width == 0 {
-        return Err(CaqrError::BadShape(format!(
-            "panel (row0={row0}, col0={col0}, width={width}) out of {}x{}",
-            m,
-            a.cols()
-        )));
-    }
-    bs.validate().map_err(CaqrError::BadShape)?;
-    let tiles = tile_panel(row0, m - row0, bs.h, bs.w);
-    let spec = gpu.spec();
-
-    // Level 0: factor every tile independently.
-    let wy_slots: Vec<Mutex<Option<WyTile<T>>>> = tiles.iter().map(|_| Mutex::new(None)).collect();
-    let mut v = arena::take_dirty::<T>(v_share_len(row0, m, width));
-    {
-        let kernel = FactorKernel {
-            launch: GridLaunch::factor(spec, &tiles, width, strategy, T::BYTES),
-            a: MatPtr::new(a),
-            tiles: &tiles,
-            col0,
-            width,
-            wy: &wy_slots,
-            v: &v_blocks(&mut v, row0, width, &tiles),
-        };
-        gpu.launch_on(exec, &kernel)?;
-    }
-    let wy0: Vec<WyTile<T>> = wy_slots
-        .into_iter()
-        .map(|m| m.into_inner().expect("factor block did not produce WY"))
-        .collect();
-
-    // Reduction tree: one factor_tree launch per level.
-    let starts: Vec<usize> = tiles.iter().map(|t| t.start).collect();
-    let plan = plan_tree(&starts, tree.arity(bs));
-    let mut levels = Vec::with_capacity(plan.levels.len());
-    for level_groups in &plan.levels {
-        let out: Vec<Mutex<Option<TreeNode<T>>>> =
-            level_groups.iter().map(|_| Mutex::new(None)).collect();
-        {
-            let arities = level_groups.iter().map(|g| g.members.len()).collect();
-            let kernel = FactorTreeKernel {
-                launch: GridLaunch::factor_tree(spec, arities, width, strategy, T::BYTES),
-                a: MatPtr::new(a),
-                groups: level_groups,
-                col0,
-                width,
-                out: &out,
-            };
-            gpu.launch_on(exec, &kernel)?;
-        }
-        let nodes: Vec<TreeNode<T>> = out
-            .into_iter()
-            .map(|m| {
-                m.into_inner()
-                    .expect("factor_tree block did not produce a node")
-            })
-            .collect();
-        levels.push(nodes);
-    }
-
-    Ok(PanelFactor {
-        row0,
-        col0,
-        width,
-        tiles,
-        wy0,
-        v: Arc::new(v),
-        v_off: 0,
-        levels,
-        bs,
-        strategy,
-    })
-}
-
 impl<T: Scalar> PanelFactor<T> {
     /// Tile `ti`'s explicit `tiles[ti].rows x k` unit lower-trapezoidal
     /// reflector block (`k = min(rows, width)`): unit diagonal and zeros
@@ -278,70 +167,6 @@ impl<T: Scalar> PanelFactor<T> {
     }
 }
 
-/// Apply the panel's `Q^T` (`transpose == true`, reflectors in factorization
-/// order) or `Q` (reverse order) to the column blocks `cols` of the matrix
-/// behind `c`, under an explicit [`Exec`] policy (the apply chain —
-/// horizontal kernel plus one kernel per tree level — is queued in order on
-/// the stream when `Exec::Stream`). The panel's reflectors come from the
-/// packed compact-WY factors cached in `pf` — the factored matrix itself is
-/// no longer read.
-///
-/// # Safety-by-contract
-/// `cols` must be disjoint column blocks of `c`.
-pub fn apply_panel_ptr_on<T: Scalar>(
-    gpu: &Gpu,
-    exec: Exec,
-    c: MatPtr<T>,
-    pf: &PanelFactor<T>,
-    cols: &[(usize, usize)],
-    transpose: bool,
-) -> Result<(), CaqrError> {
-    if cols.is_empty() {
-        return Ok(());
-    }
-    let spec = gpu.spec();
-    let horizontal = |gpu: &Gpu| -> Result<(), CaqrError> {
-        let kernel = ApplyQtHKernel {
-            launch: GridLaunch::apply_qt_h(spec, &pf.tiles, pf.width, cols, pf.strategy, T::BYTES),
-            c,
-            panel: pf,
-            col_blocks: cols,
-            transpose,
-        };
-        gpu.launch_on(exec, &kernel)?;
-        Ok(())
-    };
-    let tree_level = |gpu: &Gpu, nodes: &[TreeNode<T>]| -> Result<(), CaqrError> {
-        let arities = nodes.iter().map(|n| n.members.len()).collect();
-        let kernel = ApplyQtTreeKernel {
-            launch: GridLaunch::apply_qt_tree(spec, arities, pf.width, cols, pf.strategy, T::BYTES),
-            c,
-            nodes,
-            width: pf.width,
-            col_blocks: cols,
-            transpose,
-        };
-        gpu.launch_on(exec, &kernel)?;
-        Ok(())
-    };
-
-    if transpose {
-        // Q^T = (tree_L ... tree_1 level0)^T applied left-to-right:
-        // level-0 first, then the tree levels bottom-up.
-        horizontal(gpu)?;
-        for nodes in &pf.levels {
-            tree_level(gpu, nodes)?;
-        }
-    } else {
-        // Q: tree levels top-down, then level-0.
-        for nodes in pf.levels.iter().rev() {
-            tree_level(gpu, nodes)?;
-        }
-        horizontal(gpu)?;
-    }
-    Ok(())
-}
-
 /// Factor a tall-skinny matrix (`cols <= bs.w`) with TSQR on the GPU: a
 /// one-panel [`Factorization`] whose `launches` counts the health check,
 /// the level-0 factor and one `factor_tree` launch per tree level. Unlike
@@ -352,24 +177,33 @@ pub fn tsqr<T: Scalar>(
     bs: BlockSize,
     strategy: ReductionStrategy,
 ) -> Result<Factorization<T>, CaqrError> {
-    let n = a.cols();
+    let (m, n) = a.shape();
     if n > bs.w {
         return Err(CaqrError::BadShape(format!(
             "TSQR panel width {n} exceeds block width {}; use CAQR",
             bs.w
         )));
     }
-    if a.rows() < n {
+    if m < n {
         return Err(CaqrError::BadShape(format!(
-            "TSQR requires rows >= cols (got {}x{n})",
-            a.rows()
+            "TSQR requires rows >= cols (got {m}x{n})"
         )));
     }
-    crate::health::check_matrix_finite(gpu, Exec::Sync, &a, bs, "tsqr input")?;
-    let pf = factor_panel(gpu, &mut a, 0, 0, n, bs, strategy)?;
+    let cfg = DriveConfig {
+        bs,
+        strategy,
+        tree: TreeShape::DeviceArity,
+        check_finite: true,
+        verify_checksums: false,
+        health_context: "tsqr input",
+    };
+    validate(&cfg, m, n)?;
+    let sim = SimBackend::sync(gpu);
+    let health = sim.check_finite(&a, bs, cfg.health_context)?;
+    let pf = sim.factor_panel(0, &mut a, 0, 0, n, &cfg)?;
     Ok(Factorization {
         a,
-        launches: 2 + pf.levels.len(),
+        launches: health + 1 + pf.levels.len(),
         panels: vec![pf],
     })
 }
@@ -377,7 +211,6 @@ pub fn tsqr<T: Scalar>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::SimBackend;
     use dense::generate;
     use dense::norms::{orthogonality_error, reconstruction_error};
     use gpu_sim::DeviceSpec;

@@ -30,7 +30,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 
 /// Where a launch goes: the synchronous timeline, or an asynchronous
 /// stream queue. Lets algorithm code be written once and scheduled either
-/// way (the `caqr` crate threads this through its kernel wrappers).
+/// way (the `caqr` crate threads this through its chain walks).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Exec {
     /// Launch synchronously: time and record immediately.

@@ -1,19 +1,22 @@
 //! Absolute accuracy of the host reference `caqr_cpu`: backward error
 //! `‖A − QR‖_F / ‖A‖_F` and loss of orthogonality `‖I − QᵀQ‖_F`, each
 //! bounded by `C · n · ε` with the constant `C` fixed in DESIGN.md §7.
-//! Every other executor is pinned bit-identical to `caqr_cpu` by
-//! `backend_conformance`, so the bound carries over to them.
+//! Every input also runs through the synchronous simulator and a
+//! two-member fused `factor_many` group, whose factored bits must equal
+//! `caqr_cpu`'s, so the bound holds on them too. `backend_conformance`
+//! pins the other executors bit-identical to `caqr_cpu`.
 //!
 //! The inputs are the ones a QR must not lose accuracy on: graded columns,
 //! rank deficiency, a zero and a duplicated column, and entries near either
-//! end of the exponent range. Checksums are on, so a false ABFT alarm on
-//! any of them fails the run too.
+//! end of the exponent range. Checksums are on in `caqr_cpu` and in the
+//! fused group, so a false ABFT alarm on any of them fails the run too.
 
-use caqr::{caqr_cpu, CpuCaqrOptions, TreeShape};
+use caqr::{caqr_cpu, factor_many, BlockSize, CaqrOptions, CpuCaqrOptions, TreeShape};
 use dense::generate;
 use dense::matrix::Matrix;
 use dense::norms::{orthogonality_error, reconstruction_error};
 use dense::scalar::Scalar;
+use gpu_sim::{DeviceSpec, Gpu};
 
 /// The `C` of the `C · n · ε` bound (DESIGN.md §7).
 const C: f64 = 2.0;
@@ -73,8 +76,24 @@ fn inputs<T: Scalar>(m: usize, n: usize, big: f64) -> Vec<(String, Matrix<T>)> {
     ]
 }
 
+/// A C2050 with room for the largest tiles here: staging a 512x32 tile's
+/// `V` for the apply takes 64 KiB of shared memory, more than the real
+/// device's 48 KiB, and the device model does not touch the arithmetic.
+fn roomy_c2050() -> DeviceSpec {
+    DeviceSpec {
+        smem_per_sm: 256 * 1024,
+        ..DeviceSpec::c2050()
+    }
+}
+
+/// The bits of every entry of `a`, column-major.
+fn bits<T: Scalar>(a: &Matrix<T>) -> Vec<u64> {
+    a.as_slice().iter().map(|x| x.to_f64().to_bits()).collect()
+}
+
 /// Factor every input at every shape with checksums on and check both
-/// metrics against `C · n · ε`. Returns the largest metric seen, in units
+/// metrics against `C · n · ε`, and that the simulator and a fused group
+/// factor it to the same bits. Returns the largest metric seen, in units
 /// of `n · ε`.
 fn check_precision<T: Scalar>(big: f64) -> f64 {
     let eps = T::epsilon().to_f64();
@@ -86,9 +105,26 @@ fn check_precision<T: Scalar>(big: f64) -> f64 {
             tree: TreeShape::DeviceArity,
             verify_checksums: true,
         };
+        let sim_opts = CaqrOptions {
+            bs: BlockSize { h, w },
+            tree: TreeShape::DeviceArity,
+            ..CaqrOptions::default()
+        };
         let bound = C * n as f64 * eps;
         for (name, a) in inputs::<T>(m, n, big) {
             let f = caqr_cpu(a.clone(), opts).unwrap_or_else(|e| panic!("{m}x{n} {name}: {e}"));
+            let gpu = Gpu::new(roomy_c2050());
+            let sim = caqr::caqr::caqr(&gpu, a.clone(), sim_opts)
+                .unwrap_or_else(|e| panic!("{m}x{n} {name} on the simulator: {e}"));
+            assert!(bits(&sim.a) == bits(&f.a), "{m}x{n} {name}: simulator bits");
+            let (fused, stats) = factor_many(vec![(a.clone(), opts); 2], &[], true);
+            assert_eq!(stats.fused_jobs, 2, "{m}x{n} {name}: one fused group");
+            for (k, r) in fused.iter().enumerate() {
+                let g = r
+                    .as_ref()
+                    .unwrap_or_else(|e| panic!("{m}x{n} {name} fused member {k}: {e}"));
+                assert!(bits(&g.a) == bits(&f.a), "{m}x{n} {name}: member {k} bits");
+            }
             let q = f.generate_q(m.min(n)).unwrap();
             let backward = reconstruction_error(&a, &q, &f.r());
             let orth = orthogonality_error(&q);

@@ -276,28 +276,10 @@ fn ledger_summary_is_humane() {
 #[test]
 fn kernel_reports_expose_boundedness() {
     let gpu = Gpu::new(DeviceSpec::c2050());
-    let mut a = dense::generate::uniform::<f32>(2048, 16, 2);
     let tiles = caqr::block::tile_panel(0, 2048, 128, 16);
-    let wy: Vec<parking_lot::Mutex<Option<caqr::tsqr::WyTile<f32>>>> = tiles
-        .iter()
-        .map(|_| parking_lot::Mutex::new(None))
-        .collect();
-    let mut vs: Vec<dense::matrix::Matrix<f32>> = tiles
-        .iter()
-        .map(|t| dense::matrix::Matrix::zeros(t.rows, 16))
-        .collect();
-    let v: Vec<dense::MatPtr<f32>> = vs.iter_mut().map(dense::MatPtr::new).collect();
     let strategy = caqr::ReductionStrategy::RegisterSerialTransposed;
-    let k = caqr::kernels::FactorKernel {
-        launch: caqr::kernels::GridLaunch::factor(gpu.spec(), &tiles, 16, strategy, 4),
-        a: dense::MatPtr::new(&mut a),
-        tiles: &tiles,
-        col0: 0,
-        width: 16,
-        wy: &wy,
-        v: &v,
-    };
-    let report = gpu.launch_on(gpu_sim::Exec::Sync, &k).unwrap();
+    let launch = caqr::kernels::GridLaunch::factor(gpu.spec(), &tiles, 16, strategy, 4);
+    let report = gpu.charge_on(gpu_sim::Exec::Sync, &launch).unwrap();
     assert_eq!(report.name, "factor");
     assert_eq!(report.blocks, 16);
     assert!(report.seconds > 0.0);

@@ -8,8 +8,9 @@
 use caqr::recovery::{caqr_resilient, RecoveryOptions, RecoveryPolicy};
 use caqr::schedule::{caqr_dag, ScheduleOptions};
 use caqr::{
-    BlockSize, CaqrBackend, CaqrError, CaqrOptions, CpuBackend, CpuCaqrOptions, DriveConfig,
-    Factorization, FaultKind, FaultPlan, Faulty, Mode, ReductionStrategy, SimBackend,
+    factor_many, BlockSize, CaqrBackend, CaqrError, CaqrOptions, CpuBackend, CpuCaqrOptions,
+    DriveConfig, Factorization, FaultKind, FaultPlan, Faulty, Mode, PlannedFault,
+    ReductionStrategy, SimBackend, TreeShape,
 };
 use gpu_sim::{DeviceSpec, Gpu, DEFAULT_WATCHDOG_US};
 
@@ -552,4 +553,73 @@ fn device_loss_is_terminal_on_a_single_device() {
     let revived = caqr::caqr::caqr(&gpu, a.clone(), opts()).unwrap();
     let clean = caqr::caqr::caqr(&Gpu::new(DeviceSpec::c2050()), a, opts()).unwrap();
     assert_eq!(revived.r(), clean.r());
+}
+
+#[test]
+fn a_lost_tree_launch_ends_the_panel_after_its_charged_factor() {
+    // Launches 0–2 are the health scan, the pre-transpose and the first
+    // panel's `factor`; launch 3, its first `factor_tree`, finds the
+    // device gone. The simulator charges a chain before running its
+    // arithmetic, and the ledger keeps exactly the admitted launches.
+    let a = dense::generate::uniform::<f32>(1024, 32, 1);
+    let gpu = Gpu::new(DeviceSpec::c2050());
+    gpu.lose_at_launch(3);
+    match caqr::caqr::caqr(&gpu, a, opts()) {
+        Err(CaqrError::DeviceLost {
+            kernel,
+            launch_index,
+        }) => assert_eq!((kernel, launch_index), ("factor_tree", 3)),
+        other => panic!("expected DeviceLost, got {:?}", other.map(|_| ())),
+    }
+    let l = gpu.ledger();
+    assert_eq!(l.device_losses, 1);
+    assert_eq!(l.calls, 3);
+    let ops: Vec<(&str, u64, f64)> = (l.per_op.iter())
+        .map(|(&op, s)| (op, s.calls, s.seconds))
+        .collect();
+    // The modelled C2050 seconds of each admitted launch.
+    let want = [
+        ("factor", 1, 5.300204923273657e-5),
+        ("health_check", 1, 2.591022222222222e-5),
+        ("pretranspose", 1, 2.682044444444444e-5),
+    ];
+    assert_eq!(ops, want);
+    assert_eq!(l.seconds, 0.00010573271589940323);
+}
+
+#[test]
+fn apply_checksums_catch_an_sdc_in_columns_whose_sums_overflow() {
+    // At 1e305 and 1e306 the plain f64 sums `sum_i |u_i c_ij|` of this
+    // shape overflow; the check rescales them and must still see the SDC
+    // that task 1 (the first panel's apply) plants, and pass a clean run.
+    let opts = CpuCaqrOptions {
+        tile_rows: 512,
+        panel_width: 32,
+        tree: TreeShape::DeviceArity,
+        verify_checksums: true,
+    };
+    let uniform = dense::generate::uniform::<f64>(4096, 64, 1);
+    for scale in [1e305, 1e306] {
+        let mut a = uniform.clone();
+        a.as_mut_slice().iter_mut().for_each(|x| *x *= scale);
+        let sdc = PlannedFault {
+            kind: FaultKind::Sdc,
+            ordinal: 0,
+            payload: 1,
+        };
+        let (faulted, _) = factor_many(vec![(a.clone(), opts)], &[Some(sdc)], true);
+        match &faulted[0] {
+            Err(CaqrError::ChecksumMismatch { stage, panel, col }) => {
+                assert_eq!((*stage, *panel, *col), ("apply", 0, 32), "at {scale:e}")
+            }
+            other => panic!(
+                "SDC at {scale:e} not caught: {:?}",
+                other.as_ref().map(|_| ())
+            ),
+        }
+        let (clean, _) = factor_many(vec![(a, opts)], &[], true);
+        if let Err(e) = &clean[0] {
+            panic!("clean run at {scale:e} raised {e}");
+        }
+    }
 }
