@@ -1253,8 +1253,10 @@ impl<'g> SimBackend<'g> {
     }
 
     /// Charge the modelled cost of applying the `Q` of an `m x n`
-    /// factorization to `nc` columns on slot 0: one apply chain per panel
-    /// over the column grid [`Factorization::apply_on`] executes.
+    /// factorization to `nc` columns on slot 0 (forming explicit `Q`): one
+    /// apply chain per panel over the column grid, in the order
+    /// [`Factorization::generate_q_on`] executes them — panels last to
+    /// first, each chain tree levels first.
     pub(crate) fn model_apply(
         &self,
         m: usize,
@@ -1266,8 +1268,10 @@ impl<'g> SimBackend<'g> {
         checked_elems(m, nc, "apply target element count")?;
         let geo = DagGeometry::new(m, n, cfg.bs.w, 1);
         let cols = col_blocks(0, nc, cfg.bs.w);
-        let mut sink = CostSink { sim: self, cfg, m };
-        (geo.steps.iter()).try_for_each(|step| sink.apply(0, step, &cols))
+        (geo.steps.iter().rev()).try_for_each(|step| {
+            let chains = PanelChains::planned(cfg, m, step.c, step.width, ELEM_BYTES);
+            chains.charge_apply(self.gpu, self.execs[0], &cols, false)
+        })
     }
 }
 

@@ -284,9 +284,20 @@ mod tests {
 
             let g2 = Gpu::new(DeviceSpec::c2050());
             let secs = model_caqr_apply_seconds(&g2, m, n, n, opts).unwrap();
+            // Charged in the executed order, launch for launch, so every
+            // sum is the same float sum.
             let (exec, modeled) = (g1.ledger(), g2.ledger());
-            assert_ledgers_match(&exec, &modeled, 1e-9);
-            assert!((secs - exec.seconds).abs() / exec.seconds < 1e-9, "{m}x{n}");
+            let per_op = |l: &gpu_sim::CostLedger| -> Vec<(&str, u64, f64, f64, f64)> {
+                (l.per_op.iter())
+                    .map(|(&op, st)| (op, st.calls, st.seconds, st.flops, st.bytes))
+                    .collect()
+            };
+            assert_eq!(per_op(&exec), per_op(&modeled), "{m}x{n}");
+            assert_eq!(
+                (exec.calls, exec.seconds, exec.flops, exec.dram_bytes),
+                (modeled.calls, secs, modeled.flops, modeled.dram_bytes),
+                "{m}x{n}"
+            );
         }
     }
 

@@ -1,5 +1,7 @@
-//! The simulated GPU: executes kernels for real on the rayon pool and
-//! converts their recorded operation counts into modelled time.
+//! The simulated GPU: charges launch descriptions and converts their
+//! operation counts into modelled time. It executes nothing: the caller
+//! runs the arithmetic on the host, so every executor's numerics are the
+//! host's.
 //!
 //! # Timing model (DESIGN.md §5)
 //!
@@ -11,21 +13,15 @@
 //! * A launch costs `overhead + max(issue_time, dram_time)` — the roofline.
 //!
 //! A launch is charged from its [`Launch`] description alone, block by
-//! block in grid order. [`Gpu::launch_on`] runs a [`Kernel`]'s blocks and
-//! then charges its description; [`Gpu::charge_on`] charges a description
-//! without running anything (the model-only figure sweeps). The two differ
-//! only in whether arithmetic happens, so a kernel and its description
-//! record the same time by construction.
+//! block in grid order, through [`Gpu::charge_on`].
 
 use crate::cost::{BlockCost, KernelReport};
-use crate::kernel::{Kernel, Launch, LaunchError};
+use crate::kernel::{Launch, LaunchError};
 use crate::ledger::CostLedger;
 use crate::spec::{DeviceSpec, PcieSpec};
 use crate::stream::{EventId, QueuedKernel, StreamId, StreamOp, StreamTable};
 use crate::timeline::{self, Timeline};
-use dense::Scalar;
 use parking_lot::Mutex;
-use rayon::prelude::*;
 use std::sync::atomic::{AtomicBool, Ordering};
 
 /// Where a launch goes: the synchronous timeline, or an asynchronous
@@ -35,8 +31,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 pub enum Exec {
     /// Launch synchronously: time and record immediately.
     Sync,
-    /// Enqueue on a stream: numerics run now, timing resolves at
-    /// [`Gpu::synchronize`].
+    /// Enqueue on a stream: timing resolves at [`Gpu::synchronize`].
     Stream(StreamId),
 }
 
@@ -157,46 +152,21 @@ impl Gpu {
         *self.loss.lock() = LossTrigger::default();
     }
 
-    /// Execute a kernel under an [`Exec`] policy: all blocks run in
-    /// parallel on the rayon pool, then the launch is charged from its
-    /// description like [`Self::charge_on`]. With `Exec::Stream` the
-    /// arithmetic still runs now — host enqueue order is a valid topological
-    /// order of any stream/event DAG, so results are bit-identical to
-    /// synchronous launches — while the timing is queued on the stream and
-    /// resolved by the next [`Self::synchronize`].
-    pub fn launch_on<T: Scalar>(
-        &self,
-        exec: Exec,
-        kernel: &dyn Kernel<T>,
-    ) -> Result<KernelReport, LaunchError> {
-        let launch = kernel.launch();
-        self.admit_launch(launch)?;
-        (0..launch.config().blocks)
-            .into_par_iter()
-            .for_each(|b| kernel.run_block(b));
-        Ok(self.charge(exec, launch))
-    }
-
-    /// Charge a launch description under an [`Exec`] policy without
-    /// executing anything: the same validation, admission and timing
-    /// as [`Self::launch_on`]. Used by the model-only sweeps, where running
-    /// terabyte-scale workloads would be pointless (the arithmetic is
-    /// validated at smaller sizes). Generic so that a concrete description's
+    /// Charge a launch description under an [`Exec`] policy: validate it
+    /// against the device limits, admit it (counting its ordinal for the
+    /// loss trigger) and time it. Nothing executes; with `Exec::Stream` the
+    /// timing is queued on the stream and resolved by the next
+    /// [`Self::synchronize`]. Generic so that a concrete description's
     /// `block_cost` inlines into the per-block loop: an indirect call per
-    /// block about triples the sweeps' time.
+    /// block about triples the model-only sweeps' time.
     pub fn charge_on<L: Launch + ?Sized>(
         &self,
         exec: Exec,
         launch: &L,
     ) -> Result<KernelReport, LaunchError> {
-        self.admit_launch(launch)?;
-        Ok(self.charge(exec, launch))
-    }
-
-    /// Validate a launch against the device limits, then admit it.
-    fn admit_launch<L: Launch + ?Sized>(&self, launch: &L) -> Result<(), LaunchError> {
         launch.config().validate(&self.spec)?;
-        self.admit(launch.name())
+        self.admit(launch.name())?;
+        Ok(self.charge(exec, launch))
     }
 
     /// Time an admitted launch from its per-block costs and record it:
@@ -383,7 +353,6 @@ mod tests {
     use super::*;
     use crate::cost::CostMeter;
     use crate::kernel::LaunchConfig;
-    use dense::{MatPtr, Matrix};
 
     /// A `blocks`-block grid of 64 threads with no shared memory.
     fn grid(blocks: usize) -> LaunchConfig {
@@ -406,15 +375,15 @@ mod tests {
         }
     }
 
-    /// Trivial kernel: each block scales its own row tile by 2 and charges
-    /// one fma per element.
-    struct ScaleKernel {
-        mat: MatPtr<f32>,
+    /// A row-tiled scale-by-2 description: each block reads and writes
+    /// its `tile_rows x cols` tile and charges one fma per element.
+    struct Scale {
         tile_rows: usize,
+        cols: usize,
         blocks: usize,
     }
 
-    impl Launch for ScaleKernel {
+    impl Launch for Scale {
         fn name(&self) -> &'static str {
             "scale"
         }
@@ -422,7 +391,7 @@ mod tests {
             grid(self.blocks)
         }
         fn block_cost(&self, _b: usize) -> BlockCost {
-            let elems = (self.tile_rows * self.mat.cols()) as u64;
+            let elems = (self.tile_rows * self.cols) as u64;
             let mut m = CostMeter::new(&DeviceSpec::c2050());
             m.gmem(elems, 4, true);
             m.fma(elems);
@@ -431,23 +400,12 @@ mod tests {
         }
     }
 
-    impl Kernel<f32> for ScaleKernel {
-        fn launch(&self) -> &dyn Launch {
-            self
-        }
-        fn run_block(&self, b: usize) {
-            let r0 = b * self.tile_rows;
-            for j in 0..self.mat.cols() {
-                for i in 0..self.tile_rows {
-                    // SAFETY: blocks own disjoint row tiles.
-                    unsafe {
-                        let v = self.mat.get(r0 + i, j);
-                        self.mat.set(r0 + i, j, 2.0 * v);
-                    }
-                }
-            }
-        }
-    }
+    /// The 256 x 8 scale in eight 32-row tiles.
+    const SCALE_256X8: Scale = Scale {
+        tile_rows: 32,
+        cols: 8,
+        blocks: 8,
+    };
 
     /// A charged launch whose blocks all cost the same.
     struct Uniform(&'static str, LaunchConfig, BlockCost);
@@ -465,24 +423,9 @@ mod tests {
     }
 
     #[test]
-    fn launch_executes_and_times() {
+    fn charge_times_a_description() {
         let gpu = Gpu::new(DeviceSpec::c2050());
-        let mut m = Matrix::from_fn(256, 8, |i, j| (i + j) as f32);
-        let orig = m.clone();
-        let report = {
-            let k = ScaleKernel {
-                mat: MatPtr::new(&mut m),
-                tile_rows: 32,
-                blocks: 8,
-            };
-            gpu.launch_on(Exec::Sync, &k).unwrap()
-        };
-        // Real math happened.
-        for i in 0..256 {
-            for j in 0..8 {
-                assert_eq!(m[(i, j)], 2.0 * orig[(i, j)]);
-            }
-        }
+        let report = gpu.charge_on(Exec::Sync, &SCALE_256X8).unwrap();
         // Costs recorded: 256*8 elements * 2 flops.
         assert_eq!(report.total.flops, 2 * 256 * 8);
         assert!(report.seconds > 0.0);
@@ -524,26 +467,12 @@ mod tests {
     }
 
     #[test]
-    fn async_launch_runs_numerics_now_and_times_at_sync() {
+    fn async_charge_times_at_sync() {
         let gpu = Gpu::new(DeviceSpec::c2050());
-        let mut m = Matrix::from_fn(256, 8, |i, j| (i + j) as f32);
-        let orig = m.clone();
         let s = gpu.create_stream();
-        {
-            let k = ScaleKernel {
-                mat: MatPtr::new(&mut m),
-                tile_rows: 32,
-                blocks: 8,
-            };
-            gpu.launch_on(Exec::Stream(s), &k).unwrap();
-        }
-        // Numerics are done before synchronize.
-        for i in 0..256 {
-            for j in 0..8 {
-                assert_eq!(m[(i, j)], 2.0 * orig[(i, j)]);
-            }
-        }
-        // But no time has been charged yet.
+        let report = gpu.charge_on(Exec::Stream(s), &SCALE_256X8).unwrap();
+        assert_eq!(report.total.flops, 2 * 256 * 8);
+        // No time has been charged before synchronize.
         assert_eq!(gpu.elapsed(), 0.0);
         assert_eq!(gpu.ledger().calls, 0);
         let tl = gpu.synchronize();

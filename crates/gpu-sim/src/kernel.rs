@@ -1,18 +1,14 @@
-//! The kernel abstraction: a grid of independent thread blocks, in two
-//! halves.
+//! The kernel abstraction: a grid of independent thread blocks, described
+//! without touching data.
 //!
-//! A [`Launch`] describes a launch without touching data: its name, its
-//! [`LaunchConfig`] (grid size plus per-block resource demands, which the
-//! device validates against its limits exactly like the CUDA runtime would)
-//! and the operation counts of each block. A [`Kernel`] adds the arithmetic:
-//! a `run_block` body whose blocks execute in parallel on the rayon pool —
-//! the simulator's stand-in for the SM array. The device charges every
-//! launch from its description alone, so running a kernel and charging its
-//! description record the same time.
+//! A [`Launch`] states a launch's name, its [`LaunchConfig`] (grid size
+//! plus per-block resource demands, which the device validates against its
+//! limits exactly like the CUDA runtime would) and the operation counts of
+//! each block. The device charges every launch from this description alone;
+//! the arithmetic it stands for runs on the host, outside the simulator.
 
 use crate::cost::BlockCost;
 use crate::spec::DeviceSpec;
-use dense::Scalar;
 
 /// Grid and per-block resource demands of one launch.
 #[derive(Clone, Copy, Debug)]
@@ -164,17 +160,6 @@ pub trait Launch: Sync {
     fn config(&self) -> LaunchConfig;
     /// Operation counts of block `block_idx` (`< config().blocks`).
     fn block_cost(&self, block_idx: usize) -> BlockCost;
-}
-
-/// A GPU kernel: a launch description plus a per-block body.
-///
-/// `run_block` must touch only the tile(s) of global memory owned by
-/// `block_idx` (see `dense::ptr::MatPtr` for the aliasing contract).
-pub trait Kernel<T: Scalar>: Sync {
-    /// What the device validates and charges for this launch.
-    fn launch(&self) -> &dyn Launch;
-    /// Execute one thread block.
-    fn run_block(&self, block_idx: usize);
 }
 
 #[cfg(test)]

@@ -7,11 +7,12 @@
 //! wait on, expressing cross-stream dependencies — together they form the
 //! task DAG that [`crate::timeline`] resolves into modelled wall-clock time.
 //!
-//! Numerical execution does **not** wait for the timeline: an asynchronous
-//! launch runs its kernel arithmetic immediately on the rayon pool (host
-//! submission order is always a valid topological order of the DAG, so
-//! results are bit-identical to the synchronous path), and only the *timing*
-//! of the launch is deferred until [`crate::device::Gpu::synchronize`].
+//! The simulator executes nothing, so a queue holds only timing: the
+//! caller runs a launch's arithmetic on the host when it charges the
+//! launch (host submission order is always a valid topological order of
+//! the DAG, so results are bit-identical to the synchronous path), and the
+//! *timing* of the launch is deferred until
+//! [`crate::device::Gpu::synchronize`].
 
 /// Handle to an in-order launch queue on a device.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -77,7 +78,7 @@ impl QueuedKernel {
 /// One entry in a stream's in-order queue.
 #[derive(Clone, Debug)]
 pub(crate) enum StreamOp {
-    /// A kernel launch (numerics already executed; timing pending).
+    /// A kernel launch (timing pending).
     Kernel(QueuedKernel),
     /// Record an event: fires when all earlier ops in this stream are done.
     Record(EventId),

@@ -7,8 +7,12 @@
 //! The expensive part is the QR of the tall matrix; the `n x n` SVD of `R`
 //! is "cheap ... and done on the CPU". The QR step is pluggable so the
 //! Robust PCA solver can run on the plain CPU path or through the simulated
-//! GPU CAQR — the Table II comparison.
+//! GPU CAQR — the Table II comparison. With a simulated device the pipeline
+//! charges what the GPU version moves and launches besides the QR: `R` down
+//! to the host, the small factors back up, and the `Q * U` GEMM; the
+//! arithmetic is the host's on every backend.
 
+use crate::gpu_ops::{charge, GemmLaunch};
 use caqr::{CaqrError, CaqrOptions, Factorization, SimBackend};
 use dense::blas3::{gemm, Trans};
 use dense::matrix::Matrix;
@@ -23,6 +27,11 @@ pub trait QrBackend<T: Scalar> {
     fn qr(&self, a: &Matrix<T>) -> Result<(Matrix<T>, Matrix<T>), CaqrError>;
     /// Name for reports.
     fn name(&self) -> &'static str;
+    /// The simulated device the QR runs on, if any: the SVD pipeline and
+    /// the Robust PCA loop charge their other bulk steps to it too.
+    fn device(&self) -> Option<&Gpu> {
+        None
+    }
 }
 
 /// Blocked Householder QR on the host (`dense::blocked`).
@@ -66,6 +75,9 @@ impl<'a, T: Scalar> QrBackend<T> for GpuCaqrBackend<'a> {
     fn name(&self) -> &'static str {
         "gpu-caqr"
     }
+    fn device(&self) -> Option<&Gpu> {
+        Some(self.gpu)
+    }
 }
 
 /// SVD of a tall-skinny matrix via QR + small SVD of `R` + `Q * U`.
@@ -80,8 +92,21 @@ pub fn svd_via_qr<T: Scalar>(
         )));
     }
     let (q, r) = backend.qr(a)?;
-    let small = svd(&r); // the cheap n x n SVD ("done on the CPU")
-                         // Left singular vectors of A: U' = Q * U.
+    // R down to the host and its factors back up around the small SVD.
+    if let Some(gpu) = backend.device() {
+        gpu.transfer_d2h((n * n) as u64 * T::BYTES);
+        gpu.transfer_h2d((2 * n * n) as u64 * T::BYTES);
+    }
+    // The cheap n x n SVD ("done on the CPU").
+    let small = svd(&r);
+    // Left singular vectors of A: U' = Q * U.
+    charge(backend.device(), |spec| GemmLaunch {
+        spec,
+        rows: m,
+        k: n,
+        n,
+        elem_bytes: T::BYTES,
+    })?;
     let mut u = Matrix::<T>::zeros(m, n);
     gemm(
         Trans::No,
