@@ -31,19 +31,22 @@ use dense::MatPtr;
 /// once, factored by [`dense::householder::geqrf_gram_transposed`], and the
 /// WY factors are built from the same packing, with contiguous-row
 /// trailing updates and no per-launch allocation beyond the small
-/// `tau`/`T` outputs. A tile whose packing fits
-/// [`dense::householder::FACTOR_L1_BYTES`] runs the unblocked strategy-4
-/// sweep and is bit-identical to [`factor_tile_ref`]. A larger tile is
-/// factored in 8-column blocks (see `geqrf_gram_transposed`), which agrees
-/// with [`factor_tile_ref`] to rounding, not bitwise; every executor calls
-/// this function, so the executors still agree bitwise with each other.
+/// `tau`/`T` outputs. A tile whose packing fits its type's
+/// [`dense::householder::factor_l1_bytes`] budget runs the unblocked
+/// strategy-4 sweep and is bit-identical to [`factor_tile_ref`]. A larger
+/// tile is factored in 8-column blocks (see `geqrf_gram_transposed`),
+/// which agrees with [`factor_tile_ref`] to rounding, not bitwise; every
+/// executor calls this function, so the executors still agree bitwise
+/// with each other.
 ///
 /// The explicit `V` (unit diagonal, zeros above, tails below) is written in
 /// full through `v`, the tile's `tile.rows x k` block of its panel's slab
 /// (`k = min(tile.rows, width)`, see [`crate::tsqr::PanelFactor::tile_v`]).
 /// The slab comes from the arena dirty, so every element is written. `v`
-/// follows the same disjoint-tile contract as `a`.
-#[allow(clippy::eq_op)] // the `x - x` probe is +0.0 iff `x` is finite, NaN otherwise
+/// follows the same disjoint-tile contract as `a`. The pack and the
+/// unpack go through `MatPtr`'s blocked transposes
+/// ([`MatPtr::load_tile_transposed`],
+/// [`MatPtr::store_factored_transposed`]), which move bits unchanged.
 pub fn factor_tile<T: Scalar>(
     a: MatPtr<T>,
     tile: Tile,
@@ -53,12 +56,6 @@ pub fn factor_tile<T: Scalar>(
 ) -> WyTile<T> {
     let rows = tile.rows;
     let k = rows.min(width);
-    assert!(
-        v.rows() == rows && v.cols() == k,
-        "V block is {}x{}, tile needs {rows}x{k}",
-        v.rows(),
-        v.cols()
-    );
     // Pack pre-transposed straight from the panel: at[r * width + j] = A(r, j).
     let mut at = arena::take_dirty::<T>(rows * width);
     // SAFETY: the caller assigns disjoint tiles to concurrent invocations.
@@ -68,53 +65,21 @@ pub fn factor_tile<T: Scalar>(
     let mut tau = vec![T::ZERO; k];
     let mut gram = arena::take_dirty::<T>(k * k);
     geqrf_gram_transposed(&mut at, rows, width, &mut tau, &mut gram);
-    // One sweep per column of the factored packing serves the store-back of
-    // the tile, the explicit V and the finiteness check of the tails — both
-    // destinations are written while `at` stays cache-resident. `x - x` is
-    // exactly `+0.0` for finite `x` and NaN otherwise, so the branchless
-    // accumulator stays zero iff every tail entry is finite (the diagonal
-    // ones and the zeros above are finite by construction).
-    // Four rotating lanes keep the NaN accumulation off the loop's critical
-    // path (a single lane would serialize on FP-add latency).
-    let mut tails_acc = [T::ZERO; 4];
-    for j in 0..width {
-        for r in 0..rows.min(j + 1) {
-            // SAFETY: same tile.
-            unsafe { a.set(tile.start + r, col0 + j, at[r * width + j]) };
-        }
-        if j < k {
-            for r in 0..j {
-                // SAFETY: the caller hands this invocation its own V block.
-                unsafe { v.set(r, j, T::ZERO) };
-            }
-            // SAFETY: as above (j < k <= rows).
-            unsafe { v.set(j, j, T::ONE) };
-            for r in j + 1..rows {
-                let x = at[r * width + j];
-                // SAFETY: same tile, same V block.
-                unsafe {
-                    a.set(tile.start + r, col0 + j, x);
-                    v.set(r, j, x);
-                }
-                tails_acc[r & 3] += x - x;
-            }
-        } else {
-            for r in j + 1..rows {
-                // SAFETY: same tile.
-                unsafe { a.set(tile.start + r, col0 + j, at[r * width + j]) };
-            }
-        }
-    }
+    // One blocked pass over the factored packing stores the tile back,
+    // writes the explicit V and checks the tails for finiteness (the
+    // diagonal ones and the zeros above are finite by construction).
+    // SAFETY: same tile; the caller hands this invocation its own V block.
+    let tails_finite =
+        unsafe { a.store_factored_transposed(tile.start, col0, rows, width, &at, v) };
     let t = larft_from_gram(&gram, &tau);
-    let healthy =
-        all_finite(t.as_slice()) && all_finite(&tau) && tails_acc.iter().all(|&x| x == T::ZERO);
+    let healthy = all_finite(t.as_slice()) && all_finite(&tau) && tails_finite;
     WyTile { tau, t, healthy }
 }
 
 /// Pre-arena reference implementation of [`factor_tile`]: fresh column-major
 /// buffer, dense [`geqr2`]/[`larft`], and an owned explicit `V` returned
 /// beside the factors. Kept as the `geqr2` oracle for the property tests
-/// (bitwise for tiles within `FACTOR_L1_BYTES`) and the "before" row of the
+/// (bitwise for tiles within the `factor_l1_bytes` budget) and the "before" row of the
 /// wallclock report.
 pub fn factor_tile_ref<T: Scalar>(
     a: MatPtr<T>,
@@ -481,27 +446,171 @@ mod tests {
     use super::*;
     use crate::block::tile_panel;
 
+    use proptest::prelude::*;
+    use std::cmp::Ordering;
+
     /// [`factor_tile`] into an owned `V` that starts as NaN, so a block
     /// element the kernel forgot to write shows up in the comparison.
-    fn factor_tile_owned(
-        a: &mut Matrix<f64>,
+    fn factor_tile_owned<T: Scalar>(
+        a: &mut Matrix<T>,
         tile: Tile,
         width: usize,
-    ) -> (WyTile<f64>, Matrix<f64>) {
+    ) -> (WyTile<T>, Matrix<T>) {
         let k = tile.rows.min(width);
-        let mut v = Matrix::from_fn(tile.rows, k, |_, _| f64::NAN);
+        let mut v = Matrix::from_fn(tile.rows, k, |_, _| T::from_f64(f64::NAN));
         let wy = factor_tile(MatPtr::new(a), tile, 0, width, MatPtr::new(&mut v));
         (wy, v)
     }
 
-    fn bits(xs: &[f64]) -> Vec<u64> {
-        xs.iter().map(|x| x.to_bits()).collect()
+    fn bits<T: Scalar>(xs: &[T]) -> Vec<u64> {
+        xs.iter().map(|x| x.to_f64().to_bits()).collect()
+    }
+
+    /// [`factor_tile`]'s copies as they were before they were blocked, the
+    /// reference for the blocked ones: a column-outer element-by-element
+    /// pack, the same [`geqrf_gram_transposed`], and a column loop that
+    /// writes the tile, the explicit `V` and the tail check one element at
+    /// a time.
+    fn factor_tile_elementwise<T: Scalar>(
+        a: &mut Matrix<T>,
+        tile: Tile,
+        width: usize,
+    ) -> (WyTile<T>, Matrix<T>) {
+        let rows = tile.rows;
+        let k = rows.min(width);
+        let mut at = vec![T::ZERO; rows * width];
+        for j in 0..width {
+            for r in 0..rows {
+                at[r * width + j] = a[(tile.start + r, j)];
+            }
+        }
+        let mut tau = vec![T::ZERO; k];
+        let mut gram = vec![T::ZERO; k * k];
+        geqrf_gram_transposed(&mut at, rows, width, &mut tau, &mut gram);
+        let mut v = Matrix::zeros(rows, k);
+        let mut tails_finite = true;
+        for j in 0..width {
+            for r in 0..rows {
+                let x = at[r * width + j];
+                a[(tile.start + r, j)] = x;
+                if j < k {
+                    v[(r, j)] = match r.cmp(&j) {
+                        Ordering::Less => T::ZERO,
+                        Ordering::Equal => T::ONE,
+                        Ordering::Greater => x,
+                    };
+                    tails_finite &= r <= j || x.is_finite();
+                }
+            }
+        }
+        let t = larft_from_gram(&gram, &tau);
+        let healthy = all_finite(t.as_slice()) && all_finite(&tau) && tails_finite;
+        (WyTile { tau, t, healthy }, v)
+    }
+
+    /// [`factor_tile`] on a `rows x width` tile inside a taller matrix is
+    /// bit-identical to [`factor_tile_elementwise`]: the whole matrix
+    /// (the tile and the rows around it), `V`, `T`, `tau` and `healthy`.
+    /// With `poison`, the arena's pools are filled with NaN first, and the
+    /// `V` block always starts as NaN, so an element the blocked copies
+    /// skip shows up.
+    fn check_blocked_copies<T: Scalar>(rows: usize, width: usize, seed: u64, poison: bool) {
+        let ctx = format!(
+            "f{} {rows}x{width} seed {seed}",
+            8 * std::mem::size_of::<T>()
+        );
+        if poison {
+            arena::poison_pools::<T>(T::from_f64(f64::NAN));
+        }
+        let a0 = dense::generate::uniform::<T>(rows + 11, width, seed);
+        let tile = Tile { start: 5, rows };
+        let mut a = a0.clone();
+        let (wy, v) = factor_tile_owned(&mut a, tile, width);
+        let mut a_ref = a0;
+        let (wy_ref, v_ref) = factor_tile_elementwise(&mut a_ref, tile, width);
+        assert_eq!(bits(a.as_slice()), bits(a_ref.as_slice()), "{ctx} A");
+        assert_eq!(bits(v.as_slice()), bits(v_ref.as_slice()), "{ctx} V");
+        assert_eq!(bits(wy.t.as_slice()), bits(wy_ref.t.as_slice()), "{ctx} T");
+        assert_eq!(bits(&wy.tau), bits(&wy_ref.tau), "{ctx} tau");
+        assert_eq!(wy.healthy, wy_ref.healthy, "{ctx} healthy");
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// The blocked pack and unpack move the same bits as the
+        /// element-by-element copies, in both precisions, on tiles that
+        /// are short and wide (`k < width`), within the blocking budget
+        /// and beyond it, with rows and widths of any remainder mod 8.
+        #[test]
+        fn blocked_copies_match_elementwise_copies(
+            rows in 1usize..700,
+            short in 0u8..4,
+            width in 1usize..41,
+            seed in 0u64..1000,
+            poison in 0u8..2,
+            single in 0u8..2,
+        ) {
+            // One case in four is at most 40 rows, so some tiles are
+            // shorter than wide.
+            let rows = if short == 0 { rows % 40 + 1 } else { rows };
+            if single == 1 {
+                check_blocked_copies::<f32>(rows, width, seed, poison == 1);
+            } else {
+                check_blocked_copies::<f64>(rows, width, seed, poison == 1);
+            }
+        }
+    }
+
+    /// Fixed shapes for the same check: ragged rows and columns on the
+    /// unblocked sweep (45x13) and on the blocked factor (342x12, 517x21),
+    /// a tile shorter than wide (5x11) and a full-block 512x32 tile.
+    #[test]
+    fn blocked_copies_match_elementwise_on_ragged_shapes() {
+        for (rows, width) in [(45, 13), (5, 11), (342, 12), (517, 21), (512, 32)] {
+            check_blocked_copies::<f64>(rows, width, 1, true);
+            check_blocked_copies::<f32>(rows, width, 2, true);
+        }
+    }
+
+    /// One infinite entry in the tile, in a full block below the diagonal,
+    /// in the top `k` rows or in a ragged edge, makes the tile unhealthy,
+    /// and the apply then takes the per-reflector `larf` path: its result
+    /// is exactly `apply_block_reflectors`'s.
+    #[test]
+    fn infinite_entry_makes_tile_unhealthy_and_apply_falls_back_to_larf() {
+        for (rows, width) in [(45, 13), (342, 12)] {
+            for (r, j) in [(rows - 20, 3), (5, 2), (rows - 2, width - 1)] {
+                let ctx = format!("{rows}x{width} Inf at ({r},{j})");
+                let mut a = dense::generate::uniform::<f64>(rows, width, 4);
+                a[(r, j)] = f64::INFINITY;
+                let tile = Tile { start: 0, rows };
+                let (wy, v) = factor_tile_owned(&mut a, tile, width);
+                assert!(!wy.healthy, "{ctx}");
+                let c0m = dense::generate::uniform::<f64>(rows, 3, 5);
+                let mut c = c0m.clone();
+                apply_tile_wy(&wy, v.as_ref(), MatPtr::new(&mut c), tile, 0, 3, true);
+                let mut want = c0m;
+                crate::microkernels::apply_block_reflectors(
+                    v.as_ref(),
+                    &wy.tau,
+                    true,
+                    want.as_mut(),
+                );
+                for (x, y) in c.as_slice().iter().zip(want.as_slice()) {
+                    assert!(
+                        x.to_bits() == y.to_bits() || (x.is_nan() && y.is_nan()),
+                        "{ctx}: {x} vs {y}"
+                    );
+                }
+            }
+        }
     }
 
     /// Bitwise against `geqr2` + `extract_v` + `larft`, over every dot arm of
     /// the factor sweep: widths 8/16/32 take `dot_rows_w`'s unrolled bodies,
     /// 6 and 12 the generic one, and 33 rows leave an odd remainder. These
-    /// tiles fit `FACTOR_L1_BYTES` and take the unblocked sweep; the 512x32
+    /// tiles fit `factor_l1_bytes` and take the unblocked sweep; the 512x32
     /// tile does not, and its blocked factor is held to rounding bounds.
     #[test]
     fn factor_tile_equals_geqr2() {
@@ -538,21 +647,25 @@ mod tests {
     }
 
     /// The smallest blocked tile, with a ragged last block (12 = 8 + 4):
-    /// one row more than `FACTOR_L1_BYTES` holds.
+    /// one row more than `factor_l1_bytes::<f64>()` holds. Its rows (342 =
+    /// 42·8 + 6) and columns leave ragged 8x8 copy blocks too, so the
+    /// bitwise copy check runs the blocked pack and unpack on full blocks,
+    /// diagonal blocks and both ragged edges.
     #[test]
     fn blocked_factor_tile_smallest_shape() {
         let width = 12;
-        let rows = dense::householder::FACTOR_L1_BYTES / (width * 8) + 1;
+        let rows = dense::householder::factor_l1_bytes::<f64>() / (width * 8) + 1;
         check_blocked_factor_tile(rows, width);
+        check_blocked_copies::<f64>(rows, width, 3, true);
     }
 
-    /// A tile too large for `FACTOR_L1_BYTES`, factored blockwise, against
+    /// A tile too large for `factor_l1_bytes::<f64>()`, factored blockwise, against
     /// `geqr2` to rounding: `Q = I - V T V^T` built from the kernel's own
     /// `V` and `T` reconstructs the tile (backward error) and is orthogonal,
     /// each within `2·n·ε`; `R` and `tau` agree with `geqr2`'s within the
     /// same relative bound; rows outside the tile are untouched.
     fn check_blocked_factor_tile(rows: usize, width: usize) {
-        assert!(rows * width * 8 > dense::householder::FACTOR_L1_BYTES);
+        assert!(rows * width * 8 > dense::householder::factor_l1_bytes::<f64>());
         let ctx = format!("{rows}x{width}");
         let bound = 2.0 * width as f64 * f64::EPSILON;
         let mut a = dense::generate::uniform::<f64>(rows + 16, width, rows as u64);

@@ -65,7 +65,7 @@ proptest! {
     /// fresh-allocation column-major reference: same factored tile, same
     /// `tau`, `V` and `T` — even when the pools it draws from were poisoned
     /// with NaN beforehand (stale contents cannot leak). These tiles fit
-    /// `FACTOR_L1_BYTES`, so they take the unblocked sweep.
+    /// `factor_l1_bytes::<f64>()`, so they take the unblocked sweep.
     #[test]
     fn arena_factor_tile_is_bit_identical_to_fresh_allocation(
         rows in 2usize..96,

@@ -212,25 +212,35 @@ pub fn geqr2_gram_transposed<T: Scalar>(
 pub const FACTOR_BLOCK: usize = 8;
 
 /// Packed-panel size, in bytes, up to which [`geqrf_gram_transposed`]
-/// runs the unblocked sweep directly: a panel this small stays in L1
-/// through all of its reflectors, so blocking only adds passes. Set from
-/// the measured crossover (DESIGN.md §9): f64 panels of 32 KB and less
-/// ran slower blocked, and panels of 48 KB and more ran faster.
-pub const FACTOR_L1_BYTES: usize = 32 * 1024;
+/// runs the unblocked sweep directly for element type `T`: a panel this
+/// small stays in L1 through all of its reflectors, so blocking only adds
+/// passes. Each budget is set from its type's measured crossover
+/// (DESIGN.md §9): f64 panels of 32 KB and less ran slower blocked before
+/// the base case split its dots in two chains, and f32 panels of 40 KB
+/// and less ran no faster blocked at width 32, while 48 KB and more ran
+/// faster at widths 16 and 32.
+pub const fn factor_l1_bytes<T>() -> usize {
+    match std::mem::size_of::<T>() {
+        4 => 40 * 1024,
+        _ => 32 * 1024,
+    }
+}
 
 /// Column-blocked [`geqr2_gram_transposed`] over a dense pre-transposed
 /// panel (LAPACK `geqrf` over the strategy-4 sweep), with the same outputs:
 /// the factored panel in `at`, `tau`, and the `V^T V` Gram chains for
 /// [`crate::blocked::larft_from_gram`].
 ///
-/// A panel of at most [`FACTOR_L1_BYTES`], one no wider than
+/// A panel within its type's [`factor_l1_bytes`], one no wider than
 /// [`FACTOR_BLOCK`], or one with fewer rows than columns goes straight to
 /// the unblocked sweep and is bit-identical to [`geqr2`]. A larger panel
 /// is factored [`FACTOR_BLOCK`] columns at a time:
 ///
 /// 1. the block's rows are copied into an L1-resident row-major strip and
 ///    factored there by the unblocked sweep (the base case), which also
-///    yields the block's own Gram entries and `tau`s;
+///    yields the block's own Gram entries and `tau`s. Its dot pass runs
+///    two chains per lane (`strip_dot_rows`), so the base case is not
+///    bound by one FMA latency per row;
 /// 2. one register-blocked pass over the rows (`block_dot_rows`) forms
 ///    `W = V_b^T C` for the trailing columns `C` and the cross-Gram
 ///    `V_<^T V_b` against every earlier reflector;
@@ -242,10 +252,11 @@ pub const FACTOR_L1_BYTES: usize = 32 * 1024;
 /// `at`, and the second gathers the next block's strip as its rows become
 /// final.
 ///
-/// The trailing update is reassociated blockwise, so blocked panels agree
-/// with [`geqr2`] to rounding, not bitwise. Every backend runs the same
-/// per-element `mul_add` chains, so the result is bit-identical across
-/// backends, as for the unblocked sweep.
+/// The trailing update is reassociated blockwise and the base case's dots
+/// are split in two chains, so blocked panels agree with [`geqr2`] to
+/// rounding, not bitwise. Every backend runs the same per-element
+/// `mul_add` chains in the same order, so the result is bit-identical
+/// across backends, as for the unblocked sweep.
 pub fn geqrf_gram_transposed<T: Scalar>(
     at: &mut [T],
     rows: usize,
@@ -255,7 +266,7 @@ pub fn geqrf_gram_transposed<T: Scalar>(
 ) {
     if rows < width
         || width <= FACTOR_BLOCK
-        || rows * width * std::mem::size_of::<T>() <= FACTOR_L1_BYTES
+        || rows * width * std::mem::size_of::<T>() <= factor_l1_bytes::<T>()
     {
         return geqr2_gram_transposed(at, rows, width, 0, tau, gram);
     }
@@ -285,7 +296,7 @@ pub fn geqrf_gram_transposed<T: Scalar>(
         let m = rows - c0;
         let v = &mut strip[..m * nb];
         let gb = &mut gb[..nb * nb];
-        geqr2_gram_transposed(v, m, nb, 0, &mut tau[c0..c0 + nb], gb);
+        factor_transposed_core::<T, true, true>(v, m, nb, 0, &mut tau[c0..c0 + nb], gb, kern);
         // Store the block's first rows (its R), then make the strip the
         // explicit V_b (unit diagonal, zeros above) the two passes stream;
         // the dot pass stores the tails below.
@@ -599,7 +610,7 @@ fn factor_transposed_dispatch<T: Scalar, const GRAM: bool>(
     gram: &mut [T],
 ) {
     let kern = T::factor_kernels(crate::simd::active());
-    factor_transposed_core::<T, GRAM>(at, rows, width, tri_block, tau, gram, kern);
+    factor_transposed_core::<T, GRAM, false>(at, rows, width, tri_block, tau, gram, kern);
 }
 
 /// The fused strategy-4 factor sweep. Per reflector `j` it makes exactly two
@@ -631,8 +642,12 @@ fn factor_transposed_dispatch<T: Scalar, const GRAM: bool>(
 /// sequence of `mul_add`s in the same order as the unfused reference, so the
 /// results are bitwise identical on dense panels; `tri_block` skips are
 /// zero-sign-only as documented on [`geqr2_transposed`].
+///
+/// `TWO_CHAIN` runs the dot pass as [`strip_dot_rows`] instead: the blocked
+/// factor's strip sweep, whose dense strips are at most [`FACTOR_BLOCK`]
+/// wide.
 #[inline(always)]
-fn factor_transposed_core<T: Scalar, const GRAM: bool>(
+fn factor_transposed_core<T: Scalar, const GRAM: bool, const TWO_CHAIN: bool>(
     at: &mut [T],
     rows: usize,
     width: usize,
@@ -670,9 +685,16 @@ fn factor_transposed_core<T: Scalar, const GRAM: bool>(
             // `larf_left`'s `w` seeds (the pivot row's trailing entries),
             // lanes < j are the Gram chain seeds A(j, jj).
             wacc.copy_from_slice(&at[pivot..pivot + width]);
-            // SAFETY: slice shapes satisfy the scalar `dot_rows` contract
-            // and the kernel table only holds available backends.
-            unsafe { (kern.dot_rows)(at, width, rows, tri_block, j, col, wacc) };
+            // SAFETY: slice shapes satisfy the scalar `dot_rows` (and, for
+            // a dense strip, `strip_dot_rows`) contract, and the kernel
+            // table only holds available backends.
+            unsafe {
+                if TWO_CHAIN {
+                    (kern.strip_dot_rows)(at, width, rows, j, col, wacc)
+                } else {
+                    (kern.dot_rows)(at, width, rows, tri_block, j, col, wacc)
+                }
+            };
             if GRAM {
                 for jj in 0..j {
                     gram[jj * k + j] = wacc[jj];
@@ -777,6 +799,68 @@ fn dot_rows_w<T: Scalar, const W: usize>(
         }
     }
     wacc[..W].copy_from_slice(&acc);
+}
+
+/// The strip sweep's dot pass: [`dot_rows`] over a dense strip no wider
+/// than [`FACTOR_BLOCK`], with two chains per lane. Trailing rows
+/// alternate between the seeded accumulator (rows `j + 1`, `j + 3`, …)
+/// and a zero-seeded one (rows `j + 2`, `j + 4`, …), each a `mul_add`
+/// chain in ascending rows, and each lane ends as `even + odd`. That
+/// halves the FMA latency chain the single-chain pass waits on per row,
+/// and changes the bits against [`geqr2`], whose `larf_left` runs one
+/// chain.
+#[inline(always)]
+pub(crate) fn strip_dot_rows<T: Scalar>(
+    at: &mut [T],
+    width: usize,
+    rows: usize,
+    j: usize,
+    col: &[T],
+    wacc: &mut [T],
+) {
+    macro_rules! dispatch {
+        ($($n:literal)*) => {
+            match width {
+                $($n => strip_dot_w::<T, $n>(at, rows, j, col, wacc),)*
+                _ => panic!("strip width {width} exceeds {FACTOR_BLOCK}"),
+            }
+        };
+    }
+    dispatch!(1 2 3 4 5 6 7 8)
+}
+
+#[inline(always)]
+fn strip_dot_w<T: Scalar, const W: usize>(
+    at: &mut [T],
+    rows: usize,
+    j: usize,
+    col: &[T],
+    wacc: &mut [T],
+) {
+    let mut even: [T; W] = std::array::from_fn(|c| wacc[c]);
+    let mut odd = [T::ZERO; W];
+    let mut pairs = at[(j + 1) * W..rows * W].chunks_exact_mut(2 * W);
+    let mut vs = col[1..rows - j].chunks_exact(2);
+    for (pair, v) in (&mut pairs).zip(&mut vs) {
+        let (r0, r1) = pair.split_at_mut(W);
+        for c in 0..W {
+            even[c] = r0[c].mul_add(v[0], even[c]);
+            odd[c] = r1[c].mul_add(v[1], odd[c]);
+        }
+        // The tail scatter follows the loads, as in `dot_rows_w`.
+        r0[j] = v[0];
+        r1[j] = v[1];
+    }
+    let last = pairs.into_remainder();
+    if let [vr] = *vs.remainder() {
+        for c in 0..W {
+            even[c] = last[c].mul_add(vr, even[c]);
+        }
+        last[j] = vr;
+    }
+    for c in 0..W {
+        wacc[c] = even[c] + odd[c];
+    }
 }
 
 /// Rank-1 update pass over the trailing rows, harvesting column `j + 1`
@@ -997,6 +1081,81 @@ mod tests {
             assert!(r[(d, d)].abs() > 1e-10);
         }
         let _ = frobenius(&qr);
+    }
+
+    /// Scalar column-major [`geqr2`] with the strip sweep's two-chain dot
+    /// order ([`strip_dot_rows`]): each `w = C^T v` entry is the pivot-row
+    /// seed plus the tail rows `j + 1, j + 3, …` in one `mul_add` chain,
+    /// plus the rows `j + 2, j + 4, …` in a zero-seeded chain, summed once.
+    fn geqr2_two_chain<T: Scalar>(a: &mut Matrix<T>, tau: &mut [T]) {
+        let (m, n) = (a.rows(), a.cols());
+        for j in 0..m.min(n) {
+            let t = larfg(&mut a.col_mut(j)[j..]);
+            tau[j] = t;
+            if t == T::ZERO {
+                continue;
+            }
+            let v = a.col(j)[j + 1..].to_vec();
+            for l in j + 1..n {
+                let c = a.col_mut(l);
+                let (mut even, mut odd) = (c[j], T::ZERO);
+                for (i, (&ci, &vi)) in c[j + 1..].iter().zip(&v).enumerate() {
+                    if i % 2 == 0 {
+                        even = ci.mul_add(vi, even);
+                    } else {
+                        odd = ci.mul_add(vi, odd);
+                    }
+                }
+                let tw = t * (even + odd);
+                c[j] -= tw;
+                for (ci, &vi) in c[j + 1..].iter_mut().zip(&v) {
+                    *ci = (-tw).mul_add(vi, *ci);
+                }
+            }
+        }
+    }
+
+    /// Columns `0..8` and `tau[0..8]` of a blocked panel are final after
+    /// its first strip, so they must equal the two-chain `geqr2` of the
+    /// panel's first 8 columns bit for bit, on the active backend. Odd and
+    /// even row counts, just past the type's budget and far past it.
+    fn assert_first_strip_is_two_chain_geqr2<T: Scalar>() {
+        for width in [12usize, 20, 32] {
+            let min_rows = factor_l1_bytes::<T>() / (width * std::mem::size_of::<T>()) + 1;
+            for rows in [min_rows, min_rows + 1, 3 * min_rows + 2] {
+                let ctx = format!("f{} {rows}x{width}", 8 * std::mem::size_of::<T>());
+                let a = crate::generate::uniform::<T>(rows, width, rows as u64);
+                let mut at: Vec<T> = (0..rows * width)
+                    .map(|i| a[(i / width, i % width)])
+                    .collect();
+                let mut tau = vec![T::ZERO; width];
+                let mut gram = vec![T::ZERO; width * width];
+                geqrf_gram_transposed(&mut at, rows, width, &mut tau, &mut gram);
+                let mut want = a.extract(0, 0, rows, FACTOR_BLOCK);
+                let mut tau_want = vec![T::ZERO; FACTOR_BLOCK];
+                geqr2_two_chain(&mut want, &mut tau_want);
+                for j in 0..FACTOR_BLOCK {
+                    assert_eq!(
+                        tau[j].to_f64().to_bits(),
+                        tau_want[j].to_f64().to_bits(),
+                        "{ctx} tau[{j}]"
+                    );
+                    for r in 0..rows {
+                        assert_eq!(
+                            at[r * width + j].to_f64().to_bits(),
+                            want[(r, j)].to_f64().to_bits(),
+                            "{ctx} ({r},{j})"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn first_strip_is_two_chain_geqr2() {
+        assert_first_strip_is_two_chain_geqr2::<f64>();
+        assert_first_strip_is_two_chain_geqr2::<f32>();
     }
 
     #[test]

@@ -14,8 +14,8 @@
 //! * the packed gemm microkernel ([`GemmKernel`]) — the register tile is
 //!   per-backend (`mr x nr`), and `blas3` packs its micro-panels to match;
 //! * the fused strategy-4 factor sweep ([`FactorKernels`]) — the dot and
-//!   rank-1 row passes of `geqr2_gram_transposed`, and the two passes of
-//!   the blocked `geqrf_gram_transposed`;
+//!   rank-1 row passes of `geqr2_gram_transposed`, and the two-chain strip
+//!   dot and the two passes of the blocked `geqrf_gram_transposed`;
 //! * the small dot/axpy column kernels ([`SmallKernels`]) used by the
 //!   streaming gemm path and the compact-WY `larfb` column updates.
 //!
@@ -45,8 +45,9 @@ use std::sync::OnceLock;
 /// version 3 moves the factor sweep's tail store after the row loads
 /// (1.4-1.8x faster sweep, which can move the winning tile height);
 /// version 4 blocks tiles larger than L1 in 8-column sweeps and makes
-/// `nrm2` one pass.
-pub const KERNEL_VERSION: u32 = 4;
+/// `nrm2` one pass; version 5 splits the blocked base case's dots in two
+/// chains and gives f32 its own blocking budget.
+pub const KERNEL_VERSION: u32 = 5;
 
 /// Widest microkernel register-tile height any backend uses (AVX-512 f32:
 /// two 16-lane vectors). Sizes the ragged-edge spill buffer.
@@ -285,6 +286,16 @@ pub struct FactorKernels<T> {
     /// ISA availability.
     #[allow(clippy::type_complexity)]
     pub rank1_rows: unsafe fn(&mut [T], usize, usize, usize, usize, &[T], &mut [T], &[T]),
+    /// The blocked factor's strip dot pass: `(at, width, rows, j, col,
+    /// wacc)` — exactly `householder::strip_dot_rows`'s contract, two
+    /// chains per lane summed once per reflector.
+    ///
+    /// # Safety
+    /// Same slice-shape contract as the scalar `strip_dot_rows` (`at` holds
+    /// `rows * width` with `width <= FACTOR_BLOCK`, `col` the reflector
+    /// tail, `wacc` `width` lanes) plus backend ISA availability.
+    #[allow(clippy::type_complexity)]
+    pub strip_dot_rows: unsafe fn(&mut [T], usize, usize, usize, &[T], &mut [T]),
     /// The blocked factor's first pass: `(at, width, rows, c0, nb, v, acc)`
     /// — exactly `householder::block_dot_rows`'s contract.
     ///
@@ -1128,6 +1139,34 @@ macro_rules! x86_factor_auto {
 #[cfg(target_arch = "x86_64")]
 x86_factor_auto!(dot_rows_x86_avx2, rank1_rows_x86_avx2, "avx2", "fma");
 
+/// The blocked factor's strip dot pass compiled for one x86 tier. Each
+/// tier compiles the scalar two-chain body with its own features; the
+/// lanes are independent fused chains in a fixed order, so every tier is
+/// bit-identical to the scalar oracle.
+macro_rules! x86_strip_dot {
+    ($name:ident, $($feat:literal),+) => {
+        /// # Safety
+        /// Scalar `strip_dot_rows` contract; the host must support the
+        /// tier's features.
+        #[cfg(target_arch = "x86_64")]
+        #[target_feature($(enable = $feat),+)]
+        unsafe fn $name<T: Scalar>(
+            at: &mut [T],
+            width: usize,
+            rows: usize,
+            j: usize,
+            col: &[T],
+            wacc: &mut [T],
+        ) {
+            crate::householder::strip_dot_rows(at, width, rows, j, col, wacc)
+        }
+    };
+}
+
+x86_strip_dot!(strip_dot_x86_fma, "fma");
+x86_strip_dot!(strip_dot_x86_avx2, "avx2", "fma");
+x86_strip_dot!(strip_dot_x86_avx512, "avx512f", "avx2", "fma");
+
 /// The [`Backend::Fma`] blocked-factor passes: the scalar register block
 /// compiled with hardware FMA (bit-identical — both are fused).
 ///
@@ -1442,6 +1481,7 @@ macro_rules! impl_simd_scalar {
                     Backend::Fma => FactorKernels {
                         dot_rows: dot_rows_x86_fma::<$t>,
                         rank1_rows: rank1_rows_x86_fma::<$t>,
+                        strip_dot_rows: strip_dot_x86_fma::<$t>,
                         block_dot_rows: block_dot_x86_fma::<$t>,
                         block_update_rows: block_update_x86_fma::<$t>,
                     },
@@ -1455,6 +1495,7 @@ macro_rules! impl_simd_scalar {
                     Backend::Avx2 => FactorKernels {
                         dot_rows: dot_rows_x86_avx2::<$t>,
                         rank1_rows: rank1_rows_x86_avx2::<$t>,
+                        strip_dot_rows: strip_dot_x86_avx2::<$t>,
                         block_dot_rows: $avx2::bdot,
                         block_update_rows: $avx2::bupdate,
                     },
@@ -1466,6 +1507,7 @@ macro_rules! impl_simd_scalar {
                     Backend::Avx512 => FactorKernels {
                         dot_rows: dot_rows_x86_avx2::<$t>,
                         rank1_rows: rank1_rows_x86_avx2::<$t>,
+                        strip_dot_rows: strip_dot_x86_avx512::<$t>,
                         block_dot_rows: $avx512::bdot,
                         block_update_rows: $avx512::bupdate,
                     },
@@ -1473,6 +1515,9 @@ macro_rules! impl_simd_scalar {
                     Backend::Neon => FactorKernels {
                         dot_rows: $neon::dot,
                         rank1_rows: $neon::rank1,
+                        // The scalar two-chain body: fused on aarch64, in
+                        // the oracle's order.
+                        strip_dot_rows: crate::householder::strip_dot_rows::<$t>,
                         block_dot_rows: crate::householder::block_dot_rows::<
                             $t,
                             ScalarCols<SCALAR_BLOCK_CW>,
@@ -1485,6 +1530,7 @@ macro_rules! impl_simd_scalar {
                     _ => FactorKernels {
                         dot_rows: crate::householder::dot_rows::<$t>,
                         rank1_rows: crate::householder::rank1_rows::<$t>,
+                        strip_dot_rows: crate::householder::strip_dot_rows::<$t>,
                         block_dot_rows: crate::householder::block_dot_rows::<
                             $t,
                             ScalarCols<SCALAR_BLOCK_CW>,

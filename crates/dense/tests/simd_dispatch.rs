@@ -185,15 +185,16 @@ proptest! {
     }
 }
 
-/// The blocked factor (`geqrf_gram_transposed` on a panel larger than
-/// `FACTOR_L1_BYTES`) is **bit-identical** to the scalar oracle on every
-/// backend: factored panel, `tau` and Gram. Widths 16 and 32 are whole
+/// The blocked factor (`geqrf_gram_transposed` on a panel larger than its
+/// type's `factor_l1_bytes` budget) is **bit-identical** to the scalar
+/// oracle on every backend: factored panel, `tau` and Gram. It runs the
+/// two-chain strip dot and both blocked passes. Widths 16 and 32 are whole
 /// blocks, 20 leaves a ragged 4-column last block and ragged register
 /// blocks; rows sit just above the budget and far above it.
 fn assert_blocked_factor_bit_identical<T: dense::scalar::Scalar>() {
     let size = std::mem::size_of::<T>();
     for width in [16usize, 20, 32] {
-        let min_rows = dense::householder::FACTOR_L1_BYTES / (width * size) + 1;
+        let min_rows = dense::householder::factor_l1_bytes::<T>() / (width * size) + 1;
         for rows in [min_rows, 4 * min_rows + 3] {
             let a0 = dense::generate::uniform::<T>(rows, width, (rows + width) as u64);
             let mut at0 = vec![T::ZERO; rows * width];

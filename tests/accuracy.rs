@@ -23,10 +23,12 @@ const C: f64 = 2.0;
 
 /// `(rows, cols, tile_rows, panel_width)`: two tall shapes, the second
 /// with odd tile remainders and a narrow last panel (37 = 2·16 + 5), and
-/// a wide one (`m < n`). The last two have tiles larger than
-/// `FACTOR_L1_BYTES`, so their tiles take the blocked factor: 512x32 tiles
-/// in both precisions, and 640x20 tiles whose last 8-column block is a
-/// ragged 4 wide, with a short last tile (1500 = 2·640 + 220).
+/// a wide one (`m < n`). The last two have tiles larger than their type's
+/// `dense::householder::factor_l1_bytes` budget (32 KiB for f64, 40 KiB
+/// for f32), so their tiles take the blocked factor: 512x32 tiles (64 KiB
+/// in f32) in both precisions, and 640x20 tiles (50 KiB in f32) whose
+/// last 8-column block is a ragged 4 wide, with a short last tile
+/// (1500 = 2·640 + 220).
 const SHAPES: [(usize, usize, usize, usize); 5] = [
     (1000, 40, 64, 16),
     (1001, 37, 64, 16),
