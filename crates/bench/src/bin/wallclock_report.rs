@@ -1,6 +1,6 @@
 //! Wall-clock kernel report: times the real host arithmetic behind each
-//! kernel class (packed GEMM, per-reflector larf apply, compact-WY larfb
-//! apply, the pre-transposed factor micro-kernel vs its pre-arena reference,
+//! kernel class (packed GEMM, per-reflector larf apply, the in-place
+//! compact-WY larfb apply from packed `V`, the pre-transposed factor micro-kernel vs its pre-arena reference,
 //! host CAQR factor) and emits `BENCH_kernels.json` with GFLOP/s and arena
 //! hit/miss counts per kernel per shape (and minor page faults per
 //! factorization on the host CAQR rows), plus a human-readable table.
@@ -25,6 +25,7 @@ use caqr::{caqr_cpu, CpuCaqrOptions};
 use caqr_bench::Table;
 use dense::arena;
 use dense::blas3::{gemm, Trans};
+use dense::blocked::PackedV;
 use dense::matrix::Matrix;
 use dense::{MatPtr, PoolScalar};
 use std::time::Instant;
@@ -158,10 +159,17 @@ fn bench_gemm(entries: &mut Vec<Entry>, reps: usize, shapes: &[(usize, usize, us
     dense::simd::set_backend_override(None);
 }
 
-fn bench_apply(entries: &mut Vec<Entry>, reps: usize, shapes: &[(usize, usize, usize)]) {
-    for &(m, w, h) in shapes {
+/// The trailing-update apply of a `m x w` panel in `h`-row tiles to an
+/// `m x nc` target in `w`-column blocks, as `apply_panels` runs it: each
+/// tile's `V` packed once per apply, then applied in place to every
+/// column block; against the per-reflector `larf` sweeps on the same
+/// grid. `nc == w` is one column block; `(2048, 32, 256, 480)` is the
+/// first panel of perfbench's `caqr_wide` (8 tiles x 15 blocks).
+fn bench_apply(entries: &mut Vec<Entry>, reps: usize, shapes: &[(usize, usize, usize, usize)]) {
+    for &(m, w, h, nc) in shapes {
         let mut panel = dense::generate::uniform::<f32>(m, w, 3);
         let tiles = tile_panel(0, m, h, w);
+        let blocks = caqr::tsqr::col_blocks(0, nc, w);
         let mut vs: Vec<Matrix<f32>> = tiles
             .iter()
             .map(|t| Matrix::zeros(t.rows, t.rows.min(w)))
@@ -174,17 +182,30 @@ fn bench_apply(entries: &mut Vec<Entry>, reps: usize, shapes: &[(usize, usize, u
                 .map(|(&t, v)| blockops::factor_tile(p, t, 0, w, MatPtr::new(v)))
                 .collect()
         };
-        let c0 = dense::generate::uniform::<f32>(m, w, 4);
-        // Both paths apply the same w reflectors per tile to a w-column
-        // target: 4*rows*w*w useful flops per tile.
-        let flops = 4.0 * (m * w * w) as f64;
-        let shape = format!("{m}x{w}");
+        let kern = <f32 as dense::SimdScalar>::gemm_kernel(dense::simd::active());
+        // The packs' storage, allocated once up front like the `V` blocks.
+        let mut packs: Vec<Vec<f32>> = vs
+            .iter()
+            .map(|v| vec![0.0; PackedV::len(v.rows(), v.cols(), &kern)])
+            .collect();
+        let c0 = dense::generate::uniform::<f32>(m, nc, 4);
+        // Both paths apply the same w reflectors per tile to every
+        // w-column block: 4*rows*w*w useful flops per tile and block.
+        let flops = 4.0 * (m * w * nc) as f64;
+        let shape = format!("{m}x{nc}");
         let mut cm = c0.clone();
         let (seconds, gflops, hits, misses) = time_kernel::<f32>(reps, flops, m * w, || {
             cm.as_mut_slice().copy_from_slice(c0.as_slice());
             let cp = MatPtr::new(&mut cm);
+            let packed: Vec<PackedV<f32>> = vs
+                .iter()
+                .zip(&mut packs)
+                .map(|(v, buf)| PackedV::pack(v.as_ref(), kern, buf))
+                .collect();
             for (ti, &tile) in tiles.iter().enumerate() {
-                blockops::apply_tile_wy(&wys[ti], vs[ti].as_ref(), cp, tile, 0, w, true);
+                for &(c0, wc) in &blocks {
+                    blockops::apply_tile_wy_packed(&wys[ti], &packed[ti], cp, tile, c0, wc, true);
+                }
             }
             std::hint::black_box(&cm);
         });
@@ -203,7 +224,9 @@ fn bench_apply(entries: &mut Vec<Entry>, reps: usize, shapes: &[(usize, usize, u
             let cp = MatPtr::new(&mut cm);
             let vp = MatPtr::new_readonly(&panel);
             for (ti, &tile) in tiles.iter().enumerate() {
-                blockops::apply_tile_reflectors(vp, cp, tile, 0, w, &wys[ti].tau, 0, w, true);
+                for &(c0, wc) in &blocks {
+                    blockops::apply_tile_reflectors(vp, cp, tile, 0, w, &wys[ti].tau, c0, wc, true);
+                }
             }
             std::hint::black_box(&cm);
         });
@@ -428,7 +451,11 @@ fn main() {
             reps.max(10),
             &[(256, 256, 256), (4096, 16, 16)],
         );
-        bench_apply(&mut entries, reps, &[(4096, 16, 128)]);
+        bench_apply(
+            &mut entries,
+            reps,
+            &[(4096, 16, 128, 16), (2048, 32, 256, 480)],
+        );
         bench_factor_tile(&mut entries, reps, &[(4096, 16, 1024)]);
         // The second, multi-panel shape exercises the trailing-update
         // checksums (probe + column-sum prediction) for `--check-overhead`,
@@ -448,7 +475,15 @@ fn main() {
             reps,
             &[(512, 512, 512), (1024, 1024, 1024), (8192, 16, 16)],
         );
-        bench_apply(&mut entries, reps, &[(10240, 16, 128), (65536, 16, 128)]);
+        bench_apply(
+            &mut entries,
+            reps,
+            &[
+                (10240, 16, 128, 16),
+                (65536, 16, 128, 16),
+                (2048, 32, 256, 480),
+            ],
+        );
         bench_factor_tile(&mut entries, reps, &[(65536, 16, 1024)]);
         // 131072x32 with the untuned 512-row tiles is perfbench's
         // `tsqr_tall` shape: the row behind the minor-fault count.

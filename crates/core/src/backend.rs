@@ -1068,8 +1068,9 @@ impl<T: Scalar> CaqrBackend<T> for CpuBackend {
     }
 
     fn pretranspose(&self, _m: usize, _n: usize, _bs: BlockSize) -> Result<usize, CaqrError> {
-        // The CPU analogue of the strategy-4 pre-transpose is the packed
-        // per-tile V copy made at factor time; no separate pass runs.
+        // The CPU analogue of the strategy-4 pre-transpose is the per-tile
+        // V pack each apply makes once (`multicore::apply_panels`); no
+        // separate pass runs.
         Ok(0)
     }
 

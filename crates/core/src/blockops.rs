@@ -17,8 +17,8 @@
 use crate::block::Tile;
 use crate::tsqr::{TreeNode, WyTile};
 use dense::arena;
-use dense::blas3::{gemm, Trans};
-use dense::blocked::{extract_v, larfb_left, larft, larft_from_gram};
+use dense::blas3::{gemm, gemm_in_place, takes_packed_path, PackedA, Trans};
+use dense::blocked::{extract_v, larfb_left_in_place, larft, larft_from_gram, PackedV};
 use dense::householder::{geqr2, geqr2_gram_transposed, geqrf_gram_transposed};
 use dense::matrix::{MatMut, MatRef, Matrix};
 use dense::scalar::Scalar;
@@ -232,8 +232,9 @@ pub fn factor_tree_group_ref<T: Scalar>(
 }
 
 /// Apply one tile's compact-WY factor (`wy`, with its explicit `V` block
-/// `v`) to one `tile.rows x wc` target tile at column `c0` via three GEMMs
-/// (`larfb`). (The `apply_qt_h` kernel body.)
+/// `v`) to one `tile.rows x wc` target tile at column `c0`, in place:
+/// [`apply_tile_wy_packed`] with `V` packed for this one call. An apply
+/// over many column blocks packs once and calls that directly.
 pub fn apply_tile_wy<T: Scalar>(
     wy: &WyTile<T>,
     v: MatRef<'_, T>,
@@ -243,36 +244,48 @@ pub fn apply_tile_wy<T: Scalar>(
     wc: usize,
     transpose: bool,
 ) {
+    let kern = T::gemm_kernel(dense::simd::active());
+    // Dirty arena scratch: the pack writes every element it reads.
+    let mut buf = arena::take_dirty::<T>(PackedV::len(v.rows(), v.cols(), &kern));
+    let packed = PackedV::pack(v, kern, &mut buf);
+    apply_tile_wy_packed(wy, &packed, c, tile, c0, wc, transpose);
+}
+
+/// Apply one tile's compact-WY factor (`wy`, with its explicit `V` block
+/// packed in `v`) to one `tile.rows x wc` target tile at column `c0`, in
+/// place: [`dense::blocked::larfb_left_in_place`]'s three GEMMs read and
+/// write the tile straight in the matrix. (The `apply_qt_h` kernel body.)
+pub fn apply_tile_wy_packed<T: Scalar>(
+    wy: &WyTile<T>,
+    v: &PackedV<'_, T>,
+    c: MatPtr<T>,
+    tile: Tile,
+    c0: usize,
+    wc: usize,
+    transpose: bool,
+) {
     let rows = tile.rows;
-    // Dirty arena scratch: load_tile overwrites every element.
+    debug_assert_eq!(v.v().rows(), rows);
+    if wy.healthy {
+        // SAFETY: target tiles are disjoint across invocations.
+        unsafe { larfb_left_in_place(v, wy.t.as_ref(), transpose, c, (tile.start, c0), wc) };
+        return;
+    }
+    // Compact-WY breakdown (non-finite `T`): degrade to the per-reflector
+    // larf sweeps on a copy, which never read `T`. The explicit `V` has
+    // the geqr2 layout (unit diagonal implicit, tails below), which is
+    // exactly what apply_block_reflectors expects.
     let mut cbuf = arena::take_dirty::<T>(rows * wc);
     // SAFETY: target tiles are disjoint across invocations.
-    unsafe {
-        c.load_tile(tile.start, c0, rows, wc, &mut cbuf);
-    }
-    if wy.healthy {
-        larfb_left(
-            v,
-            wy.t.as_ref(),
-            transpose,
-            MatMut::from_parts(&mut cbuf, rows, wc, rows),
-        );
-    } else {
-        // Compact-WY breakdown (non-finite `T`): degrade to the
-        // per-reflector larf sweeps, which never read `T`. The packed `V`
-        // has the geqr2 layout (unit diagonal implicit, tails below), which
-        // is exactly what apply_block_reflectors expects.
-        crate::microkernels::apply_block_reflectors(
-            v,
-            &wy.tau,
-            transpose,
-            MatMut::from_parts(&mut cbuf, rows, wc, rows),
-        );
-    }
+    unsafe { c.load_tile(tile.start, c0, rows, wc, &mut cbuf) };
+    crate::microkernels::apply_block_reflectors(
+        v.v(),
+        &wy.tau,
+        transpose,
+        MatMut::from_parts(&mut cbuf, rows, wc, rows),
+    );
     // SAFETY: same disjoint tile.
-    unsafe {
-        c.store_tile(tile.start, c0, rows, wc, &cbuf);
-    }
+    unsafe { c.store_tile(tile.start, c0, rows, wc, &cbuf) };
 }
 
 /// Apply one tile's reflectors one at a time (BLAS2 `larf` sweeps) to one
@@ -404,6 +417,12 @@ pub fn apply_stacked_wy<T: Scalar>(
 
 /// Apply one tree node's reflectors to the stacked `width`-row strips of
 /// the target at columns `[c0, c0 + wc)`. (The `apply_qt_tree` kernel body.)
+///
+/// A healthy node whose `w x wc x w` block products take the packed GEMM
+/// path runs [`apply_stacked_wy`]'s per-block GEMM sequence in place on
+/// the member strips (see `apply_tree_node_in_place`). Otherwise the
+/// strips are gathered into a stack with per-column copies, applied by
+/// [`apply_stacked_wy`] and scattered back.
 pub fn apply_tree_node<T: Scalar>(
     c: MatPtr<T>,
     node: &TreeNode<T>,
@@ -413,16 +432,19 @@ pub fn apply_tree_node<T: Scalar>(
     transpose: bool,
 ) {
     let w = width;
-    let t = node.members.len();
-    let rows = t * w;
+    if node.healthy && takes_packed_path(w, wc, w) {
+        // SAFETY: each (group, column-block) strip set is disjoint.
+        unsafe { apply_tree_node_in_place(c, node, w, c0, wc, transpose) };
+        return;
+    }
+    let rows = node.members.len() * w;
     // Dirty arena scratch: the gather below writes every element.
     let mut cbuf = arena::take_dirty::<T>(rows * wc);
     for (si, &r0) in node.members.iter().enumerate() {
         for j in 0..wc {
-            for i in 0..w {
-                // SAFETY: each (group, column-block) strip set is disjoint.
-                cbuf[j * rows + si * w + i] = unsafe { c.get(r0 + i, c0 + j) };
-            }
+            // SAFETY: each (group, column-block) strip set is disjoint.
+            let src = unsafe { c.col_segment(r0, c0 + j, w) };
+            cbuf[j * rows + si * w..][..w].copy_from_slice(src);
         }
     }
     apply_stacked_wy(
@@ -433,11 +455,68 @@ pub fn apply_tree_node<T: Scalar>(
     );
     for (si, &r0) in node.members.iter().enumerate() {
         for j in 0..wc {
-            for i in 0..w {
-                // SAFETY: same disjoint strips.
-                unsafe { c.set(r0 + i, c0 + j, cbuf[j * rows + si * w + i]) };
-            }
+            // SAFETY: same disjoint strips.
+            let dst = unsafe { c.col_segment_mut(r0, c0 + j, w) };
+            dst.copy_from_slice(&cbuf[j * rows + si * w..][..w]);
         }
+    }
+}
+
+/// [`apply_stacked_wy`] on the member strips where they lie: the same
+/// per-block GEMMs in the same order, each through
+/// [`dense::blas3::gemm_in_place`] with the strip read or written in the
+/// matrix, so the result is bit-identical to gathering, applying and
+/// scattering. The caller checks that the block products take the packed
+/// path ([`takes_packed_path`]) and that the node is healthy.
+///
+/// # Safety
+/// The strips at columns `[c0, c0 + wc)` must belong exclusively to the
+/// calling block (the [`MatPtr`] contract).
+unsafe fn apply_tree_node_in_place<T: Scalar>(
+    c: MatPtr<T>,
+    node: &TreeNode<T>,
+    w: usize,
+    c0: usize,
+    wc: usize,
+    transpose: bool,
+) {
+    let kern = T::gemm_kernel(dense::simd::active());
+    let top = node.members[0];
+    let lower = || node.members.iter().enumerate().skip(1);
+    // W = V^T C: the top block of V is exactly I_w, so W starts as a copy
+    // of the top strip (dirty arena scratch, fully overwritten here).
+    let mut wbuf = arena::take_dirty::<T>(w * wc);
+    for j in 0..wc {
+        wbuf[j * w..(j + 1) * w].copy_from_slice(c.col_segment(top, c0 + j, w));
+    }
+    let wp = MatPtr::from_raw_parts(wbuf.as_mut_ptr(), w, wc, w);
+    let mut ubuf = arena::take_dirty::<T>(PackedA::<T>::len(w, w, kern.mr));
+    for (i, &r0) in lower() {
+        let ut = PackedA::pack(Trans::Yes, node.u.view(i * w, 0, w, w), kern.mr, &mut ubuf);
+        gemm_in_place(&kern, T::ONE, &ut, c, (r0, c0), T::ONE, wp, (0, 0), wc);
+    }
+    // W = op(T) W (beta == 0 fully defines the dirty scratch).
+    let mut twbuf = arena::take_dirty::<T>(w * wc);
+    gemm(
+        if transpose { Trans::Yes } else { Trans::No },
+        Trans::No,
+        T::ONE,
+        node.tmat.as_ref(),
+        MatRef::from_parts(&wbuf, w, wc, w),
+        T::ZERO,
+        MatMut::from_parts(&mut twbuf, w, wc, w),
+    );
+    // C -= V W: the unit top block subtracts W directly.
+    for j in 0..wc {
+        let col = c.col_segment_mut(top, c0 + j, w);
+        for (ci, &x) in col.iter_mut().zip(&twbuf[j * w..(j + 1) * w]) {
+            *ci -= x;
+        }
+    }
+    let tw = MatPtr::from_raw_parts(twbuf.as_mut_ptr(), w, wc, w);
+    for (i, &r0) in lower() {
+        let u = PackedA::pack(Trans::No, node.u.view(i * w, 0, w, w), kern.mr, &mut ubuf);
+        gemm_in_place(&kern, -T::ONE, &u, tw, (0, 0), T::ONE, c, (r0, c0), wc);
     }
 }
 
@@ -874,6 +953,76 @@ mod tests {
                 assert!((x - y).abs() < 1e-12 && y.is_finite());
             }
         }
+    }
+
+    /// The reference for [`apply_tree_node`]: gather the member strips
+    /// element by element, [`apply_stacked_wy`] the stack, scatter it
+    /// back the same way.
+    fn apply_tree_node_gathered<T: Scalar>(
+        c: &mut Matrix<T>,
+        node: &TreeNode<T>,
+        w: usize,
+        c0: usize,
+        wc: usize,
+        transpose: bool,
+    ) {
+        let rows = node.members.len() * w;
+        let mut stack = Matrix::from_fn(rows, wc, |r, j| c[(node.members[r / w] + r % w, c0 + j)]);
+        apply_stacked_wy(node, w, stack.as_mut(), transpose);
+        for r in 0..rows {
+            for j in 0..wc {
+                c[(node.members[r / w] + r % w, c0 + j)] = stack[(r, j)];
+            }
+        }
+    }
+
+    /// The in-place tree apply (member strips read and written in the
+    /// matrix) equals gather/apply/scatter bit for bit, in both
+    /// precisions and directions. Widths 16 and 32 take the in-place path,
+    /// 8 (`w x wc x w` below the packed-GEMM threshold) and a broken node
+    /// the gathered one; ragged column blocks of 13 and 5 columns leave
+    /// partial register tiles, and the margin around the strips must stay
+    /// untouched.
+    fn check_tree_apply_in_place<T: Scalar>(w: usize, broken: bool) {
+        let members = [4usize, 4 + 3 * w, 9 + 5 * w];
+        let m = 12 + 7 * w;
+        let mut a = Matrix::<T>::zeros(m, w);
+        for (t, &r0) in members.iter().enumerate() {
+            for j in 0..w {
+                for i in 0..=j {
+                    a[(r0 + i, j)] = T::from_f64(
+                        ((t * 13 + i * 3 + j * 7) % 17) as f64 / 4.0 - 2.0
+                            + if i == j { 6.0 } else { 0.0 },
+                    );
+                }
+            }
+        }
+        let mut node = factor_tree_group(MatPtr::new(&mut a), &members, 0, w);
+        assert!(node.healthy);
+        if broken {
+            node.tmat[(0, 0)] = T::from_f64(f64::NAN);
+            node.healthy = false;
+        }
+        for (c0, wc) in [(1, 13), (3, 5), (0, 32)] {
+            for transpose in [true, false] {
+                let ctx = format!("w {w} broken {broken} wc {wc} transpose {transpose}");
+                let c = dense::generate::uniform::<T>(m, 36, (w + wc) as u64);
+                let mut got = c.clone();
+                apply_tree_node(MatPtr::new(&mut got), &node, w, c0, wc, transpose);
+                let mut want = c;
+                apply_tree_node_gathered(&mut want, &node, w, c0, wc, transpose);
+                assert_eq!(bits(got.as_slice()), bits(want.as_slice()), "{ctx}");
+            }
+        }
+    }
+
+    #[test]
+    fn in_place_tree_apply_matches_gather_apply_scatter() {
+        for w in [8, 16, 32] {
+            check_tree_apply_in_place::<f64>(w, false);
+            check_tree_apply_in_place::<f32>(w, false);
+        }
+        check_tree_apply_in_place::<f64>(16, true);
     }
 
     #[test]

@@ -22,8 +22,10 @@ use crate::error::CaqrError;
 use crate::microkernels::ReductionStrategy;
 use crate::tsqr::{self, PanelFactor, TreeNode, WyTile};
 use dense::arena;
+use dense::blocked::PackedV;
 use dense::matrix::{MatMut, MatRef, Matrix};
 use dense::scalar::Scalar;
+use dense::simd::GemmKernel;
 use dense::MatPtr;
 use rayon::prelude::*;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -95,8 +97,9 @@ impl CpuCaqrOptions {
         DriveConfig {
             bs: self.block_size(),
             // Cosmetic on the host: the CPU backend's pre-transpose is a
-            // no-op (the packed per-tile V copy happens at factor time),
-            // and strategy only annotates the stored PanelFactors.
+            // no-op (each apply packs the tiles' V once, see
+            // `apply_panels`), and strategy only annotates the stored
+            // PanelFactors.
             strategy: ReductionStrategy::RegisterSerialTransposed,
             tree: self.tree,
             check_finite: true,
@@ -317,12 +320,23 @@ pub(crate) fn q_ones_probe<T: Scalar>(m: usize, pf: &PanelFactor<T>) -> Vec<T> {
     ones.col(0).to_vec()
 }
 
+/// Most elements of tile packs one pack region fills before its tiles are
+/// applied (8 MiB of f64): a panel of a wide run packs in one go, while a
+/// very tall one is packed and applied in consecutive tile runs, so its
+/// packs stay in one pooled size class instead of a one-off allocation
+/// the size of the whole `V` slab twice over.
+const PACK_CHUNK: usize = 1 << 20;
+
 /// Apply each member's panel factor to the column blocks `cols` of its own
 /// matrix — [`CpuBackend`]'s apply launch (one member for a standalone run
 /// or [`Factorization::apply`], many for a fused group). The horizontal
-/// step is one parallel region over the (member × tile × column-block)
-/// grid and each tree level one region over the (member × tree-group ×
-/// column-block) grid, in `Q^T` order when `transpose` and reversed
+/// step packs each level-0 tile's `V` once ([`pack_tiles`], one region
+/// over the (member × tile) grid, in runs of at most [`PACK_CHUNK`]
+/// elements) and then applies the packs in place in one region over the
+/// (member × tile × column-block) grid; with a single column block there
+/// is nothing to amortize a shared pack over, so each task packs its own
+/// tile. Each tree level is one region over the (member × tree-group ×
+/// column-block) grid. The order is `Q^T`'s when `transpose` and reversed
 /// otherwise. Tasks are isolated as in [`factor_panels`]: a panicking task
 /// fails only its member, which skips the remaining regions.
 pub(crate) fn apply_panels<T: Scalar>(
@@ -332,20 +346,51 @@ pub(crate) fn apply_panels<T: Scalar>(
 ) -> Vec<Result<(), CaqrError>> {
     let mut ok = vec![true; work.len()];
     let horizontal = |ok: &mut [bool]| {
-        apply_region(
-            work,
-            cols,
-            ok,
-            |pf| pf.tiles.len(),
-            |c, pf, ti, (c0, wc)| {
-                let v = pf.tile_v(ti);
-                blockops::apply_tile_wy(&pf.wy0[ti], v, c, pf.tiles[ti], c0, wc, transpose)
-            },
-        )
+        let tiles = member_items(work, ok, |pf| pf.tiles.len());
+        if cols.len() == 1 {
+            return apply_region(cols, ok, &tiles, |i, (c0, wc)| {
+                let (j, ti) = tiles[i];
+                let (c, pf) = work[j];
+                let (wy, v) = (&pf.wy0[ti], pf.tile_v(ti));
+                blockops::apply_tile_wy(wy, v, c, pf.tiles[ti], c0, wc, transpose)
+            });
+        }
+        // The micro-kernel is fetched once and recorded with the packs, so
+        // every task of this apply uses the kernel its packs were made for.
+        let kern = T::gemm_kernel(dense::simd::active());
+        let len = |&(j, ti): &(usize, usize)| {
+            let v = work[j].1.tile_v(ti);
+            PackedV::len(v.rows(), v.cols(), &kern)
+        };
+        let mut rest = &tiles[..];
+        while !rest.is_empty() {
+            let mut n = 1;
+            let mut total = len(&rest[0]);
+            while n < rest.len() && total + len(&rest[n]) <= PACK_CHUNK {
+                total += len(&rest[n]);
+                n += 1;
+            }
+            let (run, tail) = rest.split_at(n);
+            rest = tail;
+            // Dropped after the run, the buffer goes back to this thread's
+            // cache warm for the next run or apply.
+            let mut slab = arena::take_dirty::<T>(total);
+            let packs = pack_tiles(work, run, ok, kern, len, &mut slab);
+            apply_region(cols, ok, run, |i, (c0, wc)| {
+                let (j, ti) = run[i];
+                let (c, pf) = work[j];
+                let v = packs[i]
+                    .as_ref()
+                    .expect("a member with a failed pack is skipped");
+                blockops::apply_tile_wy_packed(&pf.wy0[ti], v, c, pf.tiles[ti], c0, wc, transpose)
+            });
+        }
     };
     let tree_level = |ok: &mut [bool], li: usize| {
-        let groups = |pf: &PanelFactor<T>| pf.levels.get(li).map_or(0, Vec::len);
-        apply_region(work, cols, ok, groups, |c, pf, g, (c0, wc)| {
+        let groups = member_items(work, ok, |pf| pf.levels.get(li).map_or(0, Vec::len));
+        apply_region(cols, ok, &groups, |i, (c0, wc)| {
+            let (j, g) = groups[i];
+            let (c, pf) = work[j];
             blockops::apply_tree_node(c, &pf.levels[li][g], pf.width, c0, wc, transpose)
         })
     };
@@ -379,29 +424,65 @@ pub(crate) fn apply_panels<T: Scalar>(
         .collect()
 }
 
-/// One packed region of [`apply_panels`] over the (member × item ×
-/// column-block) grid of the members still `ok`, where `items` counts a
-/// member's tiles or tree-level groups. A member any of whose tasks
-/// panicked is marked failed.
-fn apply_region<T: Scalar>(
+/// The (member, item) pairs of the members still `ok`, where `items`
+/// counts a member's tiles or tree-level groups.
+fn member_items<T: Scalar>(
     work: &[(MatPtr<T>, &PanelFactor<T>)],
+    ok: &[bool],
+    items: impl Fn(&PanelFactor<T>) -> usize,
+) -> Vec<(usize, usize)> {
+    (0..work.len())
+        .filter(|&j| ok[j])
+        .flat_map(|j| (0..items(work[j].1)).map(move |i| (j, i)))
+        .collect()
+}
+
+/// Pack the level-0 `V` of each (member, tile) of `run` for `kern` into
+/// consecutive `len`-element runs of `slab`, in one pool region. Returns
+/// the packs in `run` order; a member whose pack task panicked is marked
+/// failed.
+fn pack_tiles<'a, T: Scalar>(
+    work: &[(MatPtr<T>, &'a PanelFactor<T>)],
+    run: &[(usize, usize)],
+    ok: &mut [bool],
+    kern: GemmKernel<T>,
+    len: impl Fn(&(usize, usize)) -> usize,
+    slab: &'a mut [T],
+) -> Vec<Option<PackedV<'a, T>>> {
+    let mut rest = slab;
+    let mut items = Vec::with_capacity(run.len());
+    for item in run {
+        let (buf, tail) = std::mem::take(&mut rest).split_at_mut(len(item));
+        rest = tail;
+        items.push((*item, buf));
+    }
+    let packs: Vec<Option<PackedV<'a, T>>> = items
+        .into_par_iter()
+        .map(|((j, ti), buf)| isolated(|| PackedV::pack(work[j].1.tile_v(ti), kern, buf)))
+        .collect();
+    for (&(j, _), pack) in run.iter().zip(&packs) {
+        ok[j] &= pack.is_some();
+    }
+    packs
+}
+
+/// One packed region of [`apply_panels`] over the `items` × column-block
+/// grid, skipping members no longer `ok`; `task` gets the index of the
+/// (member, item) pair in `items` and the column block. A member any of whose tasks panicked is
+/// marked failed.
+fn apply_region(
     cols: &[(usize, usize)],
     ok: &mut [bool],
-    items: impl Fn(&PanelFactor<T>) -> usize,
-    task: impl Fn(MatPtr<T>, &PanelFactor<T>, usize, (usize, usize)) + Sync,
+    items: &[(usize, usize)],
+    task: impl Fn(usize, (usize, usize)) + Sync,
 ) {
-    let tasks: Vec<(usize, usize, usize)> = (0..work.len())
-        .filter(|&j| ok[j])
-        .flat_map(|j| {
-            (0..items(work[j].1)).flat_map(move |i| (0..cols.len()).map(move |cb| (j, i, cb)))
-        })
+    let tasks: Vec<(usize, usize)> = (0..items.len())
+        .filter(|&i| ok[items[i].0])
+        .flat_map(|i| (0..cols.len()).map(move |cb| (i, cb)))
         .collect();
     let done: Vec<(usize, bool)> = tasks
         .par_iter()
-        .map(|&(j, i, cb)| {
-            let (c, pf) = work[j];
-            (j, isolated(|| task(c, pf, i, cols[cb])).is_some())
-        })
+        .map(|&(i, cb)| (items[i].0, isolated(|| task(i, cols[cb])).is_some()))
         .collect();
     for (j, fine) in done {
         ok[j] &= fine;
@@ -526,6 +607,56 @@ mod tests {
             Err(CaqrError::ChecksumMismatch { stage, .. }) => assert_eq!(stage, "factor"),
             other => panic!("corruption not detected: {other:?}"),
         }
+    }
+
+    /// The smallest shape whose applies take the in-place paths: 32x16
+    /// tiles applied to 16-column blocks (`2·16·16·32` flops) and
+    /// two-member tree nodes whose `16x16x16` block products reach the
+    /// packed-GEMM threshold. `caqr_cpu` and `Factorization::apply` run
+    /// them in pool regions, writing through `MatPtr`; applying `Q^T` to a
+    /// fresh matrix must equal the copy-based reference bit for bit: each
+    /// tile region copied out and `larfb_left`ed, each tree node's strips
+    /// gathered and `apply_stacked_wy`ed.
+    #[test]
+    fn tiny_in_place_applies_match_copies() {
+        let opts = CpuCaqrOptions {
+            tile_rows: 32,
+            panel_width: 16,
+            tree: TreeShape::DeviceArity,
+            verify_checksums: false,
+        };
+        let f = caqr_cpu(dense::generate::uniform::<f64>(64, 32, 10), opts).unwrap();
+        let c0 = dense::generate::uniform::<f64>(64, 16, 11);
+        let mut got = c0.clone();
+        f.apply(&mut got, true).unwrap();
+        let mut want = c0;
+        let w = 16;
+        for pf in &f.panels {
+            for (ti, tile) in pf.tiles.iter().enumerate() {
+                let mut region = want.extract(tile.start, 0, tile.rows, w);
+                let t = pf.wy0[ti].t.as_ref();
+                dense::blocked::larfb_left(pf.tile_v(ti), t, true, region.as_mut());
+                for j in 0..w {
+                    want.col_mut(j)[tile.start..tile.start + tile.rows]
+                        .copy_from_slice(region.col(j));
+                }
+            }
+            for node in pf.levels.iter().flatten() {
+                let rows = node.members.len() * w;
+                let at = |r: usize| node.members[r / w] + r % w;
+                let mut stack = Matrix::from_fn(rows, w, |r, j| want[(at(r), j)]);
+                blockops::apply_stacked_wy(node, w, stack.as_mut(), true);
+                for r in 0..rows {
+                    for j in 0..w {
+                        want[(at(r), j)] = stack[(r, j)];
+                    }
+                }
+            }
+        }
+        let bits =
+            |m: &Matrix<f64>| -> Vec<u64> { m.as_slice().iter().map(|x| x.to_bits()).collect() };
+        assert!(f.panels.iter().any(|pf| !pf.levels.is_empty()));
+        assert_eq!(bits(&got), bits(&want));
     }
 
     #[test]

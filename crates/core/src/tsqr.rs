@@ -81,13 +81,14 @@ pub struct PanelFactor<T: Scalar> {
     /// slab alone; the members of a fused group share one slab per panel
     /// (DESIGN.md §9).
     ///
-    /// Storing `V` explicitly, packed once per tile at factor time, is the
-    /// CPU analogue of the paper's strategy-4 pre-transpose: every one of
-    /// the many trailing-block applies streams it with unit stride instead
-    /// of re-deriving the unit-diagonal/zero structure per reflector (the
-    /// Householder tails also stay below the diagonal of the factored
-    /// matrix). Dropping the last factor that shares a slab hands it back
-    /// to the pool warm.
+    /// Storing `V` explicitly, written once per tile at factor time, spares
+    /// every trailing-block apply re-deriving the unit-diagonal/zero
+    /// structure per reflector (the Householder tails also stay below the
+    /// diagonal of the factored matrix). Each apply then packs it once into
+    /// the micro-kernel's panel layouts (`dense::blocked::PackedV`), the
+    /// CPU analogue of the paper's strategy-4 pre-transpose; the factor,
+    /// all a single-panel TSQR run does, packs nothing for applies. Dropping the last factor that shares a slab hands it
+    /// back to the pool warm.
     pub(crate) v: Arc<ArenaBuf<T>>,
     /// Offset of this panel's share of `v`.
     pub(crate) v_off: usize,

@@ -254,3 +254,59 @@ fn steady_state_caqr_cpu_reuses_the_v_slab() {
         "no pooled requests recorded: {after:?}"
     );
 }
+
+/// The multi-panel sibling of the slab test: 512x128 in 128x32 tiles has
+/// three panels with trailing columns, so every panel also packs its
+/// tiles' `V` for the in-place apply and runs the tile and tree applies.
+/// After one warm-up run, a second run of the same shape allocates
+/// nothing on this thread: the per-apply pack buffer comes back to this
+/// thread's cache when each apply returns, and the tasks' `W`, `op(T) W`,
+/// packs, packed tree blocks and GEMM scratch come from stocked size
+/// classes.
+#[test]
+fn steady_state_multi_panel_caqr_cpu_allocates_nothing() {
+    let (m, n, h, w) = (512, 128, 128, 32);
+    let a = dense::generate::uniform::<f64>(m, n, 12);
+    let opts = caqr::CpuCaqrOptions {
+        tile_rows: h,
+        panel_width: w,
+        tree: caqr::TreeShape::DeviceArity,
+        verify_checksums: false,
+    };
+    // As in the slab test: this thread may claim tasks in the second run
+    // that it never ran in the first, so every size class a task draws is
+    // stocked beyond what one run leaves here: the tile factor's scratch,
+    // its `T` assembly (`2 * w`), a two-member tree stack (`2 * w * w`),
+    // the apply tasks' `w x w` scratch, and the `V` pack a task takes for
+    // a single-column-block apply (`2 * h * w`, the last panel with
+    // trailing columns).
+    let nb = dense::householder::FACTOR_BLOCK;
+    let block_scratch = 2 * h * nb + nb * w + nb * nb;
+    for len in [
+        h * w,
+        w * w,
+        2 * w * w,
+        h,
+        w,
+        2 * w,
+        2 * h * w,
+        block_scratch,
+    ] {
+        arena::prewarm::<f64>(len, 8);
+    }
+    let first = caqr::caqr_cpu(a.clone(), opts).expect("factorization");
+    assert_eq!(first.panels.len(), 4);
+    drop(first);
+    let before = arena::thread_stats::<f64>();
+    let second = caqr::caqr_cpu(a, opts).expect("factorization");
+    let after = arena::thread_stats::<f64>();
+    assert_eq!(second.panels.len(), 4);
+    assert_eq!(
+        after.misses, before.misses,
+        "steady state allocated: {after:?}"
+    );
+    assert!(
+        after.hits > before.hits,
+        "no pooled requests recorded: {after:?}"
+    );
+}

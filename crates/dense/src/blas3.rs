@@ -144,18 +144,147 @@ pub fn gemm<T: Scalar>(
     });
 }
 
+/// Whether [`gemm`] runs an `m x n x k` product on the packed micro-kernel
+/// path alone: every block of its [`parallel_grid`] task grid (the whole
+/// product when serial) reaches `SMALL_FLOPS`. Smaller blocks take the
+/// streaming `gemm_small` loop, whose arithmetic differs; a caller that
+/// replaces a `gemm` call by [`gemm_in_place`] checks this first to keep
+/// every result bit-identical.
+pub fn takes_packed_path(m: usize, n: usize, k: usize) -> bool {
+    if m == 0 || n == 0 || k == 0 {
+        return false;
+    }
+    let (row_tasks, col_tasks) = parallel_grid(m, n, k);
+    // Every block but the last of a split is full, so the last is smallest.
+    let last = |len: usize, tasks: usize| (len - 1) % len.div_ceil(tasks) + 1;
+    2 * last(m, row_tasks) * last(n, col_tasks) * k >= SMALL_FLOPS
+}
+
+/// `op(A)` packed whole into the micro-kernel's A-panel layout, once, for
+/// any number of [`gemm_in_place`] calls. Strip `s` holds rows `[s * mr,
+/// s * mr + mr)` of `op(A)` column by column, `mr` lanes per column with
+/// the pad lanes of a ragged last strip zeroed, so the `kb` columns from
+/// `p0` — one `KC` sweep — are the contiguous run `[p0 * mr, (p0 + kb) *
+/// mr)` of the strip, laid out exactly as `gemm` packs that sweep.
+#[derive(Clone, Copy)]
+pub struct PackedA<'a, T> {
+    data: &'a [T],
+    m: usize,
+    k: usize,
+    mr: usize,
+}
+
+impl<'a, T: Scalar> PackedA<'a, T> {
+    /// Elements of the pack of an `m x k` `op(A)` for register-tile
+    /// height `mr`.
+    pub fn len(m: usize, k: usize, mr: usize) -> usize {
+        m.div_ceil(mr) * mr * k
+    }
+
+    /// Pack `op(A)` into the front of `buf` (stale contents are fine:
+    /// every element of the pack is written).
+    pub fn pack(ta: Trans, a: MatRef<'_, T>, mr: usize, buf: &'a mut [T]) -> Self {
+        let (m, k) = match ta {
+            Trans::No => (a.rows(), a.cols()),
+            Trans::Yes => (a.cols(), a.rows()),
+        };
+        let data = &mut buf[..Self::len(m, k, mr)];
+        pack_a(ta, a, 0, m, 0, k, mr, data);
+        PackedA { data, m, k, mr }
+    }
+}
+
+/// `C = alpha * op(A) * B + beta * C` with `op(A)` packed by
+/// [`PackedA::pack`] for `kern`, `B` the `k x n` region of `b` at `(bi,
+/// bj)` read in place by the strided micro-kernel, and `C` the `m x n`
+/// region of `c` at `(ci, cj)` written in place. Every `C` element runs
+/// the same chain as in `gemm`'s packed path (`beta` scaling first, then
+/// one fused micro-kernel pass per `KC` sweep), so where
+/// [`takes_packed_path`] holds the result is bit-identical to [`gemm`].
+/// Serial: the caller's parallel loop owns the regions.
+///
+/// # Safety
+/// No other block may write the `B` region while this runs, and the `C`
+/// region must belong exclusively to the calling block (the
+/// [`MatPtr`] contract); `B` and `C` must not overlap.
+#[allow(clippy::too_many_arguments)]
+pub unsafe fn gemm_in_place<T: Scalar>(
+    kern: &crate::simd::GemmKernel<T>,
+    alpha: T,
+    a: &PackedA<'_, T>,
+    b: MatPtr<T>,
+    (bi, bj): (usize, usize),
+    beta: T,
+    c: MatPtr<T>,
+    (ci, cj): (usize, usize),
+    n: usize,
+) {
+    let (m, k, mr, nr) = (a.m, a.k, kern.mr, kern.nr);
+    assert_eq!(a.mr, mr, "gemm_in_place: A was packed for another kernel");
+    let bp = b.region_ptr(bi, bj, k, n);
+    let cp = c.region_ptr(ci, cj, m, n);
+    let (ldb, ldc) = (b.ld(), c.ld());
+    if m == 0 || n == 0 {
+        return;
+    }
+    if beta != T::ONE {
+        for j in 0..n {
+            scale_col(beta, std::slice::from_raw_parts_mut(cp.add(j * ldc), m));
+        }
+    }
+    if k == 0 {
+        return;
+    }
+    // Strips outer: one strip's sweep stays in L1 across every column
+    // block of `B` (the order of the micro-kernel calls does not touch
+    // any element's chain, so it is free to pick).
+    let mut p0 = 0;
+    while p0 < k {
+        let kb = KC.min(k - p0);
+        for (s, strip) in a.data.chunks_exact(mr * k).enumerate() {
+            let i = s * mr;
+            let mut j = 0;
+            while j < n {
+                let w = nr.min(n - j);
+                // SAFETY: the strip's sweep holds `kb * mr` packed
+                // elements, `B(p0.., j..j + w)` and the `h x w` corner of
+                // `C` at `(i, j)` lie inside the regions checked above,
+                // and the kernel came from an available backend.
+                (kern.ukr_strided)(
+                    kb,
+                    strip[p0 * mr..].as_ptr(),
+                    bp.add(j * ldb + p0),
+                    1,
+                    ldb,
+                    alpha,
+                    cp.add(j * ldc + i),
+                    ldc,
+                    mr.min(m - i),
+                    w,
+                );
+                j += w;
+            }
+        }
+        p0 += kb;
+    }
+}
+
 fn scale<T: Scalar>(beta: T, mut c: MatMut<'_, T>) {
     if beta == T::ONE {
         return;
     }
     for j in 0..c.cols() {
-        let cj = c.col_mut(j);
-        if beta == T::ZERO {
-            cj.fill(T::ZERO);
-        } else {
-            for v in cj.iter_mut() {
-                *v *= beta;
-            }
+        scale_col(beta, c.col_mut(j));
+    }
+}
+
+/// `cj = beta * cj`, with `beta == 0` clearing the column outright.
+fn scale_col<T: Scalar>(beta: T, cj: &mut [T]) {
+    if beta == T::ZERO {
+        cj.fill(T::ZERO);
+    } else {
+        for v in cj.iter_mut() {
+            *v *= beta;
         }
     }
 }

@@ -6,10 +6,12 @@
 //! compact `WY` representation `Q = I - V T V^T`. It is the algorithm that
 //! MAGMA, CULA and MKL all use, and therefore the heart of every baseline.
 
-use crate::blas3::{gemm, Trans};
+use crate::blas3::{gemm, gemm_in_place, takes_packed_path, PackedA, Trans};
 use crate::householder::geqr2;
 use crate::matrix::{MatMut, MatRef, Matrix};
+use crate::ptr::MatPtr;
 use crate::scalar::Scalar;
+use crate::simd::GemmKernel;
 
 /// Default panel width. LAPACK uses 32-64; the GPU baselines override it.
 pub const DEFAULT_NB: usize = 32;
@@ -335,6 +337,129 @@ pub fn larfb_left<T: Scalar>(
         tw.as_ref(),
         T::ONE,
         c.rb_mut(),
+    );
+}
+
+/// One tile's explicit `V` (`rows x k`, unit lower-trapezoidal) packed
+/// for [`larfb_left_in_place`]: `V^T` as the A operand of `W = V^T C`
+/// and `V` as the A operand of `C -= V W`, both in the A-panel layout of
+/// the micro-kernel `kern` recorded with them (see
+/// [`crate::blas3::PackedA`]). Packed once, the pair serves every column
+/// block the tile is applied to; recording the kernel keeps pack and
+/// micro-kernel in agreement even if the dispatched backend changes
+/// while the pack lives.
+#[derive(Clone, Copy)]
+pub struct PackedV<'a, T: Scalar> {
+    v: MatRef<'a, T>,
+    kern: GemmKernel<T>,
+    vt: PackedA<'a, T>,
+    vp: PackedA<'a, T>,
+}
+
+impl<'a, T: Scalar> PackedV<'a, T> {
+    /// Elements of the pack of a `rows x k` `V` for `kern`.
+    pub fn len(rows: usize, k: usize, kern: &GemmKernel<T>) -> usize {
+        PackedA::<T>::len(k, rows, kern.mr) + PackedA::<T>::len(rows, k, kern.mr)
+    }
+
+    /// Pack `v` for `kern` into the front of `buf` (at least
+    /// [`Self::len`] elements; stale contents are fine).
+    pub fn pack(v: MatRef<'a, T>, kern: GemmKernel<T>, buf: &'a mut [T]) -> Self {
+        let (rows, k) = (v.rows(), v.cols());
+        let (bt, bv) = buf.split_at_mut(PackedA::<T>::len(k, rows, kern.mr));
+        PackedV {
+            v,
+            kern,
+            vt: PackedA::pack(Trans::Yes, v, kern.mr, bt),
+            vp: PackedA::pack(Trans::No, v, kern.mr, bv),
+        }
+    }
+
+    /// The explicit `V` the pack was made from.
+    pub fn v(&self) -> MatRef<'a, T> {
+        self.v
+    }
+}
+
+/// [`larfb_left`] in place on the `rows x wc` region of `c` at `(r0, c0)`:
+/// `C = (I - V op(T) V^T) C` with `V` from a [`PackedV`]. `W = V^T C`
+/// reads `C` straight from the matrix through the strided micro-kernel,
+/// `W = op(T) W` is a plain [`gemm`] on scratch, and `C -= V W` writes the
+/// region directly, so `C` is never copied. Each GEMM keeps [`gemm`]'s
+/// `KC` split and `alpha`/`beta` handling, so the result is bit-identical
+/// to [`larfb_left`] on a copy of the region. A product too small for
+/// the packed path ([`crate::blas3::takes_packed_path`]) runs
+/// [`larfb_left`] itself on a copy, because [`gemm`]'s small-product loop
+/// has different arithmetic.
+///
+/// # Safety
+/// The region must belong exclusively to the calling block (the
+/// [`MatPtr`] contract).
+pub unsafe fn larfb_left_in_place<T: Scalar>(
+    pv: &PackedV<'_, T>,
+    t: MatRef<'_, T>,
+    transpose: bool,
+    c: MatPtr<T>,
+    (r0, c0): (usize, usize),
+    wc: usize,
+) {
+    let (rows, k) = (pv.v.rows(), t.cols());
+    debug_assert_eq!(pv.v.cols(), k);
+    if wc == 0 || k == 0 {
+        return;
+    }
+    if !(takes_packed_path(k, wc, rows) && takes_packed_path(rows, wc, k)) {
+        // Dirty arena scratch: load_tile overwrites every element.
+        let mut cbuf = crate::arena::take_dirty::<T>(rows * wc);
+        c.load_tile(r0, c0, rows, wc, &mut cbuf);
+        larfb_left(
+            pv.v,
+            t,
+            transpose,
+            MatMut::from_parts(&mut cbuf, rows, wc, rows),
+        );
+        c.store_tile(r0, c0, rows, wc, &cbuf);
+        return;
+    }
+    // Both intermediates are written with beta == 0, which defines every
+    // element, so dirty arena scratch is safe and bit-exact.
+    let mut wbuf = crate::arena::take_dirty::<T>(k * wc);
+    let mut twbuf = crate::arena::take_dirty::<T>(k * wc);
+    // W = V^T C  (k x wc), C read in place.
+    let w = MatPtr::from_raw_parts(wbuf.as_mut_ptr(), k, wc, k);
+    gemm_in_place(
+        &pv.kern,
+        T::ONE,
+        &pv.vt,
+        c,
+        (r0, c0),
+        T::ZERO,
+        w,
+        (0, 0),
+        wc,
+    );
+    // W = op(T) W.
+    gemm(
+        if transpose { Trans::Yes } else { Trans::No },
+        Trans::No,
+        T::ONE,
+        t,
+        MatRef::from_parts(&wbuf, k, wc, k),
+        T::ZERO,
+        MatMut::from_parts(&mut twbuf, k, wc, k),
+    );
+    // C -= V W, written in place.
+    let tw = MatPtr::from_raw_parts(twbuf.as_mut_ptr(), k, wc, k);
+    gemm_in_place(
+        &pv.kern,
+        -T::ONE,
+        &pv.vp,
+        tw,
+        (0, 0),
+        T::ONE,
+        c,
+        (r0, c0),
+        wc,
     );
 }
 

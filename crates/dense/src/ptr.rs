@@ -126,6 +126,47 @@ impl<T: Scalar> MatPtr<T> {
         off
     }
 
+    /// Leading dimension (elements between the starts of two columns).
+    #[inline(always)]
+    pub(crate) fn ld(&self) -> usize {
+        self.ld
+    }
+
+    /// Pointer to `(i, j)`, the first element of the `nr x nc` region
+    /// there, after checking that the region lies inside the matrix.
+    pub(crate) fn region_ptr(&self, i: usize, j: usize, nr: usize, nc: usize) -> *mut T {
+        assert!(
+            i + nr <= self.rows && j + nc <= self.cols,
+            "region {nr}x{nc} at ({i},{j}) out of {}x{}",
+            self.rows,
+            self.cols
+        );
+        // The offset stays inside the `ld x cols` footprint checked above
+        // (`wrapping_add` keeps a zero-extent region at the end legal).
+        self.ptr.wrapping_add(j * self.ld + i)
+    }
+
+    /// The `len` elements of column `j` from row `i`, as a slice.
+    ///
+    /// # Safety
+    /// No other block may write the segment while the slice lives.
+    #[inline]
+    pub unsafe fn col_segment<'a>(&self, i: usize, j: usize, len: usize) -> &'a [T] {
+        std::slice::from_raw_parts(self.region_ptr(i, j, len, 1), len)
+    }
+
+    /// The `len` elements of column `j` from row `i`, as a mutable slice:
+    /// the slice spans that one column segment only, never memory between
+    /// columns that other blocks may own.
+    ///
+    /// # Safety
+    /// The segment must belong exclusively to the calling block, and no
+    /// other reference to it may be live while the slice lives.
+    #[inline]
+    pub unsafe fn col_segment_mut<'a>(&self, i: usize, j: usize, len: usize) -> &'a mut [T] {
+        std::slice::from_raw_parts_mut(self.region_ptr(i, j, len, 1), len)
+    }
+
     /// Read element `(i, j)`.
     ///
     /// # Safety

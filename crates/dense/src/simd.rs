@@ -11,8 +11,10 @@
 //!
 //! Three kernel families are dispatched:
 //!
-//! * the packed gemm microkernel ([`GemmKernel`]) — the register tile is
+//! * the gemm microkernel ([`GemmKernel`]) — the register tile is
 //!   per-backend (`mr x nr`), and `blas3` packs its micro-panels to match;
+//!   one generic body per tier yields two instances, one reading a packed
+//!   `B` and one reading `B` in place through row and column strides;
 //! * the fused strategy-4 factor sweep ([`FactorKernels`]) — the dot and
 //!   rank-1 row passes of `geqr2_gram_transposed`, and the two-chain strip
 //!   dot and the two passes of the blocked `geqrf_gram_transposed`;
@@ -46,8 +48,10 @@ use std::sync::OnceLock;
 /// (1.4-1.8x faster sweep, which can move the winning tile height);
 /// version 4 blocks tiles larger than L1 in 8-column sweeps and makes
 /// `nrm2` one pass; version 5 splits the blocked base case's dots in two
-/// chains and gives f32 its own blocking budget.
-pub const KERNEL_VERSION: u32 = 5;
+/// chains and gives f32 its own blocking budget; version 6 applies the
+/// horizontal `Q^T` in place, from `V` packed once per apply, which moves
+/// the apply time that profiles rank `(h, w)` by.
+pub const KERNEL_VERSION: u32 = 6;
 
 /// Widest microkernel register-tile height any backend uses (AVX-512 f32:
 /// two 16-lane vectors). Sizes the ragged-edge spill buffer.
@@ -254,6 +258,20 @@ pub struct GemmKernel<T> {
     /// table came from [`SimdScalar`] with an available backend).
     #[allow(clippy::type_complexity)]
     pub ukr: unsafe fn(usize, *const T, *const T, T, *mut T, usize, usize, usize),
+    /// The same microkernel with `B` read in place instead of packed:
+    /// `(kb, apanel, b, rsb, csb, alpha, c_ij, ldc, h, w)`, where `B(p, j)`
+    /// is `b[p * rsb + j * csb]`. Every `C` element runs the same fused
+    /// chain as [`Self::ukr`] does on a packed copy of that `B`, so the two
+    /// agree bit for bit. Columns past `w` are never read: the dead
+    /// accumulator lanes re-read column `w - 1` and are not stored.
+    ///
+    /// # Safety
+    /// `apanel` must hold `kb * mr` packed elements, `B(p, j)` must be
+    /// readable for `p < kb`, `j < w`, plus the [`Self::ukr`] conditions on
+    /// `h`, `w`, `c_ij` and the backend.
+    #[allow(clippy::type_complexity)]
+    pub ukr_strided:
+        unsafe fn(usize, *const T, *const T, usize, usize, T, *mut T, usize, usize, usize),
 }
 
 // Manual impls: `#[derive(Clone, Copy)]` would bound `T: Clone/Copy`.
@@ -602,19 +620,32 @@ mod neon_v {
 // Scalar kernels (the oracles)
 // ---------------------------------------------------------------------------
 
+/// Offsets of the `NR` columns of `B` a microkernel broadcasts from: the
+/// packed layout's `0..NR`, or for a `STRIDED` `B` the live columns' `j *
+/// csb` with the dead lanes past `w` pointing at column `w - 1` again.
+#[inline(always)]
+fn b_col_offsets<const NR: usize, const STRIDED: bool>(csb: usize, w: usize) -> [usize; NR] {
+    std::array::from_fn(|jj| if STRIDED { jj.min(w - 1) * csb } else { jj })
+}
+
 /// The 8x4 scalar gemm microkernel body, bit-for-bit the PR-2 loop nest.
 /// `FUSED` selects fused vs multiply-then-add arithmetic so the same body
 /// serves the oracle (compile-time choice) and the [`Backend::Fma`] tier
 /// (always fused, compiled under `#[target_feature(enable = "fma")]`).
+/// `STRIDED` selects the in-place `B` of [`GemmKernel::ukr_strided`] over
+/// the packed one (`rsb == SCALAR_NR`, `csb == 1`).
 ///
 /// # Safety
-/// See [`GemmKernel::ukr`]; `mr = 8`, `nr = 4`.
+/// See [`GemmKernel::ukr`] and [`GemmKernel::ukr_strided`]; `mr = 8`,
+/// `nr = 4`.
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
-unsafe fn gemm_ukr_scalar_body<T: Scalar, const FUSED: bool>(
+unsafe fn gemm_ukr_scalar_body<T: Scalar, const FUSED: bool, const STRIDED: bool>(
     kb: usize,
     ap: *const T,
     bp: *const T,
+    rsb: usize,
+    csb: usize,
     alpha: T,
     c: *mut T,
     ldc: usize,
@@ -629,12 +660,13 @@ unsafe fn gemm_ukr_scalar_body<T: Scalar, const FUSED: bool>(
             a * b + acc
         }
     }
+    let boff = b_col_offsets::<SCALAR_NR, STRIDED>(csb, w);
     let mut acc = [[T::ZERO; SCALAR_MR]; SCALAR_NR];
     for p in 0..kb {
         let av = ap.add(p * SCALAR_MR);
-        let bv = bp.add(p * SCALAR_NR);
+        let bv = bp.add(p * rsb);
         for (jj, accj) in acc.iter_mut().enumerate() {
-            let bj = *bv.add(jj);
+            let bj = *bv.add(boff[jj]);
             for (ii, aij) in accj.iter_mut().enumerate() {
                 *aij = f::<T, FUSED>(*av.add(ii), bj, *aij);
             }
@@ -667,9 +699,33 @@ pub(crate) unsafe fn gemm_ukr_scalar<T: Scalar>(
     w: usize,
 ) {
     if cfg!(any(target_feature = "fma", target_arch = "aarch64")) {
-        gemm_ukr_scalar_body::<T, true>(kb, ap, bp, alpha, c, ldc, h, w)
+        gemm_ukr_scalar_body::<T, true, false>(kb, ap, bp, SCALAR_NR, 1, alpha, c, ldc, h, w)
     } else {
-        gemm_ukr_scalar_body::<T, false>(kb, ap, bp, alpha, c, ldc, h, w)
+        gemm_ukr_scalar_body::<T, false, false>(kb, ap, bp, SCALAR_NR, 1, alpha, c, ldc, h, w)
+    }
+}
+
+/// The scalar oracle's strided-`B` instance (see [`GemmKernel::ukr_strided`]).
+///
+/// # Safety
+/// See [`GemmKernel::ukr_strided`]; `mr = 8`, `nr = 4`.
+#[allow(clippy::too_many_arguments)]
+pub(crate) unsafe fn gemm_ukr_scalar_strided<T: Scalar>(
+    kb: usize,
+    ap: *const T,
+    b: *const T,
+    rsb: usize,
+    csb: usize,
+    alpha: T,
+    c: *mut T,
+    ldc: usize,
+    h: usize,
+    w: usize,
+) {
+    if cfg!(any(target_feature = "fma", target_arch = "aarch64")) {
+        gemm_ukr_scalar_body::<T, true, true>(kb, ap, b, rsb, csb, alpha, c, ldc, h, w)
+    } else {
+        gemm_ukr_scalar_body::<T, false, true>(kb, ap, b, rsb, csb, alpha, c, ldc, h, w)
     }
 }
 
@@ -697,17 +753,22 @@ pub(crate) fn small_axpy_scalar<T: Scalar>(s: T, x: &[T], y: &mut [T]) {
 /// Vectorized gemm microkernel: `RV` vectors of `V` tall (`mr = RV *
 /// LANES`) by `NR` columns of accumulators. Full tiles are read-modified
 /// in-place with vector loads/stores; ragged edges spill the accumulators
-/// to a stack buffer and write the live corner scalar-wise.
+/// to a stack buffer and write the live corner scalar-wise. `STRIDED`
+/// selects the in-place `B` of [`GemmKernel::ukr_strided`]; the packed
+/// instance passes `rsb == NR`, `csb == 1`, which fold to constants.
 ///
 /// # Safety
-/// See [`GemmKernel::ukr`] with `mr = RV * V::LANES`, `nr = NR`; the ISA
-/// backing `V` must be enabled in the calling context.
+/// See [`GemmKernel::ukr`] and [`GemmKernel::ukr_strided`] with
+/// `mr = RV * V::LANES`, `nr = NR`; the ISA backing `V` must be enabled in
+/// the calling context.
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
-unsafe fn gemm_ukr_v<T: Scalar, V: Vf<T>, const RV: usize, const NR: usize>(
+unsafe fn gemm_ukr_v<T: Scalar, V: Vf<T>, const RV: usize, const NR: usize, const STRIDED: bool>(
     kb: usize,
     ap: *const T,
     bp: *const T,
+    rsb: usize,
+    csb: usize,
     alpha: T,
     c: *mut T,
     ldc: usize,
@@ -716,16 +777,17 @@ unsafe fn gemm_ukr_v<T: Scalar, V: Vf<T>, const RV: usize, const NR: usize>(
 ) {
     let mr = RV * V::LANES;
     let zero = V::splat(T::ZERO);
+    let boff = b_col_offsets::<NR, STRIDED>(csb, w);
     let mut acc = [[zero; RV]; NR];
     for p in 0..kb {
         let a0 = ap.add(p * mr);
-        let b0 = bp.add(p * NR);
+        let b0 = bp.add(p * rsb);
         let mut av = [zero; RV];
         for (q, aq) in av.iter_mut().enumerate() {
             *aq = V::load(a0.add(q * V::LANES));
         }
         for (jj, accj) in acc.iter_mut().enumerate() {
-            let bj = V::splat(*b0.add(jj));
+            let bj = V::splat(*b0.add(boff[jj]));
             for (q, aq) in accj.iter_mut().enumerate() {
                 *aq = av[q].mul_add(bj, *aq);
             }
@@ -1044,7 +1106,29 @@ unsafe fn gemm_ukr_x86_fma<T: Scalar>(
     h: usize,
     w: usize,
 ) {
-    gemm_ukr_scalar_body::<T, true>(kb, ap, bp, alpha, c, ldc, h, w)
+    gemm_ukr_scalar_body::<T, true, false>(kb, ap, bp, SCALAR_NR, 1, alpha, c, ldc, h, w)
+}
+
+/// The [`Backend::Fma`] strided-`B` instance of [`gemm_ukr_x86_fma`].
+///
+/// # Safety
+/// See [`GemmKernel::ukr_strided`]; the host must support FMA.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "fma")]
+#[allow(clippy::too_many_arguments)]
+unsafe fn gemm_ukr_x86_fma_strided<T: Scalar>(
+    kb: usize,
+    ap: *const T,
+    b: *const T,
+    rsb: usize,
+    csb: usize,
+    alpha: T,
+    c: *mut T,
+    ldc: usize,
+    h: usize,
+    w: usize,
+) {
+    gemm_ukr_scalar_body::<T, true, true>(kb, ap, b, rsb, csb, alpha, c, ldc, h, w)
 }
 
 /// The [`Backend::Fma`] factor dot pass: the scalar sweep compiled with
@@ -1288,7 +1372,24 @@ macro_rules! x86_kernels {
                 h: usize,
                 w: usize,
             ) {
-                gemm_ukr_v::<$t, $vw, $rv, $nr>(kb, ap, bp, alpha, c, ldc, h, w)
+                gemm_ukr_v::<$t, $vw, $rv, $nr, false>(kb, ap, bp, $nr, 1, alpha, c, ldc, h, w)
+            }
+
+            #[target_feature($(enable = $feat),+)]
+            #[allow(clippy::too_many_arguments)]
+            pub(crate) unsafe fn ukr_strided(
+                kb: usize,
+                ap: *const $t,
+                b: *const $t,
+                rsb: usize,
+                csb: usize,
+                alpha: $t,
+                c: *mut $t,
+                ldc: usize,
+                h: usize,
+                w: usize,
+            ) {
+                gemm_ukr_v::<$t, $vw, $rv, $nr, true>(kb, ap, b, rsb, csb, alpha, c, ldc, h, w)
             }
 
             #[target_feature($(enable = $feat),+)]
@@ -1387,7 +1488,23 @@ macro_rules! neon_kernels {
                 h: usize,
                 w: usize,
             ) {
-                gemm_ukr_v::<$t, $v, $rv, $nr>(kb, ap, bp, alpha, c, ldc, h, w)
+                gemm_ukr_v::<$t, $v, $rv, $nr, false>(kb, ap, bp, $nr, 1, alpha, c, ldc, h, w)
+            }
+
+            #[allow(clippy::too_many_arguments)]
+            pub(crate) unsafe fn ukr_strided(
+                kb: usize,
+                ap: *const $t,
+                b: *const $t,
+                rsb: usize,
+                csb: usize,
+                alpha: $t,
+                c: *mut $t,
+                ldc: usize,
+                h: usize,
+                w: usize,
+            ) {
+                gemm_ukr_v::<$t, $v, $rv, $nr, true>(kb, ap, b, rsb, csb, alpha, c, ldc, h, w)
             }
 
             pub(crate) unsafe fn dot(
@@ -1447,29 +1564,34 @@ macro_rules! impl_simd_scalar {
                         mr: SCALAR_MR,
                         nr: SCALAR_NR,
                         ukr: gemm_ukr_x86_fma::<$t>,
+                        ukr_strided: gemm_ukr_x86_fma_strided::<$t>,
                     },
                     #[cfg(target_arch = "x86_64")]
                     Backend::Avx2 => GemmKernel {
                         mr: 2 * 256 / (8 * std::mem::size_of::<$t>()),
                         nr: 6,
                         ukr: $avx2::ukr,
+                        ukr_strided: $avx2::ukr_strided,
                     },
                     #[cfg(target_arch = "x86_64")]
                     Backend::Avx512 => GemmKernel {
                         mr: 2 * 512 / (8 * std::mem::size_of::<$t>()),
                         nr: 8,
                         ukr: $avx512::ukr,
+                        ukr_strided: $avx512::ukr_strided,
                     },
                     #[cfg(target_arch = "aarch64")]
                     Backend::Neon => GemmKernel {
                         mr: 2 * 128 / (8 * std::mem::size_of::<$t>()),
                         nr: 4,
                         ukr: $neon::ukr,
+                        ukr_strided: $neon::ukr_strided,
                     },
                     _ => GemmKernel {
                         mr: SCALAR_MR,
                         nr: SCALAR_NR,
                         ukr: gemm_ukr_scalar::<$t>,
+                        ukr_strided: gemm_ukr_scalar_strided::<$t>,
                     },
                 }
             }

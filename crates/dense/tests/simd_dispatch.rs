@@ -406,3 +406,171 @@ fn env_forced_scalar_pins_the_dispatcher() {
         }
     }
 }
+
+/// A `rows x k` explicit `V` (unit diagonal, zeros above, values below),
+/// an upper-triangular `T`, and a target matrix with a margin of 3 rows
+/// and 2 columns around the applied region, all seeded from `seed`.
+fn wy_operands<T: dense::scalar::Scalar>(
+    rows: usize,
+    k: usize,
+    wc: usize,
+    seed: u64,
+) -> (Matrix<T>, Matrix<T>, Matrix<T>) {
+    let raw = dense::generate::uniform::<T>(rows, k, seed);
+    let v = Matrix::from_fn(rows, k, |i, j| match i.cmp(&j) {
+        std::cmp::Ordering::Less => T::ZERO,
+        std::cmp::Ordering::Equal => T::ONE,
+        std::cmp::Ordering::Greater => raw[(i, j)],
+    });
+    let t = Matrix::from_fn(k, k, |i, j| {
+        if i <= j {
+            T::from_f64(((i * 7 + j * 3) % 11) as f64 / 8.0 - 0.6)
+        } else {
+            T::ZERO
+        }
+    });
+    let c = dense::generate::uniform::<T>(rows + 5, wc + 4, seed ^ 7);
+    (v, t, c)
+}
+
+/// `larfb_left_in_place` with a packed `V` against `larfb_left` on a copy
+/// of the region, for every backend: the whole target matrix must match
+/// bit for bit (the margin around the region untouched).
+fn assert_in_place_apply_bit_identical<T: dense::scalar::Scalar>() {
+    use dense::blocked::{larfb_left, larfb_left_in_place, PackedV};
+    use dense::MatPtr;
+    let bits =
+        |m: &Matrix<T>| -> Vec<u64> { m.as_slice().iter().map(|x| x.to_f64().to_bits()).collect() };
+    // Rows that no register-tile height divides (37, 133), rows above KC
+    // (300: two sweeps of `W = V^T C`), column blocks that no `nr`
+    // divides (13, 7), full 32-column blocks, and a product small enough
+    // for `gemm`'s streaming loop (24x4x4), which runs on a copy.
+    let shapes = [
+        (37, 8, 13),
+        (133, 32, 32),
+        (300, 16, 7),
+        (256, 32, 32),
+        (24, 4, 4),
+    ];
+    for backend in Backend::available() {
+        for (rows, k, wc) in shapes {
+            for transpose in [true, false] {
+                let ctx = format!(
+                    "{backend:?} f{} {rows}x{k} wc {wc} transpose {transpose}",
+                    8 * std::mem::size_of::<T>()
+                );
+                let (v, t, c0) = wy_operands::<T>(rows, k, wc, (rows + k + wc) as u64);
+                let (r0, col0) = (3, 2);
+                let got = with_backend(backend, || {
+                    let kern = T::gemm_kernel(backend);
+                    let mut buf = vec![T::from_f64(f64::NAN); PackedV::len(rows, k, &kern)];
+                    let pv = PackedV::pack(v.as_ref(), kern, &mut buf);
+                    let mut c = c0.clone();
+                    // SAFETY: one caller owns the whole matrix.
+                    unsafe {
+                        larfb_left_in_place(
+                            &pv,
+                            t.as_ref(),
+                            transpose,
+                            MatPtr::new(&mut c),
+                            (r0, col0),
+                            wc,
+                        )
+                    };
+                    c
+                });
+                let want = with_backend(backend, || {
+                    let mut region = c0.extract(r0, col0, rows, wc);
+                    larfb_left(v.as_ref(), t.as_ref(), transpose, region.as_mut());
+                    let mut c = c0.clone();
+                    for j in 0..wc {
+                        for i in 0..rows {
+                            c[(r0 + i, col0 + j)] = region[(i, j)];
+                        }
+                    }
+                    c
+                });
+                assert_eq!(bits(&got), bits(&want), "{ctx}");
+            }
+        }
+    }
+}
+
+#[test]
+fn in_place_packed_apply_is_bit_identical_to_larfb_on_every_backend() {
+    let _g = LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    assert_in_place_apply_bit_identical::<f64>();
+    assert_in_place_apply_bit_identical::<f32>();
+}
+
+/// The strided-`B` micro-kernel instance against the packed instance on
+/// the same operands, for every backend: `B` lives in a column-major
+/// matrix with a leading dimension larger than `kb`, its packed copy is
+/// zero-padded to `nr`, and every `C` element (the live corner and the
+/// untouched rest) must match bit for bit at full and ragged `h`/`w`.
+fn assert_strided_ukr_matches_packed<T: dense::scalar::Scalar>() {
+    let kb = 13;
+    for backend in Backend::available() {
+        let kern = T::gemm_kernel(backend);
+        let (mr, nr) = (kern.mr, kern.nr);
+        let ap = dense::generate::uniform::<T>(kb * mr, 1, 3);
+        let (ldb, ldc) = (kb + 5, mr + 3);
+        let b = dense::generate::uniform::<T>(ldb, nr, 4);
+        let mut bp = vec![T::ZERO; kb * nr];
+        let c0 = dense::generate::uniform::<T>(ldc, nr, 5);
+        for (h, w) in [
+            (mr, nr),
+            (mr - 1, nr - 1),
+            (mr, 1),
+            (1, nr),
+            (1, 1),
+            (mr / 2 + 1, 3),
+        ] {
+            let ctx = format!("{backend:?} f{} {h}x{w}", 8 * std::mem::size_of::<T>());
+            for p in 0..kb {
+                for jj in 0..nr {
+                    bp[p * nr + jj] = if jj < w { b[(1 + p, jj)] } else { T::ZERO };
+                }
+            }
+            let alpha = T::from_f64(-1.25);
+            let mut packed = c0.clone();
+            let mut strided = c0.clone();
+            // SAFETY: the panels hold kb * mr / kb * nr elements, B's
+            // first w columns hold rows 1..=kb, the h x w corner of C is
+            // in bounds, and the backend is available.
+            unsafe {
+                (kern.ukr)(
+                    kb,
+                    ap.as_slice().as_ptr(),
+                    bp.as_ptr(),
+                    alpha,
+                    packed.as_mut_slice().as_mut_ptr(),
+                    ldc,
+                    h,
+                    w,
+                );
+                (kern.ukr_strided)(
+                    kb,
+                    ap.as_slice().as_ptr(),
+                    b.as_slice().as_ptr().add(1),
+                    1,
+                    ldb,
+                    alpha,
+                    strided.as_mut_slice().as_mut_ptr(),
+                    ldc,
+                    h,
+                    w,
+                );
+            }
+            for (i, (x, y)) in packed.as_slice().iter().zip(strided.as_slice()).enumerate() {
+                assert_eq!(x.to_f64().to_bits(), y.to_f64().to_bits(), "{ctx} C[{i}]");
+            }
+        }
+    }
+}
+
+#[test]
+fn strided_b_microkernel_matches_packed_instance_on_every_backend() {
+    assert_strided_ukr_matches_packed::<f64>();
+    assert_strided_ukr_matches_packed::<f32>();
+}

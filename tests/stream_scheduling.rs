@@ -267,6 +267,7 @@ fn modelled_lookahead_beats_synchronous_on_table1_shapes() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
+    #[test]
     fn dag_equivalence_holds_for_random_shapes(
         m in 20usize..150,
         n in 1usize..40,
@@ -293,6 +294,7 @@ proptest! {
         }
     }
 
+    #[test]
     fn model_replay_matches_execution_for_random_shapes(
         m in 40usize..200,
         n in 8usize..48,
