@@ -22,7 +22,7 @@ pub mod mkl;
 pub mod option_a;
 pub mod panel;
 
-use caqr::CaqrOptions;
+use caqr::{CaqrOptions, Mode, Modelled, SimBackend};
 use gpu_sim::{CpuSpec, DeviceSpec, Gpu, PcieSpec};
 
 /// The implementations compared in Figures 8/9 and Table I.
@@ -58,8 +58,10 @@ impl QrImpl {
         match self {
             QrImpl::Caqr => {
                 let gpu = Gpu::new(DeviceSpec::c2050());
-                caqr::model::model_caqr_seconds(&gpu, m, n, CaqrOptions::default())
+                let cfg = CaqrOptions::default().drive_config();
+                (SimBackend::sync(&gpu).model(m, n, &cfg, Modelled::Factor(Mode::Sync)))
                     .expect("CAQR model launch failed")
+                    .0
             }
             QrImpl::Magma => hybrid::model_hybrid_seconds(
                 &DeviceSpec::c2050(),

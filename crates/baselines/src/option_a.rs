@@ -108,7 +108,6 @@ pub fn model_caqr_option_a_gflops(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use caqr::CaqrOptions;
 
     fn setup() -> (DeviceSpec, PcieSpec, CpuSpec, BlockSize) {
         (
@@ -126,10 +125,7 @@ mod tests {
         let (gpu, pcie, cpu, bs) = setup();
         for (m, n) in [(110_592usize, 100usize), (1_000_000, 192), (100_000, 64)] {
             let a = model_caqr_option_a_seconds(&gpu, &pcie, &cpu, m, n, bs);
-            let b = {
-                let g = Gpu::new(gpu.clone());
-                caqr::model::model_caqr_seconds(&g, m, n, CaqrOptions::default()).unwrap()
-            };
+            let b = crate::QrImpl::Caqr.model_seconds(m, n);
             assert!(b < a, "Option B must beat Option A at {m}x{n}: {b} vs {a}");
         }
     }

@@ -3,7 +3,7 @@
 //! factorization for real; plus the evaluation speed of the analytic models
 //! that drive the figure sweeps.
 
-use caqr::CaqrOptions;
+use caqr::{CaqrOptions, Mode, Modelled, SimBackend};
 use criterion::{criterion_group, criterion_main, Criterion};
 use gpu_sim::{DeviceSpec, Gpu};
 use std::hint::black_box;
@@ -45,9 +45,12 @@ fn bench_models(c: &mut Criterion) {
     let mut group = c.benchmark_group("cost_models");
     group.bench_function("model_caqr_1M_x_192", |b| {
         let gpu = Gpu::new(DeviceSpec::c2050());
+        let cfg = CaqrOptions::default().drive_config();
+        let factor = Modelled::Factor(Mode::Sync);
         b.iter(|| {
             black_box(
-                caqr::model::model_caqr_gflops(&gpu, 1_000_000, 192, CaqrOptions::default())
+                SimBackend::sync(&gpu)
+                    .model(1_000_000, 192, &cfg, factor)
                     .unwrap(),
             )
         });

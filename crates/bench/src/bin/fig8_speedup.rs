@@ -14,8 +14,7 @@
 //! ```
 
 use baselines::QrImpl;
-use caqr::schedule::model_caqr_dag_seconds;
-use caqr::{CaqrOptions, ScheduleOptions};
+use caqr::{CaqrOptions, Mode, Modelled, SimBackend};
 use caqr_bench::Table;
 use gpu_sim::{DeviceSpec, Gpu};
 
@@ -35,6 +34,7 @@ fn main() {
     ]);
     let mut wins_skinny = 0;
     let mut total_skinny = 0;
+    let cfg = CaqrOptions::default().drive_config();
     for m in heights {
         for n in widths {
             if n > m || m * n > max_elems {
@@ -43,17 +43,11 @@ fn main() {
             let caqr_s = QrImpl::Caqr.model_seconds(m, n);
             let su = |i: QrImpl| i.model_seconds(m, n) / caqr_s;
             let (sm, sc, sk) = (su(QrImpl::Magma), su(QrImpl::Cula), su(QrImpl::Mkl));
-            let dag_s = model_caqr_dag_seconds(
-                &Gpu::new(DeviceSpec::c2050()),
-                m,
-                n,
-                ScheduleOptions {
-                    caqr: CaqrOptions::default(),
-                    streams: 4,
-                    lookahead: true,
-                },
-            )
-            .unwrap();
+            let gpu = Gpu::new(DeviceSpec::c2050());
+            let lookahead = Modelled::Factor(Mode::Dag { lookahead: true });
+            let (dag_s, _) = (SimBackend::streams(&gpu, 4).unwrap())
+                .model(m, n, &cfg, lookahead)
+                .unwrap();
             let wins = sm > 1.0 && sc > 1.0;
             if m / n >= 64 {
                 total_skinny += 1;

@@ -11,8 +11,7 @@
 //! ```
 
 use baselines::QrImpl;
-use caqr::schedule::model_caqr_dag_gflops;
-use caqr::{CaqrOptions, ScheduleOptions};
+use caqr::{CaqrOptions, Mode, Modelled, SimBackend};
 use caqr_bench::{gf, Table};
 use gpu_sim::{DeviceSpec, Gpu};
 
@@ -26,22 +25,18 @@ fn main() {
         "width", "CAQR", "CAQR s=4", "MAGMA", "CULA", "MKL", "winner",
     ]);
     let mut crossover: Option<usize> = None;
+    let cfg = CaqrOptions::default().drive_config();
     for n in widths {
         let g: Vec<f64> = QrImpl::ALL
             .iter()
             .map(|i| i.model_gflops(HEIGHT, n))
             .collect();
-        let dag = model_caqr_dag_gflops(
-            &Gpu::new(DeviceSpec::c2050()),
-            HEIGHT,
-            n,
-            ScheduleOptions {
-                caqr: CaqrOptions::default(),
-                streams: 4,
-                lookahead: true,
-            },
-        )
-        .unwrap();
+        let gpu = Gpu::new(DeviceSpec::c2050());
+        let lookahead = Modelled::Factor(Mode::Dag { lookahead: true });
+        let (dag_s, _) = (SimBackend::streams(&gpu, 4).unwrap())
+            .model(HEIGHT, n, &cfg, lookahead)
+            .unwrap();
+        let dag = dense::geqrf_flops(HEIGHT, n) / dag_s / 1.0e9;
         let best_lib = g[1..].iter().cloned().fold(0.0, f64::max);
         let winner = if g[0] >= best_lib { "CAQR" } else { "library" };
         if g[0] < best_lib && crossover.is_none() {
@@ -65,11 +60,15 @@ fn main() {
 
     if std::env::args().any(|a| a == "--explicit-q") {
         let gpu = Gpu::new(DeviceSpec::c2050());
-        let opts = CaqrOptions::default();
+        let sim = SimBackend::sync(&gpu);
         let mut t2 = Table::new(&["width", "factor ms", "explicit-Q ms", "ratio"]);
         for n in [64usize, 192, 512, 1024, 2048] {
-            let f = caqr::model::model_caqr_seconds(&gpu, HEIGHT, n, opts).unwrap();
-            let q = caqr::model::model_caqr_apply_seconds(&gpu, HEIGHT, n, n, opts).unwrap();
+            let (f, _) = sim
+                .model(HEIGHT, n, &cfg, Modelled::Factor(Mode::Sync))
+                .unwrap();
+            let (q, _) = sim
+                .model(HEIGHT, n, &cfg, Modelled::GenerateQ { nc: n })
+                .unwrap();
             t2.row(vec![
                 n.to_string(),
                 format!("{:.2}", f * 1e3),

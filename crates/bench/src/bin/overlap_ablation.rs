@@ -12,21 +12,20 @@
 //! cargo run -p caqr-bench --release --bin overlap_ablation [-- --csv] [-- --trace trace.json]
 //! ```
 
-use caqr::schedule::{model_caqr_dag_seconds, model_caqr_dag_timeline};
-use caqr::{CaqrOptions, ScheduleOptions};
+use baselines::QrImpl;
+use caqr::{CaqrOptions, Mode, Modelled, SimBackend};
 use caqr_bench::Table;
-use gpu_sim::{DeviceSpec, Gpu};
+use gpu_sim::{DeviceSpec, Gpu, Timeline};
 
 const WIDTH: usize = 192;
 
-fn dag_seconds(m: usize, streams: usize, lookahead: bool) -> f64 {
+/// Modelled makespan and timeline of the `m x WIDTH` stream DAG.
+fn dag(m: usize, streams: usize, lookahead: bool) -> (f64, Timeline) {
     let gpu = Gpu::new(DeviceSpec::c2050());
-    let opts = ScheduleOptions {
-        caqr: CaqrOptions::default(),
-        streams,
-        lookahead,
-    };
-    model_caqr_dag_seconds(&gpu, m, WIDTH, opts).unwrap()
+    let cfg = CaqrOptions::default().drive_config();
+    let what = Modelled::Factor(Mode::Dag { lookahead });
+    let sim = SimBackend::streams(&gpu, streams).unwrap();
+    sim.model(m, WIDTH, &cfg, what).unwrap()
 }
 
 fn main() {
@@ -43,10 +42,9 @@ fn main() {
     ]);
     let mut best_overall: Option<(usize, bool, f64)> = None;
     for m in heights {
-        let gpu = Gpu::new(DeviceSpec::c2050());
-        let sync = caqr::model::model_caqr_seconds(&gpu, m, WIDTH, CaqrOptions::default()).unwrap();
+        let sync = QrImpl::Caqr.model_seconds(m, WIDTH);
         let cases = [(1usize, false), (4, false), (2, true), (4, true)];
-        let times: Vec<f64> = cases.iter().map(|&(s, la)| dag_seconds(m, s, la)).collect();
+        let times: Vec<f64> = cases.iter().map(|&(s, la)| dag(m, s, la).0).collect();
         let (bi, bt) = times
             .iter()
             .enumerate()
@@ -80,18 +78,12 @@ fn main() {
     while let Some(a) = args.next() {
         if a == "--trace" {
             let path = args.next().expect("--trace needs a file path");
-            let gpu = Gpu::new(DeviceSpec::c2050());
-            let opts = ScheduleOptions {
-                caqr: CaqrOptions::default(),
-                streams: 4,
-                lookahead: true,
-            };
-            let (_, tl) = model_caqr_dag_timeline(&gpu, 100_000, WIDTH, opts).unwrap();
+            let streams = 4;
+            let (_, tl) = dag(100_000, streams, true);
             std::fs::write(&path, tl.to_chrome_trace()).expect("write trace file");
             println!(
-                "wrote {} intervals ({} streams, makespan {:.3} ms) to {path}",
+                "wrote {} intervals ({streams} streams, makespan {:.3} ms) to {path}",
                 tl.intervals.len(),
-                opts.streams,
                 tl.makespan * 1e3
             );
         }

@@ -49,7 +49,7 @@ use dense::blas2::trsv_upper;
 use dense::matrix::Matrix;
 use dense::scalar::Scalar;
 use dense::MatPtr;
-use gpu_sim::{EventId, Exec, Gpu, StreamId, DEFAULT_WATCHDOG_US};
+use gpu_sim::{EventId, Exec, Gpu, StreamId, Timeline, DEFAULT_WATCHDOG_US};
 use rayon::prelude::*;
 use std::cell::Cell;
 
@@ -65,6 +65,18 @@ pub enum Mode {
         /// Factor panel `k+1` as soon as its own column block is updated,
         /// ahead of panel `k`'s bulk trailing update.
         lookahead: bool,
+    },
+}
+
+/// What [`SimBackend::model`] charges.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Modelled {
+    /// Factor the matrix on the schedule [`drive`] runs under this mode.
+    Factor(Mode),
+    /// Form explicit `Q` over `nc` columns from the factorization.
+    GenerateQ {
+        /// Columns of `Q` to form.
+        nc: usize,
     },
 }
 
@@ -1232,47 +1244,51 @@ impl<'g> SimBackend<'g> {
         Ok((0..s).map(|_| gpu.create_stream()).collect())
     }
 
-    /// Charge the modelled cost of factoring an `m x n` single-precision
-    /// matrix: the schedule an unchecked [`drive`] runs on this backend,
-    /// with the analytic costs of [`crate::model`] instead of kernels.
-    pub(crate) fn model_factor(
+    /// Model a run without data: charge what an unchecked [`drive`]
+    /// ([`Modelled::Factor`]) or [`Factorization::generate_q_on`]
+    /// ([`Modelled::GenerateQ`]) issues on this backend for an `m x n`
+    /// single-precision matrix, with the chain costs of [`crate::model`] in
+    /// place of the arithmetic — so Table-I-scale shapes (1M x 192) are
+    /// modelled without 768 MB of arithmetic. Returns the modelled seconds
+    /// (on a streamed backend, the schedule's makespan) and the resolved
+    /// [`Timeline`] of the stream intervals, empty on a synchronous one.
+    pub fn model(
         &self,
         m: usize,
         n: usize,
         cfg: &DriveConfig,
-        lookahead: bool,
-    ) -> Result<(), CaqrError> {
+        what: Modelled,
+    ) -> Result<(f64, Timeline), CaqrError> {
         validate(cfg, m, n)?;
-        if cfg.check_finite {
-            charge_health(self.gpu, self.health_exec, m, n, cfg.bs, ELEM_BYTES)?;
+        let t0 = self.gpu.elapsed();
+        match what {
+            Modelled::Factor(mode) => {
+                if cfg.check_finite {
+                    charge_health(self.gpu, self.health_exec, m, n, cfg.bs, ELEM_BYTES)?;
+                }
+                if cfg.strategy.needs_pretranspose() {
+                    charge_pretranspose(self.gpu, self.pre_exec, m, n, cfg.bs, ELEM_BYTES)?;
+                }
+                let geo = DagGeometry::new(m, n, cfg.bs.w, self.execs.len());
+                let lookahead = mode == (Mode::Dag { lookahead: true });
+                run_panels(&mut CostSink { sim: self, cfg, m }, &geo, lookahead)?;
+            }
+            // One apply chain per panel over the column grid, in the order
+            // `generate_q_on` executes them: panels last to first, each
+            // chain tree levels first.
+            Modelled::GenerateQ { nc } => {
+                checked_elems(m, nc, "apply target element count")?;
+                let geo = DagGeometry::new(m, n, cfg.bs.w, 1);
+                let cols = col_blocks(0, nc, cfg.bs.w);
+                (geo.steps.iter().rev()).try_for_each(|step| {
+                    let chains = PanelChains::planned(cfg, m, step.c, step.width, ELEM_BYTES);
+                    chains.charge_apply(self.gpu, self.execs[0], &cols, false)
+                })?;
+            }
         }
-        if cfg.strategy.needs_pretranspose() {
-            charge_pretranspose(self.gpu, self.pre_exec, m, n, cfg.bs, ELEM_BYTES)?;
-        }
-        let geo = DagGeometry::new(m, n, cfg.bs.w, self.execs.len());
-        run_panels(&mut CostSink { sim: self, cfg, m }, &geo, lookahead)
-    }
-
-    /// Charge the modelled cost of applying the `Q` of an `m x n`
-    /// factorization to `nc` columns on slot 0 (forming explicit `Q`): one
-    /// apply chain per panel over the column grid, in the order
-    /// [`Factorization::generate_q_on`] executes them — panels last to
-    /// first, each chain tree levels first.
-    pub(crate) fn model_apply(
-        &self,
-        m: usize,
-        n: usize,
-        nc: usize,
-        cfg: &DriveConfig,
-    ) -> Result<(), CaqrError> {
-        validate(cfg, m, n)?;
-        checked_elems(m, nc, "apply target element count")?;
-        let geo = DagGeometry::new(m, n, cfg.bs.w, 1);
-        let cols = col_blocks(0, nc, cfg.bs.w);
-        (geo.steps.iter().rev()).try_for_each(|step| {
-            let chains = PanelChains::planned(cfg, m, step.c, step.width, ELEM_BYTES);
-            chains.charge_apply(self.gpu, self.execs[0], &cols, false)
-        })
+        let timeline =
+            (self.gpu.try_synchronize()).map_err(|context| CaqrError::Breakdown { context })?;
+        Ok((self.gpu.elapsed() - t0, timeline))
     }
 }
 

@@ -48,7 +48,7 @@ impl Default for CaqrOptions {
 
 impl CaqrOptions {
     /// The [`DriveConfig`] of a simulator run with these options.
-    pub(crate) fn drive_config(&self) -> DriveConfig {
+    pub fn drive_config(&self) -> DriveConfig {
         DriveConfig {
             bs: self.bs,
             strategy: self.strategy,
@@ -67,7 +67,7 @@ impl CaqrOptions {
 /// `health_check` launch: "garbage in" becomes a typed
 /// [`CaqrError::NonFinite`] instead of silent NaN propagation. The launch
 /// is counted in [`Factorization::launches`] and charged identically by
-/// [`crate::model::model_caqr_seconds`].
+/// [`SimBackend::model`].
 ///
 /// A thin shim over the generic [`crate::backend::drive`] loop on a
 /// synchronous [`SimBackend`] (DESIGN.md §13) — the Figure-4 pseudocode

@@ -1,18 +1,19 @@
-//! The chain walks every simulated charge goes through, and the model-only
-//! CAQR/TSQR timing built on them. A `PanelChains` walks one panel's
-//! chains — its tiles, its tree levels, the launch order — and charges
-//! every launch through [`Gpu::charge_on`] with its [`GridLaunch`]
-//! description. The executing [`SimBackend`] charges a chain this way from
-//! its [`PanelFactor`] and then runs the host's panel arithmetic; the
-//! model-only sweeps run the driver's own panel schedule against a
-//! cost-only sink that charges the same chains from the geometry alone. A
-//! modelled sweep over a 1M x 192 matrix therefore records what executing
-//! it would, without doing the arithmetic. This module has no panel loop
-//! and no cost arithmetic of its own.
+//! The chain walks every simulated charge goes through. A `PanelChains`
+//! walks one panel's chains — its tiles, its tree levels, the launch
+//! order — and charges every launch through [`Gpu::charge_on`] with its
+//! [`GridLaunch`] description. The executing
+//! [`SimBackend`](crate::SimBackend) charges a chain
+//! this way from its [`PanelFactor`] and then runs the host's panel
+//! arithmetic; the one model entry,
+//! [`SimBackend::model`](crate::SimBackend::model), runs the
+//! driver's own panel schedule against a cost-only sink that charges the
+//! same chains from the geometry alone. A modelled sweep over a 1M x 192
+//! matrix therefore records what executing it would, without doing the
+//! arithmetic. This module has no panel loop and no cost arithmetic of its
+//! own.
 
-use crate::backend::{DriveConfig, SimBackend};
+use crate::backend::DriveConfig;
 use crate::block::{plan_tree, tile_panel, BlockSize, Tile};
-use crate::caqr::CaqrOptions;
 use crate::error::CaqrError;
 use crate::kernels::GridLaunch;
 use crate::microkernels::ReductionStrategy;
@@ -119,20 +120,6 @@ impl PanelChains {
     }
 }
 
-/// Modelled seconds for a full CAQR factorization of an `m x n` matrix
-/// (the engine behind Figures 8/9 and Table I): the launch sequence
-/// [`crate::caqr::caqr`] issues, charged by the cost model.
-pub fn model_caqr_seconds(
-    gpu: &Gpu,
-    m: usize,
-    n: usize,
-    opts: CaqrOptions,
-) -> Result<f64, CaqrError> {
-    let t0 = gpu.elapsed();
-    SimBackend::sync(gpu).model_factor(m, n, &opts.drive_config(), false)?;
-    Ok(gpu.elapsed() - t0)
-}
-
 /// Charge the input health scan of an `m x n` matrix of `elem_bytes`-byte
 /// elements under an [`Exec`] policy: one block per row tile of the
 /// factor grid, each reading its tile across every column.
@@ -169,44 +156,33 @@ pub(crate) fn charge_pretranspose(
     Ok(())
 }
 
-/// Modelled seconds for applying `Q^T` (or generating explicit `Q`) from a
-/// CAQR factorization of an `m x n` matrix to `nc` columns. The paper notes
-/// `SORGQR` is "just as efficient as factoring the matrix"; this charges
-/// the apply chains [`crate::backend::Factorization::apply_on`] issues.
-pub fn model_caqr_apply_seconds(
-    gpu: &Gpu,
-    m: usize,
-    n: usize,
-    nc: usize,
-    opts: CaqrOptions,
-) -> Result<f64, CaqrError> {
-    let t0 = gpu.elapsed();
-    SimBackend::sync(gpu).model_apply(m, n, nc, &opts.drive_config())?;
-    Ok(gpu.elapsed() - t0)
-}
-
-/// Modelled SGEQRF GFLOP/s for CAQR on an `m x n` single-precision matrix —
-/// the paper's reporting convention (`2mn^2 - 2/3 n^3` useful flops over the
-/// modelled time, matrix already resident on the GPU).
-pub fn model_caqr_gflops(
-    gpu: &Gpu,
-    m: usize,
-    n: usize,
-    opts: CaqrOptions,
-) -> Result<f64, CaqrError> {
-    let secs = model_caqr_seconds(gpu, m, n, opts)?;
-    Ok(dense::geqrf_flops(m, n) / secs / 1.0e9)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::backend::{Mode, Modelled, SimBackend};
     use crate::block::TreeShape;
-    use crate::caqr::caqr;
+    use crate::caqr::{caqr, CaqrOptions};
     use crate::microkernels::ReductionStrategy;
-    use crate::schedule::{model_caqr_dag_seconds, ScheduleOptions};
     use dense::generate;
     use gpu_sim::DeviceSpec;
+
+    /// Modelled seconds of `what` on a synchronous backend.
+    fn sync_seconds(
+        gpu: &Gpu,
+        m: usize,
+        n: usize,
+        opts: CaqrOptions,
+        what: Modelled,
+    ) -> Result<f64, CaqrError> {
+        let (secs, _) = SimBackend::sync(gpu).model(m, n, &opts.drive_config(), what)?;
+        Ok(secs)
+    }
+
+    /// Modelled SGEQRF GFLOP/s of a synchronous factorization.
+    fn gflops(gpu: &Gpu, m: usize, n: usize, opts: CaqrOptions) -> f64 {
+        let secs = sync_seconds(gpu, m, n, opts, Modelled::Factor(Mode::Sync)).unwrap();
+        dense::geqrf_flops(m, n) / secs / 1.0e9
+    }
 
     /// Calls, seconds, flops and DRAM bytes of two ledgers agree to `tol`.
     fn assert_ledgers_match(exec: &gpu_sim::CostLedger, modeled: &gpu_sim::CostLedger, tol: f64) {
@@ -235,16 +211,15 @@ mod tests {
         let _f = caqr(&g1, a, opts).unwrap();
 
         let g2 = Gpu::new(DeviceSpec::c2050());
-        let secs = model_caqr_seconds(&g2, m, n, opts).unwrap();
+        let secs = sync_seconds(&g2, m, n, opts, Modelled::Factor(Mode::Sync)).unwrap();
         assert_ledgers_match(&g1.ledger(), &g2.ledger(), tol);
 
         // One stream without lookahead is the synchronous loop.
-        let one_stream = ScheduleOptions {
-            caqr: opts,
-            streams: 1,
-            lookahead: false,
-        };
-        let dag = model_caqr_dag_seconds(&Gpu::new(DeviceSpec::c2050()), m, n, one_stream).unwrap();
+        let g3 = Gpu::new(DeviceSpec::c2050());
+        let barrier = Modelled::Factor(Mode::Dag { lookahead: false });
+        let (dag, _) = (SimBackend::streams(&g3, 1).unwrap())
+            .model(m, n, &opts.drive_config(), barrier)
+            .unwrap();
         assert!(
             (dag - secs).abs() / secs < tol,
             "{m}x{n}: 1-stream barrier DAG {dag} vs sync {secs}"
@@ -283,7 +258,7 @@ mod tests {
             f.generate_q_on(&SimBackend::sync(&g1), n).unwrap();
 
             let g2 = Gpu::new(DeviceSpec::c2050());
-            let secs = model_caqr_apply_seconds(&g2, m, n, n, opts).unwrap();
+            let secs = sync_seconds(&g2, m, n, opts, Modelled::GenerateQ { nc: n }).unwrap();
             // Charged in the executed order, launch for launch, so every
             // sum is the same float sum.
             let (exec, modeled) = (g1.ledger(), g2.ledger());
@@ -304,17 +279,22 @@ mod tests {
     #[test]
     fn overflowing_and_empty_shapes_are_rejected() {
         let g = Gpu::new(DeviceSpec::c2050());
-        let opts = CaqrOptions::default();
-        let dag = ScheduleOptions {
-            caqr: opts,
-            ..ScheduleOptions::default()
+        let cfg = CaqrOptions::default().drive_config();
+        let (sync, streams) = (SimBackend::sync(&g), SimBackend::streams(&g, 4).unwrap());
+        let bad = |r: Result<(f64, gpu_sim::Timeline), CaqrError>| {
+            matches!(r, Err(CaqrError::BadShape(_)))
         };
+        let factor = Modelled::Factor(Mode::Sync);
+        let dag = Modelled::Factor(Mode::Dag { lookahead: true });
+        let q = Modelled::GenerateQ { nc: 4 };
         for &(m, n) in &[(usize::MAX / 2, 4), (0, 4), (4, 0)] {
-            let bad = |r: Result<f64, CaqrError>| matches!(r, Err(CaqrError::BadShape(_)));
-            assert!(bad(model_caqr_seconds(&g, m, n, opts)), "{m}x{n}");
-            assert!(bad(model_caqr_dag_seconds(&g, m, n, dag)), "{m}x{n}");
-            assert!(bad(model_caqr_apply_seconds(&g, m, n, 4, opts)), "{m}x{n}");
+            assert!(bad(sync.model(m, n, &cfg, factor)), "{m}x{n}");
+            assert!(bad(streams.model(m, n, &cfg, dag)), "{m}x{n}");
+            assert!(bad(sync.model(m, n, &cfg, q)), "{m}x{n}");
         }
+        // An overflowing `Q` width is rejected on a valid factored shape.
+        let wide_q = Modelled::GenerateQ { nc: usize::MAX / 2 };
+        assert!(bad(sync.model(1024, 4, &cfg, wide_q)));
         assert_eq!(g.ledger().calls, 0, "a rejected shape charges nothing");
     }
 
@@ -324,10 +304,10 @@ mod tests {
         // steeply (launch overheads amortize, SMs fill).
         let g = Gpu::new(DeviceSpec::c2050());
         let opts = CaqrOptions::default();
-        let g1k = model_caqr_gflops(&g, 1_000, 192, opts).unwrap();
-        let g10k = model_caqr_gflops(&g, 10_000, 192, opts).unwrap();
-        let g100k = model_caqr_gflops(&g, 100_000, 192, opts).unwrap();
-        let g1m = model_caqr_gflops(&g, 1_000_000, 192, opts).unwrap();
+        let g1k = gflops(&g, 1_000, 192, opts);
+        let g10k = gflops(&g, 10_000, 192, opts);
+        let g100k = gflops(&g, 100_000, 192, opts);
+        let g1m = gflops(&g, 1_000_000, 192, opts);
         assert!(
             g1k < g10k && g10k < g100k && g100k <= g1m * 1.05,
             "{g1k} {g10k} {g100k} {g1m}"
@@ -346,8 +326,8 @@ mod tests {
         // so it lands within ~2x.
         let g = Gpu::new(DeviceSpec::c2050());
         let opts = CaqrOptions::default();
-        let f = model_caqr_seconds(&g, 100_000, 192, opts).unwrap();
-        let q = model_caqr_apply_seconds(&g, 100_000, 192, 192, opts).unwrap();
+        let f = sync_seconds(&g, 100_000, 192, opts, Modelled::Factor(Mode::Sync)).unwrap();
+        let q = sync_seconds(&g, 100_000, 192, opts, Modelled::GenerateQ { nc: 192 }).unwrap();
         let ratio = q / f;
         assert!(ratio > 0.3 && ratio < 2.2, "apply/factor ratio {ratio}");
     }

@@ -15,11 +15,12 @@
 //! The only cross-stream dependencies are "apply of panel `k` needs the
 //! factor of panel `k`", expressed with one recorded event per factor chain.
 //!
-//! Numerics are *bit-identical* to [`crate::caqr::caqr`]: the simulator runs
-//! kernel arithmetic eagerly at enqueue time in host order (a valid
-//! topological order of this DAG), operations on disjoint column blocks
-//! commute exactly, and within the apply kernels each column is processed
-//! independently of how columns are grouped into launches. The equivalence
+//! Numerics are *bit-identical* to [`crate::caqr::caqr`]: the simulator
+//! only charges each launch to its stream, while the host's panel
+//! arithmetic runs eagerly in issue order (a valid topological order of
+//! this DAG), operations on disjoint column blocks commute exactly, and
+//! within the apply kernels each column is processed independently of how
+//! columns are grouped into launches. The equivalence
 //! tests in `tests/stream_scheduling.rs` assert this across shapes.
 //!
 //! This module packs one factorization's tasks across streams; the
@@ -69,7 +70,8 @@ impl Default for ScheduleOptions {
 ///
 /// A thin shim over the generic [`crate::backend::drive`] loop in
 /// [`Mode::Dag`] on a streamed [`SimBackend`] (DESIGN.md §13): the schedule
-/// described above lives there, and the model below runs the same one.
+/// described above lives there, and [`SimBackend::model`] runs the same one
+/// without data.
 pub fn caqr_dag<T: Scalar>(
     gpu: &Gpu,
     a: Matrix<T>,
@@ -89,53 +91,10 @@ pub fn caqr_dag<T: Scalar>(
     Ok((f, timeline))
 }
 
-/// Model-only [`caqr_dag`] for an `m x n` single-precision matrix: the
-/// driver's schedule with the same streams, events and launch sequence,
-/// charged with per-block costs from the analytic cost functions instead of
-/// execution — so Table-I-scale shapes (1M x 192) can be scheduled without
-/// 768 MB of arithmetic. Returns the modelled seconds (the schedule's
-/// makespan).
-pub fn model_caqr_dag_seconds(
-    gpu: &Gpu,
-    m: usize,
-    n: usize,
-    opts: ScheduleOptions,
-) -> Result<f64, CaqrError> {
-    Ok(model_caqr_dag_timeline(gpu, m, n, opts)?.0)
-}
-
-/// [`model_caqr_dag_seconds`], also returning the resolved [`Timeline`]
-/// (for per-stream interval inspection and Chrome trace export).
-pub fn model_caqr_dag_timeline(
-    gpu: &Gpu,
-    m: usize,
-    n: usize,
-    opts: ScheduleOptions,
-) -> Result<(f64, Timeline), CaqrError> {
-    let t0 = gpu.elapsed();
-    let sim = SimBackend::streams(gpu, opts.streams)?;
-    sim.model_factor(m, n, &opts.caqr.drive_config(), opts.lookahead)?;
-    let tl = gpu
-        .try_synchronize()
-        .map_err(|context| CaqrError::Breakdown { context })?;
-    Ok((gpu.elapsed() - t0, tl))
-}
-
-/// Convenience mirror of [`crate::model::model_caqr_gflops`] for the
-/// stream-scheduled path (SGEQRF flops over the DAG's modelled makespan).
-pub fn model_caqr_dag_gflops(
-    gpu: &Gpu,
-    m: usize,
-    n: usize,
-    opts: ScheduleOptions,
-) -> Result<f64, CaqrError> {
-    let secs = model_caqr_dag_seconds(gpu, m, n, opts)?;
-    Ok(dense::geqrf_flops(m, n) / secs / 1.0e9)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::backend::Modelled;
     use crate::block::{BlockSize, TreeShape};
     use crate::caqr::caqr;
     use crate::microkernels::ReductionStrategy;
@@ -144,6 +103,15 @@ mod tests {
 
     fn gpu() -> Gpu {
         Gpu::new(DeviceSpec::c2050())
+    }
+
+    /// Modelled makespan of a stream-scheduled factorization.
+    fn dag_seconds(gpu: &Gpu, m: usize, n: usize, o: ScheduleOptions) -> f64 {
+        let what = Modelled::Factor(Mode::Dag {
+            lookahead: o.lookahead,
+        });
+        let sim = SimBackend::streams(gpu, o.streams).unwrap();
+        sim.model(m, n, &o.caqr.drive_config(), what).unwrap().0
     }
 
     fn opts(streams: usize, lookahead: bool) -> ScheduleOptions {
@@ -202,7 +170,7 @@ mod tests {
                     let exec = g1.ledger();
 
                     let g2 = gpu();
-                    let secs = model_caqr_dag_seconds(&g2, m, n, o).unwrap();
+                    let secs = dag_seconds(&g2, m, n, o);
                     let modeled = g2.ledger();
 
                     assert_eq!(exec.calls, modeled.calls, "{m}x{n} s={s} la={la}");
@@ -229,17 +197,12 @@ mod tests {
             streams: 4,
             lookahead: true,
         };
-        let t_look = model_caqr_dag_seconds(&gpu(), 100_000, 192, o).unwrap();
-        let t_barrier = model_caqr_dag_seconds(
-            &gpu(),
-            100_000,
-            192,
-            ScheduleOptions {
-                lookahead: false,
-                ..o
-            },
-        )
-        .unwrap();
+        let t_look = dag_seconds(&gpu(), 100_000, 192, o);
+        let barrier = ScheduleOptions {
+            lookahead: false,
+            ..o
+        };
+        let t_barrier = dag_seconds(&gpu(), 100_000, 192, barrier);
         assert!(
             t_look < t_barrier,
             "lookahead {t_look} should beat barrier {t_barrier}"

@@ -313,8 +313,10 @@ pub enum QrAlgorithm {
 /// case for the library algorithms).
 pub fn select_algorithm(spec: &DeviceSpec, m: usize, n: usize) -> QrAlgorithm {
     let gpu = gpu_sim::Gpu::new(spec.clone());
-    let caqr_secs = crate::model::model_caqr_seconds(&gpu, m, n, crate::CaqrOptions::default())
-        .unwrap_or(f64::INFINITY);
+    let cfg = crate::CaqrOptions::default().drive_config();
+    let factor = crate::Modelled::Factor(crate::Mode::Sync);
+    let caqr_secs = (crate::SimBackend::sync(&gpu).model(m, n, &cfg, factor))
+        .map_or(f64::INFINITY, |(secs, _)| secs);
 
     // Optimistic blocked Householder on the same device: nb-wide BLAS2
     // panels straight from DRAM, trailing updates at the device GEMM rate.

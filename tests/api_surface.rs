@@ -3,8 +3,8 @@
 //! malformed or non-finite user input returns a typed `Err`, never a panic.
 
 use caqr::{
-    BlockSize, CaqrBackend, CaqrError, CaqrOptions, CpuBackend, Factorization, ReductionStrategy,
-    SimBackend,
+    BlockSize, CaqrBackend, CaqrError, CaqrOptions, CpuBackend, Factorization, Mode, Modelled,
+    ReductionStrategy, SimBackend,
 };
 use dense::matrix::Matrix;
 use gpu_sim::{DeviceSpec, Gpu, LaunchError};
@@ -154,6 +154,11 @@ fn every_simulator_entry_point_scans_its_input() {
             "{name} accepted a NaN matrix"
         );
     }
+    // The one model entry charges the same scan without data.
+    let gpu = Gpu::new(DeviceSpec::c2050());
+    let (cfg, factor) = (small_opts().drive_config(), Modelled::Factor(Mode::Sync));
+    SimBackend::sync(&gpu).model(256, 16, &cfg, factor).unwrap();
+    assert_eq!(gpu.ledger().per_op["health_check"].calls, 1, "model");
 }
 
 /// The three boundary checks of the one `Q`-apply surface, on `backend`.

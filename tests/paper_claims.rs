@@ -4,7 +4,7 @@
 use baselines::QrImpl;
 use caqr::microkernels::{apply_qt_h_block_gflops, ReductionStrategy};
 use caqr::tuning::autotune;
-use caqr::{BlockSize, CaqrOptions};
+use caqr::{BlockSize, CaqrOptions, Mode, Modelled, SimBackend};
 use gpu_sim::{DeviceSpec, Gpu};
 use rpca::{model_iterations_per_second, RpcaImpl};
 
@@ -92,9 +92,16 @@ fn figure9_crossover_location() {
 #[test]
 fn sorgqr_parity() {
     let gpu = Gpu::new(DeviceSpec::c2050());
-    let o = CaqrOptions::default();
-    let f = caqr::model::model_caqr_seconds(&gpu, 100_000, 192, o).unwrap();
-    let q = caqr::model::model_caqr_apply_seconds(&gpu, 100_000, 192, 192, o).unwrap();
+    let (sim, cfg) = (
+        SimBackend::sync(&gpu),
+        CaqrOptions::default().drive_config(),
+    );
+    let (f, _) = sim
+        .model(100_000, 192, &cfg, Modelled::Factor(Mode::Sync))
+        .unwrap();
+    let (q, _) = sim
+        .model(100_000, 192, &cfg, Modelled::GenerateQ { nc: 192 })
+        .unwrap();
     assert!(q / f < 2.2, "explicit Q at {:.2}x the factorization", q / f);
 }
 

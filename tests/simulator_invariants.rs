@@ -1,7 +1,7 @@
 //! Conservation and accounting invariants of the GPU simulator when driven
 //! by the real CAQR pipeline (DESIGN.md §7).
 
-use caqr::{BlockSize, CaqrOptions, ReductionStrategy};
+use caqr::{BlockSize, CaqrOptions, Mode, Modelled, ReductionStrategy, SimBackend};
 use gpu_sim::{BlockCost, DeviceSpec, Exec, Gpu, Launch, LaunchConfig, LaunchError};
 
 /// A charged launch whose blocks all cost the same.
@@ -145,13 +145,19 @@ fn shared_serial_strategy_rejects_blocks_that_overflow_smem() {
     );
 }
 
+/// Modelled seconds of a synchronous CAQR factorization on `gpu`.
+fn factor_seconds(gpu: &Gpu, m: usize, n: usize) -> f64 {
+    let cfg = CaqrOptions::default().drive_config();
+    let factor = Modelled::Factor(Mode::Sync);
+    SimBackend::sync(gpu).model(m, n, &cfg, factor).unwrap().0
+}
+
 #[test]
 fn modeled_time_monotone_in_problem_size() {
     let g = Gpu::new(DeviceSpec::c2050());
-    let o = CaqrOptions::default();
     let mut last = 0.0;
     for m in [10_000usize, 40_000, 160_000, 640_000] {
-        let t = caqr::model::model_caqr_seconds(&g, m, 64, o).unwrap();
+        let t = factor_seconds(&g, m, 64);
         assert!(t > last, "time must grow with height: {t} after {last}");
         last = t;
     }
@@ -159,15 +165,8 @@ fn modeled_time_monotone_in_problem_size() {
 
 #[test]
 fn gtx480_is_faster_than_c2050_on_the_same_workload() {
-    let o = CaqrOptions::default();
-    let t_c2050 = {
-        let g = Gpu::new(DeviceSpec::c2050());
-        caqr::model::model_caqr_seconds(&g, 200_000, 96, o).unwrap()
-    };
-    let t_gtx = {
-        let g = Gpu::new(DeviceSpec::gtx480());
-        caqr::model::model_caqr_seconds(&g, 200_000, 96, o).unwrap()
-    };
+    let t_c2050 = factor_seconds(&Gpu::new(DeviceSpec::c2050()), 200_000, 96);
+    let t_gtx = factor_seconds(&Gpu::new(DeviceSpec::gtx480()), 200_000, 96);
     assert!(t_gtx < t_c2050, "{t_gtx} vs {t_c2050}");
 }
 

@@ -2,8 +2,10 @@
 //! and invariants of the resolved per-stream timeline (DESIGN.md §5,
 //! "Concurrency model").
 
-use caqr::schedule::{caqr_dag, model_caqr_dag_seconds};
-use caqr::{BlockSize, CaqrOptions, ReductionStrategy, ScheduleOptions, SimBackend};
+use caqr::schedule::caqr_dag;
+use caqr::{
+    BlockSize, CaqrOptions, Mode, Modelled, ReductionStrategy, ScheduleOptions, SimBackend,
+};
 use gpu_sim::{BlockCost, DeviceSpec, Exec, Gpu, Launch, LaunchConfig, Timeline};
 use proptest::prelude::*;
 
@@ -20,6 +22,15 @@ impl Launch for Uniform {
     fn block_cost(&self, _b: usize) -> BlockCost {
         self.2
     }
+}
+
+/// Modelled seconds of the stream-scheduled factorization `o` describes.
+fn dag_seconds(gpu: &Gpu, m: usize, n: usize, o: ScheduleOptions) -> f64 {
+    let what = Modelled::Factor(Mode::Dag {
+        lookahead: o.lookahead,
+    });
+    let sim = SimBackend::streams(gpu, o.streams).unwrap();
+    sim.model(m, n, &o.caqr.drive_config(), what).unwrap().0
 }
 
 fn opts(h: usize, w: usize, streams: usize, lookahead: bool) -> ScheduleOptions {
@@ -234,27 +245,19 @@ fn modelled_lookahead_beats_synchronous_on_table1_shapes() {
     // lookahead is faster (in modelled time) than the synchronous loop,
     // while the numerics are identical (asserted above at executable sizes).
     for &m in &[10_000usize, 100_000, 1_000_000] {
-        let sync = caqr::model::model_caqr_seconds(
-            &Gpu::new(DeviceSpec::c2050()),
-            m,
-            192,
-            CaqrOptions::default(),
-        )
-        .unwrap();
+        let gpu = Gpu::new(DeviceSpec::c2050());
+        let cfg = CaqrOptions::default().drive_config();
+        let factor = Modelled::Factor(Mode::Sync);
+        let (sync, _) = SimBackend::sync(&gpu).model(m, 192, &cfg, factor).unwrap();
         let best = [2usize, 4]
             .iter()
             .map(|&s| {
-                model_caqr_dag_seconds(
-                    &Gpu::new(DeviceSpec::c2050()),
-                    m,
-                    192,
-                    ScheduleOptions {
-                        caqr: CaqrOptions::default(),
-                        streams: s,
-                        lookahead: true,
-                    },
-                )
-                .unwrap()
+                let o = ScheduleOptions {
+                    caqr: CaqrOptions::default(),
+                    streams: s,
+                    lookahead: true,
+                };
+                dag_seconds(&Gpu::new(DeviceSpec::c2050()), m, 192, o)
             })
             .fold(f64::INFINITY, f64::min);
         assert!(
@@ -307,7 +310,7 @@ proptest! {
         let (f, _tl) = caqr_dag(&g1, a, o).unwrap();
         let exec = g1.ledger();
         let g2 = Gpu::new(DeviceSpec::c2050());
-        model_caqr_dag_seconds(&g2, m, n, o).unwrap();
+        dag_seconds(&g2, m, n, o);
         let modeled = g2.ledger();
         prop_assert_eq!(exec.calls, modeled.calls);
         prop_assert_eq!(f.launches as u64, modeled.calls);
