@@ -274,11 +274,11 @@ pub fn apply_tile_wy_packed<T: Scalar>(
     // Compact-WY breakdown (non-finite `T`): degrade to the per-reflector
     // larf sweeps on a copy, which never read `T`. The explicit `V` has
     // the geqr2 layout (unit diagonal implicit, tails below), which is
-    // exactly what apply_block_reflectors expects.
+    // exactly what `dense::householder::apply_q2` expects.
     let mut cbuf = arena::take_dirty::<T>(rows * wc);
     // SAFETY: target tiles are disjoint across invocations.
     unsafe { c.load_tile(tile.start, c0, rows, wc, &mut cbuf) };
-    crate::microkernels::apply_block_reflectors(
+    dense::householder::apply_q2(
         v.v(),
         &wy.tau,
         transpose,
@@ -316,7 +316,7 @@ pub fn apply_tile_reflectors<T: Scalar>(
     unsafe {
         c.load_tile(tile.start, c0, rows, wc, &mut cbuf);
     }
-    crate::microkernels::apply_block_reflectors(
+    dense::householder::apply_q2(
         MatRef::from_parts(&vbuf, rows, width, rows),
         tau,
         transpose,
@@ -359,7 +359,7 @@ pub fn apply_stacked_wy<T: Scalar>(
         // Compact-WY breakdown: apply the stacked reflectors one at a time
         // (never touching the non-finite `tmat`). Same call as the
         // equivalence test `stacked_wy_matches_per_reflector_on_tree_node`.
-        crate::microkernels::apply_block_reflectors(node.u.as_ref(), &node.tau, transpose, c);
+        dense::householder::apply_q2(node.u.as_ref(), &node.tau, transpose, c);
         return;
     }
     // W = V^T C: top block of V is exactly I_w, so W starts as a copy of
@@ -655,7 +655,7 @@ mod tests {
     /// One infinite entry in the tile, in a full block below the diagonal,
     /// in the top `k` rows or in a ragged edge, makes the tile unhealthy,
     /// and the apply then takes the per-reflector `larf` path: its result
-    /// is exactly `apply_block_reflectors`'s.
+    /// is exactly `dense::householder::apply_q2`'s.
     #[test]
     fn infinite_entry_makes_tile_unhealthy_and_apply_falls_back_to_larf() {
         for (rows, width) in [(45, 13), (342, 12)] {
@@ -670,12 +670,7 @@ mod tests {
                 let mut c = c0m.clone();
                 apply_tile_wy(&wy, v.as_ref(), MatPtr::new(&mut c), tile, 0, 3, true);
                 let mut want = c0m;
-                crate::microkernels::apply_block_reflectors(
-                    v.as_ref(),
-                    &wy.tau,
-                    true,
-                    want.as_mut(),
-                );
+                dense::householder::apply_q2(v.as_ref(), &wy.tau, true, want.as_mut());
                 for (x, y) in c.as_slice().iter().zip(want.as_slice()) {
                     assert!(
                         x.to_bits() == y.to_bits() || (x.is_nan() && y.is_nan()),
@@ -1042,12 +1037,7 @@ mod tests {
             let mut c_wy = c0.clone();
             apply_stacked_wy(&node, 6, c_wy.as_mut(), transpose);
             let mut c_ref = c0.clone();
-            crate::microkernels::apply_block_reflectors(
-                node.u.as_ref(),
-                &node.tau,
-                transpose,
-                c_ref.as_mut(),
-            );
+            dense::householder::apply_q2(node.u.as_ref(), &node.tau, transpose, c_ref.as_mut());
             for (x, y) in c_wy.as_slice().iter().zip(c_ref.as_slice()) {
                 assert!((x - y).abs() < 1e-12, "transpose={transpose}: {x} vs {y}");
             }

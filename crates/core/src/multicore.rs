@@ -309,12 +309,7 @@ pub(crate) fn q_ones_probe<T: Scalar>(m: usize, pf: &PanelFactor<T>) -> Vec<T> {
             // Compact-WY breakdown: same per-reflector degradation as
             // `blockops::apply_tile_wy`, which never reads `T`.
             let rows = tile.rows;
-            crate::microkernels::apply_block_reflectors(
-                v,
-                &wy.tau,
-                false,
-                MatMut::from_parts(seg, rows, 1, rows),
-            );
+            dense::householder::apply_q2(v, &wy.tau, false, MatMut::from_parts(seg, rows, 1, rows));
         }
     }
     ones.col(0).to_vec()

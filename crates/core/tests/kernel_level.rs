@@ -131,7 +131,7 @@ fn apply_qt_h_kernel_matches_host_application() {
         .unwrap();
     assert_eq!(gpu.ledger().per_op["apply_qt_h"].calls, 1);
     let mut want = target0.clone();
-    dense::householder::apply_q2(&v, &tau, true, &mut want);
+    dense::householder::apply_q2(v.as_ref(), &tau, true, want.as_mut());
     for i in 0..32 {
         for j in 0..6 {
             assert!((target[(i, j)] - want[(i, j)]).abs() < 1e-13, "({i},{j})");

@@ -92,7 +92,7 @@ proptest! {
         let mut c_wy = c0.clone();
         let mut c_ref = c0.clone();
         blockops::apply_stacked_wy(&node, w, c_wy.as_mut(), transpose);
-        caqr::microkernels::apply_block_reflectors(
+        dense::householder::apply_q2(
             node.u.as_ref(),
             &node.tau,
             transpose,

@@ -680,7 +680,7 @@ mod tests {
         let mut c1 = Matrix::<f64>::eye(12, 12);
         larfb_left(v.as_ref(), t.as_ref(), true, c1.as_mut());
         let mut c2 = Matrix::<f64>::eye(12, 12);
-        crate::householder::apply_q2(&f, &tau, true, &mut c2);
+        crate::householder::apply_q2(f.as_ref(), &tau, true, c2.as_mut());
         for i in 0..12 {
             for j in 0..12 {
                 assert!((c1[(i, j)] - c2[(i, j)]).abs() < 1e-11, "({i},{j})");

@@ -7,7 +7,7 @@
 
 use crate::blas1::nrm2;
 use crate::error::DenseError;
-use crate::matrix::{MatMut, Matrix};
+use crate::matrix::{MatMut, MatRef, Matrix};
 use crate::scalar::Scalar;
 
 /// Generate an elementary reflector `H = I - tau * v * v^T` such that
@@ -994,23 +994,23 @@ pub fn r_from_factored<T: Scalar>(a: &Matrix<T>) -> Matrix<T> {
     a.upper_triangular()
 }
 
-/// Apply `Q^T` (forward reflector order) or `Q` (reverse order) from a
-/// [`geqr2`] factorization to a full-height matrix `c` in place.
-pub fn apply_q2<T: Scalar>(a: &Matrix<T>, tau: &[T], transpose: bool, c: &mut Matrix<T>) {
-    let m = a.rows();
+/// Apply the `k = tau.len()` Householder reflectors stored in the columns
+/// of `v` (the [`geqr2`] layout: unit diagonal implicit, tails strictly
+/// below it) to a full-height `c` in place, one `larf` sweep each:
+/// `C = Q^T C` (forward order) when `transpose`, else `C = Q C`.
+pub fn apply_q2<T: Scalar>(v: MatRef<'_, T>, tau: &[T], transpose: bool, mut c: MatMut<'_, T>) {
+    let m = v.rows();
+    debug_assert!(v.cols() >= tau.len());
     assert_eq!(c.rows(), m);
-    let k = tau.len();
     let n = c.cols();
     let mut work = Vec::new();
-    let order: Box<dyn Iterator<Item = usize>> = if transpose {
-        Box::new(0..k)
-    } else {
-        Box::new((0..k).rev())
-    };
-    for i in order {
-        let v_tail: Vec<T> = a.col(i)[i + 1..].to_vec();
-        let sub = c.view_mut(i, 0, m - i, n);
-        larf_left(&v_tail, tau[i], sub, &mut work)
+    let mut order: Vec<usize> = (0..tau.len().min(m)).collect();
+    if !transpose {
+        order.reverse();
+    }
+    for j in order {
+        let sub = c.rb_mut().submatrix_mut(j, 0, m - j, n);
+        larf_left(&v.col(j)[j + 1..], tau[j], sub, &mut work)
             .expect("apply_q2: reflector length matches C block by construction");
     }
 }
@@ -1284,8 +1284,8 @@ mod tests {
         geqr2(f.as_mut(), &mut tau);
         let mut c = test_matrix(12, 3);
         let orig = c.clone();
-        apply_q2(&f, &tau, true, &mut c);
-        apply_q2(&f, &tau, false, &mut c);
+        apply_q2(f.as_ref(), &tau, true, c.as_mut());
+        apply_q2(f.as_ref(), &tau, false, c.as_mut());
         for i in 0..12 {
             for j in 0..3 {
                 assert!((c[(i, j)] - orig[(i, j)]).abs() < 1e-12);
@@ -1300,7 +1300,7 @@ mod tests {
         let mut tau = vec![0.0; 4];
         geqr2(f.as_mut(), &mut tau);
         let mut c = a.clone();
-        apply_q2(&f, &tau, true, &mut c);
+        apply_q2(f.as_ref(), &tau, true, c.as_mut());
         // c should now equal [R; 0].
         for j in 0..4 {
             for i in 0..10 {

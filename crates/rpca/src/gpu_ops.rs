@@ -1,13 +1,16 @@
-//! Launch descriptions of the Robust PCA loop's bulk steps besides the QR —
-//! the elementwise passes and the `Q * U` / `L = U' Sigma V^T` GEMMs — so
-//! that on a simulated device the whole iteration, not just the QR, is
-//! charged with its traffic and launch costs (the paper's pipeline keeps
-//! the video matrix resident on the GPU for exactly this reason). They are
-//! descriptions only: the loop in [`crate::solver`] runs the arithmetic on
-//! the host and charges these to the device.
+//! The Robust PCA loop's device charges besides the QR: the launch
+//! descriptions of its bulk steps (elementwise passes and the `Q * U` /
+//! `L = U' Sigma V^T` GEMMs) and [`LoopWalk`], the one walk that charges
+//! them with the transfers and host work around the small SVD of `R`. On a
+//! simulated device the whole iteration, not just the QR, is charged with
+//! its traffic and launch costs (the paper's pipeline keeps the video
+//! matrix resident on the GPU for exactly this reason). The loop in
+//! [`crate::solver`] runs the arithmetic on the host and charges the walk
+//! beside it; the Table II model in [`crate::timing`] charges the same walk
+//! with no data.
 
 use caqr::CaqrError;
-use gpu_sim::{BlockCost, CostMeter, DeviceSpec, Exec, Gpu, Launch, LaunchConfig};
+use gpu_sim::{BlockCost, CostMeter, CpuSpec, DeviceSpec, Exec, Gpu, Launch, LaunchConfig};
 
 /// Rows per elementwise thread block.
 const TILE_ROWS: usize = 4096;
@@ -26,16 +29,136 @@ fn tile_rows(m: usize, b: usize) -> usize {
     TILE_ROWS.min(m - b * TILE_ROWS)
 }
 
-/// Charge the launch `describe` builds for `gpu`'s spec, synchronously.
-/// Without a device (a host-only run) nothing is charged.
-pub(crate) fn charge<'g, L: Launch>(
+/// Flops of the small `n x n` SVD of `R`: gesdd-style O(n^3) with a
+/// healthy constant.
+fn small_svd_flops(n: usize) -> f64 {
+    22.0 * (n * n * n) as f64
+}
+
+/// Seconds for the small SVD of `R` on the host CPU, cache resident.
+pub(crate) fn small_svd_seconds(cpu: &CpuSpec, n: usize) -> f64 {
+    small_svd_flops(n) / (cpu.blas2_cache_gflops * 1.0e9)
+}
+
+/// The device charges of the Robust PCA loop on an `m x n` matrix of
+/// `elem_bytes`-byte elements, one method per bulk step besides the QR, in
+/// the order the loop issues them. [`crate::solver::rpca`] and
+/// [`crate::svd_via_qr`] call it beside their arithmetic; the Table II
+/// model calls [`LoopWalk::iteration`] with no data. Every launch is
+/// charged synchronously. Without a device (a host-only run) nothing is
+/// charged.
+#[derive(Clone, Copy)]
+pub struct LoopWalk<'g> {
     gpu: Option<&'g Gpu>,
-    describe: impl FnOnce(&'g DeviceSpec) -> L,
-) -> Result<(), CaqrError> {
-    if let Some(gpu) = gpu {
-        gpu.charge_on(Exec::Sync, &describe(gpu.spec()))?;
+    m: usize,
+    n: usize,
+    elem_bytes: u64,
+}
+
+impl<'g> LoopWalk<'g> {
+    /// The walk of an `m x n` matrix of `elem_bytes`-byte elements on
+    /// `gpu`, if any.
+    pub fn new(gpu: Option<&'g Gpu>, m: usize, n: usize, elem_bytes: u64) -> Self {
+        LoopWalk {
+            gpu,
+            m,
+            n,
+            elem_bytes,
+        }
     }
-    Ok(())
+
+    /// Charge the launch `describe` builds for the device's spec.
+    fn launch<L: Launch>(
+        &self,
+        describe: impl FnOnce(&'g DeviceSpec) -> L,
+    ) -> Result<(), CaqrError> {
+        if let Some(gpu) = self.gpu {
+            gpu.charge_on(Exec::Sync, &describe(gpu.spec()))?;
+        }
+        Ok(())
+    }
+
+    /// Charge a pass of three-input elementwise `op` over the matrix.
+    fn triad(&self, op: TriadOp) -> Result<(), CaqrError> {
+        self.launch(|spec| TriadLaunch {
+            spec,
+            op,
+            rows: self.m,
+            cols: self.n,
+            elem_bytes: self.elem_bytes,
+        })
+    }
+
+    /// Charge a row-tiled `m x n` by `n x n` GEMM.
+    fn gemm(&self) -> Result<(), CaqrError> {
+        self.launch(|spec| GemmLaunch {
+            spec,
+            rows: self.m,
+            k: self.n,
+            n: self.n,
+            elem_bytes: self.elem_bytes,
+        })
+    }
+
+    /// The video matrix to the device, once per solve ("the cost of
+    /// initially transferring the video matrix to GPU memory is easily
+    /// amortized").
+    pub fn upload(&self) {
+        if let Some(gpu) = self.gpu {
+            gpu.transfer_h2d((self.m * self.n) as u64 * self.elem_bytes);
+        }
+    }
+
+    /// `M - S + Y/mu`, the matrix whose singular values are thresholded.
+    pub fn combine(&self) -> Result<(), CaqrError> {
+        self.triad(TriadOp::Combine)
+    }
+
+    /// The SVD pipeline after its QR: `R` down to the host, its small SVD
+    /// there (host work on the critical path, priced on the paper's
+    /// Core i7), `U` and `V` back up, and the `Q * U` GEMM.
+    pub fn svd_of_r(&self) -> Result<(), CaqrError> {
+        if let Some(gpu) = self.gpu {
+            let n = self.n;
+            let small = (n * n) as u64 * self.elem_bytes;
+            gpu.transfer_d2h(small);
+            let host = small_svd_seconds(&CpuSpec::corei7_4core(), n);
+            gpu.host_work("svd_r", host, small_svd_flops(n));
+            gpu.transfer_h2d(2 * small);
+        }
+        self.gemm()
+    }
+
+    /// `L = U' shrink(Sigma) V^T`.
+    pub fn low_rank(&self) -> Result<(), CaqrError> {
+        self.gemm()
+    }
+
+    /// `S = shrink(M - L + Y/mu, lambda/mu)`.
+    pub fn shrink(&self) -> Result<(), CaqrError> {
+        self.triad(TriadOp::Shrink)
+    }
+
+    /// `Z = M - L - S; Y += mu * Z` with the residual norm.
+    pub fn residual(&self) -> Result<(), CaqrError> {
+        self.launch(|spec| ResidualLaunch {
+            spec,
+            rows: self.m,
+            cols: self.n,
+            elem_bytes: self.elem_bytes,
+        })
+    }
+
+    /// One iteration of the loop, with `qr` charging the QR of the
+    /// combined matrix between the combine pass and the SVD of `R`.
+    pub fn iteration(&self, qr: impl FnOnce() -> Result<(), CaqrError>) -> Result<(), CaqrError> {
+        self.combine()?;
+        qr()?;
+        self.svd_of_r()?;
+        self.low_rank()?;
+        self.shrink()?;
+        self.residual()
+    }
 }
 
 /// Three-input elementwise kernel over row tiles of `rows x cols` matrices

@@ -14,10 +14,12 @@
 //! * [`solver`] — the inexact-ALM alternating-directions solver, the one
 //!   Robust PCA loop for every backend: with a simulated-GPU backend it
 //!   also charges the iteration's other bulk steps to the device,
-//! * [`gpu_ops`] — the launch descriptions of those steps (elementwise
-//!   passes and GEMMs), charged only — the arithmetic is the host's,
+//! * [`gpu_ops`] — [`gpu_ops::LoopWalk`], the one walk of those charges
+//!   (transfers, the host SVD of `R`, elementwise passes and GEMMs), and
+//!   the launch descriptions it charges — the arithmetic is the host's,
 //! * [`metrics`] — foreground detection and PSNR scores of a separation,
-//! * [`timing`] — the Table II iteration-rate models.
+//! * [`timing`] — the Table II iteration rates: each row's QR plus the
+//!   same walk, charged without data.
 
 #![warn(missing_docs)]
 

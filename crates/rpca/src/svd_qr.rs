@@ -8,11 +8,12 @@
 //! is "cheap ... and done on the CPU". The QR step is pluggable so the
 //! Robust PCA solver can run on the plain CPU path or through the simulated
 //! GPU CAQR — the Table II comparison. With a simulated device the pipeline
-//! charges what the GPU version moves and launches besides the QR: `R` down
-//! to the host, the small factors back up, and the `Q * U` GEMM; the
-//! arithmetic is the host's on every backend.
+//! charges what the GPU version moves, runs and launches besides the QR
+//! ([`LoopWalk::svd_of_r`]): `R` down to the host, its small SVD there, the
+//! small factors back up, and the `Q * U` GEMM; the arithmetic is the
+//! host's on every backend.
 
-use crate::gpu_ops::{charge, GemmLaunch};
+use crate::gpu_ops::LoopWalk;
 use caqr::{CaqrError, CaqrOptions, Factorization, SimBackend};
 use dense::blas3::{gemm, Trans};
 use dense::matrix::Matrix;
@@ -92,21 +93,10 @@ pub fn svd_via_qr<T: Scalar>(
         )));
     }
     let (q, r) = backend.qr(a)?;
-    // R down to the host and its factors back up around the small SVD.
-    if let Some(gpu) = backend.device() {
-        gpu.transfer_d2h((n * n) as u64 * T::BYTES);
-        gpu.transfer_h2d((2 * n * n) as u64 * T::BYTES);
-    }
+    LoopWalk::new(backend.device(), m, n, T::BYTES).svd_of_r()?;
     // The cheap n x n SVD ("done on the CPU").
     let small = svd(&r);
     // Left singular vectors of A: U' = Q * U.
-    charge(backend.device(), |spec| GemmLaunch {
-        spec,
-        rows: m,
-        k: n,
-        n,
-        elem_bytes: T::BYTES,
-    })?;
     let mut u = Matrix::<T>::zeros(m, n);
     gemm(
         Trans::No,
@@ -194,6 +184,29 @@ mod tests {
                 assert!((r[(i, j)] - a[(i, j)]).abs() < 1e-9);
             }
         }
+    }
+
+    #[test]
+    fn the_host_svd_of_r_is_charged_once_per_call() {
+        let gpu = Gpu::new(DeviceSpec::gtx480());
+        let backend = GpuCaqrBackend {
+            gpu: &gpu,
+            opts: CaqrOptions {
+                bs: caqr::BlockSize { h: 32, w: 8 },
+                strategy: caqr::ReductionStrategy::RegisterSerialTransposed,
+                tree: caqr::block::TreeShape::DeviceArity,
+            },
+        };
+        let a = generate::uniform::<f64>(200, 12, 4);
+        let host = crate::gpu_ops::small_svd_seconds(&gpu_sim::CpuSpec::corei7_4core(), 12);
+        for calls in 1..=2 {
+            svd_via_qr(&backend, &a).unwrap();
+            let st = gpu.ledger().per_op["svd_r"].clone();
+            assert_eq!((st.calls, st.seconds), (calls, calls as f64 * host));
+        }
+        // The host backend has no device, so nothing of it is charged.
+        assert!(QrBackend::<f64>::device(&CpuQrBackend).is_none());
+        svd_via_qr(&CpuQrBackend, &a).unwrap();
     }
 
     #[test]
