@@ -3,7 +3,7 @@
 //! and these benches measure that execution (host wall-clock, not the
 //! modelled GPU time — the modelled numbers come from the harness binaries).
 
-use caqr::{BlockSize, CaqrOptions, ReductionStrategy, SimBackend};
+use caqr::{drive, CaqrOptions, Mode, SimBackend};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use gpu_sim::{DeviceSpec, Gpu};
 use std::hint::black_box;
@@ -15,14 +15,9 @@ fn bench_tsqr(c: &mut Criterion) {
         let a = dense::generate::uniform::<f32>(m, 16, 1);
         group.bench_with_input(BenchmarkId::from_parameter(m), &m, |b, _| {
             let gpu = Gpu::new(DeviceSpec::c2050());
+            let cfg = CaqrOptions::default().drive_config();
             b.iter(|| {
-                let f = caqr::tsqr(
-                    &gpu,
-                    a.clone(),
-                    BlockSize::c2050_best(),
-                    ReductionStrategy::RegisterSerialTransposed,
-                )
-                .unwrap();
+                let f = drive(&SimBackend::sync(&gpu), a.clone(), &cfg, Mode::Sync).unwrap();
                 black_box(f.r())
             });
         });
@@ -40,8 +35,9 @@ fn bench_caqr_factor(c: &mut Criterion) {
             &m,
             |b, _| {
                 let gpu = Gpu::new(DeviceSpec::c2050());
+                let cfg = CaqrOptions::default().drive_config();
                 b.iter(|| {
-                    let f = caqr::caqr::caqr(&gpu, a.clone(), CaqrOptions::default()).unwrap();
+                    let f = drive(&SimBackend::sync(&gpu), a.clone(), &cfg, Mode::Sync).unwrap();
                     black_box(f.r())
                 });
             },
@@ -56,15 +52,9 @@ fn bench_apply_qt(c: &mut Criterion) {
     let m = 16384;
     let gpu = Gpu::new(DeviceSpec::c2050());
     let a = dense::generate::uniform::<f32>(m, 16, 3);
-    let f = caqr::tsqr(
-        &gpu,
-        a,
-        BlockSize::c2050_best(),
-        ReductionStrategy::RegisterSerialTransposed,
-    )
-    .unwrap();
-    let c0 = dense::generate::uniform::<f32>(m, 16, 4);
     let sim = SimBackend::sync(&gpu);
+    let f = drive(&sim, a, &CaqrOptions::default().drive_config(), Mode::Sync).unwrap();
+    let c0 = dense::generate::uniform::<f32>(m, 16, 4);
     group.bench_function("tsqr_qt_16k_x_16", |b| {
         b.iter(|| {
             let mut cm = c0.clone();

@@ -3,7 +3,7 @@
 //! factorization for real; plus the evaluation speed of the analytic models
 //! that drive the figure sweeps.
 
-use caqr::{CaqrOptions, Mode, Modelled, SimBackend};
+use caqr::{drive, CaqrOptions, Mode, Modelled, SimBackend};
 use criterion::{criterion_group, criterion_main, Criterion};
 use gpu_sim::{DeviceSpec, Gpu};
 use std::hint::black_box;
@@ -15,8 +15,9 @@ fn bench_real_qr(c: &mut Criterion) {
 
     group.bench_function("caqr_sim_gpu", |b| {
         let gpu = Gpu::new(DeviceSpec::c2050());
+        let cfg = CaqrOptions::default().drive_config();
         b.iter(|| {
-            let f = caqr::caqr::caqr(&gpu, a.clone(), CaqrOptions::default()).unwrap();
+            let f = drive(&SimBackend::sync(&gpu), a.clone(), &cfg, Mode::Sync).unwrap();
             black_box(f.r())
         });
     });

@@ -13,8 +13,9 @@
 //! full-mode table is modelled time only, so it is deterministic: CI diffs
 //! it against `crates/bench/golden/chaos_report.txt`.
 
-use caqr::recovery::{caqr_resilient, RecoveryOptions, RecoveryPolicy, RecoveryReport};
-use caqr::{BlockSize, CaqrOptions, FaultKind, FaultPlan, ReductionStrategy};
+use caqr::recovery::{RecoveryPolicy, RecoveryReport};
+use caqr::{drive_recovering, BlockSize, CaqrOptions, FaultKind, FaultPlan, ReductionStrategy};
+use caqr::{Faulty, SimBackend};
 use caqr_bench::Table;
 use dense::matrix::Matrix;
 use gpu_sim::{DeviceSpec, Gpu, Timeline};
@@ -35,6 +36,9 @@ impl Scenario {
         }
     }
 }
+
+/// Streams the resilient executor's apply groups fan out over.
+const STREAMS: usize = 3;
 
 fn opts() -> CaqrOptions {
     CaqrOptions {
@@ -60,24 +64,21 @@ fn utilization(gpu: &Gpu, streams: usize) -> f64 {
 
 fn run_scenario(
     a: &Matrix<f64>,
-    recovery: &RecoveryOptions,
     s: &Scenario,
 ) -> (Matrix<f64>, RecoveryReport, gpu_sim::CostLedger, f64) {
     let gpu = Gpu::new(DeviceSpec::c2050());
-    let recovery = RecoveryOptions {
-        policy: s.policy,
-        faults: s.plan.clone(),
-        ..recovery.clone()
-    };
-    let streams = recovery.streams;
-    let (f, report) = match caqr_resilient(&gpu, a.clone(), recovery) {
+    let run = SimBackend::resilient(&gpu, STREAMS).and_then(|sim| {
+        let backend = Faulty::new(sim, vec![s.plan.clone()]);
+        drive_recovering(&backend, a.clone(), &opts().drive_config(), &s.policy)
+    });
+    let (f, report) = match run {
         Ok(ok) => ok,
         Err(e) => {
             eprintln!("FAIL: scenario '{}' did not recover: {e}", s.name);
             std::process::exit(1);
         }
     };
-    let util = utilization(&gpu, streams);
+    let util = utilization(&gpu, STREAMS);
     (f.r(), report, gpu.ledger(), util)
 }
 
@@ -85,11 +86,6 @@ fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
     let (m, n) = if quick { (2048, 32) } else { (16384, 48) };
     let a = dense::generate::uniform::<f64>(m, n, 17);
-    let recovery = RecoveryOptions {
-        caqr: opts(),
-        streams: 3,
-        ..RecoveryOptions::default()
-    };
 
     // The plans key faults by task ordinal: each factor chain and each
     // apply chain is one task, and a replay takes the next ordinal. Task 0
@@ -133,7 +129,7 @@ fn main() {
     let mut clean_r: Option<Matrix<f64>> = None;
     let mut failed = false;
     for s in &scenarios {
-        let (r, report, ledger, util) = run_scenario(&a, &recovery, s);
+        let (r, report, ledger, util) = run_scenario(&a, s);
         let identical = match &clean_r {
             None => {
                 clean_r = Some(r);

@@ -31,10 +31,12 @@
 //! * [`Faulty`] is the one fault injector: a decorator over any backend
 //!   that fails or corrupts the group tasks a [`FaultPlan`] names.
 //!
-//! Dispatch is static: every entry point (`caqr`, `caqr_dag`, `caqr_cpu`,
-//! `caqr_resilient`, `distributed_tsqr`, fused `factor_many` groups) is a
-//! thin shim that instantiates the driver with a concrete backend type —
-//! no `dyn` anywhere on the hot path.
+//! Dispatch is static: a simulator caller names its executor as a value
+//! ([`SimBackend::sync`], [`SimBackend::streams`], a [`Faulty`]
+//! [`SimBackend::resilient`]) and calls [`drive`] or [`drive_recovering`]
+//! on it; `caqr_cpu`, `distributed_tsqr` and fused `factor_many` groups
+//! instantiate the same driver with their own backend type — no `dyn`
+//! anywhere on the hot path.
 
 use crate::block::{BlockSize, TreeShape};
 use crate::error::{checked_elems, CaqrError};
@@ -59,11 +61,40 @@ pub enum Mode {
     /// The synchronous Figure-4 loop: factor, then one whole-trailing apply
     /// chain, panel after panel, all on slot 0.
     Sync,
-    /// The stream-scheduled task DAG: column blocks owned by home slots,
-    /// cross-slot dependencies expressed with record/wait tokens.
+    /// The stream-scheduled task DAG: the Figure-4 loop as a task graph
+    /// (panel TSQR chains, per-column-block trailing updates) mapped onto
+    /// the backend's slots. On a [`SimBackend::streams`] executor the
+    /// resolved per-stream timeline is read with `Gpu::try_synchronize`
+    /// after the run.
+    ///
+    /// **Stream assignment and correctness.** Columns are partitioned into
+    /// a *fixed* global grid of `w`-wide blocks (block `j` covers columns
+    /// `[j*w, min((j+1)*w, n))`), and block `j` is permanently owned by
+    /// slot `j % s`. Every operation that touches block `j` — each panel's
+    /// apply and, when `j` indexes a panel, its factor — is queued on that
+    /// one slot, so in-slot FIFO order alone gives each column block the
+    /// same operation sequence the synchronous loop issues. The only
+    /// cross-slot dependencies are "apply of panel `k` needs the factor of
+    /// panel `k`", expressed with one recorded token per factor chain.
+    ///
+    /// Numerics are *bit-identical* to [`Mode::Sync`]: the simulator only
+    /// charges each launch to its stream, while the host's panel
+    /// arithmetic runs eagerly in issue order (a valid topological order
+    /// of this DAG), operations on disjoint column blocks commute exactly,
+    /// and within the apply kernels each column is processed independently
+    /// of how columns are grouped into launches. The equivalence tests in
+    /// `tests/stream_scheduling.rs` assert this across shapes.
+    ///
+    /// The [`crate::service`] batcher is the same idea one level up: it
+    /// runs *many independent* factorizations as one synchronous group of
+    /// the driver, with the same bit-identity argument (tasks of different
+    /// jobs touch disjoint matrices, so fusing their launches cannot
+    /// reorder any job's own arithmetic).
     Dag {
         /// Factor panel `k+1` as soon as its own column block is updated,
-        /// ahead of panel `k`'s bulk trailing update.
+        /// ahead of panel `k`'s bulk trailing update. `false` reproduces
+        /// the barrier schedule: each factor waits for the whole previous
+        /// update.
         lookahead: bool,
     },
 }
@@ -81,8 +112,9 @@ pub enum Modelled {
 }
 
 /// Numerical + detection configuration of one [`drive`] run. This is the
-/// backend-independent subset of the per-path option structs; the shims
-/// translate their own options into it.
+/// backend-independent subset of the per-path option structs, which
+/// translate themselves into it (`CaqrOptions::drive_config`,
+/// `CpuCaqrOptions::drive_config`).
 #[derive(Clone, Copy, Debug)]
 pub struct DriveConfig {
     /// Block size (panel width = `bs.w`).
@@ -98,8 +130,8 @@ pub struct DriveConfig {
     /// panel (factor column norms, `Q·1` probe, predicted trailing column
     /// sums). Only honoured by [`Mode::Sync`], since the checks run in
     /// barrier order; a failing member is carved out. Under a
-    /// [`RecoveryPolicy`] (`caqr_resilient`) the checks always run and a
-    /// failed task replays instead.
+    /// [`RecoveryPolicy`] ([`drive_recovering`]) the checks always run and
+    /// a failed task replays instead.
     pub verify_checksums: bool,
     /// Context string for the typed [`CaqrError::NonFinite`] error.
     pub health_context: &'static str,
@@ -485,6 +517,24 @@ pub fn drive<T: Scalar, B: CaqrBackend<T>>(
         .map(|(f, _)| f)
 }
 
+/// Factor `a` with ABFT-verified, fault-recovering CAQR on any
+/// [`CaqrBackend`]: a [`Mode::Sync`] run of the driver's panel loop under
+/// `policy`, climbing the two-tier replay ladder of [`crate::recovery`].
+/// A recovered run is bit-identical to a fault-free [`drive`]. Returns the
+/// factorization and a [`RecoveryReport`] of what the ladder did.
+///
+/// The simulator's recovering executor is a [`Faulty`] over
+/// [`SimBackend::resilient`]: its factor runs on the panel's home stream
+/// and the trailing update fans out over every stream.
+pub fn drive_recovering<T: Scalar, B: CaqrBackend<T>>(
+    backend: &B,
+    a: Matrix<T>,
+    cfg: &DriveConfig,
+    policy: &RecoveryPolicy,
+) -> Result<(Factorization<T>, RecoveryReport), CaqrError> {
+    drive_group(backend, vec![a], cfg, Mode::Sync, Some(policy)).solo()
+}
+
 /// Reject an empty or overflowing shape and an invalid block size.
 pub(crate) fn validate(cfg: &DriveConfig, m: usize, n: usize) -> Result<(), CaqrError> {
     cfg.bs.validate().map_err(CaqrError::BadShape)?;
@@ -515,8 +565,8 @@ impl<T: Scalar> GroupOutcome<T> {
 }
 
 /// The CAQR loop over a group of same-shape matrices walked in lockstep —
-/// behind `caqr_cpu`, `caqr`, `caqr_dag`, `caqr_resilient`,
-/// `distributed_tsqr` and fused `factor_many` groups. The group is a
+/// behind [`drive`], [`drive_recovering`], `distributed_tsqr` and fused
+/// `factor_many` groups. The group is a
 /// [`PanelSink`] of [`run_panels`]: per panel, one group factor on the
 /// panel's home slot, one group apply per slot group of the trailing
 /// matrix ([`DagGeometry::groups`]; one per panel on a one-slot backend),
@@ -729,7 +779,8 @@ impl<T: Scalar, B: CaqrBackend<T>> GroupRun<'_, T, B> {
         let _ = run_panels(self, geo, lookahead);
         // A checked attempt resolves everything, failed work included,
         // before the next round. An unchecked one leaves the queued work to
-        // the caller, which reads its timeline (`caqr_dag`).
+        // the caller, which reads its timeline (`Gpu::try_synchronize`
+        // after a [`Mode::Dag`] run).
         if self.verify {
             if let Err(e) = backend.sync() {
                 members.iter().for_each(|&j| self.err[j] = Some(e.clone()));
@@ -1670,9 +1721,7 @@ mod tests {
         want: &Matrix<f64>,
         case: &str,
     ) -> [u64; 2] {
-        let policy = RecoveryPolicy::default();
-        let (f, r) = drive_group(backend, vec![a.clone()], cfg, Mode::Sync, Some(&policy))
-            .solo()
+        let (f, r) = drive_recovering(backend, a.clone(), cfg, &RecoveryPolicy::default())
             .unwrap_or_else(|e| panic!("{case}: recovery failed: {e}"));
         assert_eq!(&f.a, want, "{case}: bits must match caqr_cpu");
         [r.task_replays, r.run_retries]

@@ -77,15 +77,26 @@ mod tests {
     fn caqr_traffic_is_within_a_modest_constant_of_the_bound() {
         let spec = DeviceSpec::c2050();
         let fast = BLOCK_FAST_WORDS;
-        for (m, n) in [(200_000usize, 192usize), (1_000_000, 192), (50_000, 64)] {
+        // One constant across heights and widths: tall-skinny panels up to
+        // a square 8192x8192.
+        let shapes = [
+            (200_000usize, 192usize),
+            (1_000_000, 192),
+            (50_000, 64),
+            (8192, 512),
+            (8192, 2048),
+            (8192, 8192),
+        ];
+        for (m, n) in shapes {
             let gpu = Gpu::new(spec.clone());
             let cfg = CaqrOptions::default().drive_config();
             (SimBackend::sync(&gpu).model(m, n, &cfg, Modelled::Factor(Mode::Sync))).unwrap();
             let moved_words = gpu.ledger().dram_bytes / 4.0;
             let bound = qr_bandwidth_lower_bound_words(m, n, fast);
             let ratio = moved_words / bound;
+            println!("({m},{n}): {ratio:.2}x the lower bound");
             assert!(
-                ratio < 16.0,
+                ratio < 12.0,
                 "({m},{n}): CAQR moves {ratio:.1}x the lower bound — not communication-avoiding"
             );
             assert!(

@@ -1,6 +1,6 @@
-//! CAQR — Communication-Avoiding QR for general matrices (Section II-C),
-//! running entirely on the simulated GPU with the host pseudocode of
-//! Figure 4:
+//! CAQR — Communication-Avoiding QR for general matrices (Section II-C) —
+//! and the options of a run on the simulated GPU. The host pseudocode of
+//! Figure 4 is [`crate::backend::drive`]'s panel loop:
 //!
 //! ```text
 //! foreach panel
@@ -13,15 +13,15 @@
 //! ```
 //!
 //! After each panel the grid is redrawn `w` rows lower ("the trailing matrix
-//! becomes both shorter and narrower after each step").
+//! becomes both shorter and narrower after each step"). On the simulator
+//! a run is `drive(&SimBackend::sync(&gpu), a, &opts.drive_config(),
+//! Mode::Sync)`; any shape factors (wide matrices factor the leading
+//! `min(m, n)` panels and update the rest), and the input is always
+//! scanned for NaN/inf first by a charged `health_check` launch.
 
-use crate::backend::{drive, DriveConfig, Factorization, Mode, SimBackend};
+use crate::backend::DriveConfig;
 use crate::block::{BlockSize, TreeShape};
-use crate::error::CaqrError;
 use crate::microkernels::ReductionStrategy;
-use dense::matrix::Matrix;
-use dense::scalar::Scalar;
-use gpu_sim::Gpu;
 
 /// Options for a CAQR factorization.
 #[derive(Clone, Copy, Debug)]
@@ -60,48 +60,29 @@ impl CaqrOptions {
     }
 }
 
-/// Factor `a` with CAQR on the simulated GPU. Supports any shape (wide
-/// matrices factor the leading `min(m, n)` panels and update the rest).
-///
-/// The input is always scanned for NaN/inf first, by a charged
-/// `health_check` launch: "garbage in" becomes a typed
-/// [`CaqrError::NonFinite`] instead of silent NaN propagation. The launch
-/// is counted in [`Factorization::launches`] and charged identically by
-/// [`SimBackend::model`].
-///
-/// A thin shim over the generic [`crate::backend::drive`] loop on a
-/// synchronous [`SimBackend`] (DESIGN.md §13) — the Figure-4 pseudocode
-/// lives there now, shared with every other executor.
-pub fn caqr<T: Scalar>(
-    gpu: &Gpu,
-    a: Matrix<T>,
-    opts: CaqrOptions,
-) -> Result<Factorization<T>, CaqrError> {
-    drive(&SimBackend::sync(gpu), a, &opts.drive_config(), Mode::Sync)
-}
-
-/// Convenience: factor and return `(Q, R)` explicitly (test/demo helper;
-/// production callers keep the implicit form).
-pub fn caqr_qr<T: Scalar>(
-    gpu: &Gpu,
-    a: Matrix<T>,
-    opts: CaqrOptions,
-) -> Result<(Matrix<T>, Matrix<T>), CaqrError> {
-    let k = a.rows().min(a.cols());
-    let f = caqr(gpu, a, opts)?;
-    let q = f.generate_q_on(&SimBackend::sync(gpu), k)?;
-    Ok((q, f.r()))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::backend::{drive, Factorization, Mode, SimBackend};
+    use crate::error::CaqrError;
     use dense::generate;
+    use dense::matrix::Matrix;
     use dense::norms::{orthogonality_error, reconstruction_error};
-    use gpu_sim::DeviceSpec;
+    use gpu_sim::{DeviceSpec, Gpu};
 
     fn gpu() -> Gpu {
         Gpu::new(DeviceSpec::c2050())
+    }
+
+    fn sync_run(g: &Gpu, a: Matrix<f64>, o: CaqrOptions) -> Result<Factorization<f64>, CaqrError> {
+        drive(&SimBackend::sync(g), a, &o.drive_config(), Mode::Sync)
+    }
+
+    /// Factor on the synchronous simulator and form the explicit `(Q, R)`.
+    fn sync_qr(g: &Gpu, a: Matrix<f64>, o: CaqrOptions) -> (Matrix<f64>, Matrix<f64>) {
+        let k = a.rows().min(a.cols());
+        let f = sync_run(g, a, o).unwrap();
+        (f.generate_q_on(&SimBackend::sync(g), k).unwrap(), f.r())
     }
 
     fn opts_small() -> CaqrOptions {
@@ -115,7 +96,7 @@ mod tests {
     fn check_caqr(m: usize, n: usize, opts: CaqrOptions, seed: u64) {
         let a = generate::uniform::<f64>(m, n, seed);
         let g = gpu();
-        let (q, r) = caqr_qr(&g, a.clone(), opts).unwrap();
+        let (q, r) = sync_qr(&g, a.clone(), opts);
         let rec = reconstruction_error(&a, &q, &r);
         let ort = orthogonality_error(&q);
         assert!(rec < 1e-12, "reconstruction {rec} for {m}x{n}");
@@ -163,7 +144,7 @@ mod tests {
     fn caqr_r_matches_blocked_householder_up_to_sign() {
         let a = generate::uniform::<f64>(300, 40, 27);
         let g = gpu();
-        let f = caqr(&g, a.clone(), opts_small()).unwrap();
+        let f = sync_run(&g, a.clone(), opts_small()).unwrap();
         let r = f.r();
         let mut af = a.clone();
         dense::blocked::geqrf(&mut af, 16);
@@ -190,7 +171,7 @@ mod tests {
             }
         }
         let g = gpu();
-        let f = caqr(&g, a, opts_small()).unwrap();
+        let f = sync_run(&g, a, opts_small()).unwrap();
         let b = Matrix::from_col_major(m, 1, b);
         let x = f.least_squares_on(&SimBackend::sync(&g), &b).unwrap();
         for (got, want) in x.col(0).iter().zip(&x_true) {
@@ -205,7 +186,7 @@ mod tests {
         let a = generate::uniform::<f64>(m, n, 55);
         let b = generate::uniform::<f64>(m, 3, 56);
         let g = gpu();
-        let f = caqr(&g, a, opts_small()).unwrap();
+        let f = sync_run(&g, a, opts_small()).unwrap();
         let sim = SimBackend::sync(&g);
         let x = f.least_squares_on(&sim, &b).unwrap();
         for j in 0..3 {
@@ -221,7 +202,7 @@ mod tests {
     fn apply_qt_q_round_trip() {
         let a = generate::uniform::<f64>(150, 20, 29);
         let g = gpu();
-        let f = caqr(&g, a, opts_small()).unwrap();
+        let f = sync_run(&g, a, opts_small()).unwrap();
         let c0 = generate::uniform::<f64>(150, 5, 30);
         let mut c = c0.clone();
         f.apply_on(&SimBackend::sync(&g), &mut c, true).unwrap();
@@ -237,7 +218,7 @@ mod tests {
     fn launch_count_matches_ledger() {
         let g = gpu();
         let a = generate::uniform::<f64>(256, 24, 31);
-        let f = caqr(&g, a, opts_small()).unwrap();
+        let f = sync_run(&g, a, opts_small()).unwrap();
         assert_eq!(f.launches as u64, g.ledger().calls);
     }
 
@@ -259,7 +240,7 @@ mod tests {
                 tree,
                 ..opts_small()
             };
-            let (q, r) = caqr_qr(&g, a.clone(), o).unwrap();
+            let (q, r) = sync_qr(&g, a.clone(), o);
             assert!(reconstruction_error(&a, &q, &r) < 1e-12, "{tree:?}");
             assert!(orthogonality_error(&q) < 1e-12, "{tree:?}");
             diags.push((0..24).map(|d| r[(d, d)].abs()).collect());
@@ -284,7 +265,7 @@ mod tests {
                 bs: BlockSize { h: 64, w: 16 },
                 ..opts_small()
             };
-            let _ = caqr(&g, a.clone(), o).unwrap();
+            let _ = sync_run(&g, a.clone(), o).unwrap();
             g.ledger().calls
         };
         assert!(launches(TreeShape::Binomial) > launches(TreeShape::DeviceArity));
@@ -294,7 +275,7 @@ mod tests {
     fn empty_matrix_rejected() {
         let g = gpu();
         let a = Matrix::<f64>::zeros(0, 0);
-        assert!(caqr(&g, a, opts_small()).is_err());
+        assert!(sync_run(&g, a, opts_small()).is_err());
     }
 
     #[test]
@@ -302,7 +283,7 @@ mod tests {
         // All-zero input: R must be zero, Q orthogonal (identity-ish).
         let g = gpu();
         let a = Matrix::<f64>::zeros(96, 16);
-        let (q, r) = caqr_qr(&g, a, opts_small()).unwrap();
+        let (q, r) = sync_qr(&g, a, opts_small());
         assert!(dense::norms::max_abs(&r) == 0.0);
         assert!(orthogonality_error(&q) < 1e-13);
     }

@@ -3,10 +3,12 @@
 //! Reproduction of the primary contribution of *"Communication-Avoiding QR
 //! Decomposition for GPUs"* (Anderson, Ballard, Demmel, Keutzer; IPPS 2011):
 //!
-//! * [`tsqr`](mod@tsqr) — Tall-Skinny QR: per-tile Householder factorizations plus an
-//!   `h/w`-ary reduction tree over the R factors (Figure 2),
-//! * [`caqr`](mod@caqr) — the full factorization for arbitrary shapes: TSQR panels +
-//!   horizontal and tree trailing-matrix updates (Figures 3-4),
+//! * [`tsqr`] — the panel factor types of Tall-Skinny QR: per-tile
+//!   Householder factorizations plus an `h/w`-ary reduction tree over the
+//!   R factors (Figure 2); TSQR itself is [`drive`] on a one-panel matrix,
+//! * [`caqr`](mod@caqr) — the options of the full factorization for arbitrary
+//!   shapes: TSQR panels + horizontal and tree trailing-matrix updates
+//!   (Figures 3-4),
 //! * [`kernels`] — the launch descriptions of the four GPU kernels
 //!   (`factor`, `factor_tree`, `apply_qt_h`, `apply_qt_tree`) that the
 //!   `gpu-sim` device charges; the arithmetic they stand for is the host's
@@ -18,18 +20,19 @@
 //! * [`model`] — the chain walks every simulated charge goes through; the
 //!   one model entry, [`SimBackend::model`], charges the driver's own panel
 //!   schedule with them without doing the arithmetic,
-//! * [`schedule`] — CAQR as a task DAG on simulated CUDA streams with
-//!   lookahead, bit-identical to the synchronous loop,
-//! * [`recovery`] — ABFT-checksummed, fault-recovering CAQR: tile-granular
-//!   replay of faulted tasks with a task -> run escalation ladder,
+//! * [`recovery`] — the replay budgets and report of ABFT-checksummed,
+//!   fault-recovering CAQR ([`drive_recovering`]): tile-granular replay of
+//!   faulted tasks with a task -> run escalation ladder,
 //! * [`fault`] — deterministic fault plans for the one fault injector,
 //!   [`backend::Faulty`],
 //! * [`distributed`] — multi-device TSQR over an interconnect-modelled
 //!   cluster with tier-3 device-loss failover, bit-identical to the
 //!   single-device host path,
 //! * [`backend`] — the execution-backend trait behind all of the above:
-//!   one generic CAQR driver ([`backend::drive`]), pluggable executors
-//!   (host multicore, simulator sync/stream-DAG, resilient, cluster),
+//!   one generic CAQR driver ([`drive`], and [`drive_recovering`] under a
+//!   replay policy) and the executors it runs on as values (host
+//!   multicore, simulator sync/stream-DAG/resilient, cluster); CAQR as a
+//!   task DAG on simulated CUDA streams with lookahead is [`Mode::Dag`],
 //! * [`service`] — the multi-tenant batching service: a bounded admission
 //!   queue with priority classes, deadlines and per-tenant quotas,
 //!   shape-fused `factor_many` batches (bit-identical per matrix to
@@ -41,12 +44,13 @@
 //! ## Quick start
 //!
 //! ```
-//! use caqr::{caqr, CaqrOptions};
+//! use caqr::{drive, CaqrOptions, Mode, SimBackend};
 //! use gpu_sim::{DeviceSpec, Gpu};
 //!
 //! let gpu = Gpu::new(DeviceSpec::c2050());
 //! let a = dense::generate::uniform::<f32>(4096, 64, 1);
-//! let f = caqr::caqr(&gpu, a, CaqrOptions::default()).unwrap();
+//! let cfg = CaqrOptions::default().drive_config();
+//! let f = drive(&SimBackend::sync(&gpu), a, &cfg, Mode::Sync).unwrap();
 //! let r = f.r();
 //! assert_eq!(r.cols(), 64);
 //! println!("modelled time: {:.3} ms", gpu.elapsed() * 1e3);
@@ -73,28 +77,27 @@ pub mod microkernels;
 pub mod model;
 pub mod multicore;
 pub mod recovery;
-pub mod schedule;
 pub mod service;
 pub mod tsqr;
 pub mod tuning;
 
 pub use backend::{
-    drive, CaqrBackend, CpuBackend, DriveConfig, Factorization, Faulty, Mode, Modelled, SimBackend,
+    drive, drive_recovering, CaqrBackend, CpuBackend, DriveConfig, Factorization, Faulty, Mode,
+    Modelled, SimBackend,
 };
 pub use block::{BlockSize, TreeShape};
-pub use caqr::{caqr_qr, CaqrOptions};
+pub use caqr::CaqrOptions;
 pub use distributed::{distributed_tsqr, ClusterBackend, DistOptions, DistReport};
 pub use error::{checked_bytes, checked_elems, CaqrError};
 pub use fault::{FaultKind, FaultPlan, PlannedFault};
 pub use health::first_nonfinite;
 pub use microkernels::ReductionStrategy;
 pub use multicore::{caqr_cpu, CpuCaqr, CpuCaqrOptions};
-pub use recovery::{caqr_resilient, RecoveryOptions, RecoveryPolicy, RecoveryReport};
-pub use schedule::{caqr_dag, ScheduleOptions};
+pub use recovery::{RecoveryPolicy, RecoveryReport};
 pub use service::{
     factor_many, service_retryable, BatchStats, JobOutcome, JobSpec, Priority, ResilienceConfig,
     RetryBudget, Service, ServiceConfig, ServiceError, ServiceFaultPlan, ServiceLedger, ShedPolicy,
     SubmitError, TenantCounters, TenantQuota, Ticket,
 };
-pub use tsqr::{tsqr, PanelFactor, TreeNode};
+pub use tsqr::{PanelFactor, TreeNode};
 pub use tuning::{autotune_measured, MeasuredPoint, MeasuredProfile};

@@ -159,9 +159,9 @@ pub(crate) fn charge_pretranspose(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::{Mode, Modelled, SimBackend};
+    use crate::backend::{drive, Mode, Modelled, SimBackend};
     use crate::block::TreeShape;
-    use crate::caqr::{caqr, CaqrOptions};
+    use crate::caqr::CaqrOptions;
     use crate::microkernels::ReductionStrategy;
     use dense::generate;
     use gpu_sim::DeviceSpec;
@@ -208,7 +208,7 @@ mod tests {
         };
         let g1 = Gpu::new(DeviceSpec::c2050());
         let a = generate::uniform::<f32>(m, n, 42);
-        let _f = caqr(&g1, a, opts).unwrap();
+        let _f = drive(&SimBackend::sync(&g1), a, &opts.drive_config(), Mode::Sync).unwrap();
 
         let g2 = Gpu::new(DeviceSpec::c2050());
         let secs = sync_seconds(&g2, m, n, opts, Modelled::Factor(Mode::Sync)).unwrap();
@@ -253,7 +253,8 @@ mod tests {
         let opts = CaqrOptions::default();
         for &(m, n) in &[(256, 32), (301, 27), (2048, 100), (4000, 192)] {
             let a = generate::uniform::<f32>(m, n, 7);
-            let f = caqr(&Gpu::new(DeviceSpec::c2050()), a, opts).unwrap();
+            let g0 = Gpu::new(DeviceSpec::c2050());
+            let f = drive(&SimBackend::sync(&g0), a, &opts.drive_config(), Mode::Sync).unwrap();
             let g1 = Gpu::new(DeviceSpec::c2050());
             f.generate_q_on(&SimBackend::sync(&g1), n).unwrap();
 

@@ -524,16 +524,13 @@ mod tests {
         )
         .unwrap();
         let gpu = gpu_sim::Gpu::new(gpu_sim::DeviceSpec::c2050());
-        let g = crate::caqr::caqr(
-            &gpu,
-            a,
-            crate::CaqrOptions {
-                bs: BlockSize { h: 64, w: 16 },
-                strategy: crate::ReductionStrategy::RegisterSerialTransposed,
-                tree: TreeShape::DeviceArity,
-            },
-        )
-        .unwrap();
+        let opts = crate::CaqrOptions {
+            bs: BlockSize { h: 64, w: 16 },
+            strategy: crate::ReductionStrategy::RegisterSerialTransposed,
+            tree: TreeShape::DeviceArity,
+        };
+        let sim = crate::SimBackend::sync(&gpu);
+        let g = crate::drive(&sim, a, &opts.drive_config(), crate::Mode::Sync).unwrap();
         // Identical tiling + tree: results are bit-identical, not just
         // sign-equivalent.
         assert_eq!(cpu.r(), g.r());

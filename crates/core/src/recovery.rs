@@ -4,8 +4,9 @@
 //! The ladder is a policy of the driver's one panel loop, not a loop of its
 //! own: given a [`RecoveryPolicy`], a [`Mode::Sync`] run verifies every
 //! task's output against the algorithm-based checksums of
-//! [`crate::health`] and replays what fails. [`caqr_resilient`] runs it as
-//! a group of one on the simulator's barrier executor:
+//! [`crate::health`] and replays what fails. [`drive_recovering`] runs it
+//! as a group of one on any backend; on the simulator, on a [`Faulty`]
+//! [`SimBackend::resilient`] barrier executor:
 //!
 //! * a **factor task** (the panel's `factor` + `factor_tree` chain) is
 //!   checked with the column-norm invariant (`||R[:,j]|| == ||A[:,j]||`)
@@ -24,8 +25,8 @@
 //! with a fresh ordinal (so a fault plan redraws), which makes a recovered
 //! run **bit-identical** to a fault-free run of the same schedule.
 //!
-//! Faults come from [`RecoveryOptions::faults`], injected by the one fault
-//! injector, [`Faulty`], over the simulator backend.
+//! Faults come from the [`FaultPlan`](crate::fault::FaultPlan) the one
+//! fault injector, [`Faulty`], is built with over the executing backend.
 //!
 //! Detection is not free and is charged honestly: checksum passes appear
 //! in the ledger under `checksum_verify`, snapshot save/restore traffic
@@ -34,15 +35,15 @@
 //! --check-overhead` gates it in CI).
 //!
 //! [`Mode::Sync`]: crate::backend::Mode::Sync
+//! [`drive_recovering`]: crate::backend::drive_recovering
+//! [`Faulty`]: crate::backend::Faulty
+//! [`SimBackend::resilient`]: crate::backend::SimBackend::resilient
 
-use crate::backend::{drive_group, CaqrBackend, Factorization, Faulty, Mode, SimBackend};
-use crate::caqr::CaqrOptions;
+use crate::backend::CaqrBackend;
 use crate::error::CaqrError;
-use crate::fault::FaultPlan;
 use dense::arena;
 use dense::matrix::Matrix;
 use dense::scalar::Scalar;
-use gpu_sim::Gpu;
 
 /// Replay budgets of the escalation ladder. Each tier's budget is per
 /// scope: `max_task_replays` per task attempt streak, `max_run_retries`
@@ -62,30 +63,6 @@ impl Default for RecoveryPolicy {
         RecoveryPolicy {
             max_task_replays: 3,
             max_run_retries: 1,
-        }
-    }
-}
-
-/// Options for [`caqr_resilient`].
-#[derive(Clone, Debug)]
-pub struct RecoveryOptions {
-    /// The numerical configuration (block size, strategy, tree shape).
-    pub caqr: CaqrOptions,
-    /// Streams the apply groups fan out over (barrier schedule).
-    pub streams: usize,
-    /// Replay budgets.
-    pub policy: RecoveryPolicy,
-    /// Faults to inject, keyed by task ordinal (none by default).
-    pub faults: FaultPlan,
-}
-
-impl Default for RecoveryOptions {
-    fn default() -> Self {
-        RecoveryOptions {
-            caqr: CaqrOptions::default(),
-            streams: 4,
-            policy: RecoveryPolicy::default(),
-            faults: FaultPlan::default(),
         }
     }
 }
@@ -188,59 +165,57 @@ impl<T: Scalar> RegionSnapshot<T> {
     }
 }
 
-/// Factor `a` with ABFT-verified, fault-recovering CAQR. Numerically
-/// bit-identical to [`crate::caqr::caqr`] / [`crate::schedule::caqr_dag`]
-/// with the same [`CaqrOptions`] — including runs that recovered from
-/// injected faults. Returns the factorization and a [`RecoveryReport`] of
-/// what the escalation ladder did.
-///
-/// A [`Mode::Sync`] run of the driver's panel loop as a group of one on a
-/// barrier-mode [`SimBackend`] (DESIGN.md §13), under `opts.policy`, with
-/// `opts.faults` injected by [`Faulty`]: the factor runs on the panel's
-/// home stream and the trailing update fans out over every stream.
-pub fn caqr_resilient<T: Scalar>(
-    gpu: &Gpu,
-    a: Matrix<T>,
-    opts: RecoveryOptions,
-) -> Result<(Factorization<T>, RecoveryReport), CaqrError> {
-    let backend = Faulty::new(SimBackend::resilient(gpu, opts.streams)?, vec![opts.faults]);
-    let cfg = opts.caqr.drive_config();
-    drive_group(&backend, vec![a], &cfg, Mode::Sync, Some(&opts.policy)).solo()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::backend::{drive, drive_recovering, Factorization, Faulty, Mode, SimBackend};
     use crate::block::{BlockSize, TreeShape};
-    use crate::caqr::caqr;
-    use crate::fault::FaultKind;
+    use crate::caqr::CaqrOptions;
+    use crate::fault::{FaultKind, FaultPlan};
     use crate::microkernels::ReductionStrategy;
     use dense::generate;
-    use gpu_sim::DeviceSpec;
+    use gpu_sim::{DeviceSpec, Gpu};
 
     fn gpu() -> Gpu {
         Gpu::new(DeviceSpec::c2050())
     }
 
-    fn opts() -> RecoveryOptions {
-        RecoveryOptions {
-            caqr: CaqrOptions {
-                bs: BlockSize { h: 32, w: 8 },
-                strategy: ReductionStrategy::RegisterSerialTransposed,
-                tree: TreeShape::DeviceArity,
-            },
-            streams: 3,
-            policy: RecoveryPolicy::default(),
-            faults: FaultPlan::default(),
+    fn opts() -> CaqrOptions {
+        CaqrOptions {
+            bs: BlockSize { h: 32, w: 8 },
+            strategy: ReductionStrategy::RegisterSerialTransposed,
+            tree: TreeShape::DeviceArity,
         }
+    }
+
+    fn plain(a: Matrix<f64>) -> Factorization<f64> {
+        drive(
+            &SimBackend::sync(&gpu()),
+            a,
+            &opts().drive_config(),
+            Mode::Sync,
+        )
+        .unwrap()
+    }
+
+    /// The resilient executor on 3 streams under the default budgets, with
+    /// `faults` injected.
+    fn recovering(
+        g: &Gpu,
+        a: Matrix<f64>,
+        faults: FaultPlan,
+    ) -> Result<(Factorization<f64>, RecoveryReport), CaqrError> {
+        let backend = Faulty::new(SimBackend::resilient(g, 3)?, vec![faults]);
+        let policy = RecoveryPolicy::default();
+        drive_recovering(&backend, a, &opts().drive_config(), &policy)
     }
 
     #[test]
     fn fault_free_run_matches_plain_caqr_bitwise() {
         let a = generate::uniform::<f64>(200, 24, 9);
-        let clean = caqr(&gpu(), a.clone(), opts().caqr).unwrap();
+        let clean = plain(a.clone());
         let g = gpu();
-        let (f, report) = caqr_resilient(&g, a, opts()).unwrap();
+        let (f, report) = recovering(&g, a, FaultPlan::default()).unwrap();
         for j in 0..24 {
             for i in 0..200 {
                 assert_eq!(f.a[(i, j)], clean.a[(i, j)], "({i},{j})");
@@ -257,13 +232,13 @@ mod tests {
     #[test]
     fn sdc_in_an_apply_is_detected_and_replayed_to_bit_identity() {
         let a = generate::uniform::<f64>(200, 24, 10);
-        let clean = caqr(&gpu(), a.clone(), opts().caqr).unwrap();
+        let clean = plain(a.clone());
         let g = gpu();
         // 200x24 in panels of 8 on 3 streams issues the tasks F A A F A F
         // when clean, and a replay takes the next ordinal: corrupt two
         // tasks, whichever they turn out to be.
         let faults = FaultPlan::at(FaultKind::Sdc, &[2, 5]);
-        let (f, report) = caqr_resilient(&g, a, RecoveryOptions { faults, ..opts() }).unwrap();
+        let (f, report) = recovering(&g, a, faults).unwrap();
         for j in 0..24 {
             for i in 0..200 {
                 assert_eq!(f.a[(i, j)], clean.a[(i, j)], "({i},{j})");
@@ -284,7 +259,7 @@ mod tests {
         // Unrecoverable (the first factor task never gets through).
         let faults = FaultPlan::seeded_mix(3, 0.0, 0.0, 1.0);
         let a = generate::uniform::<f64>(96, 16, 11);
-        let e = match caqr_resilient(&g, a, RecoveryOptions { faults, ..opts() }) {
+        let e = match recovering(&g, a, faults) {
             Err(e) => e,
             Ok(_) => panic!("an always-hanging plan cannot succeed"),
         };

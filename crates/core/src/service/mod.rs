@@ -39,7 +39,8 @@
 //!   rounds — each round one batch call over every still-retryable job,
 //!   so retried jobs fuse with each other — under a bounded
 //!   [`RetryBudget`] with exponential backoff. The §10 replay ladder stays
-//!   with `caqr_resilient` on the simulator, where its costs are modelled.
+//!   with [`crate::drive_recovering`] on the simulator, where its costs
+//!   are modelled.
 //! * **worker supervision** — worker bodies run under `catch_unwind` and
 //!   hold the batch they serve in their own stack frame; after a panic
 //!   the worker counts the death, resolves that batch's unresolved

@@ -193,7 +193,7 @@ pub fn service_retryable(e: &CaqrError) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::{drive_group, CpuBackend, Factorization, Faulty, Mode};
+    use crate::backend::{drive_recovering, CpuBackend, Factorization, Faulty};
     use crate::block::TreeShape;
     use crate::fault::FaultKind;
     use crate::multicore::{caqr_cpu, CpuCaqrOptions};
@@ -211,7 +211,7 @@ mod tests {
     ) -> Result<(Factorization<f64>, RecoveryReport), CaqrError> {
         let cfg = opts.drive_config();
         let backend = Faulty::new(CpuBackend, vec![fault.task_plan(tasks)]);
-        drive_group(&backend, vec![a], &cfg, Mode::Sync, Some(policy)).solo()
+        drive_recovering(&backend, a, &cfg, policy)
     }
 
     fn opts() -> CpuCaqrOptions {

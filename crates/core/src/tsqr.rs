@@ -4,21 +4,20 @@
 //! A panel factors as in the pseudocode of Figure 4: a `factor` launch
 //! over the panel tiles, then one `factor_tree` launch per reduction-tree
 //! level. Every executor runs that chain through
-//! [`CaqrBackend::factor_panel`]; the resulting [`PanelFactor`] holds
-//! everything needed to apply `Q`/`Q^T` later: the level-0 compact-WY
-//! factors with their `V` slab (the Householder tails also stay in the
-//! factored matrix) and the per-level [`TreeNode`]s. [`tsqr`] is the
-//! one-panel factorization on the simulated GPU.
+//! [`crate::backend::CaqrBackend::factor_panel`]; the resulting
+//! [`PanelFactor`] holds everything needed to apply `Q`/`Q^T` later: the
+//! level-0 compact-WY factors with their `V` slab (the Householder tails
+//! also stay in the factored matrix) and the per-level [`TreeNode`]s.
+//! TSQR itself is the driver's loop on a one-panel matrix
+//! (`cols <= bs.w`): [`crate::backend::drive`] on
+//! [`crate::backend::SimBackend::sync`].
 
-use crate::backend::{validate, CaqrBackend, DriveConfig, Factorization, SimBackend};
-use crate::block::{BlockSize, Tile, TreeShape};
-use crate::error::CaqrError;
+use crate::block::{BlockSize, Tile};
 use crate::microkernels::ReductionStrategy;
 use dense::arena::ArenaBuf;
 use dense::matrix::{MatRef, Matrix};
 use dense::scalar::Scalar;
 use dense::MatPtr;
-use gpu_sim::Gpu;
 use std::sync::Arc;
 
 /// One tile's factorization in compact-WY form: the upper-triangular `T`
@@ -168,68 +167,35 @@ impl<T: Scalar> PanelFactor<T> {
     }
 }
 
-/// Factor a tall-skinny matrix (`cols <= bs.w`) with TSQR on the GPU: a
-/// one-panel [`Factorization`] whose `launches` counts the health check,
-/// the level-0 factor and one `factor_tree` launch per tree level. Unlike
-/// [`crate::caqr::caqr`] it models no pre-transpose pass.
-pub fn tsqr<T: Scalar>(
-    gpu: &Gpu,
-    mut a: Matrix<T>,
-    bs: BlockSize,
-    strategy: ReductionStrategy,
-) -> Result<Factorization<T>, CaqrError> {
-    let (m, n) = a.shape();
-    if n > bs.w {
-        return Err(CaqrError::BadShape(format!(
-            "TSQR panel width {n} exceeds block width {}; use CAQR",
-            bs.w
-        )));
-    }
-    if m < n {
-        return Err(CaqrError::BadShape(format!(
-            "TSQR requires rows >= cols (got {m}x{n})"
-        )));
-    }
-    let cfg = DriveConfig {
-        bs,
-        strategy,
-        tree: TreeShape::DeviceArity,
-        check_finite: true,
-        verify_checksums: false,
-        health_context: "tsqr input",
-    };
-    validate(&cfg, m, n)?;
-    let sim = SimBackend::sync(gpu);
-    let health = sim.check_finite(&a, bs, cfg.health_context)?;
-    let pf = sim.factor_panel(0, &mut a, 0, 0, n, &cfg)?;
-    Ok(Factorization {
-        a,
-        launches: health + 1 + pf.levels.len(),
-        panels: vec![pf],
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::backend::{drive, Factorization, Mode, SimBackend};
+    use crate::block::TreeShape;
+    use crate::caqr::CaqrOptions;
     use dense::generate;
     use dense::norms::{orthogonality_error, reconstruction_error};
-    use gpu_sim::DeviceSpec;
+    use gpu_sim::{DeviceSpec, Gpu};
 
     fn gpu() -> Gpu {
         Gpu::new(DeviceSpec::c2050())
     }
 
+    /// TSQR: the driver's loop on one panel of the synchronous simulator.
+    fn one_panel(g: &Gpu, a: Matrix<f64>, bs: BlockSize) -> Factorization<f64> {
+        let o = CaqrOptions {
+            bs,
+            strategy: ReductionStrategy::RegisterSerialTransposed,
+            tree: TreeShape::DeviceArity,
+        };
+        assert!(a.cols() <= bs.w, "one panel");
+        drive(&SimBackend::sync(g), a, &o.drive_config(), Mode::Sync).unwrap()
+    }
+
     fn check_tsqr(m: usize, n: usize, bs: BlockSize, seed: u64) {
         let a = generate::uniform::<f64>(m, n, seed);
         let g = gpu();
-        let f = tsqr(
-            &g,
-            a.clone(),
-            bs,
-            ReductionStrategy::RegisterSerialTransposed,
-        )
-        .unwrap();
+        let f = one_panel(&g, a.clone(), bs);
         let r = f.r();
         let q = f.generate_q_on(&SimBackend::sync(&g), n).unwrap();
         let rec = reconstruction_error(&a, &q, &r);
@@ -274,13 +240,7 @@ mod tests {
         let n = 12;
         let a = generate::uniform::<f64>(m, n, 8);
         let g = gpu();
-        let f = tsqr(
-            &g,
-            a.clone(),
-            BlockSize { h: 64, w: 16 },
-            ReductionStrategy::RegisterSerialTransposed,
-        )
-        .unwrap();
+        let f = one_panel(&g, a.clone(), BlockSize { h: 64, w: 16 });
         let r_tsqr = f.r();
         let mut af = a.clone();
         let tau = dense::blocked::geqrf(&mut af, 8);
@@ -301,13 +261,7 @@ mod tests {
     fn apply_qt_then_q_is_identity() {
         let a = generate::uniform::<f64>(400, 10, 9);
         let g = gpu();
-        let f = tsqr(
-            &g,
-            a,
-            BlockSize { h: 64, w: 16 },
-            ReductionStrategy::RegisterSerialTransposed,
-        )
-        .unwrap();
+        let f = one_panel(&g, a, BlockSize { h: 64, w: 16 });
         let c0 = generate::uniform::<f64>(400, 3, 10);
         let mut c = c0.clone();
         f.apply_on(&SimBackend::sync(&g), &mut c, true).unwrap();
@@ -323,13 +277,7 @@ mod tests {
     fn qt_a_equals_r_stacked_with_zeros() {
         let a = generate::uniform::<f64>(333, 8, 11);
         let g = gpu();
-        let f = tsqr(
-            &g,
-            a.clone(),
-            BlockSize { h: 64, w: 16 },
-            ReductionStrategy::RegisterSerialTransposed,
-        )
-        .unwrap();
+        let f = one_panel(&g, a.clone(), BlockSize { h: 64, w: 16 });
         let mut c = a.clone();
         f.apply_on(&SimBackend::sync(&g), &mut c, true).unwrap();
         let r = f.r();
@@ -345,29 +293,10 @@ mod tests {
     }
 
     #[test]
-    fn wide_panel_rejected() {
-        let g = gpu();
-        let a = generate::uniform::<f64>(100, 40, 12);
-        let e = tsqr(
-            &g,
-            a,
-            BlockSize { h: 64, w: 16 },
-            ReductionStrategy::RegisterSerialTransposed,
-        );
-        assert!(matches!(e, Err(CaqrError::BadShape(_))));
-    }
-
-    #[test]
     fn ledger_records_expected_kernel_mix() {
         let g = gpu();
         let a = generate::uniform::<f64>(4096, 16, 13);
-        let f = tsqr(
-            &g,
-            a,
-            BlockSize { h: 64, w: 16 },
-            ReductionStrategy::RegisterSerialTransposed,
-        )
-        .unwrap();
+        let f = one_panel(&g, a, BlockSize { h: 64, w: 16 });
         let l = g.ledger();
         assert_eq!(f.launches as u64, l.calls);
         // 64 tiles, quad tree: levels of 16, 4, 1 -> 3 factor_tree launches.

@@ -5,7 +5,7 @@
 
 use caqr::block::Tile;
 use caqr::blockops;
-use caqr::{BlockSize, ReductionStrategy, SimBackend};
+use caqr::{drive, BlockSize, CaqrOptions, Mode, ReductionStrategy, SimBackend};
 use dense::matrix::Matrix;
 use dense::norms::{orthogonality_error, reconstruction_error};
 use dense::MatPtr;
@@ -122,7 +122,13 @@ fn tsqr_reconstructs_table1_shapes() {
         (3000, 4, 96, 3),
     ] {
         let a = dense::generate::uniform::<f64>(m, w, seed);
-        let f = caqr::tsqr(&gpu, a.clone(), BlockSize { h, w }, STRAT).unwrap();
+        let cfg = CaqrOptions {
+            bs: BlockSize { h, w },
+            strategy: STRAT,
+            tree: caqr::TreeShape::DeviceArity,
+        }
+        .drive_config();
+        let f = drive(&SimBackend::sync(&gpu), a.clone(), &cfg, Mode::Sync).unwrap();
         let q = f.generate_q_on(&SimBackend::sync(&gpu), w).unwrap();
         let r = f.r();
         assert!(
@@ -139,16 +145,13 @@ fn tsqr_reconstructs_table1_shapes() {
 fn caqr_reconstructs_with_wy_updates() {
     let gpu = Gpu::new(DeviceSpec::c2050());
     let a = dense::generate::uniform::<f64>(768, 96, 4);
-    let f = caqr::caqr::caqr(
-        &gpu,
-        a.clone(),
-        caqr::CaqrOptions {
-            bs: BlockSize { h: 64, w: 16 },
-            strategy: STRAT,
-            tree: caqr::TreeShape::DeviceArity,
-        },
-    )
-    .unwrap();
+    let cfg = CaqrOptions {
+        bs: BlockSize { h: 64, w: 16 },
+        strategy: STRAT,
+        tree: caqr::TreeShape::DeviceArity,
+    }
+    .drive_config();
+    let f = drive(&SimBackend::sync(&gpu), a.clone(), &cfg, Mode::Sync).unwrap();
     let q = f.generate_q_on(&SimBackend::sync(&gpu), 96).unwrap();
     let r = f.r();
     assert!(reconstruction_error(&a, &q, &r) < 1e-12);

@@ -14,7 +14,7 @@
 //! host's on every backend.
 
 use crate::gpu_ops::LoopWalk;
-use caqr::{CaqrError, CaqrOptions, Factorization, SimBackend};
+use caqr::{drive, CaqrError, CaqrOptions, Mode, SimBackend};
 use dense::blas3::{gemm, Trans};
 use dense::matrix::Matrix;
 use dense::scalar::Scalar;
@@ -68,9 +68,9 @@ pub struct GpuCaqrBackend<'a> {
 
 impl<'a, T: Scalar> QrBackend<T> for GpuCaqrBackend<'a> {
     fn qr(&self, a: &Matrix<T>) -> Result<(Matrix<T>, Matrix<T>), CaqrError> {
-        let n = a.cols();
-        let f: Factorization<T> = caqr::caqr::caqr(self.gpu, a.clone(), self.opts)?;
-        let q = f.generate_q_on(&SimBackend::sync(self.gpu), n)?;
+        let sim = SimBackend::sync(self.gpu);
+        let f = drive(&sim, a.clone(), &self.opts.drive_config(), Mode::Sync)?;
+        let q = f.generate_q_on(&sim, a.cols())?;
         Ok((q, f.r()))
     }
     fn name(&self) -> &'static str {

@@ -8,8 +8,8 @@
 //! cargo run --release --example fault_smoke
 //! ```
 
-use caqr::recovery::{caqr_resilient, RecoveryOptions};
-use caqr::{CaqrOptions, FaultPlan, ReductionStrategy};
+use caqr::{drive, drive_recovering, CaqrOptions, FaultPlan, Faulty, Mode, RecoveryPolicy};
+use caqr::{ReductionStrategy, SimBackend};
 use gpu_sim::{DeviceSpec, Gpu};
 
 fn main() {
@@ -17,25 +17,28 @@ fn main() {
     // f64: at this height the f32 checksum tolerance is too soft to catch
     // every SDC (DESIGN.md §10).
     let a = dense::generate::uniform::<f64>(m, n, 7);
-    let opts = CaqrOptions {
+    let cfg = CaqrOptions {
         strategy: ReductionStrategy::RegisterSerialTransposed,
         ..CaqrOptions::default()
-    };
+    }
+    .drive_config();
 
     // Reference: fault-free run.
     let clean_gpu = Gpu::new(DeviceSpec::c2050());
-    let clean = caqr::caqr::caqr(&clean_gpu, a.clone(), opts).expect("fault-free run failed");
+    let clean = drive(&SimBackend::sync(&clean_gpu), a.clone(), &cfg, Mode::Sync)
+        .expect("fault-free run failed");
 
     // Same factorization under a seeded 10% launch-fault, 5% SDC and 5%
     // hang rate per task (deterministic: the plan is seeded), recovered
-    // by the default replay ladder.
+    // by the default replay ladder on the 4-stream resilient executor.
     let gpu = Gpu::new(DeviceSpec::c2050());
-    let recovery = RecoveryOptions {
-        caqr: opts,
-        faults: FaultPlan::seeded_mix(2024, 0.10, 0.05, 0.05),
-        ..RecoveryOptions::default()
-    };
-    let (faulted, report) = caqr_resilient(&gpu, a, recovery).expect("faulted run unrecoverable");
+    let plan = FaultPlan::seeded_mix(2024, 0.10, 0.05, 0.05);
+    let backend = Faulty::new(
+        SimBackend::resilient(&gpu, 4).expect("4 streams"),
+        vec![plan],
+    );
+    let (faulted, report) = drive_recovering(&backend, a, &cfg, &RecoveryPolicy::default())
+        .expect("faulted run unrecoverable");
 
     let identical = clean.r() == faulted.r();
     let clean_ledger = clean_gpu.ledger();

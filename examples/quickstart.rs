@@ -5,7 +5,7 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use caqr::{caqr_qr, CaqrOptions};
+use caqr::{drive, CaqrOptions, Mode, SimBackend};
 use dense::norms::{orthogonality_error, reconstruction_error};
 use gpu_sim::{DeviceSpec, Gpu};
 
@@ -20,9 +20,14 @@ fn main() {
     let gpu = Gpu::new(DeviceSpec::c2050());
 
     // Factor with the paper's shipping configuration (128x16 blocks,
-    // register-file serial reductions with pre-transposed panels).
+    // register-file serial reductions with pre-transposed panels) on the
+    // synchronous executor, then form the explicit Q on it too.
+    let sim = SimBackend::sync(&gpu);
+    let cfg = CaqrOptions::default().drive_config();
     let t0 = std::time::Instant::now();
-    let (q, r) = caqr_qr(&gpu, a.clone(), CaqrOptions::default()).expect("factorization failed");
+    let f = drive(&sim, a.clone(), &cfg, Mode::Sync).expect("factorization failed");
+    let q = f.generate_q_on(&sim, n).expect("forming Q failed");
+    let r = f.r();
     let wall = t0.elapsed();
 
     println!("factored {}x{} with CAQR", m, n);

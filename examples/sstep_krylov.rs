@@ -12,7 +12,7 @@
 //! cargo run --release --example sstep_krylov
 //! ```
 
-use caqr::{tsqr, BlockSize, ReductionStrategy, SimBackend};
+use caqr::{drive, CaqrOptions, Mode, SimBackend};
 use dense::norms::orthogonality_error;
 use gpu_sim::{DeviceSpec, Gpu};
 
@@ -30,18 +30,12 @@ fn main() {
     };
     println!("sample condition estimate of the basis: {sv:.2e}\n");
 
-    // (a) TSQR on the simulated GPU.
+    // (a) TSQR on the simulated GPU: the CAQR driver on one panel (s <= 16).
     let gpu = Gpu::new(DeviceSpec::c2050());
-    let f = tsqr(
-        &gpu,
-        basis.clone(),
-        BlockSize::c2050_best(),
-        ReductionStrategy::RegisterSerialTransposed,
-    )
-    .expect("tsqr failed");
-    let q_tsqr = f
-        .generate_q_on(&SimBackend::sync(&gpu), s)
-        .expect("generate_q failed");
+    let sim = SimBackend::sync(&gpu);
+    let cfg = CaqrOptions::default().drive_config();
+    let f = drive(&sim, basis.clone(), &cfg, Mode::Sync).expect("tsqr failed");
+    let q_tsqr = f.generate_q_on(&sim, s).expect("generate_q failed");
     let tsqr_err = orthogonality_error(&q_tsqr);
     let ledger = gpu.ledger();
     println!(

@@ -1,31 +1,30 @@
 //! Factor a tall-skinny matrix on 4 streams with lookahead, print the
 //! residual against the synchronous loop and the resolved schedule, and
-//! dump a Chrome trace next to the binary's working directory.
+//! dump a Chrome trace next to the binary's working directory. Exits
+//! non-zero if the streamed factorization is not bit-identical to the
+//! synchronous one, so CI can run it as a gate.
 //!
 //! ```text
 //! cargo run -p caqr-repro --release --example stream_overlap
 //! ```
 
-use caqr::schedule::caqr_dag;
-use caqr::{CaqrOptions, ScheduleOptions};
+use caqr::{drive, CaqrOptions, Mode, SimBackend};
 use gpu_sim::{DeviceSpec, Gpu};
 
 fn main() {
     let (m, n) = (4096, 64);
     let a = dense::generate::uniform::<f32>(m, n, 7);
+    let cfg = CaqrOptions::default().drive_config();
 
     let gs = Gpu::new(DeviceSpec::c2050());
-    let sync = caqr::caqr::caqr(&gs, a.clone(), CaqrOptions::default()).unwrap();
+    let sync = drive(&SimBackend::sync(&gs), a.clone(), &cfg, Mode::Sync).unwrap();
 
     let gd = Gpu::new(DeviceSpec::c2050());
-    let opts = ScheduleOptions {
-        caqr: CaqrOptions::default(),
-        streams: 4,
-        lookahead: true,
-    };
-    let (f, tl) = caqr_dag(&gd, a, opts).unwrap();
+    let streams = SimBackend::streams(&gd, 4).unwrap();
+    let f = drive(&streams, a, &cfg, Mode::Dag { lookahead: true }).unwrap();
+    let tl = gd.try_synchronize().unwrap();
 
-    let identical = (0..n).all(|j| (0..m).all(|i| f.a[(i, j)] == sync.a[(i, j)]));
+    let identical = f.a == sync.a;
     println!("{m} x {n} on 4 streams with lookahead:");
     println!("  bit-identical to synchronous loop: {identical}");
     println!(
@@ -37,4 +36,8 @@ fn main() {
     );
     std::fs::write("stream_overlap_trace.json", tl.to_chrome_trace()).unwrap();
     println!("  wrote stream_overlap_trace.json (open in chrome://tracing)");
+    if !identical {
+        eprintln!("stream overlap FAILED: the streamed factorization diverged");
+        std::process::exit(1);
+    }
 }

@@ -1,17 +1,21 @@
 //! Absolute accuracy of the host reference `caqr_cpu`: backward error
 //! `‖A − QR‖_F / ‖A‖_F` and loss of orthogonality `‖I − QᵀQ‖_F`, each
 //! bounded by `C · n · ε` with the constant `C` fixed in DESIGN.md §7.
-//! Every input also runs through the synchronous simulator and a
-//! two-member fused `factor_many` group, whose factored bits must equal
-//! `caqr_cpu`'s, so the bound holds on them too. `backend_conformance`
-//! pins the other executors bit-identical to `caqr_cpu`.
+//! Every input also runs directly through the simulator's three executors
+//! — synchronous, the 3-stream DAG with lookahead, and the fault-free
+//! recovering run on 3 streams — and a two-member fused `factor_many`
+//! group, whose factored bits must equal `caqr_cpu`'s, so the bound holds
+//! on them too. `backend_conformance` pins the cluster bit-identical to
+//! `caqr_cpu`.
 //!
 //! The inputs are the ones a QR must not lose accuracy on: graded columns,
-//! rank deficiency, a zero and a duplicated column, and entries near either
-//! end of the exponent range. Checksums are on in `caqr_cpu` and in the
-//! fused group, so a false ABFT alarm on any of them fails the run too.
+//! rank deficiency, a zero and a duplicated column, entries near either
+//! end of the exponent range, and Kahan's matrix. Checksums are on in
+//! `caqr_cpu`, in the recovering run and in the fused group, so a false
+//! ABFT alarm on any of them fails the run too.
 
-use caqr::{caqr_cpu, factor_many, BlockSize, CaqrOptions, CpuCaqrOptions, TreeShape};
+use caqr::{caqr_cpu, drive, drive_recovering, factor_many, BlockSize, CaqrOptions};
+use caqr::{CpuCaqrOptions, Mode, RecoveryPolicy, SimBackend, TreeShape};
 use dense::generate;
 use dense::matrix::Matrix;
 use dense::norms::{orthogonality_error, reconstruction_error};
@@ -55,6 +59,21 @@ fn graded<T: Scalar>(m: usize, n: usize) -> Matrix<T> {
     }
 }
 
+/// Kahan's matrix, `diag(sⁱ)·(I − c·U)` with `s = sin θ`, `c = cos θ`,
+/// `θ = 1.2` and `U` the all-ones strictly upper triangle, in the top
+/// `min(m, n)` rows; every other row is zero.
+fn kahan<T: Scalar>(m: usize, n: usize) -> Matrix<T> {
+    let (s, c) = 1.2f64.sin_cos();
+    Matrix::from_fn(m, n, |i, j| {
+        let v = match (i < m.min(n), i.cmp(&j)) {
+            (false, _) | (_, std::cmp::Ordering::Greater) => 0.0,
+            (true, std::cmp::Ordering::Equal) => 1.0,
+            (true, std::cmp::Ordering::Less) => -c,
+        };
+        T::from_f64(s.powi(i as i32) * v)
+    })
+}
+
 /// The named inputs of an `m x n` run; `big` is the scale of the extreme
 /// inputs (`big` and `1 / big`).
 fn inputs<T: Scalar>(m: usize, n: usize, big: f64) -> Vec<(String, Matrix<T>)> {
@@ -75,6 +94,7 @@ fn inputs<T: Scalar>(m: usize, n: usize, big: f64) -> Vec<(String, Matrix<T>)> {
             format!("scaled by {:e}", 1.0 / big),
             scaled(&uniform, 1.0 / big),
         ),
+        ("Kahan, θ = 1.2".into(), kahan(m, n)),
     ]
 }
 
@@ -94,8 +114,8 @@ fn bits<T: Scalar>(a: &Matrix<T>) -> Vec<u64> {
 }
 
 /// Factor every input at every shape with checksums on and check both
-/// metrics against `C · n · ε`, and that the simulator and a fused group
-/// factor it to the same bits. Returns the largest metric seen, in units
+/// metrics against `C · n · ε`, and that the simulator's executors and a
+/// fused group factor it to the same bits. Returns the largest metric seen, in units
 /// of `n · ε`.
 fn check_precision<T: Scalar>(big: f64) -> f64 {
     let eps = T::epsilon().to_f64();
@@ -115,10 +135,34 @@ fn check_precision<T: Scalar>(big: f64) -> f64 {
         let bound = C * n as f64 * eps;
         for (name, a) in inputs::<T>(m, n, big) {
             let f = caqr_cpu(a.clone(), opts).unwrap_or_else(|e| panic!("{m}x{n} {name}: {e}"));
+            let cfg = sim_opts.drive_config();
             let gpu = Gpu::new(roomy_c2050());
-            let sim = caqr::caqr::caqr(&gpu, a.clone(), sim_opts)
+            let sim = drive(&SimBackend::sync(&gpu), a.clone(), &cfg, Mode::Sync)
                 .unwrap_or_else(|e| panic!("{m}x{n} {name} on the simulator: {e}"));
             assert!(bits(&sim.a) == bits(&f.a), "{m}x{n} {name}: simulator bits");
+            let gpu = Gpu::new(roomy_c2050());
+            let dag = SimBackend::streams(&gpu, 3)
+                .and_then(|s| drive(&s, a.clone(), &cfg, Mode::Dag { lookahead: true }))
+                .unwrap_or_else(|e| panic!("{m}x{n} {name} on the stream DAG: {e}"));
+            assert!(
+                bits(&dag.a) == bits(&f.a),
+                "{m}x{n} {name}: stream DAG bits"
+            );
+            let gpu = Gpu::new(roomy_c2050());
+            let policy = RecoveryPolicy::default();
+            let (rec, report) = SimBackend::resilient(&gpu, 3)
+                .and_then(|s| drive_recovering(&s, a.clone(), &cfg, &policy))
+                .unwrap_or_else(|e| panic!("{m}x{n} {name} on the recovering run: {e}"));
+            assert!(
+                bits(&rec.a) == bits(&f.a),
+                "{m}x{n} {name}: recovering bits"
+            );
+            let replays = [report.task_replays, report.run_retries];
+            assert_eq!(
+                replays,
+                [0, 0],
+                "{m}x{n} {name}: a fault-free run replays nothing"
+            );
             let (fused, stats) = factor_many(vec![(a.clone(), opts); 2], &[], true);
             assert_eq!(stats.fused_jobs, 2, "{m}x{n} {name}: one fused group");
             for (k, r) in fused.iter().enumerate() {

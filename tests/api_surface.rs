@@ -3,8 +3,8 @@
 //! malformed or non-finite user input returns a typed `Err`, never a panic.
 
 use caqr::{
-    BlockSize, CaqrBackend, CaqrError, CaqrOptions, CpuBackend, Factorization, Mode, Modelled,
-    ReductionStrategy, SimBackend,
+    drive, drive_recovering, BlockSize, CaqrBackend, CaqrError, CaqrOptions, CpuBackend,
+    Factorization, Mode, Modelled, RecoveryPolicy, ReductionStrategy, SimBackend,
 };
 use dense::matrix::Matrix;
 use gpu_sim::{DeviceSpec, Gpu, LaunchError};
@@ -15,6 +15,16 @@ fn small_opts() -> CaqrOptions {
         strategy: ReductionStrategy::RegisterSerialTransposed,
         tree: caqr::block::TreeShape::DeviceArity,
     }
+}
+
+/// TSQR: the synchronous simulator on a one-panel `bs`.
+fn one_panel<T: dense::scalar::Scalar>(
+    gpu: &Gpu,
+    a: Matrix<T>,
+    bs: BlockSize,
+) -> Result<Factorization<T>, CaqrError> {
+    let cfg = CaqrOptions { bs, ..small_opts() }.drive_config();
+    drive(&SimBackend::sync(gpu), a, &cfg, Mode::Sync)
 }
 
 #[test]
@@ -84,8 +94,10 @@ fn nan_input_is_rejected_not_propagated() {
     let mut a = dense::generate::uniform::<f64>(256, 16, 1);
     a[(90, 2)] = f64::NAN;
 
-    // caqr: typed error naming the first offender in column-major order.
-    match caqr::caqr::caqr(&gpu, a.clone(), small_opts()) {
+    // The synchronous simulator: typed error naming the first offender in
+    // column-major order.
+    let cfg = small_opts().drive_config();
+    match drive(&SimBackend::sync(&gpu), a.clone(), &cfg, Mode::Sync) {
         Err(CaqrError::NonFinite { row, col, .. }) => {
             assert_eq!((row, col), (90, 2));
         }
@@ -93,13 +105,8 @@ fn nan_input_is_rejected_not_propagated() {
         Ok(_) => panic!("caqr accepted a NaN matrix"),
     }
 
-    // tsqr: same contract.
-    let r = caqr::tsqr(
-        &gpu,
-        a.clone(),
-        BlockSize { h: 32, w: 16 },
-        ReductionStrategy::RegisterSerialTransposed,
-    );
+    // One-panel TSQR: same contract.
+    let r = one_panel(&gpu, a.clone(), BlockSize { h: 32, w: 16 });
     assert!(matches!(r, Err(CaqrError::NonFinite { .. })));
 
     // CPU reference path: same contract, no device involved.
@@ -108,40 +115,41 @@ fn nan_input_is_rejected_not_propagated() {
 
     // Infinity is rejected the same way as NaN.
     a[(90, 2)] = f64::INFINITY;
-    let r = caqr::caqr::caqr(&gpu, a, small_opts());
+    let r = drive(&SimBackend::sync(&gpu), a, &cfg, Mode::Sync);
     assert!(matches!(r, Err(CaqrError::NonFinite { .. })));
 }
 
 #[test]
 fn every_simulator_entry_point_scans_its_input() {
-    // No option turns the input health check off: each entry point charges
-    // exactly one `health_check` launch on a clean input and rejects a NaN
-    // with the typed error.
+    // No option turns the input health check off: each simulator executor
+    // charges exactly one `health_check` launch on a clean input and
+    // rejects a NaN with the typed error.
     let a = dense::generate::uniform::<f64>(256, 16, 2);
     let mut bad = a.clone();
     bad[(90, 2)] = f64::NAN;
-    let sched = caqr::ScheduleOptions {
-        caqr: small_opts(),
-        streams: 2,
-        lookahead: true,
-    };
-    let rec = caqr::RecoveryOptions {
-        caqr: small_opts(),
-        ..caqr::RecoveryOptions::default()
-    };
+    let cfg = small_opts().drive_config();
+    let dag = Mode::Dag { lookahead: true };
+    let policy = RecoveryPolicy::default();
     type Run<'a> = Box<dyn Fn(&Gpu, Matrix<f64>) -> Result<(), CaqrError> + 'a>;
     let runs: [(&str, Run); 3] = [
         (
-            "caqr",
-            Box::new(|g, a| caqr::caqr::caqr(g, a, small_opts()).map(drop)),
+            "sync",
+            Box::new(|g, a| drive(&SimBackend::sync(g), a, &cfg, Mode::Sync).map(drop)),
         ),
         (
-            "caqr_dag",
-            Box::new(|g, a| caqr::caqr_dag(g, a, sched).map(drop)),
+            "streams",
+            Box::new(|g, a| {
+                drive(&SimBackend::streams(g, 2)?, a, &cfg, dag)?;
+                g.try_synchronize()
+                    .map(drop)
+                    .map_err(|context| CaqrError::Breakdown { context })
+            }),
         ),
         (
-            "caqr_resilient",
-            Box::new(|g, a| caqr::caqr_resilient(g, a, rec.clone()).map(drop)),
+            "resilient",
+            Box::new(|g, a| {
+                drive_recovering(&SimBackend::resilient(g, 4)?, a, &cfg, &policy).map(drop)
+            }),
         ),
     ];
     for (name, run) in &runs {
@@ -197,8 +205,14 @@ fn shape_mismatches_are_typed_errors_not_panics() {
     // (executor, its factorization, applied on the simulator or the host)
     let rows = [
         (
-            "caqr",
-            caqr::caqr::caqr(&gpu, a.clone(), small_opts()).unwrap(),
+            "sync",
+            drive(
+                &SimBackend::sync(&gpu),
+                a.clone(),
+                &small_opts().drive_config(),
+                Mode::Sync,
+            )
+            .unwrap(),
             true,
         ),
         (
@@ -208,13 +222,7 @@ fn shape_mismatches_are_typed_errors_not_panics() {
         ),
         (
             "tsqr",
-            caqr::tsqr(
-                &gpu,
-                a,
-                BlockSize { h: 64, w: 16 },
-                ReductionStrategy::RegisterSerialTransposed,
-            )
-            .unwrap(),
+            one_panel(&gpu, a, BlockSize { h: 64, w: 16 }).unwrap(),
             true,
         ),
     ];
@@ -261,13 +269,7 @@ fn rpca_error_paths_are_typed() {
 fn ledger_summary_is_humane() {
     let gpu = Gpu::new(DeviceSpec::c2050());
     let a = dense::generate::uniform::<f32>(512, 16, 1);
-    let _ = caqr::tsqr(
-        &gpu,
-        a,
-        BlockSize::c2050_best(),
-        caqr::ReductionStrategy::RegisterSerialTransposed,
-    )
-    .unwrap();
+    let _ = one_panel(&gpu, a, BlockSize::c2050_best()).unwrap();
     let s = gpu.ledger().summary();
     assert!(s.contains("factor"));
     assert!(s.contains("GFLOP/s"));

@@ -10,13 +10,12 @@
 //! points separately); the fault/failover paths keep their own suites in
 //! `fault_injection.rs` and `distributed_caqr.rs`.
 
-use caqr::backend::{drive, DriveConfig, Mode};
+use caqr::backend::{drive, drive_recovering, DriveConfig, Mode};
 use caqr::multicore::{caqr_cpu, CpuCaqrOptions};
-use caqr::schedule::{caqr_dag, ScheduleOptions};
 use caqr::tsqr::PanelFactor;
 use caqr::{
-    caqr_resilient, distributed_tsqr, BlockSize, CaqrOptions, CpuBackend, DistOptions,
-    Factorization, RecoveryOptions, ReductionStrategy, SimBackend, TreeShape,
+    distributed_tsqr, BlockSize, CaqrOptions, CpuBackend, DistOptions, Factorization,
+    RecoveryPolicy, ReductionStrategy, SimBackend, TreeShape,
 };
 use dense::matrix::Matrix;
 use dense::scalar::Scalar;
@@ -133,7 +132,7 @@ proptest! {
         // Simulator, synchronous Figure-4 loop.
         let g = Gpu::new(DeviceSpec::c2050());
         let o = caqr_opts(h, w, ReductionStrategy::RegisterSerialTransposed);
-        let f = caqr::caqr::caqr(&g, a.clone(), o).unwrap();
+        let f = drive(&SimBackend::sync(&g), a.clone(), &o.drive_config(), Mode::Sync).unwrap();
         prop_assert_eq!(&fingerprint(&f), &want);
         prop_assert_eq!(f.launches as u64, g.ledger().calls);
 
@@ -154,16 +153,18 @@ proptest! {
         // Simulator, stream DAG — barrier and lookahead schedules.
         for lookahead in [false, true] {
             let g = Gpu::new(DeviceSpec::c2050());
-            let so = ScheduleOptions { caqr: o, streams, lookahead };
-            let (f, _tl) = caqr_dag(&g, a.clone(), so).unwrap();
+            let sim = SimBackend::streams(&g, streams).unwrap();
+            let f = drive(&sim, a.clone(), &o.drive_config(), Mode::Dag { lookahead }).unwrap();
+            g.try_synchronize().unwrap();
             prop_assert_eq!(&fingerprint(&f), &want);
             prop_assert_eq!(f.launches as u64, g.ledger().calls);
         }
 
         // Resilient executor, fault-free run.
         let g = Gpu::new(DeviceSpec::c2050());
-        let ro = RecoveryOptions { caqr: o, streams, ..RecoveryOptions::default() };
-        let (f, report) = caqr_resilient(&g, a, ro).unwrap();
+        let sim = SimBackend::resilient(&g, streams).unwrap();
+        let policy = RecoveryPolicy::default();
+        let (f, report) = drive_recovering(&sim, a, &o.drive_config(), &policy).unwrap();
         prop_assert_eq!(&fingerprint(&f), &want);
         // The resilient ledger also books the ABFT verify and snapshot
         // passes as host pseudo-ops; kernel launches are what's left.
@@ -224,7 +225,8 @@ fn every_strategy_matches_the_host_reference_bitwise() {
     let want = fingerprint(&reference);
     for s in ReductionStrategy::ALL {
         let g = Gpu::new(DeviceSpec::c2050());
-        let f = caqr::caqr::caqr(&g, a.clone(), caqr_opts(32, 8, s)).unwrap();
+        let cfg = caqr_opts(32, 8, s).drive_config();
+        let f = drive(&SimBackend::sync(&g), a.clone(), &cfg, Mode::Sync).unwrap();
         assert_eq!(
             fingerprint(&f),
             want,

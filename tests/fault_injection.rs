@@ -5,11 +5,10 @@
 //! rather than panics, deadlocks, or garbage. Device loss is device state
 //! ([`Gpu::lose_at_launch`]).
 
-use caqr::recovery::{caqr_resilient, RecoveryOptions, RecoveryPolicy};
-use caqr::schedule::{caqr_dag, ScheduleOptions};
+use caqr::recovery::{RecoveryPolicy, RecoveryReport};
 use caqr::{
-    factor_many, BlockSize, CaqrBackend, CaqrError, CaqrOptions, CpuBackend, CpuCaqrOptions,
-    DriveConfig, Factorization, FaultKind, FaultPlan, Faulty, Mode, PlannedFault,
+    drive, drive_recovering, factor_many, BlockSize, CaqrBackend, CaqrError, CaqrOptions,
+    CpuBackend, CpuCaqrOptions, Factorization, FaultKind, FaultPlan, Faulty, Mode, PlannedFault,
     ReductionStrategy, SimBackend, TreeShape,
 };
 use gpu_sim::{DeviceSpec, Gpu, DEFAULT_WATCHDOG_US};
@@ -22,15 +21,33 @@ fn opts() -> CaqrOptions {
     }
 }
 
-/// [`caqr_resilient`] on 3 streams under the default budgets, injecting
-/// `faults`.
-fn resilient(faults: FaultPlan) -> RecoveryOptions {
-    RecoveryOptions {
-        caqr: opts(),
-        streams: 3,
-        policy: RecoveryPolicy::default(),
-        faults,
-    }
+/// The synchronous simulator, fault-free.
+fn sync_run(gpu: &Gpu, a: dense::Matrix<f64>) -> Result<Factorization<f64>, CaqrError> {
+    drive(
+        &SimBackend::sync(gpu),
+        a,
+        &opts().drive_config(),
+        Mode::Sync,
+    )
+}
+
+type Recovered = Result<(Factorization<f64>, RecoveryReport), CaqrError>;
+
+/// [`drive_recovering`] under `policy` on the resilient simulator with 3
+/// streams, `faults` injected by [`Faulty`].
+fn resilient_under(
+    gpu: &Gpu,
+    a: dense::Matrix<f64>,
+    faults: FaultPlan,
+    policy: RecoveryPolicy,
+) -> Recovered {
+    let backend = Faulty::new(SimBackend::resilient(gpu, 3)?, vec![faults]);
+    drive_recovering(&backend, a, &opts().drive_config(), &policy)
+}
+
+/// [`resilient_under`] the default budgets.
+fn resilient(gpu: &Gpu, a: dense::Matrix<f64>, faults: FaultPlan) -> Recovered {
+    resilient_under(gpu, a, faults, RecoveryPolicy::default())
 }
 
 /// One run of the driver, with no recovery policy, on `inner` with `faults`
@@ -41,15 +58,12 @@ fn drive_faulty<B: CaqrBackend<f64>>(
     faults: FaultPlan,
     mode: Mode,
 ) -> Result<Factorization<f64>, CaqrError> {
-    let cfg = DriveConfig {
-        bs: opts().bs,
-        strategy: opts().strategy,
-        tree: opts().tree,
-        check_finite: true,
-        verify_checksums: false,
-        health_context: "caqr input",
-    };
-    caqr::drive(&Faulty::new(inner, vec![faults]), a, &cfg, mode)
+    drive(
+        &Faulty::new(inner, vec![faults]),
+        a,
+        &opts().drive_config(),
+        mode,
+    )
 }
 
 /// [`drive_faulty`] on the synchronous simulator, expected to fail.
@@ -65,8 +79,7 @@ fn retried_caqr_run_is_bit_identical_to_fault_free_run() {
     let a = dense::generate::uniform::<f64>(1024, 32, 9);
 
     let clean_gpu = Gpu::new(DeviceSpec::c2050());
-    let (clean, clean_report) =
-        caqr_resilient(&clean_gpu, a.clone(), resilient(FaultPlan::default())).unwrap();
+    let (clean, clean_report) = resilient(&clean_gpu, a.clone(), FaultPlan::default()).unwrap();
     let clean_q = clean
         .generate_q_on(&SimBackend::sync(&clean_gpu), 32)
         .unwrap();
@@ -76,7 +89,7 @@ fn retried_caqr_run_is_bit_identical_to_fault_free_run() {
     // each task; every replay succeeds.
     let gpu = Gpu::new(DeviceSpec::c2050());
     let faults = FaultPlan::at(FaultKind::LaunchFail, &[0, 2, 4]);
-    let (faulted, report) = caqr_resilient(&gpu, a, resilient(faults)).unwrap();
+    let (faulted, report) = resilient(&gpu, a, faults).unwrap();
     let faulted_q = faulted.generate_q_on(&SimBackend::sync(&gpu), 32).unwrap();
 
     // A launch fault fails its task before any block runs, so the replayed
@@ -106,11 +119,8 @@ fn exhausted_replay_budgets_surface_as_typed_unrecoverable() {
         max_task_replays: 2,
         max_run_retries: 1,
     };
-    let ropts = RecoveryOptions {
-        policy,
-        ..resilient(FaultPlan::seeded_mix(0, 1.0, 0.0, 0.0))
-    };
-    let err = match caqr_resilient(&gpu, a, ropts) {
+    let faults = FaultPlan::seeded_mix(0, 1.0, 0.0, 0.0);
+    let err = match resilient_under(&gpu, a, faults, policy) {
         Ok(_) => panic!("an always-faulting device cannot produce a result"),
         Err(e) => e,
     };
@@ -135,17 +145,17 @@ fn fault_plan_does_not_outlive_its_run() {
     // The plan travels with the run, not on the device: the next run on the
     // same Gpu injects nothing and gives the fault-free bits.
     let a = dense::generate::uniform::<f64>(640, 32, 41);
-    let clean = caqr::caqr::caqr(&Gpu::new(DeviceSpec::c2050()), a.clone(), opts()).unwrap();
+    let clean = sync_run(&Gpu::new(DeviceSpec::c2050()), a.clone()).unwrap();
 
     let gpu = Gpu::new(DeviceSpec::c2050());
     let faults = FaultPlan::seeded_mix(0, 1.0, 0.0, 0.0);
-    assert!(caqr_resilient(&gpu, a.clone(), resilient(faults)).is_err());
+    assert!(resilient(&gpu, a.clone(), faults).is_err());
     let faults = gpu.ledger().faults;
     assert!(faults > 0, "the planned run faulted");
 
-    let plain = caqr::caqr::caqr(&gpu, a.clone(), opts()).unwrap();
+    let plain = sync_run(&gpu, a.clone()).unwrap();
     assert_eq!(plain.r(), clean.r());
-    let (resilient_run, report) = caqr_resilient(&gpu, a, resilient(FaultPlan::default())).unwrap();
+    let (resilient_run, report) = resilient(&gpu, a, FaultPlan::default()).unwrap();
     assert_eq!(resilient_run.r(), clean.r());
     assert_eq!([report.task_replays, report.run_retries], [0, 0]);
     assert_eq!(gpu.ledger().faults, faults, "no later run faulted");
@@ -166,7 +176,7 @@ fn one_injector_fails_the_same_task_on_host_and_simulator() {
     // An empty plan is transparent on both backends.
     let sim = sim_run(FaultPlan::default()).unwrap();
     let host = host_run(FaultPlan::default()).unwrap();
-    let clean = caqr::caqr::caqr(&Gpu::new(DeviceSpec::c2050()), a.clone(), opts()).unwrap();
+    let clean = sync_run(&Gpu::new(DeviceSpec::c2050()), a.clone()).unwrap();
     assert_eq!(sim.a, clean.a);
     assert_eq!(host.r(), clean.r());
 
@@ -203,13 +213,11 @@ fn dag_schedule_surfaces_planned_faults_as_typed_errors() {
     // The stream DAG has no recovery ladder: an empty plan leaves its bits
     // alone, and a planned fault ends the run with its typed error.
     let a = dense::generate::uniform::<f64>(1024, 32, 7);
-    let sched = ScheduleOptions {
-        caqr: opts(),
-        streams: 2,
-        lookahead: true,
-    };
     let mode = Mode::Dag { lookahead: true };
-    let (clean, _) = caqr_dag(&Gpu::new(DeviceSpec::c2050()), a.clone(), sched).unwrap();
+    let clean_gpu = Gpu::new(DeviceSpec::c2050());
+    let streams = SimBackend::streams(&clean_gpu, 2).unwrap();
+    let clean = drive(&streams, a.clone(), &opts().drive_config(), mode).unwrap();
+    clean_gpu.try_synchronize().unwrap();
 
     let gpu = Gpu::new(DeviceSpec::c2050());
     let sim = SimBackend::streams(&gpu, 2).unwrap();
@@ -262,14 +270,14 @@ fn an_unrecovered_launch_fault_surfaces_as_typed_fault() {
 fn seeded_transient_faults_are_absorbed_and_deterministic() {
     let a = dense::generate::uniform::<f64>(768, 24, 3);
     let clean_gpu = Gpu::new(DeviceSpec::c2050());
-    let clean = caqr::caqr::caqr(&clean_gpu, a.clone(), opts()).unwrap();
+    let clean = sync_run(&clean_gpu, a.clone()).unwrap();
 
     // A 20% per-task launch-fault rate; the seeded plan is a pure function
     // of (seed, task, attempt), so this test is deterministic.
     let run = |seed: u64| {
         let gpu = Gpu::new(DeviceSpec::c2050());
         let faults = FaultPlan::seeded_mix(seed, 0.2, 0.0, 0.0);
-        let (f, _) = caqr_resilient(&gpu, a.clone(), resilient(faults)).unwrap();
+        let (f, _) = resilient(&gpu, a.clone(), faults).unwrap();
         (f.r(), gpu.ledger().faults)
     };
     let (r1, faults1) = run(1234);
@@ -347,13 +355,13 @@ fn an_unrecovered_hang_surfaces_as_typed_timeout() {
 fn sdc_is_detected_and_replayed_to_bit_identity() {
     let a = dense::generate::uniform::<f64>(640, 32, 17);
     let clean_gpu = Gpu::new(DeviceSpec::c2050());
-    let clean = caqr::caqr::caqr(&clean_gpu, a.clone(), opts()).unwrap();
+    let clean = sync_run(&clean_gpu, a.clone()).unwrap();
 
     let gpu = Gpu::new(DeviceSpec::c2050());
     // 640x32 in panels of 16 issues the tasks F A F: corrupt the first
     // factor and the apply, outputs the checksums guard.
     let faults = FaultPlan::at(FaultKind::Sdc, &[0, 1]);
-    let (f, report) = caqr_resilient(&gpu, a, resilient(faults)).unwrap();
+    let (f, report) = resilient(&gpu, a, faults).unwrap();
     assert_eq!(f.r(), clean.r(), "recovered run must be bit-identical");
     let l = gpu.ledger();
     assert_eq!(l.sdc_injected, 2, "both corruptions were injected");
@@ -371,7 +379,7 @@ fn every_ladder_tier_absorbs_an_sdc_bitwise() {
     // replays.
     let a = dense::generate::uniform::<f64>(640, 48, 29);
     let clean_gpu = Gpu::new(DeviceSpec::c2050());
-    let clean = caqr::caqr::caqr(&clean_gpu, a.clone(), opts()).unwrap();
+    let clean = sync_run(&clean_gpu, a.clone()).unwrap();
     let run_tier = RecoveryPolicy {
         max_task_replays: 0,
         max_run_retries: 1,
@@ -379,12 +387,9 @@ fn every_ladder_tier_absorbs_an_sdc_bitwise() {
     let policies = [RecoveryPolicy::default(), run_tier];
     for (t, policy) in policies.into_iter().enumerate() {
         let gpu = Gpu::new(DeviceSpec::c2050());
-        let ropts = RecoveryOptions {
-            policy,
-            ..resilient(FaultPlan::at(FaultKind::Sdc, &[2]))
-        };
+        let faults = FaultPlan::at(FaultKind::Sdc, &[2]);
         let case = format!("tier {}", t + 1);
-        let (f, r) = caqr_resilient(&gpu, a.clone(), ropts)
+        let (f, r) = resilient_under(&gpu, a.clone(), faults, policy)
             .unwrap_or_else(|e| panic!("{case}: recovery failed: {e}"));
         assert_eq!(f.a, clean.a, "{case}: bits must match");
         let mut replays = [0; 2];
@@ -414,18 +419,14 @@ fn a_fault_or_hang_at_every_task_costs_one_task_replay() {
     // launch fault or a hang at any task ordinal fails that task, which
     // replays once from its own input snapshot.
     let a = dense::generate::uniform::<f64>(640, 48, 31);
-    let (clean, report) = caqr_resilient(
-        &Gpu::new(DeviceSpec::c2050()),
-        a.clone(),
-        resilient(FaultPlan::default()),
-    )
-    .unwrap();
+    let clean_gpu = Gpu::new(DeviceSpec::c2050());
+    let (clean, report) = resilient(&clean_gpu, a.clone(), FaultPlan::default()).unwrap();
     assert_eq!(report.launches, 20);
     for k in 0..6 {
         for kind in [FaultKind::LaunchFail, FaultKind::Hang] {
             let gpu = Gpu::new(DeviceSpec::c2050());
             let case = format!("{kind:?} at task {k}");
-            let (f, r) = caqr_resilient(&gpu, a.clone(), resilient(FaultPlan::at(kind, &[k])))
+            let (f, r) = resilient(&gpu, a.clone(), FaultPlan::at(kind, &[k]))
                 .unwrap_or_else(|e| panic!("{case}: recovery failed: {e}"));
             assert_eq!(f.a, clean.a, "{case}: bits must match");
             assert_eq!(r.task_replays, 1, "{case}: {r:?}");
@@ -444,7 +445,7 @@ fn chaos_soak_recovers_bit_identically_across_seeds() {
     // in lock-step with the returned report.
     let a = dense::generate::uniform::<f64>(384, 48, 21);
     let clean_gpu = Gpu::new(DeviceSpec::c2050());
-    let clean = caqr::caqr::caqr(&clean_gpu, a.clone(), opts()).unwrap();
+    let clean = sync_run(&clean_gpu, a.clone()).unwrap();
     // Independent host-multicore cross-check, with its own ABFT checks on.
     let cpu = caqr::caqr_cpu(
         a.clone(),
@@ -461,7 +462,7 @@ fn chaos_soak_recovers_bit_identically_across_seeds() {
     for seed in 0..8u64 {
         let gpu = Gpu::new(DeviceSpec::c2050());
         let faults = FaultPlan::seeded_mix(seed, 0.05, 0.03, 0.03);
-        let (f, report) = match caqr_resilient(&gpu, a.clone(), resilient(faults)) {
+        let (f, report) = match resilient(&gpu, a.clone(), faults) {
             Ok(ok) => ok,
             Err(e) => panic!("seed {seed}: recovery failed: {e}"),
         };
@@ -487,12 +488,13 @@ fn unrecoverable_chaos_surfaces_typed_error_not_a_panic() {
     // Every task hangs: no replay tier can make progress, so the ladder
     // must exhaust into a typed error — never a panic, deadlock, or
     // silently wrong factorization.
+    // The paper's configuration on the 4-stream resilient executor.
     let always_hang = FaultPlan::seeded_mix(3, 0.0, 0.0, 1.0);
-    let ropts = RecoveryOptions {
-        faults: always_hang,
-        ..RecoveryOptions::default()
-    };
-    let err = match caqr_resilient(&gpu, a, ropts) {
+    let cfg = CaqrOptions::default().drive_config();
+    let policy = RecoveryPolicy::default();
+    let run = SimBackend::resilient(&gpu, 4)
+        .and_then(|sim| drive_recovering(&Faulty::new(sim, vec![always_hang]), a, &cfg, &policy));
+    let err = match run {
         Ok(_) => panic!("an always-hanging device cannot produce a result"),
         Err(e) => e,
     };
@@ -515,7 +517,7 @@ fn device_loss_is_terminal_on_a_single_device() {
     gpu.lose_at_launch(2);
     // No retry can answer on a dead device: the driver must fail fast with
     // the typed loss.
-    match caqr::caqr::caqr(&gpu, a.clone(), opts()) {
+    match sync_run(&gpu, a.clone()) {
         Err(CaqrError::DeviceLost { launch_index, .. }) => assert_eq!(launch_index, 2),
         other => panic!("expected DeviceLost, got {:?}", other.map(|_| ())),
     }
@@ -523,7 +525,7 @@ fn device_loss_is_terminal_on_a_single_device() {
     assert_eq!(gpu.ledger().device_losses, 1);
 
     // Every subsequent launch fails immediately, whatever the kernel.
-    match caqr::caqr::caqr(&gpu, a.clone(), opts()) {
+    match sync_run(&gpu, a.clone()) {
         Err(CaqrError::DeviceLost { .. }) => {}
         other => panic!("a lost device must stay lost, got {:?}", other.map(|_| ())),
     }
@@ -533,11 +535,12 @@ fn device_loss_is_terminal_on_a_single_device() {
     // a single device does not have).
     let gpu2 = Gpu::new(DeviceSpec::c2050());
     gpu2.lose_at_launch(0);
-    let recovery = RecoveryOptions {
-        caqr: opts(),
-        ..RecoveryOptions::default()
-    };
-    match caqr_resilient(&gpu2, a.clone(), recovery) {
+    let policy = RecoveryPolicy::default();
+    let run = SimBackend::resilient(&gpu2, 4).and_then(|sim| {
+        let backend = Faulty::new(sim, vec![FaultPlan::default()]);
+        drive_recovering(&backend, a.clone(), &opts().drive_config(), &policy)
+    });
+    match run {
         Err(CaqrError::DeviceLost { .. }) | Err(CaqrError::Unrecoverable { .. }) => {}
         other => panic!(
             "resilient ladder must not absorb device loss, got {:?}",
@@ -550,8 +553,8 @@ fn device_loss_is_terminal_on_a_single_device() {
     // matches a clean device bit-for-bit.
     gpu.reset();
     assert!(!gpu.is_lost());
-    let revived = caqr::caqr::caqr(&gpu, a.clone(), opts()).unwrap();
-    let clean = caqr::caqr::caqr(&Gpu::new(DeviceSpec::c2050()), a, opts()).unwrap();
+    let revived = sync_run(&gpu, a.clone()).unwrap();
+    let clean = sync_run(&Gpu::new(DeviceSpec::c2050()), a).unwrap();
     assert_eq!(revived.r(), clean.r());
 }
 
@@ -564,7 +567,12 @@ fn a_lost_tree_launch_ends_the_panel_after_its_charged_factor() {
     let a = dense::generate::uniform::<f32>(1024, 32, 1);
     let gpu = Gpu::new(DeviceSpec::c2050());
     gpu.lose_at_launch(3);
-    match caqr::caqr::caqr(&gpu, a, opts()) {
+    match drive(
+        &SimBackend::sync(&gpu),
+        a,
+        &opts().drive_config(),
+        Mode::Sync,
+    ) {
         Err(CaqrError::DeviceLost {
             kernel,
             launch_index,

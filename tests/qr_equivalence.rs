@@ -3,8 +3,10 @@
 //! reference Householder implementations in `dense`, across shapes, block
 //! sizes, strategies and precisions.
 
-use caqr::{caqr_qr, BlockSize, CaqrOptions, ReductionStrategy, SimBackend};
+use caqr::{drive, BlockSize, CaqrOptions, Factorization, Mode, ReductionStrategy, SimBackend};
+use dense::matrix::Matrix;
 use dense::norms::{orthogonality_error, reconstruction_error};
+use dense::scalar::Scalar;
 use gpu_sim::{DeviceSpec, Gpu};
 use proptest::prelude::*;
 
@@ -14,6 +16,18 @@ fn opts(h: usize, w: usize) -> CaqrOptions {
         strategy: ReductionStrategy::RegisterSerialTransposed,
         tree: caqr::block::TreeShape::DeviceArity,
     }
+}
+
+/// The synchronous Figure-4 loop on `g`.
+fn sync_run<T: Scalar>(g: &Gpu, a: Matrix<T>, o: CaqrOptions) -> Factorization<T> {
+    drive(&SimBackend::sync(g), a, &o.drive_config(), Mode::Sync).unwrap()
+}
+
+/// [`sync_run`] with the explicit `(Q, R)` formed on the simulator.
+fn sync_qr<T: Scalar>(g: &Gpu, a: Matrix<T>, o: CaqrOptions) -> (Matrix<T>, Matrix<T>) {
+    let k = a.rows().min(a.cols());
+    let f = sync_run(g, a, o);
+    (f.generate_q_on(&SimBackend::sync(g), k).unwrap(), f.r())
 }
 
 #[test]
@@ -28,7 +42,7 @@ fn caqr_matches_reference_r_across_shapes() {
         (50, 90, 16, 4, 6), // wide
     ] {
         let a = dense::generate::uniform::<f64>(m, n, seed);
-        let f = caqr::caqr::caqr(&g, a.clone(), opts(h, w)).unwrap();
+        let f = sync_run(&g, a.clone(), opts(h, w));
         let r = f.r();
         let mut reference = a.clone();
         dense::blocked::geqrf(&mut reference, 16);
@@ -53,7 +67,7 @@ fn single_precision_quality_is_proportional_to_eps() {
     // not blow up with the tree depth.
     let g = Gpu::new(DeviceSpec::c2050());
     let a = dense::generate::uniform::<f32>(20_000, 32, 8);
-    let (q, r) = caqr_qr(&g, a.clone(), CaqrOptions::default()).unwrap();
+    let (q, r) = sync_qr(&g, a.clone(), CaqrOptions::default());
     let rec = reconstruction_error(&a, &q, &r);
     let ort = orthogonality_error(&q);
     assert!(rec < 5e-6, "f32 reconstruction {rec}");
@@ -65,28 +79,23 @@ fn caqr_on_graded_and_low_rank_matrices() {
     let g = Gpu::new(DeviceSpec::c2050());
     // Graded singular values over 10 decades.
     let graded = dense::generate::graded::<f64>(400, 12, 0.1, 9);
-    let (q, r) = caqr_qr(&g, graded.clone(), opts(32, 8)).unwrap();
+    let (q, r) = sync_qr(&g, graded.clone(), opts(32, 8));
     assert!(reconstruction_error(&graded, &q, &r) < 1e-12);
     assert!(orthogonality_error(&q) < 1e-12);
     // Numerically rank-deficient input: Q must still be orthogonal.
     let lr = dense::generate::low_rank::<f64>(300, 16, 3, 0.0, 10);
-    let (q2, r2) = caqr_qr(&g, lr.clone(), opts(32, 8)).unwrap();
+    let (q2, r2) = sync_qr(&g, lr.clone(), opts(32, 8));
     assert!(reconstruction_error(&lr, &q2, &r2) < 1e-12);
     assert!(orthogonality_error(&q2) < 1e-12);
 }
 
 #[test]
 fn krylov_basis_stays_orthogonal_under_tsqr() {
-    // The s-step motivation: TSQR handles nearly dependent columns.
+    // The s-step motivation: TSQR — one 16-wide panel — handles nearly
+    // dependent columns.
     let g = Gpu::new(DeviceSpec::c2050());
     let basis = dense::generate::krylov_basis::<f64>(8192, 10, 11);
-    let f = caqr::tsqr(
-        &g,
-        basis,
-        BlockSize::c2050_best(),
-        ReductionStrategy::RegisterSerialTransposed,
-    )
-    .unwrap();
+    let f = sync_run(&g, basis, CaqrOptions::default());
     let q = f.generate_q_on(&SimBackend::sync(&g), 10).unwrap();
     assert!(orthogonality_error(&q) < 1e-11);
 }
@@ -103,7 +112,7 @@ proptest! {
         prop_assume!(m >= n);
         let a = dense::generate::uniform::<f64>(m, n, seed);
         let g = Gpu::new(DeviceSpec::c2050());
-        let (q, r) = caqr_qr(&g, a.clone(), opts(16, 4)).unwrap();
+        let (q, r) = sync_qr(&g, a.clone(), opts(16, 4));
         // Invariant 1: reconstruction.
         prop_assert!(reconstruction_error(&a, &q, &r) < 1e-11);
         // Invariant 2: orthogonality.
@@ -131,7 +140,7 @@ proptest! {
         let a = dense::generate::uniform::<f64>(m, n, seed);
         let b: Vec<f64> = (0..m).map(|i| ((i * 31 + 7) % 17) as f64 - 8.0).collect();
         let g = Gpu::new(DeviceSpec::c2050());
-        let f = caqr::caqr::caqr(&g, a.clone(), opts(16, 4)).unwrap();
+        let f = sync_run(&g, a.clone(), opts(16, 4));
         let b1 = dense::matrix::Matrix::from_col_major(m, 1, b.clone());
         let x1 = f.least_squares_on(&SimBackend::sync(&g), &b1).unwrap();
         let x2 = dense::blocked::least_squares(a, &b);

@@ -1,7 +1,8 @@
 //! Conservation and accounting invariants of the GPU simulator when driven
 //! by the real CAQR pipeline (DESIGN.md §7).
 
-use caqr::{BlockSize, CaqrOptions, Mode, Modelled, ReductionStrategy, SimBackend};
+use caqr::{drive, BlockSize, CaqrError, CaqrOptions, Factorization, Mode, Modelled};
+use caqr::{ReductionStrategy, SimBackend};
 use gpu_sim::{BlockCost, DeviceSpec, Exec, Gpu, Launch, LaunchConfig, LaunchError};
 
 /// A charged launch whose blocks all cost the same.
@@ -27,12 +28,21 @@ fn opts(h: usize, w: usize) -> CaqrOptions {
     }
 }
 
+/// The synchronous Figure-4 loop on `g`.
+fn sync_run(
+    g: &Gpu,
+    a: dense::Matrix<f32>,
+    o: CaqrOptions,
+) -> Result<Factorization<f32>, CaqrError> {
+    drive(&SimBackend::sync(g), a, &o.drive_config(), Mode::Sync)
+}
+
 #[test]
 fn ledger_is_deterministic_across_runs() {
     let a = dense::generate::uniform::<f32>(500, 40, 1);
     let run = || {
         let g = Gpu::new(DeviceSpec::c2050());
-        let _ = caqr::caqr::caqr(&g, a.clone(), opts(32, 8)).unwrap();
+        let _ = sync_run(&g, a.clone(), opts(32, 8)).unwrap();
         g.ledger()
     };
     let l1 = run();
@@ -51,7 +61,7 @@ fn recorded_flops_track_the_geqrf_closed_form() {
     for (m, n) in [(2048usize, 32usize), (4096, 64), (1024, 16)] {
         let g = Gpu::new(DeviceSpec::c2050());
         let a = dense::generate::uniform::<f32>(m, n, 2);
-        let _ = caqr::caqr::caqr(&g, a, opts(64, 16)).unwrap();
+        let _ = sync_run(&g, a, opts(64, 16)).unwrap();
         let recorded = g.ledger().flops;
         let closed = dense::geqrf_flops(m, n);
         let ratio = recorded / closed;
@@ -66,16 +76,11 @@ fn recorded_flops_track_the_geqrf_closed_form() {
 fn dram_traffic_scales_linearly_for_tsqr() {
     // TSQR is communication-optimal: traffic should be O(m*n), i.e. a
     // constant number of passes over the matrix, independent of height.
+    // One 16-wide panel, pre-transpose included.
     let traffic = |m: usize| {
         let g = Gpu::new(DeviceSpec::c2050());
         let a = dense::generate::uniform::<f32>(m, 16, 3);
-        let _ = caqr::tsqr(
-            &g,
-            a,
-            BlockSize::c2050_best(),
-            ReductionStrategy::RegisterSerialTransposed,
-        )
-        .unwrap();
+        let _ = sync_run(&g, a, CaqrOptions::default()).unwrap();
         g.ledger().dram_bytes / (m as f64 * 16.0 * 4.0)
     };
     let passes_small = traffic(16_384);
@@ -97,7 +102,7 @@ fn launch_count_formula() {
     // the apply side absent on the last panel.
     let g = Gpu::new(DeviceSpec::c2050());
     let a = dense::generate::uniform::<f32>(512, 32, 4);
-    let f = caqr::caqr::caqr(&g, a, opts(64, 16)).unwrap();
+    let f = sync_run(&g, a, opts(64, 16)).unwrap();
     assert_eq!(f.launches as u64, g.ledger().calls);
     // 2 panels of width 16, 64x16 blocks => quad-tree (arity 4).
     // Panel 0: 8 tiles -> 2 -> 1: two tree levels; panel 1 (496 rows, 8
@@ -127,7 +132,7 @@ fn shared_serial_strategy_rejects_blocks_that_overflow_smem() {
     // simulator must refuse the launch exactly like CUDA would.
     let g = Gpu::new(DeviceSpec::c2050());
     let a = dense::generate::uniform::<f32>(4096, 64, 5);
-    let r = caqr::caqr::caqr(
+    let r = sync_run(
         &g,
         a,
         CaqrOptions {
@@ -137,10 +142,7 @@ fn shared_serial_strategy_rejects_blocks_that_overflow_smem() {
         },
     );
     assert!(
-        matches!(
-            r,
-            Err(caqr::CaqrError::Launch(LaunchError::SharedMemory { .. }))
-        ),
+        matches!(r, Err(CaqrError::Launch(LaunchError::SharedMemory { .. }))),
         "expected an smem launch failure"
     );
 }
@@ -176,7 +178,7 @@ fn transfers_are_not_charged_for_resident_matrices() {
     // itself must not touch PCIe.
     let g = Gpu::new(DeviceSpec::c2050());
     let a = dense::generate::uniform::<f32>(1000, 32, 6);
-    let _ = caqr::caqr::caqr(&g, a, opts(64, 16)).unwrap();
+    let _ = sync_run(&g, a, opts(64, 16)).unwrap();
     let l = g.ledger();
     assert_eq!(l.transfers, 0);
     assert_eq!(l.h2d_bytes + l.d2h_bytes, 0);

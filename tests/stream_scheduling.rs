@@ -1,11 +1,13 @@
-//! Stream-scheduled CAQR: numerical equivalence with the synchronous loop
-//! and invariants of the resolved per-stream timeline (DESIGN.md §5,
+//! Stream-scheduled CAQR — [`drive`] in [`Mode::Dag`] on a streamed
+//! [`SimBackend`]: numerical equivalence with the synchronous loop and
+//! invariants of the resolved per-stream timeline (DESIGN.md §5,
 //! "Concurrency model").
 
-use caqr::schedule::caqr_dag;
 use caqr::{
-    BlockSize, CaqrOptions, Mode, Modelled, ReductionStrategy, ScheduleOptions, SimBackend,
+    drive, BlockSize, CaqrOptions, Factorization, Mode, Modelled, ReductionStrategy, SimBackend,
 };
+use dense::matrix::Matrix;
+use dense::scalar::Scalar;
 use gpu_sim::{BlockCost, DeviceSpec, Exec, Gpu, Launch, LaunchConfig, Timeline};
 use proptest::prelude::*;
 
@@ -24,24 +26,41 @@ impl Launch for Uniform {
     }
 }
 
-/// Modelled seconds of the stream-scheduled factorization `o` describes.
-fn dag_seconds(gpu: &Gpu, m: usize, n: usize, o: ScheduleOptions) -> f64 {
-    let what = Modelled::Factor(Mode::Dag {
-        lookahead: o.lookahead,
-    });
-    let sim = SimBackend::streams(gpu, o.streams).unwrap();
-    sim.model(m, n, &o.caqr.drive_config(), what).unwrap().0
+/// The synchronous Figure-4 loop on `gpu`.
+fn sync_run<T: Scalar>(gpu: &Gpu, a: Matrix<T>, o: CaqrOptions) -> Factorization<T> {
+    drive(&SimBackend::sync(gpu), a, &o.drive_config(), Mode::Sync).unwrap()
 }
 
-fn opts(h: usize, w: usize, streams: usize, lookahead: bool) -> ScheduleOptions {
-    ScheduleOptions {
-        caqr: CaqrOptions {
-            bs: BlockSize { h, w },
-            strategy: ReductionStrategy::RegisterSerialTransposed,
-            tree: caqr::block::TreeShape::DeviceArity,
-        },
-        streams,
-        lookahead,
+/// The stream DAG on `streams` streams, with its resolved timeline.
+fn dag_run<T: Scalar>(
+    gpu: &Gpu,
+    a: Matrix<T>,
+    o: CaqrOptions,
+    (streams, lookahead): (usize, bool),
+) -> (Factorization<T>, Timeline) {
+    let sim = SimBackend::streams(gpu, streams).unwrap();
+    let f = drive(&sim, a, &o.drive_config(), Mode::Dag { lookahead }).unwrap();
+    (f, gpu.try_synchronize().unwrap())
+}
+
+/// Modelled seconds of the stream-scheduled factorization of an `m x n`
+/// matrix on `streams` streams.
+fn dag_seconds(
+    gpu: &Gpu,
+    (m, n): (usize, usize),
+    o: CaqrOptions,
+    (streams, lookahead): (usize, bool),
+) -> f64 {
+    let what = Modelled::Factor(Mode::Dag { lookahead });
+    let sim = SimBackend::streams(gpu, streams).unwrap();
+    sim.model(m, n, &o.drive_config(), what).unwrap().0
+}
+
+fn opts(h: usize, w: usize) -> CaqrOptions {
+    CaqrOptions {
+        bs: BlockSize { h, w },
+        strategy: ReductionStrategy::RegisterSerialTransposed,
+        tree: caqr::block::TreeShape::DeviceArity,
     }
 }
 
@@ -101,15 +120,15 @@ fn dag_r_and_q_are_bit_identical_to_synchronous() {
         (50, 90, 16, 4, 6), // wide, ragged k
     ] {
         let a = dense::generate::uniform::<f64>(m, n, seed);
-        let o = opts(h, w, 4, true);
+        let o = opts(h, w);
         let gs = Gpu::new(DeviceSpec::c2050());
-        let sync = caqr::caqr::caqr(&gs, a.clone(), o.caqr).unwrap();
+        let sync = sync_run(&gs, a.clone(), o);
         let k = m.min(n);
         let q_sync = sync.generate_q_on(&SimBackend::sync(&gs), k).unwrap();
         for &streams in &[1usize, 2, 4] {
             for &lookahead in &[false, true] {
                 let g = Gpu::new(DeviceSpec::c2050());
-                let (f, tl) = caqr_dag(&g, a.clone(), opts(h, w, streams, lookahead)).unwrap();
+                let (f, tl) = dag_run(&g, a.clone(), o, (streams, lookahead));
                 check_timeline(&tl);
                 let q = f.generate_q_on(&SimBackend::sync(&g), k).unwrap();
                 for j in 0..n {
@@ -144,7 +163,7 @@ fn dag_launches_match_ledger_calls() {
         for &lookahead in &[false, true] {
             let g = Gpu::new(DeviceSpec::c2050());
             let a = dense::generate::uniform::<f32>(512, 32, 4);
-            let (f, _tl) = caqr_dag(&g, a, opts(64, 16, streams, lookahead)).unwrap();
+            let (f, _tl) = dag_run(&g, a, opts(64, 16), (streams, lookahead));
             assert_eq!(
                 f.launches as u64,
                 g.ledger().calls,
@@ -158,7 +177,7 @@ fn dag_launches_match_ledger_calls() {
 fn ledger_intervals_mirror_the_timeline() {
     let g = Gpu::new(DeviceSpec::c2050());
     let a = dense::generate::uniform::<f32>(256, 24, 9);
-    let (_f, tl) = caqr_dag(&g, a, opts(32, 8, 2, true)).unwrap();
+    let (_f, tl) = dag_run(&g, a, opts(32, 8), (2, true));
     let l = g.ledger();
     assert_eq!(l.intervals.len(), tl.intervals.len());
     assert_eq!(l.calls as usize, tl.intervals.len());
@@ -209,12 +228,12 @@ fn event_waits_are_respected_in_the_resolved_timeline() {
 
 #[test]
 fn single_stream_barrier_schedule_reproduces_the_synchronous_clock() {
-    let o = opts(32, 8, 1, false);
+    let o = opts(32, 8);
     let a = dense::generate::uniform::<f32>(300, 24, 11);
     let gs = Gpu::new(DeviceSpec::c2050());
-    let _ = caqr::caqr::caqr(&gs, a.clone(), o.caqr).unwrap();
+    let _ = sync_run(&gs, a.clone(), o);
     let gd = Gpu::new(DeviceSpec::c2050());
-    let (_, tl) = caqr_dag(&gd, a, o).unwrap();
+    let (_, tl) = dag_run(&gd, a, o, (1, false));
     assert!(
         (tl.makespan - gs.elapsed()).abs() / gs.elapsed() < 1e-12,
         "one in-order stream must serialize to the synchronous time: {} vs {}",
@@ -227,7 +246,7 @@ fn single_stream_barrier_schedule_reproduces_the_synchronous_clock() {
 fn chrome_trace_covers_every_stream() {
     let g = Gpu::new(DeviceSpec::c2050());
     let a = dense::generate::uniform::<f32>(256, 32, 12);
-    let (_f, tl) = caqr_dag(&g, a, opts(32, 8, 3, true)).unwrap();
+    let (_f, tl) = dag_run(&g, a, opts(32, 8), (3, true));
     let json = tl.to_chrome_trace();
     assert!(json.starts_with('[') && json.trim_end().ends_with(']'));
     for tid in 0..3 {
@@ -252,12 +271,8 @@ fn modelled_lookahead_beats_synchronous_on_table1_shapes() {
         let best = [2usize, 4]
             .iter()
             .map(|&s| {
-                let o = ScheduleOptions {
-                    caqr: CaqrOptions::default(),
-                    streams: s,
-                    lookahead: true,
-                };
-                dag_seconds(&Gpu::new(DeviceSpec::c2050()), m, 192, o)
+                let o = CaqrOptions::default();
+                dag_seconds(&Gpu::new(DeviceSpec::c2050()), (m, 192), o, (s, true))
             })
             .fold(f64::INFINITY, f64::min);
         assert!(
@@ -265,6 +280,97 @@ fn modelled_lookahead_beats_synchronous_on_table1_shapes() {
             "{m}x192: lookahead DAG {best} should beat sync {sync}"
         );
     }
+}
+
+#[test]
+fn dag_r_is_bit_identical_to_synchronous() {
+    for &(m, n) in &[(256usize, 24usize), (213, 29), (40, 70), (200, 8)] {
+        let a = dense::generate::uniform::<f64>(m, n, 77);
+        let sync = sync_run(&Gpu::new(DeviceSpec::c2050()), a.clone(), opts(32, 8));
+        for &s in &[1usize, 2, 4, 5] {
+            for &la in &[false, true] {
+                let g = Gpu::new(DeviceSpec::c2050());
+                let (f, _tl) = dag_run(&g, a.clone(), opts(32, 8), (s, la));
+                for j in 0..n {
+                    for i in 0..m {
+                        assert_eq!(
+                            f.a[(i, j)],
+                            sync.a[(i, j)],
+                            "factored matrix diverged at ({i},{j}) for {m}x{n} s={s} la={la}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn dag_launch_count_matches_ledger() {
+    for &la in &[false, true] {
+        let g = Gpu::new(DeviceSpec::c2050());
+        let a = dense::generate::uniform::<f64>(256, 24, 31);
+        let (f, _tl) = dag_run(&g, a, opts(32, 8), (3, la));
+        assert_eq!(f.launches as u64, g.ledger().calls, "lookahead={la}");
+    }
+}
+
+#[test]
+fn model_replay_matches_execution() {
+    for &(m, n) in &[(256usize, 32usize), (301, 27), (64, 80)] {
+        for &s in &[1usize, 3, 4] {
+            for &la in &[false, true] {
+                let o = opts(32, 8);
+                let g1 = Gpu::new(DeviceSpec::c2050());
+                let a = dense::generate::uniform::<f32>(m, n, 42);
+                let (f, _tl) = dag_run(&g1, a, o, (s, la));
+                let exec = g1.ledger();
+
+                let g2 = Gpu::new(DeviceSpec::c2050());
+                let secs = dag_seconds(&g2, (m, n), o, (s, la));
+                let modeled = g2.ledger();
+
+                assert_eq!(exec.calls, modeled.calls, "{m}x{n} s={s} la={la}");
+                assert_eq!(f.launches as u64, modeled.calls);
+                let dt = (exec.seconds - modeled.seconds).abs() / exec.seconds;
+                assert!(
+                    dt < 1e-9,
+                    "{m}x{n} s={s} la={la}: {} vs {}",
+                    exec.seconds,
+                    modeled.seconds
+                );
+                assert!((secs - exec.seconds).abs() / exec.seconds < 1e-9);
+            }
+        }
+    }
+}
+
+#[test]
+fn lookahead_beats_barrier_on_tall_skinny() {
+    // Launch-bound Table-I-style shape: overlapping the next factor with
+    // the trailing update must shorten the modelled makespan.
+    let o = CaqrOptions::default();
+    let t_look = dag_seconds(&Gpu::new(DeviceSpec::c2050()), (100_000, 192), o, (4, true));
+    let t_barrier = dag_seconds(
+        &Gpu::new(DeviceSpec::c2050()),
+        (100_000, 192),
+        o,
+        (4, false),
+    );
+    assert!(
+        t_look < t_barrier,
+        "lookahead {t_look} should beat barrier {t_barrier}"
+    );
+}
+
+#[test]
+fn zero_streams_rejected() {
+    let a = dense::generate::uniform::<f64>(64, 16, 1);
+    let g = Gpu::new(DeviceSpec::c2050());
+    let cfg = opts(32, 8).drive_config();
+    let run = SimBackend::streams(&g, 0)
+        .and_then(|sim| drive(&sim, a, &cfg, Mode::Dag { lookahead: true }));
+    assert!(run.is_err());
 }
 
 proptest! {
@@ -279,11 +385,11 @@ proptest! {
         seed in 0u64..1000,
     ) {
         let a = dense::generate::uniform::<f64>(m, n, seed);
-        let o = opts(16, 4, streams, la == 1);
+        let o = opts(16, 4);
         let gs = Gpu::new(DeviceSpec::c2050());
-        let sync = caqr::caqr::caqr(&gs, a.clone(), o.caqr).unwrap();
+        let sync = sync_run(&gs, a.clone(), o);
         let gd = Gpu::new(DeviceSpec::c2050());
-        let (f, tl) = caqr_dag(&gd, a, o).unwrap();
+        let (f, tl) = dag_run(&gd, a, o, (streams, la == 1));
         check_timeline(&tl);
         for j in 0..n {
             for i in 0..m {
@@ -304,13 +410,13 @@ proptest! {
         streams in 1usize..5,
         la in 0usize..2,
     ) {
-        let o = opts(32, 8, streams, la == 1);
+        let o = opts(32, 8);
         let g1 = Gpu::new(DeviceSpec::c2050());
         let a = dense::generate::uniform::<f32>(m, n, 42);
-        let (f, _tl) = caqr_dag(&g1, a, o).unwrap();
+        let (f, _tl) = dag_run(&g1, a, o, (streams, la == 1));
         let exec = g1.ledger();
         let g2 = Gpu::new(DeviceSpec::c2050());
-        dag_seconds(&g2, m, n, o);
+        dag_seconds(&g2, (m, n), o, (streams, la == 1));
         let modeled = g2.ledger();
         prop_assert_eq!(exec.calls, modeled.calls);
         prop_assert_eq!(f.launches as u64, modeled.calls);

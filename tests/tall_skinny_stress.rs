@@ -3,7 +3,7 @@
 //! evaluation at the paper's most extreme shapes.
 
 use caqr::{
-    caqr_qr, BlockSize, CaqrOptions, Mode, Modelled, ReductionStrategy, SimBackend, TreeShape,
+    drive, BlockSize, CaqrOptions, Mode, Modelled, ReductionStrategy, SimBackend, TreeShape,
 };
 use dense::norms::{orthogonality_error, reconstruction_error};
 use gpu_sim::{DeviceSpec, Gpu};
@@ -16,13 +16,9 @@ fn execute_200k_by_8_like_an_s_step_method() {
     let n = 8;
     let a = dense::generate::uniform::<f32>(m, n, 1);
     let gpu = Gpu::new(DeviceSpec::c2050());
-    let f = caqr::tsqr(
-        &gpu,
-        a.clone(),
-        BlockSize::c2050_best(),
-        ReductionStrategy::RegisterSerialTransposed,
-    )
-    .unwrap();
+    let sim = SimBackend::sync(&gpu);
+    let cfg = CaqrOptions::default().drive_config();
+    let f = drive(&sim, a.clone(), &cfg, Mode::Sync).unwrap();
     let r = f.r();
     // Column-norm preservation is a cheap full-strength check at this size.
     for j in 0..n {
@@ -39,7 +35,7 @@ fn execute_200k_by_8_like_an_s_step_method() {
     // Q^T b solve against the CPU reference on a narrow slice.
     let b: Vec<f32> = (0..m).map(|i| ((i % 97) as f32) / 97.0 - 0.5).collect();
     let mut c = dense::Matrix::from_fn(m, 1, |i, _| b[i]);
-    f.apply_on(&SimBackend::sync(&gpu), &mut c, true).unwrap();
+    f.apply_on(&sim, &mut c, true).unwrap();
     let mut x: Vec<f32> = (0..n).map(|i| c[(i, 0)]).collect();
     dense::blas2::trsv_upper(r.view(0, 0, n, n), &mut x);
     let x_ref = dense::blocked::least_squares(a, &b);
@@ -52,13 +48,19 @@ fn execute_200k_by_8_like_an_s_step_method() {
 fn execute_32k_by_256_full_caqr() {
     let a = dense::generate::uniform::<f32>(32_768, 256, 2);
     let gpu = Gpu::new(DeviceSpec::c2050());
-    let f = caqr::caqr::caqr(&gpu, a.clone(), CaqrOptions::default()).unwrap();
+    let sim = SimBackend::sync(&gpu);
+    let f = drive(
+        &sim,
+        a.clone(),
+        &CaqrOptions::default().drive_config(),
+        Mode::Sync,
+    )
+    .unwrap();
     // Spot-check orthogonality through a thin probe instead of forming the
     // full Q: ||Q^T (A e_j)|| must equal ||A e_j||.
     let mut probe = dense::Matrix::from_fn(32_768, 1, |i, _| a[(i, 100)]);
     let before = dense::blas1::nrm2(probe.col(0));
-    f.apply_on(&SimBackend::sync(&gpu), &mut probe, true)
-        .unwrap();
+    f.apply_on(&sim, &mut probe, true).unwrap();
     let after = dense::blas1::nrm2(probe.col(0));
     assert!(
         (before - after).abs() < 1e-3 * before,
@@ -108,7 +110,9 @@ fn small_blocks_with_huge_aspect_ratio_execute_correctly() {
         strategy: ReductionStrategy::RegisterSerialTransposed,
         tree: TreeShape::Binomial,
     };
-    let (q, r) = caqr_qr(&gpu, a.clone(), o).unwrap();
+    let sim = SimBackend::sync(&gpu);
+    let f = drive(&sim, a.clone(), &o.drive_config(), Mode::Sync).unwrap();
+    let (q, r) = (f.generate_q_on(&sim, 4).unwrap(), f.r());
     assert!(reconstruction_error(&a, &q, &r) < 1e-11);
     assert!(orthogonality_error(&q) < 1e-11);
 }
